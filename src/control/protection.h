@@ -10,12 +10,8 @@
 //   * the watchdog escalation ladder (forced throttle -> tightened
 //     shedding -> safe-mode WRR, with full unwind on sustained calm).
 //
-// Before PR 4 each substrate carried its own copy of these fields and
-// they had drifted (the flow pipeline had admission control but no
-// watchdog or shedding). This struct is now the single source of truth,
-// embedded by sim::RegionConfig, flow::PipelineConfig, and
-// rt::LocalRegionConfig; the old flat fields survive there as
-// deprecated aliases resolved by merged_protection().
+// This struct is the single source of truth, embedded as `protection`
+// by sim::RegionConfig, flow::PipelineConfig, and rt::LocalRegionConfig.
 #pragma once
 
 #include <cstdint>
@@ -48,37 +44,5 @@ struct ProtectionConfig {
   double watchdog_block_budget = 0.9;
   int watchdog_periods = 8;
 };
-
-/// Resolves a substrate config that still carries the pre-PR-4 flat
-/// protection fields against its embedded ProtectionConfig: any legacy
-/// field set away from its default overrides the embedded value, so old
-/// call sites (`cfg.admission_control = true;`) keep their meaning while
-/// new code writes `cfg.protection.admission_control`.
-inline ProtectionConfig merged_protection(
-    ProtectionConfig base, bool admission_control, double min_throttle,
-    std::uint64_t shed_high_watermark, std::uint64_t shed_low_watermark,
-    bool watchdog, double watchdog_block_budget, int watchdog_periods) {
-  const ProtectionConfig defaults;
-  if (admission_control != defaults.admission_control) {
-    base.admission_control = admission_control;
-  }
-  if (min_throttle != defaults.min_throttle) {
-    base.min_throttle = min_throttle;
-  }
-  if (shed_high_watermark != defaults.shed_high_watermark) {
-    base.shed_high_watermark = shed_high_watermark;
-  }
-  if (shed_low_watermark != defaults.shed_low_watermark) {
-    base.shed_low_watermark = shed_low_watermark;
-  }
-  if (watchdog != defaults.watchdog) base.watchdog = watchdog;
-  if (watchdog_block_budget != defaults.watchdog_block_budget) {
-    base.watchdog_block_budget = watchdog_block_budget;
-  }
-  if (watchdog_periods != defaults.watchdog_periods) {
-    base.watchdog_periods = watchdog_periods;
-  }
-  return base;
-}
 
 }  // namespace slb::control

@@ -39,12 +39,6 @@ struct DeliveryConfig {
   /// steady state unblocked.
   std::size_t replay_buffer_bytes = 256 * 1024;
 
-  /// Runtime only: the merger piggybacks a cumulative ack after this
-  /// many releases (and flushes smaller progress when idle). The sim's
-  /// reverse hop coalesces per drain instead — virtual time makes
-  /// batching free there.
-  int ack_every = 64;
-
   /// Ack-stall watchdog rung (control loop): escalate after this many
   /// consecutive sample periods with unacked tuples outstanding, ack
   /// progress frozen, and at least one channel unquarantined. 0 disables

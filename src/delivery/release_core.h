@@ -1,0 +1,300 @@
+// Ordered-release core of the in-order merger (paper §4.1, DESIGN.md §10).
+//
+// The merger at the back of a parallel region holds one reorder FIFO per
+// worker connection and releases tuples strictly by sequence number. This
+// class is that state machine, written once and shared by the two
+// substrates: sim::Merger (discrete-event) and rt::MergerPe (loopback
+// TCP) are thin adapters that feed it arrivals and loss declarations and
+// act on what it releases. It does no I/O, reads no clock (callers pass
+// `now`), and uses no atomics, so it can be unit-tested and model-checked
+// directly (tests/test_release_core.cc).
+//
+// It owns:
+//   * the per-connection queues (optionally capacity-bounded) and the
+//     release cursor `expected()`;
+//   * the at-least-once replay pool: a replay landing on a connection
+//     behind newer queued sequences is parked, keyed by sequence, where
+//     the head-only release scan can still reach it;
+//   * stale-arrival classification: a sequence below the cursor is
+//     dropped as a dup_discard under at-least-once (a replay echo) and a
+//     late_discard otherwise (a tuple outliving its declared gap);
+//   * the lost set: ranges declared never to arrive (crash losses, shed
+//     tuples), skipped as gaps when the cursor reaches them;
+//   * the stall timer and the skip-to-lowest-queued operation behind the
+//     runtime's gap timeout and its end-of-input flush;
+//   * the cumulative-ack cursor (adapters decide when to send).
+//
+// Item is either a sequence number or a struct with a `seq` field.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <map>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "delivery/delivery.h"
+#include "util/time.h"
+
+namespace slb::delivery {
+
+template <typename Item>
+class ReleaseCore {
+ public:
+  static constexpr std::size_t kUnbounded =
+      std::numeric_limits<std::size_t>::max();
+
+  enum class Offer {
+    kAccepted,  // queued or pooled; a release may now make progress
+    kStale,     // below the cursor: dropped and counted, nothing to do
+    kFull,      // the connection's queue is at capacity: retry later
+  };
+
+  ReleaseCore(int connections, DeliveryMode mode,
+              std::size_t capacity = kUnbounded)
+      : queues_(static_cast<std::size_t>(connections)),
+        freed_(static_cast<std::size_t>(connections), 0),
+        capacity_(capacity),
+        alo_(mode == DeliveryMode::kAtLeastOnce) {}
+
+  /// Selects the stale-arrival accounting and arms the replay pool
+  /// (at-least-once). Set before the first arrival.
+  void set_mode(DeliveryMode mode) {
+    alo_ = mode == DeliveryMode::kAtLeastOnce;
+  }
+
+  /// An arrival on connection `from`. Within one connection arrivals
+  /// come in send order, so only queue heads can hold the expected
+  /// sequence — except under at-least-once, where a replay can land
+  /// behind newer sequences; those go to the side pool (a collision
+  /// there is a duplicate of a pooled duplicate).
+  Offer offer(int from, Item item) {
+    const std::uint64_t seq = seq_of(item);
+    if (seq < expected_) {
+      discard_stale();
+      return Offer::kStale;
+    }
+    auto& q = queues_[static_cast<std::size_t>(from)];
+    if (alo_ && !q.empty() && seq < seq_of(q.back())) {
+      if (pool_.try_emplace(seq, from, std::move(item)).second) {
+        ++queued_;
+      } else {
+        discard_stale();
+      }
+      return Offer::kAccepted;
+    }
+    if (q.size() >= capacity_) return Offer::kFull;
+    q.push_back(std::move(item));
+    ++queued_;
+    return Offer::kAccepted;
+  }
+
+  /// Sequences [first, first + count) will never arrive (they died with
+  /// a worker or were shed at the source). Overlapping declarations of
+  /// the same first sequence keep the widest count and the earliest
+  /// declaration time.
+  void note_lost(std::uint64_t first, std::uint64_t count, TimeNs now) {
+    if (count == 0 || first + count <= expected_) return;
+    auto [it, fresh] = lost_.try_emplace(first, Lost{count, now});
+    if (!fresh) it->second.count = std::max(it->second.count, count);
+  }
+
+  /// Releases everything the cursor can reach, in sequence order:
+  /// declared-lost ranges are skipped (`on_gap(count, declared_at)`),
+  /// stale entries are dropped, and each released item goes to
+  /// `emit(from, item)`. An emit returning false (downstream refused)
+  /// stops the loop with that item still queued.
+  template <typename Emit, typename OnGap>
+  void release(TimeNs now, Emit&& emit, OnGap&& on_gap) {
+    const bool progressed = release_pass(emit, on_gap);
+    if (queued_ == 0) {
+      blocked_ = false;
+    } else if (progressed || !blocked_) {
+      // The head of the line blocks from now on: restart the stall timer.
+      blocked_ = true;
+      blocked_since_ = now;
+    }
+  }
+
+  template <typename Emit>
+  void release(TimeNs now, Emit&& emit) {
+    release(now, emit, [](std::uint64_t, TimeNs) {});
+  }
+
+  /// True when items are queued behind a missing sequence and no release
+  /// has made progress for `timeout` since the line first blocked.
+  bool stalled(TimeNs now, DurationNs timeout) const {
+    return blocked_ && now - blocked_since_ >= timeout;
+  }
+
+  /// Moves the cursor up to the lowest queued or pooled sequence, counting
+  /// every sequence jumped over as a gap (declared-lost ranges it passes
+  /// are dropped, not counted twice). Returns the number skipped; 0 when
+  /// nothing is queued. Call release() afterwards.
+  std::uint64_t skip_to_lowest_queued() {
+    std::uint64_t low = std::numeric_limits<std::uint64_t>::max();
+    if (!pool_.empty()) low = pool_.begin()->first;
+    for (const auto& q : queues_) {
+      if (!q.empty()) low = std::min(low, seq_of(q.front()));
+    }
+    if (queued_ == 0 || low <= expected_) return 0;
+    const std::uint64_t skipped = low - expected_;
+    gaps_ += skipped;
+    expected_ = low;
+    return skipped;
+  }
+
+  /// Calls `fn(j)` for each connection whose queue lost an entry since
+  /// the last call, in connection order, and clears the marks.
+  template <typename Fn>
+  void take_freed(Fn&& fn) {
+    for (std::size_t j = 0; j < freed_.size(); ++j) {
+      if (freed_[j] == 0) continue;
+      freed_[j] = 0;
+      fn(static_cast<int>(j));
+    }
+  }
+
+  /// Head of connection j's queue (nullptr when empty) and its removal:
+  /// for adapters that release without sequence gating (parallel sinks).
+  const Item* head(int j) const {
+    const auto& q = queues_[static_cast<std::size_t>(j)];
+    return q.empty() ? nullptr : &q.front();
+  }
+  void pop(int j) {
+    queues_[static_cast<std::size_t>(j)].pop_front();
+    freed_[static_cast<std::size_t>(j)] = 1;
+    --queued_;
+  }
+
+  /// Cumulative ack: releases not yet acknowledged, and taking them.
+  std::uint64_t unacked() const { return expected_ - acked_; }
+  std::uint64_t take_ack() { return acked_ = expected_; }
+
+  /// The release cursor: every sequence below it was emitted or skipped.
+  std::uint64_t expected() const { return expected_; }
+  std::uint64_t gaps() const { return gaps_; }
+  std::uint64_t dup_discards() const { return dup_discards_; }
+  std::uint64_t late_discards() const { return late_discards_; }
+  /// Items held in the queues and the replay pool.
+  std::size_t queued() const { return queued_; }
+  std::size_t queue_size(int j) const {
+    return queues_[static_cast<std::size_t>(j)].size();
+  }
+  std::size_t pooled() const { return pool_.size(); }
+  /// Declared-lost sequences the cursor has not reached yet.
+  std::uint64_t lost_pending() const {
+    std::uint64_t pending = 0;
+    std::uint64_t covered = expected_;
+    for (const auto& [first, lost] : lost_) {
+      const std::uint64_t end = first + lost.count;
+      if (end <= covered) continue;
+      pending += end - std::max(first, covered);
+      covered = end;
+    }
+    return pending;
+  }
+
+ private:
+  struct Lost {
+    std::uint64_t count;
+    TimeNs declared_at;
+  };
+
+  static std::uint64_t seq_of(const Item& item) {
+    if constexpr (std::is_integral_v<Item>) {
+      return item;
+    } else {
+      return item.seq;
+    }
+  }
+
+  void discard_stale() {
+    if (alo_) {
+      ++dup_discards_;
+    } else {
+      ++late_discards_;
+    }
+  }
+
+  /// Skips the declared-lost ranges the cursor has reached.
+  template <typename OnGap>
+  bool skip_lost(OnGap& on_gap) {
+    bool skipped = false;
+    for (;;) {
+      auto it = lost_.upper_bound(expected_);
+      if (it == lost_.begin()) return skipped;
+      --it;
+      const std::uint64_t end = it->first + it->second.count;
+      if (end > expected_) {
+        on_gap(end - expected_, it->second.declared_at);
+        gaps_ += end - expected_;
+        expected_ = end;
+        skipped = true;
+      }
+      lost_.erase(it);
+    }
+  }
+
+  template <typename Emit, typename OnGap>
+  bool release_pass(Emit& emit, OnGap& on_gap) {
+    bool any = false;
+    bool progressed = true;
+    while (progressed) {
+      progressed = skip_lost(on_gap);
+      while (!pool_.empty() && pool_.begin()->first < expected_) {
+        discard_stale();
+        pool_.erase(pool_.begin());
+        --queued_;
+        progressed = true;
+      }
+      while (!pool_.empty() && pool_.begin()->first == expected_) {
+        auto& [from, item] = pool_.begin()->second;
+        if (!emit(from, item)) return any || progressed;
+        pool_.erase(pool_.begin());
+        --queued_;
+        ++expected_;
+        progressed = true;
+      }
+      for (std::size_t j = 0; j < queues_.size(); ++j) {
+        auto& q = queues_[j];
+        while (!q.empty() && seq_of(q.front()) < expected_) {
+          discard_stale();
+          pop(static_cast<int>(j));
+          progressed = true;
+        }
+        while (!q.empty() && seq_of(q.front()) == expected_) {
+          if (!emit(static_cast<int>(j), q.front())) return any || progressed;
+          pop(static_cast<int>(j));
+          ++expected_;
+          progressed = true;
+        }
+      }
+      any = any || progressed;
+    }
+    return any;
+  }
+
+  std::vector<std::deque<Item>> queues_;
+  /// Sequence -> (source connection, item) for out-of-order replays.
+  std::map<std::uint64_t, std::pair<int, Item>> pool_;
+  /// First sequence -> declared-lost range.
+  std::map<std::uint64_t, Lost> lost_;
+  std::vector<std::uint8_t> freed_;
+  std::size_t capacity_;
+  bool alo_;
+  std::size_t queued_ = 0;
+  std::uint64_t expected_ = 0;
+  std::uint64_t acked_ = 0;
+  std::uint64_t gaps_ = 0;
+  std::uint64_t dup_discards_ = 0;
+  std::uint64_t late_discards_ = 0;
+  bool blocked_ = false;
+  TimeNs blocked_since_ = 0;
+};
+
+}  // namespace slb::delivery

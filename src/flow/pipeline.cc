@@ -47,8 +47,7 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
   consumed_ = true;
 
   auto pipeline = std::unique_ptr<Pipeline>(new Pipeline(config_));
-  pipeline->prot_ = config_.resolved_protection();
-  const control::ProtectionConfig& prot = pipeline->prot_;
+  const control::ProtectionConfig& prot = config_.protection;
   sim::Simulator* sim = &pipeline->sim_;
 
   sim::Channel::Config chan_cfg;
@@ -211,8 +210,8 @@ void Pipeline::sample_tick() {
   // watermarks are the tightest any stage's watchdog demands.
   double factor = 1.0;
   bool throttled = false;
-  std::uint64_t shed_high = prot_.shed_high_watermark;
-  std::uint64_t shed_low = prot_.shed_low_watermark;
+  std::uint64_t shed_high = config_.protection.shed_high_watermark;
+  std::uint64_t shed_low = config_.protection.shed_low_watermark;
   for (auto& stage : stages_) {
     if (!stage->parallel) continue;
     const control::ControlActions& acts =
@@ -221,7 +220,7 @@ void Pipeline::sample_tick() {
       throttled = true;
       factor = std::min(factor, acts.throttle);
     }
-    if (prot_.shed_high_watermark > 0 && acts.shed_high < shed_high) {
+    if (config_.protection.shed_high_watermark > 0 && acts.shed_high < shed_high) {
       shed_high = acts.shed_high;
       shed_low = acts.shed_low;
     }
@@ -233,7 +232,7 @@ void Pipeline::sample_tick() {
       throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
     }
   }
-  if (prot_.shed_high_watermark > 0 &&
+  if (config_.protection.shed_high_watermark > 0 &&
       (shed_high != applied_shed_high_ || shed_low != applied_shed_low_)) {
     applied_shed_high_ = shed_high;
     applied_shed_low_ = shed_low;

@@ -60,18 +60,6 @@ struct PipelineConfig {
   /// safe-mode WRR) per stage.
   control::ProtectionConfig protection;
 
-  /// Deprecated aliases of `protection.admission_control` /
-  /// `protection.min_throttle` (pre-control-plane layout). A field set
-  /// away from its default overrides the embedded struct; new code
-  /// should write `protection.*`.
-  bool admission_control = false;
-  double min_throttle = 0.25;
-
-  /// Legacy aliases resolved against the embedded struct.
-  control::ProtectionConfig resolved_protection() const {
-    return control::merged_protection(protection, admission_control,
-                                      min_throttle, 0, 0, false, 0.9, 8);
-  }
   /// Observability (DESIGN.md §8): populate the pipeline's registry with
   /// "source.*" and per-parallel-stage "stage.<name>.*" metrics.
   bool metrics = true;
@@ -228,9 +216,6 @@ class Pipeline {
   void sample_tick();
 
   PipelineConfig config_;
-  /// config_'s protection knobs with legacy aliases resolved (fixed at
-  /// build time; shared by every stage loop and the source aggregation).
-  control::ProtectionConfig prot_;
   /// Declared before the stages that hold handles into it.
   obs::MetricsRegistry metrics_;
   obs::Gauge* throttle_gauge_ = nullptr;

@@ -16,7 +16,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
                          std::unique_ptr<SplitPolicy> policy)
     : config_(config),
       policy_(std::move(policy)),
-      prot_(config.resolved_protection()),
       counters_(static_cast<std::size_t>(config.workers)) {
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
@@ -92,11 +91,8 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   MergerFaultConfig fault;
   fault.enabled = !config_.failure_events.empty();
   fault.gap_timeout = config_.merger_gap_timeout;
-  MergerDeliveryConfig merger_delivery;
-  merger_delivery.mode = config_.delivery.mode;
-  merger_delivery.ack_every = config_.delivery.ack_every;
   merger_ = std::make_unique<MergerPe>(std::move(merger_from_worker), fault,
-                                       merger_delivery,
+                                       config_.delivery.mode,
                                        std::move(merger_ack_out));
   pending_.resize(static_cast<std::size_t>(config_.workers));
 
@@ -107,10 +103,10 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   backoff_.assign(n, 0);
   load_mult_.assign(n, 1.0);
 
-  shed_high_ = prot_.shed_high_watermark;
-  shed_low_ = prot_.shed_low_watermark;
+  shed_high_ = config_.protection.shed_high_watermark;
+  shed_low_ = config_.protection.shed_low_watermark;
   control::ControlLoopConfig loop_cfg;
-  loop_cfg.protection = prot_;
+  loop_cfg.protection = config_.protection;
   loop_cfg.closed_loop_source = config_.source_interval == 0;
   if (alo()) loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
   loop_ = std::make_unique<control::RegionControlLoop>(

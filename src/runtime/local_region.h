@@ -90,26 +90,6 @@ struct LocalRegionConfig {
   /// the splitter thread ticks once per sample period.
   control::ProtectionConfig protection;
 
-  /// Deprecated aliases of the `protection` fields (pre-control-plane
-  /// flat layout). A field set away from its default overrides the
-  /// embedded struct via control::merged_protection, so old call sites
-  /// keep working; new code should write `protection.*`.
-  bool admission_control = false;
-  double min_throttle = 0.25;
-  std::uint64_t shed_high_watermark = 0;
-  std::uint64_t shed_low_watermark = 0;
-  bool watchdog = false;
-  double watchdog_block_budget = 0.9;
-  int watchdog_periods = 8;
-
-  /// Legacy aliases resolved against the embedded struct.
-  control::ProtectionConfig resolved_protection() const {
-    return control::merged_protection(
-        protection, admission_control, min_throttle, shed_high_watermark,
-        shed_low_watermark, watchdog, watchdog_block_budget,
-        watchdog_periods);
-  }
-
   // --- Delivery semantics (DESIGN.md §10) ------------------------------
 
   /// GapSkip (default: byte-identical to the pre-delivery behavior) or
@@ -277,9 +257,6 @@ class LocalRegion : private control::RegionPort {
 
   LocalRegionConfig config_;
   std::unique_ptr<SplitPolicy> policy_;
-  /// config_'s protection knobs with legacy aliases resolved (fixed at
-  /// construction).
-  control::ProtectionConfig prot_;
   BlockingCounterSet counters_;
   /// Declared before the worker PEs holding histogram handles into it.
   obs::MetricsRegistry metrics_;

@@ -5,22 +5,27 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <deque>
-#include <limits>
-#include <map>
-#include <set>
 
+#include "delivery/release_core.h"
 #include "transport/framing.h"
 #include "util/log.h"
 #include "util/time.h"
 
 namespace slb::rt {
 
+namespace {
+
+/// At-least-once: piggyback a cumulative ack after this many releases;
+/// smaller progress is flushed whenever the poll loop goes idle.
+constexpr std::uint64_t kAckEvery = 64;
+
+}  // namespace
+
 MergerPe::MergerPe(std::vector<net::Fd> from_workers, MergerFaultConfig fault,
-                   MergerDeliveryConfig delivery, net::Fd ack_out)
+                   delivery::DeliveryMode mode, net::Fd ack_out)
     : from_workers_(std::move(from_workers)),
       fault_(fault),
-      delivery_(delivery),
+      mode_(mode),
       ack_out_(std::move(ack_out)) {
   if (fault_.enabled) listener_ = std::make_unique<net::Listener>();
   thread_ = std::thread([this] { run(); });
@@ -38,12 +43,12 @@ void MergerPe::run() {
   try {
     const std::size_t n = from_workers_.size();
     const bool ft = listener_ != nullptr;
-    const bool alo = delivery_.mode == delivery::DeliveryMode::kAtLeastOnce;
+    const bool alo = mode_ == delivery::DeliveryMode::kAtLeastOnce;
+    // Queues hold bare sequence numbers: only counts leave the merger.
+    delivery::ReleaseCore<std::uint64_t> core(static_cast<int>(n), mode_);
     std::vector<net::FrameDecoder> decoders(n);
-    std::vector<std::deque<std::uint64_t>> queues(n);
     std::vector<bool> finished(n, false);  // clean FIN received
     std::vector<std::uint8_t> buf(64 * 1024);
-    std::uint64_t expected = 0;
     std::size_t open = n;  // plain mode: slots not yet at EOF/FIN
     std::size_t fins = 0;  // fault mode: slots that FINed
 
@@ -53,66 +58,24 @@ void MergerPe::run() {
       net::FrameDecoder decoder;
     };
     std::vector<Pending> pending;
-
-    TimeNs last_progress = monotonic_now();
     net::Frame frame;
 
-    // Replays break the "within one connection, arrival order == sequence
-    // order" invariant the head-only release scan depends on: a re-sent
-    // old sequence can land behind newer sequences already queued on the
-    // same stream, where the scan would never see it. Such stragglers are
-    // parked here and drained alongside the queue heads (at-least-once
-    // only — nothing is ever re-sent otherwise).
-    std::set<std::uint64_t> pool;
-
-    // Shed ranges announced by gap frames: first seq -> count. These
-    // sequences were dropped at the source and will never arrive; ordered
-    // release must skip them (each one counted as a gap) instead of
-    // gating on them.
-    std::map<std::uint64_t, std::uint64_t> shed;
-    const auto note_shed = [&](std::uint64_t first, std::uint64_t count) {
-      if (count == 0) return;
-      std::uint64_t& existing = shed[first];
-      existing = std::max(existing, count);
+    std::uint64_t emitted = 0;
+    const auto release = [&] {
+      core.release(monotonic_now(), [&](int, std::uint64_t) {
+        ++emitted;
+        return true;
+      });
     };
-    // Advances `expected` through any shed ranges it has reached,
-    // counting them as gaps; consumed ranges are erased.
-    const auto skip_shed = [&]() {
-      bool skipped = false;
-      for (;;) {
-        auto it = shed.upper_bound(expected);
-        if (it == shed.begin()) break;
-        --it;
-        const std::uint64_t end = it->first + it->second;
-        if (expected >= end) {
-          // Entirely below expected (already skipped via timeout or the
-          // final flush): stale, drop it and look at the next range down.
-          shed.erase(it);
-          continue;
-        }
-        gaps_.fetch_add(end - expected, std::memory_order_relaxed);
-        expected = end;
-        shed.erase(it);
-        skipped = true;
-      }
-      return skipped;
-    };
-
-    // A head *below* the release cursor cannot be emitted again without
-    // breaking strict order; drop it, but account for why it happened.
-    // At-least-once: a replay echo — the original raced a crash and won
-    // (dup_discard, expected and harmless). Fault mode: a tuple that
-    // arrived after its sequence was declared a gap (late_discard — the
-    // previously-invisible wedge this counter makes visible). Plain mode
-    // declares neither gaps nor replays, so a stale head there is a real
-    // order violation.
-    const auto discard_stale = [&](std::size_t j) {
-      queues[j].pop_front();
-      if (alo) {
-        dup_discards_.fetch_add(1, std::memory_order_relaxed);
-      } else if (ft) {
-        late_discards_.fetch_add(1, std::memory_order_relaxed);
-      } else {
+    // Publishes the core's counters to the thread-safe accessors. Plain
+    // mode declares neither gaps nor replays, so a stale arrival there (a
+    // late_discard to the core) is a real order violation.
+    const auto publish = [&] {
+      emitted_.store(emitted, std::memory_order_relaxed);
+      gaps_.store(core.gaps(), std::memory_order_relaxed);
+      dup_discards_.store(core.dup_discards(), std::memory_order_relaxed);
+      late_discards_.store(core.late_discards(), std::memory_order_relaxed);
+      if (!ft && core.late_discards() > 0) {
         order_ok_.store(false, std::memory_order_relaxed);
       }
     };
@@ -121,18 +84,13 @@ void MergerPe::run() {
     // contiguously released sequence so it can trim its replay buffers.
     // Non-blocking, drop-tolerant writes — a lost ack only delays the
     // trim until the next one, because each ack carries the full cursor.
-    std::uint64_t last_acked = 0;
     std::vector<std::uint8_t> ack_buf;  // unwritten remainder of last ack
     const auto pump_acks = [&](bool force) {
       if (!alo || !ack_out_.valid()) return;
       if (ack_buf.empty()) {
-        if (expected == last_acked) return;
-        if (!force && expected - last_acked <
-                          static_cast<std::uint64_t>(delivery_.ack_every)) {
-          return;
-        }
-        ack_buf = net::ack_bytes(expected);
-        last_acked = expected;
+        if (core.unacked() == 0) return;
+        if (!force && core.unacked() < kAckEvery) return;
+        ack_buf = net::ack_bytes(core.take_ack());
       }
       const ssize_t put = ::send(ack_out_.get(), ack_buf.data(),
                                  ack_buf.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
@@ -144,37 +102,6 @@ void MergerPe::run() {
         return;
       }
       ack_buf.erase(ack_buf.begin(), ack_buf.begin() + put);
-    };
-
-    // Release in global sequence order: the expected tuple can only be
-    // at the head of one of the per-connection FIFOs.
-    const auto release = [&] {
-      bool progressed = true;
-      while (progressed) {
-        progressed = skip_shed();
-        while (!pool.empty() && *pool.begin() < expected) {
-          pool.erase(pool.begin());
-          dup_discards_.fetch_add(1, std::memory_order_relaxed);
-        }
-        while (!pool.empty() && *pool.begin() == expected) {
-          pool.erase(pool.begin());
-          ++expected;
-          emitted_.fetch_add(1, std::memory_order_relaxed);
-          progressed = true;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          while (!queues[j].empty() && queues[j].front() < expected) {
-            discard_stale(j);
-          }
-          while (!queues[j].empty() && queues[j].front() == expected) {
-            queues[j].pop_front();
-            ++expected;
-            emitted_.fetch_add(1, std::memory_order_relaxed);
-            progressed = true;
-          }
-        }
-        if (progressed) last_progress = monotonic_now();
-      }
     };
 
     // Decodes whatever already sits in slot j's decoder; a FIN closes
@@ -189,22 +116,15 @@ void MergerPe::run() {
           return;
         }
         if (frame.is_gap()) {
-          note_shed(frame.gap_first(), frame.gap_count());
+          // Shed at the source: these sequences will never arrive.
+          core.note_lost(frame.gap_first(), frame.gap_count(),
+                         monotonic_now());
           continue;
         }
-        if (alo && !queues[j].empty() && frame.seq < queues[j].back()) {
-          // Replay echo behind newer queued sequences: park it in the
-          // side pool (an insert collision is a duplicate of a pooled
-          // duplicate).
-          if (!pool.insert(frame.seq).second) {
-            dup_discards_.fetch_add(1, std::memory_order_relaxed);
-          }
-          continue;
-        }
-        queues[j].push_back(frame.seq);
+        core.offer(static_cast<int>(j), frame.seq);
         max_depth_.store(
             std::max(max_depth_.load(std::memory_order_relaxed),
-                     queues[j].size()),
+                     core.queue_size(static_cast<int>(j))),
             std::memory_order_relaxed);
       }
       if (decoders[j].corrupt()) {
@@ -255,7 +175,7 @@ void MergerPe::run() {
         if (errno == EINTR) continue;
         break;
       }
-      // Idle poll: flush ack progress below the ack_every threshold so a
+      // Idle poll: flush ack progress below the kAckEvery threshold so a
       // quiescent splitter (blocked on a full replay buffer) still hears
       // about every release eventually.
       if (rc == 0) pump_acks(/*force=*/true);
@@ -327,68 +247,29 @@ void MergerPe::run() {
       for (Pending& p : arrived) pending.push_back(std::move(p));
 
       release();
+      // Gap detection (GapSkip fault mode): tuples have waited behind the
+      // expected sequence for a whole timeout — the sequences it gates on
+      // died with a worker. Skip to the next queued sequence; every
+      // skipped number is a gap.
+      if (ft && !alo && core.stalled(monotonic_now(), fault_.gap_timeout)) {
+        core.skip_to_lowest_queued();
+        release();
+      }
+      publish();
       pump_acks(/*force=*/false);
-
-      if (ft && !alo) {
-        // Gap detection: tuples are queued past the expected sequence and
-        // nothing has been released for a whole timeout — the sequences
-        // we are gating on died with a worker. Skip to the next queued
-        // sequence; every skipped number is a gap.
-        bool any_queued = false;
-        std::uint64_t min_head = std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t j = 0; j < n; ++j) {
-          if (queues[j].empty()) continue;
-          any_queued = true;
-          min_head = std::min(min_head, queues[j].front());
-        }
-        if (any_queued &&
-            monotonic_now() - last_progress >= fault_.gap_timeout) {
-          gaps_.fetch_add(min_head - expected, std::memory_order_relaxed);
-          expected = min_head;
-          last_progress = monotonic_now();
-          release();
-        }
-      }
     }
 
-    // Flush anything still queued (all inputs done). Plain mode: the
-    // remainder must already be in order across queues — modulo declared
-    // shed ranges — anything else is an order violation. Fault mode:
-    // trailing gaps are skipped like any other. Pooled replays join the
-    // scan as one extra (sorted) queue.
-    if (!pool.empty()) {
-      queues.emplace_back(pool.begin(), pool.end());
-      pool.clear();
+    // All inputs done: flush what is still queued. Fault mode skips the
+    // trailing gaps like any other; in plain mode everything left must
+    // already be in order (modulo declared shed ranges).
+    release();
+    while (core.queued() > 0) {
+      if (core.skip_to_lowest_queued() > 0 && !ft) {
+        order_ok_.store(false, std::memory_order_relaxed);
+      }
+      release();
     }
-    for (;;) {
-      skip_shed();
-      std::size_t best = queues.size();
-      for (std::size_t j = 0; j < queues.size(); ++j) {
-        if (queues[j].empty()) continue;
-        if (best == queues.size() || queues[j].front() < queues[best].front()) {
-          best = j;
-        }
-      }
-      if (best == queues.size()) break;
-      const std::uint64_t head = queues[best].front();
-      if (head < expected) {
-        discard_stale(best);
-        continue;
-      }
-      queues[best].pop_front();
-      if (head > expected) {
-        if (ft) {
-          gaps_.fetch_add(head - expected, std::memory_order_relaxed);
-        } else {
-          order_ok_.store(false, std::memory_order_relaxed);
-        }
-        expected = head;
-      }
-      ++expected;
-      emitted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Trailing sheds (the very last sequences of the run were dropped).
-    skip_shed();
+    publish();
     // Final cumulative ack — best-effort; the splitter may already be
     // tearing down, and nothing downstream depends on it landing.
     pump_acks(/*force=*/true);

@@ -13,10 +13,14 @@
 //     itself with a hello frame carrying its worker id;
 //   * treats EOF-without-FIN as a crash, not completion: the slot may be
 //     re-admitted later, and the run only ends once every slot has FINed;
-//   * skips sequence numbers that stop arriving: if tuples are queued but
-//     the expected sequence has not shown up for `gap_timeout`, the tuples
-//     it was waiting on died with a worker — release resumes at the next
+//   * skips sequence numbers that stop arriving: if tuples have been
+//     queued behind the expected sequence for `gap_timeout`, the tuples it
+//     was waiting on died with a worker — release resumes at the next
 //     queued sequence and every skipped number is counted as a gap.
+//
+// The sequencing state machine is delivery::ReleaseCore, shared with the
+// simulator's merger; this adapter adds the poll/read/decode loop,
+// reconnect handling and the ack socket writes.
 #pragma once
 
 #include <atomic>
@@ -42,23 +46,16 @@ struct MergerFaultConfig {
   DurationNs gap_timeout = millis(500);
 };
 
-struct MergerDeliveryConfig {
-  delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip;
-  /// Piggyback a cumulative ack after this many releases; smaller
-  /// progress is flushed whenever the poll loop goes idle.
-  int ack_every = 64;
-};
-
 class MergerPe {
  public:
   /// Takes ownership of all worker connections; starts immediately.
   /// `ack_out` (at-least-once only) is the merger->splitter reverse
   /// connection cumulative acks ride on; writes are non-blocking and
   /// drop-on-full — the cumulative encoding makes lost acks harmless.
-  explicit MergerPe(std::vector<net::Fd> from_workers,
-                    MergerFaultConfig fault = {},
-                    MergerDeliveryConfig delivery = {},
-                    net::Fd ack_out = {});
+  explicit MergerPe(
+      std::vector<net::Fd> from_workers, MergerFaultConfig fault = {},
+      delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip,
+      net::Fd ack_out = {});
 
   ~MergerPe();
 
@@ -124,7 +121,7 @@ class MergerPe {
 
   std::vector<net::Fd> from_workers_;
   MergerFaultConfig fault_;
-  MergerDeliveryConfig delivery_;
+  delivery::DeliveryMode mode_;
   net::Fd ack_out_;
   std::unique_ptr<net::Listener> listener_;
   std::atomic<std::uint64_t> emitted_{0};

@@ -12,9 +12,9 @@ ChaosPlan make_chaos_plan(std::uint64_t seed, DurationNs duration) {
   plan.region.base_cost = micros(static_cast<long>(4 + rng.below(8)));
   plan.region.send_overhead = 500;
   plan.region.sample_period = millis(5);
-  plan.region.admission_control = true;
-  plan.region.watchdog = true;
-  plan.region.watchdog_periods = 6;
+  plan.region.protection.admission_control = true;
+  plan.region.protection.watchdog = true;
+  plan.region.protection.watchdog_periods = 6;
 
   if (rng.chance(0.5)) {
     // Open-loop source offered at 1.5–3x of nominal capacity, with
@@ -24,8 +24,8 @@ ChaosPlan make_chaos_plan(std::uint64_t seed, DurationNs duration) {
     plan.region.source_interval = static_cast<DurationNs>(
         static_cast<double>(plan.region.base_cost) / (workers * over));
     const std::uint64_t high = 64 + rng.below(192);
-    plan.region.shed_high_watermark = high;
-    plan.region.shed_low_watermark = high / 2;
+    plan.region.protection.shed_high_watermark = high;
+    plan.region.protection.shed_low_watermark = high / 2;
   }
 
   // Overload bursts: all workers slowed together so no reallocation can

@@ -7,14 +7,13 @@ namespace slb::sim {
 Merger::Merger(Simulator* sim, int connections, std::size_t capacity,
                bool ordered)
     : sim_(sim),
+      core_(connections, delivery::DeliveryMode::kGapSkip, capacity),
       on_space_(static_cast<std::size_t>(connections)),
       emitted_from_(static_cast<std::size_t>(connections), 0),
-      ordered_(ordered),
-      last_enq_(static_cast<std::size_t>(connections), 0) {
+      ordered_(ordered) {
   assert(sim != nullptr);
   assert(connections > 0);
-  queues_.reserve(static_cast<std::size_t>(connections));
-  for (int j = 0; j < connections; ++j) queues_.emplace_back(capacity);
+  assert(capacity > 0);
 }
 
 void Merger::set_on_space(int j, std::function<void()> fn) {
@@ -37,9 +36,9 @@ bool Merger::emit(int from, const Tuple& t) {
   if (metrics_.emitted != nullptr) metrics_.emitted->inc();
   if (metrics_.reorder_depth != nullptr) {
     // Tuples parked behind the sequence gate right now (the emitting one
-    // is still at its queue head, so subtract it). queued_total_ keeps
-    // this O(1) instead of summing every queue per emit.
-    metrics_.reorder_depth->record(queued_total_ > 0 ? queued_total_ - 1 : 0);
+    // is still queued in the core, so subtract it).
+    const std::size_t queued = core_.queued();
+    metrics_.reorder_depth->record(queued > 0 ? queued - 1 : 0);
   }
   if (on_emit_) on_emit_(t);
   return true;
@@ -51,154 +50,82 @@ void Merger::set_on_ack(std::function<void(std::uint64_t)> fn,
   ack_latency_ = latency;
 }
 
-void Merger::discard_stale() {
-  // A sequence below the release cursor cannot be emitted again without
-  // breaking strict order. Under at-least-once it is a replay echo (the
-  // original raced the crash and won); under GapSkip it is a tuple that
-  // outlived its own gap declaration — previously invisible, now counted.
-  if (mode_ == delivery::DeliveryMode::kAtLeastOnce) {
-    ++dup_discards_;
-    if (metrics_.dup_discards != nullptr) metrics_.dup_discards->inc();
-  } else {
-    ++late_discards_;
-    if (metrics_.late_discards != nullptr) metrics_.late_discards->inc();
+void Merger::sync_discard_metrics() {
+  if (metrics_.dup_discards != nullptr) {
+    metrics_.dup_discards->inc(core_.dup_discards() - dups_synced_);
   }
+  if (metrics_.late_discards != nullptr) {
+    metrics_.late_discards->inc(core_.late_discards() - lates_synced_);
+  }
+  dups_synced_ = core_.dup_discards();
+  lates_synced_ = core_.late_discards();
 }
 
 void Merger::maybe_schedule_ack() {
-  if (!on_ack_ || ack_scheduled_ || expected_ <= acked_sent_) return;
+  if (!on_ack_ || ack_scheduled_ || core_.unacked() == 0) return;
   // One coalesced in-flight ack at a time: the value is read at fire
   // time, so progress made while it was in flight rides along — the
   // cumulative encoding makes dropped/merged acks free.
   ack_scheduled_ = true;
   sim_->schedule_after(ack_latency_, [this] {
     ack_scheduled_ = false;
-    if (expected_ > acked_sent_) {
-      acked_sent_ = expected_;
-      on_ack_(acked_sent_);
+    if (core_.unacked() > 0) {
+      on_ack_(core_.take_ack());
       maybe_schedule_ack();  // progress during the flight, if any
     }
   });
 }
 
 bool Merger::try_push(int j, Tuple t) {
-  const auto ju = static_cast<std::size_t>(j);
-  if (ordered_ && t.seq < expected_) {
-    // Dedup window: already released (or declared a gap). Accept-and-drop
-    // so the worker does not retry a tuple that must never be emitted.
-    discard_stale();
-    return true;
+  // Stale arrivals (already released, or declared a gap) are accepted and
+  // dropped so the worker does not retry a tuple that must never be
+  // emitted.
+  switch (core_.offer(j, t)) {
+    case Core::Offer::kFull:
+      return false;
+    case Core::Offer::kStale:
+      sync_discard_metrics();
+      return true;
+    case Core::Offer::kAccepted:
+      drain();
+      return true;
   }
-  auto& q = queues_[ju];
-  if (ordered_ && mode_ == delivery::DeliveryMode::kAtLeastOnce &&
-      !q.empty() && t.seq < last_enq_[ju]) {
-    // A replayed tuple landed behind newer sequences already queued on
-    // this connection; the head-only drain scan would never reach it.
-    // Park it in the sequence-keyed side pool instead of wedging the
-    // FIFO. An insert collision means this exact sequence was already
-    // pooled — a duplicate of a duplicate.
-    if (replay_pool_.emplace(t.seq, std::make_pair(j, t)).second) {
-      ++queued_total_;
-    } else {
-      discard_stale();
-    }
-    drain();
-    return true;
-  }
-  if (q.full()) return false;
-  // Ordered: queue and release strictly by sequence number. Unordered
-  // (parallel sinks): the same machinery with no sequence gating — the
-  // queue only holds tuples the downstream refused.
-  q.push(t);
-  last_enq_[ju] = t.seq;
-  ++queued_total_;
-  drain();
   return true;
 }
 
 void Merger::note_lost(std::uint64_t seq) {
   if (!ordered_) return;  // no sequence gating to un-stick
-  if (seq < expected_) return;  // already emitted (cannot happen for real
-                                // losses, but keeps the call idempotent)
-  lost_.emplace(seq, sim_->now());
+  if (seq < core_.expected()) return;  // already emitted (cannot happen for
+                                       // real losses, but keeps the call
+                                       // idempotent)
+  core_.note_lost(seq, 1, sim_->now());
   drain();
 }
 
 void Merger::drain() {
-  // Emit while the next-expected tuple sits at the head of some queue.
-  // Within one connection tuples arrive in send order, so only queue heads
-  // can hold the expected sequence number.
-  const std::size_t n = queues_.size();
-  std::vector<bool> freed(n, false);
-  bool progressed = true;
-  bool downstream_full = false;
-  while (progressed && !downstream_full) {
-    progressed = false;
-    // Skip sequences that died with a worker: the region told us they
-    // will never arrive, so gating on them would wedge the output.
-    while (!lost_.empty() && lost_.begin()->first == expected_) {
-      if (metrics_.gap_wait_ns != nullptr) {
-        metrics_.gap_wait_ns->record(
-            static_cast<std::uint64_t>(sim_->now() - lost_.begin()->second));
-      }
-      lost_.erase(lost_.begin());
-      ++expected_;
-      ++gaps_;
-      if (metrics_.gaps != nullptr) metrics_.gaps->inc();
-      progressed = true;
-    }
-    // Out-of-order replays parked in the side pool (at-least-once only).
-    while (!replay_pool_.empty() &&
-           replay_pool_.begin()->first < expected_) {
-      discard_stale();
-      replay_pool_.erase(replay_pool_.begin());
-      --queued_total_;
-      progressed = true;
-    }
-    while (!replay_pool_.empty() &&
-           replay_pool_.begin()->first == expected_) {
-      const auto& [from, t] = replay_pool_.begin()->second;
-      if (!emit(from, t)) {
-        downstream_full = true;
-        break;
-      }
-      replay_pool_.erase(replay_pool_.begin());
-      --queued_total_;
-      ++expected_;
-      progressed = true;
-    }
-    if (downstream_full) break;
-    for (std::size_t j = 0; j < n; ++j) {
-      auto& q = queues_[j];
-      if (ordered_) {
-        // Stale heads (sequence already released or skipped) would wedge
-        // this FIFO forever: a duplicate of a tuple that was still queued
-        // elsewhere when it arrived, or a late arrival whose sequence was
-        // declared a gap meanwhile. Drop and count them.
-        while (!q.empty() && q.front().seq < expected_) {
-          discard_stale();
-          (void)q.pop();
-          --queued_total_;
-          freed[j] = true;
-          progressed = true;
-        }
-        while (!q.empty() && q.front().seq == expected_) {
-          if (!emit(static_cast<int>(j), q.front())) {
-            downstream_full = true;
-            break;
+  const TimeNs now = sim_->now();
+  if (ordered_) {
+    core_.release(
+        now, [this](int from, const Tuple& t) { return emit(from, t); },
+        [this, now](std::uint64_t count, TimeNs declared_at) {
+          if (metrics_.gaps != nullptr) metrics_.gaps->inc(count);
+          if (metrics_.gap_wait_ns != nullptr) {
+            for (std::uint64_t i = 0; i < count; ++i) {
+              metrics_.gap_wait_ns->record(
+                  static_cast<std::uint64_t>(now - declared_at));
+            }
           }
-          (void)q.pop();
-          --queued_total_;
-          freed[j] = true;
-          ++expected_;
-          progressed = true;
-        }
-        if (downstream_full) break;
-      } else {
-        while (!q.empty() && emit(static_cast<int>(j), q.front())) {
-          (void)q.pop();
-          --queued_total_;
-          freed[j] = true;
+        });
+  } else {
+    // Parallel sinks: no sequence gating — the queues only hold tuples
+    // the downstream refused.
+    bool progressed = true;
+    while (progressed) {
+      progressed = false;
+      for (int j = 0; j < static_cast<int>(on_space_.size()); ++j) {
+        while (const Tuple* t = core_.head(j)) {
+          if (!emit(j, *t)) break;
+          core_.pop(j);
           progressed = true;
         }
       }
@@ -206,11 +133,12 @@ void Merger::drain() {
   }
   // Un-stall workers whose queues gained space — decoupled through the
   // event queue so a long drain cannot recurse through worker code.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (freed[j] && on_space_[j]) {
-      sim_->schedule_after(0, on_space_[j]);
+  core_.take_freed([this](int j) {
+    if (on_space_[static_cast<std::size_t>(j)]) {
+      sim_->schedule_after(0, on_space_[static_cast<std::size_t>(j)]);
     }
-  }
+  });
+  sync_discard_metrics();
   maybe_schedule_ack();
 }
 

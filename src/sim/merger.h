@@ -7,18 +7,22 @@
 // one. Those bounded queues propagate back pressure to the workers — the
 // merger is why per-connection throughput carries no load information
 // (Section 4.3) and why the whole region is gated by its slowest worker.
+//
+// The sequencing state machine is delivery::ReleaseCore, shared with the
+// runtime's merger PE; this adapter adds the simulator's side: event
+// scheduling, worker un-stall callbacks, downstream back pressure, the
+// coalesced ack hop, and the unordered (parallel sinks) mode.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "delivery/delivery.h"
+#include "delivery/release_core.h"
 #include "obs/metrics.h"
 #include "sim/event.h"
-#include "sim/queues.h"
 #include "sim/sink.h"
 #include "sim/tuple.h"
 #include "util/time.h"
@@ -79,15 +83,13 @@ class Merger : public TupleSink {
   void note_lost(std::uint64_t seq);
 
   /// Sequence numbers skipped because their tuples were lost to failures.
-  std::uint64_t gaps() const { return gaps_; }
+  std::uint64_t gaps() const { return core_.gaps(); }
 
   /// Sequences declared lost (note_lost) but not yet skipped over — the
   /// merger is still gating earlier sequences. Conservation accounting:
   /// sent + shed == emitted + gaps + in_flight + lost_pending holds at
   /// every instant (tests/test_conservation.cc).
-  std::uint64_t lost_pending() const {
-    return static_cast<std::uint64_t>(lost_.size());
-  }
+  std::uint64_t lost_pending() const { return core_.lost_pending(); }
 
   /// Observability: attach registry handles (see MergerMetrics).
   void set_metrics(const MergerMetrics& metrics) { metrics_ = metrics; }
@@ -99,7 +101,9 @@ class Merger : public TupleSink {
   /// echo), late_discards under GapSkip (a tuple outliving its declared
   /// gap — the bug this counter makes visible). Either way the tuple is
   /// dropped and strict order is preserved.
-  void set_delivery_mode(delivery::DeliveryMode mode) { mode_ = mode; }
+  void set_delivery_mode(delivery::DeliveryMode mode) {
+    if (ordered_) core_.set_mode(mode);
+  }
 
   /// At-least-once reverse hop: after each drain that advances the
   /// release cursor, schedule `fn(expected)` — the cumulative ack — to
@@ -109,20 +113,16 @@ class Merger : public TupleSink {
                   DurationNs latency);
 
   /// Replayed duplicates discarded below the release cursor (ALO).
-  std::uint64_t dup_discards() const { return dup_discards_; }
+  std::uint64_t dup_discards() const { return core_.dup_discards(); }
   /// Tuples that arrived after their sequence was declared a gap.
-  std::uint64_t late_discards() const { return late_discards_; }
+  std::uint64_t late_discards() const { return core_.late_discards(); }
   /// Replayed tuples parked in the out-of-order side pool (conservation
   /// accounting: these are in flight but invisible to queue_size).
-  std::uint64_t pooled() const {
-    return static_cast<std::uint64_t>(replay_pool_.size());
-  }
+  std::uint64_t pooled() const { return core_.pooled(); }
 
   std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t expected_seq() const { return expected_; }
-  std::size_t queue_size(int j) const {
-    return queues_[static_cast<std::size_t>(j)].size();
-  }
+  std::uint64_t expected_seq() const { return core_.expected(); }
+  std::size_t queue_size(int j) const { return core_.queue_size(j); }
 
   /// Tuples released downstream that arrived via connection j.
   std::uint64_t emitted_from(int j) const {
@@ -132,50 +132,32 @@ class Merger : public TupleSink {
   bool ordered() const { return ordered_; }
 
  private:
+  using Core = delivery::ReleaseCore<Tuple>;
+
   void drain();
   /// Delivers one tuple downstream; false when the downstream refuses.
   bool emit(int from, const Tuple& t);
-  /// Drops a tuple whose sequence already passed the release cursor.
-  void discard_stale();
+  /// Folds the core's discard counts into the registry counters.
+  void sync_discard_metrics();
   /// Schedules the coalesced cumulative-ack event if one is due.
   void maybe_schedule_ack();
 
   Simulator* sim_;
-  std::vector<BoundedFifo<Tuple>> queues_;
-  /// Tuples across all reorder queues (kept in step with push/pop so the
-  /// per-emit depth metric is O(1)).
-  std::size_t queued_total_ = 0;
+  /// Reorder queues, replay pool, lost set, cursor and ack cursor.
+  Core core_;
   std::vector<std::function<void()>> on_space_;
   std::function<void(const Tuple&)> on_emit_;
   TupleSink* downstream_ = nullptr;
   std::vector<std::uint64_t> emitted_from_;
-  /// Sequence -> time it was declared lost; the delay until the skip is
-  /// the gap wait (how long the loss gated the output).
-  std::map<std::uint64_t, TimeNs> lost_;
   MergerMetrics metrics_;
-  std::uint64_t expected_ = 0;
   std::uint64_t emitted_ = 0;
-  std::uint64_t gaps_ = 0;
+  std::uint64_t dups_synced_ = 0;
+  std::uint64_t lates_synced_ = 0;
   bool ordered_ = true;
 
-  /// Delivery semantics (DESIGN.md §10).
-  delivery::DeliveryMode mode_ = delivery::DeliveryMode::kGapSkip;
-  std::uint64_t dup_discards_ = 0;
-  std::uint64_t late_discards_ = 0;
-  /// Replays break the "within one connection, arrival order == sequence
-  /// order" invariant the head-only drain scan depends on: a re-sent old
-  /// sequence can land behind newer sequences already queued on the same
-  /// connection, where the scan would never see it. Such stragglers are
-  /// parked here, keyed by sequence (value: source connection + tuple),
-  /// and drained alongside the queue heads.
-  std::map<std::uint64_t, std::pair<int, Tuple>> replay_pool_;
-  /// Highest sequence enqueued per connection (out-of-order detector).
-  std::vector<std::uint64_t> last_enq_;
   std::function<void(std::uint64_t)> on_ack_;
   DurationNs ack_latency_ = 0;
   bool ack_scheduled_ = false;
-  /// Highest cumulative ack already delivered to the splitter.
-  std::uint64_t acked_sent_ = 0;
 };
 
 }  // namespace slb::sim

@@ -1,6 +1,6 @@
-// Bounded FIFO used for every buffer in the simulated pipeline: the
-// splitter-side TCP send buffer, the worker-side receive buffer, and the
-// merger's per-connection reorder queues. Bounded buffers are what create
+// Bounded FIFO used for the simulated channel buffers: the splitter-side
+// TCP send buffer and the worker-side receive buffer (the merger's reorder
+// queues live in delivery::ReleaseCore). Bounded buffers are what create
 // back pressure — and with it, the blocking signal the paper exploits.
 #pragma once
 

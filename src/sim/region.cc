@@ -75,7 +75,7 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
         config_.link_latency);
   }
 
-  const control::ProtectionConfig prot = config_.resolved_protection();
+  const control::ProtectionConfig& prot = config_.protection;
   if (prot.shed_high_watermark > 0) {
     splitter_->set_shed_watermarks(prot.shed_high_watermark,
                                    prot.shed_low_watermark);

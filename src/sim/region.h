@@ -88,26 +88,6 @@ struct RegionConfig {
   /// watchdog ladder), enforced by the shared control::RegionControlLoop.
   control::ProtectionConfig protection;
 
-  /// Deprecated aliases of the `protection` fields (pre-PR-4 flat
-  /// layout). A field set away from its default overrides the embedded
-  /// struct via control::merged_protection, so old call sites keep
-  /// working; new code should write `protection.*`.
-  bool admission_control = false;
-  double min_throttle = 0.25;
-  std::uint64_t shed_high_watermark = 0;
-  std::uint64_t shed_low_watermark = 0;
-  bool watchdog = false;
-  double watchdog_block_budget = 0.9;
-  int watchdog_periods = 8;
-
-  /// Legacy aliases resolved against the embedded struct.
-  control::ProtectionConfig resolved_protection() const {
-    return control::merged_protection(
-        protection, admission_control, min_throttle, shed_high_watermark,
-        shed_low_watermark, watchdog, watchdog_block_budget,
-        watchdog_periods);
-  }
-
   // --- Observability (DESIGN.md §8) ------------------------------------
 
   /// Wire the region's MetricsRegistry into every component (splitter,

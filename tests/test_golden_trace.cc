@@ -47,7 +47,7 @@ obs::DecisionJournal run_scenario(double decay_factor = 0.9) {
   cfg.base_cost = micros(6);
   cfg.send_overhead = 500;
   cfg.sample_period = millis(5);
-  cfg.admission_control = true;
+  cfg.protection.admission_control = true;
 
   sim::LoadProfile load(cfg.workers);
   // Worker 0 slows down 3x mid-run, recovers later; a global burst

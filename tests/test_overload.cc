@@ -264,8 +264,8 @@ sim::RegionConfig overloaded_region(bool open_loop) {
 
 TEST(RegionOverload, SheddingBoundsBacklogAndKeepsAccounting) {
   sim::RegionConfig cfg = overloaded_region(/*open_loop=*/true);
-  cfg.shed_high_watermark = 128;
-  cfg.shed_low_watermark = 64;
+  cfg.protection.shed_high_watermark = 128;
+  cfg.protection.shed_low_watermark = 64;
   sim::Region region(
       cfg, std::make_unique<LoadBalancingPolicy>(
                4, overload_controller()));
@@ -274,7 +274,7 @@ TEST(RegionOverload, SheddingBoundsBacklogAndKeepsAccounting) {
   EXPECT_GT(region.shed_tuples(), 0u);
   // Backlog stays at the watermark scale instead of growing all run.
   EXPECT_LE(region.splitter().source_backlog(region.now()),
-            cfg.shed_high_watermark + 16);
+            cfg.protection.shed_high_watermark + 16);
   // Conservation: every sent tuple is emitted or demonstrably in flight
   // (no crashes here), and gaps only ever come from declared sheds.
   std::uint64_t in_flight = 0;
@@ -310,7 +310,7 @@ TEST(RegionOverload, NoSheddingMeansUnboundedBacklog) {
 
 TEST(RegionOverload, ClosedLoopAdmissionThrottlesAndDeclares) {
   sim::RegionConfig cfg = overloaded_region(/*open_loop=*/false);
-  cfg.admission_control = true;
+  cfg.protection.admission_control = true;
   // Default (drafting-aware) saturation smoothing: inside a real region
   // the per-period blocking concentrates on a rotating leader, so the
   // instantaneous evenness used by the unit tests above never fires here.
@@ -328,7 +328,7 @@ TEST(RegionOverload, ClosedLoopAdmissionThrottlesAndDeclares) {
   // a limit cycle. Assert the cycle happened, not a particular phase.
   EXPECT_TRUE(declared);
   EXPECT_LT(min_throttle_seen, 1.0);
-  EXPECT_GE(min_throttle_seen, cfg.min_throttle);
+  EXPECT_GE(min_throttle_seen, cfg.protection.min_throttle);
 }
 
 TEST(RegionOverload, WatchdogEscalatesToSafeModeAndStaysLive) {
@@ -337,8 +337,8 @@ TEST(RegionOverload, WatchdogEscalatesToSafeModeAndStaysLive) {
   // so a persistent blocking budget violation must walk all the way to
   // safe mode — and the region must keep emitting once it gets there.
   sim::RegionConfig cfg = overloaded_region(/*open_loop=*/true);
-  cfg.watchdog = true;
-  cfg.watchdog_periods = 4;
+  cfg.protection.watchdog = true;
+  cfg.protection.watchdog_periods = 4;
   sim::Region region(cfg, std::make_unique<LoadBalancingPolicy>(4));
   region.run_for(millis(400));
 
@@ -356,10 +356,10 @@ TEST(RegionOverload, WatchdogUnwindsAfterCalm) {
   sim::RegionConfig cfg = overloaded_region(/*open_loop=*/true);
   cfg.source_interval = static_cast<DurationNs>(
       static_cast<double>(cfg.base_cost) / 4.0 * 1.6);  // 0.63x capacity
-  cfg.watchdog = true;
-  cfg.watchdog_periods = 4;
-  cfg.shed_high_watermark = 256;
-  cfg.shed_low_watermark = 128;
+  cfg.protection.watchdog = true;
+  cfg.protection.watchdog_periods = 4;
+  cfg.protection.shed_high_watermark = 256;
+  cfg.protection.shed_low_watermark = 128;
   sim::LoadProfile load(4);
   for (int j = 0; j < 4; ++j) load.add_load_until(j, 8.0, millis(150));
   // Round-robin keeps the post-burst phase quiet: an adaptive controller
@@ -463,16 +463,6 @@ TEST(PipelineOverload, ClosedLoopAdmissionThrottlesAndDeclares) {
   EXPECT_TRUE(declared);
   EXPECT_LT(min_throttle_seen, 1.0);
   EXPECT_GE(min_throttle_seen, cfg.protection.min_throttle);
-}
-
-TEST(PipelineOverload, LegacyAdmissionFieldsStillWork) {
-  // Pre-control-plane call sites set the flat fields; merged_protection
-  // must honor them identically.
-  flow::PipelineConfig cfg = overloaded_pipeline(/*open_loop=*/false);
-  cfg.admission_control = true;  // deprecated alias
-  const control::ProtectionConfig prot = cfg.resolved_protection();
-  EXPECT_TRUE(prot.admission_control);
-  EXPECT_EQ(prot.min_throttle, 0.25);
 }
 
 }  // namespace
