@@ -1,0 +1,279 @@
+// Splitter-side delivery core of a parallel region (paper §3, §4.4,
+// DESIGN.md §10).
+//
+// The splitter is one thread of control: it picks a connection, sends,
+// and blocks when the send would block. This class is the bookkeeping
+// around that send, written once and shared by the two substrates:
+// sim::Splitter (discrete-event) and rt::LocalRegion (loopback TCP) are
+// thin adapters that keep their own event scheduling or sockets, their
+// blocking and re-routing, and ask the core what to send where. It does
+// no I/O, reads no clock and uses no atomics, so it can be unit-tested
+// and model-checked directly (tests/test_send_core.cc).
+//
+// It owns:
+//   * sequence issuance: next_seq() is the next fresh sequence, consumed
+//     by a fresh commit() or by shed();
+//   * channel liveness and the failover scan for a quarantined pick;
+//   * the per-channel replay buffers (at-least-once) and their admission
+//     test: a full buffer blocks the picked channel like a full send
+//     buffer, it never diverts the tuple;
+//   * the cumulative-ack cursor;
+//   * crash replay: a quarantined channel's unacked suffix moves into the
+//     pending queue, sorted by sequence, which adapters drain ahead of
+//     fresh sequences through their normal pick path;
+//   * the counters and gauges both substrates publish.
+//
+// Payload is what a replay re-sends: sim::Tuple in the sim, the encoded
+// wire frame in the runtime.
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include "delivery/delivery.h"
+
+namespace slb::delivery {
+
+/// One channel's sent-but-unacked tuples (sequence, wire size, payload),
+/// trimmed by cumulative acks and taken whole on a crash. The byte cap
+/// bounds what an ack stall can pin.
+template <typename Payload>
+class ReplayBuffer {
+ public:
+  struct Entry {
+    std::uint64_t seq = 0;
+    std::size_t bytes = 0;
+    Payload payload{};
+  };
+
+  /// `byte_cap == 0` means unbounded (tests only; real configs cap).
+  explicit ReplayBuffer(std::size_t byte_cap = 0) : cap_(byte_cap) {}
+
+  /// True when admitting `next_bytes` more would exceed the cap. An
+  /// empty buffer always admits — otherwise one tuple larger than the
+  /// cap would wedge the region instead of merely serializing it.
+  bool would_block(std::size_t next_bytes) const {
+    return cap_ != 0 && !entries_.empty() && bytes_ + next_bytes > cap_;
+  }
+
+  void push(std::uint64_t seq, std::size_t bytes, Payload payload) {
+    bytes_ += bytes;
+    entries_.push_back(Entry{seq, bytes, std::move(payload)});
+  }
+
+  /// Cumulative ack: every sequence below `cum_ack` has been released
+  /// downstream. Returns the number of entries dropped. Entries are not
+  /// sorted after a replay lands fresh sends behind re-sent older
+  /// sequences, so this scans the whole buffer (erasing at the front,
+  /// the common case, is a pop).
+  std::size_t ack(std::uint64_t cum_ack) {
+    const std::size_t before = entries_.size();
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (it->seq < cum_ack) {
+        bytes_ -= it->bytes;
+        it = entries_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return before - entries_.size();
+  }
+
+  /// Crash replay: drains the whole buffer.
+  std::deque<Entry> take_all() {
+    bytes_ = 0;
+    return std::exchange(entries_, {});
+  }
+
+  bool empty() const { return entries_.empty(); }
+  std::size_t size() const { return entries_.size(); }
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::size_t cap_;
+  std::size_t bytes_ = 0;
+  std::deque<Entry> entries_;
+};
+
+template <typename Payload>
+class SendCore {
+ public:
+  using Entry = typename ReplayBuffer<Payload>::Entry;
+
+  /// Sequences [first, first + count).
+  struct Range {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+  };
+
+  /// What a quarantine queued for replay.
+  struct Replay {
+    std::uint64_t tuples = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  /// `replay_buffer_bytes` caps each channel's replay buffer
+  /// (at-least-once only; 0 = unbounded).
+  explicit SendCore(int channels = 0,
+                    DeliveryMode mode = DeliveryMode::kGapSkip,
+                    std::size_t replay_buffer_bytes = 0)
+      : up_(static_cast<std::size_t>(channels), 1),
+        sent_(static_cast<std::size_t>(channels), 0),
+        alo_(mode == DeliveryMode::kAtLeastOnce) {
+    if (alo_) {
+      buffers_.assign(static_cast<std::size_t>(channels),
+                      ReplayBuffer<Payload>(replay_buffer_bytes));
+    }
+  }
+
+  bool at_least_once() const { return alo_; }
+  int channels() const { return static_cast<int>(up_.size()); }
+
+  /// The sequence the next fresh commit() carries.
+  std::uint64_t next_seq() const { return next_seq_; }
+
+  /// Drops `count` source tuples: they consume the next sequences without
+  /// being sent, and the caller announces the range to the merger as lost.
+  Range shed(std::uint64_t count) {
+    const Range dropped{next_seq_, count};
+    next_seq_ += count;
+    shed_ += count;
+    return dropped;
+  }
+
+  bool up(int j) const { return up_[index(j)] != 0; }
+  void set_up(int j, bool up) { up_[index(j)] = up ? 1 : 0; }
+
+  /// The channel a send picked as `picked` goes to: `picked` itself when
+  /// live, otherwise the next live channel in ring order (a failover —
+  /// the policy zeroed the dead channel's weight, but smooth-WRR state can
+  /// still name it briefly), or -1 when every channel is down.
+  int route(int picked) {
+    if (up(picked)) return picked;
+    const int n = channels();
+    for (int step = 1; step < n; ++step) {
+      const int k = (picked + step) % n;
+      if (up(k)) {
+        ++failovers_;
+        return k;
+      }
+    }
+    return -1;
+  }
+
+  /// True when channel j's replay buffer admits `bytes` more. When it
+  /// does not, the splitter blocks on j until an ack trims it — the wait
+  /// is charged to j, exactly like a full send buffer.
+  bool admits(int j, std::size_t bytes) const {
+    return !alo_ || !buffers_[index(j)].would_block(bytes);
+  }
+
+  /// The oldest replay awaiting re-send (nullptr when none). Adapters send
+  /// it ahead of any fresh sequence.
+  const Entry* next_replay() const {
+    return pending_.empty() ? nullptr : &pending_.front();
+  }
+
+  /// Records a completed send on channel j: a retransmit of a pending
+  /// replay (next_replay() when it was read) or the fresh sequence
+  /// next_seq(). At-least-once buffers the payload until acked.
+  /// Retransmits are counted apart from `sent`, which tracks fresh
+  /// sequences only, so the throughput signal and the conservation
+  /// identities stay in sequence space.
+  void commit(int j, std::uint64_t seq, std::size_t bytes, Payload payload,
+              bool retransmit) {
+    if (retransmit) {
+      // Usually the front; a quarantine during the send may have queued
+      // older replays ahead of it.
+      const auto it = std::lower_bound(
+          pending_.begin(), pending_.end(), seq,
+          [](const Entry& e, std::uint64_t s) { return e.seq < s; });
+      assert(it != pending_.end() && it->seq == seq);
+      pending_.erase(it);
+      ++retransmits_;
+    } else {
+      assert(seq == next_seq_);
+      ++next_seq_;
+      ++sent_[index(j)];
+      ++total_sent_;
+    }
+    if (alo_) {
+      buffers_[index(j)].push(seq, bytes, std::move(payload));
+      replay_bytes_ += bytes;
+      ++buffered_;
+    }
+  }
+
+  /// Cumulative ack from the merger: every sequence below `cum` has been
+  /// released. Trims the replay buffers and drops pending replays that
+  /// released meanwhile. Returns false when `cum` brings nothing new.
+  bool on_ack(std::uint64_t cum) {
+    if (!alo_ || cum <= acked_) return false;
+    acked_ = cum;
+    for (auto& b : buffers_) {
+      const std::size_t bytes = b.bytes();
+      buffered_ -= b.ack(cum);
+      replay_bytes_ -= bytes - b.bytes();
+    }
+    while (!pending_.empty() && pending_.front().seq < cum) {
+      pending_.pop_front();
+    }
+    return true;
+  }
+
+  /// Marks channel j down and, under at-least-once, moves its unacked
+  /// suffix into the pending queue. The queue stays sorted by sequence:
+  /// the merger gates on the lowest missing one, and an earlier replay
+  /// may already sit there behind newer entries from this channel.
+  Replay quarantine(int j) {
+    set_up(j, false);
+    if (!alo_) return {};
+    auto& buffer = buffers_[index(j)];
+    const Replay queued{buffer.size(), buffer.bytes()};
+    buffered_ -= queued.tuples;
+    replay_bytes_ -= queued.bytes;
+    for (auto& e : buffer.take_all()) pending_.push_back(std::move(e));
+    std::sort(pending_.begin(), pending_.end(),
+              [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
+    return queued;
+  }
+
+  std::uint64_t sent(int j) const { return sent_[index(j)]; }
+  std::uint64_t total_sent() const { return total_sent_; }
+  std::uint64_t retransmits() const { return retransmits_; }
+  std::uint64_t shed() const { return shed_; }
+  std::uint64_t failovers() const { return failovers_; }
+  /// Highest cumulative ack seen from the merger.
+  std::uint64_t acked() const { return acked_; }
+  /// Tuples held for replay: buffered unacked plus pending re-send.
+  std::uint64_t unacked() const { return buffered_ + pending_.size(); }
+  /// Bytes held across the replay buffers.
+  std::size_t replay_bytes() const { return replay_bytes_; }
+  /// Sequences issued but not yet acked (shed ones included).
+  std::uint64_t ack_lag() const { return next_seq_ - acked_; }
+
+ private:
+  static std::size_t index(int j) { return static_cast<std::size_t>(j); }
+
+  std::vector<std::uint8_t> up_;
+  std::vector<std::uint64_t> sent_;
+  std::vector<ReplayBuffer<Payload>> buffers_;
+  /// Replays awaiting re-send, sorted by sequence.
+  std::deque<Entry> pending_;
+  bool alo_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t acked_ = 0;
+  std::uint64_t buffered_ = 0;
+  std::size_t replay_bytes_ = 0;
+  std::uint64_t total_sent_ = 0;
+  std::uint64_t retransmits_ = 0;
+  std::uint64_t shed_ = 0;
+  std::uint64_t failovers_ = 0;
+};
+
+}  // namespace slb::delivery

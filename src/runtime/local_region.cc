@@ -16,7 +16,9 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
                          std::unique_ptr<SplitPolicy> policy)
     : config_(config),
       policy_(std::move(policy)),
-      counters_(static_cast<std::size_t>(config.workers)) {
+      counters_(static_cast<std::size_t>(config.workers)),
+      core_(config.workers, config.delivery.mode,
+            config.delivery.replay_buffer_bytes) {
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   net::ignore_sigpipe();  // dead peers must surface as EPIPE, not SIGPIPE
@@ -76,16 +78,14 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
         service_hists_[static_cast<std::size_t>(j)]));
   }
   // At-least-once bring-up: the merger->splitter ack connection (the
-  // reverse hop cumulative acks ride on) and one replay buffer per
-  // connection. The splitter reads its end non-blocking between sends.
+  // reverse hop cumulative acks ride on). The splitter reads its end
+  // non-blocking between sends.
   net::Fd merger_ack_out;
-  if (alo()) {
+  if (core_.at_least_once()) {
     net::Listener ack_listener;
     ack_in_ = net::connect_loopback(ack_listener.port());
     merger_ack_out = ack_listener.accept_one();
     net::set_nodelay(merger_ack_out.get());
-    replay_.assign(static_cast<std::size_t>(config_.workers),
-                   WireReplayBuffer(config_.delivery.replay_buffer_bytes));
   }
 
   MergerFaultConfig fault;
@@ -97,7 +97,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   pending_.resize(static_cast<std::size_t>(config_.workers));
 
   const auto n = static_cast<std::size_t>(config_.workers);
-  chan_down_.assign(n, 0);
   worker_up_.assign(n, 1);
   next_reconnect_.assign(n, 0);
   backoff_.assign(n, 0);
@@ -108,7 +107,9 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   control::ControlLoopConfig loop_cfg;
   loop_cfg.protection = config_.protection;
   loop_cfg.closed_loop_source = config_.source_interval == 0;
-  if (alo()) loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
+  if (core_.at_least_once()) {
+    loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
+  }
   loop_ = std::make_unique<control::RegionControlLoop>(
       static_cast<control::RegionPort*>(this), policy_.get(), loop_cfg);
   if (config_.metrics) loop_->attach_metrics(metrics_, "region.");
@@ -154,32 +155,20 @@ DurationNs LocalRegion::jitter(DurationNs limit) {
 
 void LocalRegion::quarantine(int j, TimeNs now, LocalRunStats& stats) {
   const auto ju = static_cast<std::size_t>(j);
-  if (chan_down_[ju]) return;
-  chan_down_[ju] = 1;
+  if (!core_.up(j)) return;
   // A half-written frame died with the worker. GapSkip: its sequence
   // becomes a merger gap, so the remainder must not be re-sent anywhere.
-  // At-least-once: the complete frame sits in the replay buffer and will
-  // be re-sent whole onto a survivor below.
+  // At-least-once: the complete frame sits in the replay buffer and is
+  // re-sent whole onto a survivor.
   pending_[ju].clear();
   ++stats.channel_failures;
   if (mc_.channel_failures != nullptr) mc_.channel_failures->inc();
-  if (alo()) {
-    // Queue the channel's unacked suffix for retransmission through the
-    // normal routing path (WRR over the survivors, replay-buffer back
-    // pressure included). Entries already covered by an ack raced the
-    // trim and are dropped here.
-    std::uint64_t tuples = 0;
-    std::uint64_t bytes = 0;
-    for (auto& e : replay_[ju].take_all()) {
-      if (e.seq < acked_) continue;
-      ++tuples;
-      bytes += e.bytes;
-      replay_pending_.push_back(std::move(e));
-    }
-    std::sort(replay_pending_.begin(), replay_pending_.end(),
-              [](const WireReplayBuffer::Entry& a,
-                 const WireReplayBuffer::Entry& b) { return a.seq < b.seq; });
-    loop_->note_replay(now - run_start_, j, tuples, bytes);
+  // At-least-once: the channel's unacked suffix queues for retransmission
+  // through the normal routing path (WRR over the survivors, replay-buffer
+  // back pressure included).
+  const auto replay = core_.quarantine(j);
+  if (core_.at_least_once()) {
+    loop_->note_replay(now - run_start_, j, replay.tuples, replay.bytes);
   }
   backoff_[ju] = config_.reconnect_backoff_initial;
   next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
@@ -231,7 +220,7 @@ bool LocalRegion::try_reconnect(int j, TimeNs now, LocalRunStats& stats) {
     next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
     return false;
   }
-  chan_down_[ju] = 0;
+  core_.set_up(j, true);
   backoff_[ju] = 0;
   ++stats.reconnects;
   if (mc_.reconnects != nullptr) mc_.reconnects->inc();
@@ -264,7 +253,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   std::vector<std::uint8_t> wire;
 
   const int n = config_.workers;
-  const bool alo = this->alo();
+  const bool alo = core_.at_least_once();
 
   // At-least-once: drain the merger's cumulative acks (non-blocking) and
   // trim the replay buffers. An ack only ever shrinks state, so doing
@@ -289,13 +278,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       ack_decoder_.feed(ack_rd.data(), static_cast<std::size_t>(got));
       net::Frame ack;
       while (ack_decoder_.next(ack)) {
-        if (!ack.is_ack() || ack.ack_value() <= acked_) continue;
-        acked_ = ack.ack_value();
-        for (auto& b : replay_) b.ack(acked_);
-        while (!replay_pending_.empty() &&
-               replay_pending_.front().seq < acked_) {
-          replay_pending_.pop_front();
-        }
+        if (ack.is_ack()) core_.on_ack(ack.ack_value());
       }
       if (ack_decoder_.corrupt()) {
         ack_in_.reset();
@@ -314,7 +297,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   const auto sweep_dead_channels = [&](TimeNs tnow, LocalRunStats& st) {
     for (int k = 0; k < n; ++k) {
       const auto ku = static_cast<std::size_t>(k);
-      if (chan_down_[ku]) continue;
+      if (!core_.up(k)) continue;
       std::uint8_t probe;
       const ssize_t got = ::recv(to_workers_[ku].get(), &probe, 1,
                                  MSG_DONTWAIT | MSG_PEEK);
@@ -325,11 +308,11 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     }
   };
 
-  // Replay-buffer back pressure: every live candidate's unacked window
+  // Replay-buffer back pressure: the picked connection's unacked window
   // is full, so the send must wait for ack progress. The wait is charged
-  // to the picked connection's blocking counter — to the control plane
-  // this is indistinguishable from (and as real as) a full socket
-  // buffer, which keeps the blocking-rate signal truthful.
+  // to that connection's blocking counter — to the control plane this is
+  // indistinguishable from (and as real as) a full socket buffer, which
+  // keeps the blocking-rate signal truthful.
   const auto block_on_replay = [&](int j) {
     const TimeNs b0 = monotonic_now();
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -340,11 +323,10 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     sweep_dead_channels(monotonic_now(), stats);
   };
 
-  // Sequence numbers are issued from next_seq; shed tuples consume them
-  // without being sent. The protection decisions themselves (throttle_,
-  // shed watermarks, watchdog ladder) come out of the shared control
-  // loop, ticked once per sample period below.
-  std::uint64_t next_seq = 0;
+  // Sequence numbers come from the delivery core; shed tuples consume
+  // them without being sent. The protection decisions themselves
+  // (throttle_, shed watermarks, watchdog ladder) come out of the shared
+  // control loop, ticked once per sample period below.
   TimeNs next_release = start;  // open-loop release clock
   std::uint64_t prev_shed = 0;
   double throttle_debt = 0.0;  // accumulated ns to sleep off
@@ -356,11 +338,8 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   const auto flush_gaps = [&](TimeNs tnow) {
     while (!gap_queue.empty()) {
       int live = -1;
-      for (int k = 0; k < n; ++k) {
-        if (!chan_down_[static_cast<std::size_t>(k)]) {
-          live = k;
-          break;
-        }
+      for (int k = 0; k < n && live < 0; ++k) {
+        if (core_.up(k)) live = k;
       }
       if (live < 0) return;  // all quarantined; retry after a reconnect
       const auto ku = static_cast<std::size_t>(live);
@@ -377,13 +356,58 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       }
     }
   };
+
+  // Shutdown. Once the duration has passed the loop issues no fresh
+  // sequences: workers switch to fast-drain (forwarding buffered tuples
+  // without paying their processing cost), and the loop keeps running
+  // only its retransmit path until nothing is pending — bounded, so a
+  // region that lost every worker for good reports the loss instead of
+  // hanging. Then every live connection gets a FIN, after any shed
+  // announcements (without them the merger would gate forever in plain
+  // mode or mis-account trailing sheds). A FINed worker exits, so its
+  // connection is down for good.
+  bool draining = false;
+  TimeNs drain_deadline = 0;
+  const std::vector<std::uint8_t> fin = net::fin_bytes();
+  // Returns false when a FIN found its worker dead and queued replays:
+  // those drain onto the connections not yet FINed first.
+  const auto send_fins = [&](TimeNs tnow) {
+    flush_gaps(tnow);
+    for (int j = 0; j < n; ++j) {
+      const auto ju = static_cast<std::size_t>(j);
+      if (!core_.up(j)) continue;
+      flush_pending(j, /*blocking=*/true);
+      if (senders_[ju]->send_all(fin.data(), fin.size())) {
+        core_.set_up(j, false);
+        worker_up_[ju] = 0;  // never reconnected
+      } else {
+        quarantine(j, tnow, stats);
+        if (core_.next_replay() != nullptr) return false;
+      }
+    }
+    return true;
+  };
+
   for (;;) {
     // Time-driven bookkeeping, checked every iteration (a clock read per
     // tuple is ~20 ns, and the non-blocking ack read is one syscall —
     // both negligible next to a TCP send).
     const TimeNs now = monotonic_now();
-    if (now - start >= duration) break;
+    if (!draining && now - start >= duration) {
+      draining = true;
+      drain_deadline = now + millis(2000);
+      for (auto& w : workers_) w->fast_drain();
+      // A worker that died since the last tick, and that nothing was sent
+      // to since, is caught here — before any FIN — so its unacked frames
+      // still replay onto a survivor.
+      sweep_dead_channels(now, stats);
+    }
     pump_acks();
+    if (draining &&
+        (core_.next_replay() == nullptr || now >= drain_deadline)) {
+      if (send_fins(now)) break;
+      continue;
+    }
     while (next_event < events.size() &&
            now - start >= events[next_event].at) {
       const auto w =
@@ -408,11 +432,11 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     }
     for (int j = 0; j < n; ++j) {
       const auto ju = static_cast<std::size_t>(j);
-      if (chan_down_[ju] && now >= next_reconnect_[ju]) {
+      if (!core_.up(j) && now >= next_reconnect_[ju]) {
         try_reconnect(j, now, stats);
       }
     }
-    if (now >= next_sample) {
+    if (!draining && now >= next_sample) {
       // A long blocking episode can push us several periods past
       // next_sample; normalize by the *actual* elapsed span. The whole
       // decision pipeline — observation ingest, policy update, admission
@@ -422,20 +446,9 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // Catch silently-dead channels once per period so the tick below
       // sees them as down rather than merely quiet.
       sweep_dead_channels(now, stats);
-      if (alo) {
-        std::uint64_t rb = 0;
-        std::uint64_t lag = replay_pending_.size();
-        for (const auto& b : replay_) {
-          rb += b.bytes();
-          lag += b.size();
-        }
-        for (const auto& e : replay_pending_) rb += e.bytes;
-        if (replay_bytes_g_ != nullptr) {
-          replay_bytes_g_->set(static_cast<std::int64_t>(rb));
-        }
-        if (ack_lag_g_ != nullptr) {
-          ack_lag_g_->set(static_cast<std::int64_t>(lag));
-        }
+      if (alo && replay_bytes_g_ != nullptr) {
+        replay_bytes_g_->set(static_cast<std::int64_t>(core_.replay_bytes()));
+        ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
       }
       const control::ControlActions& acts = loop_->tick(now - start, span);
 
@@ -447,12 +460,12 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         sample.weights = acts.weights;
         sample.block_rates = acts.block_rates;
         sample.emitted = merger_->emitted();
-        sample.shed_in_period = stats.shed - prev_shed;
+        sample.shed_in_period = core_.shed() - prev_shed;
         sample.overloaded = acts.overloaded;
         sample.watchdog_stage = acts.watchdog_stage;
         sample_hook_(sample);
       }
-      prev_shed = stats.shed;
+      prev_shed = core_.shed();
       next_sample = now + config_.sample_period;
     }
 
@@ -463,7 +476,8 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     // fresh input (and ahead of source pacing — they were released long
     // ago). Keeping old-before-new bounds how far the merger's replay
     // pool has to reorder.
-    const bool retransmit = alo && !replay_pending_.empty();
+    const auto* replay = core_.next_replay();
+    const bool retransmit = replay != nullptr;
 
     if (!retransmit && config_.source_interval > 0) {
       // Open loop: shed when the backlog crosses the high watermark...
@@ -471,13 +485,11 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         const std::uint64_t backlog = static_cast<std::uint64_t>(
             (now - next_release) / config_.source_interval);
         if (backlog >= shed_high_) {
-          const std::uint64_t drop = backlog - shed_low_;
-          gap_queue.emplace_back(next_seq, drop);
-          next_seq += drop;
-          stats.shed += drop;
-          if (mc_.shed != nullptr) mc_.shed->inc(drop);
-          next_release +=
-              static_cast<DurationNs>(drop) * config_.source_interval;
+          const auto dropped = core_.shed(backlog - shed_low_);
+          gap_queue.emplace_back(dropped.first, dropped.count);
+          if (mc_.shed != nullptr) mc_.shed->inc(dropped.count);
+          next_release += static_cast<DurationNs>(dropped.count) *
+                          config_.source_interval;
           flush_gaps(now);
         }
       }
@@ -494,39 +506,25 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
 
     std::uint64_t frame_seq;
     if (retransmit) {
-      frame_seq = replay_pending_.front().seq;
-      wire = replay_pending_.front().payload;  // popped only on success
+      frame_seq = replay->seq;
+      wire = replay->payload;  // leaves the pending queue on commit
     } else {
-      frame_seq = next_seq;
-      frame.seq = next_seq;
+      frame_seq = core_.next_seq();
+      frame.seq = frame_seq;
       wire.clear();
       net::encode_frame(frame, wire);
     }
 
-    int j = policy_->pick_connection();
-    if (chan_down_[static_cast<std::size_t>(j)]) {
-      // Quarantined connection: fail over to the next live one. The
-      // policy's weight for j is already zero, but smooth-WRR state can
-      // still name it briefly.
-      int live = -1;
-      for (int step = 1; step < n; ++step) {
-        const int k = (j + step) % n;
-        if (!chan_down_[static_cast<std::size_t>(k)]) {
-          live = k;
-          break;
-        }
-      }
-      if (live < 0) {
-        // Total outage: idle until a reconnect lands.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      ++stats.failovers;
-      if (mc_.failovers != nullptr) mc_.failovers->inc();
-      j = live;
+    const int picked = policy_->pick_connection();
+    const int j = core_.route(picked);
+    if (j < 0) {
+      // Total outage: idle until a reconnect lands.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
     }
+    if (j != picked && mc_.failovers != nullptr) mc_.failovers->inc();
 
-    int delivered_to = -1;
+    int target = -1;
     if (policy_->reroute_on_block()) {
       // Section 4.4 baseline: divert whole frames to any connection whose
       // kernel buffer accepts them without blocking. A partially-accepted
@@ -536,19 +534,16 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // opportunistically; a connection with pending bytes is skipped by
       // the re-route scan.
       for (int k = 0; k < n; ++k) {
-        if (!chan_down_[static_cast<std::size_t>(k)]) {
-          flush_pending(k, /*blocking=*/false);
-        }
+        if (core_.up(k)) flush_pending(k, /*blocking=*/false);
       }
-      int target = -1;
       for (int step = 0; step < n; ++step) {
         const int k = (j + step) % n;
         const auto ku = static_cast<std::size_t>(k);
-        if (chan_down_[ku]) continue;
+        if (!core_.up(k)) continue;
         if (!pending_[ku].empty()) continue;
         // A full replay buffer back-pressures exactly like a full kernel
         // buffer: the re-route scan walks past it.
-        if (alo && replay_[ku].would_block(wire.size())) continue;
+        if (!core_.admits(k, wire.size())) continue;
         const std::size_t accepted =
             senders_[ku]->try_send(wire.data(), wire.size());
         if (senders_[ku]->broken()) {
@@ -567,71 +562,40 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
           break;
         }
       }
-      if (target < 0) {
-        if (chan_down_[static_cast<std::size_t>(j)]) continue;  // re-pick
-        if (alo &&
-            replay_[static_cast<std::size_t>(j)].would_block(wire.size())) {
-          block_on_replay(j);
-          continue;
-        }
-        // Everything is full: elect to block on the picked connection,
-        // exactly like the paper's splitter.
-        flush_pending(j, /*blocking=*/true);
-        if (!senders_[static_cast<std::size_t>(j)]->send_all(
-                wire.data(), wire.size())) {
-          quarantine(j, now, stats);
-          continue;  // the frame is re-sent (same seq) next iteration
-        }
-        target = j;
-      }
-      if (target != j) {
-        ++stats.rerouted;
-        if (mc_.rerouted != nullptr) mc_.rerouted->inc();
-      }
-      delivered_to = target;
-    } else {
-      for (int step = 0; step < n && delivered_to < 0; ++step) {
-        const int k = (j + step) % n;
-        const auto ku = static_cast<std::size_t>(k);
-        if (chan_down_[ku]) continue;
-        if (alo && replay_[ku].would_block(wire.size())) continue;
-        if (senders_[ku]->send_all(wire.data(), wire.size())) {
-          delivered_to = k;
-          if (k != j) {
-            ++stats.failovers;
-            if (mc_.failovers != nullptr) mc_.failovers->inc();
-          }
-        } else {
-          // Peer vanished mid-send: the dead worker never decoded the
-          // partial frame, so the *whole* frame fails over to the next
-          // survivor with its sequence number intact.
-          quarantine(k, now, stats);
-        }
-      }
-      if (delivered_to < 0) {
-        // Everyone down — retry after events — or (at-least-once) every
-        // survivor's replay window is full: wait for ack progress.
-        if (alo && !chan_down_[static_cast<std::size_t>(j)]) {
-          block_on_replay(j);
-        }
+      if (target < 0 && !core_.up(j)) continue;  // scan quarantined it
+    }
+    if (target < 0) {
+      // Elect to block on the picked connection, exactly like the paper's
+      // splitter. A full replay buffer blocks on it too, until an ack
+      // trims it, as in the simulator (DESIGN.md §10).
+      if (!core_.admits(j, wire.size())) {
+        block_on_replay(j);
         continue;
       }
+      flush_pending(j, /*blocking=*/true);
+      if (!senders_[static_cast<std::size_t>(j)]->send_all(wire.data(),
+                                                            wire.size())) {
+        // Peer vanished mid-send: the dead worker never decoded the
+        // partial frame, so the *whole* frame fails over next iteration
+        // with its sequence number intact.
+        quarantine(j, now, stats);
+        continue;
+      }
+      target = j;
     }
-    if (alo) {
-      // The frame is now in flight and unacked: it joins the replay
-      // buffer of whichever connection carried it.
-      replay_[static_cast<std::size_t>(delivered_to)].push(
-          frame_seq, wire.size(), wire);
+    if (target != j) {
+      ++stats.rerouted;
+      if (mc_.rerouted != nullptr) mc_.rerouted->inc();
     }
+    // The frame is now in flight and (at-least-once) unacked: it joins the
+    // replay buffer of whichever connection carried it.
+    core_.commit(target, frame_seq, wire.size(),
+                 alo ? wire : std::vector<std::uint8_t>{}, retransmit);
     if (retransmit) {
-      replay_pending_.pop_front();
-      ++stats.retransmits;
       if (mc_.retransmits != nullptr) mc_.retransmits->inc();
       continue;  // a re-send is not a fresh sequence: no sent/pacing
     }
-    ++stats.sent;
     if (mc_.sent != nullptr) mc_.sent->inc();
-    ++next_seq;
     if (config_.source_interval > 0) {
       next_release += config_.source_interval;
     } else if (throttle_ < 1.0) {
@@ -648,73 +612,18 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     }
   }
 
-  // Shutdown: switch workers to fast-drain (forward buffered tuples
-  // without paying their processing cost), flush any re-routing
-  // remainders, FIN every live worker, then wait for the merger to
-  // drain. begin_shutdown tells the merger that crashed slots will never
+  // begin_shutdown tells the merger that crashed slots will never
   // reconnect, so it must not wait for them.
-  for (auto& w : workers_) w->fast_drain();
-  // Pending shed announcements must reach the merger before the FINs, or
-  // it would gate forever (plain mode) or mis-account trailing sheds.
-  flush_gaps(monotonic_now());
-  // At-least-once: frames still queued for retransmission must reach a
-  // survivor before the FINs, or their sequences would be lost after
-  // all. Reconnect attempts continue (a restart may be pending), but the
-  // drain is bounded — a region that lost every worker for good reports
-  // the loss instead of hanging.
-  if (alo) {
-    const TimeNs drain_deadline = monotonic_now() + millis(2000);
-    while (!replay_pending_.empty() && monotonic_now() < drain_deadline) {
-      pump_acks();  // an in-flight ack may cover the front entries
-      if (replay_pending_.empty()) break;
-      const TimeNs dnow = monotonic_now();
-      // A channel that died after the last sweep would otherwise soak up
-      // the whole drain budget in blocked sends below.
-      sweep_dead_channels(dnow, stats);
-      int live = -1;
-      for (int k = 0; k < n; ++k) {
-        const auto ku = static_cast<std::size_t>(k);
-        if (chan_down_[ku] && dnow >= next_reconnect_[ku]) {
-          try_reconnect(k, dnow, stats);
-        }
-        if (!chan_down_[ku] && live < 0) live = k;
-      }
-      if (live < 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      const auto lu = static_cast<std::size_t>(live);
-      flush_pending(live, /*blocking=*/true);
-      if (!pending_[lu].empty()) {
-        quarantine(live, monotonic_now(), stats);
-        continue;
-      }
-      WireReplayBuffer::Entry& e = replay_pending_.front();
-      if (senders_[lu]->send_all(e.payload.data(), e.payload.size())) {
-        replay_[lu].push(e.seq, e.bytes, std::move(e.payload));
-        replay_pending_.pop_front();
-        ++stats.retransmits;
-        if (mc_.retransmits != nullptr) mc_.retransmits->inc();
-      } else {
-        quarantine(live, monotonic_now(), stats);
-      }
-    }
-  }
-  const std::vector<std::uint8_t> fin = net::fin_bytes();
-  for (int j = 0; j < n; ++j) {
-    const auto ju = static_cast<std::size_t>(j);
-    if (chan_down_[ju]) continue;
-    flush_pending(j, /*blocking=*/true);
-    if (!senders_[ju]->send_all(fin.data(), fin.size())) {
-      quarantine(j, monotonic_now(), stats);
-    }
-  }
   for (auto& w : workers_) w->join();
   merger_->begin_shutdown();
   merger_->join();
   sync_merger_metrics();
 
   stats.elapsed = monotonic_now() - start;
+  stats.sent = core_.total_sent();
+  stats.shed = core_.shed();
+  stats.failovers = core_.failovers();
+  stats.retransmits = core_.retransmits();
   stats.emitted = merger_->emitted();
   stats.gaps = merger_->gaps();
   stats.dup_discards = merger_->dup_discards();

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -22,7 +21,7 @@
 #include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
-#include "delivery/replay_buffer.h"
+#include "delivery/send_core.h"
 #include "obs/metrics.h"
 #include "runtime/merger_pe.h"
 #include "runtime/worker_pe.h"
@@ -217,18 +216,12 @@ class LocalRegion : private control::RegionPort {
   /// read from the tick on that same thread.
   control::DeliverySample sample_delivery_state() override {
     control::DeliverySample s;
-    s.enabled = alo();
+    s.enabled = core_.at_least_once();
     if (s.enabled) {
-      s.cum_ack = acked_;
-      std::uint64_t unacked = replay_pending_.size();
-      for (const auto& b : replay_) unacked += b.size();
-      s.unacked = unacked;
+      s.cum_ack = core_.acked();
+      s.unacked = core_.unacked();
     }
     return s;
-  }
-
-  bool alo() const {
-    return config_.delivery.mode == delivery::DeliveryMode::kAtLeastOnce;
   }
 
   /// Drains connection k's userspace remainder buffer (re-routing mode).
@@ -258,6 +251,10 @@ class LocalRegion : private control::RegionPort {
   LocalRegionConfig config_;
   std::unique_ptr<SplitPolicy> policy_;
   BlockingCounterSet counters_;
+  /// Sequences, liveness, replay buffers of encoded wire frames (so a
+  /// replay is a plain re-send), acks and the send counters (DESIGN.md
+  /// §10), shared with the sim splitter. Splitter-thread only.
+  delivery::SendCore<std::vector<std::uint8_t>> core_;
   /// Declared before the worker PEs holding histogram handles into it.
   obs::MetricsRegistry metrics_;
   /// Splitter-loop counters (null when config.metrics is off).
@@ -296,7 +293,6 @@ class LocalRegion : private control::RegionPort {
   std::function<void(const LocalSample&)> sample_hook_;
 
   // Failure handling (all touched only from the splitter thread).
-  std::vector<char> chan_down_;
   std::vector<char> worker_up_;
   std::vector<TimeNs> next_reconnect_;
   std::vector<DurationNs> backoff_;
@@ -313,19 +309,9 @@ class LocalRegion : private control::RegionPort {
   std::uint64_t shed_high_ = 0;
   std::uint64_t shed_low_ = 0;
 
-  // Delivery semantics (DESIGN.md §10); splitter-thread only. Buffers
-  // hold encoded wire frames so a replay is a plain re-send.
-  using WireReplayBuffer = delivery::ReplayBuffer<std::vector<std::uint8_t>>;
-  std::vector<WireReplayBuffer> replay_;
-  /// Frames awaiting retransmission (sorted by sequence); drained ahead
-  /// of fresh sends so per-connection order stays as monotone as a
-  /// replay allows.
-  std::deque<WireReplayBuffer::Entry> replay_pending_;
-  /// Splitter-side end of the merger's ack connection.
+  /// Splitter-side end of the merger's ack connection (at-least-once).
   net::Fd ack_in_;
   net::FrameDecoder ack_decoder_;
-  /// Highest cumulative ack received from the merger.
-  std::uint64_t acked_ = 0;
   /// run() start time, for journal timestamps from member functions.
   TimeNs run_start_ = 0;
 

@@ -93,12 +93,12 @@ bool Merger::try_push(int j, Tuple t) {
   return true;
 }
 
-void Merger::note_lost(std::uint64_t seq) {
+void Merger::note_lost(std::uint64_t first, std::uint64_t count) {
   if (!ordered_) return;  // no sequence gating to un-stick
-  if (seq < core_.expected()) return;  // already emitted (cannot happen for
-                                       // real losses, but keeps the call
-                                       // idempotent)
-  core_.note_lost(seq, 1, sim_->now());
+  // A range already behind the cursor cannot happen for real losses; the
+  // early return keeps the call idempotent.
+  if (first + count <= core_.expected()) return;
+  core_.note_lost(first, count, sim_->now());
   drain();
 }
 

@@ -76,11 +76,12 @@ class Merger : public TupleSink {
   /// queue is full — the worker must hold the tuple and retry when poked.
   bool try_push(int j, Tuple t);
 
-  /// Failure handling: sequence `seq` will never arrive (its tuple died
-  /// with a worker). The merger skips over it instead of gating forever,
-  /// preserving prefix order of the survivors; each skip is counted as a
-  /// gap. Called by the region's fault handlers.
-  void note_lost(std::uint64_t seq);
+  /// Sequences [first, first + count) will never arrive (died with a
+  /// worker, or shed at the source). The merger skips over them instead
+  /// of gating forever, preserving prefix order of the survivors; each
+  /// skipped sequence is counted as a gap. Called by the region's fault
+  /// and shedding handlers.
+  void note_lost(std::uint64_t first, std::uint64_t count);
 
   /// Sequence numbers skipped because their tuples were lost to failures.
   std::uint64_t gaps() const { return core_.gaps(); }

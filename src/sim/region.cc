@@ -49,7 +49,7 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     const auto lost = [this](const Tuple& t) {
       ++lost_tuples_;
       if (lost_counter_ != nullptr) lost_counter_->inc();
-      if (!alo()) merger_->note_lost(t.seq);
+      if (!alo()) merger_->note_lost(t.seq, 1);
     };
     channels_.back()->set_on_lost(lost);
     workers_.back()->set_on_lost(lost);
@@ -82,8 +82,9 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     // Shed tuples consumed sequence numbers they will never deliver;
     // route them into the merger's gap set so ordered emission is not
     // gated on them and `emitted + gaps == sent + shed` holds.
-    splitter_->set_on_shed(
-        [this](std::uint64_t seq) { merger_->note_lost(seq); });
+    splitter_->set_on_shed([this](std::uint64_t first, std::uint64_t count) {
+      merger_->note_lost(first, count);
+    });
   }
 
   control::ControlLoopConfig loop_cfg;

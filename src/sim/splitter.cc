@@ -24,9 +24,8 @@ void Splitter::wire(std::vector<Channel*> channels,
   assert(counters->size() == channels.size());
   channels_ = std::move(channels);
   counters_ = counters;
-  sent_.assign(channels_.size(), 0);
+  core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()));
   blocks_.assign(channels_.size(), 0);
-  chan_up_.assign(channels_.size(), 1);
   for (std::size_t j = 0; j < channels_.size(); ++j) {
     channels_[j]->set_on_send_space(
         [this, j] { on_send_space(static_cast<int>(j)); });
@@ -54,58 +53,25 @@ void Splitter::set_input(Channel* input) {
 }
 
 void Splitter::set_delivery(delivery::DeliveryMode mode,
-                            std::size_t replay_buffer_bytes,
-                            std::size_t tuple_bytes) {
+                            std::size_t replay_buffer_bytes) {
   assert(!channels_.empty());  // call after wire()
-  assert(tuple_bytes > 0);
-  mode_ = mode;
-  tuple_bytes_ = tuple_bytes;
-  replay_.clear();
-  if (alo()) {
-    for (std::size_t j = 0; j < channels_.size(); ++j) {
-      replay_.emplace_back(replay_buffer_bytes);
-    }
-  }
+  core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()), mode,
+                                    replay_buffer_bytes);
 }
 
 void Splitter::on_ack(std::uint64_t cum) {
-  if (!alo() || cum <= acked_) return;
-  acked_ = cum;
-  for (auto& rb : replay_) rb.ack(cum);
-  // Replays whose sequence released while they waited are already at the
-  // sink; re-sending them would only make dedup work for the merger.
-  while (!replay_pending_.empty() && replay_pending_.front().seq < cum) {
-    replay_pending_.pop_front();
-  }
+  if (!core_.on_ack(cum)) return;
   update_delivery_gauges();
   // A trimmed buffer may end a replay-full blocking episode — the same
   // wake-up a freed send buffer gives, charged the same way.
-  if (blocked_on_ >= 0) {
-    const int j = blocked_on_;
-    if (!channels_[static_cast<std::size_t>(j)]->send_full() &&
-        !replay_full(j)) {
-      unblock_and_send();
-    }
-  }
+  if (blocked_on_ >= 0 && !full(blocked_on_)) unblock_and_send();
 }
 
 Splitter::ReplaySummary Splitter::replay_channel(int j) {
-  ReplaySummary summary;
-  if (!alo()) return summary;
-  auto entries = replay_[static_cast<std::size_t>(j)].take_all();
-  for (auto& e : entries) {
-    if (e.seq < acked_) continue;  // released before the crash hit
-    ++summary.tuples;
-    summary.bytes += e.bytes;
-    replay_pending_.push_back(e.payload);
-  }
-  // Oldest sequence first: the merger is gating on the lowest missing
-  // sequence, and a prior replay may already sit queued behind newer
-  // entries from this channel.
-  std::sort(replay_pending_.begin(), replay_pending_.end(),
-            [](const Tuple& a, const Tuple& b) { return a.seq < b.seq; });
+  if (!core_.at_least_once()) return {};
+  const ReplaySummary summary = core_.quarantine(j);
   update_delivery_gauges();
-  if (idle_for_input_ && !replay_pending_.empty()) {
+  if (idle_for_input_ && core_.next_replay() != nullptr) {
     // Mid-pipeline splitter parked waiting for upstream data: the replay
     // queue is sendable without input, so resume.
     idle_for_input_ = false;
@@ -114,24 +80,13 @@ Splitter::ReplaySummary Splitter::replay_channel(int j) {
   return summary;
 }
 
-std::uint64_t Splitter::unacked() const {
-  std::uint64_t total = replay_pending_.size();
-  for (const auto& rb : replay_) total += rb.size();
-  return total;
-}
-
-std::size_t Splitter::replay_bytes() const {
-  std::size_t total = 0;
-  for (const auto& rb : replay_) total += rb.bytes();
-  return total;
-}
-
 void Splitter::update_delivery_gauges() {
   if (metrics_.replay_bytes != nullptr) {
-    metrics_.replay_bytes->set(static_cast<std::int64_t>(replay_bytes()));
+    metrics_.replay_bytes->set(
+        static_cast<std::int64_t>(core_.replay_bytes()));
   }
   if (metrics_.ack_lag != nullptr) {
-    metrics_.ack_lag->set(static_cast<std::int64_t>(next_seq_ - acked_));
+    metrics_.ack_lag->set(static_cast<std::int64_t>(core_.ack_lag()));
   }
 }
 
@@ -148,76 +103,55 @@ void Splitter::set_shed_watermarks(std::uint64_t high, std::uint64_t low) {
 
 void Splitter::shed_backlog() {
   if (shed_high_ == 0 || source_interval_ <= 0 || input_ != nullptr) return;
-  std::uint64_t backlog = source_backlog(sim_->now());
-  if (backlog < shed_high_) return;
+  const std::uint64_t backlog = source_backlog(sim_->now());
+  if (backlog < shed_high_ || backlog <= shed_low_) return;
   // Drop the oldest backlog tuples — they have already waited longest and
   // in a streaming region stale data is the least valuable. Each one
   // consumes the sequence number it would have carried, so the merger's
   // gap accounting stays exact.
-  while (backlog > shed_low_) {
-    const std::uint64_t seq = next_seq_++;
-    ++shed_;
-    if (metrics_.shed != nullptr) metrics_.shed->inc();
-    next_release_ += source_interval_;
-    --backlog;
-    if (on_shed_) on_shed_(seq);
-  }
+  const auto dropped = core_.shed(backlog - shed_low_);
+  if (metrics_.shed != nullptr) metrics_.shed->inc(dropped.count);
+  next_release_ += static_cast<DurationNs>(dropped.count) * source_interval_;
+  if (on_shed_) on_shed_(dropped.first, dropped.count);
 }
 
 void Splitter::next_send() {
   assert(blocked_on_ < 0);
   // Crash replays outrank fresh tuples (the merger is gating on them)
   // and need no source input.
-  const bool replaying = !replay_pending_.empty();
-  if (!replaying) {
+  if (core_.next_replay() == nullptr) {
     if (input_ != nullptr && input_->recv_empty()) {
       idle_for_input_ = true;  // wait for the upstream stage
       return;
     }
     shed_backlog();
   }
-  int j = policy_->pick_connection();
-  assert(j >= 0 && j < static_cast<int>(channels_.size()));
-  const int n = static_cast<int>(channels_.size());
-
-  if (!chan_up_[static_cast<std::size_t>(j)]) {
-    // Quarantined connection: fail over to the next live one. The policy
-    // already zeroed its weight, but smooth-WRR state and in-flight
-    // routing decisions can still name it for a short window.
-    int live = -1;
-    for (int step = 1; step < n; ++step) {
-      const int k = (j + step) % n;
-      if (chan_up_[static_cast<std::size_t>(k)]) {
-        live = k;
-        break;
-      }
-    }
-    if (live < 0) {
-      // Total outage: park until a connection returns.
-      idle_no_channel_ = true;
-      return;
-    }
-    ++failovers_;
-    if (metrics_.failovers != nullptr) metrics_.failovers->inc();
-    j = live;
+  const int picked = policy_->pick_connection();
+  assert(picked >= 0 && picked < static_cast<int>(channels_.size()));
+  const int j = core_.route(picked);
+  if (j < 0) {
+    // Total outage: park until a connection returns.
+    idle_no_channel_ = true;
+    return;
+  }
+  if (j != picked && metrics_.failovers != nullptr) {
+    metrics_.failovers->inc();
   }
 
   // A full replay buffer back-pressures exactly like a full send buffer:
   // the source blocks, the wait lands in j's blocking counter, and the
   // blocking-rate signal stays truthful (DESIGN.md §10).
-  if (!channels_[static_cast<std::size_t>(j)]->send_full() &&
-      !replay_full(j)) {
+  if (!full(j)) {
     do_send(j);
     return;
   }
 
   if (policy_->reroute_on_block()) {
     // Section 4.4 baseline: divert to any connection with buffer space.
+    const int n = static_cast<int>(channels_.size());
     for (int step = 1; step < n; ++step) {
       const int k = (j + step) % n;
-      if (!chan_up_[static_cast<std::size_t>(k)]) continue;
-      if (!channels_[static_cast<std::size_t>(k)]->send_full() &&
-          !replay_full(k)) {
+      if (core_.up(k) && !full(k)) {
         ++rerouted_;
         if (metrics_.rerouted != nullptr) metrics_.rerouted->inc();
         do_send(k);
@@ -236,39 +170,30 @@ void Splitter::next_send() {
 
 void Splitter::do_send(int j) {
   Tuple t;
-  bool retransmit = false;
-  if (!replay_pending_.empty()) {
+  const auto* replay = core_.next_replay();
+  const bool retransmit = replay != nullptr;
+  if (retransmit) {
     // Crash replay: the sequence (and arrival stamp) survive — the sink
     // must not be able to tell a retransmission from the original.
-    t = replay_pending_.front();
-    replay_pending_.pop_front();
-    retransmit = true;
+    t = replay->payload;
   } else if (input_ != nullptr) {
     // Forwarded tuple: restamp the sequence, keep the original arrival
     // time so end-to-end latency survives region boundaries.
     t = input_->pop_recv();
-    t.seq = next_seq_++;
+    t.seq = core_.next_seq();
   } else {
     // Source tuple: arrival = nominal release time for an open-loop
     // source (arrears count as waiting), or "now" for a closed loop.
     t.created = source_interval_ > 0 ? next_release_ : sim_->now();
-    t.seq = next_seq_++;
+    t.seq = core_.next_seq();
   }
+  core_.commit(j, t.seq, sizeof(Tuple), t, retransmit);
   channels_[static_cast<std::size_t>(j)]->push_send(t);
-  if (alo()) {
-    replay_[static_cast<std::size_t>(j)].push(t.seq, tuple_bytes_, t);
-    update_delivery_gauges();
-  }
+  if (core_.at_least_once()) update_delivery_gauges();
   if (retransmit) {
-    // Not counted as sent: sent/total_sent track fresh sequences, so the
-    // throughput signal and conservation identities stay in sequence
-    // space (emitted + gaps == sent + shed).
-    ++retransmits_;
     if (metrics_.retransmits != nullptr) metrics_.retransmits->inc();
-  } else {
-    ++sent_[static_cast<std::size_t>(j)];
-    ++total_sent_;
-    if (metrics_.sent != nullptr) metrics_.sent->inc();
+  } else if (metrics_.sent != nullptr) {
+    metrics_.sent->inc();
   }
   DurationNs gap = send_overhead_;
   if (throttle_ < 1.0) {
@@ -283,15 +208,17 @@ void Splitter::do_send(int j) {
     // time (retransmits consumed no source release). Arrears accumulated
     // while we were blocked drain at full speed.
     if (!retransmit) next_release_ += source_interval_;
-    if (replay_pending_.empty()) next = std::max(next, next_release_);
+    if (core_.next_replay() == nullptr) {
+      next = std::max(next, next_release_);
+    }
   }
   sim_->schedule_at(next, [this] { next_send(); });
 }
 
 void Splitter::set_channel_up(int j, bool up) {
   const auto sj = static_cast<std::size_t>(j);
-  if ((chan_up_[sj] != 0) == up) return;
-  chan_up_[sj] = up ? 1 : 0;
+  if (core_.up(j) == up) return;
+  core_.set_up(j, up);
   if (!up) {
     if (blocked_on_ == j) {
       // Blocked on the connection that just died: charge the wait (the
@@ -314,10 +241,8 @@ void Splitter::set_channel_up(int j, bool up) {
 }
 
 void Splitter::on_send_space(int j) {
-  if (blocked_on_ != j) return;
-  if (channels_[static_cast<std::size_t>(j)]->send_full()) return;
-  if (replay_full(j)) return;  // still waiting on an ack to trim
-  unblock_and_send();
+  // A full replay buffer keeps waiting on an ack to trim it.
+  if (blocked_on_ == j && !full(j)) unblock_and_send();
 }
 
 void Splitter::unblock_and_send() {

@@ -18,14 +18,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
-#include "delivery/replay_buffer.h"
+#include "delivery/send_core.h"
 #include "obs/metrics.h"
 #include "sim/channel.h"
 #include "sim/event.h"
@@ -78,18 +77,14 @@ class Splitter {
   /// blocking counter, exactly like a normal un-block). If every
   /// connection is down the splitter idles until one comes back.
   void set_channel_up(int j, bool up);
-  bool channel_up(int j) const {
-    return chan_up_[static_cast<std::size_t>(j)] != 0;
-  }
+  bool channel_up(int j) const { return core_.up(j); }
 
-  std::uint64_t total_sent() const { return total_sent_; }
-  std::uint64_t sent(int j) const {
-    return sent_[static_cast<std::size_t>(j)];
-  }
+  std::uint64_t total_sent() const { return core_.total_sent(); }
+  std::uint64_t sent(int j) const { return core_.sent(j); }
   /// Tuples diverted by the Section 4.4 re-routing baseline.
   std::uint64_t rerouted() const { return rerouted_; }
   /// Tuples diverted because their picked connection was quarantined.
-  std::uint64_t failovers() const { return failovers_; }
+  std::uint64_t failovers() const { return core_.failovers(); }
   /// Number of distinct blocking episodes per connection.
   std::uint64_t blocks(int j) const {
     return blocks_[static_cast<std::size_t>(j)];
@@ -115,16 +110,17 @@ class Splitter {
 
   /// Load shedding (open-loop sources): when the source backlog reaches
   /// `high`, drop backlog tuples (oldest first) until it is back at `low`.
-  /// Every shed tuple still consumes a sequence number and is reported
-  /// through `on_shed`, so the ordered merger can account it as a gap and
-  /// `emitted + gaps == sent + shed` stays an invariant. `high == 0`
-  /// disables shedding.
+  /// Every shed tuple still consumes a sequence number; each shedding
+  /// step reports its range through `on_shed`, so the ordered merger can
+  /// account it as gaps and `emitted + gaps == sent + shed` stays an
+  /// invariant. `high == 0` disables shedding.
   void set_shed_watermarks(std::uint64_t high, std::uint64_t low);
-  void set_on_shed(std::function<void(std::uint64_t seq)> fn) {
+  void set_on_shed(
+      std::function<void(std::uint64_t first, std::uint64_t count)> fn) {
     on_shed_ = std::move(fn);
   }
   /// Total tuples shed at the source so far.
-  std::uint64_t shed() const { return shed_; }
+  std::uint64_t shed() const { return core_.shed(); }
 
   /// Observability: attach registry handles (see SplitterMetrics). The
   /// splitter keeps updating its own counters either way; metrics are a
@@ -134,12 +130,11 @@ class Splitter {
   // --- At-least-once delivery (DESIGN.md §10) --------------------------
 
   /// Arms at-least-once delivery: every sent tuple is held in its
-  /// channel's byte-capped replay buffer until acked. Call after wire(),
-  /// before start(). `tuple_bytes` is the accounting size of one tuple
-  /// (the sim has no wire encoding; sizeof(Tuple) by default).
+  /// channel's byte-capped replay buffer until acked, accounted at
+  /// sizeof(Tuple) bytes (the sim has no wire encoding). Call after
+  /// wire(), before start().
   void set_delivery(delivery::DeliveryMode mode,
-                    std::size_t replay_buffer_bytes,
-                    std::size_t tuple_bytes = sizeof(Tuple));
+                    std::size_t replay_buffer_bytes);
 
   /// Cumulative ack from the merger: every sequence below `cum` has been
   /// released. Trims the replay buffers, drops pending replays that
@@ -147,10 +142,7 @@ class Splitter {
   /// whose replay buffer just drained — resumes it.
   void on_ack(std::uint64_t cum);
 
-  struct ReplaySummary {
-    std::uint64_t tuples = 0;
-    std::uint64_t bytes = 0;
-  };
+  using ReplaySummary = delivery::SendCore<Tuple>::Replay;
 
   /// Crash recovery: moves channel j's unacked suffix into the pending
   /// replay queue, drained (oldest sequence first) before fresh source
@@ -161,28 +153,23 @@ class Splitter {
   /// Tuples re-sent after crash replay. Disjoint from total_sent():
   /// sent counters track fresh sequences only, so the throughput signal
   /// and per-channel signatures are unchanged by retransmission.
-  std::uint64_t retransmits() const { return retransmits_; }
+  std::uint64_t retransmits() const { return core_.retransmits(); }
   /// Highest cumulative ack seen from the merger.
-  std::uint64_t acked() const { return acked_; }
+  std::uint64_t acked() const { return core_.acked(); }
   /// Tuples held for replay: buffered unacked + pending re-send.
-  std::uint64_t unacked() const;
+  std::uint64_t unacked() const { return core_.unacked(); }
   /// Bytes held across all replay buffers.
-  std::size_t replay_bytes() const;
-  /// Pending (crash-replayed, not yet re-sent) tuples.
-  std::size_t replay_pending() const { return replay_pending_.size(); }
+  std::size_t replay_bytes() const { return core_.replay_bytes(); }
 
  private:
   void next_send();
   void do_send(int j);
   void on_send_space(int j);
   void shed_backlog();
-  bool alo() const {
-    return mode_ == delivery::DeliveryMode::kAtLeastOnce;
-  }
-  /// True when channel j's replay buffer cannot admit the next tuple.
-  bool replay_full(int j) const {
-    return alo() &&
-           replay_[static_cast<std::size_t>(j)].would_block(tuple_bytes_);
+  /// True when channel j's send or replay buffer cannot take a tuple.
+  bool full(int j) const {
+    return channels_[static_cast<std::size_t>(j)]->send_full() ||
+           !core_.admits(j, sizeof(Tuple));
   }
   /// Ends the current blocking episode (charging channel
   /// `blocked_on_`'s counter) and sends on it.
@@ -197,31 +184,19 @@ class Splitter {
   double throttle_ = 1.0;
   std::uint64_t shed_high_ = 0;
   std::uint64_t shed_low_ = 0;
-  std::uint64_t shed_ = 0;
-  std::function<void(std::uint64_t)> on_shed_;
+  std::function<void(std::uint64_t, std::uint64_t)> on_shed_;
   Channel* input_ = nullptr;
   std::vector<Channel*> channels_;
   BlockingCounterSet* counters_ = nullptr;
 
   SplitterMetrics metrics_;
 
-  /// At-least-once state (empty/zero in GapSkip mode).
-  delivery::DeliveryMode mode_ = delivery::DeliveryMode::kGapSkip;
-  std::size_t tuple_bytes_ = sizeof(Tuple);
-  std::vector<delivery::ReplayBuffer<Tuple>> replay_;
-  /// Crash-replayed tuples awaiting re-send, oldest sequence first;
-  /// drained before fresh source tuples.
-  std::deque<Tuple> replay_pending_;
-  std::uint64_t acked_ = 0;
-  std::uint64_t retransmits_ = 0;
+  /// Sequences, liveness, replay buffers, acks and the send counters
+  /// (DESIGN.md §10), shared with the runtime splitter.
+  delivery::SendCore<Tuple> core_;
 
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t total_sent_ = 0;
   std::uint64_t rerouted_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::vector<std::uint64_t> sent_;
   std::vector<std::uint64_t> blocks_;
-  std::vector<char> chan_up_;
 
   int blocked_on_ = -1;
   TimeNs block_start_ = 0;

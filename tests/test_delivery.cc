@@ -1,7 +1,8 @@
 // Delivery-semantics tests (DESIGN.md §10): the replay buffer, the
 // merger's dedup/late-discard accounting, at-least-once crash recovery in
-// the simulator and the threaded runtime, replay back pressure, and the
-// control loop's ack-stall watchdog rung.
+// the simulator and the threaded runtime, replay back pressure, the
+// control loop's ack-stall watchdog rung, and the runtime's shed-range
+// announcements.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include "control/region_port.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
-#include "delivery/replay_buffer.h"
+#include "delivery/send_core.h"
 #include "obs/journal.h"
 #include "runtime/local_region.h"
 #include "sim/merger.h"
@@ -107,7 +108,7 @@ TEST(MergerDelivery, ArrivalAfterGapDeclarationIsLateDiscard) {
   sim::Merger m(&sim, 2, sim::Merger::kUnbounded);
   EXPECT_TRUE(m.try_push(0, sim::Tuple{1}));  // gated on seq 0
   EXPECT_EQ(m.emitted(), 0u);
-  m.note_lost(0);  // seq 0 declared dead with its worker
+  m.note_lost(0, 1);  // seq 0 declared dead with its worker
   EXPECT_EQ(m.emitted(), 1u);
   EXPECT_EQ(m.gaps(), 1u);
   // ...but the "dead" tuple limps in after all.
@@ -348,6 +349,85 @@ TEST(RtDelivery, ReplayRacesReconnect) {
   EXPECT_EQ(stats.gaps, 0u);
   EXPECT_EQ(stats.emitted, stats.sent);
   EXPECT_TRUE(stats.order_ok);
+}
+
+/// Alternates between channels 0 and 1 until told to route everything
+/// to channel 1.
+class AlternateThenOnlyOne : public SplitPolicy {
+ public:
+  ConnectionId pick_connection() override {
+    if (only_one_) return 1;
+    next_ = 1 - next_;
+    return next_;
+  }
+  const WeightVector& weights() const override { return weights_; }
+  std::string name() const override { return "alternate-then-1"; }
+  void route_all_to_one() {
+    only_one_ = true;
+    weights_ = {0, kWeightUnits};
+  }
+
+ private:
+  int next_ = 1;
+  bool only_one_ = false;
+  WeightVector weights_{kWeightUnits / 2, kWeightUnits / 2};
+};
+
+TEST(RtDelivery, DeathAfterLastTickIsReplayedBeforeShutdown) {
+  // Worker 0 dies at the last tick and is never sent to again: only the
+  // end-of-run sweep can find it, and it must do so before the FINs so
+  // the frames that died with it replay onto worker 1. The replay cap is
+  // large enough that no replay-blocked sweep finds the death earlier.
+  rt::LocalRegionConfig cfg = rt_alo(2);
+  cfg.work_mode = rt::WorkMode::kTimed;
+  cfg.load_events.push_back({0, 0, 4.0});
+  cfg.sample_period = millis(50);
+  cfg.delivery.replay_buffer_bytes = 64 << 20;
+  auto policy = std::make_unique<AlternateThenOnlyOne>();
+  AlternateThenOnlyOne* routing = policy.get();
+  rt::LocalRegion region(cfg, std::move(policy));
+  bool killed = false;
+  region.set_sample_hook([&](const rt::LocalSample& sample) {
+    if (killed || sample.elapsed < millis(100)) return;
+    region.worker(0).kill();
+    routing->route_all_to_one();
+    killed = true;
+  });
+  // The 100 ms tick can slip by several ms on a loaded host; any tick
+  // that fires before the end is still the last one (the next is due
+  // 50 ms later).
+  const rt::LocalRunStats stats = region.run(millis(140));
+
+  ASSERT_TRUE(killed);
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_EQ(stats.gaps, 0u);
+  EXPECT_EQ(stats.emitted, stats.sent);
+  EXPECT_TRUE(stats.order_ok);
+}
+
+TEST(RtDelivery, OpenLoopSheddingAnnouncesEveryGap) {
+  // A source offering 5x the region's capacity: the backlog crosses the
+  // high watermark within milliseconds, every time, so the shed ranges
+  // always reach the merger as gap frames.
+  for (const DeliveryMode mode :
+       {DeliveryMode::kGapSkip, DeliveryMode::kAtLeastOnce}) {
+    SCOPED_TRACE(mode == DeliveryMode::kGapSkip ? "gap-skip" : "at-least-once");
+    rt::LocalRegionConfig cfg = rt_alo(2);
+    cfg.delivery.mode = mode;
+    cfg.work_mode = rt::WorkMode::kTimed;
+    cfg.multiplies = 100'000;  // 100 us per tuple: 20k tuples/s capacity
+    cfg.source_interval = micros(10);
+    cfg.protection.shed_high_watermark = 64;
+    cfg.protection.shed_low_watermark = 32;
+    rt::LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+    const rt::LocalRunStats stats = region.run(millis(150));
+
+    EXPECT_GT(stats.shed, 0u);
+    EXPECT_EQ(stats.gaps, stats.shed);
+    EXPECT_EQ(stats.emitted, stats.sent);
+    EXPECT_EQ(stats.late_discards, 0u);
+    EXPECT_TRUE(stats.order_ok);
+  }
 }
 
 }  // namespace

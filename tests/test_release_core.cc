@@ -638,9 +638,7 @@ Counters expect_parity(const std::vector<Step>& script, int conns, bool ft,
   for (std::size_t i = 0; i < script.size(); ++i) {
     for (const Arrival& a : script[i]) {
       if (a.count > 0) {
-        for (std::uint64_t s = a.seq; s < a.seq + a.count; ++s) {
-          sim_merger.note_lost(s);
-        }
+        sim_merger.note_lost(a.seq, a.count);
       } else {
         sim_merger.try_push(a.conn, sim::Tuple{a.seq, 0});
       }

@@ -1,0 +1,415 @@
+// The splitter-side delivery core shared by both splitters (DESIGN.md §10).
+//
+// Two layers of evidence:
+//   1. unit cases for each piece the core owns (sequence issuance,
+//      shedding, liveness and failover routing, admission, commit, the
+//      ack cursor, crash replay, the running gauges);
+//   2. an exhaustive model check: SendCore wired to ReleaseCore over
+//      per-channel in-flight FIFOs, exploring every interleaving of send
+//      (on every routable channel), deliver, ack generation and delayed ack
+//      delivery, crash, recover and shed in small regions, with a tiny
+//      replay cap.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <vector>
+
+#include "delivery/release_core.h"
+#include "delivery/send_core.h"
+
+namespace slb {
+namespace {
+
+using delivery::DeliveryMode;
+using Core = delivery::SendCore<std::uint64_t>;
+
+/// Commits the next fresh sequence on channel j (1 byte per tuple).
+std::uint64_t send_fresh(Core& core, int j) {
+  const std::uint64_t seq = core.next_seq();
+  core.commit(j, seq, 1, seq, /*retransmit=*/false);
+  return seq;
+}
+
+/// Commits the oldest pending replay on channel j.
+std::uint64_t send_replay(Core& core, int j) {
+  const std::uint64_t seq = core.next_replay()->seq;
+  core.commit(j, seq, 1, seq, /*retransmit=*/true);
+  return seq;
+}
+
+// --- 1. unit cases ----------------------------------------------------
+
+TEST(SendCore, FreshCommitsAndShedsConsumeSequencesInOrder) {
+  Core core(2, DeliveryMode::kGapSkip);
+  EXPECT_EQ(send_fresh(core, 0), 0u);
+  EXPECT_EQ(send_fresh(core, 1), 1u);
+  const Core::Range dropped = core.shed(3);
+  EXPECT_EQ(dropped.first, 2u);
+  EXPECT_EQ(dropped.count, 3u);
+  EXPECT_EQ(send_fresh(core, 1), 5u);
+  EXPECT_EQ(core.next_seq(), 6u);
+  EXPECT_EQ(core.sent(0), 1u);
+  EXPECT_EQ(core.sent(1), 2u);
+  EXPECT_EQ(core.total_sent(), 3u);
+  EXPECT_EQ(core.shed(), 3u);
+  EXPECT_EQ(core.shed(0).count, 0u);  // an empty shed consumes nothing
+  EXPECT_EQ(core.next_seq(), 6u);
+}
+
+TEST(SendCore, RouteFailsOverToTheNextLiveChannelInRingOrder) {
+  Core core(3, DeliveryMode::kGapSkip);
+  EXPECT_EQ(core.route(1), 1);
+  EXPECT_EQ(core.failovers(), 0u);
+  core.set_up(1, false);
+  EXPECT_EQ(core.route(1), 2);
+  core.set_up(2, false);
+  EXPECT_EQ(core.route(1), 0);  // wraps around the ring
+  EXPECT_EQ(core.route(2), 0);
+  EXPECT_EQ(core.failovers(), 3u);
+  core.set_up(0, false);
+  EXPECT_EQ(core.route(0), -1);  // total outage: not a failover
+  EXPECT_EQ(core.failovers(), 3u);
+  core.set_up(1, true);
+  EXPECT_TRUE(core.up(1));
+  EXPECT_EQ(core.route(1), 1);
+}
+
+TEST(SendCore, GapSkipBuffersNothingAndAdmitsEverything) {
+  Core core(2, DeliveryMode::kGapSkip, /*replay_buffer_bytes=*/1);
+  EXPECT_FALSE(core.at_least_once());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(core.admits(0, 100));
+    send_fresh(core, 0);
+  }
+  EXPECT_EQ(core.unacked(), 0u);
+  EXPECT_EQ(core.replay_bytes(), 0u);
+  EXPECT_FALSE(core.on_ack(2));  // no ack cursor without at-least-once
+  EXPECT_EQ(core.acked(), 0u);
+  const Core::Replay replay = core.quarantine(0);
+  EXPECT_FALSE(core.up(0));
+  EXPECT_EQ(replay.tuples, 0u);
+  EXPECT_EQ(core.next_replay(), nullptr);
+}
+
+TEST(SendCore, AdmissionFollowsTheReplayCapAndAnEmptyBufferAlwaysAdmits) {
+  Core core(2, DeliveryMode::kAtLeastOnce, /*replay_buffer_bytes=*/10);
+  EXPECT_TRUE(core.admits(0, 100));  // empty: one oversized tuple is fine
+  core.commit(0, core.next_seq(), 6, 0, false);
+  EXPECT_TRUE(core.admits(0, 4));
+  EXPECT_FALSE(core.admits(0, 5));
+  EXPECT_TRUE(core.admits(1, 5));  // per channel
+  core.on_ack(1);
+  EXPECT_TRUE(core.admits(0, 10));
+}
+
+TEST(SendCore, CommitBuffersAndCountsSentApartFromRetransmits) {
+  Core core(2, DeliveryMode::kAtLeastOnce);
+  send_fresh(core, 0);
+  send_fresh(core, 0);
+  send_fresh(core, 1);
+  EXPECT_EQ(core.unacked(), 3u);
+  EXPECT_EQ(core.replay_bytes(), 3u);
+  EXPECT_EQ(core.ack_lag(), 3u);
+  core.quarantine(0);
+  EXPECT_EQ(core.unacked(), 3u);  // moved, not lost: 0 and 1 pending
+  EXPECT_EQ(core.replay_bytes(), 1u);
+  EXPECT_EQ(send_replay(core, 1), 0u);
+  EXPECT_EQ(core.retransmits(), 1u);
+  EXPECT_EQ(core.total_sent(), 3u);  // retransmits are not fresh sends
+  EXPECT_EQ(core.sent(1), 1u);
+  EXPECT_EQ(core.unacked(), 3u);  // two buffered on 1, one pending
+  EXPECT_EQ(core.replay_bytes(), 2u);
+}
+
+TEST(SendCore, CumulativeAckTrimsBuffersAndPendingReplays) {
+  Core core(2, DeliveryMode::kAtLeastOnce);
+  for (int i = 0; i < 6; ++i) send_fresh(core, i % 2);
+  core.quarantine(1);  // 1, 3, 5 pending
+  EXPECT_TRUE(core.on_ack(4));
+  EXPECT_EQ(core.acked(), 4u);
+  EXPECT_EQ(core.next_replay()->seq, 5u);  // 1 and 3 released meanwhile
+  EXPECT_EQ(core.unacked(), 2u);           // 4 buffered on 0, 5 pending
+  EXPECT_EQ(core.replay_bytes(), 1u);
+  EXPECT_EQ(core.ack_lag(), 2u);
+  EXPECT_FALSE(core.on_ack(4));  // nothing new
+  EXPECT_FALSE(core.on_ack(3));  // stale
+  EXPECT_EQ(core.acked(), 4u);
+}
+
+TEST(SendCore, QuarantineQueuesTheUnackedSuffixSortedBySequence) {
+  Core core(3, DeliveryMode::kAtLeastOnce);
+  for (int i = 0; i < 6; ++i) send_fresh(core, i % 3);  // 0:{0,3} 1:{1,4}
+  core.on_ack(1);
+  const Core::Replay first = core.quarantine(1);
+  EXPECT_FALSE(core.up(1));
+  EXPECT_EQ(first.tuples, 2u);
+  EXPECT_EQ(first.bytes, 2u);
+  // A replay lands on channel 0 behind newer entries, then 0 dies too:
+  // the merged queue must still come out oldest first.
+  EXPECT_EQ(send_replay(core, 0), 1u);
+  const Core::Replay second = core.quarantine(0);
+  EXPECT_EQ(second.tuples, 2u);  // 3, then the replayed 1
+  std::vector<std::uint64_t> order;
+  while (core.next_replay() != nullptr) order.push_back(send_replay(core, 2));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 4}));
+  EXPECT_EQ(core.retransmits(), 4u);
+  EXPECT_EQ(core.quarantine(0).tuples, 0u);  // already drained
+}
+
+TEST(SendCore, RetransmitCommitRemovesItsOwnSequenceAfterAQuarantine) {
+  // The runtime reads the oldest replay, then a send attempt on another
+  // channel quarantines it and queues older sequences ahead of the frame
+  // in hand; committing that frame must remove exactly its sequence.
+  Core core(3, DeliveryMode::kAtLeastOnce);
+  for (int i = 0; i < 3; ++i) send_fresh(core, i);  // 0 on 0, 1 on 1, 2 on 2
+  core.quarantine(2);
+  const std::uint64_t in_hand = core.next_replay()->seq;
+  EXPECT_EQ(in_hand, 2u);
+  core.quarantine(0);  // queues 0 ahead of 2
+  core.commit(1, in_hand, 1, in_hand, /*retransmit=*/true);
+  ASSERT_NE(core.next_replay(), nullptr);
+  EXPECT_EQ(core.next_replay()->seq, 0u);
+  EXPECT_EQ(core.unacked(), 3u);  // 0 pending, 1 and 2 buffered on 1
+}
+
+// --- 2. exhaustive model check ---------------------------------------
+
+/// The splitter core and the merger's release core, connected by one
+/// in-flight FIFO per channel and a single-slot delayed ack link.
+struct Model {
+  Core send;
+  delivery::ReleaseCore<std::uint64_t> release;
+  std::vector<std::deque<std::uint64_t>> wire;
+  std::optional<std::uint64_t> ack_in_flight;
+  std::vector<int> emitted_count;  // per sequence, at the sink
+  std::uint64_t emitted = 0;
+  std::int64_t last_emitted = -1;
+  bool order_ok = true;
+  int crashes_left;
+  int sheds_left;
+  std::uint64_t sequences;
+
+  Model(int channels, std::uint64_t seqs, DeliveryMode mode, int crashes,
+        int sheds)
+      : send(channels, mode, /*replay_buffer_bytes=*/2),
+        release(channels, mode),
+        wire(static_cast<std::size_t>(channels)),
+        emitted_count(static_cast<std::size_t>(seqs), 0),
+        crashes_left(crashes),
+        sheds_left(sheds),
+        sequences(seqs) {}
+
+  void drain() {
+    release.release(0, [&](int, std::uint64_t seq) {
+      order_ok = order_ok && static_cast<std::int64_t>(seq) > last_emitted;
+      last_emitted = static_cast<std::int64_t>(seq);
+      ++emitted_count[static_cast<std::size_t>(seq)];
+      ++emitted;
+      return true;
+    });
+  }
+
+  void declare_lost(std::uint64_t first, std::uint64_t count) {
+    release.note_lost(first, count, 0);
+    drain();
+  }
+};
+
+struct ModelStats {
+  std::uint64_t terminals = 0;
+  std::uint64_t with_retransmits = 0;
+  std::uint64_t with_gaps = 0;
+};
+
+/// Checks the end-state identities of a quiescent run.
+void check_terminal(const Model& m, ModelStats& stats) {
+  ++stats.terminals;
+  if (m.send.retransmits() > 0) ++stats.with_retransmits;
+  if (m.release.gaps() > 0) ++stats.with_gaps;
+  ASSERT_TRUE(m.order_ok);
+  ASSERT_EQ(m.send.next_seq(), m.sequences);
+  for (std::uint64_t s = 0; s < m.sequences; ++s) {
+    ASSERT_LE(m.emitted_count[static_cast<std::size_t>(s)], 1) << s;
+  }
+  if (m.send.at_least_once()) {
+    // Exactly once: every sequence not shed reaches the sink, and every
+    // shed one is a gap.
+    ASSERT_EQ(m.emitted, m.send.total_sent());
+    ASSERT_EQ(m.release.gaps(), m.send.shed());
+    ASSERT_EQ(m.send.unacked(), 0u);
+    ASSERT_EQ(m.send.replay_bytes(), 0u);
+    ASSERT_EQ(m.send.acked(), m.sequences);
+  } else {
+    ASSERT_EQ(m.emitted + m.release.gaps(),
+              m.send.total_sent() + m.send.shed());
+  }
+}
+
+/// One transition of the model. Ordered by (kind, channel) for the
+/// partial-order reduction below.
+enum class Kind { kSend, kShed, kDeliver, kAckGen, kAckDeliver, kCrash,
+                  kRecover };
+struct Action {
+  Kind kind;
+  int ch = 0;
+  bool operator<(const Action& o) const {
+    return kind != o.kind ? kind < o.kind : ch < o.ch;
+  }
+};
+
+/// Actions that commute and cannot disable each other: one touches only
+/// the splitter side (core + wire tail), the other only the merger side
+/// (wire head + release core) or an unrelated part of the splitter.
+/// Everything involving a crash or a shed is treated as dependent.
+bool independent(const Action& a, const Action& b) {
+  const auto pair = [&](Kind x, Kind y) {
+    return (a.kind == x && b.kind == y) || (a.kind == y && b.kind == x);
+  };
+  if (a.kind == Kind::kDeliver && b.kind == Kind::kDeliver) {
+    return a.ch != b.ch;
+  }
+  if (a.kind == Kind::kRecover && b.kind == Kind::kRecover) {
+    return a.ch != b.ch;
+  }
+  return pair(Kind::kDeliver, Kind::kSend) ||
+         pair(Kind::kDeliver, Kind::kRecover) ||
+         pair(Kind::kDeliver, Kind::kAckDeliver) ||
+         pair(Kind::kAckGen, Kind::kSend) ||
+         pair(Kind::kAckGen, Kind::kRecover) ||
+         pair(Kind::kAckDeliver, Kind::kRecover);
+}
+
+/// Depth-first over every interleaving, up to reordering adjacent
+/// independent actions: after `last`, an independent action ordered
+/// before it is skipped, because the swapped word is explored from the
+/// parent and reaches the same state. Every trace keeps its
+/// lexicographically least word, so every reachable terminal state is
+/// still checked.
+void explore(const Model& m, const Action* last, ModelStats& stats) {
+  if (::testing::Test::HasFatalFailure()) return;  // report the first one
+  bool enabled = false;
+  const auto step = [&](Action a, auto&& apply) {
+    enabled = true;
+    if (last != nullptr && a < *last && independent(a, *last)) return;
+    Model next = m;
+    apply(next);
+    explore(next, &a, stats);
+  };
+  const int n = m.send.channels();
+
+  // Send: a pending replay outranks a fresh sequence. Every pick is
+  // explored; picks that route to the same channel are one action. A
+  // full replay buffer leaves the pick blocked (no transition) — the
+  // splitter waits for an ack or re-picks.
+  const bool replay = m.send.next_replay() != nullptr;
+  if (replay || m.send.next_seq() < m.sequences) {
+    std::vector<char> tried(static_cast<std::size_t>(n), 0);
+    for (int pick = 0; pick < n; ++pick) {
+      Core probe = m.send;
+      const int j = probe.route(pick);
+      if (j < 0 || tried[static_cast<std::size_t>(j)]) continue;
+      tried[static_cast<std::size_t>(j)] = 1;
+      if (!probe.admits(j, 1)) continue;
+      step({Kind::kSend, j}, [&](Model& x) {
+        x.send.route(pick);
+        const std::uint64_t seq =
+            replay ? x.send.next_replay()->seq : x.send.next_seq();
+        x.send.commit(j, seq, 1, seq, replay);
+        x.wire[static_cast<std::size_t>(j)].push_back(seq);
+      });
+    }
+  }
+  // Shed: the next one or two fresh sequences, announced as lost.
+  if (!replay && m.sheds_left > 0) {
+    for (std::uint64_t count = 1;
+         count <= 2 && m.send.next_seq() + count <= m.sequences; ++count) {
+      step({Kind::kShed, static_cast<int>(count)}, [&](Model& x) {
+        --x.sheds_left;
+        const Core::Range dropped = x.send.shed(count);
+        x.declare_lost(dropped.first, dropped.count);
+      });
+    }
+  }
+  // Deliver the oldest in-flight tuple of a channel to the merger.
+  for (int j = 0; j < n; ++j) {
+    if (m.wire[static_cast<std::size_t>(j)].empty()) continue;
+    step({Kind::kDeliver, j}, [&](Model& x) {
+      auto& q = x.wire[static_cast<std::size_t>(j)];
+      const std::uint64_t seq = q.front();
+      q.pop_front();
+      x.release.offer(j, seq);
+      x.drain();
+    });
+  }
+  // Ack: the merger sends its cursor, which arrives later.
+  if (!m.ack_in_flight && m.release.unacked() > 0 && m.send.at_least_once()) {
+    step({Kind::kAckGen}, [&](Model& x) {
+      x.ack_in_flight = x.release.take_ack();
+    });
+  }
+  if (m.ack_in_flight) {
+    step({Kind::kAckDeliver}, [&](Model& x) {
+      x.send.on_ack(*x.ack_in_flight);
+      x.ack_in_flight.reset();
+    });
+  }
+  // Crash: the channel's in-flight tuples die with its worker. Gap-skip
+  // declares them lost; at-least-once replays the unacked suffix.
+  for (int j = 0; j < n && m.crashes_left > 0; ++j) {
+    if (!m.send.up(j)) continue;
+    step({Kind::kCrash, j}, [&](Model& x) {
+      --x.crashes_left;
+      auto& q = x.wire[static_cast<std::size_t>(j)];
+      const std::deque<std::uint64_t> lost = q;
+      q.clear();
+      x.send.quarantine(j);
+      if (!x.send.at_least_once()) {
+        for (const std::uint64_t seq : lost) x.declare_lost(seq, 1);
+      }
+    });
+  }
+  // Recover: a replacement worker on a fresh connection.
+  for (int j = 0; j < n; ++j) {
+    if (m.send.up(j)) continue;
+    step({Kind::kRecover, j}, [&](Model& x) { x.send.set_up(j, true); });
+  }
+  if (!enabled) check_terminal(m, stats);
+}
+
+ModelStats check(int channels, std::uint64_t seqs, DeliveryMode mode,
+                 int crashes, int sheds) {
+  ModelStats stats;
+  explore(Model(channels, seqs, mode, crashes, sheds), nullptr, stats);
+  return stats;
+}
+
+// Counts are terminal states reached (words explored to quiescence), so
+// a change in what the model explores shows up here first. Replay cap: two
+// one-byte tuples per channel.
+
+TEST(SendCoreModel, AtLeastOnceIsExactlyOnceInOrderAcrossCrashAndShed) {
+  // One crash (and any recoveries), at most one shed of one or two
+  // sequences, anywhere in the run.
+  const ModelStats two = check(2, 3, DeliveryMode::kAtLeastOnce, 1, 1);
+  EXPECT_EQ(two.terminals, 63768u);
+  EXPECT_GT(two.with_retransmits, 0u);
+  EXPECT_GT(two.with_gaps, 0u);  // from sheds: gaps == shed is checked
+  const ModelStats three = check(3, 2, DeliveryMode::kAtLeastOnce, 1, 1);
+  EXPECT_EQ(three.terminals, 7851u);
+  EXPECT_GT(three.with_retransmits, 0u);
+}
+
+TEST(SendCoreModel, GapSkipConservesSequenceSpace) {
+  const ModelStats two = check(2, 5, DeliveryMode::kGapSkip, 1, 1);
+  EXPECT_EQ(two.terminals, 27068u);
+  EXPECT_GT(two.with_gaps, 0u);
+  EXPECT_EQ(two.with_retransmits, 0u);
+  const ModelStats three = check(3, 3, DeliveryMode::kGapSkip, 1, 1);
+  EXPECT_EQ(three.terminals, 4551u);
+  EXPECT_GT(three.with_gaps, 0u);
+}
+
+}  // namespace
+}  // namespace slb
