@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core algorithms: the Fox
 // greedy RAP solver (the paper claims O(N + R log N)), the bisection
 // solver, PAVA monotone regression, rate-function maintenance, smooth
-// WRR picking, and the clustering distance matrix.
+// WRR picking, the clustering distance matrix, and the merger's ordered
+// release.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include "core/rap.h"
 #include "core/rate_function.h"
 #include "core/wrr.h"
+#include "delivery/release_core.h"
 #include "sim/region.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -119,6 +121,34 @@ void BM_SmoothWrrPick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmoothWrrPick)->RangeMultiplier(4)->Range(2, 128);
+
+// ---- ordered release --------------------------------------------------------
+
+// One merger arrival: connection seq % N delivers the expected sequence,
+// which the release emits, then the freed connections are collected (the
+// sim merger's per-drain work). Per-arrival cost against N shows whether
+// the release scan grows with the connection count.
+void BM_ReleaseCoreArrival(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  delivery::ReleaseCore<std::uint64_t> core(n,
+                                            delivery::DeliveryMode::kGapSkip);
+  std::uint64_t seq = 0;
+  std::uint64_t released = 0;
+  int freed = 0;
+  for (auto _ : state) {
+    core.offer(static_cast<int>(seq % static_cast<std::uint64_t>(n)), seq);
+    core.release(0, [&](int, std::uint64_t) {
+      ++released;
+      return true;
+    });
+    core.take_freed([&](int) { ++freed; });
+    ++seq;
+  }
+  benchmark::DoNotOptimize(released);
+  benchmark::DoNotOptimize(freed);
+  state.SetItemsProcessed(static_cast<std::int64_t>(released));
+}
+BENCHMARK(BM_ReleaseCoreArrival)->Arg(2)->Arg(8)->Arg(64)->Arg(128);
 
 // ---- full controller update -------------------------------------------------
 

@@ -24,13 +24,23 @@
 //     runtime's gap timeout and its end-of-input flush;
 //   * the cumulative-ack cursor (adapters decide when to send).
 //
+// Per-arrival cost does not grow with the connection count: the release
+// scan visits only *eligible* connections (queue head at or below the
+// cursor), kept in a bitset and refilled from a min-heap of the other
+// heads whenever the cursor moves. Every other connection would be a
+// no-op in a full scan, so the visit order, and with it every emit,
+// discard and refusal, is that of the plain scan over all connections
+// (DESIGN.md §10).
+//
 // Item is either a sequence number or a struct with a `seq` field.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <type_traits>
@@ -57,7 +67,8 @@ class ReleaseCore {
   ReleaseCore(int connections, DeliveryMode mode,
               std::size_t capacity = kUnbounded)
       : queues_(static_cast<std::size_t>(connections)),
-        freed_(static_cast<std::size_t>(connections), 0),
+        eligible_(words(connections), 0),
+        freed_(words(connections), 0),
         capacity_(capacity),
         alo_(mode == DeliveryMode::kAtLeastOnce) {}
 
@@ -90,6 +101,7 @@ class ReleaseCore {
     if (q.size() >= capacity_) return Offer::kFull;
     q.push_back(std::move(item));
     ++queued_;
+    if (q.size() == 1) index_head(static_cast<std::size_t>(from));
     return Offer::kAccepted;
   }
 
@@ -136,15 +148,17 @@ class ReleaseCore {
   /// are dropped, not counted twice). Returns the number skipped; 0 when
   /// nothing is queued. Call release() afterwards.
   std::uint64_t skip_to_lowest_queued() {
+    // An eligible connection holds a head at or below the cursor.
+    if (queued_ == 0 || next_set(eligible_, 0) < queues_.size()) return 0;
     std::uint64_t low = std::numeric_limits<std::uint64_t>::max();
     if (!pool_.empty()) low = pool_.begin()->first;
-    for (const auto& q : queues_) {
-      if (!q.empty()) low = std::min(low, seq_of(q.front()));
-    }
-    if (queued_ == 0 || low <= expected_) return 0;
+    drop_stale_heads();
+    if (!heads_.empty()) low = std::min(low, heads_.front().first);
+    if (low <= expected_) return 0;
     const std::uint64_t skipped = low - expected_;
     gaps_ += skipped;
     expected_ = low;
+    cursor_moved();
     return skipped;
   }
 
@@ -152,9 +166,9 @@ class ReleaseCore {
   /// the last call, in connection order, and clears the marks.
   template <typename Fn>
   void take_freed(Fn&& fn) {
-    for (std::size_t j = 0; j < freed_.size(); ++j) {
-      if (freed_[j] == 0) continue;
-      freed_[j] = 0;
+    for (std::size_t j = next_set(freed_, 0); j < queues_.size();
+         j = next_set(freed_, j + 1)) {
+      freed_[j / 64] &= ~bit(j);
       fn(static_cast<int>(j));
     }
   }
@@ -166,9 +180,11 @@ class ReleaseCore {
     return q.empty() ? nullptr : &q.front();
   }
   void pop(int j) {
-    queues_[static_cast<std::size_t>(j)].pop_front();
-    freed_[static_cast<std::size_t>(j)] = 1;
+    const auto ju = static_cast<std::size_t>(j);
+    queues_[ju].pop_front();
+    freed_[ju / 64] |= bit(ju);
     --queued_;
+    index_head(ju);
   }
 
   /// Cumulative ack: releases not yet acknowledged, and taking them.
@@ -205,6 +221,82 @@ class ReleaseCore {
     TimeNs declared_at;
   };
 
+  /// A (head sequence, connection) entry of the min-heap `heads_`.
+  using Head = std::pair<std::uint64_t, std::size_t>;
+
+  static std::size_t words(int connections) {
+    return (static_cast<std::size_t>(connections) + 63) / 64;
+  }
+  static std::uint64_t bit(std::size_t j) {
+    return std::uint64_t{1} << (j % 64);
+  }
+
+  /// Lowest set index >= `from` in `set`, or the connection count.
+  std::size_t next_set(const std::vector<std::uint64_t>& set,
+                       std::size_t from) const {
+    std::size_t w = from / 64;
+    if (w >= set.size()) return queues_.size();
+    std::uint64_t bits = set[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == set.size()) return queues_.size();
+      bits = set[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+
+  /// Connection j's head changed (it was pushed onto an empty queue or
+  /// popped): mark j eligible when the head is at or below the cursor,
+  /// otherwise file it in the heap until the cursor reaches it. The heap
+  /// entry for the previous head, if any, goes stale.
+  void index_head(std::size_t j) {
+    const auto& q = queues_[j];
+    if (!q.empty() && seq_of(q.front()) <= expected_) {
+      eligible_[j / 64] |= bit(j);
+      return;
+    }
+    eligible_[j / 64] &= ~bit(j);
+    if (q.empty()) return;
+    heads_.emplace_back(seq_of(q.front()), j);
+    std::push_heap(heads_.begin(), heads_.end(), std::greater<>());
+    // Stale entries pile up only when heads above the cursor are popped
+    // (the ungated head/pop path); rebuild before they outnumber the
+    // live ones.
+    if (heads_.size() > 2 * queues_.size() + 64) rebuild_heads();
+  }
+
+  bool live(const Head& h) const {
+    const auto& q = queues_[h.second];
+    return !q.empty() && seq_of(q.front()) == h.first;
+  }
+
+  void drop_stale_heads() {
+    while (!heads_.empty() && !live(heads_.front())) {
+      std::pop_heap(heads_.begin(), heads_.end(), std::greater<>());
+      heads_.pop_back();
+    }
+  }
+
+  void rebuild_heads() {
+    heads_.clear();
+    for (std::size_t j = 0; j < queues_.size(); ++j) {
+      const auto& q = queues_[j];
+      if (!q.empty() && seq_of(q.front()) > expected_) {
+        heads_.emplace_back(seq_of(q.front()), j);
+      }
+    }
+    std::make_heap(heads_.begin(), heads_.end(), std::greater<>());
+  }
+
+  /// The cursor advanced: heads it reached become eligible.
+  void cursor_moved() {
+    while (!heads_.empty() && heads_.front().first <= expected_) {
+      const Head h = heads_.front();
+      std::pop_heap(heads_.begin(), heads_.end(), std::greater<>());
+      heads_.pop_back();
+      if (live(h)) eligible_[h.second / 64] |= bit(h.second);
+    }
+  }
+
   static std::uint64_t seq_of(const Item& item) {
     if constexpr (std::is_integral_v<Item>) {
       return item;
@@ -234,6 +326,7 @@ class ReleaseCore {
         on_gap(end - expected_, it->second.declared_at);
         gaps_ += end - expected_;
         expected_ = end;
+        cursor_moved();
         skipped = true;
       }
       lost_.erase(it);
@@ -258,9 +351,13 @@ class ReleaseCore {
         pool_.erase(pool_.begin());
         --queued_;
         ++expected_;
+        cursor_moved();
         progressed = true;
       }
-      for (std::size_t j = 0; j < queues_.size(); ++j) {
+      // Connection order, visiting only the connections a full scan would
+      // act on; ones made eligible behind j wait for the next pass.
+      for (std::size_t j = next_set(eligible_, 0); j < queues_.size();
+           j = next_set(eligible_, j + 1)) {
         auto& q = queues_[j];
         while (!q.empty() && seq_of(q.front()) < expected_) {
           discard_stale();
@@ -269,8 +366,9 @@ class ReleaseCore {
         }
         while (!q.empty() && seq_of(q.front()) == expected_) {
           if (!emit(static_cast<int>(j), q.front())) return any || progressed;
-          pop(static_cast<int>(j));
           ++expected_;
+          pop(static_cast<int>(j));
+          cursor_moved();
           progressed = true;
         }
       }
@@ -280,11 +378,17 @@ class ReleaseCore {
   }
 
   std::vector<std::deque<Item>> queues_;
+  /// Bitset of connections whose head is at or below the cursor.
+  std::vector<std::uint64_t> eligible_;
+  /// Min-heap of (head, connection) for heads above the cursor; an entry
+  /// is live while it matches the connection's current head.
+  std::vector<Head> heads_;
   /// Sequence -> (source connection, item) for out-of-order replays.
   std::map<std::uint64_t, std::pair<int, Item>> pool_;
   /// First sequence -> declared-lost range.
   std::map<std::uint64_t, Lost> lost_;
-  std::vector<std::uint8_t> freed_;
+  /// Bitset of connections whose queue lost an entry (take_freed).
+  std::vector<std::uint64_t> freed_;
   std::size_t capacity_;
   bool alo_;
   std::size_t queued_ = 0;

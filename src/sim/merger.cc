@@ -9,6 +9,7 @@ Merger::Merger(Simulator* sim, int connections, std::size_t capacity,
     : sim_(sim),
       core_(connections, delivery::DeliveryMode::kGapSkip, capacity),
       on_space_(static_cast<std::size_t>(connections)),
+      refused_(static_cast<std::size_t>(connections), 0),
       emitted_from_(static_cast<std::size_t>(connections), 0),
       ordered_(ordered) {
   assert(sim != nullptr);
@@ -82,6 +83,7 @@ bool Merger::try_push(int j, Tuple t) {
   // emitted.
   switch (core_.offer(j, t)) {
     case Core::Offer::kFull:
+      refused_[static_cast<std::size_t>(j)] = 1;
       return false;
     case Core::Offer::kStale:
       sync_discard_metrics();
@@ -131,12 +133,15 @@ void Merger::drain() {
       }
     }
   }
-  // Un-stall workers whose queues gained space — decoupled through the
-  // event queue so a long drain cannot recurse through worker code.
+  // Un-stall refused workers whose queues gained space — decoupled
+  // through the event queue so a long drain cannot recurse through worker
+  // code. A worker that was not refused holds no result, so waking it
+  // would be a no-op poll (DESIGN.md §10).
   core_.take_freed([this](int j) {
-    if (on_space_[static_cast<std::size_t>(j)]) {
-      sim_->schedule_after(0, on_space_[static_cast<std::size_t>(j)]);
-    }
+    const auto ju = static_cast<std::size_t>(j);
+    if (refused_[ju] == 0) return;
+    refused_[ju] = 0;
+    if (on_space_[ju]) sim_->schedule_after(0, on_space_[ju]);
   });
   sync_discard_metrics();
   maybe_schedule_ack();

@@ -54,8 +54,11 @@ class Merger : public TupleSink {
   Merger(Simulator* sim, int connections, std::size_t capacity,
          bool ordered = true);
 
-  /// Called when connection j's reorder queue frees at least one slot;
-  /// used to un-stall worker j. Invoked as a zero-delay event.
+  /// Called when connection j's reorder queue frees at least one slot
+  /// after an offer from j was refused; used to un-stall worker j, which
+  /// holds the refused tuple. Invoked as a zero-delay event, at most once
+  /// per refusal: a connection that was not refused since its last wake
+  /// is not woken (the TupleSink contract needs no more).
   void set_on_space(int j, std::function<void()> fn) override;
 
   /// TupleSink: workers offer processed tuples here.
@@ -147,6 +150,9 @@ class Merger : public TupleSink {
   /// Reorder queues, replay pool, lost set, cursor and ack cursor.
   Core core_;
   std::vector<std::function<void()>> on_space_;
+  /// 1 while connection j owes a wake: an offer from j was refused and
+  /// its queue has not freed since.
+  std::vector<std::uint8_t> refused_;
   std::function<void(const Tuple&)> on_emit_;
   TupleSink* downstream_ = nullptr;
   std::vector<std::uint64_t> emitted_from_;

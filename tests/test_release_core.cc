@@ -1,20 +1,26 @@
 // The ordered-release core shared by both mergers (DESIGN.md §10).
 //
-// Three layers of evidence:
+// Four layers of evidence:
 //   1. unit cases for each piece the core owns (cursor, replay pool,
 //      stale classification, lost ranges, gap wait, capacity, stall
 //      timer, skip-to-lowest-queued, ack cursor);
 //   2. an exhaustive model check over every arrival interleaving of small
 //      regions (≤3 connections × ≤6 sequences) with optional losses, late
 //      arrivals, a gap-timeout skip, and at-least-once replays;
-//   3. parity: one scripted arrival sequence fed to sim::Merger and to
+//   3. a differential oracle: seeded random operation sequences over up
+//      to 130 connections drive the core and the plain-scan reference
+//      (linear_release_core.h) and require identical observable behaviour
+//      after every step;
+//   4. parity: one scripted arrival sequence fed to sim::Merger and to
 //      rt::MergerPe (over socketpairs carrying encoded frames) must give
 //      identical counters — plus the runtime's gap-timer regression.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -22,10 +28,12 @@
 #include <vector>
 
 #include "delivery/release_core.h"
+#include "linear_release_core.h"
 #include "runtime/merger_pe.h"
 #include "sim/merger.h"
 #include "transport/framing.h"
 #include "transport/socket.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace slb {
@@ -499,7 +507,197 @@ TEST(ReleaseCoreModel, AtLeastOnceWithReplaysIsExactlyOnceInOrder) {
   EXPECT_EQ(leaves, 665292u);
 }
 
-// --- 3. two-adapter parity --------------------------------------------
+// --- 3. differential oracle -----------------------------------------
+
+using Ref = testref::LinearReleaseCore;
+
+/// One callback a release made: an emit (seq, from, queued() inside the
+/// emit) or a gap skip (count, declared_at).
+struct Call {
+  enum Kind { kEmit, kGap } kind;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+  bool operator==(const Call&) const = default;
+};
+
+void PrintTo(const Call& call, std::ostream* os) {
+  *os << (call.kind == Call::kEmit ? "emit{" : "gap{") << call.a << ", "
+      << call.b << ", " << call.c << "}";
+}
+
+/// Whether the i-th emit of a release refuses: a pure function of the
+/// step's salt, so both cores see the same downstream.
+bool refuses(std::uint64_t salt, std::uint64_t i, double p) {
+  std::uint64_t state = salt * 0x100000001b3ULL + i;
+  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53 < p;
+}
+
+template <typename C>
+std::vector<Call> traced_release(C& core, TimeNs now, std::uint64_t salt,
+                                 double refuse_p) {
+  std::vector<Call> calls;
+  std::uint64_t i = 0;
+  core.release(
+      now,
+      [&](int from, std::uint64_t seq) {
+        calls.push_back({Call::kEmit, seq, static_cast<std::uint64_t>(from),
+                         core.queued()});
+        return !refuses(salt, i++, refuse_p);
+      },
+      [&](std::uint64_t count, TimeNs declared_at) {
+        calls.push_back(
+            {Call::kGap, count, static_cast<std::uint64_t>(declared_at), 0});
+      });
+  return calls;
+}
+
+template <typename C>
+std::vector<int> freed(C& core) {
+  std::vector<int> out;
+  core.take_freed([&](int j) { out.push_back(j); });
+  return out;
+}
+
+/// One seeded operation sequence through both cores. Connections receive
+/// their own sends in order; stray arrivals near the cursor add stale
+/// copies, at-least-once duplicates (at heads and in the pool) and
+/// out-of-order gap-skip arrivals. Releases refuse emits at random.
+void run_oracle(std::uint64_t seed, DeliveryMode mode) {
+  Rng rng(seed);
+  const int n = 1 + static_cast<int>(rng.below(130));
+  const std::size_t capacity =
+      rng.chance(0.3) ? 1 + rng.below(4) : Core::kUnbounded;
+  const double refuse_p = std::vector<double>{0, 0.05, 0.3}[rng.below(3)];
+  std::vector<int> active(1 + rng.below(static_cast<std::uint64_t>(
+                                  std::min(n, 6))));
+  for (int& j : active) j = static_cast<int>(rng.below(n));
+  const auto pick = [&] {
+    return rng.chance(0.85) ? active[rng.below(active.size())]
+                            : static_cast<int>(rng.below(n));
+  };
+
+  Core core(n, mode, capacity);
+  Ref ref(n, mode, capacity);
+  std::vector<std::deque<std::uint64_t>> in_flight(
+      static_cast<std::size_t>(n));
+  std::uint64_t sent = 0;
+  TimeNs now = 0;
+  const int steps = 1 + static_cast<int>(rng.below(120));
+  for (int step = 0; step <= steps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+    const bool flush = step == steps;  // the end-of-input flush
+    now += static_cast<TimeNs>(rng.below(5));
+    const std::uint64_t op = flush ? 100 : rng.below(100);
+    const std::uint64_t low = core.expected() > 3 ? core.expected() - 3 : 0;
+    if (op < 30) {
+      in_flight[static_cast<std::size_t>(pick())].push_back(sent++);
+    } else if (op < 60) {
+      const int j = pick();
+      auto& wire = in_flight[static_cast<std::size_t>(j)];
+      if (!wire.empty()) {
+        const auto got = core.offer(j, wire.front());
+        ASSERT_EQ(static_cast<int>(got),
+                  static_cast<int>(ref.offer(j, wire.front())));
+        if (got != Core::Offer::kFull) wire.pop_front();
+      }
+    } else if (op < 68) {
+      const int j = pick();
+      const std::uint64_t seq = low + rng.below(sent + 8 - low);
+      ASSERT_EQ(static_cast<int>(core.offer(j, seq)),
+                static_cast<int>(ref.offer(j, seq)));
+    } else if (op < 76) {
+      const std::uint64_t first = low + rng.below(sent + 8 - low);
+      const std::uint64_t count = rng.below(4);
+      core.note_lost(first, count, now);
+      ref.note_lost(first, count, now);
+    } else if (op < 80) {
+      ASSERT_EQ(core.skip_to_lowest_queued(), ref.skip_to_lowest_queued());
+    } else if (op < 85) {
+      const auto timeout = static_cast<DurationNs>(rng.below(6));
+      ASSERT_EQ(core.stalled(now, timeout), ref.stalled(now, timeout));
+    } else if (op < 93) {
+      const int j = pick();
+      const std::uint64_t* h = core.head(j);
+      const std::uint64_t* r = ref.head(j);
+      ASSERT_EQ(h == nullptr, r == nullptr);
+      if (h != nullptr) {
+        ASSERT_EQ(*h, *r);
+        if (rng.chance(0.5)) {
+          core.pop(j);
+          ref.pop(j);
+        }
+      }
+    } else if (op < 96) {
+      ASSERT_EQ(core.take_ack(), ref.take_ack());
+    }
+    if (flush) {
+      // Runtime end-of-input: skip to what is queued until nothing is.
+      while (core.queued() > 0) {
+        ASSERT_EQ(core.skip_to_lowest_queued(), ref.skip_to_lowest_queued());
+        ASSERT_EQ(traced_release(core, now, 0, 0),
+                  traced_release(ref, now, 0, 0));
+      }
+    } else if (rng.chance(0.7)) {
+      const std::uint64_t salt = rng();
+      ASSERT_EQ(traced_release(core, now, salt, refuse_p),
+                traced_release(ref, now, salt, refuse_p));
+    }
+    ASSERT_EQ(core.expected(), ref.expected());
+    ASSERT_EQ(core.gaps(), ref.gaps());
+    ASSERT_EQ(core.dup_discards(), ref.dup_discards());
+    ASSERT_EQ(core.late_discards(), ref.late_discards());
+    ASSERT_EQ(core.unacked(), ref.unacked());
+    ASSERT_EQ(core.queued(), ref.queued());
+    ASSERT_EQ(core.pooled(), ref.pooled());
+    ASSERT_EQ(freed(core), freed(ref));
+  }
+}
+
+TEST(ReleaseCoreOracle, GapSkipMatchesThePlainScan) {
+  for (std::uint64_t seed = 1; seed <= 12'000; ++seed) {
+    run_oracle(seed, DeliveryMode::kGapSkip);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ReleaseCoreOracle, AtLeastOnceMatchesThePlainScan) {
+  for (std::uint64_t seed = 1; seed <= 12'000; ++seed) {
+    run_oracle(seed, DeliveryMode::kAtLeastOnce);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ReleaseCoreOracle, UngatedPopsAboveTheCursorKeepTheIndexExact) {
+  // Parallel sinks pop heads the cursor has not reached, which leaves
+  // their heap entries stale; thousands of them force the index to
+  // rebuild many times. Gated skips and releases in between read it.
+  Core core(4, DeliveryMode::kGapSkip);
+  Ref ref(4, DeliveryMode::kGapSkip);
+  Rng rng(11);
+  std::uint64_t seq = 1;  // sequence 0 never arrives
+  for (int i = 0; i < 3000; ++i) {
+    const int j = static_cast<int>(rng.below(4));
+    ASSERT_EQ(static_cast<int>(core.offer(j, seq)),
+              static_cast<int>(ref.offer(j, seq)));
+    ++seq;
+    const int k = static_cast<int>(rng.below(4));
+    if (rng.chance(0.4) && core.head(k) != nullptr) {
+      ASSERT_EQ(*core.head(k), *ref.head(k));
+      core.pop(k);
+      ref.pop(k);
+    }
+    if (i % 97 == 96) {
+      ASSERT_EQ(core.skip_to_lowest_queued(), ref.skip_to_lowest_queued());
+      ASSERT_EQ(traced_release(core, i, 0, 0), traced_release(ref, i, 0, 0));
+    }
+  }
+  ASSERT_EQ(freed(core), freed(ref));
+  EXPECT_EQ(core.expected(), ref.expected());
+  EXPECT_EQ(core.gaps(), ref.gaps());
+}
+
+// --- 4. two-adapter parity --------------------------------------------
 
 /// One scripted arrival: a tuple, or a gap frame declaring [seq, seq +
 /// count) shed, on connection `conn`.

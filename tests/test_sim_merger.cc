@@ -3,7 +3,9 @@
 
 #include <vector>
 
+#include "sim/channel.h"
 #include "sim/merger.h"
+#include "sim/worker.h"
 
 namespace slb::sim {
 namespace {
@@ -69,10 +71,69 @@ TEST(Merger, SpaceCallbackFiresAfterDrain) {
   m.set_on_space(1, [&] { ++pokes; });
   EXPECT_TRUE(m.try_push(1, Tuple{1}));
   EXPECT_TRUE(m.try_push(1, Tuple{2}));
+  EXPECT_FALSE(m.try_push(1, Tuple{3}));  // refused: a wake is owed
   EXPECT_TRUE(m.try_push(0, Tuple{0}));
   sim.run_until_idle();  // space notifications are zero-delay events
   EXPECT_EQ(pokes, 1);
   EXPECT_EQ(m.emitted(), 3u);
+}
+
+TEST(Merger, UnrefusedConnectionIsNotWoken) {
+  // Connection 1's queue drains, but it never refused a tuple: its worker
+  // holds nothing, so there is nothing to wake it for.
+  Simulator sim;
+  Merger m(&sim, 2, 2);
+  int pokes = 0;
+  m.set_on_space(1, [&] { ++pokes; });
+  EXPECT_TRUE(m.try_push(1, Tuple{1}));
+  EXPECT_TRUE(m.try_push(1, Tuple{2}));
+  EXPECT_TRUE(m.try_push(0, Tuple{0}));
+  sim.run_until_idle();
+  EXPECT_EQ(pokes, 0);
+  EXPECT_EQ(m.emitted(), 3u);
+  EXPECT_EQ(m.queue_size(1), 0u);
+}
+
+TEST(Merger, RefusedThenCrashedWorkerIsWokenAtMostOnce) {
+  // Worker 1 finishes tuple 3 into a full queue and holds it, crashes
+  // (the held tuple is lost), recovers and starts tuple 5. The queue then
+  // drains: the one owed wake fires exactly once and finds the worker
+  // busy, so it starts nothing.
+  Simulator sim;
+  Merger m(&sim, 2, 2);
+  Channel ch(&sim, 1, {.send_capacity = 8, .recv_capacity = 8, .latency = 1});
+  Worker w(&sim, 1, 100, nullptr, nullptr);
+  w.wire(&ch, &m);
+  int pokes = 0;
+  int starts = 0;
+  m.set_on_space(1, [&] {
+    ++pokes;
+    const bool was_busy = w.busy();
+    w.poll();
+    if (!was_busy && w.busy()) ++starts;
+  });
+  EXPECT_TRUE(m.try_push(1, Tuple{1}));
+  EXPECT_TRUE(m.try_push(1, Tuple{2}));
+  ch.push_send(Tuple{3});
+  sim.run_until(1'000);
+  ASSERT_TRUE(w.stalled());  // tuple 3 refused and held
+  w.crash();
+  ch.push_send(Tuple{5});
+  sim.run_until(2'000);  // 5 waits in the receive buffer
+  w.recover();
+  ASSERT_TRUE(w.busy());  // recovery started 5
+  EXPECT_TRUE(m.try_push(0, Tuple{0}));  // drains 0, 1, 2
+  sim.run_until(2'000);  // the zero-delay wake, not 5's completion
+  EXPECT_EQ(pokes, 1);
+  EXPECT_EQ(starts, 0);
+  sim.run_until_idle();
+  EXPECT_EQ(w.processed(), 2u);  // 3 (then lost) and 5
+  EXPECT_EQ(m.queue_size(1), 1u);  // 5, gated on the lost 3
+  // The wake is paid: freeing the queue again owes worker 1 nothing.
+  m.note_lost(3, 2);
+  sim.run_until_idle();
+  EXPECT_EQ(pokes, 1);
+  EXPECT_EQ(m.emitted(), 4u);
 }
 
 TEST(Merger, UnboundedCapacityNeverRejects) {
