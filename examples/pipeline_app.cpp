@@ -42,7 +42,7 @@ int main() {
   std::printf("%8s %30s %14s\n", "paper_s", "weights", "delivered");
   for (int step = 1; step <= 10; ++step) {
     pipeline->run_for(millis(200));  // 20 paper-seconds
-    const WeightVector& w = pipeline->stage_policy(2).weights();
+    const WeightVector& w = pipeline->stage_region(2).policy().weights();
     std::printf("%8d   [%4d %4d %4d %4d %4d %4d] %14llu\n", step * 20,
                 w[0], w[1], w[2], w[3], w[4], w[5],
                 static_cast<unsigned long long>(pipeline->delivered()));

@@ -59,7 +59,6 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
   for (std::size_t s = 0; s < specs_.size(); ++s) {
     auto stage = std::make_unique<Pipeline::Stage>();
     stage->name = specs_[s].name;
-    stage->parallel = specs_[s].parallel;
     stage->input = std::make_unique<sim::Channel>(
         sim, static_cast<int>(s), chan_cfg);
     pipeline->stages_.push_back(std::move(stage));
@@ -97,69 +96,30 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
       continue;
     }
 
-    // Parallel region: splitter fed by the stage input, `width` channels
-    // and workers, and an (un)ordered merger chained downstream.
-    stage.load = std::make_unique<sim::LoadProfile>(
-        spec.load.workers() == 0 ? sim::LoadProfile(spec.width)
-                                 : std::move(spec.load));
-    assert(stage.load->workers() == spec.width);
-    stage.policy = std::move(spec.policy);
-    stage.counters =
-        std::make_unique<BlockingCounterSet>(static_cast<std::size_t>(
-            spec.width));
-    stage.merger = std::make_unique<sim::Merger>(
-        sim, spec.width, sim::Merger::kUnbounded, spec.ordered);
-    stage.merger->connect_downstream(downstream);
-
-    std::vector<sim::Channel*> channel_ptrs;
-    for (int j = 0; j < spec.width; ++j) {
-      stage.channels.push_back(
-          std::make_unique<sim::Channel>(sim, j, chan_cfg));
-      stage.workers.push_back(std::make_unique<sim::Worker>(
-          sim, j, spec.cost, stage.load.get(), nullptr));
-      stage.workers.back()->wire(stage.channels.back().get(),
-                                 stage.merger.get());
-      channel_ptrs.push_back(stage.channels.back().get());
-    }
-    stage.splitter = std::make_unique<sim::Splitter>(
-        sim, stage.policy.get(), config_.source_overhead);
-    stage.splitter->wire(std::move(channel_ptrs), stage.counters.get());
-    stage.splitter->set_input(stage.input.get());
-
-    // Each parallel stage runs the shared decision pipeline over its own
-    // counters and policy; actuation is aggregated onto the source in
-    // Pipeline::sample_tick.
-    stage.port = std::make_unique<Pipeline::StagePort>(&stage);
-    control::ControlLoopConfig loop_cfg;
-    loop_cfg.protection = prot;
-    loop_cfg.closed_loop_source = config_.source_interval == 0;
-    stage.loop = std::make_unique<control::RegionControlLoop>(
-        stage.port.get(), stage.policy.get(), loop_cfg);
-
-    if (config_.metrics) {
-      obs::MetricsRegistry& reg = pipeline->metrics_;
-      const std::string prefix = "stage." + stage.name + ".";
-      sim::SplitterMetrics sm;
-      sm.sent = &reg.counter(prefix + "splitter.sent");
-      sm.blocks = &reg.counter(prefix + "splitter.blocks");
-      sm.block_ns = &reg.histogram(prefix + "splitter.block_ns");
-      sm.failovers = &reg.counter(prefix + "splitter.failovers");
-      sm.rerouted = &reg.counter(prefix + "splitter.rerouted");
-      sm.shed = &reg.counter(prefix + "splitter.shed");
-      stage.splitter->set_metrics(sm);
-      sim::MergerMetrics mm;
-      mm.emitted = &reg.counter(prefix + "merger.emitted");
-      mm.gaps = &reg.counter(prefix + "merger.gaps");
-      mm.reorder_depth = &reg.histogram(prefix + "merger.reorder_depth");
-      mm.gap_wait_ns = &reg.histogram(prefix + "merger.gap_wait_ns");
-      stage.merger->set_metrics(mm);
-      for (std::size_t j = 0; j < stage.workers.size(); ++j) {
-        stage.workers[j]->set_service_histogram(&reg.histogram(
-            prefix + "worker." + std::to_string(j) + ".service_ns"));
-      }
-      stage.policy->attach_metrics(reg, prefix + "policy.");
-      stage.loop->attach_metrics(reg, prefix);
-    }
+    // A parallel stage is a region on the pipeline's timeline whose
+    // splitter forwards the stage input and whose merger feeds the next
+    // stage. Its control loop actuates only its own (input-fed) splitter,
+    // where throttling and shedding do not apply; Pipeline::sample_tick
+    // aggregates the loop's actions onto the shared source. The region
+    // takes the source's interval so its loop knows whether the source is
+    // closed-loop; the pacing never binds on an input-fed splitter, since
+    // input tuple k arrives after the source released it.
+    sim::RegionConfig region_cfg;
+    region_cfg.workers = spec.width;
+    region_cfg.base_cost = spec.cost;
+    region_cfg.send_buffer = config_.channel_buffer;
+    region_cfg.recv_buffer = config_.channel_buffer;
+    region_cfg.ordered = spec.ordered;
+    region_cfg.link_latency = config_.link_latency;
+    region_cfg.send_overhead = config_.source_overhead;
+    region_cfg.source_interval = config_.source_interval;
+    region_cfg.sample_period = config_.sample_period;
+    region_cfg.protection = prot;
+    region_cfg.metrics = config_.metrics;
+    stage.region = std::make_unique<sim::Region>(
+        region_cfg, std::move(spec.policy), std::move(spec.load),
+        sim::HostModel{}, sim, sim::SharedPlacement{}, stage.input.get(),
+        downstream);
   }
 
   // The source is a 1-connection splitter writing into stage 0's input.
@@ -196,26 +156,27 @@ void Pipeline::ensure_started() {
   if (started_) return;
   started_ = true;
   source_->start();
+  // Each stage region schedules its own sample tick here, before the
+  // pipeline's, so every period's stage ticks run before the aggregation.
   for (auto& stage : stages_) {
-    if (stage->parallel) stage->splitter->start();
+    if (stage->region != nullptr) stage->region->start();
   }
   sim_.schedule_after(config_.sample_period, [this] { sample_tick(); });
 }
 
 void Pipeline::sample_tick() {
-  // Run every parallel stage's decision pipeline, then aggregate the
-  // resulting actions onto the single shared source: the throttle is the
-  // min over stage factors (equivalently 1 - max capacity deficit,
-  // floored at min_throttle, since clamp is monotone), and the shed
-  // watermarks are the tightest any stage's watchdog demands.
+  // Aggregate this period's stage actions onto the single shared source:
+  // the throttle is the min over stage factors (equivalently 1 - max
+  // capacity deficit, floored at min_throttle, since clamp is monotone),
+  // and the shed watermarks are the tightest any stage's watchdog demands.
   double factor = 1.0;
   bool throttled = false;
   std::uint64_t shed_high = config_.protection.shed_high_watermark;
   std::uint64_t shed_low = config_.protection.shed_low_watermark;
   for (auto& stage : stages_) {
-    if (!stage->parallel) continue;
+    if (stage->region == nullptr) continue;
     const control::ControlActions& acts =
-        stage->loop->tick(sim_.now(), config_.sample_period);
+        stage->region->control().last_actions();
     if (acts.throttle_set) {
       throttled = true;
       factor = std::min(factor, acts.throttle);
@@ -248,45 +209,16 @@ void Pipeline::run_for(DurationNs duration) {
 
 std::uint64_t Pipeline::stage_processed(int s) const {
   const Stage& stage = *stages_[static_cast<std::size_t>(s)];
-  return stage.parallel ? stage.merger->emitted()
-                        : stage.worker->processed();
+  return stage.region != nullptr ? stage.region->emitted()
+                                 : stage.worker->processed();
 }
 
-SplitPolicy& Pipeline::stage_policy(int s) {
+sim::Region& Pipeline::stage_region(int s) {
   Stage& stage = *stages_[static_cast<std::size_t>(s)];
-  assert(stage.parallel);
-  return *stage.policy;
-}
-
-BlockingCounterSet& Pipeline::stage_counters(int s) {
-  Stage& stage = *stages_[static_cast<std::size_t>(s)];
-  assert(stage.parallel);
-  return *stage.counters;
-}
-
-control::RegionControlLoop& Pipeline::stage_control(int s) {
-  Stage& stage = *stages_[static_cast<std::size_t>(s)];
-  assert(stage.parallel);
-  return *stage.loop;
+  assert(stage.region != nullptr);
+  return *stage.region;
 }
 
 std::uint64_t Pipeline::shed_tuples() const { return source_->shed(); }
-
-int Pipeline::StagePort::channels() const {
-  return static_cast<int>(stage->workers.size());
-}
-
-std::vector<DurationNs> Pipeline::StagePort::sample_blocked() {
-  return stage->counters->sample();
-}
-
-std::vector<std::uint64_t> Pipeline::StagePort::sample_delivered() {
-  std::vector<std::uint64_t> delivered;
-  delivered.reserve(stage->workers.size());
-  for (std::size_t j = 0; j < stage->workers.size(); ++j) {
-    delivered.push_back(stage->merger->emitted_from(static_cast<int>(j)));
-  }
-  return delivered;
-}
 
 }  // namespace slb::flow

@@ -6,8 +6,10 @@
 // Every hop is a bounded TCP-like channel, so back pressure propagates
 // end to end: a slow stage eventually stalls the source, and a parallel
 // region's splitter measures per-connection blocking exactly as in a
-// standalone region. Each parallel stage runs its own routing policy
-// (LB-adaptive and friends) fed by its own counters.
+// standalone region. Each parallel stage *is* a sim::Region on the
+// pipeline's simulator, fed by the stage's input channel and chained into
+// the next stage, so it runs its own routing policy (LB-adaptive and
+// friends), control loop, metrics and fault injection.
 //
 //   flow::PipelineBuilder b;
 //   b.op("parse", micros(2))
@@ -23,15 +25,13 @@
 #include <vector>
 
 #include "control/protection.h"
-#include "control/region_control.h"
-#include "control/region_port.h"
 #include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "obs/metrics.h"
 #include "sim/channel.h"
 #include "sim/event.h"
 #include "sim/load_profile.h"
-#include "sim/merger.h"
+#include "sim/region.h"
 #include "sim/sink.h"
 #include "sim/splitter.h"
 #include "sim/worker.h"
@@ -51,8 +51,8 @@ struct PipelineConfig {
   /// Sampling / policy-update period for parallel stages.
   DurationNs sample_period = millis(10);
 
-  /// Protection knobs (DESIGN.md §7, §9), enforced per parallel stage by
-  /// the shared control::RegionControlLoop and aggregated onto the
+  /// Protection knobs (DESIGN.md §7, §9), enforced by each parallel
+  /// stage region's control::RegionControlLoop and aggregated onto the
   /// pipeline's single source: admission throttle = min over stage
   /// factors (equivalently 1 - max capacity deficit, floored at
   /// min_throttle), shed watermarks = the tightest across stages, and the
@@ -61,7 +61,7 @@ struct PipelineConfig {
   control::ProtectionConfig protection;
 
   /// Observability (DESIGN.md §8): populate the pipeline's registry with
-  /// "source.*" and per-parallel-stage "stage.<name>.*" metrics.
+  /// "source.*" metrics and each parallel stage region's own registry.
   bool metrics = true;
 };
 
@@ -76,10 +76,10 @@ class PipelineBuilder {
   PipelineBuilder& op(std::string name, DurationNs cost,
                       sim::LoadProfile load = {});
 
-  /// Appends a data-parallel region: splitter + `width` replicas +
-  /// in-order merger (or parallel sinks when `ordered` is false),
-  /// balanced by `policy`. `load` (optional, `width` workers) imposes
-  /// per-replica external load.
+  /// Appends a data-parallel region (a sim::Region): splitter + `width`
+  /// replicas + in-order merger (or parallel sinks when `ordered` is
+  /// false), balanced by `policy`. `load` (optional, `width` workers)
+  /// imposes per-replica external load.
   PipelineBuilder& parallel(std::string name, int width, DurationNs cost,
                             std::unique_ptr<SplitPolicy> policy,
                             bool ordered = true,
@@ -123,23 +123,16 @@ class Pipeline {
     return stages_[static_cast<std::size_t>(s)]->name;
   }
   bool stage_is_parallel(int s) const {
-    return stages_[static_cast<std::size_t>(s)]->parallel;
+    return stages_[static_cast<std::size_t>(s)]->region != nullptr;
   }
   /// Tuples the stage has fully processed (for parallel stages: released
   /// by its merger).
   std::uint64_t stage_processed(int s) const;
 
-  /// The routing policy of a parallel stage (asserts on op stages).
-  SplitPolicy& stage_policy(int s);
-  /// The blocking counters of a parallel stage (asserts on op stages).
-  BlockingCounterSet& stage_counters(int s);
-  /// The control loop of a parallel stage (asserts on op stages): the
-  /// shared per-period decision pipeline of DESIGN.md §9.
-  control::RegionControlLoop& stage_control(int s);
-  /// Watchdog escalation stage of a parallel stage (0 = normal).
-  int stage_watchdog_stage(int s) {
-    return stage_control(s).watchdog_stage();
-  }
+  /// The region of a parallel stage (asserts on op stages): its policy,
+  /// counters, control loop, splitter, merger, metrics registry and
+  /// fault injection.
+  sim::Region& stage_region(int s);
 
   sim::Simulator& simulator() { return sim_; }
   TimeNs now() const { return sim_.now(); }
@@ -163,51 +156,28 @@ class Pipeline {
   std::uint64_t shed_tuples() const;
 
   /// The pipeline's metrics registry (DESIGN.md §8): "source.*" for the
-  /// source splitter plus "stage.<name>.*" for every parallel stage
-  /// (splitter/merger/worker metrics and the stage policy's own, e.g.
-  /// "stage.score.policy.updates"). Empty when config.metrics is off.
+  /// source splitter. Each parallel stage's splitter, merger, worker,
+  /// control-loop and policy metrics live in its region's own registry
+  /// (`stage_region(s).metrics()`) under the standalone names. Empty
+  /// when config.metrics is off.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   friend class PipelineBuilder;
 
-  struct Stage;
-
-  /// The control loop's view of one parallel stage. Actuation (throttle,
-  /// shed watermarks) happens at the pipeline's single shared source, so
-  /// the per-stage port only samples; sample_tick aggregates each loop's
-  /// ControlActions into the source settings.
-  struct StagePort final : control::RegionPort {
-    explicit StagePort(Stage* s) : stage(s) {}
-    Stage* stage;
-    int channels() const override;
-    std::vector<DurationNs> sample_blocked() override;
-    std::vector<std::uint64_t> sample_delivered() override;
-    void apply_throttle(double /*factor*/) override {}
-    void apply_shed_watermarks(std::uint64_t /*high*/,
-                               std::uint64_t /*low*/) override {}
-  };
-
   struct Stage {
     std::string name;
-    bool parallel = false;
     std::unique_ptr<sim::Channel> input;  // upstream writes, stage reads
     std::unique_ptr<sim::TupleSink> out;  // adapter into the next input
-    std::unique_ptr<sim::LoadProfile> load;
 
     // Op stages:
+    std::unique_ptr<sim::LoadProfile> load;
     std::unique_ptr<sim::Worker> worker;
 
-    // Parallel stages:
-    std::unique_ptr<SplitPolicy> policy;
-    std::unique_ptr<BlockingCounterSet> counters;
-    std::unique_ptr<sim::Splitter> splitter;
-    std::vector<std::unique_ptr<sim::Channel>> channels;
-    std::vector<std::unique_ptr<sim::Worker>> workers;
-    std::unique_ptr<sim::Merger> merger;
-    std::unique_ptr<StagePort> port;
-    std::unique_ptr<control::RegionControlLoop> loop;
+    // Parallel stages. Declared last so it is destroyed before the
+    // input channel and output adapter it holds pointers into.
+    std::unique_ptr<sim::Region> region;
   };
 
   explicit Pipeline(PipelineConfig config) : config_(config) {}
@@ -216,7 +186,7 @@ class Pipeline {
   void sample_tick();
 
   PipelineConfig config_;
-  /// Declared before the stages that hold handles into it.
+  /// Declared before the source that holds handles into it.
   obs::MetricsRegistry metrics_;
   obs::Gauge* throttle_gauge_ = nullptr;
   sim::Simulator sim_;

@@ -8,7 +8,7 @@ namespace slb::sim {
 
 Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
                LoadProfile load, HostModel hosts, Simulator* external_sim,
-               SharedPlacement shared)
+               SharedPlacement shared, Channel* input, TupleSink* downstream)
     : config_(config),
       policy_(std::move(policy)),
       load_(std::move(load)),
@@ -63,6 +63,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
                                          config_.send_overhead,
                                          config_.source_interval);
   splitter_->wire(std::move(channel_ptrs), &counters_);
+  if (input != nullptr) splitter_->set_input(input);
+  if (downstream != nullptr) merger_->connect_downstream(downstream);
 
   if (alo()) {
     splitter_->set_delivery(config_.delivery.mode,

@@ -196,9 +196,10 @@ void Splitter::do_send(int j) {
     metrics_.sent->inc();
   }
   DurationNs gap = send_overhead_;
-  if (throttle_ < 1.0) {
+  if (throttle_ < 1.0 && input_ == nullptr) {
     // Admission control: stretch the per-send overhead so the closed-loop
-    // source offers only `throttle_` of its full rate.
+    // source offers only `throttle_` of its full rate. An input-fed
+    // splitter is not a source and forwards at full speed.
     gap = static_cast<DurationNs>(static_cast<double>(send_overhead_) /
                                   throttle_);
   }

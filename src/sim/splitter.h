@@ -104,7 +104,8 @@ class Splitter {
   /// Admission control (closed-loop sources): scales the source's tuple
   /// rate to `factor` (in (0, 1]) of full speed by stretching the per-send
   /// overhead. 1.0 restores full speed. No effect on open-loop release
-  /// times — an external source cannot be slowed down, only shed.
+  /// times — an external source cannot be slowed down, only shed — nor on
+  /// an input-fed splitter, which is not a source.
   void set_throttle(double factor);
   double throttle() const { return throttle_; }
 
