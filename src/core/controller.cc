@@ -251,9 +251,7 @@ void LoadBalanceController::journal_solve(std::string_view mode) {
   journal_->append(obs::JsonLine{}
                        .str("ev", "solve")
                        .str("mode", mode)
-                       .str("solver", config_.solver == RapSolverKind::kFox
-                                          ? "fox"
-                                          : "bisect")
+                       .str("solver", "fox")
                        .real("objective", status_.objective)
                        .boolean("feasible", status_.solver_feasible)
                        .ints("weights", weights_)
@@ -308,9 +306,7 @@ void LoadBalanceController::solve_flat() {
     return functions_[static_cast<std::size_t>(j)].value(w);
   };
 
-  const RapSolution sol = config_.solver == RapSolverKind::kFox
-                              ? solve_fox(problem)
-                              : solve_bisect(problem);
+  const RapSolution sol = solve_fox(problem);
   status_.objective = sol.objective;
   status_.solver_feasible = sol.feasible;
   if (sol.feasible) weights_ = sol.weights;
@@ -369,9 +365,7 @@ void LoadBalanceController::solve_clustered() {
         .value(w);
   };
 
-  const RapSolution sol = config_.solver == RapSolverKind::kFox
-                              ? solve_fox(problem)
-                              : solve_bisect(problem);
+  const RapSolution sol = solve_fox(problem);
   status_.objective = sol.objective;
   status_.solver_feasible = sol.feasible;
   if (sol.feasible) weights_ = sol.weights;

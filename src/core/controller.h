@@ -26,18 +26,9 @@
 
 namespace slb {
 
-/// Which exact RAP solver the controller runs each period. Fox's greedy
-/// is the paper's choice and the default; the bisection solver (in the
-/// spirit of Galil & Megiddo) produces the same objective and is exposed
-/// for completeness and cross-checking.
-enum class RapSolverKind { kFox, kBisect };
-
 /// Controller tunables. Defaults reproduce LB-adaptive from the paper;
 /// set `decay_factor = 1.0` for LB-static.
 struct ControllerConfig {
-  /// RAP solver used each update.
-  RapSolverKind solver = RapSolverKind::kFox;
-
   /// EWMA smoothing factor for per-period blocking rates (tracing only;
   /// the functions smooth per-weight via RateFunctionConfig::mix_alpha).
   double ewma_alpha = 0.5;

@@ -107,37 +107,5 @@ TEST(GeometricStepUp, DownwardMovesRemainUnbounded) {
   EXPECT_LE(c.weights()[0], 10);
 }
 
-
-TEST(SolverChoice, FoxAndBisectAgreeOnObjective) {
-  // Drive two controllers with identical observations, one per solver.
-  ControllerConfig fox_cfg;
-  fox_cfg.solver = RapSolverKind::kFox;
-  ControllerConfig bis_cfg;
-  bis_cfg.solver = RapSolverKind::kBisect;
-  LoadBalanceController fox(3, fox_cfg);
-  LoadBalanceController bis(3, bis_cfg);
-  ControllerDriver fox_driver(&fox);
-  ControllerDriver bis_driver(&bis);
-  // First solving period: identical inputs, so the (exact) solvers must
-  // report the same minimax objective. Beyond that the trajectories may
-  // legitimately diverge — equally-optimal solutions attribute future
-  // observations to different weights.
-  fox_driver.step(0, 0.9);
-  bis_driver.step(0, 0.9);
-  fox_driver.step(0, 0.9);
-  bis_driver.step(0, 0.9);
-  EXPECT_NEAR(fox.status().objective, bis.status().objective, 1e-9);
-
-  // And the bisect-driven controller remains a sane balancer end to end:
-  // connection 0 keeps blocking whenever it holds weight; it must end
-  // far below its even share.
-  for (int i = 0; i < 20; ++i) {
-    bis_driver.step(bis.weights()[0] > 50 ? 0 : 1,
-                    bis.weights()[0] > 50 ? 0.8 : 0.2);
-    EXPECT_EQ(total_weight(bis.weights()), kWeightUnits);
-  }
-  EXPECT_LT(bis.weights()[0], 200);
-}
-
 }  // namespace
 }  // namespace slb
