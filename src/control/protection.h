@@ -11,7 +11,8 @@
 //     shedding -> safe-mode WRR, with full unwind on sustained calm).
 //
 // This struct is the single source of truth, embedded as `protection`
-// by sim::RegionConfig, flow::PipelineConfig, and rt::LocalRegionConfig.
+// by sim::RegionConfig, flow::PipelineConfig (copied into every stage
+// region's RegionConfig), and rt::LocalRegionConfig.
 #pragma once
 
 #include <cstdint>

@@ -12,13 +12,13 @@
 //        safe mode, with calm unwind)
 //     -> ControlActions pushed through the RegionPort
 //
-// Before PR 4 this state machine existed three times — in sim::Region,
-// flow::Pipeline, and rt::LocalRegion — and had drifted. The substrates
-// are now thin adapters: they sample their counters on their own clock,
-// call tick(), and actuate whatever comes back through their RegionPort.
-// Behavior parity across substrates is a tested invariant
-// (tests/test_control_parity.cc feeds identical traces to all three
-// adapters' loops and requires byte-identical decision journals).
+// The substrates are thin adapters: sim::Region (which also builds every
+// flow::Pipeline parallel stage) and rt::LocalRegion sample their
+// counters on their own clock, call tick(), and actuate whatever comes
+// back through their RegionPort. Behavior parity across substrates is a
+// tested invariant (tests/test_control_parity.cc feeds identical traces
+// to the sim, flow-stage and runtime loops and requires byte-identical
+// decision journals).
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,9 @@
 // watermarks. Everything else (weights, safe mode, quarantine) flows
 // through the SplitPolicy the loop drives.
 //
-// Implementations in this repo: sim::Region, one per parallel stage of a
-// flow::Pipeline, and rt::LocalRegion.
+// Implementations in this repo: sim::Region (which is also every parallel
+// stage of a flow::Pipeline; the pipeline aggregates the stage actions
+// onto its shared source) and rt::LocalRegion.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +62,8 @@ class RegionPort {
                                      std::uint64_t low) = 0;
 
   /// At-least-once delivery state for the ack-stall watchdog rung.
-  /// Deliberately non-pure: substrates without delivery semantics (the
-  /// flow pipeline, mock ports in tests) inherit the disabled default.
+  /// Deliberately non-pure: ports without delivery semantics (mock ports
+  /// in tests) inherit the disabled default.
   virtual DeliverySample sample_delivery_state() { return {}; }
 };
 
