@@ -103,10 +103,8 @@ BENCHMARK(BM_RateFunctionDecay);
 
 // ---- WRR -------------------------------------------------------------------
 
-void BM_SmoothWrrPick(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  SmoothWrr wrr(n);
-  Rng rng(4);
+/// Weights halving down the connections, the rest on the last one.
+WeightVector skewed_weights(int n, Rng& rng) {
   WeightVector w(static_cast<std::size_t>(n));
   Weight left = kWeightUnits;
   for (int j = 0; j < n - 1; ++j) {
@@ -115,12 +113,48 @@ void BM_SmoothWrrPick(benchmark::State& state) {
     left -= w[static_cast<std::size_t>(j)];
   }
   w[static_cast<std::size_t>(n - 1)] = left;
-  wrr.set_weights(w);
+  return w;
+}
+
+void BM_SmoothWrrPick(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  SmoothWrr wrr(n);
+  Rng rng(4);
+  wrr.set_weights(skewed_weights(n, rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(wrr.pick());
   }
 }
 BENCHMARK(BM_SmoothWrrPick)->RangeMultiplier(4)->Range(2, 128);
+
+// BM_SmoothWrrPick never changes its weights, so after the first cycles
+// it times replayed picks only. Here a unit moves between two connections
+// every 4,050 picks, the rate sim-fanout64 re-weights at (1,898,158 picks
+// over 469 controller ticks), so the row includes the scanned cycles and
+// the replay rebuild that follow each change.
+void BM_SmoothWrrPickReweighted(benchmark::State& state) {
+  constexpr int kPicksPerTick = 4050;
+  const int n = static_cast<int>(state.range(0));
+  SmoothWrr wrr(n);
+  Rng rng(4);
+  WeightVector w = skewed_weights(n, rng);
+  wrr.set_weights(w);
+  int until_reweight = kPicksPerTick;
+  for (auto _ : state) {
+    if (--until_reweight == 0) {
+      until_reweight = kPicksPerTick;
+      const auto un = static_cast<std::uint64_t>(n);
+      std::uint64_t from = rng.below(un);
+      while (w[from] == 0) from = (from + 1) % un;
+      const std::uint64_t to = (from + 1 + rng.below(un - 1)) % un;
+      --w[from];
+      ++w[to];
+      wrr.set_weights(w);
+    }
+    benchmark::DoNotOptimize(wrr.pick());
+  }
+}
+BENCHMARK(BM_SmoothWrrPickReweighted)->Arg(2)->Arg(16)->Arg(64);
 
 // ---- ordered release --------------------------------------------------------
 

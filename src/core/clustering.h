@@ -30,10 +30,31 @@ struct ClusteringConfig {
 using Clusters = std::vector<std::vector<ConnectionId>>;
 
 /// Bottom-up agglomerative clustering with complete linkage. Deterministic:
-/// ties merge the lexicographically smallest pair. O(N^3) worst case, which
-/// is fine for the N <= 256 this system targets.
+/// ties merge the lexicographically smallest pair. Each function's
+/// distance inputs are computed once and each pairwise distance once
+/// (exactly up to the threshold; beyond it a pair can never merge). A
+/// merge updates the linkage matrix and rescans only the rows whose
+/// nearest later cluster moved, each in O(N).
 Clusters cluster_functions(const std::vector<const RateFunction*>& functions,
                            const ClusteringConfig& config);
+
+/// Builds clusters' aggregate raw evidence (see merge_cluster_function)
+/// in per-weight buffers that are reused from one call to the next.
+class ClusterMerger {
+ public:
+  ClusterMerger();
+
+  /// The aggregate raw points of `members`, in increasing weight order.
+  /// Valid until the next call.
+  const RawPoints& merge(const std::vector<const RateFunction*>& functions,
+                      const std::vector<ConnectionId>& members);
+
+ private:
+  std::vector<RawPoint> cells_;  // all zero between calls
+  std::vector<char> seen_;       // all zero between calls
+  std::vector<Weight> touched_;
+  RawPoints points_;
+};
 
 /// Builds the aggregate function for one cluster: at every weight observed
 /// by any member, the evidence-weighted mean of the members' raw values,

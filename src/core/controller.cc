@@ -279,12 +279,10 @@ void LoadBalanceController::attach_metrics(obs::MetricsRegistry& registry,
 
 void LoadBalanceController::solve_flat() {
   const int n = connections();
-  RapProblem problem;
-  problem.total = kWeightUnits;
-  problem.vars.resize(static_cast<std::size_t>(n));
+  vars_.resize(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
     const auto ju = static_cast<std::size_t>(j);
-    RapVariable& v = problem.vars[ju];
+    RapVariable& v = vars_[ju];
     if (down_[ju]) {
       // Dead connection: pinned at zero; the RAP is solved over survivors.
       v.min = 0;
@@ -300,13 +298,16 @@ void LoadBalanceController::solve_flat() {
       up = std::min(up, std::max(config_.geometric_step_floor, weights_[ju]));
     }
     v.max = std::min(kWeightUnits, static_cast<Weight>(weights_[ju] + up));
+    // A connection re-admitted at weight 0 cannot step up to a min_weight
+    // floor above its geometric step: the floor wins.
+    v.max = std::max(v.max, v.min);
     v.multiplicity = 1;
   }
-  problem.eval = [this](int j, Weight w) {
-    return functions_[static_cast<std::size_t>(j)].value(w);
-  };
 
-  const RapSolution sol = solve_fox(problem);
+  const RapSolution sol =
+      solve_fox(vars_, kWeightUnits, [this](int j, Weight w) {
+        return functions_[static_cast<std::size_t>(j)].value(w);
+      });
   status_.objective = sol.objective;
   status_.solver_feasible = sol.feasible;
   if (sol.feasible) weights_ = sol.weights;
@@ -315,11 +316,10 @@ void LoadBalanceController::solve_flat() {
 
 void LoadBalanceController::solve_clustered() {
   const int n = connections();
-  std::vector<const RateFunction*> fns;
-  fns.reserve(static_cast<std::size_t>(n));
-  for (const RateFunction& f : functions_) fns.push_back(&f);
+  fns_.clear();
+  for (const RateFunction& f : functions_) fns_.push_back(&f);
 
-  status_.clusters = cluster_functions(fns, config_.clustering);
+  status_.clusters = cluster_functions(fns_, config_.clustering);
   const int k = static_cast<int>(status_.clusters.size());
   if (journal_ != nullptr) {
     journal_->append(obs::JsonLine{}
@@ -328,10 +328,13 @@ void LoadBalanceController::solve_clustered() {
                          .finish());
   }
 
-  std::vector<RateFunction> merged;
-  merged.reserve(static_cast<std::size_t>(k));
-  for (const auto& members : status_.clusters) {
-    merged.push_back(merge_cluster_function(fns, members, config_.function));
+  // One curve per cluster, fitted to the members' pooled raw evidence.
+  // The curves and the merge buffers are reused from tick to tick.
+  const auto ku = static_cast<std::size_t>(k);
+  if (cluster_curves_.size() < ku) cluster_curves_.resize(ku);
+  for (std::size_t c = 0; c < ku; ++c) {
+    cluster_curves_[c].fit(merger_.merge(fns_, status_.clusters[c]),
+                           config_.function.delta);
   }
 
   // Solve at member granularity, but with every member evaluating its
@@ -343,29 +346,39 @@ void LoadBalanceController::solve_clustered() {
   // cluster remains, however badly it blocks). Same-cluster members have
   // identical marginal curves, so the greedy hands them equal weights
   // (within one unit), matching the paper's per-cluster allocations.
-  std::vector<int> cluster_of(static_cast<std::size_t>(n), 0);
-  for (int c = 0; c < k; ++c) {
-    for (ConnectionId j : status_.clusters[static_cast<std::size_t>(c)]) {
-      cluster_of[static_cast<std::size_t>(j)] = c;
+  cluster_of_.resize(static_cast<std::size_t>(n));
+  for (std::size_t c = 0; c < ku; ++c) {
+    for (ConnectionId j : status_.clusters[c]) {
+      cluster_of_[static_cast<std::size_t>(j)] = static_cast<int>(c);
     }
   }
 
-  RapProblem problem;
-  problem.total = kWeightUnits;
-  problem.vars.assign(static_cast<std::size_t>(n),
-                      RapVariable{config_.min_weight, kWeightUnits, 1});
+  vars_.assign(static_cast<std::size_t>(n),
+               RapVariable{config_.min_weight, kWeightUnits, 1});
   for (int j = 0; j < n; ++j) {
     if (down_[static_cast<std::size_t>(j)]) {
-      problem.vars[static_cast<std::size_t>(j)] = RapVariable{0, 0, 1};
+      vars_[static_cast<std::size_t>(j)] = RapVariable{0, 0, 1};
     }
   }
-  problem.eval = [&merged, &cluster_of](int j, Weight w) {
-    return merged[static_cast<std::size_t>(
-                      cluster_of[static_cast<std::size_t>(j)])]
-        .value(w);
-  };
 
-  const RapSolution sol = solve_fox(problem);
+  // Members of one cluster evaluate the same curve at the same weights,
+  // so each cluster's values are memoized, filled upward from 0 as the
+  // greedy reaches them.
+  constexpr std::size_t kDomain = static_cast<std::size_t>(kWeightUnits) + 1;
+  if (memo_.size() < ku * kDomain) memo_.resize(ku * kDomain);
+  memo_filled_.assign(ku, 0);
+  const RapSolution sol =
+      solve_fox(vars_, kWeightUnits, [this](int j, Weight w) {
+        const auto c =
+            static_cast<std::size_t>(cluster_of_[static_cast<std::size_t>(j)]);
+        double* memo = memo_.data() + c * kDomain;
+        Weight& filled = memo_filled_[c];
+        if (filled <= w) {
+          cluster_curves_[c].values(filled, w, memo + filled);
+          filled = w + 1;
+        }
+        return memo[w];
+      });
   status_.objective = sol.objective;
   status_.solver_feasible = sol.feasible;
   if (sol.feasible) weights_ = sol.weights;

@@ -9,6 +9,8 @@
 // alpha = log(R) / |log(R * delta)| so all terms share a scale.
 #pragma once
 
+#include <limits>
+
 #include "core/rate_function.h"
 
 namespace slb {
@@ -27,6 +29,30 @@ struct DistanceConfig {
 
 /// Scaling factor alpha from the paper.
 double distance_alpha(const DistanceConfig& config);
+
+/// The per-function inputs of Distance: the floored knee and the floored
+/// blocking at the knee and at full load. Clustering computes them once
+/// per function rather than once per pair.
+struct DistanceFeatures {
+  double knee = 0.0;
+  double knee_blocking = 0.0;
+  double full_blocking = 0.0;
+};
+
+DistanceFeatures distance_features(const RateFunction& f,
+                                   const DistanceConfig& config);
+
+/// The knee term of Distance, |log(knee_a / knee_b)|.
+double knee_term(double knee_a, double knee_b);
+
+/// Distance between two functions' features, given their knee term
+/// `d_knee` = knee_term(a.knee, b.knee); `alpha` is distance_alpha(config).
+/// With a finite `limit`, stops at the first term that exceeds it and
+/// returns that term: then only "above limit" is exact, which is all
+/// clustering needs of a pair beyond its threshold.
+double feature_distance(
+    const DistanceFeatures& a, const DistanceFeatures& b, double alpha,
+    double d_knee, double limit = std::numeric_limits<double>::infinity());
 
 /// The paper's Distance(F_j, F_k). Zero for indistinguishable functions,
 /// large for functions with very different knees or blocking magnitudes.

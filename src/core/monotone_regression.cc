@@ -4,6 +4,22 @@
 
 namespace slb {
 
+void isotonic_push(std::vector<IsotonicBlock>& blocks, double value,
+                   double weight) {
+  assert(weight > 0.0);
+  blocks.push_back({value, weight, 1});
+  while (blocks.size() >= 2 &&
+         blocks[blocks.size() - 2].mean >= blocks.back().mean) {
+    const IsotonicBlock top = blocks.back();
+    blocks.pop_back();
+    IsotonicBlock& prev = blocks.back();
+    const double combined = prev.weight + top.weight;
+    prev.mean = (prev.mean * prev.weight + top.mean * top.weight) / combined;
+    prev.weight = combined;
+    prev.count += top.count;
+  }
+}
+
 std::vector<double> isotonic_fit(std::span<const double> values,
                                  std::span<const double> weights) {
   assert(values.size() == weights.size());
@@ -14,31 +30,14 @@ std::vector<double> isotonic_fit(std::span<const double> values,
   // Classic stack-of-blocks PAVA. Each block covers a run of indices and
   // carries the weighted mean of its members; adjacent blocks whose means
   // violate monotonicity are pooled.
-  struct Block {
-    double mean;
-    double weight;
-    std::size_t count;
-  };
-  std::vector<Block> blocks;
+  std::vector<IsotonicBlock> blocks;
   blocks.reserve(n);
-
   for (std::size_t i = 0; i < n; ++i) {
-    assert(weights[i] > 0.0);
-    blocks.push_back({values[i], weights[i], 1});
-    while (blocks.size() >= 2 &&
-           blocks[blocks.size() - 2].mean >= blocks.back().mean) {
-      const Block top = blocks.back();
-      blocks.pop_back();
-      Block& prev = blocks.back();
-      const double combined = prev.weight + top.weight;
-      prev.mean = (prev.mean * prev.weight + top.mean * top.weight) / combined;
-      prev.weight = combined;
-      prev.count += top.count;
-    }
+    isotonic_push(blocks, values[i], weights[i]);
   }
 
   fitted.reserve(n);
-  for (const Block& b : blocks) {
+  for (const IsotonicBlock& b : blocks) {
     for (std::size_t k = 0; k < b.count; ++k) fitted.push_back(b.mean);
   }
   return fitted;

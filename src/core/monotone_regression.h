@@ -7,10 +7,26 @@
 // error to the input, in O(n).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace slb {
+
+/// A run of consecutive points that PAVA has pooled to one fitted value.
+struct IsotonicBlock {
+  double mean;
+  double weight;
+  std::size_t count;
+};
+
+/// Appends one point (strictly positive `weight`) to a fit held as a stack
+/// of blocks, pooling adjacent blocks that violate monotonicity. Pushing
+/// every point in domain order into an empty vector gives the blocks of
+/// isotonic_fit; callers that refit often keep the vector to reuse its
+/// storage.
+void isotonic_push(std::vector<IsotonicBlock>& blocks, double value,
+                   double weight);
 
 /// Computes the weighted L2 isotonic (non-decreasing) fit of `values`.
 ///

@@ -4,13 +4,23 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 namespace slb {
 
-namespace {
+namespace rap_detail {
 
-/// Sum of c_j * w_j.
+void validate(const std::vector<RapVariable>& vars, Weight total) {
+  assert(total >= 0);
+  for (const RapVariable& v : vars) {
+    assert(v.min >= 0);
+    assert(v.max >= v.min);
+    assert(v.max <= kWeightUnits);
+    assert(v.multiplicity >= 1);
+    (void)v;
+  }
+  (void)total;
+}
+
 Weight allocated_units(const std::vector<RapVariable>& vars,
                        const WeightVector& w) {
   Weight sum = 0;
@@ -20,114 +30,44 @@ Weight allocated_units(const std::vector<RapVariable>& vars,
   return sum;
 }
 
-/// Evaluation guard: a NaN or Inf from a poisoned rate function must not
-/// reach the solvers' comparisons — NaN keys make std::sort and the heap
-/// ordering undefined behavior, and both solvers' monotonicity-based
-/// searches mis-step on them. Treat any non-finite value as "infinitely
-/// bad but still comparable".
+bool fox_feasible(const std::vector<RapVariable>& vars, Weight total,
+                  Weight allocated) {
+  // Feasible when the full traffic fits; with unit multiplicities the
+  // greedy always lands exactly on total unless every variable is capped.
+  Weight max_units = 0;
+  int min_mult = std::numeric_limits<int>::max();
+  for (const RapVariable& v : vars) {
+    max_units += v.multiplicity * v.max;
+    min_mult = std::min(min_mult, v.multiplicity);
+  }
+  if (max_units < total) return false;
+  return allocated == total || total - allocated < min_mult;
+}
+
+}  // namespace rap_detail
+
+namespace {
+
+using rap_detail::allocated_units;
+
 double safe_eval(const RapProblem& p, int j, Weight w) {
-  const double v = p.eval(j, w);
-  return std::isfinite(v) ? v : std::numeric_limits<double>::max();
+  return rap_detail::safe_eval(p.eval, j, w);
 }
 
 double objective_of(const RapProblem& p, const WeightVector& w) {
-  double worst = 0.0;
-  for (std::size_t j = 0; j < w.size(); ++j) {
-    worst = std::max(worst, safe_eval(p, static_cast<int>(j), w[j]));
-  }
-  return worst;
+  return rap_detail::objective_of(p.eval, w);
 }
 
 void validate(const RapProblem& p) {
   assert(p.eval);
-  assert(p.total >= 0);
-  for (const RapVariable& v : p.vars) {
-    assert(v.min >= 0);
-    assert(v.max >= v.min);
-    assert(v.max <= kWeightUnits);
-    assert(v.multiplicity >= 1);
-    (void)v;
-  }
+  rap_detail::validate(p.vars, p.total);
 }
 
 }  // namespace
 
 RapSolution solve_fox(const RapProblem& p) {
-  validate(p);
-  const int n = static_cast<int>(p.vars.size());
-  RapSolution sol;
-  sol.weights.resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    sol.weights[static_cast<std::size_t>(j)] =
-        p.vars[static_cast<std::size_t>(j)].min;
-  }
-  sol.allocated = allocated_units(p.vars, sol.weights);
-  if (sol.allocated > p.total) {
-    // Minimum shares alone exceed the traffic: infeasible.
-    sol.objective = objective_of(p, sol.weights);
-    sol.feasible = false;
-    return sol;
-  }
-
-  // Min-heap over the value each variable would take at its *next* unit.
-  // Keys never change for entries in the heap (eval is pure), so no
-  // staleness handling is required: we push a fresh entry after each
-  // increment. Ties break toward the variable currently holding the
-  // *least* weight (then the lowest index): with identical functions —
-  // e.g. at startup, before any blocking has been observed — this yields
-  // an even spread instead of starving high indices.
-  struct Entry {
-    double value;
-    Weight reached;  // the weight the variable would hold after this unit
-    int j;
-    bool operator>(const Entry& o) const {
-      if (value != o.value) return value > o.value;
-      if (reached != o.reached) return reached > o.reached;
-      return j > o.j;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-
-  auto push_next = [&](int j) {
-    const auto ju = static_cast<std::size_t>(j);
-    const Weight next = sol.weights[ju] + 1;
-    if (next <= p.vars[ju].max &&
-        sol.allocated + p.vars[ju].multiplicity <= p.total) {
-      heap.push(Entry{safe_eval(p, j, next), next, j});
-    }
-  };
-
-  for (int j = 0; j < n; ++j) push_next(j);
-
-  while (sol.allocated < p.total && !heap.empty()) {
-    const Entry e = heap.top();
-    heap.pop();
-    const auto ju = static_cast<std::size_t>(e.j);
-    // Re-check the budget: earlier increments may have consumed units
-    // since this entry was pushed.
-    if (sol.allocated + p.vars[ju].multiplicity > p.total) continue;
-    sol.weights[ju] += 1;
-    sol.allocated += p.vars[ju].multiplicity;
-    push_next(e.j);
-  }
-
-  sol.objective = objective_of(p, sol.weights);
-  // Feasible when the full traffic fits; with unit multiplicities the
-  // greedy always lands exactly on total unless every variable is capped.
-  Weight max_units = 0;
-  for (const RapVariable& v : p.vars) max_units += v.multiplicity * v.max;
-  sol.feasible = sol.allocated == p.total ||
-                 (max_units >= p.total &&
-                  p.total - sol.allocated <
-                      [&] {
-                        int min_mult = std::numeric_limits<int>::max();
-                        for (const RapVariable& v : p.vars) {
-                          min_mult = std::min(min_mult, v.multiplicity);
-                        }
-                        return min_mult;
-                      }());
-  if (max_units < p.total) sol.feasible = false;
-  return sol;
+  assert(p.eval);
+  return solve_fox(p.vars, p.total, p.eval);
 }
 
 RapSolution solve_bisect(const RapProblem& p) {

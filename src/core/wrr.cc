@@ -4,13 +4,29 @@
 
 namespace slb {
 
-SmoothWrr::SmoothWrr(int connections) : current_(connections, 0) {
+SmoothWrr::SmoothWrr(int connections)
+    : current_(connections, 0),
+      cycle_start_(connections, 0),
+      cycle_(static_cast<std::size_t>(kWeightUnits), 0) {
   assert(connections > 0);
   set_weights(even_weights(connections));
 }
 
 void SmoothWrr::set_weights(const WeightVector& weights) {
   assert(weights.size() == current_.size());
+  if (weights == weights_) return;
+  if (replay_pos_ >= 0) {
+    // Replay leaves current_ at the cycle start; advance it by the picks
+    // served since then, exactly as the scan would have.
+    for (std::size_t j = 0; j < weights_.size(); ++j) {
+      current_[j] += replay_pos_ * weights_[j];
+    }
+    for (long long k = 0; k < replay_pos_; ++k) {
+      current_[static_cast<std::size_t>(cycle_[static_cast<std::size_t>(k)])] -=
+          total_;
+    }
+    replay_pos_ = -1;
+  }
   weights_ = weights;
   total_ = 0;
   for (Weight w : weights_) {
@@ -23,9 +39,19 @@ void SmoothWrr::set_weights(const WeightVector& weights) {
   for (std::size_t j = 0; j < weights_.size(); ++j) {
     if (weights_[j] == 0 && current_[j] > 0) current_[j] = 0;
   }
+  start_cycle();
 }
 
-ConnectionId SmoothWrr::pick() {
+void SmoothWrr::start_cycle() {
+  if (total_ == 0 || total_ > kWeightUnits) {
+    recorded_ = -1;
+    return;
+  }
+  cycle_start_ = current_;
+  recorded_ = 0;
+}
+
+ConnectionId SmoothWrr::scan() {
   if (total_ == 0) {
     // Degenerate all-zero weights: plain round-robin.
     const int n = connections();
@@ -42,6 +68,18 @@ ConnectionId SmoothWrr::pick() {
     }
   }
   current_[static_cast<std::size_t>(best)] -= total_;
+  if (recorded_ >= 0) {
+    cycle_[static_cast<std::size_t>(recorded_)] = best;
+    if (++recorded_ == total_) {
+      // The scan is a pure function of the credits, so a cycle that ends
+      // where it began repeats forever.
+      if (current_ == cycle_start_) {
+        replay_pos_ = 0;
+      } else {
+        start_cycle();
+      }
+    }
+  }
   return best;
 }
 

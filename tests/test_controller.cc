@@ -192,6 +192,27 @@ TEST(Controller, MinWeightFloorRespected) {
   EXPECT_GE(c.weights()[0], 20);
 }
 
+TEST(Controller, MinWeightFloorSurvivesMarkUp) {
+  // A connection re-admitted at weight 0 may step up by only the geometric
+  // floor (8), below min_weight: the floor must win instead of leaving the
+  // RAP with max < min (an assertion failure in debug builds).
+  ControllerConfig cfg;
+  cfg.min_weight = 20;
+  LoadBalanceController c(2, cfg);
+  std::vector<DurationNs> blocked{0, 0};
+  c.update(seconds(1), blocked);  // baseline
+  blocked[1] += millis(500);
+  c.update(seconds(2), blocked);
+  c.mark_down(0);
+  c.mark_up(0);
+  ASSERT_EQ(c.weights()[0], 0);
+  blocked[1] += millis(500);
+  c.update(seconds(3), blocked);
+  EXPECT_EQ(c.weights()[0], 20);
+  EXPECT_EQ(total_weight(c.weights()), kWeightUnits);
+  EXPECT_TRUE(c.status().solver_feasible);
+}
+
 TEST(Controller, SetWeightsOverrides) {
   LoadBalanceController c(2);
   c.set_weights({900, 100});

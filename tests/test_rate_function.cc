@@ -3,6 +3,8 @@
 // and the exploration decay.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/rate_function.h"
 #include "util/rng.h"
 
@@ -72,9 +74,8 @@ TEST(RateFunction, FittedIsAlwaysMonotone) {
     f.observe(static_cast<Weight>(1 + rng.below(kWeightUnits)),
               rng.uniform(0.0, 1.0));
   }
-  const auto& fit = f.fitted();
-  for (std::size_t i = 1; i < fit.size(); ++i) {
-    EXPECT_GE(fit[i], fit[i - 1] - 1e-12);
+  for (Weight w = 1; w <= kWeightUnits; ++w) {
+    EXPECT_GE(f.value(w), f.value(w - 1) - 1e-12);
   }
 }
 
@@ -165,7 +166,9 @@ TEST(RateFunction, PointWeightIsCapped) {
   cfg.max_point_weight = 2.0;
   RateFunction f(cfg);
   for (int i = 0; i < 100; ++i) f.observe(300, 1.0);
-  EXPECT_LE(f.raw().at(300).weight, 2.0);
+  ASSERT_EQ(f.raw().size(), 1u);
+  EXPECT_EQ(f.raw().front().first, 300);
+  EXPECT_LE(f.raw().front().second.weight, 2.0);
 }
 
 TEST(RateFunction, ZeroSampleWeightObservationIgnored) {
