@@ -6,9 +6,10 @@
 // around that send, written once and shared by the two substrates:
 // sim::Splitter (discrete-event) and rt::LocalRegion (loopback TCP) are
 // thin adapters that keep their own event scheduling or sockets, their
-// blocking and re-routing, and ask the core what to send where. It does
-// no I/O, reads no clock and uses no atomics, so it can be unit-tested
-// and model-checked directly (tests/test_send_core.cc).
+// blocking (and, in the sim, Section 4.4 re-routing), and ask the core
+// what to send where. It does no I/O, reads no clock and uses no
+// atomics, so it can be unit-tested and model-checked directly
+// (tests/test_send_core.cc).
 //
 // It owns:
 //   * sequence issuance: next_seq() is the next fresh sequence, consumed
@@ -146,6 +147,18 @@ class SendCore {
     return dropped;
   }
 
+  /// Open-loop shedding, the one rule both substrates apply: with
+  /// `backlog` source tuples overdue, once it reaches the `high`
+  /// watermark, drops the oldest down to the `low` one. Sheds nothing
+  /// when `high == 0` (shedding off), below `high`, or at or below `low`
+  /// — a low watermark at or above the high one leaves nothing to drop.
+  /// Returns the shed range (count 0 when nothing was shed).
+  Range shed_backlog(std::uint64_t backlog, std::uint64_t high,
+                     std::uint64_t low) {
+    if (high == 0 || backlog < high || backlog <= low) return {next_seq_, 0};
+    return shed(backlog - low);
+  }
+
   bool up(int j) const { return up_[index(j)] != 0; }
   void set_up(int j, bool up) { up_[index(j)] = up ? 1 : 0; }
 
@@ -189,13 +202,16 @@ class SendCore {
               bool retransmit) {
     if (retransmit) {
       // Usually the front; a quarantine during the send may have queued
-      // older replays ahead of it.
+      // older replays ahead of it, and an ack that arrived while the
+      // runtime was still writing the frame may have dropped it already.
       const auto it = std::lower_bound(
           pending_.begin(), pending_.end(), seq,
           [](const Entry& e, std::uint64_t s) { return e.seq < s; });
-      assert(it != pending_.end() && it->seq == seq);
-      pending_.erase(it);
+      if (it != pending_.end() && it->seq == seq) pending_.erase(it);
       ++retransmits_;
+      // Released meanwhile: the copy is a duplicate the merger discards,
+      // and no ack will ever trim it, so it is not buffered.
+      if (seq < acked_) return;
     } else {
       assert(seq == next_seq_);
       ++next_seq_;

@@ -1,16 +1,37 @@
 #include "runtime/local_region.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+#include <cerrno>
+#include <cstring>
+#include <ctime>
+#include <limits>
 #include <stdexcept>
-#include <thread>
+#include <string>
 
 #include "transport/framing.h"
 
 namespace slb::rt {
+
+namespace {
+
+constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+
+/// True when a splitter->worker connection has lost its peer. The stream
+/// is one-way — workers never write — so a readable socket can only mean
+/// FIN or RST; the peek confirms it without consuming anything, and a
+/// spurious wake with the peer alive leaves EAGAIN.
+bool peer_gone(int fd) {
+  std::uint8_t probe;
+  const ssize_t got = ::recv(fd, &probe, 1, MSG_DONTWAIT | MSG_PEEK);
+  return got == 0 || (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                      errno != EINTR);
+}
+
+}  // namespace
 
 LocalRegion::LocalRegion(LocalRegionConfig config,
                          std::unique_ptr<SplitPolicy> policy)
@@ -21,13 +42,19 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
             config.delivery.replay_buffer_bytes) {
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
+  if (policy_->reroute_on_block()) {
+    // Section 4.4's transport-level re-routing is reproduced by the
+    // simulator; this splitter always elects to block on its pick.
+    throw std::invalid_argument("LocalRegion: policy '" + policy_->name() +
+                                "' re-routes on block; only the simulator "
+                                "runs re-routing policies");
+  }
   net::ignore_sigpipe();  // dead peers must surface as EPIPE, not SIGPIPE
 
   service_hists_.assign(static_cast<std::size_t>(config_.workers), nullptr);
   if (config_.metrics) {
     mc_.sent = &metrics_.counter("splitter.sent");
     mc_.shed = &metrics_.counter("splitter.shed");
-    mc_.rerouted = &metrics_.counter("splitter.rerouted");
     mc_.failovers = &metrics_.counter("splitter.failovers");
     mc_.channel_failures = &metrics_.counter("splitter.channel_failures");
     mc_.reconnects = &metrics_.counter("splitter.reconnects");
@@ -68,8 +95,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
     net::set_recv_buffer(worker_side.get(), config_.socket_buffer_bytes);
     net::set_nodelay(worker_to_merger[static_cast<std::size_t>(j)].get());
 
-    senders_.push_back(std::make_unique<net::InstrumentedSender>(
-        splitter_side.get(), &counters_.at(static_cast<std::size_t>(j))));
     to_workers_.push_back(std::move(splitter_side));
     workers_.push_back(std::make_unique<WorkerPe>(
         j, std::move(worker_side),
@@ -79,7 +104,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   }
   // At-least-once bring-up: the merger->splitter ack connection (the
   // reverse hop cumulative acks ride on). The splitter reads its end
-  // non-blocking between sends.
+  // whenever its wait reports it readable.
   net::Fd merger_ack_out;
   if (core_.at_least_once()) {
     net::Listener ack_listener;
@@ -94,7 +119,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   merger_ = std::make_unique<MergerPe>(std::move(merger_from_worker), fault,
                                        config_.delivery.mode,
                                        std::move(merger_ack_out));
-  pending_.resize(static_cast<std::size_t>(config_.workers));
 
   const auto n = static_cast<std::size_t>(config_.workers);
   worker_up_.assign(n, 1);
@@ -113,18 +137,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   loop_ = std::make_unique<control::RegionControlLoop>(
       static_cast<control::RegionPort*>(this), policy_.get(), loop_cfg);
   if (config_.metrics) loop_->attach_metrics(metrics_, "region.");
-}
-
-void LocalRegion::flush_pending(int k, bool blocking) {
-  auto& buf = pending_[static_cast<std::size_t>(k)];
-  if (buf.empty()) return;
-  auto& sender = *senders_[static_cast<std::size_t>(k)];
-  if (blocking) {
-    if (sender.send_all(buf.data(), buf.size())) buf.clear();
-    return;
-  }
-  const std::size_t accepted = sender.try_send(buf.data(), buf.size());
-  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(accepted));
 }
 
 LocalRegion::~LocalRegion() {
@@ -156,11 +168,6 @@ DurationNs LocalRegion::jitter(DurationNs limit) {
 void LocalRegion::quarantine(int j, TimeNs now, LocalRunStats& stats) {
   const auto ju = static_cast<std::size_t>(j);
   if (!core_.up(j)) return;
-  // A half-written frame died with the worker. GapSkip: its sequence
-  // becomes a merger gap, so the remainder must not be re-sent anywhere.
-  // At-least-once: the complete frame sits in the replay buffer and is
-  // re-sent whole onto a survivor.
-  pending_[ju].clear();
   ++stats.channel_failures;
   if (mc_.channel_failures != nullptr) mc_.channel_failures->inc();
   // At-least-once: the channel's unacked suffix queues for retransmission
@@ -210,7 +217,6 @@ bool LocalRegion::try_reconnect(int j, TimeNs now, LocalRunStats& stats) {
         j, std::move(worker_side), std::move(to_merger),
         config_.multiplies, config_.work_mode, service_hists_[ju]);
     workers_[ju]->set_load_multiplier(load_mult_[ju]);
-    senders_[ju]->rebind(splitter_side.get());
     to_workers_[ju] = std::move(splitter_side);
   } catch (const std::exception&) {
     backoff_[ju] =
@@ -245,33 +251,57 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
 
   const TimeNs start = monotonic_now();
   run_start_ = start;
+  const TimeNs end = start + duration;
   TimeNs next_sample = start + config_.sample_period;
+  TimeNs now = start;
 
   LocalRunStats stats;
   net::Frame frame;
   frame.payload.assign(config_.payload_bytes, 0xAB);
-  std::vector<std::uint8_t> wire;
 
   const int n = config_.workers;
   const bool alo = core_.at_least_once();
 
-  // At-least-once: drain the merger's cumulative acks (non-blocking) and
-  // trim the replay buffers. An ack only ever shrinks state, so doing
-  // this between any two sends is safe.
+  // The frame being written. It is bound to channel `ch` from its first
+  // send attempt until the kernel has taken its last byte — only then
+  // does a data frame commit — or until `ch` dies, when the whole frame
+  // is chosen afresh (same sequence number, or same gap range) for a
+  // survivor. Nothing else is written to `ch` meanwhile; ticks, acks and
+  // events still run between the waits.
+  enum class Kind { kData, kGap, kFin };
+  struct Outgoing {
+    Kind kind = Kind::kData;
+    int ch = -1;  // -1: no frame bound
+    std::size_t off = 0;
+    std::uint64_t seq = 0;
+    bool retransmit = false;
+    TimeNs since = 0;
+    std::vector<std::uint8_t> wire;
+  } out;
+  const auto bind = [&](Kind kind, int ch) {
+    out.kind = kind;
+    out.ch = ch;
+    out.off = 0;
+    out.since = now;
+  };
+  const auto drop = [&](int k) {
+    quarantine(k, now, stats);
+    if (out.ch == k) out.ch = -1;
+  };
+
+  // At-least-once: drain the merger's cumulative acks and trim the replay
+  // buffers. An ack only ever shrinks state, so this is safe between any
+  // two waits, even mid-frame.
   std::vector<std::uint8_t> ack_rd(4096);
-  const auto pump_acks = [&] {
-    if (!alo || !ack_in_.valid()) return;
+  const auto read_acks = [&] {
     for (;;) {
       const ssize_t got =
           ::recv(ack_in_.get(), ack_rd.data(), ack_rd.size(), MSG_DONTWAIT);
-      if (got < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          return;
-        }
-        ack_in_.reset();
+      if (got < 0 &&
+          (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
         return;
       }
-      if (got == 0) {  // merger closed its end (shutdown)
+      if (got <= 0) {  // merger closed its end (shutdown), or it broke
         ack_in_.reset();
         return;
       }
@@ -287,75 +317,18 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     }
   };
 
-  // Liveness sweep: a worker death is normally discovered by a failing
-  // send, but a channel nobody is sending to (its replay window is full,
-  // or traffic routes elsewhere) can die invisibly — and with its receive
-  // window closed no RST will ever surface. The stream is one-way, so a
-  // readable splitter-side socket can only mean FIN/RST: peek each live
-  // channel and quarantine the dead ones, which (at-least-once) requeues
-  // their unacked frames for replay and unfreezes the ack cursor.
-  const auto sweep_dead_channels = [&](TimeNs tnow, LocalRunStats& st) {
-    for (int k = 0; k < n; ++k) {
-      const auto ku = static_cast<std::size_t>(k);
-      if (!core_.up(k)) continue;
-      std::uint8_t probe;
-      const ssize_t got = ::recv(to_workers_[ku].get(), &probe, 1,
-                                 MSG_DONTWAIT | MSG_PEEK);
-      if (got == 0 || (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR)) {
-        quarantine(k, tnow, st);
-      }
-    }
-  };
-
-  // Replay-buffer back pressure: the picked connection's unacked window
-  // is full, so the send must wait for ack progress. The wait is charged
-  // to that connection's blocking counter — to the control plane this is
-  // indistinguishable from (and as real as) a full socket buffer, which
-  // keeps the blocking-rate signal truthful.
-  const auto block_on_replay = [&](int j) {
-    const TimeNs b0 = monotonic_now();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    counters_.at(static_cast<std::size_t>(j)).add(monotonic_now() - b0);
-    pump_acks();
-    // The ack we are waiting for may be gated on a frame that died with
-    // its worker; only quarantine-and-replay can break that cycle.
-    sweep_dead_channels(monotonic_now(), stats);
-  };
-
-  // Sequence numbers come from the delivery core; shed tuples consume
-  // them without being sent. The protection decisions themselves
-  // (throttle_, shed watermarks, watchdog ladder) come out of the shared
-  // control loop, ticked once per sample period below.
+  // Sequences come from the delivery core; shed tuples consume them
+  // without being sent. The protection decisions themselves (throttle_,
+  // shed watermarks, watchdog ladder) come out of the shared control
+  // loop, ticked once per sample period below.
   TimeNs next_release = start;  // open-loop release clock
+  TimeNs throttle_until = 0;    // admission control: no fresh send before
+  double throttle_debt = 0.0;   // accumulated ns not yet paid out
   std::uint64_t prev_shed = 0;
-  double throttle_debt = 0.0;  // accumulated ns to sleep off
-  // Shed ranges not yet announced to the merger: [first, count). Flushed
+  // Shed ranges not yet announced to the merger: [first, count). Sent
   // through any live worker connection (workers forward gap frames with
-  // zero work); held and retried while everything is down.
+  // zero work); held while everything is down.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> gap_queue;
-
-  const auto flush_gaps = [&](TimeNs tnow) {
-    while (!gap_queue.empty()) {
-      int live = -1;
-      for (int k = 0; k < n && live < 0; ++k) {
-        if (core_.up(k)) live = k;
-      }
-      if (live < 0) return;  // all quarantined; retry after a reconnect
-      const auto ku = static_cast<std::size_t>(live);
-      // A half-flushed re-route remainder owns the stream until it is
-      // complete; finishing it is mandatory before interleaving a frame.
-      flush_pending(live, /*blocking=*/true);
-      if (!pending_[ku].empty()) return;  // flush hit a broken sender
-      const std::vector<std::uint8_t> gap_frame =
-          net::gap_bytes(gap_queue.front().first, gap_queue.front().second);
-      if (senders_[ku]->send_all(gap_frame.data(), gap_frame.size())) {
-        gap_queue.erase(gap_queue.begin());
-      } else {
-        quarantine(live, tnow, stats);
-      }
-    }
-  };
 
   // Shutdown. Once the duration has passed the loop issues no fresh
   // sequences: workers switch to fast-drain (forwarding buffered tuples
@@ -369,43 +342,80 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   bool draining = false;
   TimeNs drain_deadline = 0;
   const std::vector<std::uint8_t> fin = net::fin_bytes();
-  // Returns false when a FIN found its worker dead and queued replays:
-  // those drain onto the connections not yet FINed first.
-  const auto send_fins = [&](TimeNs tnow) {
-    flush_gaps(tnow);
-    for (int j = 0; j < n; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      if (!core_.up(j)) continue;
-      flush_pending(j, /*blocking=*/true);
-      if (senders_[ju]->send_all(fin.data(), fin.size())) {
-        core_.set_up(j, false);
-        worker_up_[ju] = 0;  // never reconnected
-      } else {
-        quarantine(j, tnow, stats);
-        if (core_.next_replay() != nullptr) return false;
+
+  // The one place the splitter thread blocks: a ppoll over POLLIN on every
+  // live worker connection (the streams are one-way, so readability means
+  // FIN or RST — the worker died), POLLIN on the ack connection, and
+  // POLLOUT on the connection whose bound frame the kernel would not take.
+  // `ready` makes it a zero-timeout pass; otherwise it lasts until the
+  // nearest deadline below. The time spent waiting on `blocked_on` — its
+  // bound frame is stuck, or its replay window is full — is charged to
+  // that connection's blocking counter (paper Section 3).
+  std::vector<pollfd> fds(static_cast<std::size_t>(n) + 1);
+  bool ready = true;
+  int blocked_on = -1;
+  TimeNs wake_at = kNever;  // open-loop release or throttle deadline
+  const auto next_deadline = [&] {
+    TimeNs t = wake_at;
+    if (!draining) {
+      t = std::min({t, next_sample, end});
+    } else if (drain_deadline > now) {
+      t = std::min(t, drain_deadline);
+    }
+    if (next_event < events.size()) {
+      t = std::min(t, start + events[next_event].at);
+    }
+    if (next_failure < failures.size()) {
+      t = std::min(t, start + failures[next_failure].at);
+    }
+    for (int k = 0; k < n; ++k) {
+      if (!core_.up(k)) {
+        t = std::min(t, next_reconnect_[static_cast<std::size_t>(k)]);
       }
     }
-    return true;
+    return t;
   };
 
   for (;;) {
-    // Time-driven bookkeeping, checked every iteration (a clock read per
-    // tuple is ~20 ns, and the non-blocking ack read is one syscall —
-    // both negligible next to a TCP send).
-    const TimeNs now = monotonic_now();
-    if (!draining && now - start >= duration) {
+    for (int k = 0; k < n; ++k) {
+      pollfd& p = fds[static_cast<std::size_t>(k)];
+      p.fd = core_.up(k) ? to_workers_[static_cast<std::size_t>(k)].get() : -1;
+      p.events = POLLIN;
+      if (k == blocked_on && k == out.ch) p.events |= POLLOUT;
+    }
+    fds[static_cast<std::size_t>(n)].fd = ack_in_.valid() ? ack_in_.get() : -1;
+    fds[static_cast<std::size_t>(n)].events = POLLIN;
+    const TimeNs t0 = monotonic_now();
+    const DurationNs timeout =
+        ready ? 0 : std::max<DurationNs>(next_deadline() - t0, 0);
+    const timespec ts{static_cast<std::time_t>(timeout / 1'000'000'000),
+                      static_cast<long>(timeout % 1'000'000'000)};
+    if (::ppoll(fds.data(), fds.size(), &ts, nullptr) < 0 && errno != EINTR) {
+      throw std::runtime_error(std::string("ppoll: ") + std::strerror(errno));
+    }
+    now = monotonic_now();
+    if (blocked_on >= 0) {
+      counters_.at(static_cast<std::size_t>(blocked_on)).add(now - t0);
+    }
+    if (fds[static_cast<std::size_t>(n)].revents != 0) read_acks();
+    for (int k = 0; k < n; ++k) {
+      const pollfd& p = fds[static_cast<std::size_t>(k)];
+      if ((p.revents & (POLLIN | POLLERR | POLLHUP)) != 0 && peer_gone(p.fd)) {
+        // At-least-once, the quarantine requeues the channel's unacked
+        // frames for replay, which unfreezes the ack cursor.
+        drop(k);
+      }
+    }
+
+    if (!draining && now >= end) {
       draining = true;
       drain_deadline = now + millis(2000);
       for (auto& w : workers_) w->fast_drain();
-      // A worker that died since the last tick, and that nothing was sent
-      // to since, is caught here — before any FIN — so its unacked frames
-      // still replay onto a survivor.
-      sweep_dead_channels(now, stats);
-    }
-    pump_acks();
-    if (draining &&
-        (core_.next_replay() == nullptr || now >= drain_deadline)) {
-      if (send_fins(now)) break;
+      // One more zero-timeout pass before any FIN: a worker that died
+      // since the last wait, and that nothing was sent to since, is
+      // quarantined first, so its unacked frames still replay onto a
+      // survivor.
+      ready = true;
       continue;
     }
     while (next_event < events.size() &&
@@ -425,8 +435,8 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       } else {
         worker_up_[w] = 0;
         workers_[w]->kill();
-        // The splitter discovers the death on its next send to w — the
-        // kill itself is invisible, exactly like a remote PE crash.
+        // The splitter discovers the death when its socket turns readable
+        // — the kill itself is invisible, exactly like a remote PE crash.
       }
       ++next_failure;
     }
@@ -437,15 +447,12 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       }
     }
     if (!draining && now >= next_sample) {
-      // A long blocking episode can push us several periods past
-      // next_sample; normalize by the *actual* elapsed span. The whole
-      // decision pipeline — observation ingest, policy update, admission
-      // throttle, watchdog ladder — runs in the shared control loop,
-      // which samples and actuates through this region's RegionPort.
+      // No wait outlasts next_sample, but a slow pass can still run past
+      // it; normalize by the *actual* elapsed span. The whole decision
+      // pipeline — observation ingest, policy update, admission throttle,
+      // watchdog ladder — runs in the shared control loop, which samples
+      // and actuates through this region's RegionPort.
       const DurationNs span = config_.sample_period + (now - next_sample);
-      // Catch silently-dead channels once per period so the tick below
-      // sees them as down rather than merely quiet.
-      sweep_dead_channels(now, stats);
       if (alo && replay_bytes_g_ != nullptr) {
         replay_bytes_g_->set(static_cast<std::int64_t>(core_.replay_bytes()));
         ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
@@ -469,129 +476,113 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       next_sample = now + config_.sample_period;
     }
 
-    // Announce any shed ranges that could not be delivered earlier.
-    if (!gap_queue.empty()) flush_gaps(now);
-
-    // At-least-once: frames queued for retransmission drain ahead of
-    // fresh input (and ahead of source pacing — they were released long
-    // ago). Keeping old-before-new bounds how far the merger's replay
-    // pool has to reorder.
-    const auto* replay = core_.next_replay();
-    const bool retransmit = replay != nullptr;
-
-    if (!retransmit && config_.source_interval > 0) {
-      // Open loop: shed when the backlog crosses the high watermark...
-      if (shed_high_ > 0 && now > next_release) {
-        const std::uint64_t backlog = static_cast<std::uint64_t>(
-            (now - next_release) / config_.source_interval);
-        if (backlog >= shed_high_) {
-          const auto dropped = core_.shed(backlog - shed_low_);
+    // Bind the next frame to a connection, unless one is still being
+    // written; otherwise note what the next wait is for.
+    ready = false;
+    blocked_on = -1;
+    wake_at = kNever;
+    if (out.ch < 0) {
+      // At-least-once: frames queued for retransmission go ahead of fresh
+      // input (and ahead of source pacing — they were released long ago).
+      // Keeping old-before-new bounds how far the merger's replay pool
+      // has to reorder.
+      const auto* replay = core_.next_replay();
+      if (replay == nullptr && !draining && config_.source_interval > 0 &&
+          now > next_release) {
+        // Open loop: shed when the backlog crosses the high watermark.
+        const auto dropped = core_.shed_backlog(
+            static_cast<std::uint64_t>((now - next_release) /
+                                       config_.source_interval),
+            shed_high_, shed_low_);
+        if (dropped.count > 0) {
           gap_queue.emplace_back(dropped.first, dropped.count);
           if (mc_.shed != nullptr) mc_.shed->inc(dropped.count);
           next_release += static_cast<DurationNs>(dropped.count) *
                           config_.source_interval;
-          flush_gaps(now);
         }
       }
-      // ...and wait for the next release otherwise.
-      if (now < next_release) {
-        const DurationNs wait = next_release - now;
-        if (wait > micros(100)) {
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(wait - micros(50)));
+      int live = -1;
+      for (int k = n - 1; k >= 0; --k) {
+        if (core_.up(k)) live = k;
+      }
+      if (!gap_queue.empty() && live >= 0) {
+        out.wire = net::gap_bytes(gap_queue.front().first,
+                                  gap_queue.front().second);
+        bind(Kind::kGap, live);
+      } else if (draining && (replay == nullptr || now >= drain_deadline)) {
+        if (live < 0) break;
+        out.wire = fin;
+        bind(Kind::kFin, live);
+      } else if (replay == nullptr && config_.source_interval > 0 &&
+                 now < next_release) {
+        wake_at = next_release;  // open loop: wait for the next release
+      } else if (replay == nullptr && now < throttle_until) {
+        wake_at = throttle_until;  // admission control: pay the debt
+      } else {
+        const int picked = policy_->pick_connection();
+        const int j = core_.route(picked);
+        // j < 0 is a total outage: wait for a reconnect.
+        if (j >= 0) {
+          if (j != picked && mc_.failovers != nullptr) mc_.failovers->inc();
+          out.retransmit = replay != nullptr;
+          if (out.retransmit) {
+            out.seq = replay->seq;
+            out.wire = replay->payload;  // leaves the pending queue on commit
+          } else {
+            out.seq = frame.seq = core_.next_seq();
+            out.wire.clear();
+            net::encode_frame(frame, out.wire);
+          }
+          // A full replay window blocks the picked connection like a full
+          // socket buffer until an ack trims it (DESIGN.md §10). The frame
+          // stays unbound, so the next pass picks again.
+          if (core_.admits(j, out.wire.size())) {
+            bind(Kind::kData, j);
+          } else {
+            blocked_on = j;
+          }
         }
-        continue;  // re-reads the clock and re-runs event processing
       }
     }
+    if (out.ch < 0) continue;
 
-    std::uint64_t frame_seq;
-    if (retransmit) {
-      frame_seq = replay->seq;
-      wire = replay->payload;  // leaves the pending queue on commit
-    } else {
-      frame_seq = core_.next_seq();
-      frame.seq = frame_seq;
-      wire.clear();
-      net::encode_frame(frame, wire);
-    }
-
-    const int picked = policy_->pick_connection();
-    const int j = core_.route(picked);
-    if (j < 0) {
-      // Total outage: idle until a reconnect lands.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int j = out.ch;
+    const auto ju = static_cast<std::size_t>(j);
+    const std::ptrdiff_t put =
+        net::send_some(to_workers_[ju].get(), out.wire.data() + out.off,
+                       out.wire.size() - out.off);
+    if (put == net::kPeerGone) {
+      // The dead worker never decoded the partial frame, so the *whole*
+      // frame goes out again elsewhere, its sequence number intact.
+      drop(j);
+      ready = true;
       continue;
     }
-    if (j != picked && mc_.failovers != nullptr) mc_.failovers->inc();
-
-    int target = -1;
-    if (policy_->reroute_on_block()) {
-      // Section 4.4 baseline: divert whole frames to any connection whose
-      // kernel buffer accepts them without blocking. A partially-accepted
-      // frame must finish on the same socket before anything else goes
-      // there, so remainders sit in a per-connection userspace buffer
-      // (mirroring a transport layer's output queue) and are flushed
-      // opportunistically; a connection with pending bytes is skipped by
-      // the re-route scan.
-      for (int k = 0; k < n; ++k) {
-        if (core_.up(k)) flush_pending(k, /*blocking=*/false);
-      }
-      for (int step = 0; step < n; ++step) {
-        const int k = (j + step) % n;
-        const auto ku = static_cast<std::size_t>(k);
-        if (!core_.up(k)) continue;
-        if (!pending_[ku].empty()) continue;
-        // A full replay buffer back-pressures exactly like a full kernel
-        // buffer: the re-route scan walks past it.
-        if (!core_.admits(k, wire.size())) continue;
-        const std::size_t accepted =
-            senders_[ku]->try_send(wire.data(), wire.size());
-        if (senders_[ku]->broken()) {
-          quarantine(k, now, stats);
-          continue;
-        }
-        if (accepted == wire.size()) {
-          target = k;
-          break;
-        }
-        if (accepted > 0) {
-          pending_[ku].assign(wire.begin() +
-                                  static_cast<std::ptrdiff_t>(accepted),
-                              wire.end());
-          target = k;
-          break;
-        }
-      }
-      if (target < 0 && !core_.up(j)) continue;  // scan quarantined it
-    }
-    if (target < 0) {
+    out.off += static_cast<std::size_t>(put);
+    if (out.off < out.wire.size()) {
       // Elect to block on the picked connection, exactly like the paper's
-      // splitter. A full replay buffer blocks on it too, until an ack
-      // trims it, as in the simulator (DESIGN.md §10).
-      if (!core_.admits(j, wire.size())) {
-        block_on_replay(j);
-        continue;
-      }
-      flush_pending(j, /*blocking=*/true);
-      if (!senders_[static_cast<std::size_t>(j)]->send_all(wire.data(),
-                                                            wire.size())) {
-        // Peer vanished mid-send: the dead worker never decoded the
-        // partial frame, so the *whole* frame fails over next iteration
-        // with its sequence number intact.
-        quarantine(j, now, stats);
-        continue;
-      }
-      target = j;
+      // splitter: the next wait is for POLLOUT on j, charged to j.
+      blocked_on = j;
+      continue;
     }
-    if (target != j) {
-      ++stats.rerouted;
-      if (mc_.rerouted != nullptr) mc_.rerouted->inc();
+    out.ch = -1;
+    ready = true;
+    if (out.kind == Kind::kGap) {
+      gap_queue.erase(gap_queue.begin());
+      continue;
+    }
+    if (out.kind == Kind::kFin) {
+      core_.set_up(j, false);
+      worker_up_[ju] = 0;  // never reconnected
+      next_reconnect_[ju] = kNever;
+      continue;
     }
     // The frame is now in flight and (at-least-once) unacked: it joins the
-    // replay buffer of whichever connection carried it.
-    core_.commit(target, frame_seq, wire.size(),
-                 alo ? wire : std::vector<std::uint8_t>{}, retransmit);
-    if (retransmit) {
+    // replay buffer of the connection that carried it.
+    core_.commit(j, out.seq, out.wire.size(),
+                 alo ? out.wire : std::vector<std::uint8_t>{},
+                 out.retransmit);
+    if (out.retransmit) {
       if (mc_.retransmits != nullptr) mc_.retransmits->inc();
       continue;  // a re-send is not a fresh sequence: no sent/pacing
     }
@@ -600,13 +591,12 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       next_release += config_.source_interval;
     } else if (throttle_ < 1.0) {
       // Admission control: pay out the complement of the throttle factor
-      // as sleep, batched so sub-100µs debts still take effect.
+      // as idle time, batched so sub-100µs debts still take effect.
       const TimeNs after = monotonic_now();
       throttle_debt +=
-          (1.0 / throttle_ - 1.0) * static_cast<double>(after - now);
+          (1.0 / throttle_ - 1.0) * static_cast<double>(after - out.since);
       if (throttle_debt >= 100000.0) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            static_cast<long long>(throttle_debt)));
+        throttle_until = after + static_cast<DurationNs>(throttle_debt);
         throttle_debt = 0.0;
       }
     }

@@ -26,7 +26,6 @@
 #include "runtime/merger_pe.h"
 #include "runtime/worker_pe.h"
 #include "transport/framing.h"
-#include "transport/instrumented_sender.h"
 #include "util/time.h"
 
 namespace slb::rt {
@@ -109,7 +108,6 @@ struct LocalRegionConfig {
 struct LocalRunStats {
   std::uint64_t sent = 0;
   std::uint64_t emitted = 0;
-  std::uint64_t rerouted = 0;
   DurationNs elapsed = 0;
   /// Emission stayed in sequence order and accounted for every issued
   /// sequence number: emitted + gaps == sent + shed. Without failures or
@@ -158,6 +156,9 @@ struct LocalSample {
 
 class LocalRegion : private control::RegionPort {
  public:
+  /// Throws std::invalid_argument for a policy that re-routes on block
+  /// (Section 4.4): the simulator reproduces that baseline, and this
+  /// splitter always blocks on the connection it picked.
   LocalRegion(LocalRegionConfig config, std::unique_ptr<SplitPolicy> policy);
   ~LocalRegion();
 
@@ -179,7 +180,8 @@ class LocalRegion : private control::RegionPort {
   WorkerPe& worker(int j) { return *workers_[static_cast<std::size_t>(j)]; }
 
   /// The region's control loop (DESIGN.md §9): the shared per-period
-  /// decision pipeline the splitter thread ticks between sends.
+  /// decision pipeline the splitter thread ticks on time — the sample
+  /// deadline bounds every wait, even one mid-frame.
   control::RegionControlLoop& control() { return *loop_; }
   const control::RegionControlLoop& control() const { return *loop_; }
 
@@ -196,8 +198,9 @@ class LocalRegion : private control::RegionPort {
 
  private:
   // control::RegionPort (the control loop's view of this region). All
-  // actuation lands in members the splitter loop reads between sends —
-  // the loop is ticked from that same thread, so no synchronization.
+  // actuation lands in members the splitter loop reads when it picks the
+  // next frame — the loop is ticked from that same thread, so no
+  // synchronization.
   int channels() const override { return config_.workers; }
   std::vector<DurationNs> sample_blocked() override {
     return counters_.sample();
@@ -224,14 +227,10 @@ class LocalRegion : private control::RegionPort {
     return s;
   }
 
-  /// Drains connection k's userspace remainder buffer (re-routing mode).
-  /// Non-blocking mode sends what the kernel accepts; blocking mode
-  /// finishes the whole remainder (blocked time is recorded as usual).
-  void flush_pending(int k, bool blocking);
-
-  /// Quarantines connection j after a broken send: clears its remainder
-  /// (the half-written frame died with the worker), zeroes its weight via
-  /// the policy hook, and arms the reconnect backoff.
+  /// Quarantines connection j once its worker is found gone (a broken
+  /// send, or FIN/RST seen by the wait): requeues its unacked frames for
+  /// replay (at-least-once), zeroes its weight via the policy hook, and
+  /// arms the reconnect backoff.
   void quarantine(int j, TimeNs now, LocalRunStats& stats);
 
   /// One reconnect attempt for quarantined connection j. Succeeds only
@@ -261,7 +260,6 @@ class LocalRegion : private control::RegionPort {
   struct SplitterCounters {
     obs::Counter* sent = nullptr;
     obs::Counter* shed = nullptr;
-    obs::Counter* rerouted = nullptr;
     obs::Counter* failovers = nullptr;
     obs::Counter* channel_failures = nullptr;
     obs::Counter* reconnects = nullptr;
@@ -284,10 +282,8 @@ class LocalRegion : private control::RegionPort {
   std::uint64_t merger_lates_seen_ = 0;
   /// Per-worker service histograms, passed to every (re)spawned PE.
   std::vector<obs::Histogram*> service_hists_;
-  std::vector<std::vector<std::uint8_t>> pending_;
 
   std::vector<net::Fd> to_workers_;
-  std::vector<std::unique_ptr<net::InstrumentedSender>> senders_;
   std::vector<std::unique_ptr<WorkerPe>> workers_;
   std::unique_ptr<MergerPe> merger_;
   std::function<void(const LocalSample&)> sample_hook_;

@@ -102,14 +102,14 @@ void Splitter::set_shed_watermarks(std::uint64_t high, std::uint64_t low) {
 }
 
 void Splitter::shed_backlog() {
-  if (shed_high_ == 0 || source_interval_ <= 0 || input_ != nullptr) return;
-  const std::uint64_t backlog = source_backlog(sim_->now());
-  if (backlog < shed_high_ || backlog <= shed_low_) return;
+  if (source_interval_ <= 0 || input_ != nullptr) return;
   // Drop the oldest backlog tuples — they have already waited longest and
   // in a streaming region stale data is the least valuable. Each one
   // consumes the sequence number it would have carried, so the merger's
   // gap accounting stays exact.
-  const auto dropped = core_.shed(backlog - shed_low_);
+  const auto dropped = core_.shed_backlog(source_backlog(sim_->now()),
+                                          shed_high_, shed_low_);
+  if (dropped.count == 0) return;
   if (metrics_.shed != nullptr) metrics_.shed->inc(dropped.count);
   next_release_ += static_cast<DurationNs>(dropped.count) * source_interval_;
   if (on_shed_) on_shed_(dropped.first, dropped.count);

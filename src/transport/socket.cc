@@ -168,6 +168,14 @@ bool read_exact(int fd, void* buf, std::size_t len) {
   return true;
 }
 
+std::ptrdiff_t send_some(int fd, const void* buf, std::size_t len) {
+  const ssize_t n = ::send(fd, buf, len, MSG_DONTWAIT | MSG_NOSIGNAL);
+  if (n >= 0) return n;
+  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
+  if (errno == EPIPE || errno == ECONNRESET) return kPeerGone;
+  throw_errno("send");
+}
+
 void write_all(int fd, const void* buf, std::size_t len) {
   const auto* p = static_cast<const char*>(buf);
   std::size_t sent = 0;

@@ -8,6 +8,7 @@
 // splitter quickly at benchmark scale.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -89,6 +90,17 @@ void set_recv_buffer(int fd, int bytes);
 /// connection reset) before any byte, throws ConnectionLost on EOF/reset
 /// mid-stream.
 bool read_exact(int fd, void* buf, std::size_t len);
+
+/// send_some's result when the peer is gone (EPIPE/ECONNRESET).
+inline constexpr std::ptrdiff_t kPeerGone = -1;
+
+/// One non-blocking send (never waits, never raises SIGPIPE): returns the
+/// number of bytes the kernel accepted (> 0), 0 when the send would block
+/// (the socket buffer is full), or kPeerGone. Other errors throw. The
+/// caller decides whether and how long to wait for POLLOUT — the runtime's
+/// splitter does so in its one deadline-bounded poll and charges the wait
+/// to the connection's blocking counter (paper Section 3).
+std::ptrdiff_t send_some(int fd, const void* buf, std::size_t len);
 
 /// Writes exactly `len` bytes with plain blocking sends (used by workers,
 /// where blocking time is not measured). Throws ConnectionLost when the

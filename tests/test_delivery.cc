@@ -375,9 +375,10 @@ class AlternateThenOnlyOne : public SplitPolicy {
 
 TEST(RtDelivery, DeathAfterLastTickIsReplayedBeforeShutdown) {
   // Worker 0 dies at the last tick and is never sent to again: only the
-  // end-of-run sweep can find it, and it must do so before the FINs so
-  // the frames that died with it replay onto worker 1. The replay cap is
-  // large enough that no replay-blocked sweep finds the death earlier.
+  // splitter's wait, which watches every live connection for FIN/RST, can
+  // find it, and it must do so before the FINs so the frames that died
+  // with it replay onto worker 1. The replay cap is large enough that the
+  // survivor's replay window never fills.
   rt::LocalRegionConfig cfg = rt_alo(2);
   cfg.work_mode = rt::WorkMode::kTimed;
   cfg.load_events.push_back({0, 0, 4.0});
@@ -399,6 +400,59 @@ TEST(RtDelivery, DeathAfterLastTickIsReplayedBeforeShutdown) {
   const rt::LocalRunStats stats = region.run(millis(140));
 
   ASSERT_TRUE(killed);
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_EQ(stats.gaps, 0u);
+  EXPECT_EQ(stats.emitted, stats.sent);
+  EXPECT_TRUE(stats.order_ok);
+}
+
+/// Sends the first `k` tuples to channel 0 and everything after to 1.
+class FirstKOnZero : public SplitPolicy {
+ public:
+  explicit FirstKOnZero(int k) : left_(k) {}
+  ConnectionId pick_connection() override {
+    if (left_ == 0) return 1;
+    --left_;
+    return 0;
+  }
+  const WeightVector& weights() const override { return weights_; }
+  std::string name() const override { return "first-k-on-0"; }
+
+ private:
+  int left_;
+  WeightVector weights_{kWeightUnits / 2, kWeightUnits / 2};
+};
+
+TEST(RtDelivery, DeathOfAnIdleChannelWakesTheWait) {
+  // Worker 0 gets 20 tuples at 20 ms each, then nothing more is sent to
+  // it, and it is killed at the 100 ms tick with most of them unacked.
+  // No send can discover the death; only the splitter's wait, which
+  // watches every live connection for FIN/RST, can — and it must do so
+  // mid-run, well before the shutdown drain, so the dead channel's
+  // frames replay onto worker 1.
+  rt::LocalRegionConfig cfg = rt_alo(2);
+  cfg.work_mode = rt::WorkMode::kTimed;
+  cfg.load_events.push_back({0, 0, 10'000.0});
+  cfg.sample_period = millis(50);
+  cfg.delivery.replay_buffer_bytes = 64 << 20;
+  rt::LocalRegion region(cfg, std::make_unique<FirstKOnZero>(20));
+  const obs::Counter& failures =
+      region.metrics().counter("splitter.channel_failures");
+  int ticks_since_kill = -1;  // -1: not killed yet
+  std::uint64_t failures_next_tick = 0;
+  region.set_sample_hook([&](const rt::LocalSample& sample) {
+    if (ticks_since_kill < 0) {
+      if (sample.elapsed < millis(100)) return;
+      region.worker(0).kill();
+      ticks_since_kill = 0;
+    } else if (++ticks_since_kill == 1) {
+      failures_next_tick = failures.value();
+    }
+  });
+  const rt::LocalRunStats stats = region.run(millis(300));
+
+  ASSERT_GE(ticks_since_kill, 1);
+  EXPECT_EQ(failures_next_tick, 1u);  // found before the next tick
   EXPECT_GT(stats.retransmits, 0u);
   EXPECT_EQ(stats.gaps, 0u);
   EXPECT_EQ(stats.emitted, stats.sent);
@@ -428,6 +482,25 @@ TEST(RtDelivery, OpenLoopSheddingAnnouncesEveryGap) {
     EXPECT_EQ(stats.late_discards, 0u);
     EXPECT_TRUE(stats.order_ok);
   }
+}
+
+TEST(RtDelivery, ShedWithLowAboveHighKeepsOrder) {
+  // A low watermark above the high one: a backlog between the two must
+  // shed nothing (it used to shed a wrapped-around count that moved the
+  // sequence counter backwards), one above both sheds down to the low.
+  rt::LocalRegionConfig cfg = rt_alo(2);
+  cfg.delivery.mode = DeliveryMode::kGapSkip;
+  cfg.work_mode = rt::WorkMode::kTimed;
+  cfg.multiplies = 100'000;  // 100 us per tuple: 20k tuples/s capacity
+  cfg.source_interval = micros(10);
+  cfg.protection.shed_high_watermark = 32;
+  cfg.protection.shed_low_watermark = 64;
+  rt::LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+  const rt::LocalRunStats stats = region.run(millis(150));
+
+  EXPECT_TRUE(stats.order_ok);
+  EXPECT_EQ(stats.gaps, stats.shed);
+  EXPECT_EQ(stats.emitted + stats.gaps, stats.sent + stats.shed);
 }
 
 }  // namespace

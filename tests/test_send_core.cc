@@ -58,6 +58,25 @@ TEST(SendCore, FreshCommitsAndShedsConsumeSequencesInOrder) {
   EXPECT_EQ(core.next_seq(), 6u);
 }
 
+TEST(SendCore, ShedBacklogDropsDownToTheLowWatermarkOnlyPastBoth) {
+  Core core(1, DeliveryMode::kGapSkip);
+  EXPECT_EQ(core.shed_backlog(100, 0, 0).count, 0u);   // shedding off
+  EXPECT_EQ(core.shed_backlog(63, 64, 32).count, 0u);  // below high
+  const Core::Range dropped = core.shed_backlog(70, 64, 32);
+  EXPECT_EQ(dropped.first, 0u);
+  EXPECT_EQ(dropped.count, 38u);  // down to the low watermark
+  // Equal watermarks (the watchdog halves 3/2 into 1/1): a backlog at
+  // the mark leaves nothing to drop, so no empty gap range is issued.
+  EXPECT_EQ(core.shed_backlog(1, 1, 1).count, 0u);
+  EXPECT_EQ(core.shed_backlog(2, 1, 1).count, 1u);
+  // Low above high: a backlog between them must not underflow.
+  EXPECT_EQ(core.shed_backlog(40, 32, 64).count, 0u);
+  EXPECT_EQ(core.shed_backlog(64, 32, 64).count, 0u);
+  EXPECT_EQ(core.shed_backlog(70, 32, 64).count, 6u);
+  EXPECT_EQ(core.next_seq(), 45u);
+  EXPECT_EQ(core.shed(), 45u);
+}
+
 TEST(SendCore, RouteFailsOverToTheNextLiveChannelInRingOrder) {
   Core core(3, DeliveryMode::kGapSkip);
   EXPECT_EQ(core.route(1), 1);
@@ -172,6 +191,24 @@ TEST(SendCore, RetransmitCommitRemovesItsOwnSequenceAfterAQuarantine) {
   ASSERT_NE(core.next_replay(), nullptr);
   EXPECT_EQ(core.next_replay()->seq, 0u);
   EXPECT_EQ(core.unacked(), 3u);  // 0 pending, 1 and 2 buffered on 1
+}
+
+TEST(SendCore, RetransmitCommitAfterItsSequenceWasAckedBuffersNothing) {
+  // The runtime writes a replayed frame across several waits and reads
+  // acks in between: an ack may release the sequence (and drop it from
+  // the pending queue) before the last byte is written. The commit still
+  // counts the retransmit but buffers nothing no ack would ever trim.
+  Core core(2, DeliveryMode::kAtLeastOnce);
+  for (int i = 0; i < 2; ++i) send_fresh(core, 0);
+  core.quarantine(0);  // 0 and 1 pending
+  const std::uint64_t in_hand = core.next_replay()->seq;
+  EXPECT_TRUE(core.on_ack(1));  // 0 released meanwhile
+  core.commit(1, in_hand, 1, in_hand, /*retransmit=*/true);
+  EXPECT_EQ(core.retransmits(), 1u);
+  ASSERT_NE(core.next_replay(), nullptr);
+  EXPECT_EQ(core.next_replay()->seq, 1u);
+  EXPECT_EQ(core.unacked(), 1u);  // only 1, still pending
+  EXPECT_EQ(core.replay_bytes(), 0u);
 }
 
 // --- 2. exhaustive model check ---------------------------------------

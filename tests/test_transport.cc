@@ -1,13 +1,14 @@
 // Tests for the real transport layer: framing, sockets, and the
-// blocking-instrumented sender (the paper's MSG_DONTWAIT mechanism).
+// non-blocking send the splitter builds the paper's elect-to-block
+// measurement on (MSG_DONTWAIT, then a timed wait for POLLOUT).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <thread>
 
-#include "core/blocking_counter.h"
 #include "transport/framing.h"
-#include "transport/instrumented_sender.h"
 #include "transport/socket.h"
+#include "util/time.h"
 
 namespace slb::net {
 namespace {
@@ -155,79 +156,66 @@ TEST(Socket, OptionsApplyWithoutError) {
   EXPECT_NO_THROW(set_recv_buffer(client.get(), 8192));
 }
 
-// -------------------------------------------- instrumented blocking send --
+// ------------------------------------------------- non-blocking send --
 
-TEST(InstrumentedSender, NoBlockingWhenReceiverKeepsUp) {
+TEST(Socket, SendSomeAcceptsEverythingWhileReaderKeepsUp) {
   Listener listener;
   Fd client = connect_loopback(listener.port());
   Fd server = listener.accept_one();
 
-  BlockingCounter counter;
-  InstrumentedSender sender(client.get(), &counter);
-
+  constexpr std::size_t kTotal = 100 * 1024;
   std::thread reader([&] {
     std::vector<std::uint8_t> buf(64 * 1024);
     std::size_t total = 0;
-    while (total < 1024 * 100) {
+    while (total < kTotal) {
       const ssize_t n = ::read(server.get(), buf.data(), buf.size());
       if (n <= 0) break;
       total += static_cast<std::size_t>(n);
     }
   });
+  // 100 KiB fits the default loopback buffers: every call takes its whole
+  // chunk, none would block.
   std::vector<std::uint8_t> chunk(1024, 0x55);
-  for (int i = 0; i < 100; ++i) sender.send_all(chunk.data(), chunk.size());
-  reader.join();
-  EXPECT_EQ(sender.block_events(), 0u);
-  EXPECT_EQ(counter.cumulative(), 0);
-}
-
-TEST(InstrumentedSender, RecordsBlockingWhenReceiverStalls) {
-  Listener listener;
-  Fd client = connect_loopback(listener.port());
-  Fd server = listener.accept_one();
-  set_send_buffer(client.get(), 4 * 1024);
-  set_recv_buffer(server.get(), 4 * 1024);
-
-  BlockingCounter counter;
-  InstrumentedSender sender(client.get(), &counter);
-
-  // Reader sleeps first: the sender must fill the (small) kernel buffers
-  // and then measurably block.
-  std::thread reader([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    std::vector<std::uint8_t> buf(64 * 1024);
-    std::size_t total = 0;
-    while (total < 512 * 1024) {
-      const ssize_t n = ::read(server.get(), buf.data(), buf.size());
-      if (n <= 0) break;
-      total += static_cast<std::size_t>(n);
-    }
-  });
-  std::vector<std::uint8_t> chunk(4096, 0x77);
-  for (int i = 0; i < 128; ++i) sender.send_all(chunk.data(), chunk.size());
-  reader.join();
-  EXPECT_GT(sender.block_events(), 0u);
-  EXPECT_GT(counter.cumulative(), millis(20));
-}
-
-TEST(InstrumentedSender, TrySendReturnsZeroWhenFull) {
-  Listener listener;
-  Fd client = connect_loopback(listener.port());
-  Fd server = listener.accept_one();
-  set_send_buffer(client.get(), 4 * 1024);
-  set_recv_buffer(server.get(), 4 * 1024);
-
-  BlockingCounter counter;
-  InstrumentedSender sender(client.get(), &counter);
-  std::vector<std::uint8_t> chunk(4096, 0x33);
-  // Nothing reads: eventually try_send must return 0 (EAGAIN).
-  bool saw_zero = false;
-  for (int i = 0; i < 1000 && !saw_zero; ++i) {
-    saw_zero = sender.try_send(chunk.data(), chunk.size()) == 0;
+  for (std::size_t sent = 0; sent < kTotal; sent += chunk.size()) {
+    EXPECT_EQ(send_some(client.get(), chunk.data(), chunk.size()),
+              static_cast<std::ptrdiff_t>(chunk.size()));
   }
-  EXPECT_TRUE(saw_zero);
-  EXPECT_EQ(counter.cumulative(), 0);  // try_send never blocks
-  (void)server;
+  reader.join();
+}
+
+TEST(Socket, SendSomeReportsWouldBlockWithoutWaitingWhenReaderStalls) {
+  Listener listener;
+  Fd client = connect_loopback(listener.port());
+  Fd server = listener.accept_one();
+  set_send_buffer(client.get(), 4 * 1024);
+  set_recv_buffer(server.get(), 4 * 1024);
+
+  // Nothing reads: the small buffers fill, then a send takes nothing.
+  std::vector<std::uint8_t> chunk(4096, 0x33);
+  std::ptrdiff_t put = 1;
+  for (int i = 0; i < 1000 && put > 0; ++i) {
+    put = send_some(client.get(), chunk.data(), chunk.size());
+  }
+  ASSERT_EQ(put, 0);
+  const TimeNs t0 = monotonic_now();
+  EXPECT_EQ(send_some(client.get(), chunk.data(), chunk.size()), 0);
+  EXPECT_LT(monotonic_now() - t0, millis(5));  // never waits
+}
+
+TEST(Socket, SendSomeReportsPeerGoneAfterClose) {
+  Listener listener;
+  Fd client = connect_loopback(listener.port());
+  Fd server = listener.accept_one();
+  server.reset();
+
+  // The first send after the close draws an RST; a later one sees it.
+  std::vector<std::uint8_t> chunk(64, 0x11);
+  std::ptrdiff_t put = 0;
+  const TimeNs deadline = monotonic_now() + seconds(2);
+  while (put != kPeerGone && monotonic_now() < deadline) {
+    put = send_some(client.get(), chunk.data(), chunk.size());
+  }
+  EXPECT_EQ(put, kPeerGone);
 }
 
 }  // namespace
