@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace slb::control {
 
@@ -45,5 +46,16 @@ struct ProtectionConfig {
   double watchdog_block_budget = 0.9;
   int watchdog_periods = 8;
 };
+
+/// Throws std::invalid_argument unless `min_throttle` is in (0, 1]. A
+/// zero floor would make the throttled source's pacing divide by zero,
+/// and one above 1 inverts the throttle's clamp. Every substrate calls
+/// this before it builds anything.
+inline void validate(const ProtectionConfig& config) {
+  if (!(config.min_throttle > 0.0 && config.min_throttle <= 1.0)) {
+    throw std::invalid_argument(
+        "ProtectionConfig::min_throttle must be in (0, 1]");
+  }
+}
 
 }  // namespace slb::control

@@ -5,22 +5,17 @@
 
 namespace slb::control {
 
-RegionControlLoop::RegionControlLoop(RegionPort* port, SplitPolicy* policy,
+RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
                                      ControlLoopConfig config)
-    : port_(port),
-      policy_(policy),
+    : policy_(policy),
       config_(config),
-      channels_(port->channels()),
-      prev_cumulative_(static_cast<std::size_t>(port->channels()), 0),
-      down_(static_cast<std::size_t>(port->channels()), 0),
-      shed_high_(config.protection.shed_high_watermark),
-      shed_low_(config.protection.shed_low_watermark) {
-  assert(port_ != nullptr);
+      prev_cumulative_(static_cast<std::size_t>(channels), 0),
+      down_(static_cast<std::size_t>(channels), 0) {
   assert(policy_ != nullptr);
-  assert(channels_ > 0);
-  actions_.block_rates.assign(static_cast<std::size_t>(channels_), 0.0);
-  actions_.shed_high = shed_high_;
-  actions_.shed_low = shed_low_;
+  assert(channels > 0);
+  actions_.block_rates.assign(static_cast<std::size_t>(channels), 0.0);
+  actions_.shed_high = config.protection.shed_high_watermark;
+  actions_.shed_low = config.protection.shed_low_watermark;
 }
 
 void RegionControlLoop::set_journal(obs::DecisionJournal* journal) {
@@ -35,27 +30,9 @@ void RegionControlLoop::attach_metrics(obs::MetricsRegistry& registry,
   watchdog_gauge_ = &registry.gauge(prefix + "watchdog_stage");
 }
 
-const ControlActions& RegionControlLoop::tick(TimeNs now, DurationNs span) {
-  const std::vector<DurationNs> cumulative = port_->sample_blocked();
-  const std::vector<std::uint64_t> delivered = port_->sample_delivered();
-  tick_with(now, span, cumulative, delivered);
-  // The ack-stall rung lives here, not in tick_with: externally-fed
-  // traces (parity/replay tests) carry no delivery state to sample, and
-  // their journals must not change shape.
-  if (config_.ack_stall_periods > 0) check_ack_stall(now);
-  return actions_;
-}
-
-void RegionControlLoop::check_ack_stall(TimeNs now) {
-  const DeliverySample d = port_->sample_delivery_state();
-  if (!d.enabled) return;
-  bool any_up = false;
-  for (const char down : down_) {
-    if (down == 0) {
-      any_up = true;
-      break;
-    }
-  }
+void RegionControlLoop::check_ack_stall(TimeNs now,
+                                        const DeliverySample& d) {
+  const bool any_up = std::find(down_.begin(), down_.end(), 0) != down_.end();
   // A stall with every channel quarantined is expected (nothing can
   // deliver, let alone ack); the reconnect machinery owns that case.
   const bool stalled = d.unacked > 0 && d.cum_ack == prev_cum_ack_ && any_up;
@@ -90,11 +67,12 @@ void RegionControlLoop::note_replay(TimeNs now, int j, std::uint64_t tuples,
   journal_->append(line.finish());
 }
 
-const ControlActions& RegionControlLoop::tick_with(
+const ControlActions& RegionControlLoop::tick(
     TimeNs now, DurationNs span,
     std::span<const DurationNs> cumulative_blocked,
-    std::span<const std::uint64_t> delivered) {
-  assert(static_cast<int>(cumulative_blocked.size()) == channels_);
+    std::span<const std::uint64_t> delivered,
+    const DeliverySample& delivery) {
+  assert(cumulative_blocked.size() == prev_cumulative_.size());
   const ProtectionConfig& prot = config_.protection;
 
   // 1. Ingest: per-period blocking rates from the cumulative counters.
@@ -121,7 +99,6 @@ const ControlActions& RegionControlLoop::tick_with(
   const SplitPolicy::OverloadState overload = policy_->overload_state();
   actions_.overloaded = overload.overloaded;
   actions_.capacity_deficit = overload.capacity_deficit;
-  actions_.throttle_set = false;
   if (prot.admission_control && config_.closed_loop_source) {
     double factor = 1.0;
     if (overload.overloaded) {
@@ -130,15 +107,12 @@ const ControlActions& RegionControlLoop::tick_with(
     }
     if (stage_ >= 1) factor = prot.min_throttle;
     actions_.throttle = factor;
-    actions_.throttle_set = true;
-    port_->apply_throttle(factor);
     if (throttle_gauge_ != nullptr) {
       throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
     }
   }
 
   // 4. Watchdog ladder.
-  actions_.watermarks_changed = false;
   if (prot.watchdog) {
     if (aggregate >= prot.watchdog_block_budget) {
       calm_streak_ = 0;
@@ -157,11 +131,9 @@ const ControlActions& RegionControlLoop::tick_with(
 
   actions_.watchdog_stage = stage_;
   actions_.safe_mode = policy_->safe_mode();
-  actions_.shed_high = shed_high_;
-  actions_.shed_low = shed_low_;
   actions_.weights = policy_->weights();
 
-  if (journal_ != nullptr && config_.journal_ticks) {
+  if (journal_ != nullptr && journal_ticks_) {
     obs::JsonLine line;
     line.str("ev", "control")
         .num("t", static_cast<std::int64_t>(now))
@@ -169,23 +141,30 @@ const ControlActions& RegionControlLoop::tick_with(
         .real("agg", aggregate)
         .real("throttle", actions_.throttle)
         .num("stage", static_cast<std::int64_t>(stage_))
-        .num("shed_hi", shed_high_)
-        .num("shed_lo", shed_low_)
+        .num("shed_hi", actions_.shed_high)
+        .num("shed_lo", actions_.shed_low)
         .boolean("safe", actions_.safe_mode)
         .ints("w", actions_.weights);
     journal_->append(line.finish());
+  }
+
+  // 5. Ack-stall rung, after the control line, so a stall escalates the
+  // stage without changing this tick's line. Ticks that carry no
+  // delivery state (the parity and replay traces) skip it.
+  if (config_.ack_stall_periods > 0 && delivery.enabled) {
+    check_ack_stall(now, delivery);
   }
   return actions_;
 }
 
 void RegionControlLoop::mark_channel_down(int j) {
-  assert(j >= 0 && j < channels_);
+  assert(j >= 0 && j < static_cast<int>(down_.size()));
   down_[static_cast<std::size_t>(j)] = 1;
   policy_->on_channel_down(j);
 }
 
 void RegionControlLoop::mark_channel_up(int j) {
-  assert(j >= 0 && j < channels_);
+  assert(j >= 0 && j < static_cast<int>(down_.size()));
   down_[static_cast<std::size_t>(j)] = 0;
   policy_->on_channel_up(j);
 }
@@ -202,10 +181,9 @@ void RegionControlLoop::watchdog_escalate(TimeNs now, double aggregate) {
       break;
     case 2:
       if (prot.shed_high_watermark > 0) {
-        shed_high_ = std::max<std::uint64_t>(1, prot.shed_high_watermark / 2);
-        shed_low_ = prot.shed_low_watermark / 2;
-        port_->apply_shed_watermarks(shed_high_, shed_low_);
-        actions_.watermarks_changed = true;
+        actions_.shed_high =
+            std::max<std::uint64_t>(1, prot.shed_high_watermark / 2);
+        actions_.shed_low = prot.shed_low_watermark / 2;
       }
       break;
     case 3:
@@ -224,15 +202,9 @@ void RegionControlLoop::watchdog_escalate(TimeNs now, double aggregate) {
 
 void RegionControlLoop::watchdog_unwind(TimeNs now, double aggregate) {
   policy_->exit_safe_mode();
-  const ProtectionConfig& prot = config_.protection;
-  if (prot.shed_high_watermark > 0) {
-    shed_high_ = prot.shed_high_watermark;
-    shed_low_ = prot.shed_low_watermark;
-    port_->apply_shed_watermarks(shed_high_, shed_low_);
-    actions_.watermarks_changed = true;
-  }
+  actions_.shed_high = config_.protection.shed_high_watermark;
+  actions_.shed_low = config_.protection.shed_low_watermark;
   actions_.throttle = 1.0;
-  port_->apply_throttle(1.0);
   stage_ = 0;
   if (watchdog_gauge_ != nullptr) watchdog_gauge_->set(0);
   if (journal_ != nullptr) {

@@ -10,15 +10,18 @@
 //     -> admission throttle computation
 //     -> watchdog escalation ladder (throttle -> tighten shedding ->
 //        safe mode, with calm unwind)
-//     -> ControlActions pushed through the RegionPort
+//     -> ControlActions returned to the caller
 //
-// The substrates are thin adapters: sim::Region (which also builds every
-// flow::Pipeline parallel stage) and rt::LocalRegion sample their
-// counters on their own clock, call tick(), and actuate whatever comes
-// back through their RegionPort. Behavior parity across substrates is a
-// tested invariant (tests/test_control_parity.cc feeds identical traces
-// to the sim, flow-stage and runtime loops and requires byte-identical
-// decision journals).
+// The decision is a function of the sample: substrates pass this
+// period's counters into tick() and apply the returned actions
+// themselves. sim::Region (which also builds every flow::Pipeline
+// parallel stage) sets its splitter's throttle and watermarks from
+// them, rt::LocalRegion's splitter loop reads last_actions(), and
+// flow::Pipeline aggregates its stages' actions onto its one source.
+// Behavior parity across substrates is a tested invariant
+// (tests/test_control_parity.cc feeds identical traces to the sim,
+// flow-stage and runtime loops and requires byte-identical decision
+// journals).
 #pragma once
 
 #include <cstdint>
@@ -27,13 +30,54 @@
 #include <vector>
 
 #include "control/protection.h"
-#include "control/region_port.h"
 #include "core/policies.h"
+#include "core/types.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "util/time.h"
 
 namespace slb::control {
+
+/// Snapshot of a region's at-least-once delivery state (DESIGN.md §10),
+/// sampled once per period for the ack-stall watchdog rung. Substrates
+/// without delivery semantics pass the default ({enabled = false}).
+struct DeliverySample {
+  bool enabled = false;
+  /// Highest contiguously released sequence acked back to the splitter.
+  std::uint64_t cum_ack = 0;
+  /// Tuples currently held for replay (buffered + pending re-send).
+  std::uint64_t unacked = 0;
+};
+
+/// Everything the control loop decided in one period, returned from
+/// RegionControlLoop::tick for the substrate to apply.
+struct ControlActions {
+  /// Admission throttle factor for the source, in [min_throttle, 1].
+  /// Stays 1.0 unless admission control runs on a closed-loop source.
+  double throttle = 1.0;
+
+  /// Effective shed watermarks after any watchdog tightening
+  /// (`shed_high == 0` disables shedding).
+  std::uint64_t shed_high = 0;
+  std::uint64_t shed_low = 0;
+
+  /// Watchdog escalation stage (0 = normal .. 3 = safe-mode WRR) and the
+  /// policy's resulting safe-mode flag.
+  int watchdog_stage = 0;
+  bool safe_mode = false;
+
+  /// The policy's declared saturation state this period.
+  bool overloaded = false;
+  double capacity_deficit = 0.0;
+
+  /// Per-connection blocking rates over the period (fraction of the
+  /// period the splitter spent blocked on each connection) and their sum.
+  std::vector<double> block_rates;
+  double aggregate_block = 0.0;
+
+  /// The allocation weights in force after this period's update.
+  WeightVector weights;
+};
 
 struct ControlLoopConfig {
   ProtectionConfig protection;
@@ -44,26 +88,20 @@ struct ControlLoopConfig {
   /// and runtime regions.
   bool closed_loop_source = true;
 
-  /// When a journal is attached, also emit one "control" line per tick
-  /// (rates, throttle, stage, watermarks, weights) in addition to the
-  /// watchdog transition lines. Off by default so the committed golden
-  /// journal (tests/golden/decision_journal.jsonl) keeps its shape.
-  bool journal_ticks = false;
-
   /// Ack-stall watchdog rung (at-least-once delivery, DESIGN.md §10):
-  /// escalate after this many consecutive tick() periods during which
-  /// the region reports unacked tuples, no cumulative-ack progress, and
-  /// at least one unquarantined channel. The check samples the port in
-  /// tick() only — tick_with() traces (the parity/replay seam) carry no
-  /// delivery state, so their journals are unaffected. 0 disables.
+  /// escalate after this many consecutive ticks whose DeliverySample is
+  /// enabled and shows unacked tuples, no cumulative-ack progress, and
+  /// at least one unquarantined channel. Ticks that pass the disabled
+  /// default (the parity/replay traces) never arm it. 0 disables.
   int ack_stall_periods = 0;
 };
 
 class RegionControlLoop {
  public:
-  /// `port` and `policy` must outlive the loop. The loop never owns
-  /// substrate state; it holds only the decision machinery.
-  RegionControlLoop(RegionPort* port, SplitPolicy* policy,
+  /// Drives `policy` (which must outlive the loop) for a region of
+  /// `channels` connections. The loop never owns substrate state; it
+  /// holds only the decision machinery.
+  RegionControlLoop(int channels, SplitPolicy* policy,
                     ControlLoopConfig config);
 
   /// Attaches a decision journal to the loop's own lines (watchdog
@@ -72,8 +110,11 @@ class RegionControlLoop {
   /// Pass nullptr to detach. Not owned.
   void set_journal(obs::DecisionJournal* journal);
 
-  /// Toggles per-tick control lines (see ControlLoopConfig::journal_ticks).
-  void set_journal_ticks(bool on) { config_.journal_ticks = on; }
+  /// When a journal is attached, also emit one "control" line per tick
+  /// (rates, throttle, stage, watermarks, weights) in addition to the
+  /// watchdog transition lines. Off by default so the committed golden
+  /// journal (tests/golden/decision_journal.jsonl) keeps its shape.
+  void set_journal_ticks(bool on) { journal_ticks_ = on; }
 
   /// Registers the loop's gauges under `prefix` (e.g. "region." ->
   /// "region.throttle_m", "region.watchdog_stage") and keeps them
@@ -82,29 +123,26 @@ class RegionControlLoop {
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix);
 
-  /// Runs one control period at time `now`, sampling observations
-  /// through the port. `span` is the actual elapsed time since the
+  /// Runs one control period at time `now` on this period's sample:
+  /// the cumulative blocked time (ns) per connection since the region
+  /// started (the paper's blocking counters; the loop differences them),
+  /// the cumulative tuples delivered per connection (empty when the
+  /// substrate cannot attribute deliveries, which skips the policy's
+  /// throughput feedback), and the at-least-once delivery state for the
+  /// ack-stall rung. `span` is the actual elapsed time since the
   /// previous tick (substrates that overshoot their sample period pass
-  /// the real span so rates stay normalized). Actions are applied
-  /// through the port before the call returns.
-  const ControlActions& tick(TimeNs now, DurationNs span);
-
-  /// tick() with externally supplied observations — the seam the parity
-  /// and replay tests drive: identical traces into identical loops must
-  /// produce byte-identical journals regardless of substrate.
-  const ControlActions& tick_with(
-      TimeNs now, DurationNs span,
-      std::span<const DurationNs> cumulative_blocked,
-      std::span<const std::uint64_t> delivered);
+  /// the real span so rates stay normalized). The caller applies the
+  /// returned actions.
+  const ControlActions& tick(TimeNs now, DurationNs span,
+                             std::span<const DurationNs> cumulative_blocked,
+                             std::span<const std::uint64_t> delivered,
+                             const DeliverySample& delivery = {});
 
   /// Failure routing: substrates report connection state changes here
   /// (not straight to the policy) so quarantine/readmit decisions pass
   /// through the one control seam.
   void mark_channel_down(int j);
   void mark_channel_up(int j);
-  bool channel_down(int j) const {
-    return down_[static_cast<std::size_t>(j)] != 0;
-  }
 
   /// Journals a crash-replay event (at-least-once delivery): `tuples`
   /// unacked tuples totalling `bytes` moved from channel `j`'s replay
@@ -126,24 +164,20 @@ class RegionControlLoop {
  private:
   void watchdog_escalate(TimeNs now, double aggregate);
   void watchdog_unwind(TimeNs now, double aggregate);
-  void check_ack_stall(TimeNs now);
+  void check_ack_stall(TimeNs now, const DeliverySample& delivery);
 
-  RegionPort* port_;
   SplitPolicy* policy_;
   ControlLoopConfig config_;
-  int channels_;
+  bool journal_ticks_ = false;
 
   std::vector<DurationNs> prev_cumulative_;
   /// Connections currently reported down by the substrate.
   std::vector<char> down_;
-  /// Effective (possibly watchdog-halved) shed watermarks.
-  std::uint64_t shed_high_;
-  std::uint64_t shed_low_;
   int stage_ = 0;
   int hot_streak_ = 0;
   int calm_streak_ = 0;
 
-  /// Ack-stall rung state (tick()-sampled only; see ack_stall_periods).
+  /// Ack-stall rung state (see ack_stall_periods).
   std::uint64_t prev_cum_ack_ = 0;
   int ack_stall_streak_ = 0;
   std::uint64_t ack_stalls_ = 0;

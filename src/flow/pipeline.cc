@@ -5,7 +5,9 @@
 
 namespace slb::flow {
 
-PipelineBuilder::PipelineBuilder(PipelineConfig config) : config_(config) {}
+PipelineBuilder::PipelineBuilder(PipelineConfig config) : config_(config) {
+  control::validate(config_.protection);
+}
 
 PipelineBuilder& PipelineBuilder::op(std::string name, DurationNs cost,
                                      sim::LoadProfile load) {
@@ -146,8 +148,6 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
     // source-side shed is invisible to downstream ordering.
     pipeline->source_->set_shed_watermarks(prot.shed_high_watermark,
                                            prot.shed_low_watermark);
-    pipeline->applied_shed_high_ = prot.shed_high_watermark;
-    pipeline->applied_shed_low_ = prot.shed_low_watermark;
   }
   return pipeline;
 }
@@ -170,35 +170,23 @@ void Pipeline::sample_tick() {
   // capacity deficit, floored at min_throttle, since clamp is monotone),
   // and the shed watermarks are the tightest any stage's watchdog demands.
   double factor = 1.0;
-  bool throttled = false;
   std::uint64_t shed_high = config_.protection.shed_high_watermark;
   std::uint64_t shed_low = config_.protection.shed_low_watermark;
   for (auto& stage : stages_) {
     if (stage->region == nullptr) continue;
     const control::ControlActions& acts =
         stage->region->control().last_actions();
-    if (acts.throttle_set) {
-      throttled = true;
-      factor = std::min(factor, acts.throttle);
-    }
-    if (config_.protection.shed_high_watermark > 0 && acts.shed_high < shed_high) {
+    factor = std::min(factor, acts.throttle);
+    if (acts.shed_high < shed_high) {
       shed_high = acts.shed_high;
       shed_low = acts.shed_low;
     }
   }
-  if (throttled) {
-    source_throttle_ = factor;
-    source_->set_throttle(factor);
-    if (throttle_gauge_ != nullptr) {
-      throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
-    }
+  source_->set_throttle(factor);
+  if (throttle_gauge_ != nullptr) {
+    throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
   }
-  if (config_.protection.shed_high_watermark > 0 &&
-      (shed_high != applied_shed_high_ || shed_low != applied_shed_low_)) {
-    applied_shed_high_ = shed_high;
-    applied_shed_low_ = shed_low;
-    source_->set_shed_watermarks(shed_high, shed_low);
-  }
+  source_->set_shed_watermarks(shed_high, shed_low);
   sim_.schedule_after(config_.sample_period, [this] { sample_tick(); });
 }
 

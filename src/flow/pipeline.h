@@ -69,6 +69,8 @@ class Pipeline;
 
 class PipelineBuilder {
  public:
+  /// Throws std::invalid_argument for an invalid `config.protection`
+  /// (control::validate).
   explicit PipelineBuilder(PipelineConfig config = {});
 
   /// Appends a single-PE operator with the given per-tuple cost.
@@ -148,7 +150,7 @@ class Pipeline {
   const RunningStats& latency() const { return latency_; }
 
   /// Current admission-control factor on the source (1.0 = unthrottled).
-  double source_throttle() const { return source_throttle_; }
+  double source_throttle() const { return source_->throttle(); }
 
   /// Tuples shed at the source so far. Each consumed a source sequence
   /// number, but stage splitters restamp forwarded tuples with their own
@@ -202,11 +204,6 @@ class Pipeline {
   bool seen_any_ = false;
   bool order_ok_ = true;
   bool started_ = false;
-  double source_throttle_ = 1.0;
-  /// Shed watermarks currently applied to the source (0 when shedding is
-  /// off); re-applied only when the per-stage aggregate changes.
-  std::uint64_t applied_shed_high_ = 0;
-  std::uint64_t applied_shed_low_ = 0;
 };
 
 }  // namespace slb::flow

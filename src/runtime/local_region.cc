@@ -40,6 +40,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
       counters_(static_cast<std::size_t>(config.workers)),
       core_(config.workers, config.delivery.mode,
             config.delivery.replay_buffer_bytes) {
+  control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   if (policy_->reroute_on_block()) {
@@ -126,8 +127,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   backoff_.assign(n, 0);
   load_mult_.assign(n, 1.0);
 
-  shed_high_ = config_.protection.shed_high_watermark;
-  shed_low_ = config_.protection.shed_low_watermark;
   control::ControlLoopConfig loop_cfg;
   loop_cfg.protection = config_.protection;
   loop_cfg.closed_loop_source = config_.source_interval == 0;
@@ -135,7 +134,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
     loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
   }
   loop_ = std::make_unique<control::RegionControlLoop>(
-      static_cast<control::RegionPort*>(this), policy_.get(), loop_cfg);
+      config_.workers, policy_.get(), loop_cfg);
   if (config_.metrics) loop_->attach_metrics(metrics_, "region.");
 }
 
@@ -318,9 +317,11 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   };
 
   // Sequences come from the delivery core; shed tuples consume them
-  // without being sent. The protection decisions themselves (throttle_,
+  // without being sent. The protection decisions themselves (throttle,
   // shed watermarks, watchdog ladder) come out of the shared control
-  // loop, ticked once per sample period below.
+  // loop, ticked once per sample period below; `actions` always holds
+  // its latest decision.
+  const control::ControlActions& actions = loop_->last_actions();
   TimeNs next_release = start;  // open-loop release clock
   TimeNs throttle_until = 0;    // admission control: no fresh send before
   double throttle_debt = 0.0;   // accumulated ns not yet paid out
@@ -450,26 +451,28 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // No wait outlasts next_sample, but a slow pass can still run past
       // it; normalize by the *actual* elapsed span. The whole decision
       // pipeline — observation ingest, policy update, admission throttle,
-      // watchdog ladder — runs in the shared control loop, which samples
-      // and actuates through this region's RegionPort.
+      // watchdog ladder — runs in the shared control loop on this
+      // period's sample. The merger PE keeps no per-connection delivered
+      // counts, so the policy's (no-op) throughput ingest is skipped.
       const DurationNs span = config_.sample_period + (now - next_sample);
       if (alo && replay_bytes_g_ != nullptr) {
         replay_bytes_g_->set(static_cast<std::int64_t>(core_.replay_bytes()));
         ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
       }
-      const control::ControlActions& acts = loop_->tick(now - start, span);
+      loop_->tick(now - start, span, counters_.sample(), {},
+                  {alo, core_.acked(), core_.unacked()});
 
       sync_merger_metrics();
 
       if (sample_hook_) {
         LocalSample sample;
         sample.elapsed = now - start;
-        sample.weights = acts.weights;
-        sample.block_rates = acts.block_rates;
+        sample.weights = actions.weights;
+        sample.block_rates = actions.block_rates;
         sample.emitted = merger_->emitted();
         sample.shed_in_period = core_.shed() - prev_shed;
-        sample.overloaded = acts.overloaded;
-        sample.watchdog_stage = acts.watchdog_stage;
+        sample.overloaded = actions.overloaded;
+        sample.watchdog_stage = actions.watchdog_stage;
         sample_hook_(sample);
       }
       prev_shed = core_.shed();
@@ -493,7 +496,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         const auto dropped = core_.shed_backlog(
             static_cast<std::uint64_t>((now - next_release) /
                                        config_.source_interval),
-            shed_high_, shed_low_);
+            actions.shed_high, actions.shed_low);
         if (dropped.count > 0) {
           gap_queue.emplace_back(dropped.first, dropped.count);
           if (mc_.shed != nullptr) mc_.shed->inc(dropped.count);
@@ -589,12 +592,13 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     if (mc_.sent != nullptr) mc_.sent->inc();
     if (config_.source_interval > 0) {
       next_release += config_.source_interval;
-    } else if (throttle_ < 1.0) {
+    } else if (actions.throttle < 1.0) {
       // Admission control: pay out the complement of the throttle factor
       // as idle time, batched so sub-100µs debts still take effect.
       const TimeNs after = monotonic_now();
       throttle_debt +=
-          (1.0 / throttle_ - 1.0) * static_cast<double>(after - out.since);
+          (1.0 / actions.throttle - 1.0) *
+          static_cast<double>(after - out.since);
       if (throttle_debt >= 100000.0) {
         throttle_until = after + static_cast<DurationNs>(throttle_debt);
         throttle_debt = 0.0;

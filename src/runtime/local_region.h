@@ -17,7 +17,6 @@
 
 #include "control/protection.h"
 #include "control/region_control.h"
-#include "control/region_port.h"
 #include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
@@ -154,9 +153,10 @@ struct LocalSample {
   int watchdog_stage = 0;
 };
 
-class LocalRegion : private control::RegionPort {
+class LocalRegion {
  public:
-  /// Throws std::invalid_argument for a policy that re-routes on block
+  /// Throws std::invalid_argument, before any socket or thread exists,
+  /// for an invalid ProtectionConfig or a policy that re-routes on block
   /// (Section 4.4): the simulator reproduces that baseline, and this
   /// splitter always blocks on the connection it picked.
   LocalRegion(LocalRegionConfig config, std::unique_ptr<SplitPolicy> policy);
@@ -197,36 +197,6 @@ class LocalRegion : private control::RegionPort {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  // control::RegionPort (the control loop's view of this region). All
-  // actuation lands in members the splitter loop reads when it picks the
-  // next frame — the loop is ticked from that same thread, so no
-  // synchronization.
-  int channels() const override { return config_.workers; }
-  std::vector<DurationNs> sample_blocked() override {
-    return counters_.sample();
-  }
-  /// MergerPe keeps no per-connection emitted counts, so the loop skips
-  /// the policy's (no-op) throughput ingest — exactly as before.
-  std::vector<std::uint64_t> sample_delivered() override { return {}; }
-  void apply_throttle(double factor) override { throttle_ = factor; }
-  void apply_shed_watermarks(std::uint64_t high,
-                             std::uint64_t low) override {
-    shed_high_ = high;
-    shed_low_ = low;
-  }
-  /// At-least-once: the control loop's ack-stall watchdog rung samples
-  /// the splitter-side view of the ack stream. Splitter-thread state,
-  /// read from the tick on that same thread.
-  control::DeliverySample sample_delivery_state() override {
-    control::DeliverySample s;
-    s.enabled = core_.at_least_once();
-    if (s.enabled) {
-      s.cum_ack = core_.acked();
-      s.unacked = core_.unacked();
-    }
-    return s;
-  }
-
   /// Quarantines connection j once its worker is found gone (a broken
   /// send, or FIN/RST seen by the wait): requeues its unacked frames for
   /// replay (at-least-once), zeroes its weight via the policy hook, and
@@ -295,15 +265,10 @@ class LocalRegion : private control::RegionPort {
   std::vector<double> load_mult_;
   std::uint64_t jitter_state_ = 0x9E3779B97F4A7C15ull;
 
-  /// The shared decision pipeline (DESIGN.md §9); this region is its
-  /// RegionPort. Constructed last so it can capture the wired policy.
+  /// The shared decision pipeline (DESIGN.md §9), ticked from the
+  /// splitter thread; run() reads its last_actions() there, so no
+  /// synchronization.
   std::unique_ptr<control::RegionControlLoop> loop_;
-
-  // Actuator state written by the RegionPort overrides (from the loop)
-  // and read by the splitter loop in run().
-  double throttle_ = 1.0;
-  std::uint64_t shed_high_ = 0;
-  std::uint64_t shed_low_ = 0;
 
   /// Splitter-side end of the merger's ack connection (at-least-once).
   net::Fd ack_in_;

@@ -17,6 +17,7 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
                                          : nullptr),
       sim_(external_sim == nullptr ? owned_sim_.get() : external_sim),
       counters_(static_cast<std::size_t>(config.workers)) {
+  control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   if (load_.workers() == 0) load_ = LoadProfile(config_.workers);
@@ -94,7 +95,7 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   loop_cfg.closed_loop_source = config_.source_interval == 0;
   if (alo()) loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
   loop_ = std::make_unique<control::RegionControlLoop>(
-      static_cast<control::RegionPort*>(this), policy_.get(), loop_cfg);
+      config_.workers, policy_.get(), loop_cfg);
 
   if (config_.metrics) {
     SplitterMetrics sm;
@@ -210,45 +211,22 @@ void Region::sample_tick() {
 
   // The whole decision pipeline — observation ingest, policy update,
   // admission throttle, watchdog ladder — runs in the shared control
-  // loop, which samples and actuates through this region's RegionPort.
-  loop_->tick(sim_->now(), config_.sample_period);
-
-  if (sample_hook_) sample_hook_(*this);
-
-  sim_->schedule_after(config_.sample_period, [this] { sample_tick(); });
-}
-
-std::vector<DurationNs> Region::sample_blocked() {
-  return counters_.sample();
-}
-
-std::vector<std::uint64_t> Region::sample_delivered() {
+  // loop on this period's sample; the region applies what it decides.
   std::vector<std::uint64_t> delivered(
       static_cast<std::size_t>(config_.workers));
   for (int j = 0; j < config_.workers; ++j) {
     delivered[static_cast<std::size_t>(j)] = merger_->emitted_from(j);
   }
-  return delivered;
-}
+  const control::ControlActions& acts = loop_->tick(
+      sim_->now(), config_.sample_period, counters_.sample(), delivered,
+      {alo(), splitter_->acked(), splitter_->unacked()});
+  // An input-fed (flow stage) splitter is not a source and ignores both.
+  splitter_->set_throttle(acts.throttle);
+  splitter_->set_shed_watermarks(acts.shed_high, acts.shed_low);
 
-void Region::apply_throttle(double factor) {
-  // The loop only computes throttles for closed-loop sources; an
-  // open-loop region sees this solely as the watchdog unwind's reset.
-  splitter_->set_throttle(factor);
-}
+  if (sample_hook_) sample_hook_(*this);
 
-void Region::apply_shed_watermarks(std::uint64_t high, std::uint64_t low) {
-  splitter_->set_shed_watermarks(high, low);
-}
-
-control::DeliverySample Region::sample_delivery_state() {
-  control::DeliverySample sample;
-  sample.enabled = alo();
-  if (sample.enabled) {
-    sample.cum_ack = splitter_->acked();
-    sample.unacked = splitter_->unacked();
-  }
-  return sample;
+  sim_->schedule_after(config_.sample_period, [this] { sample_tick(); });
 }
 
 void Region::run_for(DurationNs duration) {

@@ -12,7 +12,6 @@
 
 #include "control/protection.h"
 #include "control/region_control.h"
-#include "control/region_port.h"
 #include "core/blocking_counter.h"
 #include "delivery/delivery.h"
 #include "core/policies.h"
@@ -114,10 +113,12 @@ struct SharedPlacement {
   std::vector<int> host_of;
 };
 
-class Region : private control::RegionPort {
+class Region {
  public:
   /// Builds and wires the whole region. `load` and `hosts` may be default
-  /// (no external load; every worker on its own host).
+  /// (no external load; every worker on its own host). Throws
+  /// std::invalid_argument for an invalid `config.protection`
+  /// (control::validate).
   ///
   /// Multi-region use: pass a shared `external_sim` so several regions
   /// advance on one virtual timeline, and a SharedPlacement so their
@@ -250,13 +251,6 @@ class Region : private control::RegionPort {
   void ensure_started();
   void sample_tick();
 
-  // control::RegionPort (the control loop's view of this region).
-  int channels() const override { return config_.workers; }
-  std::vector<DurationNs> sample_blocked() override;
-  std::vector<std::uint64_t> sample_delivered() override;
-  void apply_throttle(double factor) override;
-  void apply_shed_watermarks(std::uint64_t high, std::uint64_t low) override;
-  control::DeliverySample sample_delivery_state() override;
   bool alo() const {
     return config_.delivery.mode == delivery::DeliveryMode::kAtLeastOnce;
   }
@@ -276,8 +270,8 @@ class Region : private control::RegionPort {
   std::unique_ptr<Merger> merger_;
   std::unique_ptr<Splitter> splitter_;
 
-  /// The shared decision pipeline (DESIGN.md §9); this region is its
-  /// RegionPort. Constructed last so it can capture the wired policy.
+  /// The shared decision pipeline (DESIGN.md §9), ticked on this
+  /// region's samples; the region applies what it returns.
   std::unique_ptr<control::RegionControlLoop> loop_;
 
   std::function<void(Region&)> sample_hook_;

@@ -96,7 +96,6 @@ void Splitter::set_throttle(double factor) {
 }
 
 void Splitter::set_shed_watermarks(std::uint64_t high, std::uint64_t low) {
-  assert(low <= high);
   shed_high_ = high;
   shed_low_ = low;
 }

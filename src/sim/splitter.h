@@ -114,7 +114,8 @@ class Splitter {
   /// Every shed tuple still consumes a sequence number; each shedding
   /// step reports its range through `on_shed`, so the ordered merger can
   /// account it as gaps and `emitted + gaps == sent + shed` stays an
-  /// invariant. `high == 0` disables shedding.
+  /// invariant. `high == 0` disables shedding; a `low` at or above `high`
+  /// sheds only a backlog above both (SendCore::shed_backlog).
   void set_shed_watermarks(std::uint64_t high, std::uint64_t low);
   void set_on_shed(
       std::function<void(std::uint64_t first, std::uint64_t count)> fn) {

@@ -4,9 +4,9 @@
 // rt::LocalRegion are thin adapters around ONE decision pipeline, and
 // that a flow::Pipeline parallel stage is a sim::Region built from the
 // pipeline's config. These tests prove it: identical seeded blocking
-// traces fed through tick_with() into a standalone region's loop, a flow
-// stage region's loop and a runtime region's loop (and into a bare loop
-// on a mock port) must produce byte-identical decision journals — same
+// traces fed through tick() into a standalone region's loop, a flow
+// stage region's loop and a runtime region's loop (and into a bare loop)
+// must produce byte-identical decision journals — same
 // policy updates, same overload declarations, same watchdog
 // transitions, same per-tick control lines.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "control/region_control.h"
-#include "control/region_port.h"
 #include "core/controller.h"
 #include "core/policies.h"
 #include "flow/pipeline.h"
@@ -87,22 +86,6 @@ std::unique_ptr<LoadBalancingPolicy> parity_policy() {
                                                parity_controller());
 }
 
-/// Substrate-free reference port: records what the loop actuates.
-struct MockPort final : control::RegionPort {
-  int channels() const override { return kChannels; }
-  std::vector<DurationNs> sample_blocked() override { return {}; }
-  std::vector<std::uint64_t> sample_delivered() override { return {}; }
-  void apply_throttle(double factor) override { throttle = factor; }
-  void apply_shed_watermarks(std::uint64_t high,
-                             std::uint64_t low) override {
-    shed_high = high;
-    shed_low = low;
-  }
-  double throttle = 1.0;
-  std::uint64_t shed_high = 0;
-  std::uint64_t shed_low = 0;
-};
-
 /// Feeds the trace into `loop` with a fresh journal attached; returns
 /// the journal contents.
 obs::DecisionJournal drive(control::RegionControlLoop& loop,
@@ -111,8 +94,7 @@ obs::DecisionJournal drive(control::RegionControlLoop& loop,
   loop.set_journal(&journal);
   loop.set_journal_ticks(true);
   for (int p = 0; p < static_cast<int>(trace.size()); ++p) {
-    loop.tick_with((p + 1) * kSpan, kSpan,
-                   trace[static_cast<std::size_t>(p)], {});
+    loop.tick((p + 1) * kSpan, kSpan, trace[static_cast<std::size_t>(p)], {});
   }
   loop.set_journal(nullptr);
   return journal;
@@ -133,12 +115,11 @@ TEST(ControlParity, IdenticalTracesProduceByteIdenticalJournals) {
   const auto trace = make_trace(/*seed=*/0x5EEDu);
   const control::ProtectionConfig prot = parity_protection();
 
-  // Reference: a bare loop on a mock port.
-  MockPort mock;
+  // Reference: a bare loop, attached to no substrate.
   control::ControlLoopConfig loop_cfg;
   loop_cfg.protection = prot;
   auto ref_policy = parity_policy();
-  control::RegionControlLoop reference(&mock, ref_policy.get(), loop_cfg);
+  control::RegionControlLoop reference(kChannels, ref_policy.get(), loop_cfg);
   const obs::DecisionJournal ref_journal = drive(reference, trace);
 
   // The trace must be non-trivial: it has to exercise overload
@@ -209,12 +190,11 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
     const auto& cumulative = trace[static_cast<std::size_t>(p)];
     const TimeNs now = (p + 1) * kSpan;
     const control::ControlActions& a =
-        region.control().tick_with(now, kSpan, cumulative, {});
+        region.control().tick(now, kSpan, cumulative, {});
     const control::ControlActions& b =
-        pipeline->stage_region(0).control().tick_with(now, kSpan, cumulative, {});
+        pipeline->stage_region(0).control().tick(now, kSpan, cumulative, {});
     const control::ControlActions& c =
-        local.control().tick_with(now, kSpan, cumulative, {});
-    ASSERT_EQ(a.throttle_set, b.throttle_set) << "tick " << p;
+        local.control().tick(now, kSpan, cumulative, {});
     ASSERT_EQ(a.throttle, b.throttle) << "tick " << p;
     ASSERT_EQ(a.watchdog_stage, b.watchdog_stage) << "tick " << p;
     ASSERT_EQ(a.safe_mode, b.safe_mode) << "tick " << p;
@@ -237,21 +217,20 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
 }
 
 TEST(ControlParity, WatchdogLadderWalksUpAndUnwinds) {
-  MockPort mock;
   auto policy = parity_policy();
   control::ControlLoopConfig loop_cfg;
   loop_cfg.protection = parity_protection();
-  control::RegionControlLoop loop(&mock, policy.get(), loop_cfg);
+  control::RegionControlLoop loop(kChannels, policy.get(), loop_cfg);
 
   const auto trace = make_trace(/*seed=*/0xF00Du);
   int max_stage = 0;
   bool saw_halved_watermarks = false;
   for (int p = 0; p < static_cast<int>(trace.size()); ++p) {
-    loop.tick_with((p + 1) * kSpan, kSpan,
-                   trace[static_cast<std::size_t>(p)], {});
+    const control::ControlActions& acts = loop.tick(
+        (p + 1) * kSpan, kSpan, trace[static_cast<std::size_t>(p)], {});
     max_stage = std::max(max_stage, loop.watchdog_stage());
     if (loop.watchdog_stage() >= 2) {
-      saw_halved_watermarks = mock.shed_high == 64 && mock.shed_low == 32;
+      saw_halved_watermarks = acts.shed_high == 64 && acts.shed_low == 32;
     }
   }
   // The plateau is long enough to reach safe mode (stage 3)...
@@ -261,9 +240,9 @@ TEST(ControlParity, WatchdogLadderWalksUpAndUnwinds) {
   // throttle released, safe mode exited.
   EXPECT_EQ(loop.watchdog_stage(), 0);
   EXPECT_FALSE(policy->safe_mode());
-  EXPECT_EQ(mock.shed_high, 128u);
-  EXPECT_EQ(mock.shed_low, 64u);
-  EXPECT_EQ(mock.throttle, 1.0);
+  EXPECT_EQ(loop.last_actions().shed_high, 128u);
+  EXPECT_EQ(loop.last_actions().shed_low, 64u);
+  EXPECT_EQ(loop.last_actions().throttle, 1.0);
 }
 
 }  // namespace

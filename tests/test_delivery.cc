@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "control/region_control.h"
-#include "control/region_port.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
 #include "delivery/send_core.h"
@@ -218,36 +217,27 @@ TEST(SimDelivery, GapSkipRemainsDefaultAndCountsGaps) {
 
 // --- control loop: ack-stall watchdog rung ----------------------------
 
-class StalledAckPort : public control::RegionPort {
- public:
-  int channels() const override { return 2; }
-  std::vector<DurationNs> sample_blocked() override { return {0, 0}; }
-  std::vector<std::uint64_t> sample_delivered() override { return {}; }
-  void apply_throttle(double) override {}
-  void apply_shed_watermarks(std::uint64_t, std::uint64_t) override {}
-  control::DeliverySample sample_delivery_state() override {
-    control::DeliverySample d;
-    d.enabled = true;
-    d.cum_ack = cum_ack;
-    d.unacked = unacked;
-    return d;
-  }
-  std::uint64_t cum_ack = 7;
-  std::uint64_t unacked = 42;
-};
+/// A delivery state whose cumulative ack is frozen with tuples unacked.
+constexpr control::DeliverySample kStalled{true, 7, 42};
+
+/// Runs period `i` of an idle two-channel region reporting `delivery`.
+void idle_tick(control::RegionControlLoop& loop, int i,
+               const control::DeliverySample& delivery = kStalled) {
+  const std::vector<DurationNs> blocked{0, 0};
+  loop.tick(i * millis(10), millis(10), blocked, {}, delivery);
+}
 
 TEST(AckStallRung, FrozenAckEscalatesAndJournals) {
-  StalledAckPort port;
   LoadBalancingPolicy policy(2);
   control::ControlLoopConfig cfg;
   cfg.ack_stall_periods = 3;
-  control::RegionControlLoop loop(&port, &policy, cfg);
+  control::RegionControlLoop loop(2, &policy, cfg);
   obs::DecisionJournal journal;
   loop.set_journal(&journal);
 
   // Tick 1 records the baseline ack; ticks 2..4 are the first stalled
   // streak, ticks 5..7 the second.
-  for (int i = 1; i <= 7; ++i) loop.tick(i * millis(10), millis(10));
+  for (int i = 1; i <= 7; ++i) idle_tick(loop, i);
 
   EXPECT_EQ(loop.ack_stalls(), 2u);
   // Each firing climbs one watchdog rung (stage 1: forced throttle,
@@ -266,16 +256,16 @@ TEST(AckStallRung, FrozenAckEscalatesAndJournals) {
 }
 
 TEST(AckStallRung, AckProgressResetsTheStreak) {
-  StalledAckPort port;
   LoadBalancingPolicy policy(2);
   control::ControlLoopConfig cfg;
   cfg.ack_stall_periods = 3;
-  control::RegionControlLoop loop(&port, &policy, cfg);
+  control::RegionControlLoop loop(2, &policy, cfg);
 
-  for (int i = 1; i <= 3; ++i) loop.tick(i * millis(10), millis(10));
-  port.cum_ack += 10;  // the merger released something after all
-  loop.tick(4 * millis(10), millis(10));
-  for (int i = 5; i <= 6; ++i) loop.tick(i * millis(10), millis(10));
+  for (int i = 1; i <= 3; ++i) idle_tick(loop, i);
+  // The merger released something after all.
+  control::DeliverySample progressed = kStalled;
+  progressed.cum_ack += 10;
+  for (int i = 4; i <= 6; ++i) idle_tick(loop, i, progressed);
 
   EXPECT_EQ(loop.ack_stalls(), 0u);
   EXPECT_EQ(loop.watchdog_stage(), 0);
@@ -284,15 +274,14 @@ TEST(AckStallRung, AckProgressResetsTheStreak) {
 TEST(AckStallRung, AllChannelsDownIsNotAStall) {
   // Nothing can deliver, let alone ack: the reconnect machinery owns
   // this case and the rung must stay quiet.
-  StalledAckPort port;
   LoadBalancingPolicy policy(2);
   control::ControlLoopConfig cfg;
   cfg.ack_stall_periods = 2;
-  control::RegionControlLoop loop(&port, &policy, cfg);
+  control::RegionControlLoop loop(2, &policy, cfg);
   loop.mark_channel_down(0);
   loop.mark_channel_down(1);
 
-  for (int i = 1; i <= 6; ++i) loop.tick(i * millis(10), millis(10));
+  for (int i = 1; i <= 6; ++i) idle_tick(loop, i);
   EXPECT_EQ(loop.ack_stalls(), 0u);
 }
 

@@ -7,6 +7,7 @@
 // tests carry the quantitative claims.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 
@@ -102,6 +103,22 @@ TEST(LocalRegion, RejectsReroutePolicy) {
   EXPECT_NO_THROW(LocalRegion(fast_config(2),
                               std::make_unique<ThroughputBalancedPolicy>(
                                   2, 0.5, /*reroute=*/false)));
+}
+
+TEST(LocalRegion, RejectsMinThrottleOutsideUnitInterval) {
+  // A zero floor would turn the throttle's pacing debt infinite, one
+  // above 1 inverts its clamp. The check runs before bring-up: a throw
+  // after the merger PE started would hang in its destructor.
+  for (const double bad : {0.0, 1.5}) {
+    LocalRegionConfig cfg = fast_config(2);
+    cfg.protection.min_throttle = bad;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(LocalRegion(cfg, std::make_unique<RoundRobinPolicy>(2)),
+                 std::invalid_argument)
+        << "min_throttle " << bad;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "min_throttle " << bad;
+  }
 }
 
 TEST(LocalRegion, TicksStayOnTimeUnderSkew) {
