@@ -11,6 +11,7 @@
 // LB-adaptive. Reported: mean throughput and the share of blocking time
 // observed on the loaded connection (signal concentration).
 #include <cstdio>
+#include <span>
 
 #include "bench/bench_common.h"
 #include "util/csv.h"
@@ -48,7 +49,7 @@ Result run(std::size_t channel_buf, std::size_t merge_buf,
   int periods = 0;
   region.set_sample_hook([&](Region& r) {
     if (++periods != 10) return;
-    const std::vector<DurationNs> blocked = r.counters().sample();
+    const std::span<const DurationNs> blocked = r.splitter().blocked_ns();
     DurationNs total = 0;
     for (DurationNs b : blocked) total += b;
     result.loaded_block_share =

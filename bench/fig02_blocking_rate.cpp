@@ -31,7 +31,7 @@ int main() {
   std::vector<double> rate;
   DurationNs prev = 0;
   region->set_sample_hook([&](Region& r) {
-    const DurationNs cum = r.counters().sample()[0];
+    const DurationNs cum = r.splitter().blocked_ns()[0];
     cumulative_s.push_back(to_seconds(cum));
     rate.push_back(static_cast<double>(cum - prev) /
                    static_cast<double>(r.config().sample_period));

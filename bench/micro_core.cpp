@@ -230,9 +230,8 @@ void BM_SimSplitterSend(benchmark::State& state) {
     ptrs.push_back(c);
   }
   RoundRobinPolicy policy(n);
-  BlockingCounterSet counters(static_cast<std::size_t>(n));
   sim::Splitter splitter(&sim, &policy, /*send_overhead=*/500);
-  splitter.wire(ptrs, &counters);
+  splitter.wire(ptrs);
   obs::MetricsRegistry registry;
   if (metrics_on) {
     sim::SplitterMetrics sm;

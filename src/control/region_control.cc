@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace slb::control {
 
@@ -13,6 +14,11 @@ RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
       down_(static_cast<std::size_t>(channels), 0) {
   assert(policy_ != nullptr);
   assert(channels > 0);
+  if (policy_->weights().size() != static_cast<std::size_t>(channels)) {
+    throw std::invalid_argument("RegionControlLoop: policy '" +
+                                policy_->name() +
+                                "' lacks one weight per channel");
+  }
   actions_.block_rates.assign(static_cast<std::size_t>(channels), 0.0);
   actions_.shed_high = config.protection.shed_high_watermark;
   actions_.shed_low = config.protection.shed_low_watermark;

@@ -100,7 +100,9 @@ class RegionControlLoop {
  public:
   /// Drives `policy` (which must outlive the loop) for a region of
   /// `channels` connections. The loop never owns substrate state; it
-  /// holds only the decision machinery.
+  /// holds only the decision machinery. Throws std::invalid_argument
+  /// unless the policy has one weight per channel: its picks index the
+  /// splitter's per-channel state.
   RegionControlLoop(int channels, SplitPolicy* policy,
                     ControlLoopConfig config);
 

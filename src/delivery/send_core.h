@@ -19,6 +19,9 @@
 //     test: a full buffer blocks the picked channel like a full send
 //     buffer, it never diverts the tuple;
 //   * the cumulative-ack cursor;
+//   * each channel's cumulative blocked time, the paper's blocking
+//     counter (§3): the adapter charges every wait on a channel here,
+//     and the control loop differences the samples into rates;
 //   * crash replay: a quarantined channel's unacked suffix moves into the
 //     pending queue, sorted by sequence, which adapters drain ahead of
 //     fresh sequences through their normal pick path;
@@ -33,10 +36,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "delivery/delivery.h"
+#include "util/time.h"
 
 namespace slb::delivery {
 
@@ -62,30 +67,30 @@ class ReplayBuffer {
     return cap_ != 0 && !entries_.empty() && bytes_ + next_bytes > cap_;
   }
 
+  /// Entries stay sorted by sequence: a fresh send appends, and a
+  /// re-sent older sequence goes in before the newer entries it lands
+  /// behind after a crash replay.
   void push(std::uint64_t seq, std::size_t bytes, Payload payload) {
     bytes_ += bytes;
-    entries_.push_back(Entry{seq, bytes, std::move(payload)});
+    const auto at = std::upper_bound(
+        entries_.begin(), entries_.end(), seq,
+        [](std::uint64_t s, const Entry& e) { return s < e.seq; });
+    entries_.insert(at, Entry{seq, bytes, std::move(payload)});
   }
 
   /// Cumulative ack: every sequence below `cum_ack` has been released
-  /// downstream. Returns the number of entries dropped. Entries are not
-  /// sorted after a replay lands fresh sends behind re-sent older
-  /// sequences, so this scans the whole buffer (erasing at the front,
-  /// the common case, is a pop).
+  /// downstream, so the buffer's sorted prefix below it goes. Returns the
+  /// number of entries dropped.
   std::size_t ack(std::uint64_t cum_ack) {
     const std::size_t before = entries_.size();
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->seq < cum_ack) {
-        bytes_ -= it->bytes;
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+    while (!entries_.empty() && entries_.front().seq < cum_ack) {
+      bytes_ -= entries_.front().bytes;
+      entries_.pop_front();
     }
     return before - entries_.size();
   }
 
-  /// Crash replay: drains the whole buffer.
+  /// Crash replay: drains the whole buffer, in sequence order.
   std::deque<Entry> take_all() {
     bytes_ = 0;
     return std::exchange(entries_, {});
@@ -125,6 +130,7 @@ class SendCore {
                     std::size_t replay_buffer_bytes = 0)
       : up_(static_cast<std::size_t>(channels), 1),
         sent_(static_cast<std::size_t>(channels), 0),
+        blocked_(static_cast<std::size_t>(channels), 0),
         alo_(mode == DeliveryMode::kAtLeastOnce) {
     if (alo_) {
       buffers_.assign(static_cast<std::size_t>(channels),
@@ -259,6 +265,12 @@ class SendCore {
     return queued;
   }
 
+  /// Charges `ns` the splitter spent blocked on channel j.
+  void charge_blocked(int j, DurationNs ns) { blocked_[index(j)] += ns; }
+  /// Cumulative blocked ns per channel since the core was built; the
+  /// sample the control loop differences into blocking rates.
+  std::span<const DurationNs> blocked_ns() const { return blocked_; }
+
   std::uint64_t sent(int j) const { return sent_[index(j)]; }
   std::uint64_t total_sent() const { return total_sent_; }
   std::uint64_t retransmits() const { return retransmits_; }
@@ -278,6 +290,7 @@ class SendCore {
 
   std::vector<std::uint8_t> up_;
   std::vector<std::uint64_t> sent_;
+  std::vector<DurationNs> blocked_;
   std::vector<ReplayBuffer<Payload>> buffers_;
   /// Replays awaiting re-send, sorted by sequence.
   std::deque<Entry> pending_;

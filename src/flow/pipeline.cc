@@ -129,8 +129,7 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
   pipeline->source_ = std::make_unique<sim::Splitter>(
       sim, pipeline->source_policy_.get(), config_.source_overhead,
       config_.source_interval);
-  pipeline->source_->wire({pipeline->stages_.front()->input.get()},
-                          &pipeline->source_counters_);
+  pipeline->source_->wire({pipeline->stages_.front()->input.get()});
   if (config_.metrics) {
     obs::MetricsRegistry& reg = pipeline->metrics_;
     sim::SplitterMetrics sm;

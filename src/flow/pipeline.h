@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "control/protection.h"
-#include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "obs/metrics.h"
 #include "sim/channel.h"
@@ -132,7 +131,7 @@ class Pipeline {
   std::uint64_t stage_processed(int s) const;
 
   /// The region of a parallel stage (asserts on op stages): its policy,
-  /// counters, control loop, splitter, merger, metrics registry and
+  /// control loop, splitter, merger, metrics registry and
   /// fault injection.
   sim::Region& stage_region(int s);
 
@@ -142,7 +141,7 @@ class Pipeline {
   /// Cumulative time the *source* spent blocked: end-to-end back
   /// pressure reaching the front of the pipeline.
   DurationNs source_blocked() const {
-    return source_counters_.at(0).cumulative();
+    return source_->blocked_ns()[0];
   }
 
   /// End-to-end tuple latency (source release -> terminal sink), over
@@ -195,7 +194,6 @@ class Pipeline {
   std::vector<std::unique_ptr<Stage>> stages_;
 
   std::unique_ptr<RoundRobinPolicy> source_policy_;
-  BlockingCounterSet source_counters_{1};
   std::unique_ptr<sim::Splitter> source_;
 
   sim::CountingSink sink_;

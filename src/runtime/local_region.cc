@@ -37,12 +37,27 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
                          std::unique_ptr<SplitPolicy> policy)
     : config_(config),
       policy_(std::move(policy)),
-      counters_(static_cast<std::size_t>(config.workers)),
       core_(config.workers, config.delivery.mode,
             config.delivery.replay_buffer_bytes) {
   control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
+  const auto check_worker = [&](int w) {
+    if (w < 0 || w >= config_.workers) {
+      throw std::invalid_argument("LocalRegion: event on worker " +
+                                  std::to_string(w));
+    }
+  };
+  for (const LoadEvent& e : config_.load_events) check_worker(e.worker);
+  for (const FailureEvent& f : config_.failure_events) check_worker(f.worker);
+  control::ControlLoopConfig loop_cfg;
+  loop_cfg.protection = config_.protection;
+  loop_cfg.closed_loop_source = config_.source_interval == 0;
+  if (core_.at_least_once()) {
+    loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
+  }
+  loop_ = std::make_unique<control::RegionControlLoop>(
+      config_.workers, policy_.get(), loop_cfg);
   if (policy_->reroute_on_block()) {
     // Section 4.4's transport-level re-routing is reproduced by the
     // simulator; this splitter always elects to block on its pick.
@@ -73,6 +88,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
           "worker." + std::to_string(j) + ".service_ns");
     }
     policy_->attach_metrics(metrics_, "policy.");
+    loop_->attach_metrics(metrics_, "region.");
   }
 
   // Topology bring-up: a listener per worker for the splitter connection,
@@ -126,16 +142,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   next_reconnect_.assign(n, 0);
   backoff_.assign(n, 0);
   load_mult_.assign(n, 1.0);
-
-  control::ControlLoopConfig loop_cfg;
-  loop_cfg.protection = config_.protection;
-  loop_cfg.closed_loop_source = config_.source_interval == 0;
-  if (core_.at_least_once()) {
-    loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
-  }
-  loop_ = std::make_unique<control::RegionControlLoop>(
-      config_.workers, policy_.get(), loop_cfg);
-  if (config_.metrics) loop_->attach_metrics(metrics_, "region.");
 }
 
 LocalRegion::~LocalRegion() {
@@ -351,7 +357,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   // `ready` makes it a zero-timeout pass; otherwise it lasts until the
   // nearest deadline below. The time spent waiting on `blocked_on` — its
   // bound frame is stuck, or its replay window is full — is charged to
-  // that connection's blocking counter (paper Section 3).
+  // that connection in the delivery core (paper Section 3).
   std::vector<pollfd> fds(static_cast<std::size_t>(n) + 1);
   bool ready = true;
   int blocked_on = -1;
@@ -396,7 +402,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     }
     now = monotonic_now();
     if (blocked_on >= 0) {
-      counters_.at(static_cast<std::size_t>(blocked_on)).add(now - t0);
+      core_.charge_blocked(blocked_on, now - t0);
     }
     if (fds[static_cast<std::size_t>(n)].revents != 0) read_acks();
     for (int k = 0; k < n; ++k) {
@@ -459,7 +465,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         replay_bytes_g_->set(static_cast<std::int64_t>(core_.replay_bytes()));
         ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
       }
-      loop_->tick(now - start, span, counters_.sample(), {},
+      loop_->tick(now - start, span, core_.blocked_ns(), {},
                   {alo, core_.acked(), core_.unacked()});
 
       sync_merger_metrics();
@@ -624,7 +630,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   stats.late_discards = merger_->late_discards();
   stats.order_ok = merger_->order_ok() &&
                    stats.emitted + stats.gaps == stats.sent + stats.shed;
-  stats.blocked = counters_.sample();
+  stats.blocked.assign(core_.blocked_ns().begin(), core_.blocked_ns().end());
   stats.final_weights = policy_->weights();
   return stats;
 }

@@ -17,7 +17,6 @@
 
 #include "control/protection.h"
 #include "control/region_control.h"
-#include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
 #include "delivery/send_core.h"
@@ -60,7 +59,8 @@ struct LocalRegionConfig {
   /// Kernel send/receive buffer request per socket; small values make
   /// back pressure (and therefore blocking) visible quickly.
   int socket_buffer_bytes = 16 * 1024;
-  /// How often the splitter samples counters and updates the policy.
+  /// How often the splitter samples its blocked time and updates the
+  /// policy.
   DurationNs sample_period = millis(100);
   /// External-load schedule applied during run().
   std::vector<LoadEvent> load_events;
@@ -156,9 +156,11 @@ struct LocalSample {
 class LocalRegion {
  public:
   /// Throws std::invalid_argument, before any socket or thread exists,
-  /// for an invalid ProtectionConfig or a policy that re-routes on block
-  /// (Section 4.4): the simulator reproduces that baseline, and this
-  /// splitter always blocks on the connection it picked.
+  /// for an invalid ProtectionConfig, a load or failure event on a worker
+  /// outside [0, workers), a policy without one weight per worker
+  /// (RegionControlLoop), or a policy that re-routes on block (Section 4.4): the simulator
+  /// reproduces that baseline, and this splitter always blocks on the
+  /// connection it picked.
   LocalRegion(LocalRegionConfig config, std::unique_ptr<SplitPolicy> policy);
   ~LocalRegion();
 
@@ -175,7 +177,6 @@ class LocalRegion {
   LocalRunStats run(DurationNs duration);
 
   SplitPolicy& policy() { return *policy_; }
-  BlockingCounterSet& counters() { return counters_; }
   MergerPe& merger() { return *merger_; }
   WorkerPe& worker(int j) { return *workers_[static_cast<std::size_t>(j)]; }
 
@@ -219,10 +220,9 @@ class LocalRegion {
 
   LocalRegionConfig config_;
   std::unique_ptr<SplitPolicy> policy_;
-  BlockingCounterSet counters_;
   /// Sequences, liveness, replay buffers of encoded wire frames (so a
-  /// replay is a plain re-send), acks and the send counters (DESIGN.md
-  /// §10), shared with the sim splitter. Splitter-thread only.
+  /// replay is a plain re-send), acks, blocked time and the send counters
+  /// (DESIGN.md §10), shared with the sim splitter. Splitter-thread only.
   delivery::SendCore<std::vector<std::uint8_t>> core_;
   /// Declared before the worker PEs holding histogram handles into it.
   obs::MetricsRegistry metrics_;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,10 @@ class Merger : public TupleSink {
   /// Tuples released downstream that arrived via connection j.
   std::uint64_t emitted_from(int j) const {
     return emitted_from_[static_cast<std::size_t>(j)];
+  }
+  /// The same counts for every connection, in connection order.
+  std::span<const std::uint64_t> emitted_from() const {
+    return emitted_from_;
   }
 
   bool ordered() const { return ordered_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 namespace slb::sim {
@@ -15,13 +16,16 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
       hosts_(std::move(hosts)),
       owned_sim_(external_sim == nullptr ? std::make_unique<Simulator>()
                                          : nullptr),
-      sim_(external_sim == nullptr ? owned_sim_.get() : external_sim),
-      counters_(static_cast<std::size_t>(config.workers)) {
+      sim_(external_sim == nullptr ? owned_sim_.get() : external_sim) {
   control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   if (load_.workers() == 0) load_ = LoadProfile(config_.workers);
-  assert(load_.workers() == config_.workers);
+  if (load_.workers() != config_.workers) {
+    throw std::invalid_argument(
+        "Region: load profile of width " + std::to_string(load_.workers()) +
+        " for " + std::to_string(config_.workers) + " workers");
+  }
   if (shared.hosts != nullptr) {
     assert(static_cast<int>(shared.host_of.size()) == config_.workers);
   }
@@ -63,13 +67,11 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   splitter_ = std::make_unique<Splitter>(sim_, policy_.get(),
                                          config_.send_overhead,
                                          config_.source_interval);
-  splitter_->wire(std::move(channel_ptrs), &counters_);
+  splitter_->wire(std::move(channel_ptrs), config_.delivery);
   if (input != nullptr) splitter_->set_input(input);
   if (downstream != nullptr) merger_->connect_downstream(downstream);
 
   if (alo()) {
-    splitter_->set_delivery(config_.delivery.mode,
-                            config_.delivery.replay_buffer_bytes);
     merger_->set_delivery_mode(config_.delivery.mode);
     // The reverse hop: cumulative acks ride back to the splitter with
     // the same link latency as the forward direction.
@@ -150,7 +152,11 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
 }
 
 void Region::inject_fault(const FaultEvent& fault) {
-  assert(fault.worker >= 0 && fault.worker < config_.workers);
+  if (fault.worker < 0 || fault.worker >= config_.workers) {
+    throw std::invalid_argument(
+        "Region: fault on worker " + std::to_string(fault.worker) + " of " +
+        std::to_string(config_.workers));
+  }
   sim_->schedule_at(fault.at, [this, fault] {
     apply_fault_now(fault.kind, fault.worker, fault.duration);
   });
@@ -211,14 +217,11 @@ void Region::sample_tick() {
 
   // The whole decision pipeline — observation ingest, policy update,
   // admission throttle, watchdog ladder — runs in the shared control
-  // loop on this period's sample; the region applies what it decides.
-  std::vector<std::uint64_t> delivered(
-      static_cast<std::size_t>(config_.workers));
-  for (int j = 0; j < config_.workers; ++j) {
-    delivered[static_cast<std::size_t>(j)] = merger_->emitted_from(j);
-  }
+  // loop on this period's sample, read in place from the splitter and
+  // the merger; the region applies what it decides.
   const control::ControlActions& acts = loop_->tick(
-      sim_->now(), config_.sample_period, counters_.sample(), delivered,
+      sim_->now(), config_.sample_period, splitter_->blocked_ns(),
+      merger_->emitted_from(),
       {alo(), splitter_->acked(), splitter_->unacked()});
   // An input-fed (flow stage) splitter is not a source and ignores both.
   splitter_->set_throttle(acts.throttle);

@@ -1,6 +1,6 @@
 // A complete simulated data-parallel region: splitter, N TCP-like
 // channels, N workers, in-order merger — plus the periodic sampling loop
-// that feeds blocking counters to the routing policy. This is the
+// that feeds the splitter's blocked time to the routing policy. This is the
 // simulator-facing top of the public API; every experiment in the paper
 // is a Region configuration.
 #pragma once
@@ -12,7 +12,6 @@
 
 #include "control/protection.h"
 #include "control/region_control.h"
-#include "core/blocking_counter.h"
 #include "delivery/delivery.h"
 #include "core/policies.h"
 #include "obs/journal.h"
@@ -118,7 +117,8 @@ class Region {
   /// Builds and wires the whole region. `load` and `hosts` may be default
   /// (no external load; every worker on its own host). Throws
   /// std::invalid_argument for an invalid `config.protection`
-  /// (control::validate).
+  /// (control::validate), a `load` whose width is not `config.workers`,
+  /// or a policy without one weight per worker (RegionControlLoop).
   ///
   /// Multi-region use: pass a shared `external_sim` so several regions
   /// advance on one virtual timeline, and a SharedPlacement so their
@@ -163,7 +163,8 @@ class Region {
   /// connection through its normal probing path. Stall pauses delivery
   /// on j's connection for `duration` without losing anything. Faults
   /// are ordinary simulator events, so identical schedules replay
-  /// identically. Call before or during a run.
+  /// identically. Call before or during a run. Throws
+  /// std::invalid_argument for a worker outside [0, workers()).
   void inject_fault(const FaultEvent& fault);
 
   /// Applies a fault immediately (inject_fault's scheduled body).
@@ -214,7 +215,6 @@ class Region {
   Merger& merger() { return *merger_; }
   Worker& worker(int j) { return *workers_[static_cast<std::size_t>(j)]; }
   Channel& channel(int j) { return *channels_[static_cast<std::size_t>(j)]; }
-  BlockingCounterSet& counters() { return counters_; }
   const RegionConfig& config() const { return config_; }
   int workers() const { return config_.workers; }
 
@@ -264,7 +264,6 @@ class Region {
 
   std::unique_ptr<Simulator> owned_sim_;  // null when externally driven
   Simulator* sim_;
-  BlockingCounterSet counters_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<Merger> merger_;

@@ -18,13 +18,12 @@ Splitter::Splitter(Simulator* sim, SplitPolicy* policy,
 }
 
 void Splitter::wire(std::vector<Channel*> channels,
-                    BlockingCounterSet* counters) {
+                    const delivery::DeliveryConfig& delivery) {
   assert(channels_.empty());
-  assert(counters != nullptr);
-  assert(counters->size() == channels.size());
   channels_ = std::move(channels);
-  counters_ = counters;
-  core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()));
+  core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()),
+                                    delivery.mode,
+                                    delivery.replay_buffer_bytes);
   blocks_.assign(channels_.size(), 0);
   for (std::size_t j = 0; j < channels_.size(); ++j) {
     channels_[j]->set_on_send_space(
@@ -52,19 +51,12 @@ void Splitter::set_input(Channel* input) {
   });
 }
 
-void Splitter::set_delivery(delivery::DeliveryMode mode,
-                            std::size_t replay_buffer_bytes) {
-  assert(!channels_.empty());  // call after wire()
-  core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()), mode,
-                                    replay_buffer_bytes);
-}
-
 void Splitter::on_ack(std::uint64_t cum) {
   if (!core_.on_ack(cum)) return;
   update_delivery_gauges();
   // A trimmed buffer may end a replay-full blocking episode — the same
   // wake-up a freed send buffer gives, charged the same way.
-  if (blocked_on_ >= 0 && !full(blocked_on_)) unblock_and_send();
+  if (blocked_on_ >= 0 && !full(blocked_on_)) do_send(end_block());
 }
 
 Splitter::ReplaySummary Splitter::replay_channel(int j) {
@@ -216,7 +208,6 @@ void Splitter::do_send(int j) {
 }
 
 void Splitter::set_channel_up(int j, bool up) {
-  const auto sj = static_cast<std::size_t>(j);
   if (core_.up(j) == up) return;
   core_.set_up(j, up);
   if (!up) {
@@ -224,12 +215,7 @@ void Splitter::set_channel_up(int j, bool up) {
       // Blocked on the connection that just died: charge the wait (the
       // real splitter's timed select returns with an error here) and
       // move on to a survivor immediately.
-      counters_->at(sj).add(sim_->now() - block_start_);
-      if (metrics_.block_ns != nullptr) {
-        metrics_.block_ns->record(
-            static_cast<std::uint64_t>(sim_->now() - block_start_));
-      }
-      blocked_on_ = -1;
+      end_block();
       sim_->schedule_after(0, [this] { next_send(); });
     }
     return;
@@ -242,19 +228,18 @@ void Splitter::set_channel_up(int j, bool up) {
 
 void Splitter::on_send_space(int j) {
   // A full replay buffer keeps waiting on an ack to trim it.
-  if (blocked_on_ == j && !full(j)) unblock_and_send();
+  if (blocked_on_ == j && !full(j)) do_send(end_block());
 }
 
-void Splitter::unblock_and_send() {
+int Splitter::end_block() {
   const int j = blocked_on_;
-  counters_->at(static_cast<std::size_t>(j))
-      .add(sim_->now() - block_start_);
+  const DurationNs waited = sim_->now() - block_start_;
+  core_.charge_blocked(j, waited);
   if (metrics_.block_ns != nullptr) {
-    metrics_.block_ns->record(
-        static_cast<std::uint64_t>(sim_->now() - block_start_));
+    metrics_.block_ns->record(static_cast<std::uint64_t>(waited));
   }
   blocked_on_ = -1;
-  do_send(j);
+  return j;
 }
 
 }  // namespace slb::sim

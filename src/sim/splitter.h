@@ -10,8 +10,8 @@
 //     pushes one tuple (closed-loop source: tuples are always available,
 //     matching the paper's throughput-bound experiments);
 //   * when the chosen connection's send buffer is full it BLOCKS — and
-//     records exactly how long, in that connection's BlockingCounter
-//     (the paper's MSG_DONTWAIT + timed select, Section 3);
+//     records exactly how long, charged to that connection in the
+//     delivery core (the paper's MSG_DONTWAIT + timed select, Section 3);
 //   * if the policy enables transport-level re-routing (Section 4.4's
 //     failed baseline) it instead scans for any connection with space and
 //     only blocks when all are full.
@@ -19,9 +19,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
-#include "core/blocking_counter.h"
 #include "core/policies.h"
 #include "delivery/delivery.h"
 #include "delivery/send_core.h"
@@ -58,9 +58,13 @@ class Splitter {
   Splitter(Simulator* sim, SplitPolicy* policy, DurationNs send_overhead,
            DurationNs source_interval = 0);
 
-  /// Connects the splitter to its channels and the region's blocking
-  /// counters. Must be called once before start().
-  void wire(std::vector<Channel*> channels, BlockingCounterSet* counters);
+  /// Connects the splitter to its channels and builds its delivery core
+  /// in `delivery`'s mode. At-least-once holds every sent tuple in its
+  /// channel's byte-capped replay buffer until acked, accounted at
+  /// sizeof(Tuple) bytes (the sim has no wire encoding). Must be called
+  /// once before start().
+  void wire(std::vector<Channel*> channels,
+            const delivery::DeliveryConfig& delivery = {});
 
   /// Mid-pipeline mode: instead of generating tuples (closed loop /
   /// paced source), the splitter forwards tuples arriving on `input`,
@@ -73,9 +77,9 @@ class Splitter {
 
   /// Failure handling: marks connection j dead (quarantined) or alive
   /// again. A quarantined connection is never routed to; a splitter
-  /// blocked on it is released immediately (the wait is charged to j's
-  /// blocking counter, exactly like a normal un-block). If every
-  /// connection is down the splitter idles until one comes back.
+  /// blocked on it is released immediately (the wait is charged to j,
+  /// exactly like a normal un-block). If every connection is down the
+  /// splitter idles until one comes back.
   void set_channel_up(int j, bool up);
   bool channel_up(int j) const { return core_.up(j); }
 
@@ -91,6 +95,11 @@ class Splitter {
   }
   bool blocked() const { return blocked_on_ >= 0; }
   int blocked_on() const { return blocked_on_; }
+  /// Cumulative blocked ns per connection: the paper's blocking counters
+  /// (Section 3), read in place by the region's control loop.
+  std::span<const DurationNs> blocked_ns() const {
+    return core_.blocked_ns();
+  }
 
   /// Open-loop sources only: how many released-but-unsent tuples are
   /// queued at the source right now (0 for closed-loop sources). A
@@ -131,13 +140,6 @@ class Splitter {
 
   // --- At-least-once delivery (DESIGN.md §10) --------------------------
 
-  /// Arms at-least-once delivery: every sent tuple is held in its
-  /// channel's byte-capped replay buffer until acked, accounted at
-  /// sizeof(Tuple) bytes (the sim has no wire encoding). Call after
-  /// wire(), before start().
-  void set_delivery(delivery::DeliveryMode mode,
-                    std::size_t replay_buffer_bytes);
-
   /// Cumulative ack from the merger: every sequence below `cum` has been
   /// released. Trims the replay buffers, drops pending replays that
   /// released meanwhile, and — if the splitter was blocked on a channel
@@ -173,9 +175,9 @@ class Splitter {
     return channels_[static_cast<std::size_t>(j)]->send_full() ||
            !core_.admits(j, sizeof(Tuple));
   }
-  /// Ends the current blocking episode (charging channel
-  /// `blocked_on_`'s counter) and sends on it.
-  void unblock_and_send();
+  /// Ends the current blocking episode, charging its wait to channel
+  /// `blocked_on_`, and returns that channel.
+  int end_block();
   void update_delivery_gauges();
 
   Simulator* sim_;
@@ -189,12 +191,11 @@ class Splitter {
   std::function<void(std::uint64_t, std::uint64_t)> on_shed_;
   Channel* input_ = nullptr;
   std::vector<Channel*> channels_;
-  BlockingCounterSet* counters_ = nullptr;
 
   SplitterMetrics metrics_;
 
-  /// Sequences, liveness, replay buffers, acks and the send counters
-  /// (DESIGN.md §10), shared with the runtime splitter.
+  /// Sequences, liveness, replay buffers, acks, blocked time and the
+  /// send counters (DESIGN.md §10), shared with the runtime splitter.
   delivery::SendCore<Tuple> core_;
 
   std::uint64_t rerouted_ = 0;

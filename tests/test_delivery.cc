@@ -82,6 +82,29 @@ TEST(ReplayBufferTest, AckRemovesEntriesBehindNewerSequences) {
   EXPECT_TRUE(buf.empty());
 }
 
+TEST(ReplayBufferTest, RetransmitKeepsSequenceOrderSoAckTrimsThePrefix) {
+  // A crash replay lands 3 and 5 on a channel already holding 4, 10 and
+  // 11: each goes in before the newer entries, so an ack between them
+  // trims exactly the older prefix and take_all comes back ascending.
+  ReplayBuffer<int> buf;
+  buf.push(4, 8, 4);
+  buf.push(10, 8, 10);
+  buf.push(11, 8, 11);
+  buf.push(3, 8, 3);
+  buf.push(5, 8, 5);
+  EXPECT_EQ(buf.ack(5), 2u);  // 3 and 4 released
+  EXPECT_EQ(buf.size(), 3u);
+  EXPECT_EQ(buf.bytes(), 24u);
+  buf.push(12, 8, 12);
+  const auto taken = buf.take_all();
+  std::vector<std::uint64_t> seqs;
+  for (const auto& e : taken) {
+    EXPECT_EQ(static_cast<std::uint64_t>(e.payload), e.seq);
+    seqs.push_back(e.seq);
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{5, 10, 11, 12}));
+}
+
 // --- sim merger dedup / late-discard accounting -----------------------
 
 TEST(MergerDelivery, ReplayEchoBelowCursorIsDupDiscard) {

@@ -58,7 +58,9 @@ TEST_P(RegionSweep, IdenticalConfigsReplayIdentically) {
     return Snapshot{region->emitted(), region->splitter().total_sent(),
                     region->simulator().events_processed(),
                     region->policy().weights(),
-                    region->counters().sample()};
+                    std::vector<DurationNs>(
+                        region->splitter().blocked_ns().begin(),
+                        region->splitter().blocked_ns().end())};
   };
 
   const auto a = run();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 
 #include "flow/pipeline.h"
 #include "obs/metrics.h"
@@ -186,7 +187,8 @@ TEST(Pipeline, StageCountersExposeBlocking) {
              true, std::move(load));
   auto p = b.build();
   p->run_for(millis(100));
-  const std::vector<DurationNs> blocked = p->stage_region(0).counters().sample();
+  const std::span<const DurationNs> blocked =
+      p->stage_region(0).splitter().blocked_ns();
   EXPECT_GT(blocked[0], 10 * std::max<DurationNs>(blocked[1], 1));
 }
 

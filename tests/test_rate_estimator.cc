@@ -3,32 +3,11 @@
 
 #include <vector>
 
-#include "core/blocking_counter.h"
 #include "core/rate_estimator.h"
 #include "util/time.h"
 
 namespace slb {
 namespace {
-
-TEST(BlockingCounter, AccumulatesAndResets) {
-  BlockingCounter c;
-  EXPECT_EQ(c.cumulative(), 0);
-  c.add(100);
-  c.add(50);
-  EXPECT_EQ(c.cumulative(), 150);
-  c.reset();
-  EXPECT_EQ(c.cumulative(), 0);
-}
-
-TEST(BlockingCounterSet, SamplesAllConnections) {
-  BlockingCounterSet set(3);
-  set.at(0).add(10);
-  set.at(2).add(30);
-  const std::vector<DurationNs> s = set.sample();
-  EXPECT_EQ(s, (std::vector<DurationNs>{10, 0, 30}));
-  set.reset_all();
-  EXPECT_EQ(set.sample(), (std::vector<DurationNs>{0, 0, 0}));
-}
 
 TEST(RateEstimator, FirstIngestOnlyBaselines) {
   BlockingRateEstimator est(2, 1.0);

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "runtime/local_region.h"
 #include "runtime/work.h"
@@ -119,6 +120,33 @@ TEST(LocalRegion, RejectsMinThrottleOutsideUnitInterval) {
     EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
         << "min_throttle " << bad;
   }
+}
+
+TEST(LocalRegion, RejectsInputsOutsideItsWorkers) {
+  // Each would index a per-worker array out of bounds on the splitter
+  // thread. Like the protection check, these run before bring-up.
+  std::vector<LocalRegionConfig> bad;
+  for (const int w : {-1, 2}) {
+    LocalRegionConfig load = fast_config(2);
+    load.load_events.push_back({millis(10), w, 2.0});
+    bad.push_back(load);
+    LocalRegionConfig failure = fast_config(2);
+    failure.failure_events.push_back({millis(10), w, false});
+    bad.push_back(failure);
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(LocalRegion(bad[i], std::make_unique<RoundRobinPolicy>(2)),
+                 std::invalid_argument)
+        << "case " << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "case " << i;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(
+      LocalRegion(fast_config(2), std::make_unique<RoundRobinPolicy>(3)),
+      std::invalid_argument);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 }
 
 TEST(LocalRegion, TicksStayOnTimeUnderSkew) {

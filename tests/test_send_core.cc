@@ -18,6 +18,7 @@
 
 #include "delivery/release_core.h"
 #include "delivery/send_core.h"
+#include "util/time.h"
 
 namespace slb {
 namespace {
@@ -209,6 +210,29 @@ TEST(SendCore, RetransmitCommitAfterItsSequenceWasAckedBuffersNothing) {
   EXPECT_EQ(core.next_replay()->seq, 1u);
   EXPECT_EQ(core.unacked(), 1u);  // only 1, still pending
   EXPECT_EQ(core.replay_bytes(), 0u);
+}
+
+TEST(SendCore, ChargesBlockedTimePerChannel) {
+  const auto blocked = [](const Core& c) {
+    return std::vector<DurationNs>(c.blocked_ns().begin(),
+                                   c.blocked_ns().end());
+  };
+  Core core(3, DeliveryMode::kGapSkip);
+  EXPECT_EQ(blocked(core), (std::vector<DurationNs>{0, 0, 0}));
+  core.charge_blocked(0, 100);
+  core.charge_blocked(2, 30);
+  core.charge_blocked(0, 50);
+  // Liveness changes keep what a channel was charged: the control loop
+  // differences cumulative samples, so a reset would read as a negative
+  // rate.
+  core.quarantine(0);
+  core.set_up(2, false);
+  core.set_up(2, true);
+  core.charge_blocked(2, 5);
+  EXPECT_EQ(blocked(core), (std::vector<DurationNs>{150, 0, 35}));
+
+  EXPECT_EQ(blocked(Core(2, DeliveryMode::kAtLeastOnce, 64)),
+            (std::vector<DurationNs>{0, 0}));
 }
 
 // --- 2. exhaustive model check ---------------------------------------

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 
 #include "sim/region.h"
 
@@ -75,7 +77,7 @@ TEST(Region, DraftingConcentratesBlocking) {
   Region region(small_region(3, micros(20)),
                 std::make_unique<RoundRobinPolicy>(3));
   region.run_for(millis(200));
-  const std::vector<DurationNs> blocked = region.counters().sample();
+  const std::span<const DurationNs> blocked = region.splitter().blocked_ns();
   const DurationNs most = *std::max_element(blocked.begin(), blocked.end());
   const DurationNs least = *std::min_element(blocked.begin(), blocked.end());
   EXPECT_GT(most, 3 * std::max<DurationNs>(least, 1));
@@ -90,7 +92,7 @@ TEST(Region, BlockingTimeConcentratesOnLoadedConnection) {
   Region region(small_region(2, micros(1)),
                 std::make_unique<RoundRobinPolicy>(2), std::move(load));
   region.run_for(millis(100));
-  const std::vector<DurationNs> blocked = region.counters().sample();
+  const std::span<const DurationNs> blocked = region.splitter().blocked_ns();
   EXPECT_GT(blocked[0], 10 * std::max<DurationNs>(blocked[1], 1));
   // And the splitter is blocked most of the time overall (back pressure).
   EXPECT_GT(blocked[0] + blocked[1], millis(50));
@@ -192,6 +194,26 @@ TEST(Region, ZeroWeightConnectionStarves) {
   region.run_for(millis(20));
   EXPECT_EQ(region.splitter().sent(1), 0u);
   EXPECT_GT(region.emitted(), 0u);  // pipeline flows through connection 0
+}
+
+TEST(Region, RejectsInputsOfTheWrongWidth) {
+  // Each would index a per-worker array out of bounds: a policy picking
+  // among 3 connections, a load profile for 3 workers, a fault on a
+  // worker that does not exist.
+  EXPECT_THROW(Region(small_region(2, micros(2)),
+                      std::make_unique<RoundRobinPolicy>(3)),
+               std::invalid_argument);
+  EXPECT_THROW(Region(small_region(2, micros(2)),
+                      std::make_unique<RoundRobinPolicy>(2), LoadProfile(3)),
+               std::invalid_argument);
+  Region region(small_region(2, micros(2)),
+                std::make_unique<RoundRobinPolicy>(2));
+  for (const int bad : {-1, 2}) {
+    FaultEvent fault;
+    fault.worker = bad;
+    EXPECT_THROW(region.inject_fault(fault), std::invalid_argument)
+        << "worker " << bad;
+  }
 }
 
 }  // namespace

@@ -14,13 +14,12 @@ namespace {
 struct Rig {
   Simulator sim;
   std::vector<std::unique_ptr<Channel>> channels;
-  BlockingCounterSet counters;
   std::unique_ptr<SplitPolicy> policy;
   std::unique_ptr<Splitter> splitter;
 
   Rig(int n, std::unique_ptr<SplitPolicy> p, std::size_t send_cap = 4,
       std::size_t recv_cap = 4)
-      : counters(static_cast<std::size_t>(n)), policy(std::move(p)) {
+      : policy(std::move(p)) {
     std::vector<Channel*> ptrs;
     for (int j = 0; j < n; ++j) {
       channels.push_back(std::make_unique<Channel>(
@@ -31,7 +30,7 @@ struct Rig {
       ptrs.push_back(channels.back().get());
     }
     splitter = std::make_unique<Splitter>(&sim, policy.get(), 100);
-    splitter->wire(std::move(ptrs), &counters);
+    splitter->wire(std::move(ptrs));
   }
 };
 
@@ -88,7 +87,7 @@ TEST(Splitter, BlocksWhenChannelFullAndRecordsTime) {
   EXPECT_TRUE(rig.splitter->blocked());
   EXPECT_EQ(rig.splitter->total_sent(), 9u);
   // Blocked from t=~800 until the pop at t=1s: roughly the whole second.
-  EXPECT_GT(rig.counters.at(0).cumulative(), seconds(1) / 2);
+  EXPECT_GT(rig.splitter->blocked_ns()[0], seconds(1) / 2);
 }
 
 TEST(Splitter, ResumesAfterBlockedChannelDrains) {

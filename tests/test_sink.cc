@@ -116,7 +116,6 @@ TEST(MergerDownstream, UnorderedHonorsBackPressure) {
 struct SourceRig {
   Simulator sim;
   RoundRobinPolicy policy{1};
-  BlockingCounterSet counters{1};
   std::unique_ptr<Channel> channel;
   std::unique_ptr<Splitter> splitter;
 
@@ -128,7 +127,7 @@ struct SourceRig {
                         .latency = 1});
     splitter = std::make_unique<Splitter>(&sim, &policy, /*overhead=*/100,
                                           interval);
-    splitter->wire({channel.get()}, &counters);
+    splitter->wire({channel.get()});
   }
 };
 
@@ -152,10 +151,9 @@ TEST(OpenLoopSource, ArrearsBurstAfterBlocking) {
   // at full speed instead of dropping it.
   Simulator sim;
   RoundRobinPolicy policy{1};
-  BlockingCounterSet counters{1};
   Channel ch(&sim, 0, {.send_capacity = 4, .recv_capacity = 4, .latency = 1});
   Splitter splitter(&sim, &policy, 100, micros(10));
-  splitter.wire({&ch}, &counters);
+  splitter.wire({&ch});
   splitter.start();
   sim.run_until(millis(5));  // buffers (8) fill, source falls behind
   EXPECT_EQ(splitter.total_sent(), 8u);
