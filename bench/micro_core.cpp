@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core algorithms: the Fox
 // greedy RAP solver (the paper claims O(N + R log N)), the bisection
-// solver, PAVA monotone regression, rate-function maintenance, smooth
-// WRR picking, the clustering distance matrix, and the merger's ordered
-// release.
+// solver the tests cross-check it with, PAVA monotone regression,
+// rate-function maintenance, smooth WRR picking, the clustering distance
+// matrix, and the merger's ordered release.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -16,12 +16,15 @@
 #include "core/rate_function.h"
 #include "core/wrr.h"
 #include "delivery/release_core.h"
+#include "reference_core.h"
 #include "sim/region.h"
 #include "util/rng.h"
 #include "util/time.h"
 
 namespace slb {
 namespace {
+
+using testref::RapProblem;
 
 // ---- RAP solvers ---------------------------------------------------------
 

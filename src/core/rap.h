@@ -12,24 +12,16 @@
 // look-alike connections is one variable whose per-member weight w costs
 // c * w resource units.
 //
-// Three solvers are provided:
-//  * solve_fox       — the greedy marginal-allocation algorithm attributed
-//                      to Fox (1966); O(N + R log N) with a tournament
-//                      tree.
-//                      This is the production path, as in the paper. Its
-//                      template form calls the eval directly; the
-//                      RapProblem form goes through std::function.
-//  * solve_bisect    — a binary search on the objective value in the
-//                      spirit of Galil & Megiddo (1979); used to
-//                      cross-check Fox in tests.
-//  * solve_bruteforce— exhaustive search; testing only, tiny instances.
+// solve_fox is the greedy marginal-allocation algorithm attributed to Fox
+// (1966), O(N + R log N) with a tournament tree: the production path, as
+// in the paper. The bisection and brute-force solvers that cross-check it
+// live with the tests (tests/reference_core.h).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -42,15 +34,6 @@ struct RapVariable {
   Weight min = 0;
   Weight max = kWeightUnits;
   int multiplicity = 1;
-};
-
-/// A problem instance. `eval(j, w)` must be monotone non-decreasing in `w`
-/// for every `j` and cheap to call: Fox calls it O(N + R) times, once per
-/// unit it weighs.
-struct RapProblem {
-  std::function<double(int j, Weight w)> eval;
-  std::vector<RapVariable> vars;
-  Weight total = kWeightUnits;
 };
 
 /// Result of a solve.
@@ -188,16 +171,5 @@ RapSolution solve_fox(const std::vector<RapVariable>& vars, Weight total,
   sol.feasible = rap_detail::fox_feasible(vars, total, sol.allocated);
   return sol;
 }
-
-/// solve_fox through the problem's std::function eval.
-RapSolution solve_fox(const RapProblem& problem);
-
-/// Binary search on the objective value. Exact for monotone instances;
-/// asymptotically cheaper in R than Fox, used here for cross-validation.
-RapSolution solve_bisect(const RapProblem& problem);
-
-/// Exhaustive optimal objective (not weights); for tests with tiny N and
-/// total only — cost is O((total+1)^N).
-double bruteforce_objective(const RapProblem& problem);
 
 }  // namespace slb

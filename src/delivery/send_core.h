@@ -7,8 +7,8 @@
 // sim::Splitter (discrete-event) and rt::LocalRegion (loopback TCP) are
 // thin adapters that keep their own event scheduling or sockets, their
 // blocking (and, in the sim, Section 4.4 re-routing), and ask the core
-// what to send where. It does no I/O, reads no clock and uses no
-// atomics, so it can be unit-tested and model-checked directly
+// what to send where, and when. It does no I/O, reads no clock and uses
+// no atomics, so it can be unit-tested and model-checked directly
 // (tests/test_send_core.cc).
 //
 // It owns:
@@ -22,6 +22,11 @@
 //   * each channel's cumulative blocked time, the paper's blocking
 //     counter (§3): the adapter charges every wait on a channel here,
 //     and the control loop differences the samples into rates;
+//   * source pacing, on one clock: the open-loop release time, backlog
+//     and shed rule, the arrival stamp of a fresh tuple, the admission
+//     throttle, and the earliest time the next send may start. The
+//     adapter passes the times in (simulated or monotonic), so the core
+//     still reads no clock itself;
 //   * crash replay: a quarantined channel's unacked suffix moves into the
 //     pending queue, sorted by sequence, which adapters drain ahead of
 //     fresh sequences through their normal pick path;
@@ -37,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -124,14 +130,22 @@ class SendCore {
   };
 
   /// `replay_buffer_bytes` caps each channel's replay buffer
-  /// (at-least-once only; 0 = unbounded).
+  /// (at-least-once only; 0 = unbounded). `source_interval` paces fresh
+  /// sequences: 0 = closed loop (a source tuple is always ready), > 0 =
+  /// open loop releasing one every `source_interval` ns. Throws
+  /// std::invalid_argument when it is negative.
   explicit SendCore(int channels = 0,
                     DeliveryMode mode = DeliveryMode::kGapSkip,
-                    std::size_t replay_buffer_bytes = 0)
+                    std::size_t replay_buffer_bytes = 0,
+                    DurationNs source_interval = 0)
       : up_(static_cast<std::size_t>(channels), 1),
         sent_(static_cast<std::size_t>(channels), 0),
         blocked_(static_cast<std::size_t>(channels), 0),
-        alo_(mode == DeliveryMode::kAtLeastOnce) {
+        alo_(mode == DeliveryMode::kAtLeastOnce),
+        interval_(source_interval) {
+    if (source_interval < 0) {
+      throw std::invalid_argument("source_interval must not be negative");
+    }
     if (alo_) {
       buffers_.assign(static_cast<std::size_t>(channels),
                       ReplayBuffer<Payload>(replay_buffer_bytes));
@@ -153,16 +167,65 @@ class SendCore {
     return dropped;
   }
 
-  /// Open-loop shedding, the one rule both substrates apply: with
-  /// `backlog` source tuples overdue, once it reaches the `high`
-  /// watermark, drops the oldest down to the `low` one. Sheds nothing
-  /// when `high == 0` (shedding off), below `high`, or at or below `low`
-  /// — a low watermark at or above the high one leaves nothing to drop.
-  /// Returns the shed range (count 0 when nothing was shed).
-  Range shed_backlog(std::uint64_t backlog, std::uint64_t high,
-                     std::uint64_t low) {
-    if (high == 0 || backlog < high || backlog <= low) return {next_seq_, 0};
-    return shed(backlog - low);
+  // --- Source pacing ---------------------------------------------------
+
+  /// Starts the source clock: the first tuple is released at `now`.
+  void start(TimeNs now) { release_ = busy_until_ = now; }
+  DurationNs source_interval() const { return interval_; }
+
+  /// Admission control (closed-loop sources): offer only `factor`, in
+  /// (0, 1], of full speed by stretching each send's busy time by
+  /// 1/factor. 1.0 restores full speed.
+  void set_throttle(double factor) {
+    assert(factor > 0.0 && factor <= 1.0);
+    throttle_ = factor;
+  }
+  double throttle() const { return throttle_; }
+
+  /// Open loop: source tuples released by `now` but neither sent nor
+  /// shed (0 for a closed loop). A growing backlog means the region
+  /// cannot sustain the offered rate.
+  std::uint64_t backlog(TimeNs now) const {
+    if (interval_ <= 0 || now <= release_) return 0;
+    return static_cast<std::uint64_t>((now - release_) / interval_);
+  }
+
+  /// Arrival stamp of the next fresh tuple: its nominal release time in
+  /// an open loop (arrears count as waiting), `now` in a closed one.
+  TimeNs arrival(TimeNs now) const { return interval_ > 0 ? release_ : now; }
+
+  /// Open-loop shedding, the one rule both substrates apply: once the
+  /// backlog at `now` reaches the `high` watermark, drops the oldest
+  /// tuples down to the `low` one, and the release clock moves past
+  /// them. Sheds nothing when `high == 0` (shedding off), below `high`,
+  /// or at or below `low` — a low watermark at or above the high one
+  /// leaves nothing to drop. Returns the shed range (count 0 when
+  /// nothing was shed).
+  Range shed_backlog(TimeNs now, std::uint64_t high, std::uint64_t low) {
+    const std::uint64_t due = backlog(now);
+    if (high == 0 || due < high || due <= low) return {next_seq_, 0};
+    release_ += static_cast<DurationNs>(due - low) * interval_;
+    return shed(due - low);
+  }
+
+  /// Records a send that kept the splitter busy from `since` to `end`.
+  /// The throttle stretches that busy time, and a `fresh` tuple (not a
+  /// retransmit) consumes one source release.
+  void paced(TimeNs since, TimeNs end, bool fresh) {
+    DurationNs busy = end - since;
+    if (throttle_ < 1.0) {  // full speed skips the division (sim hot path)
+      busy = static_cast<DurationNs>(static_cast<double>(busy) / throttle_);
+    }
+    busy_until_ = since + busy;
+    if (fresh) release_ += interval_;
+  }
+
+  /// Earliest time the next send may start: once the last send's
+  /// (throttled) busy time is over and, for a `fresh` tuple, once it is
+  /// released (a closed loop's release clock never passes the busy
+  /// time). Arrears drain at full speed.
+  TimeNs ready_at(bool fresh) const {
+    return fresh ? std::max(busy_until_, release_) : busy_until_;
   }
 
   bool up(int j) const { return up_[index(j)] != 0; }
@@ -295,6 +358,12 @@ class SendCore {
   /// Replays awaiting re-send, sorted by sequence.
   std::deque<Entry> pending_;
   bool alo_;
+  DurationNs interval_;
+  /// Open loop: the release time of the next fresh tuple.
+  TimeNs release_ = 0;
+  /// End of the last send's throttled busy time.
+  TimeNs busy_until_ = 0;
+  double throttle_ = 1.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t acked_ = 0;
   std::uint64_t buffered_ = 0;

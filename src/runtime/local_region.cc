@@ -38,7 +38,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
     : config_(config),
       policy_(std::move(policy)),
       core_(config.workers, config.delivery.mode,
-            config.delivery.replay_buffer_bytes) {
+            config.delivery.replay_buffer_bytes, config.source_interval) {
   control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
@@ -256,6 +256,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
 
   const TimeNs start = monotonic_now();
   run_start_ = start;
+  core_.start(start);
   const TimeNs end = start + duration;
   TimeNs next_sample = start + config_.sample_period;
   TimeNs now = start;
@@ -322,15 +323,12 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     }
   };
 
-  // Sequences come from the delivery core; shed tuples consume them
-  // without being sent. The protection decisions themselves (throttle,
-  // shed watermarks, watchdog ladder) come out of the shared control
-  // loop, ticked once per sample period below; `actions` always holds
-  // its latest decision.
+  // Sequences and source pacing come from the delivery core; shed tuples
+  // consume sequences without being sent. The protection decisions
+  // themselves (throttle, shed watermarks, watchdog ladder) come out of
+  // the shared control loop, ticked once per sample period below;
+  // `actions` always holds its latest decision.
   const control::ControlActions& actions = loop_->last_actions();
-  TimeNs next_release = start;  // open-loop release clock
-  TimeNs throttle_until = 0;    // admission control: no fresh send before
-  double throttle_debt = 0.0;   // accumulated ns not yet paid out
   std::uint64_t prev_shed = 0;
   // Shed ranges not yet announced to the merger: [first, count). Sent
   // through any live worker connection (workers forward gap frames with
@@ -361,7 +359,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   std::vector<pollfd> fds(static_cast<std::size_t>(n) + 1);
   bool ready = true;
   int blocked_on = -1;
-  TimeNs wake_at = kNever;  // open-loop release or throttle deadline
+  TimeNs wake_at = kNever;  // source pacing deadline
   const auto next_deadline = [&] {
     TimeNs t = wake_at;
     if (!draining) {
@@ -467,6 +465,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       }
       loop_->tick(now - start, span, core_.blocked_ns(), {},
                   {alo, core_.acked(), core_.unacked()});
+      core_.set_throttle(actions.throttle);
 
       sync_merger_metrics();
 
@@ -492,22 +491,18 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     wake_at = kNever;
     if (out.ch < 0) {
       // At-least-once: frames queued for retransmission go ahead of fresh
-      // input (and ahead of source pacing — they were released long ago).
-      // Keeping old-before-new bounds how far the merger's replay pool
-      // has to reorder.
+      // input (and ahead of the open-loop release — they were released
+      // long ago). Keeping old-before-new bounds how far the merger's
+      // replay pool has to reorder.
       const auto* replay = core_.next_replay();
-      if (replay == nullptr && !draining && config_.source_interval > 0 &&
-          now > next_release) {
+      const bool fresh = replay == nullptr;
+      if (fresh && !draining) {
         // Open loop: shed when the backlog crosses the high watermark.
-        const auto dropped = core_.shed_backlog(
-            static_cast<std::uint64_t>((now - next_release) /
-                                       config_.source_interval),
-            actions.shed_high, actions.shed_low);
+        const auto dropped =
+            core_.shed_backlog(now, actions.shed_high, actions.shed_low);
         if (dropped.count > 0) {
           gap_queue.emplace_back(dropped.first, dropped.count);
           if (mc_.shed != nullptr) mc_.shed->inc(dropped.count);
-          next_release += static_cast<DurationNs>(dropped.count) *
-                          config_.source_interval;
         }
       }
       int live = -1;
@@ -518,22 +513,21 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         out.wire = net::gap_bytes(gap_queue.front().first,
                                   gap_queue.front().second);
         bind(Kind::kGap, live);
-      } else if (draining && (replay == nullptr || now >= drain_deadline)) {
+      } else if (draining && (fresh || now >= drain_deadline)) {
         if (live < 0) break;
         out.wire = fin;
         bind(Kind::kFin, live);
-      } else if (replay == nullptr && config_.source_interval > 0 &&
-                 now < next_release) {
-        wake_at = next_release;  // open loop: wait for the next release
-      } else if (replay == nullptr && now < throttle_until) {
-        wake_at = throttle_until;  // admission control: pay the debt
+      } else if (now < core_.ready_at(fresh)) {
+        // Source pacing: the open-loop release, or the throttled end of
+        // the last send.
+        wake_at = core_.ready_at(fresh);
       } else {
         const int picked = policy_->pick_connection();
         const int j = core_.route(picked);
         // j < 0 is a total outage: wait for a reconnect.
         if (j >= 0) {
           if (j != picked && mc_.failovers != nullptr) mc_.failovers->inc();
-          out.retransmit = replay != nullptr;
+          out.retransmit = !fresh;
           if (out.retransmit) {
             out.seq = replay->seq;
             out.wire = replay->payload;  // leaves the pending queue on commit
@@ -591,24 +585,13 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     core_.commit(j, out.seq, out.wire.size(),
                  alo ? out.wire : std::vector<std::uint8_t>{},
                  out.retransmit);
+    // The send kept the splitter busy from binding the frame to its last
+    // byte; a fresh one also consumed a source release.
+    core_.paced(out.since, monotonic_now(), !out.retransmit);
     if (out.retransmit) {
       if (mc_.retransmits != nullptr) mc_.retransmits->inc();
-      continue;  // a re-send is not a fresh sequence: no sent/pacing
-    }
-    if (mc_.sent != nullptr) mc_.sent->inc();
-    if (config_.source_interval > 0) {
-      next_release += config_.source_interval;
-    } else if (actions.throttle < 1.0) {
-      // Admission control: pay out the complement of the throttle factor
-      // as idle time, batched so sub-100µs debts still take effect.
-      const TimeNs after = monotonic_now();
-      throttle_debt +=
-          (1.0 / actions.throttle - 1.0) *
-          static_cast<double>(after - out.since);
-      if (throttle_debt >= 100000.0) {
-        throttle_until = after + static_cast<DurationNs>(throttle_debt);
-        throttle_debt = 0.0;
-      }
+    } else if (mc_.sent != nullptr) {
+      mc_.sent->inc();
     }
   }
 

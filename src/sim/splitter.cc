@@ -1,6 +1,5 @@
 #include "sim/splitter.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace slb::sim {
@@ -10,11 +9,10 @@ Splitter::Splitter(Simulator* sim, SplitPolicy* policy,
     : sim_(sim),
       policy_(policy),
       send_overhead_(send_overhead),
-      source_interval_(source_interval) {
+      core_(0, delivery::DeliveryMode::kGapSkip, 0, source_interval) {
   assert(sim != nullptr);
   assert(policy != nullptr);
   assert(send_overhead > 0);  // zero would allow infinite same-instant sends
-  assert(source_interval >= 0);
 }
 
 void Splitter::wire(std::vector<Channel*> channels,
@@ -23,7 +21,8 @@ void Splitter::wire(std::vector<Channel*> channels,
   channels_ = std::move(channels);
   core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()),
                                     delivery.mode,
-                                    delivery.replay_buffer_bytes);
+                                    delivery.replay_buffer_bytes,
+                                    core_.source_interval());
   blocks_.assign(channels_.size(), 0);
   for (std::size_t j = 0; j < channels_.size(); ++j) {
     channels_[j]->set_on_send_space(
@@ -34,7 +33,7 @@ void Splitter::wire(std::vector<Channel*> channels,
 void Splitter::start() {
   // The source starts producing now, not at the epoch (matters when a
   // region joins a shared timeline late).
-  next_release_ = sim_->now();
+  core_.start(sim_->now());
   sim_->schedule_after(0, [this] { next_send(); });
 }
 
@@ -82,27 +81,21 @@ void Splitter::update_delivery_gauges() {
   }
 }
 
-void Splitter::set_throttle(double factor) {
-  assert(factor > 0.0 && factor <= 1.0);
-  throttle_ = factor;
-}
-
 void Splitter::set_shed_watermarks(std::uint64_t high, std::uint64_t low) {
   shed_high_ = high;
   shed_low_ = low;
 }
 
 void Splitter::shed_backlog() {
-  if (source_interval_ <= 0 || input_ != nullptr) return;
+  if (input_ != nullptr) return;
   // Drop the oldest backlog tuples — they have already waited longest and
   // in a streaming region stale data is the least valuable. Each one
   // consumes the sequence number it would have carried, so the merger's
   // gap accounting stays exact.
-  const auto dropped = core_.shed_backlog(source_backlog(sim_->now()),
-                                          shed_high_, shed_low_);
+  const auto dropped =
+      core_.shed_backlog(sim_->now(), shed_high_, shed_low_);
   if (dropped.count == 0) return;
   if (metrics_.shed != nullptr) metrics_.shed->inc(dropped.count);
-  next_release_ += static_cast<DurationNs>(dropped.count) * source_interval_;
   if (on_shed_) on_shed_(dropped.first, dropped.count);
 }
 
@@ -173,9 +166,7 @@ void Splitter::do_send(int j) {
     t = input_->pop_recv();
     t.seq = core_.next_seq();
   } else {
-    // Source tuple: arrival = nominal release time for an open-loop
-    // source (arrears count as waiting), or "now" for a closed loop.
-    t.created = source_interval_ > 0 ? next_release_ : sim_->now();
+    t.created = core_.arrival(sim_->now());
     t.seq = core_.next_seq();
   }
   core_.commit(j, t.seq, sizeof(Tuple), t, retransmit);
@@ -186,25 +177,13 @@ void Splitter::do_send(int j) {
   } else if (metrics_.sent != nullptr) {
     metrics_.sent->inc();
   }
-  DurationNs gap = send_overhead_;
-  if (throttle_ < 1.0 && input_ == nullptr) {
-    // Admission control: stretch the per-send overhead so the closed-loop
-    // source offers only `throttle_` of its full rate. An input-fed
-    // splitter is not a source and forwards at full speed.
-    gap = static_cast<DurationNs>(static_cast<double>(send_overhead_) /
-                                  throttle_);
-  }
-  TimeNs next = sim_->now() + gap;
-  if (source_interval_ > 0) {
-    // Open loop: the next *fresh* tuple is only available at its release
-    // time (retransmits consumed no source release). Arrears accumulated
-    // while we were blocked drain at full speed.
-    if (!retransmit) next_release_ += source_interval_;
-    if (core_.next_replay() == nullptr) {
-      next = std::max(next, next_release_);
-    }
-  }
-  sim_->schedule_at(next, [this] { next_send(); });
+  // Pacing: the send keeps the splitter busy for `send_overhead_`
+  // (stretched by the throttle), and the next fresh tuple also waits for
+  // its open-loop release; a pending replay consumed no release and goes
+  // as soon as the splitter is free.
+  core_.paced(sim_->now(), sim_->now() + send_overhead_, !retransmit);
+  sim_->schedule_at(core_.ready_at(core_.next_replay() == nullptr),
+                    [this] { next_send(); });
 }
 
 void Splitter::set_channel_up(int j, bool up) {

@@ -54,7 +54,8 @@ class Splitter {
   ///   source: 0 = closed loop (a tuple is always ready — the paper's
   ///   throughput-bound experiments); > 0 = open loop at rate
   ///   1/source_interval, with arrears bursting out after blocking, like
-  ///   a real upstream stage's queue.
+  ///   a real upstream stage's queue. Throws std::invalid_argument when
+  ///   negative.
   Splitter(Simulator* sim, SplitPolicy* policy, DurationNs send_overhead,
            DurationNs source_interval = 0);
 
@@ -104,19 +105,17 @@ class Splitter {
   /// Open-loop sources only: how many released-but-unsent tuples are
   /// queued at the source right now (0 for closed-loop sources). A
   /// growing backlog means the region cannot sustain the offered rate.
-  std::uint64_t source_backlog(TimeNs now) const {
-    if (source_interval_ <= 0 || now <= next_release_) return 0;
-    return static_cast<std::uint64_t>((now - next_release_) /
-                                      source_interval_);
-  }
+  std::uint64_t source_backlog(TimeNs now) const { return core_.backlog(now); }
 
   /// Admission control (closed-loop sources): scales the source's tuple
   /// rate to `factor` (in (0, 1]) of full speed by stretching the per-send
   /// overhead. 1.0 restores full speed. No effect on open-loop release
   /// times — an external source cannot be slowed down, only shed — nor on
   /// an input-fed splitter, which is not a source.
-  void set_throttle(double factor);
-  double throttle() const { return throttle_; }
+  void set_throttle(double factor) {
+    if (input_ == nullptr) core_.set_throttle(factor);
+  }
+  double throttle() const { return core_.throttle(); }
 
   /// Load shedding (open-loop sources): when the source backlog reaches
   /// `high`, drop backlog tuples (oldest first) until it is back at `low`.
@@ -183,9 +182,6 @@ class Splitter {
   Simulator* sim_;
   SplitPolicy* policy_;
   DurationNs send_overhead_;
-  DurationNs source_interval_;
-  TimeNs next_release_ = 0;
-  double throttle_ = 1.0;
   std::uint64_t shed_high_ = 0;
   std::uint64_t shed_low_ = 0;
   std::function<void(std::uint64_t, std::uint64_t)> on_shed_;
@@ -194,8 +190,9 @@ class Splitter {
 
   SplitterMetrics metrics_;
 
-  /// Sequences, liveness, replay buffers, acks, blocked time and the
-  /// send counters (DESIGN.md §10), shared with the runtime splitter.
+  /// Sequences, liveness, replay buffers, acks, blocked time, source
+  /// pacing and the send counters (DESIGN.md §10), shared with the
+  /// runtime splitter.
   delivery::SendCore<Tuple> core_;
 
   std::uint64_t rerouted_ = 0;

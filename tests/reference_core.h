@@ -4,7 +4,10 @@
 // Fox greedy. The production code replays WRR cycles, evaluates F_j from
 // PAVA knots, caches the linkage matrix and runs Fox over a tournament
 // tree; the *Oracle tests (test_core_oracle.cc) drive both with the same
-// inputs and require bit-identical results.
+// inputs and require bit-identical results. Also the RapProblem form of
+// the RAP (a std::function eval) with the bisection and brute-force
+// solvers that cross-check Fox (test_rap, test_rap_property,
+// test_robustness).
 #pragma once
 
 #include <algorithm>
@@ -303,6 +306,183 @@ inline std::map<Weight, RawPoint> merge_cluster_raw(
     if (p.weight > 0.0) p.value /= p.weight;
   }
   return merged;
+}
+
+/// A RAP instance with a type-erased eval: the form the cross-check
+/// solvers below take. `eval(j, w)` must be monotone non-decreasing in
+/// `w` for every `j`.
+struct RapProblem {
+  std::function<double(int j, Weight w)> eval;
+  std::vector<RapVariable> vars;
+  Weight total = kWeightUnits;
+};
+
+/// The production Fox greedy, called through the problem's
+/// std::function eval.
+inline RapSolution solve_fox(const RapProblem& p) {
+  assert(p.eval);
+  return slb::solve_fox(p.vars, p.total, p.eval);
+}
+
+/// Binary search on the objective value in the spirit of Galil & Megiddo
+/// (1979). Exact for monotone instances; cross-checks Fox.
+inline RapSolution solve_bisect(const RapProblem& p) {
+  assert(p.eval);
+  rap_detail::validate(p.vars, p.total);
+  const int n = static_cast<int>(p.vars.size());
+  RapSolution sol;
+  sol.weights.resize(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    sol.weights[static_cast<std::size_t>(j)] =
+        p.vars[static_cast<std::size_t>(j)].min;
+  }
+  sol.allocated = rap_detail::allocated_units(p.vars, sol.weights);
+  if (sol.allocated > p.total) {
+    sol.objective = rap_detail::objective_of(p.eval, sol.weights);
+    sol.feasible = false;
+    return sol;
+  }
+
+  // Candidate objective values: every attainable F_j(w) in range. The
+  // optimum must be one of them (or the mandatory floor max_j F_j(m_j)).
+  std::vector<double> candidates;
+  for (int j = 0; j < n; ++j) {
+    const RapVariable& v = p.vars[static_cast<std::size_t>(j)];
+    for (Weight w = v.min; w <= v.max; ++w) {
+      candidates.push_back(rap_detail::safe_eval(p.eval, j, w));
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+
+  // cap_j(lambda): largest w in [m_j, M_j] with F_j(w) <= lambda, found by
+  // binary search thanks to monotonicity. Returns m_j - 1 when even the
+  // minimum exceeds lambda.
+  auto cap = [&](int j, double lambda) -> Weight {
+    const RapVariable& v = p.vars[static_cast<std::size_t>(j)];
+    if (rap_detail::safe_eval(p.eval, j, v.min) > lambda) return v.min - 1;
+    Weight lo = v.min;
+    Weight hi = v.max;
+    while (lo < hi) {
+      const Weight mid = lo + (hi - lo + 1) / 2;
+      if (rap_detail::safe_eval(p.eval, j, mid) <= lambda) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    return lo;
+  };
+
+  auto feasible_at = [&](double lambda) {
+    Weight capacity = 0;
+    for (int j = 0; j < n; ++j) {
+      const Weight c = cap(j, lambda);
+      if (c < p.vars[static_cast<std::size_t>(j)].min) return false;
+      capacity += p.vars[static_cast<std::size_t>(j)].multiplicity * c;
+      if (capacity >= p.total) return true;
+    }
+    return capacity >= p.total;
+  };
+
+  // Binary search the smallest feasible candidate.
+  std::size_t lo = 0;
+  std::size_t hi = candidates.size();  // one past the end == "none work"
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (feasible_at(candidates[mid])) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+
+  // Round-robin fill toward per-variable limits, one unit each per pass.
+  // A front-to-back fill would dump the whole budget on the lowest index
+  // whenever the functions tie (all-zero / all-identical F_j, the common
+  // degenerate case); spreading matches the greedy solver's tie-break and
+  // returns the uniform point.
+  auto fill_round_robin = [&](const std::vector<Weight>& limit) {
+    bool progress = true;
+    while (sol.allocated < p.total && progress) {
+      progress = false;
+      for (int j = 0; j < n && sol.allocated < p.total; ++j) {
+        const auto ju = static_cast<std::size_t>(j);
+        if (sol.weights[ju] < limit[ju] &&
+            sol.allocated + p.vars[ju].multiplicity <= p.total) {
+          sol.weights[ju] += 1;
+          sol.allocated += p.vars[ju].multiplicity;
+          progress = true;
+        }
+      }
+    }
+  };
+
+  if (lo == candidates.size()) {
+    // Even the loosest lambda cannot place all traffic: capacity-bound.
+    std::vector<Weight> limit(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) {
+      limit[static_cast<std::size_t>(j)] = p.vars[static_cast<std::size_t>(j)].max;
+    }
+    fill_round_robin(limit);
+    sol.objective = rap_detail::objective_of(p.eval, sol.weights);
+    sol.feasible = false;
+    return sol;
+  }
+
+  const double lambda = candidates[lo];
+  std::vector<Weight> limit(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    limit[static_cast<std::size_t>(j)] = cap(j, lambda);
+  }
+  fill_round_robin(limit);
+  sol.objective = rap_detail::objective_of(p.eval, sol.weights);
+  Weight max_units = 0;
+  for (const RapVariable& v : p.vars) max_units += v.multiplicity * v.max;
+  int min_mult = std::numeric_limits<int>::max();
+  for (const RapVariable& v : p.vars) {
+    min_mult = std::min(min_mult, v.multiplicity);
+  }
+  sol.feasible =
+      max_units >= p.total && (p.total - sol.allocated) < min_mult;
+  return sol;
+}
+
+/// Exhaustive optimal objective (not weights), for tiny N and total
+/// only: cost is O((total+1)^N).
+inline double bruteforce_objective(const RapProblem& p) {
+  assert(p.eval);
+  rap_detail::validate(p.vars, p.total);
+  const int n = static_cast<int>(p.vars.size());
+  double best = std::numeric_limits<double>::infinity();
+  WeightVector w(static_cast<std::size_t>(n), 0);
+
+  // Depth-first enumeration of all assignments hitting the budget exactly
+  // (or as close as multiplicities allow, mirroring the solvers).
+  int min_mult = std::numeric_limits<int>::max();
+  for (const RapVariable& v : p.vars) {
+    min_mult = std::min(min_mult, v.multiplicity);
+  }
+
+  std::function<void(int, Weight, double)> go = [&](int j, Weight used,
+                                                    double worst) {
+    if (worst >= best) return;  // prune
+    if (j == n) {
+      if (p.total - used < min_mult && used <= p.total) {
+        best = std::min(best, worst);
+      }
+      return;
+    }
+    const RapVariable& v = p.vars[static_cast<std::size_t>(j)];
+    for (Weight x = v.min; x <= v.max; ++x) {
+      const Weight next = used + v.multiplicity * x;
+      if (next > p.total) break;
+      go(j + 1, next, std::max(worst, rap_detail::safe_eval(p.eval, j, x)));
+    }
+  };
+  go(0, 0, 0.0);
+  return best;
 }
 
 /// Fox's greedy over a binary heap of pending units.

@@ -31,6 +31,8 @@
 namespace slb {
 namespace {
 
+using testref::RapProblem;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 

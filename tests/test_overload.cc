@@ -437,6 +437,16 @@ TEST(RegionOverload, RejectsMinThrottleOutsideUnitInterval) {
   }
 }
 
+TEST(RegionOverload, RejectsANegativeSourceInterval) {
+  // A negative interval would run the splitter closed loop while the
+  // control loop, seeing a non-zero interval, treats the source as open
+  // loop and never throttles it.
+  sim::RegionConfig cfg = overloaded_region(/*open_loop=*/true);
+  cfg.source_interval = -1;
+  EXPECT_THROW(sim::Region(cfg, std::make_unique<RoundRobinPolicy>(4)),
+               std::invalid_argument);
+}
+
 // --- flow pipeline ----------------------------------------------------
 //
 // The same ladder, driven through flow::Pipeline's per-stage control
@@ -539,6 +549,15 @@ TEST(PipelineOverload, RejectsMinThrottleOutsideUnitInterval) {
     EXPECT_THROW(flow::PipelineBuilder{cfg}, std::invalid_argument)
         << "min_throttle " << bad;
   }
+}
+
+TEST(PipelineOverload, RejectsANegativeSourceInterval) {
+  flow::PipelineConfig cfg = overloaded_pipeline(/*open_loop=*/true);
+  cfg.source_interval = -1;
+  flow::PipelineBuilder builder(cfg);
+  builder.parallel("score", 4, micros(10),
+                   std::make_unique<LoadBalancingPolicy>(4));
+  EXPECT_THROW(builder.build(), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "core/rap.h"
+#include "reference_core.h"
 #include "util/rng.h"
 
 namespace slb {
 namespace {
+
+using testref::RapProblem;
 
 /// Builds a problem over explicit per-variable value tables.
 RapProblem table_problem(std::vector<std::vector<double>> tables,

@@ -13,10 +13,13 @@
 
 #include "core/rap.h"
 #include "core/types.h"
+#include "reference_core.h"
 #include "util/rng.h"
 
 namespace slb {
 namespace {
+
+using testref::RapProblem;
 
 /// One random instance: per-variable monotone tables F_j over w in
 /// [0, total], random bounds, optional multiplicities.

@@ -13,10 +13,13 @@
 #include "core/rate_estimator.h"
 #include "core/rate_function.h"
 #include "core/types.h"
+#include "reference_core.h"
 #include "util/time.h"
 
 namespace slb {
 namespace {
+
+using testref::RapProblem;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -107,8 +108,8 @@ TEST(LocalRegion, RejectsReroutePolicy) {
 }
 
 TEST(LocalRegion, RejectsMinThrottleOutsideUnitInterval) {
-  // A zero floor would turn the throttle's pacing debt infinite, one
-  // above 1 inverts its clamp. The check runs before bring-up: a throw
+  // A zero floor would put the throttle's pacing deadline at infinity,
+  // one above 1 inverts its clamp. The check runs before bring-up: a throw
   // after the merger PE started would hang in its destructor.
   for (const double bad : {0.0, 1.5}) {
     LocalRegionConfig cfg = fast_config(2);
@@ -120,6 +121,17 @@ TEST(LocalRegion, RejectsMinThrottleOutsideUnitInterval) {
     EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
         << "min_throttle " << bad;
   }
+}
+
+TEST(LocalRegion, RejectsANegativeSourceInterval) {
+  // Rejected by the delivery core, before bring-up, like the protection
+  // check.
+  LocalRegionConfig cfg = fast_config(2);
+  cfg.source_interval = -1;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(LocalRegion(cfg, std::make_unique<RoundRobinPolicy>(2)),
+               std::invalid_argument);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 }
 
 TEST(LocalRegion, RejectsInputsOutsideItsWorkers) {
@@ -168,6 +180,27 @@ TEST(LocalRegion, TicksStayOnTimeUnderSkew) {
   EXPECT_TRUE(stats.order_ok);
   const auto nominal = static_cast<int>(duration / cfg.sample_period);
   EXPECT_GE(samples, nominal * 9 / 10) << "of " << nominal << " periods";
+}
+
+TEST(LocalRegion, OpenLoopSourceSendsAtItsInterval) {
+  // One tuple every 1 ms against 2 x 10k tuples/s of capacity: the
+  // splitter never falls behind, so it sends the tuples released during
+  // the run (one at each whole ms from the start), sheds none, and loses
+  // at most a few to a late final wake.
+  LocalRegionConfig cfg = fast_config(2);
+  cfg.work_mode = WorkMode::kTimed;
+  cfg.multiplies = 100'000;  // 100 us per tuple
+  cfg.source_interval = millis(1);
+  LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+  const DurationNs duration = millis(300);
+  const LocalRunStats stats = region.run(duration);
+  const auto nominal =
+      static_cast<std::uint64_t>(duration / cfg.source_interval);
+  EXPECT_GE(stats.sent, nominal * 95 / 100);
+  EXPECT_LE(stats.sent, nominal);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.emitted, stats.sent);
+  EXPECT_TRUE(stats.order_ok);
 }
 
 TEST(LocalRegion, TimedWorkModeRunsAndPreservesOrder) {

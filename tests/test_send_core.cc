@@ -2,8 +2,9 @@
 //
 // Two layers of evidence:
 //   1. unit cases for each piece the core owns (sequence issuance,
-//      shedding, liveness and failover routing, admission, commit, the
-//      ack cursor, crash replay, the running gauges);
+//      shedding, source pacing, liveness and failover routing,
+//      admission, commit, the ack cursor, crash replay, the running
+//      gauges);
 //   2. an exhaustive model check: SendCore wired to ReleaseCore over
 //      per-channel in-flight FIFOs, exploring every interleaving of send
 //      (on every routable channel), deliver, ack generation and delayed ack
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "delivery/release_core.h"
@@ -60,22 +62,97 @@ TEST(SendCore, FreshCommitsAndShedsConsumeSequencesInOrder) {
 }
 
 TEST(SendCore, ShedBacklogDropsDownToTheLowWatermarkOnlyPastBoth) {
-  Core core(1, DeliveryMode::kGapSkip);
-  EXPECT_EQ(core.shed_backlog(100, 0, 0).count, 0u);   // shedding off
-  EXPECT_EQ(core.shed_backlog(63, 64, 32).count, 0u);  // below high
-  const Core::Range dropped = core.shed_backlog(70, 64, 32);
+  // One tuple released per ns from t = 0. `shed_at` sheds at the instant
+  // the backlog is `backlog` (arrival() is the release clock in an open
+  // loop), so each case reads as a backlog against the watermarks.
+  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1);
+  core.start(0);
+  const auto shed_at = [&](std::uint64_t backlog, std::uint64_t high,
+                           std::uint64_t low) {
+    return core.shed_backlog(
+        core.arrival(0) + static_cast<DurationNs>(backlog), high, low);
+  };
+  EXPECT_EQ(shed_at(100, 0, 0).count, 0u);   // shedding off
+  EXPECT_EQ(shed_at(63, 64, 32).count, 0u);  // below high
+  const Core::Range dropped = shed_at(70, 64, 32);
   EXPECT_EQ(dropped.first, 0u);
   EXPECT_EQ(dropped.count, 38u);  // down to the low watermark
   // Equal watermarks (the watchdog halves 3/2 into 1/1): a backlog at
   // the mark leaves nothing to drop, so no empty gap range is issued.
-  EXPECT_EQ(core.shed_backlog(1, 1, 1).count, 0u);
-  EXPECT_EQ(core.shed_backlog(2, 1, 1).count, 1u);
+  EXPECT_EQ(shed_at(1, 1, 1).count, 0u);
+  EXPECT_EQ(shed_at(2, 1, 1).count, 1u);
   // Low above high: a backlog between them must not underflow.
-  EXPECT_EQ(core.shed_backlog(40, 32, 64).count, 0u);
-  EXPECT_EQ(core.shed_backlog(64, 32, 64).count, 0u);
-  EXPECT_EQ(core.shed_backlog(70, 32, 64).count, 6u);
+  EXPECT_EQ(shed_at(40, 32, 64).count, 0u);
+  EXPECT_EQ(shed_at(64, 32, 64).count, 0u);
+  EXPECT_EQ(shed_at(70, 32, 64).count, 6u);
   EXPECT_EQ(core.next_seq(), 45u);
   EXPECT_EQ(core.shed(), 45u);
+}
+
+TEST(SendCore, RejectsANegativeSourceInterval) {
+  EXPECT_THROW(Core(1, DeliveryMode::kGapSkip, 0, -1), std::invalid_argument);
+  EXPECT_NO_THROW(Core(1, DeliveryMode::kGapSkip, 0, 0));
+}
+
+TEST(SendCore, PacingThrottleStretchesTheBusyTime) {
+  Core core(1, DeliveryMode::kGapSkip);  // closed loop
+  core.start(0);
+  core.set_throttle(0.25);
+  core.paced(10'000, 11'000, /*fresh=*/true);  // a 1000 ns send
+  EXPECT_EQ(core.ready_at(true), 14'000);
+  EXPECT_EQ(core.ready_at(false), 14'000);
+  core.set_throttle(1.0);
+  core.paced(14'000, 15'000, /*fresh=*/true);
+  EXPECT_EQ(core.ready_at(true), 15'000);
+}
+
+TEST(SendCore, PacingOpenLoopReleaseBacklogAndArrivalFollowTheInterval) {
+  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1000);
+  core.start(5000);
+  EXPECT_EQ(core.arrival(9999), 5000);
+  EXPECT_EQ(core.ready_at(true), 5000);
+  EXPECT_EQ(core.backlog(5000), 0u);
+  EXPECT_EQ(core.backlog(7999), 2u);
+  core.paced(5000, 5100, /*fresh=*/true);  // tuple 0 goes out on time
+  EXPECT_EQ(core.arrival(9999), 6000);
+  EXPECT_EQ(core.ready_at(true), 6000);   // waits for tuple 1's release
+  EXPECT_EQ(core.ready_at(false), 5100);  // a replay waits for nothing
+  EXPECT_EQ(core.backlog(7999), 1u);
+  // Arrears: sent late, tuple 1 keeps its nominal stamp and tuple 2 is
+  // ready as soon as the splitter is free.
+  core.paced(8000, 8100, /*fresh=*/true);
+  EXPECT_EQ(core.arrival(9999), 7000);
+  EXPECT_EQ(core.ready_at(true), 8100);
+  // A closed loop has no release clock.
+  Core closed(1, DeliveryMode::kGapSkip);
+  closed.start(5000);
+  EXPECT_EQ(closed.arrival(9999), 9999);
+  EXPECT_EQ(closed.backlog(1'000'000), 0u);
+}
+
+TEST(SendCore, PacingShedMovesTheReleaseClockPastTheDroppedTuples) {
+  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1000);
+  core.start(0);
+  EXPECT_EQ(core.backlog(10'500), 10u);
+  const Core::Range dropped = core.shed_backlog(10'500, 8, 2);
+  EXPECT_EQ(dropped.first, 0u);
+  EXPECT_EQ(dropped.count, 8u);
+  EXPECT_EQ(core.backlog(10'500), 2u);
+  EXPECT_EQ(core.arrival(10'500), 8000);  // the oldest survivor, seq 8
+  EXPECT_EQ(core.ready_at(true), 8000);
+  EXPECT_EQ(core.next_seq(), 8u);
+}
+
+TEST(SendCore, PacingRetransmitWaitsForTheBusyTimeButNotTheRelease) {
+  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1000);
+  core.start(0);
+  core.set_throttle(0.5);
+  core.paced(0, 100, /*fresh=*/true);
+  EXPECT_EQ(core.ready_at(false), 200);
+  EXPECT_EQ(core.ready_at(true), 1000);
+  core.paced(200, 300, /*fresh=*/false);  // a retransmit
+  EXPECT_EQ(core.ready_at(false), 400);
+  EXPECT_EQ(core.ready_at(true), 1000);  // consumed no release
 }
 
 TEST(SendCore, RouteFailsOverToTheNextLiveChannelInRingOrder) {
