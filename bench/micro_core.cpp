@@ -2,7 +2,8 @@
 // greedy RAP solver (the paper claims O(N + R log N)), the bisection
 // solver the tests cross-check it with, PAVA monotone regression,
 // rate-function maintenance, smooth WRR picking, the clustering distance
-// matrix, and the merger's ordered release.
+// matrix, the merger's ordered release, and the simulator's event engine
+// beside the plain priority-queue engine it replaced.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "core/wrr.h"
 #include "delivery/release_core.h"
 #include "reference_core.h"
+#include "reference_event.h"
 #include "sim/region.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -288,6 +290,49 @@ void BM_SimRegionSend(benchmark::State& state) {
   state.SetLabel(cfg.metrics ? "metrics-on" : "metrics-off");
 }
 BENCHMARK(BM_SimRegionSend)->Arg(0)->Arg(1);
+
+// ---- event engine -----------------------------------------------------------
+
+// The shape of the two per-tuple hot events (the channel's wire delivery
+// and the worker's service completion): a pointer plus a tuple and an
+// epoch, 32 bytes.
+struct ChurnEvent {
+  std::uint64_t* sum;
+  std::uint64_t a;
+  std::uint64_t b;
+  std::uint64_t c;
+  void operator()() const { *sum += a ^ b ^ c; }
+};
+static_assert(sizeof(ChurnEvent) == 32);
+
+// Steady state of a busy simulation: 200 events pending, and each
+// iteration schedules one 32-byte event at a random delay and fires the
+// earliest. The time per iteration is the engine's cost per event, the
+// layer number beside perfbench's sim.self_ns_per_event; the
+// ReferenceSimulator row is the std::function priority queue it replaced.
+template <class Sim>
+void BM_SimulatorEventChurn(benchmark::State& state) {
+  constexpr std::size_t kPending = 200;
+  constexpr std::size_t kDelays = 1024;
+  Rng rng(11);
+  std::vector<DurationNs> delays(kDelays);
+  for (auto& d : delays) d = static_cast<DurationNs>(rng.below(2000));
+  std::uint64_t sum = 0;
+  Sim sim;
+  std::uint64_t i = 0;
+  for (; i < kPending; ++i) {
+    sim.schedule_after(delays[i % kDelays], ChurnEvent{&sum, i, i, i});
+  }
+  for (auto _ : state) {
+    sim.schedule_after(delays[i % kDelays], ChurnEvent{&sum, i, ~i, i >> 3});
+    sim.step();
+    ++i;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_SimulatorEventChurn, sim::Simulator);
+BENCHMARK_TEMPLATE(BM_SimulatorEventChurn, testref::ReferenceSimulator);
 
 // ---- clustering -------------------------------------------------------------
 

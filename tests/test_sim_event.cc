@@ -1,9 +1,18 @@
-// Tests for the discrete-event engine.
+// Tests for the discrete-event engine: its ordering contract, the
+// lifetime of the callables it stores, and a differential oracle against
+// the plain priority-queue engine (tests/reference_event.h).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "reference_event.h"
 #include "sim/event.h"
+#include "util/rng.h"
 
 namespace slb::sim {
 namespace {
@@ -118,6 +127,322 @@ TEST(Simulator, EventsCanScheduleManyMore) {
   sim.run_until_idle();
   EXPECT_EQ(count, 1000);
   EXPECT_EQ(sim.now(), 999);
+}
+
+// ---- callable lifetime ------------------------------------------------------
+
+// Schedules enough events that the slab must grow, relocating every
+// callable already pending.
+void grow_slab(Simulator& sim) {
+  for (int i = 0; i < 200; ++i) sim.schedule_at(1000 + i, [] {});
+}
+
+// A callable that tracks its own live copies: each construction adds its
+// address, each destruction removes it, and a second destruction of the
+// same object fails the erase check.
+struct Probe {
+  std::set<const Probe*>* live;
+  int* calls;
+  Probe(std::set<const Probe*>* l, int* c) : live(l), calls(c) {
+    live->insert(this);
+  }
+  Probe(Probe&& o) noexcept : live(o.live), calls(o.calls) {
+    live->insert(this);
+  }
+  ~Probe() { EXPECT_EQ(live->erase(this), 1u); }
+  void operator()() {
+    EXPECT_EQ(live->count(this), 1u);
+    ++*calls;
+  }
+};
+
+TEST(Simulator, CallableRelocatedAndDestroyedExactlyOnce) {
+  std::set<const Probe*> live;
+  int calls = 0;
+  {
+    Simulator sim;
+    sim.schedule_at(5, Probe(&live, &calls));
+    EXPECT_EQ(live.size(), 1u);  // the temporary is gone, the slot's copy lives
+    grow_slab(sim);
+    EXPECT_EQ(live.size(), 1u);  // relocation destroyed the source
+    sim.run_until(5);
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(live.empty());
+    sim.run_until_idle();
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(live.empty());
+}
+
+TEST(Simulator, SharedCaptureReleasedAfterFiring) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  sim.schedule_at(5, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  grow_slab(sim);
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run_until_idle();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, MoveOnlyCaptureRuns) {
+  int seen = 0;
+  Simulator sim;
+  auto owned = std::make_unique<int>(42);
+  sim.schedule_at(5, [p = std::move(owned), &seen] { seen = *p; });
+  grow_slab(sim);
+  sim.run_until_idle();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(Simulator, LvalueFunctionIsCopiedPerSchedule) {
+  // The way test_sink's `drain` reschedules itself: the engine stores a
+  // copy and leaves the caller's function intact.
+  auto token = std::make_shared<int>(0);
+  std::function<void()> fn = [token] { ++*token; };
+  Simulator sim;
+  sim.schedule_after(0, fn);
+  sim.schedule_after(3, fn);
+  EXPECT_EQ(token.use_count(), 4);  // token, fn and two stored copies
+  grow_slab(sim);
+  EXPECT_EQ(token.use_count(), 4);
+  sim.run_until_idle();
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(static_cast<bool>(fn));
+  fn();
+  EXPECT_EQ(*token, 3);
+}
+
+TEST(Simulator, PendingCallablesReleasedOnDestruction) {
+  auto token = std::make_shared<int>(0);
+  std::set<const Probe*> live;
+  int calls = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < 50; ++i) sim.schedule_at(i, [token] { ++*token; });
+    sim.schedule_at(100, Probe(&live, &calls));
+    grow_slab(sim);
+    sim.run_until(20);  // 21 fired, their slots recycled
+    for (int i = 0; i < 10; ++i) sim.schedule_after(1, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 1 + 29 + 10);
+  }
+  EXPECT_EQ(*token, 21);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(live.empty());
+}
+
+// ---- differential oracle ----------------------------------------------------
+
+// One seeded random program on engine `Sim`. Each event appends (id, now)
+// to the trace and draws its follow-ups from the program's own generator,
+// so two engines stay in lockstep exactly as long as they fire the same
+// events in the same order. Delays are drawn from {0, ..., max_delay}, so a
+// small max_delay makes most events tie on time.
+template <class Sim>
+class Program {
+ public:
+  Program(std::uint64_t seed, TimeNs max_delay, double stop_chance)
+      : rng_(seed), max_delay_(max_delay), stop_chance_(stop_chance) {}
+
+  Sim sim;
+  std::vector<std::pair<int, TimeNs>> trace;
+
+  /// Schedules an event with up to `depth` generations of follow-ups,
+  /// absolutely at now() + `delay` or relatively after `delay`.
+  void add(bool absolute, TimeNs delay, int depth) {
+    const int id = next_id_++;
+    // Three callable shapes: trivially relocatable, a shared_ptr capture
+    // (32 bytes, like the channel and worker lambdas) and a std::function.
+    switch (id % 3) {
+      case 0:
+        put(absolute, delay, [this, id, depth] { fire(id, depth); });
+        break;
+      case 1:
+        put(absolute, delay,
+            [this, id, depth, token = std::make_shared<int>(id)] {
+              EXPECT_EQ(*token, id);
+              fire(id, depth);
+            });
+        break;
+      default:
+        put(absolute, delay,
+            std::function<void()>([this, id, depth] { fire(id, depth); }));
+        break;
+    }
+  }
+
+  /// Schedules an event that, when it runs, schedules `count` more events
+  /// and then reads its own capture: with few events pending the slab must
+  /// grow inside the call, relocating the stored callables under it.
+  void add_burst(int count) {
+    const int id = next_id_++;
+    sim.schedule_after(0, [this, id, count,
+                           token = std::make_shared<int>(id)] {
+      trace.emplace_back(id, sim.now());
+      for (int i = 0; i < count; ++i) add(i % 2 == 0, draw_delay(), 0);
+      trace.emplace_back(-*token, sim.now());
+    });
+  }
+
+ private:
+  template <class F>
+  void put(bool absolute, TimeNs delay, F&& fn) {
+    if (absolute) {
+      sim.schedule_at(sim.now() + delay, std::forward<F>(fn));
+    } else {
+      sim.schedule_after(delay, std::forward<F>(fn));
+    }
+  }
+
+  void fire(int id, int depth) {
+    trace.emplace_back(id, sim.now());
+    if (rng_.chance(stop_chance_)) sim.stop();
+    if (depth == 0) return;
+    const auto children = rng_.below(3);
+    for (std::uint64_t i = 0; i < children; ++i) {
+      add(rng_.chance(0.5), draw_delay(), depth - 1);
+    }
+  }
+
+  TimeNs draw_delay() {
+    return static_cast<TimeNs>(rng_.below(static_cast<std::uint64_t>(
+        max_delay_ + 1)));
+  }
+
+  Rng rng_;
+  TimeNs max_delay_;
+  double stop_chance_;
+  int next_id_ = 0;
+};
+
+template <class A, class B>
+::testing::AssertionResult same_state(const Program<A>& a,
+                                      const Program<B>& b) {
+  if (a.trace.size() != b.trace.size()) {
+    return ::testing::AssertionFailure()
+           << "trace length " << a.trace.size() << " vs " << b.trace.size();
+  }
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    if (a.trace[i] != b.trace[i]) {
+      return ::testing::AssertionFailure()
+             << "trace[" << i << "] (id " << a.trace[i].first << ", t "
+             << a.trace[i].second << ") vs (id " << b.trace[i].first
+             << ", t " << b.trace[i].second << ")";
+    }
+  }
+  if (a.sim.now() != b.sim.now()) {
+    return ::testing::AssertionFailure()
+           << "now " << a.sim.now() << " vs " << b.sim.now();
+  }
+  if (a.sim.events_processed() != b.sim.events_processed()) {
+    return ::testing::AssertionFailure()
+           << "events " << a.sim.events_processed() << " vs "
+           << b.sim.events_processed();
+  }
+  if (a.sim.idle() != b.sim.idle()) {
+    return ::testing::AssertionFailure() << "idle differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct OracleKnobs {
+  TimeNs max_delay = 10;
+  double stop_chance = 0.02;
+  int burst = 0;  // events one early event schedules from inside its call
+  int ops = 400;
+};
+
+// Drives the engine and the reference through the same random sequence of
+// schedule_at / schedule_after / step / run_until / run_while calls,
+// comparing trace, clock, event count and idleness after every call.
+// Returns the number of events the program fired.
+std::uint64_t run_oracle(std::uint64_t seed, const OracleKnobs& k) {
+  Program<Simulator> fast(seed, k.max_delay, k.stop_chance);
+  Program<testref::ReferenceSimulator> ref(seed, k.max_delay, k.stop_chance);
+  Rng ops_rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+  auto both = [&](auto&& op, int i) {
+    op(fast);
+    op(ref);
+    ASSERT_TRUE(same_state(fast, ref)) << "seed " << seed << " op " << i;
+  };
+  if (k.burst > 0) {
+    both([&](auto& p) { p.add(true, 0, 1); }, -2);
+    both([&](auto& p) { p.add_burst(k.burst); }, -1);
+    if (::testing::Test::HasFatalFailure()) return 0;
+  }
+  for (int i = 0; i < k.ops; ++i) {
+    const auto kind = ops_rng.below(6);
+    const TimeNs span = static_cast<TimeNs>(ops_rng.below(
+        static_cast<std::uint64_t>(3 * k.max_delay + 1)));
+    const bool absolute = ops_rng.chance(0.5);
+    const int depth = static_cast<int>(ops_rng.below(4));
+    switch (kind) {
+      case 0:
+      case 1:
+        both([&](auto& p) { p.add(absolute, span, depth); }, i);
+        break;
+      case 2:
+        both([&](auto& p) { p.sim.step(); }, i);
+        break;
+      case 3:
+        both([&](auto& p) { p.sim.run_until(p.sim.now() + span); }, i);
+        break;
+      default:
+        both([&](auto& p) { p.sim.run_while(p.sim.now() + span); }, i);
+        break;
+    }
+    if (::testing::Test::HasFatalFailure()) return 0;
+  }
+  both([&](auto& p) { p.sim.run_until_idle(); }, k.ops);
+  return fast.sim.events_processed();
+}
+
+TEST(SimulatorOracle, RandomProgramsMatchReference) {
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    fired += run_oracle(seed, OracleKnobs{});
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(fired, 5000u);  // the programs are not vacuous
+}
+
+TEST(SimulatorOracle, SameTimeTiesAndZeroDelaysMatchReference) {
+  // Delays of 0 or 1 only: nearly every event ties with many others, and
+  // most follow-ups are zero-delay events scheduled from inside an event.
+  OracleKnobs k;
+  k.max_delay = 1;
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    fired += run_oracle(seed, k);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(fired, 5000u);
+}
+
+TEST(SimulatorOracle, SlabGrowthInsideAnEventMatchesReference) {
+  OracleKnobs k;
+  k.burst = 1000;
+  k.max_delay = 3;
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    fired += run_oracle(seed, k);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(fired, 10000u);  // each burst alone fires 1000
+}
+
+TEST(SimulatorOracle, RunWhileStopsMatchReference) {
+  OracleKnobs k;
+  k.stop_chance = 0.25;
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    fired += run_oracle(seed, k);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(fired, 5000u);
 }
 
 }  // namespace
