@@ -16,17 +16,23 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 
 namespace slb::control {
+
+/// Floor of the admission throttle factor: a throttled source still
+/// runs at a quarter of full speed.
+inline constexpr double kMinThrottle = 0.25;
+
+/// The watchdog counts a period as hot when the aggregate blocking rate
+/// is at or above this.
+inline constexpr double kWatchdogBlockBudget = 0.9;
 
 struct ProtectionConfig {
   /// Closed-loop admission control: while the policy reports overload,
   /// throttle the source to (1 - capacity_deficit) of full speed,
-  /// floored at `min_throttle`. No effect on open-loop sources (an
+  /// floored at kMinThrottle. No effect on open-loop sources (an
   /// external source cannot be slowed — that is what shedding is for).
   bool admission_control = false;
-  double min_throttle = 0.25;
 
   /// Open-loop load shedding: when the source backlog reaches the high
   /// watermark, drop backlog tuples (reported downstream as sequence
@@ -35,27 +41,15 @@ struct ProtectionConfig {
   std::uint64_t shed_low_watermark = 0;
 
   /// Watchdog ladder: if the aggregate blocking rate stays at or above
-  /// `watchdog_block_budget` for `watchdog_periods` consecutive sample
+  /// kWatchdogBlockBudget for `watchdog_periods` consecutive sample
   /// periods, escalate one rung —
-  ///   stage 1: clamp the admission throttle to min_throttle,
+  ///   stage 1: clamp the admission throttle to kMinThrottle,
   ///   stage 2: halve the shed watermarks,
   ///   stage 3: drop the policy into safe-mode WRR.
   /// The same number of consecutive calm periods unwinds the ladder
   /// completely.
   bool watchdog = false;
-  double watchdog_block_budget = 0.9;
   int watchdog_periods = 8;
 };
-
-/// Throws std::invalid_argument unless `min_throttle` is in (0, 1]. A
-/// zero floor would make the throttled source's pacing divide by zero,
-/// and one above 1 inverts the throttle's clamp. Every substrate calls
-/// this before it builds anything.
-inline void validate(const ProtectionConfig& config) {
-  if (!(config.min_throttle > 0.0 && config.min_throttle <= 1.0)) {
-    throw std::invalid_argument(
-        "ProtectionConfig::min_throttle must be in (0, 1]");
-  }
-}
 
 }  // namespace slb::control

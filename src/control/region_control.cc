@@ -108,10 +108,10 @@ const ControlActions& RegionControlLoop::tick(
   if (prot.admission_control && config_.closed_loop_source) {
     double factor = 1.0;
     if (overload.overloaded) {
-      factor = std::clamp(1.0 - overload.capacity_deficit,
-                          prot.min_throttle, 1.0);
+      factor = std::clamp(1.0 - overload.capacity_deficit, kMinThrottle,
+                          1.0);
     }
-    if (stage_ >= 1) factor = prot.min_throttle;
+    if (stage_ >= 1) factor = kMinThrottle;
     actions_.throttle = factor;
     if (throttle_gauge_ != nullptr) {
       throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
@@ -120,7 +120,7 @@ const ControlActions& RegionControlLoop::tick(
 
   // 4. Watchdog ladder.
   if (prot.watchdog) {
-    if (aggregate >= prot.watchdog_block_budget) {
+    if (aggregate >= kWatchdogBlockBudget) {
       calm_streak_ = 0;
       if (++hot_streak_ >= prot.watchdog_periods) {
         hot_streak_ = 0;

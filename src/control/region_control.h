@@ -52,7 +52,7 @@ struct DeliverySample {
 /// Everything the control loop decided in one period, returned from
 /// RegionControlLoop::tick for the substrate to apply.
 struct ControlActions {
-  /// Admission throttle factor for the source, in [min_throttle, 1].
+  /// Admission throttle factor for the source, in [kMinThrottle, 1].
   /// Stays 1.0 unless admission control runs on a closed-loop source.
   double throttle = 1.0;
 

@@ -10,7 +10,7 @@ namespace slb {
 LoadBalanceController::LoadBalanceController(int connections,
                                              ControllerConfig config)
     : config_(config),
-      estimator_(connections, config.ewma_alpha),
+      estimator_(connections, kRateEwmaAlpha),
       saturation_(config.saturation),
       weights_(even_weights(connections)),
       down_(static_cast<std::size_t>(connections), 0) {
@@ -19,7 +19,6 @@ LoadBalanceController::LoadBalanceController(int connections,
   for (int j = 0; j < connections; ++j) {
     functions_.emplace_back(config_.function);
   }
-  status_.weights = weights_;
   status_.smoothed_rates.assign(static_cast<std::size_t>(connections), 0.0);
   status_.raw_rates.assign(static_cast<std::size_t>(connections), 0.0);
 }
@@ -54,8 +53,6 @@ const WeightVector& LoadBalanceController::update(
 
   if (config_.enable_overload_protection) {
     saturation_.observe(status_.raw_rates, down_);
-    status_.overloaded = saturation_.overloaded();
-    status_.capacity_deficit = saturation_.capacity_deficit();
     note_overload_transition(now);
     if (saturation_.overloaded()) {
       // Declared overload: every F_j is pinned at its ceiling, so these
@@ -110,7 +107,6 @@ const WeightVector& LoadBalanceController::update(
   }
 
   ++status_.updates;
-  status_.weights = weights_;
   if (metrics_.updates != nullptr) {
     metrics_.updates->inc();
     metrics_.live->set(live());
@@ -122,7 +118,6 @@ void LoadBalanceController::set_weights(const WeightVector& w) {
   assert(static_cast<int>(w.size()) == connections());
   assert(total_weight(w) == kWeightUnits);
   weights_ = w;
-  status_.weights = w;
 }
 
 int LoadBalanceController::live() const {
@@ -156,7 +151,6 @@ void LoadBalanceController::mark_down(int j) {
   if (live() == 0) {
     // Nothing left to route to: keep weights (the splitter is stalled
     // anyway) so the invariant sum(w) == kWeightUnits survives.
-    status_.weights = weights_;
     journal_mark_down("hold");
     return;
   }
@@ -172,7 +166,6 @@ void LoadBalanceController::mark_down(int j) {
       }
     }
     weights_ = weights_from_shares(even);
-    status_.weights = weights_;
     journal_mark_down("safe_even");
     return;
   }
@@ -196,7 +189,6 @@ void LoadBalanceController::mark_down(int j) {
     }
   }
   weights_ = weights_from_shares(shares);
-  status_.weights = weights_;
   journal_mark_down("redistribute");
 }
 
@@ -293,10 +285,8 @@ void LoadBalanceController::solve_flat() {
     v.min = std::max(config_.min_weight,
                      static_cast<Weight>(weights_[ju] - config_.max_step_down));
     v.min = std::max(v.min, 0);
-    Weight up = config_.max_step_up;
-    if (config_.geometric_step_up) {
-      up = std::min(up, std::max(config_.geometric_step_floor, weights_[ju]));
-    }
+    const Weight up = std::min(config_.max_step_up,
+                               std::max(kGeometricStepFloor, weights_[ju]));
     v.max = std::min(kWeightUnits, static_cast<Weight>(weights_[ju] + up));
     // A connection re-admitted at weight 0 cannot step up to a min_weight
     // floor above its geometric step: the floor wins.

@@ -29,10 +29,6 @@ namespace slb {
 /// Controller tunables. Defaults reproduce LB-adaptive from the paper;
 /// set `decay_factor = 1.0` for LB-static.
 struct ControllerConfig {
-  /// EWMA smoothing factor for per-period blocking rates (tracing only;
-  /// the functions smooth per-weight via RateFunctionConfig::mix_alpha).
-  double ewma_alpha = 0.5;
-
   /// Per-iteration geometric decay applied to F_j beyond the current
   /// weight (Section 5.4). 0.9 = the paper's 10 % reduction; 1.0 disables
   /// exploration (LB-static).
@@ -46,19 +42,10 @@ struct ControllerConfig {
   /// Per-update bounds on weight movement (the RAP's m_j / M_j relative to
   /// the current weights). Downward moves are unbounded by default,
   /// matching the paper's traces where a loaded connection drops to 0 in
-  /// one step.
+  /// one step; upward moves are further capped by the geometric step
+  /// (LoadBalanceController::kGeometricStepFloor).
   Weight max_step_up = kWeightUnits;
   Weight max_step_down = kWeightUnits;
-
-  /// Geometric upward probing: caps each update's increase at
-  /// max(geometric_step_floor, 2 x current weight) — so a connection
-  /// being re-explored from near zero is fed only a trickle (cheap if it
-  /// is still overloaded: its buffers barely fill before the blocking
-  /// data arrives and the optimizer backs off), while a recovering
-  /// connection still climbs to an even share within ~log2(R) updates.
-  /// Tighter of this and max_step_up wins; disable by setting false.
-  bool geometric_step_up = true;
-  Weight geometric_step_floor = 8;
 
   /// Hard floor for every connection's weight (0 lets connections be shut
   /// off entirely, as in the paper).
@@ -92,21 +79,30 @@ struct ControllerConfig {
 
 /// Per-update diagnostic snapshot, used by traces and tests.
 struct ControllerStatus {
-  WeightVector weights;
   std::vector<double> smoothed_rates;
   std::vector<double> raw_rates;
   Clusters clusters;  // empty when clustering is off / not engaged
   double objective = 0.0;
   bool solver_feasible = true;
   long updates = 0;
-  /// Overload protection (when enabled): current saturation state and the
-  /// published capacity-deficit estimate.
-  bool overloaded = false;
-  double capacity_deficit = 0.0;
 };
 
 class LoadBalanceController {
  public:
+  /// EWMA smoothing factor for the per-period blocking rates reported in
+  /// ControllerStatus::smoothed_rates and the journal (tracing only; the
+  /// functions smooth per-weight via RateFunctionConfig::mix_alpha).
+  static constexpr double kRateEwmaAlpha = 0.5;
+
+  /// Geometric upward probing: each update's increase is capped at
+  /// max(kGeometricStepFloor, current weight), so a connection being
+  /// re-explored from near zero is fed only a trickle (cheap if it is
+  /// still overloaded: its buffers barely fill before the blocking data
+  /// arrives and the optimizer backs off), while a recovering connection
+  /// still climbs to an even share within ~log2(R) updates. The tighter
+  /// of this and ControllerConfig::max_step_up wins.
+  static constexpr Weight kGeometricStepFloor = 8;
+
   LoadBalanceController(int connections, ControllerConfig config = {});
 
   /// Feeds one sampling period. `cumulative_blocked[j]` is connection j's

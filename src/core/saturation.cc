@@ -6,7 +6,7 @@
 namespace slb {
 
 SaturationDetector::SaturationDetector(SaturationConfig config)
-    : config_(config), deficit_(config.deficit_alpha) {}
+    : config_(config), deficit_(kDeficitAlpha) {}
 
 void SaturationDetector::observe(std::span<const double> rates,
                                  std::span<const char> down) {
@@ -45,8 +45,8 @@ void SaturationDetector::observe(std::span<const double> rates,
 
   if (!overloaded_) {
     const bool saturated =
-        aggregate >= config_.enter_aggregate && smoothed_min > 0.0 &&
-        smoothed_min >= config_.enter_min_fraction * smoothed_mean;
+        aggregate >= kEnterAggregate && smoothed_min > 0.0 &&
+        smoothed_min >= kEnterMinFraction * smoothed_mean;
     enter_streak_ = saturated ? enter_streak_ + 1 : 0;
     if (enter_streak_ >= config_.enter_periods) {
       overloaded_ = true;
@@ -64,9 +64,8 @@ void SaturationDetector::observe(std::span<const double> rates,
   // Exit on aggregate slack alone: with the controller frozen the draft
   // leader can pin to one connection, so an evenness requirement here
   // would read normal drafting as recovery.
-  exit_streak_ =
-      aggregate < config_.exit_aggregate ? exit_streak_ + 1 : 0;
-  if (exit_streak_ >= config_.exit_periods) {
+  exit_streak_ = aggregate < kExitAggregate ? exit_streak_ + 1 : 0;
+  if (exit_streak_ >= kExitPeriods) {
     overloaded_ = false;
     enter_streak_ = 0;
     exit_streak_ = 0;

@@ -29,7 +29,7 @@
 // connection blocks — uses the instantaneous rate.
 //
 // Entry and exit are hysteretic: `enter_periods` consecutive saturated
-// periods declare overload; `exit_periods` consecutive periods with real
+// periods declare overload; kExitPeriods consecutive periods with real
 // aggregate slack clear it. (Exit deliberately ignores evenness: once the
 // controller freezes, the leader can pin without meaning recovery.) While
 // overloaded the detector publishes a capacity-deficit estimate — the
@@ -45,35 +45,36 @@
 namespace slb {
 
 struct SaturationConfig {
-  /// Entry: instantaneous aggregate blocking rate (sum over live
-  /// connections, in [0,1] for a single-threaded splitter) must reach
-  /// this...
-  double enter_aggregate = 0.90;
-  /// ...with every live connection's *smoothed* rate at least this
-  /// fraction of the smoothed live mean (the all-channels-blocking /
-  /// flat-F_j test)...
-  double enter_min_fraction = 0.25;
-  /// ...for this many consecutive periods.
+  /// Entry: overload is declared after this many consecutive saturated
+  /// periods (SaturationDetector::kEnterAggregate, kEnterMinFraction).
   int enter_periods = 3;
 
   /// Per-connection smoothing for the evenness test. The horizon
   /// (~1/alpha periods) must cover a drafting rotation cycle, or the
   /// current leader's monopoly on the period masks the spread.
   double smoothing_alpha = 0.05;
-
-  /// Exit (hysteresis): overload clears after `exit_periods` consecutive
-  /// periods with instantaneous aggregate below this.
-  double exit_aggregate = 0.70;
-  int exit_periods = 3;
-
-  /// Smoothing factor for the capacity-deficit estimate.
-  double deficit_alpha = 0.3;
 };
 
 /// Feed one vector of per-connection blocking rates per sampling period;
 /// read back the overload state and the deficit estimate.
 class SaturationDetector {
  public:
+  /// Entry: a period is saturated when the instantaneous aggregate
+  /// blocking rate (sum over live connections, in [0,1] for a
+  /// single-threaded splitter) reaches kEnterAggregate, with every live
+  /// connection's *smoothed* rate at least kEnterMinFraction of the
+  /// smoothed live mean (the all-channels-blocking / flat-F_j test).
+  static constexpr double kEnterAggregate = 0.90;
+  static constexpr double kEnterMinFraction = 0.25;
+
+  /// Exit (hysteresis): overload clears after kExitPeriods consecutive
+  /// periods with instantaneous aggregate below kExitAggregate.
+  static constexpr double kExitAggregate = 0.70;
+  static constexpr int kExitPeriods = 3;
+
+  /// Smoothing factor for the capacity-deficit estimate.
+  static constexpr double kDeficitAlpha = 0.3;
+
   explicit SaturationDetector(SaturationConfig config = {});
 
   /// Ingests one period. `rates[j]` is connection j's blocking rate over

@@ -5,10 +5,6 @@
 
 namespace slb::flow {
 
-PipelineBuilder::PipelineBuilder(PipelineConfig config) : config_(config) {
-  control::validate(config_.protection);
-}
-
 PipelineBuilder& PipelineBuilder::op(std::string name, DurationNs cost,
                                      sim::LoadProfile load) {
   assert(!consumed_);
@@ -117,7 +113,6 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
     region_cfg.source_interval = config_.source_interval;
     region_cfg.sample_period = config_.sample_period;
     region_cfg.protection = prot;
-    region_cfg.metrics = config_.metrics;
     stage.region = std::make_unique<sim::Region>(
         region_cfg, std::move(spec.policy), std::move(spec.load),
         sim::HostModel{}, sim, sim::SharedPlacement{}, stage.input.get(),
@@ -130,17 +125,15 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
       sim, pipeline->source_policy_.get(), config_.source_overhead,
       config_.source_interval);
   pipeline->source_->wire({pipeline->stages_.front()->input.get()});
-  if (config_.metrics) {
-    obs::MetricsRegistry& reg = pipeline->metrics_;
-    sim::SplitterMetrics sm;
-    sm.sent = &reg.counter("source.sent");
-    sm.blocks = &reg.counter("source.blocks");
-    sm.block_ns = &reg.histogram("source.block_ns");
-    sm.shed = &reg.counter("source.shed");
-    pipeline->source_->set_metrics(sm);
-    pipeline->throttle_gauge_ = &reg.gauge("source.throttle_m");
-    pipeline->throttle_gauge_->set(1000);
-  }
+  obs::MetricsRegistry& reg = pipeline->metrics_;
+  sim::SplitterMetrics sm;
+  sm.sent = &reg.counter("source.sent");
+  sm.blocks = &reg.counter("source.blocks");
+  sm.block_ns = &reg.histogram("source.block_ns");
+  sm.shed = &reg.counter("source.shed");
+  pipeline->source_->set_metrics(sm);
+  pipeline->throttle_gauge_ = &reg.gauge("source.throttle_m");
+  pipeline->throttle_gauge_->set(1000);
   if (prot.shed_high_watermark > 0) {
     // Shedding needs no gap accounting here: every stage splitter
     // restamps forwarded tuples with its own dense sequence stream, so a
@@ -166,7 +159,7 @@ void Pipeline::ensure_started() {
 void Pipeline::sample_tick() {
   // Aggregate this period's stage actions onto the single shared source:
   // the throttle is the min over stage factors (equivalently 1 - max
-  // capacity deficit, floored at min_throttle, since clamp is monotone),
+  // capacity deficit, floored at kMinThrottle, since clamp is monotone),
   // and the shed watermarks are the tightest any stage's watchdog demands.
   double factor = 1.0;
   std::uint64_t shed_high = config_.protection.shed_high_watermark;
@@ -182,9 +175,7 @@ void Pipeline::sample_tick() {
     }
   }
   source_->set_throttle(factor);
-  if (throttle_gauge_ != nullptr) {
-    throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
-  }
+  throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
   source_->set_shed_watermarks(shed_high, shed_low);
   sim_.schedule_after(config_.sample_period, [this] { sample_tick(); });
 }

@@ -54,23 +54,17 @@ struct PipelineConfig {
   /// stage region's control::RegionControlLoop and aggregated onto the
   /// pipeline's single source: admission throttle = min over stage
   /// factors (equivalently 1 - max capacity deficit, floored at
-  /// min_throttle), shed watermarks = the tightest across stages, and the
-  /// full watchdog ladder (forced throttle → tightened shedding →
-  /// safe-mode WRR) per stage.
+  /// control::kMinThrottle), shed watermarks = the tightest across
+  /// stages, and the full watchdog ladder (forced throttle → tightened
+  /// shedding → safe-mode WRR) per stage.
   control::ProtectionConfig protection;
-
-  /// Observability (DESIGN.md §8): populate the pipeline's registry with
-  /// "source.*" metrics and each parallel stage region's own registry.
-  bool metrics = true;
 };
 
 class Pipeline;
 
 class PipelineBuilder {
  public:
-  /// Throws std::invalid_argument for an invalid `config.protection`
-  /// (control::validate).
-  explicit PipelineBuilder(PipelineConfig config = {});
+  explicit PipelineBuilder(PipelineConfig config = {}) : config_(config) {}
 
   /// Appends a single-PE operator with the given per-tuple cost.
   /// `load` (optional, 1 worker) imposes time-varying external load.
@@ -159,8 +153,7 @@ class Pipeline {
   /// The pipeline's metrics registry (DESIGN.md §8): "source.*" for the
   /// source splitter. Each parallel stage's splitter, merger, worker,
   /// control-loop and policy metrics live in its region's own registry
-  /// (`stage_region(s).metrics()`) under the standalone names. Empty
-  /// when config.metrics is off.
+  /// (`stage_region(s).metrics()`) under the standalone names.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 

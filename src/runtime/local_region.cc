@@ -39,7 +39,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
       policy_(std::move(policy)),
       core_(config.workers, config.delivery.mode,
             config.delivery.replay_buffer_bytes, config.source_interval) {
-  control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   const auto check_worker = [&](int w) {
@@ -67,29 +66,26 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   }
   net::ignore_sigpipe();  // dead peers must surface as EPIPE, not SIGPIPE
 
-  service_hists_.assign(static_cast<std::size_t>(config_.workers), nullptr);
-  if (config_.metrics) {
-    mc_.sent = &metrics_.counter("splitter.sent");
-    mc_.shed = &metrics_.counter("splitter.shed");
-    mc_.failovers = &metrics_.counter("splitter.failovers");
-    mc_.channel_failures = &metrics_.counter("splitter.channel_failures");
-    mc_.reconnects = &metrics_.counter("splitter.reconnects");
-    mc_.retransmits = &metrics_.counter("splitter.retransmits");
-    replay_bytes_g_ = &metrics_.gauge("splitter.replay_buffer_bytes");
-    ack_lag_g_ = &metrics_.gauge("splitter.ack_lag");
-    merger_emitted_c_ = &metrics_.counter("merger.emitted");
-    merger_gaps_c_ = &metrics_.counter("merger.gaps");
-    merger_reconnects_c_ = &metrics_.counter("merger.reconnects");
-    merger_dups_c_ = &metrics_.counter("merger.dup_discards");
-    merger_lates_c_ = &metrics_.counter("merger.late_discards");
-    merger_depth_g_ = &metrics_.gauge("merger.max_depth");
-    for (int j = 0; j < config_.workers; ++j) {
-      service_hists_[static_cast<std::size_t>(j)] = &metrics_.histogram(
-          "worker." + std::to_string(j) + ".service_ns");
-    }
-    policy_->attach_metrics(metrics_, "policy.");
-    loop_->attach_metrics(metrics_, "region.");
+  mc_.sent = &metrics_.counter("splitter.sent");
+  mc_.shed = &metrics_.counter("splitter.shed");
+  mc_.failovers = &metrics_.counter("splitter.failovers");
+  mc_.channel_failures = &metrics_.counter("splitter.channel_failures");
+  mc_.reconnects = &metrics_.counter("splitter.reconnects");
+  mc_.retransmits = &metrics_.counter("splitter.retransmits");
+  replay_bytes_g_ = &metrics_.gauge("splitter.replay_buffer_bytes");
+  ack_lag_g_ = &metrics_.gauge("splitter.ack_lag");
+  merger_emitted_c_ = &metrics_.counter("merger.emitted");
+  merger_gaps_c_ = &metrics_.counter("merger.gaps");
+  merger_reconnects_c_ = &metrics_.counter("merger.reconnects");
+  merger_dups_c_ = &metrics_.counter("merger.dup_discards");
+  merger_lates_c_ = &metrics_.counter("merger.late_discards");
+  merger_depth_g_ = &metrics_.gauge("merger.max_depth");
+  for (int j = 0; j < config_.workers; ++j) {
+    service_hists_.push_back(
+        &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
   }
+  policy_->attach_metrics(metrics_, "policy.");
+  loop_->attach_metrics(metrics_, "region.");
 
   // Topology bring-up: a listener per worker for the splitter connection,
   // one listener at the merger side for the worker->merger connections.
@@ -117,7 +113,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
         j, std::move(worker_side),
         std::move(worker_to_merger[static_cast<std::size_t>(j)]),
         config_.multiplies, config_.work_mode,
-        service_hists_[static_cast<std::size_t>(j)]));
+        *service_hists_[static_cast<std::size_t>(j)]));
   }
   // At-least-once bring-up: the merger->splitter ack connection (the
   // reverse hop cumulative acks ride on). The splitter reads its end
@@ -174,7 +170,7 @@ void LocalRegion::quarantine(int j, TimeNs now, LocalRunStats& stats) {
   const auto ju = static_cast<std::size_t>(j);
   if (!core_.up(j)) return;
   ++stats.channel_failures;
-  if (mc_.channel_failures != nullptr) mc_.channel_failures->inc();
+  mc_.channel_failures->inc();
   // At-least-once: the channel's unacked suffix queues for retransmission
   // through the normal routing path (WRR over the survivors, replay-buffer
   // back pressure included).
@@ -182,7 +178,7 @@ void LocalRegion::quarantine(int j, TimeNs now, LocalRunStats& stats) {
   if (core_.at_least_once()) {
     loop_->note_replay(now - run_start_, j, replay.tuples, replay.bytes);
   }
-  backoff_[ju] = config_.reconnect_backoff_initial;
+  backoff_[ju] = kReconnectBackoffInitial;
   next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
   loop_->mark_channel_down(j);
 }
@@ -193,8 +189,7 @@ bool LocalRegion::try_reconnect(int j, TimeNs now, LocalRunStats& stats) {
     // The worker process is still gone: treat as a failed dial and back
     // off exponentially (with jitter, so several quarantined connections
     // do not retry in lockstep).
-    backoff_[ju] =
-        std::min(backoff_[ju] * 2, config_.reconnect_backoff_max);
+    backoff_[ju] = std::min(backoff_[ju] * 2, kReconnectBackoffMax);
     next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
     return false;
   }
@@ -220,21 +215,20 @@ bool LocalRegion::try_reconnect(int j, TimeNs now, LocalRunStats& stats) {
 
     workers_[ju] = std::make_unique<WorkerPe>(
         j, std::move(worker_side), std::move(to_merger),
-        config_.multiplies, config_.work_mode, service_hists_[ju]);
+        config_.multiplies, config_.work_mode, *service_hists_[ju]);
     workers_[ju]->set_load_multiplier(load_mult_[ju]);
     to_workers_[ju] = std::move(splitter_side);
   } catch (const std::exception&) {
-    backoff_[ju] =
-        std::min(std::max(backoff_[ju] * 2,
-                          config_.reconnect_backoff_initial),
-                 config_.reconnect_backoff_max);
+    backoff_[ju] = std::min(
+        std::max(backoff_[ju] * 2, kReconnectBackoffInitial),
+        kReconnectBackoffMax);
     next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
     return false;
   }
   core_.set_up(j, true);
   backoff_[ju] = 0;
   ++stats.reconnects;
-  if (mc_.reconnects != nullptr) mc_.reconnects->inc();
+  mc_.reconnects->inc();
   loop_->mark_channel_up(j);
   return true;
 }
@@ -459,7 +453,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // period's sample. The merger PE keeps no per-connection delivered
       // counts, so the policy's (no-op) throughput ingest is skipped.
       const DurationNs span = config_.sample_period + (now - next_sample);
-      if (alo && replay_bytes_g_ != nullptr) {
+      if (alo) {
         replay_bytes_g_->set(static_cast<std::int64_t>(core_.replay_bytes()));
         ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
       }
@@ -502,7 +496,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
             core_.shed_backlog(now, actions.shed_high, actions.shed_low);
         if (dropped.count > 0) {
           gap_queue.emplace_back(dropped.first, dropped.count);
-          if (mc_.shed != nullptr) mc_.shed->inc(dropped.count);
+          mc_.shed->inc(dropped.count);
         }
       }
       int live = -1;
@@ -526,7 +520,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         const int j = core_.route(picked);
         // j < 0 is a total outage: wait for a reconnect.
         if (j >= 0) {
-          if (j != picked && mc_.failovers != nullptr) mc_.failovers->inc();
+          if (j != picked) mc_.failovers->inc();
           out.retransmit = !fresh;
           if (out.retransmit) {
             out.seq = replay->seq;
@@ -588,11 +582,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     // The send kept the splitter busy from binding the frame to its last
     // byte; a fresh one also consumed a source release.
     core_.paced(out.since, monotonic_now(), !out.retransmit);
-    if (out.retransmit) {
-      if (mc_.retransmits != nullptr) mc_.retransmits->inc();
-    } else if (mc_.sent != nullptr) {
-      mc_.sent->inc();
-    }
+    (out.retransmit ? mc_.retransmits : mc_.sent)->inc();
   }
 
   // begin_shutdown tells the merger that crashed slots will never
@@ -619,7 +609,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
 }
 
 void LocalRegion::sync_merger_metrics() {
-  if (merger_emitted_c_ == nullptr || merger_ == nullptr) return;
   const std::uint64_t emitted = merger_->emitted();
   const std::uint64_t gaps = merger_->gaps();
   const std::uint64_t reconnects = merger_->reconnects();

@@ -50,7 +50,7 @@ struct LocalRegionConfig {
   int workers = 2;
   /// Dependent integer multiplies per tuple (the paper's base cost).
   long multiplies = 10000;
-  /// kSpin burns real CPU (paper-faithful); kSleep waits the equivalent
+  /// kSpin burns real CPU (paper-faithful); kTimed waits the equivalent
   /// time, keeping capacities stable on machines with fewer cores than
   /// PEs (see WorkMode).
   WorkMode work_mode = WorkMode::kSpin;
@@ -67,10 +67,6 @@ struct LocalRegionConfig {
   /// Failure schedule applied during run(). Non-empty schedules enable
   /// the fault-tolerant merger (reconnect port + gap skipping).
   std::vector<FailureEvent> failure_events;
-  /// Reconnect backoff for quarantined connections: doubles from initial
-  /// to max, with deterministic jitter.
-  DurationNs reconnect_backoff_initial = millis(10);
-  DurationNs reconnect_backoff_max = millis(320);
   /// How long the merger waits on a missing sequence before declaring it
   /// dead (see MergerFaultConfig::gap_timeout).
   DurationNs merger_gap_timeout = millis(500);
@@ -94,13 +90,6 @@ struct LocalRegionConfig {
   /// per-connection replay buffers of unacked wire frames, and
   /// crash-triggered retransmission through the normal routing path.
   delivery::DeliveryConfig delivery;
-
-  // --- Observability (DESIGN.md §8) ------------------------------------
-
-  /// Wire the region's MetricsRegistry into the splitter loop, worker PEs
-  /// (service-time histograms), merger sync, and the policy. Counters are
-  /// relaxed atomics, safe across PE threads.
-  bool metrics = true;
 };
 
 /// Result of one run.
@@ -156,9 +145,9 @@ struct LocalSample {
 class LocalRegion {
  public:
   /// Throws std::invalid_argument, before any socket or thread exists,
-  /// for an invalid ProtectionConfig, a load or failure event on a worker
-  /// outside [0, workers), a policy without one weight per worker
-  /// (RegionControlLoop), or a policy that re-routes on block (Section 4.4): the simulator
+  /// for a load or failure event on a worker outside [0, workers), a
+  /// policy without one weight per worker (RegionControlLoop), or a
+  /// policy that re-routes on block (Section 4.4): the simulator
   /// reproduces that baseline, and this splitter always blocks on the
   /// connection it picked.
   LocalRegion(LocalRegionConfig config, std::unique_ptr<SplitPolicy> policy);
@@ -193,7 +182,7 @@ class LocalRegion {
   /// from the splitter loop, "worker.<j>.service_ns" histograms recorded
   /// on the PE threads, "merger.*" synced from the merger PE's atomics
   /// once per sample period, "policy.*" via the policy's attach_metrics.
-  /// Empty when config.metrics is off.
+  /// Counters are relaxed atomics, safe across PE threads.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -226,7 +215,7 @@ class LocalRegion {
   delivery::SendCore<std::vector<std::uint8_t>> core_;
   /// Declared before the worker PEs holding histogram handles into it.
   obs::MetricsRegistry metrics_;
-  /// Splitter-loop counters (null when config.metrics is off).
+  /// Splitter-loop counters.
   struct SplitterCounters {
     obs::Counter* sent = nullptr;
     obs::Counter* shed = nullptr;
@@ -235,7 +224,7 @@ class LocalRegion {
     obs::Counter* reconnects = nullptr;
     obs::Counter* retransmits = nullptr;
   } mc_;
-  /// Delivery gauges (DESIGN.md §10, null when metrics off).
+  /// Delivery gauges (DESIGN.md §10).
   obs::Gauge* replay_bytes_g_ = nullptr;
   obs::Gauge* ack_lag_g_ = nullptr;
   /// Merger-sync handles and the last values already folded in.
@@ -259,6 +248,10 @@ class LocalRegion {
   std::function<void(const LocalSample&)> sample_hook_;
 
   // Failure handling (all touched only from the splitter thread).
+  /// Reconnect backoff for quarantined connections: doubles from initial
+  /// to max, with deterministic jitter.
+  static constexpr DurationNs kReconnectBackoffInitial = millis(10);
+  static constexpr DurationNs kReconnectBackoffMax = millis(320);
   std::vector<char> worker_up_;
   std::vector<TimeNs> next_reconnect_;
   std::vector<DurationNs> backoff_;

@@ -18,7 +18,7 @@ namespace slb::rt {
 
 WorkerPe::WorkerPe(int id, net::Fd from_splitter, net::Fd to_merger,
                    long multiplies, WorkMode mode,
-                   obs::Histogram* service_ns)
+                   obs::Histogram& service_ns)
     : id_(id),
       from_splitter_(std::move(from_splitter)),
       to_merger_(std::move(to_merger)),
@@ -79,8 +79,7 @@ void WorkerPe::run() {
       const long work = fast_drain_.load(std::memory_order_relaxed)
                             ? 0
                             : multiplies_ * factor / 1000;
-      const TimeNs service_start =
-          service_ns_ != nullptr && work > 0 ? monotonic_now() : 0;
+      const TimeNs service_start = work > 0 ? monotonic_now() : 0;
       if (work == 0) {
         // Shutdown drain: forward without processing.
       } else if (mode_ == WorkMode::kSpin) {
@@ -102,8 +101,8 @@ void WorkerPe::run() {
           std::this_thread::yield();
         }
       }
-      if (service_ns_ != nullptr && work > 0) {
-        service_ns_->record(
+      if (work > 0) {
+        service_ns_.record(
             static_cast<std::uint64_t>(monotonic_now() - service_start));
       }
 

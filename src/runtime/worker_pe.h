@@ -27,12 +27,11 @@ enum class WorkMode { kSpin, kTimed };
 class WorkerPe {
  public:
   /// Takes ownership of both sockets; starts the thread immediately.
-  /// `service_ns` (optional) is a registry histogram recording each
-  /// processed tuple's measured service time; it must outlive the PE and
-  /// is a ctor parameter because the thread starts here (DESIGN.md §8).
+  /// `service_ns` is a registry histogram recording each processed
+  /// tuple's measured service time; it must outlive the PE and is a ctor
+  /// parameter because the thread starts here (DESIGN.md §8).
   WorkerPe(int id, net::Fd from_splitter, net::Fd to_merger,
-           long multiplies, WorkMode mode = WorkMode::kSpin,
-           obs::Histogram* service_ns = nullptr);
+           long multiplies, WorkMode mode, obs::Histogram& service_ns);
 
   ~WorkerPe();
 
@@ -79,7 +78,7 @@ class WorkerPe {
   std::atomic<bool> fast_drain_{false};
   std::atomic<bool> killed_{false};
   std::atomic<std::uint64_t> processed_{0};
-  obs::Histogram* service_ns_ = nullptr;
+  obs::Histogram& service_ns_;
   std::thread thread_;
 };
 

@@ -100,14 +100,14 @@ RegionConfig build_region_config(const ExperimentSpec& spec) {
   config.sample_period = spec.scale.paper_second;
 
   // Size buffers so a full send buffer drains in about
-  // buffer_fill_fraction of a paper second at nominal service rate.
+  // kBufferFillFraction of a paper second at nominal service rate.
   const double target_tuples =
-      spec.scale.buffer_fill_fraction *
+      Scale::kBufferFillFraction *
       static_cast<double>(spec.scale.paper_second) /
       static_cast<double>(config.base_cost);
   const std::size_t buf = std::clamp(
       static_cast<std::size_t>(std::llround(target_tuples)),
-      spec.scale.min_buffer, spec.scale.max_buffer);
+      Scale::kMinBuffer, Scale::kMaxBuffer);
   config.send_buffer = buf;
   config.recv_buffer = buf;
   config.merge_buffer = spec.merge_buffer;

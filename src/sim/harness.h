@@ -33,10 +33,10 @@ struct Scale {
   /// Virtual ns per paper second (also the sampling period).
   DurationNs paper_second = millis(10);
   /// Buffers are sized so that draining a full send buffer takes about
-  /// this fraction of a paper second (clamped to [min_buffer, max_buffer]).
-  double buffer_fill_fraction = 0.05;
-  std::size_t min_buffer = 8;
-  std::size_t max_buffer = 64;
+  /// this fraction of a paper second (clamped to [kMinBuffer, kMaxBuffer]).
+  static constexpr double kBufferFillFraction = 0.05;
+  static constexpr std::size_t kMinBuffer = 8;
+  static constexpr std::size_t kMaxBuffer = 64;
 
   DurationNs tuple_cost(long multiplies) const;
   double to_paper_seconds(TimeNs t) const;

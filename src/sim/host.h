@@ -18,6 +18,14 @@ namespace slb::sim {
 struct HostSpec {
   double speed = 1.0;  // relative per-thread speed; slow host = 1.0
   int threads = 8;     // hardware threads the host can run concurrently
+
+  /// Service-time multiplier for a PE on this host while `pes` PEs share
+  /// it: oversubscription / speed.
+  double factor(int pes) const {
+    return std::max(1.0, static_cast<double>(pes) /
+                             static_cast<double>(threads)) /
+           speed;
+  }
 };
 
 /// Immutable placement of workers onto hosts; computes the effective
@@ -46,11 +54,7 @@ class HostModel {
     assert(w >= 0 && w < static_cast<int>(worker_host_.size()));
     const auto h = static_cast<std::size_t>(
         worker_host_[static_cast<std::size_t>(w)]);
-    const HostSpec& spec = hosts_[h];
-    const double oversub =
-        std::max(1.0, static_cast<double>(pe_count_[h]) /
-                          static_cast<double>(spec.threads));
-    return oversub / spec.speed;
+    return hosts_[h].factor(pe_count_[h]);
   }
 
   /// The host index of worker `w` (-1 in the trivial model).

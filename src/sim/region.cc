@@ -17,7 +17,6 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
       owned_sim_(external_sim == nullptr ? std::make_unique<Simulator>()
                                          : nullptr),
       sim_(external_sim == nullptr ? owned_sim_.get() : external_sim) {
-  control::validate(config_.protection);
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   if (load_.workers() == 0) load_ = LoadProfile(config_.workers);

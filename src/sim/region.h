@@ -116,9 +116,9 @@ class Region {
  public:
   /// Builds and wires the whole region. `load` and `hosts` may be default
   /// (no external load; every worker on its own host). Throws
-  /// std::invalid_argument for an invalid `config.protection`
-  /// (control::validate), a `load` whose width is not `config.workers`,
-  /// or a policy without one weight per worker (RegionControlLoop).
+  /// std::invalid_argument for a `load` whose width is not
+  /// `config.workers`, or a policy without one weight per worker
+  /// (RegionControlLoop).
   ///
   /// Multi-region use: pass a shared `external_sim` so several regions
   /// advance on one virtual timeline, and a SharedPlacement so their

@@ -11,22 +11,18 @@
 // their own blocking rates, with no shared state or coordination.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
-namespace slb::sim {
+#include "sim/host.h"
 
-struct SharedHostSpec {
-  double speed = 1.0;  // relative per-thread speed
-  int threads = 8;     // hardware threads
-};
+namespace slb::sim {
 
 class SharedHostSet {
  public:
-  explicit SharedHostSet(std::vector<SharedHostSpec> specs) {
+  explicit SharedHostSet(std::vector<HostSpec> specs) {
     hosts_.reserve(specs.size());
-    for (const SharedHostSpec& spec : specs) {
+    for (const HostSpec& spec : specs) {
       assert(spec.speed > 0.0);
       assert(spec.threads > 0);
       hosts_.push_back(Host{spec, 0});
@@ -42,7 +38,7 @@ class SharedHostSet {
   double begin_service(int host) {
     Host& h = at(host);
     ++h.busy;
-    return factor_at(h, h.busy);
+    return h.spec.factor(h.busy);
   }
 
   /// Marks one worker idle again.
@@ -55,20 +51,14 @@ class SharedHostSet {
   /// The factor a worker *would* pay if it started now (no state change).
   double peek_factor(int host) const {
     const Host& h = at(host);
-    return factor_at(h, h.busy + 1);
+    return h.spec.factor(h.busy + 1);
   }
 
  private:
   struct Host {
-    SharedHostSpec spec;
+    HostSpec spec;
     int busy;
   };
-
-  static double factor_at(const Host& h, int busy) {
-    const double oversub = std::max(
-        1.0, static_cast<double>(busy) / static_cast<double>(h.spec.threads));
-    return oversub / h.spec.speed;
-  }
 
   Host& at(int host) {
     assert(host >= 0 && host < hosts());

@@ -29,7 +29,6 @@ ControllerConfig protected_controller() {
   ControllerConfig cfg;
   cfg.enable_overload_protection = true;
   cfg.saturation.enter_periods = 3;
-  cfg.saturation.exit_periods = 3;
   return cfg;
 }
 

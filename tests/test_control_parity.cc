@@ -146,7 +146,6 @@ TEST(ControlParity, IdenticalTracesProduceByteIdenticalJournals) {
   // Flow substrate (one parallel stage).
   flow::PipelineConfig flow_cfg;
   flow_cfg.protection = prot;
-  flow_cfg.metrics = false;
   flow::PipelineBuilder builder(flow_cfg);
   builder.parallel("score", kChannels, micros(10), parity_policy());
   auto pipeline = builder.build();
@@ -158,7 +157,6 @@ TEST(ControlParity, IdenticalTracesProduceByteIdenticalJournals) {
   rt::LocalRegionConfig rt_cfg;
   rt_cfg.workers = kChannels;
   rt_cfg.protection = prot;
-  rt_cfg.metrics = false;
   rt::LocalRegion local(rt_cfg, parity_policy());
   expect_byte_identical(ref_journal, drive(local.control(), trace), "runtime");
 }
@@ -175,7 +173,6 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
 
   flow::PipelineConfig flow_cfg;
   flow_cfg.protection = prot;
-  flow_cfg.metrics = false;
   flow::PipelineBuilder builder(flow_cfg);
   builder.parallel("score", kChannels, micros(10), parity_policy());
   auto pipeline = builder.build();
@@ -183,7 +180,6 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
   rt::LocalRegionConfig rt_cfg;
   rt_cfg.workers = kChannels;
   rt_cfg.protection = prot;
-  rt_cfg.metrics = false;
   rt::LocalRegion local(rt_cfg, parity_policy());
 
   for (int p = 0; p < static_cast<int>(trace.size()); ++p) {

@@ -34,8 +34,6 @@ class ControllerDriver {
 
 TEST(GeometricStepUp, CapsPerUpdateGrowthFromZero) {
   ControllerConfig cfg;
-  cfg.geometric_step_up = true;
-  cfg.geometric_step_floor = 8;
   cfg.zero_sample_weight = 0.5;
   LoadBalanceController c(2, cfg);
   ControllerDriver driver(&c);
@@ -53,7 +51,9 @@ TEST(GeometricStepUp, CapsPerUpdateGrowthFromZero) {
   for (int i = 0; i < 5; ++i) {
     driver.step(1, 0.4);
     const Weight now = c.weights()[0];
-    EXPECT_LE(now, std::max(cfg.geometric_step_floor, prev) + prev);
+    EXPECT_LE(now,
+              std::max(LoadBalanceController::kGeometricStepFloor, prev) +
+                  prev);
     prev = now;
   }
   EXPECT_GT(c.weights()[0], 0);  // it is climbing
@@ -61,7 +61,6 @@ TEST(GeometricStepUp, CapsPerUpdateGrowthFromZero) {
 
 TEST(GeometricStepUp, StillReachesEvenShareQuickly) {
   ControllerConfig cfg;
-  cfg.geometric_step_up = true;
   cfg.zero_sample_weight = 0.5;
   LoadBalanceController c(2, cfg);
   ControllerDriver driver(&c);
@@ -74,32 +73,8 @@ TEST(GeometricStepUp, StillReachesEvenShareQuickly) {
   EXPECT_GT(c.weights()[0], 300);
 }
 
-TEST(GeometricStepUp, DisabledAllowsFullJumps) {
-  ControllerConfig cfg;
-  cfg.geometric_step_up = false;
-  cfg.zero_sample_weight = 1.0;
-  cfg.decay_factor = 0.5;  // aggressive decay for a fast test
-  LoadBalanceController c(2, cfg);
-  ControllerDriver driver(&c);
-  driver.step(0, 0.9);
-  driver.step(0, 0.9);
-  ASSERT_EQ(c.weights()[0], 0);
-  // With connection 0's decayed function and connection 1 blocking under
-  // the full load, an unbounded solve can jump far in a single step.
-  Weight max_jump = 0;
-  Weight prev = 0;
-  for (int i = 0; i < 12; ++i) {
-    driver.step(1, 0.5);
-    max_jump = std::max(max_jump, static_cast<Weight>(c.weights()[0] - prev));
-    prev = c.weights()[0];
-  }
-  EXPECT_GT(max_jump, 50);
-}
-
 TEST(GeometricStepUp, DownwardMovesRemainUnbounded) {
-  ControllerConfig cfg;
-  cfg.geometric_step_up = true;
-  LoadBalanceController c(4, cfg);
+  LoadBalanceController c(4);
   ControllerDriver driver(&c);
   driver.step(0, 0.0);  // baseline-ready
   driver.step(0, 0.95);

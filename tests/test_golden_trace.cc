@@ -35,7 +35,6 @@ ControllerConfig golden_controller(double decay_factor = 0.9) {
   cfg.decay_factor = decay_factor;
   cfg.enable_overload_protection = true;
   cfg.saturation.enter_periods = 3;
-  cfg.saturation.exit_periods = 3;
   return cfg;
 }
 

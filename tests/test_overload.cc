@@ -32,7 +32,6 @@ namespace {
 SaturationConfig fast_config() {
   SaturationConfig cfg;
   cfg.enter_periods = 3;
-  cfg.exit_periods = 3;
   cfg.smoothing_alpha = 1.0;  // evenness on instantaneous rates
   return cfg;
 }
@@ -332,7 +331,7 @@ TEST(RegionOverload, ClosedLoopAdmissionThrottlesAndDeclares) {
   // a limit cycle. Assert the cycle happened, not a particular phase.
   EXPECT_TRUE(declared);
   EXPECT_LT(min_throttle_seen, 1.0);
-  EXPECT_GE(min_throttle_seen, cfg.protection.min_throttle);
+  EXPECT_GE(min_throttle_seen, control::kMinThrottle);
 }
 
 TEST(RegionOverload, WatchdogEscalatesToSafeModeAndStaysLive) {
@@ -425,16 +424,6 @@ TEST(RegionOverload, ShedWithLowAboveHighKeepsOrder) {
   EXPECT_EQ(region.merger().gaps(), region.shed_tuples());
   EXPECT_EQ(region.emitted() + region.merger().gaps(),
             region.splitter().total_sent() + region.shed_tuples());
-}
-
-TEST(RegionOverload, RejectsMinThrottleOutsideUnitInterval) {
-  for (const double bad : {0.0, 1.5}) {
-    sim::RegionConfig cfg = overloaded_region(/*open_loop=*/false);
-    cfg.protection.min_throttle = bad;
-    EXPECT_THROW(sim::Region(cfg, std::make_unique<RoundRobinPolicy>(4)),
-                 std::invalid_argument)
-        << "min_throttle " << bad;
-  }
 }
 
 TEST(RegionOverload, RejectsANegativeSourceInterval) {
@@ -539,16 +528,7 @@ TEST(PipelineOverload, ClosedLoopAdmissionThrottlesAndDeclares) {
   // relieve, release. Assert the cycle happened, not a phase.
   EXPECT_TRUE(declared);
   EXPECT_LT(min_throttle_seen, 1.0);
-  EXPECT_GE(min_throttle_seen, cfg.protection.min_throttle);
-}
-
-TEST(PipelineOverload, RejectsMinThrottleOutsideUnitInterval) {
-  for (const double bad : {0.0, 1.5}) {
-    flow::PipelineConfig cfg = overloaded_pipeline(/*open_loop=*/false);
-    cfg.protection.min_throttle = bad;
-    EXPECT_THROW(flow::PipelineBuilder{cfg}, std::invalid_argument)
-        << "min_throttle " << bad;
-  }
+  EXPECT_GE(min_throttle_seen, control::kMinThrottle);
 }
 
 TEST(PipelineOverload, RejectsANegativeSourceInterval) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/local_region.h"
@@ -107,25 +108,9 @@ TEST(LocalRegion, RejectsReroutePolicy) {
                                   2, 0.5, /*reroute=*/false)));
 }
 
-TEST(LocalRegion, RejectsMinThrottleOutsideUnitInterval) {
-  // A zero floor would put the throttle's pacing deadline at infinity,
-  // one above 1 inverts its clamp. The check runs before bring-up: a throw
-  // after the merger PE started would hang in its destructor.
-  for (const double bad : {0.0, 1.5}) {
-    LocalRegionConfig cfg = fast_config(2);
-    cfg.protection.min_throttle = bad;
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_THROW(LocalRegion(cfg, std::make_unique<RoundRobinPolicy>(2)),
-                 std::invalid_argument)
-        << "min_throttle " << bad;
-    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
-        << "min_throttle " << bad;
-  }
-}
-
 TEST(LocalRegion, RejectsANegativeSourceInterval) {
-  // Rejected by the delivery core, before bring-up, like the protection
-  // check.
+  // Rejected by the delivery core, before bring-up: a throw after the
+  // merger PE started would hang in its destructor.
   LocalRegionConfig cfg = fast_config(2);
   cfg.source_interval = -1;
   const auto t0 = std::chrono::steady_clock::now();
@@ -136,7 +121,7 @@ TEST(LocalRegion, RejectsANegativeSourceInterval) {
 
 TEST(LocalRegion, RejectsInputsOutsideItsWorkers) {
   // Each would index a per-worker array out of bounds on the splitter
-  // thread. Like the protection check, these run before bring-up.
+  // thread. Like the source-interval check, these run before bring-up.
   std::vector<LocalRegionConfig> bad;
   for (const int w : {-1, 2}) {
     LocalRegionConfig load = fast_config(2);
@@ -214,6 +199,46 @@ TEST(LocalRegion, TimedWorkModeRunsAndPreservesOrder) {
   EXPECT_GT(stats.sent, 50u);
   EXPECT_EQ(stats.emitted, stats.sent);
   EXPECT_TRUE(stats.order_ok);
+}
+
+TEST(LocalRegion, MetricsAgreeWithRunStats) {
+  // The splitter counters are bumped on the send path and the merger
+  // counters are delta-synced from the merger PE's atomics once per
+  // period and after the join; either way they must end at the run's own
+  // totals. A kill and restart of worker 1 makes the gap count (GapSkip)
+  // and the retransmit count (at-least-once) non-zero.
+  for (const delivery::DeliveryMode mode :
+       {delivery::DeliveryMode::kGapSkip,
+        delivery::DeliveryMode::kAtLeastOnce}) {
+    const bool alo = mode == delivery::DeliveryMode::kAtLeastOnce;
+    SCOPED_TRACE(alo ? "at-least-once" : "gap-skip");
+    LocalRegionConfig cfg = fast_config(2);
+    cfg.work_mode = WorkMode::kTimed;
+    cfg.delivery.mode = mode;
+    cfg.merger_gap_timeout = millis(50);
+    cfg.failure_events = {{millis(40), 1, /*restart=*/false},
+                          {millis(70), 1, /*restart=*/true}};
+    LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+    const LocalRunStats stats = region.run(millis(150));
+
+    const obs::MetricsSnapshot snap = region.metrics().snapshot();
+    const auto count = [&snap](const std::string& name) -> std::uint64_t {
+      const obs::MetricValue* v = snap.find(name);
+      EXPECT_NE(v, nullptr) << name;
+      return v == nullptr ? 0 : v->count;
+    };
+    EXPECT_TRUE(stats.order_ok);
+    EXPECT_GT(alo ? stats.retransmits : stats.gaps, 0u);
+    EXPECT_EQ(count("merger.emitted"), stats.emitted);
+    EXPECT_EQ(count("merger.gaps"), stats.gaps);
+    EXPECT_EQ(count("merger.dup_discards"), stats.dup_discards);
+    EXPECT_EQ(count("splitter.sent"), stats.sent);
+    EXPECT_EQ(count("splitter.retransmits"), stats.retransmits);
+    for (int j = 0; j < cfg.workers; ++j) {
+      EXPECT_GT(count("worker." + std::to_string(j) + ".service_ns"), 0u)
+          << "worker " << j;
+    }
+  }
 }
 
 }  // namespace

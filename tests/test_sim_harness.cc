@@ -25,10 +25,10 @@ TEST(Scale, BufferSizingClampsToRange) {
   spec.workers = 2;
   spec.base_multiplies = 100;  // 1 us tuples: target would exceed max
   RegionConfig cfg = build_region_config(spec);
-  EXPECT_EQ(cfg.send_buffer, spec.scale.max_buffer);
+  EXPECT_EQ(cfg.send_buffer, Scale::kMaxBuffer);
   spec.base_multiplies = 1'000'000;  // 10 ms tuples: target below min
   cfg = build_region_config(spec);
-  EXPECT_EQ(cfg.send_buffer, spec.scale.min_buffer);
+  EXPECT_EQ(cfg.send_buffer, Scale::kMinBuffer);
 }
 
 TEST(Harness, PolicyNames) {
