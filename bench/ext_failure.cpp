@@ -51,7 +51,6 @@ FaultRun run(PolicyKind kind, double duration_s, double crash_s,
     // a crash then snaps the survivors to an even WRR split instead of
     // re-optimizing against saturated (gradient-free) rate functions.
     spec.controller.enable_overload_protection = true;
-    spec.controller.safe_mode_on_overload_fault = true;
   }
   spec.faults.push_back({FaultKind::kWorkerCrash, 1, crash_s, 0.0});
   spec.faults.push_back({FaultKind::kWorkerRecover, 1, recover_s, 0.0});

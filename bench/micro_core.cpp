@@ -34,7 +34,7 @@ RapProblem make_problem(int n) {
   RapProblem p;
   p.total = kWeightUnits;
   p.vars.assign(static_cast<std::size_t>(n),
-                RapVariable{0, kWeightUnits, 1});
+                RapVariable{0, kWeightUnits});
   p.eval = [](int j, Weight w) {
     // Heterogeneous linear blocking curves; cheap to evaluate so the
     // benchmark measures solver overhead, not eval cost.

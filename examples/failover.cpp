@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
   ControllerConfig ctrl;
   if (safe_mode) {
     ctrl.enable_overload_protection = true;
-    ctrl.safe_mode_on_overload_fault = true;
     std::printf("overload protection ON: a kill under declared overload "
                 "falls back to an even split over survivors\n");
   }

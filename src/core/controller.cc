@@ -158,7 +158,7 @@ void LoadBalanceController::mark_down(int j) {
   // frozen allocation — it was feasible for a region that just lost a
   // worker's worth of capacity. Degrade to an even WRR split over the
   // survivors instead of scaling up stale weights.
-  if (overloaded() && config_.safe_mode_on_overload_fault) {
+  if (overloaded()) {
     std::vector<double> even(static_cast<std::size_t>(connections()), 0.0);
     for (int k = 0; k < connections(); ++k) {
       if (!down_[static_cast<std::size_t>(k)]) {
@@ -279,7 +279,6 @@ void LoadBalanceController::solve_flat() {
       // Dead connection: pinned at zero; the RAP is solved over survivors.
       v.min = 0;
       v.max = 0;
-      v.multiplicity = 1;
       continue;
     }
     v.min = std::max(config_.min_weight,
@@ -291,7 +290,6 @@ void LoadBalanceController::solve_flat() {
     // A connection re-admitted at weight 0 cannot step up to a min_weight
     // floor above its geometric step: the floor wins.
     v.max = std::max(v.max, v.min);
-    v.multiplicity = 1;
   }
 
   const RapSolution sol =
@@ -344,10 +342,10 @@ void LoadBalanceController::solve_clustered() {
   }
 
   vars_.assign(static_cast<std::size_t>(n),
-               RapVariable{config_.min_weight, kWeightUnits, 1});
+               RapVariable{config_.min_weight, kWeightUnits});
   for (int j = 0; j < n; ++j) {
     if (down_[static_cast<std::size_t>(j)]) {
-      vars_[static_cast<std::size_t>(j)] = RapVariable{0, 0, 1};
+      vars_[static_cast<std::size_t>(j)] = RapVariable{0, 0};
     }
   }
 

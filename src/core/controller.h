@@ -66,14 +66,6 @@ struct ControllerConfig {
   bool enable_overload_protection = false;
   SaturationConfig saturation;
 
-  /// Safe-mode fallback: when a connection dies *while the region is
-  /// overloaded*, the frozen weights describe a world that no longer
-  /// exists. Instead of redistributing them proportionally (which bakes
-  /// the stale split in), fall back to an even WRR split over the
-  /// survivors and let re-convergence start from neutral ground. Only
-  /// consulted when overload protection is enabled.
-  bool safe_mode_on_overload_fault = true;
-
   RateFunctionConfig function;
 };
 
@@ -127,7 +119,10 @@ class LoadBalanceController {
   /// zero immediately (m_j = M_j = 0 in every subsequent RAP), its
   /// blocking-rate history is discarded, and its current weight is
   /// redistributed proportionally over the survivors — the splitter can
-  /// keep routing without waiting for the next sample period. Idempotent.
+  /// keep routing without waiting for the next sample period. Under
+  /// declared overload the survivors get an even split instead: the
+  /// frozen weights were feasible for a region that just lost a worker of
+  /// capacity (DESIGN.md §7). Idempotent.
   void mark_down(int j);
 
   /// Re-admits a recovered connection. Its weight restarts from zero and

@@ -4,13 +4,12 @@
 // The load-balancing optimization is:
 //
 //   minimize   max_j F_j(w_j)
-//   subject to sum_j c_j * w_j = total,   m_j <= w_j <= M_j
+//   subject to sum_j w_j = total,   m_j <= w_j <= M_j
 //
 // where each F_j is monotone non-decreasing in w_j and the w_j are
-// integers (units of 0.1 %). The multiplicity c_j generalizes the paper's
-// formulation to clustered connections (Section 5.3): a cluster of c
-// look-alike connections is one variable whose per-member weight w costs
-// c * w resource units.
+// integers (units of 0.1 %). Clustered connections (Section 5.3) stay one
+// variable per member, each evaluating its cluster's function (DESIGN.md
+// §2), so every unit of weight is one unit of the total.
 //
 // solve_fox is the greedy marginal-allocation algorithm attributed to Fox
 // (1966), O(N + R log N) with a tournament tree: the production path, as
@@ -29,38 +28,29 @@
 
 namespace slb {
 
-/// Bounds and multiplicity for one decision variable.
+/// Bounds for one decision variable.
 struct RapVariable {
   Weight min = 0;
   Weight max = kWeightUnits;
-  int multiplicity = 1;
 };
 
 /// Result of a solve.
 struct RapSolution {
-  /// Chosen per-variable weights (per-member weights for clusters).
+  /// Chosen per-variable weights.
   WeightVector weights;
   /// max_j eval(j, weights[j]).
   double objective = 0.0;
-  /// False when the constraints cannot be met: either sum c_j*m_j > total,
-  /// or sum c_j*M_j < total. weights still holds the closest attempt.
+  /// False when the constraints cannot be met: either sum_j m_j > total,
+  /// or sum_j M_j < total. weights still holds the closest attempt.
   bool feasible = false;
-  /// Resource units actually allocated (== total when feasible and the
-  /// multiplicities divide evenly; may fall short of total by less than
-  /// min multiplicity otherwise).
-  Weight allocated = 0;
 };
 
 namespace rap_detail {
 
 /// Asserts the bounds are well formed (debug builds only).
 void validate(const std::vector<RapVariable>& vars, Weight total);
-/// Sum of c_j * w_j.
-Weight allocated_units(const std::vector<RapVariable>& vars,
-                       const WeightVector& w);
-/// Fox's feasibility verdict for a finished greedy allocation.
-bool fox_feasible(const std::vector<RapVariable>& vars, Weight total,
-                  Weight allocated);
+/// Whether sum_j m_j <= total <= sum_j M_j.
+bool fox_feasible(const std::vector<RapVariable>& vars, Weight total);
 
 /// Evaluation guard: a NaN or Inf from a poisoned rate function must not
 /// reach the solvers' comparisons — NaN keys make std::sort undefined
@@ -93,12 +83,13 @@ RapSolution solve_fox(const std::vector<RapVariable>& vars, Weight total,
   const int n = static_cast<int>(vars.size());
   RapSolution sol;
   sol.weights.resize(static_cast<std::size_t>(n));
+  Weight allocated = 0;
   for (int j = 0; j < n; ++j) {
     sol.weights[static_cast<std::size_t>(j)] =
         vars[static_cast<std::size_t>(j)].min;
+    allocated += vars[static_cast<std::size_t>(j)].min;
   }
-  sol.allocated = rap_detail::allocated_units(vars, sol.weights);
-  if (sol.allocated > total) {
+  if (allocated > total) {
     // Minimum shares alone exceed the traffic: infeasible.
     sol.objective = rap_detail::objective_of(eval, sol.weights);
     sol.feasible = false;
@@ -130,9 +121,7 @@ RapSolution solve_fox(const std::vector<RapVariable>& vars, Weight total,
   const auto next_key = [&](int j) -> Key {
     const auto ju = static_cast<std::size_t>(j);
     const Weight next = sol.weights[ju] + 1;
-    if (next > vars[ju].max || sol.allocated + vars[ju].multiplicity > total) {
-      return kNoUnit;
-    }
+    if (next > vars[ju].max) return kNoUnit;
     return key_of(rap_detail::safe_eval(eval, j, next), next, j);
   };
 
@@ -147,17 +136,11 @@ RapSolution solve_fox(const std::vector<RapVariable>& vars, Weight total,
   }
 
   Key top = tree[1];
-  while (sol.allocated < total && top != kNoUnit) {
+  while (allocated < total && top != kNoUnit) {
     const auto ju = static_cast<std::size_t>(static_cast<std::uint32_t>(top));
-    // Re-check the budget: earlier increments may have consumed units
-    // since this key was made.
-    if (sol.allocated + vars[ju].multiplicity > total) {
-      top = kNoUnit;
-    } else {
-      sol.weights[ju] += 1;
-      sol.allocated += vars[ju].multiplicity;
-      top = next_key(static_cast<int>(ju));
-    }
+    sol.weights[ju] += 1;
+    allocated += 1;
+    top = next_key(static_cast<int>(ju));
     // Replay the leaf's path, carrying the subtree minimum upward.
     std::size_t node = leaves + ju;
     tree[node] = top;
@@ -168,7 +151,7 @@ RapSolution solve_fox(const std::vector<RapVariable>& vars, Weight total,
   }
 
   sol.objective = rap_detail::objective_of(eval, sol.weights);
-  sol.feasible = rap_detail::fox_feasible(vars, total, sol.allocated);
+  sol.feasible = rap_detail::fox_feasible(vars, total);
   return sol;
 }
 

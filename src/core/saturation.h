@@ -95,7 +95,8 @@ class SaturationDetector {
   double capacity_deficit() const;
 
   /// Consecutive periods spent in the current overload episode (0 when
-  /// not overloaded). Substrate watchdogs escalate on this.
+  /// not overloaded). Read only by tests: RegionControlLoop's watchdog
+  /// keeps its own streaks.
   int periods_overloaded() const { return periods_overloaded_; }
 
   /// Total overload episodes entered so far.

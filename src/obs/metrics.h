@@ -36,7 +36,7 @@ namespace slb::obs {
 ///
 /// Single-writer contract (all hot-path metrics here): every Counter,
 /// Gauge, and Histogram is updated by exactly one thread — the component
-/// that owns it (the splitter loop, one worker PE, the merger sync).
+/// that owns it (the splitter loop, one worker PE, the merger PE).
 /// Updates are therefore plain load+store on a relaxed atomic: readers on
 /// other threads (exporters, tests) always see a torn-free, monotone
 /// value, and the writer pays no locked RMW on the per-tuple path.
@@ -45,6 +45,13 @@ class Counter {
   void inc(std::uint64_t n = 1) {
     v_.store(v_.load(std::memory_order_relaxed) + n,
              std::memory_order_relaxed);
+  }
+  /// Publishes a monotone total kept elsewhere (a ReleaseCore count, say):
+  /// the counter moves up to `total`, never down.
+  void advance_to(std::uint64_t total) {
+    if (total > v_.load(std::memory_order_relaxed)) {
+      v_.store(total, std::memory_order_relaxed);
+    }
   }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 

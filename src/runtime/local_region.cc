@@ -74,12 +74,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   mc_.retransmits = &metrics_.counter("splitter.retransmits");
   replay_bytes_g_ = &metrics_.gauge("splitter.replay_buffer_bytes");
   ack_lag_g_ = &metrics_.gauge("splitter.ack_lag");
-  merger_emitted_c_ = &metrics_.counter("merger.emitted");
-  merger_gaps_c_ = &metrics_.counter("merger.gaps");
-  merger_reconnects_c_ = &metrics_.counter("merger.reconnects");
-  merger_dups_c_ = &metrics_.counter("merger.dup_discards");
-  merger_lates_c_ = &metrics_.counter("merger.late_discards");
-  merger_depth_g_ = &metrics_.gauge("merger.max_depth");
   for (int j = 0; j < config_.workers; ++j) {
     service_hists_.push_back(
         &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
@@ -129,8 +123,8 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   MergerFaultConfig fault;
   fault.enabled = !config_.failure_events.empty();
   fault.gap_timeout = config_.merger_gap_timeout;
-  merger_ = std::make_unique<MergerPe>(std::move(merger_from_worker), fault,
-                                       config_.delivery.mode,
+  merger_ = std::make_unique<MergerPe>(std::move(merger_from_worker),
+                                       metrics_, fault, config_.delivery.mode,
                                        std::move(merger_ack_out));
 
   const auto n = static_cast<std::size_t>(config_.workers);
@@ -166,10 +160,9 @@ DurationNs LocalRegion::jitter(DurationNs limit) {
       static_cast<std::uint64_t>(limit));
 }
 
-void LocalRegion::quarantine(int j, TimeNs now, LocalRunStats& stats) {
+void LocalRegion::quarantine(int j, TimeNs now) {
   const auto ju = static_cast<std::size_t>(j);
   if (!core_.up(j)) return;
-  ++stats.channel_failures;
   mc_.channel_failures->inc();
   // At-least-once: the channel's unacked suffix queues for retransmission
   // through the normal routing path (WRR over the survivors, replay-buffer
@@ -183,7 +176,7 @@ void LocalRegion::quarantine(int j, TimeNs now, LocalRunStats& stats) {
   loop_->mark_channel_down(j);
 }
 
-bool LocalRegion::try_reconnect(int j, TimeNs now, LocalRunStats& stats) {
+bool LocalRegion::try_reconnect(int j, TimeNs now) {
   const auto ju = static_cast<std::size_t>(j);
   if (!worker_up_[ju]) {
     // The worker process is still gone: treat as a failed dial and back
@@ -227,7 +220,6 @@ bool LocalRegion::try_reconnect(int j, TimeNs now, LocalRunStats& stats) {
   }
   core_.set_up(j, true);
   backoff_[ju] = 0;
-  ++stats.reconnects;
   mc_.reconnects->inc();
   loop_->mark_channel_up(j);
   return true;
@@ -255,7 +247,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   TimeNs next_sample = start + config_.sample_period;
   TimeNs now = start;
 
-  LocalRunStats stats;
   net::Frame frame;
   frame.payload.assign(config_.payload_bytes, 0xAB);
 
@@ -285,7 +276,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     out.since = now;
   };
   const auto drop = [&](int k) {
-    quarantine(k, now, stats);
+    quarantine(k, now);
     if (out.ch == k) out.ch = -1;
   };
 
@@ -442,7 +433,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     for (int j = 0; j < n; ++j) {
       const auto ju = static_cast<std::size_t>(j);
       if (!core_.up(j) && now >= next_reconnect_[ju]) {
-        try_reconnect(j, now, stats);
+        try_reconnect(j, now);
       }
     }
     if (!draining && now >= next_sample) {
@@ -460,8 +451,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       loop_->tick(now - start, span, core_.blocked_ns(), {},
                   {alo, core_.acked(), core_.unacked()});
       core_.set_throttle(actions.throttle);
-
-      sync_merger_metrics();
 
       if (sample_hook_) {
         LocalSample sample;
@@ -590,13 +579,15 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   for (auto& w : workers_) w->join();
   merger_->begin_shutdown();
   merger_->join();
-  sync_merger_metrics();
 
+  LocalRunStats stats;
   stats.elapsed = monotonic_now() - start;
   stats.sent = core_.total_sent();
   stats.shed = core_.shed();
   stats.failovers = core_.failovers();
   stats.retransmits = core_.retransmits();
+  stats.channel_failures = mc_.channel_failures->value();
+  stats.reconnects = mc_.reconnects->value();
   stats.emitted = merger_->emitted();
   stats.gaps = merger_->gaps();
   stats.dup_discards = merger_->dup_discards();
@@ -606,36 +597,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   stats.blocked.assign(core_.blocked_ns().begin(), core_.blocked_ns().end());
   stats.final_weights = policy_->weights();
   return stats;
-}
-
-void LocalRegion::sync_merger_metrics() {
-  const std::uint64_t emitted = merger_->emitted();
-  const std::uint64_t gaps = merger_->gaps();
-  const std::uint64_t reconnects = merger_->reconnects();
-  if (emitted > merger_emitted_seen_) {
-    merger_emitted_c_->inc(emitted - merger_emitted_seen_);
-    merger_emitted_seen_ = emitted;
-  }
-  if (gaps > merger_gaps_seen_) {
-    merger_gaps_c_->inc(gaps - merger_gaps_seen_);
-    merger_gaps_seen_ = gaps;
-  }
-  if (reconnects > merger_reconnects_seen_) {
-    merger_reconnects_c_->inc(reconnects - merger_reconnects_seen_);
-    merger_reconnects_seen_ = reconnects;
-  }
-  const std::uint64_t dups = merger_->dup_discards();
-  if (dups > merger_dups_seen_) {
-    merger_dups_c_->inc(dups - merger_dups_seen_);
-    merger_dups_seen_ = dups;
-  }
-  const std::uint64_t lates = merger_->late_discards();
-  if (lates > merger_lates_seen_) {
-    merger_lates_c_->inc(lates - merger_lates_seen_);
-    merger_lates_seen_ = lates;
-  }
-  merger_depth_g_->set(
-      static_cast<std::int64_t>(merger_->max_queue_depth()));
 }
 
 }  // namespace slb::rt

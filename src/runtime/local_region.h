@@ -180,9 +180,9 @@ class LocalRegion {
 
   /// The region's metrics registry (DESIGN.md §8): "splitter.*" counters
   /// from the splitter loop, "worker.<j>.service_ns" histograms recorded
-  /// on the PE threads, "merger.*" synced from the merger PE's atomics
-  /// once per sample period, "policy.*" via the policy's attach_metrics.
-  /// Counters are relaxed atomics, safe across PE threads.
+  /// on the PE threads, "merger.*" written live by the merger PE thread,
+  /// "policy.*" via the policy's attach_metrics. Counters are relaxed
+  /// atomics, safe across PE threads.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -191,21 +191,17 @@ class LocalRegion {
   /// send, or FIN/RST seen by the wait): requeues its unacked frames for
   /// replay (at-least-once), zeroes its weight via the policy hook, and
   /// arms the reconnect backoff.
-  void quarantine(int j, TimeNs now, LocalRunStats& stats);
+  void quarantine(int j, TimeNs now);
 
   /// One reconnect attempt for quarantined connection j. Succeeds only
   /// when a restarted worker process is available (worker_up_[j]);
   /// otherwise doubles the backoff. On success rebuilds the splitter
   /// connection, spawns the replacement PE, re-admits the merger stream
   /// via a hello frame, and tells the policy to start probing j again.
-  bool try_reconnect(int j, TimeNs now, LocalRunStats& stats);
+  bool try_reconnect(int j, TimeNs now);
 
   /// Deterministic jitter in [0, limit) for reconnect backoff.
   DurationNs jitter(DurationNs limit);
-
-  /// Syncs the merger PE's atomics into the registry (delta-increments
-  /// the counters); called per sample period and at end of run.
-  void sync_merger_metrics();
 
   LocalRegionConfig config_;
   std::unique_ptr<SplitPolicy> policy_;
@@ -213,7 +209,7 @@ class LocalRegion {
   /// replay is a plain re-send), acks, blocked time and the send counters
   /// (DESIGN.md §10), shared with the sim splitter. Splitter-thread only.
   delivery::SendCore<std::vector<std::uint8_t>> core_;
-  /// Declared before the worker PEs holding histogram handles into it.
+  /// Declared before the worker and merger PEs holding handles into it.
   obs::MetricsRegistry metrics_;
   /// Splitter-loop counters.
   struct SplitterCounters {
@@ -227,18 +223,6 @@ class LocalRegion {
   /// Delivery gauges (DESIGN.md §10).
   obs::Gauge* replay_bytes_g_ = nullptr;
   obs::Gauge* ack_lag_g_ = nullptr;
-  /// Merger-sync handles and the last values already folded in.
-  obs::Counter* merger_emitted_c_ = nullptr;
-  obs::Counter* merger_gaps_c_ = nullptr;
-  obs::Counter* merger_reconnects_c_ = nullptr;
-  obs::Counter* merger_dups_c_ = nullptr;
-  obs::Counter* merger_lates_c_ = nullptr;
-  obs::Gauge* merger_depth_g_ = nullptr;
-  std::uint64_t merger_emitted_seen_ = 0;
-  std::uint64_t merger_gaps_seen_ = 0;
-  std::uint64_t merger_reconnects_seen_ = 0;
-  std::uint64_t merger_dups_seen_ = 0;
-  std::uint64_t merger_lates_seen_ = 0;
   /// Per-worker service histograms, passed to every (re)spawned PE.
   std::vector<obs::Histogram*> service_hists_;
 

@@ -21,12 +21,19 @@ constexpr std::uint64_t kAckEvery = 64;
 
 }  // namespace
 
-MergerPe::MergerPe(std::vector<net::Fd> from_workers, MergerFaultConfig fault,
+MergerPe::MergerPe(std::vector<net::Fd> from_workers,
+                   obs::MetricsRegistry& metrics, MergerFaultConfig fault,
                    delivery::DeliveryMode mode, net::Fd ack_out)
     : from_workers_(std::move(from_workers)),
       fault_(fault),
       mode_(mode),
-      ack_out_(std::move(ack_out)) {
+      ack_out_(std::move(ack_out)),
+      emitted_(metrics.counter("merger.emitted")),
+      gaps_(metrics.counter("merger.gaps")),
+      dup_discards_(metrics.counter("merger.dup_discards")),
+      late_discards_(metrics.counter("merger.late_discards")),
+      reconnects_(metrics.counter("merger.reconnects")),
+      max_depth_(metrics.gauge("merger.max_depth")) {
   if (fault_.enabled) listener_ = std::make_unique<net::Listener>();
   thread_ = std::thread([this] { run(); });
 }
@@ -60,21 +67,19 @@ void MergerPe::run() {
     std::vector<Pending> pending;
     net::Frame frame;
 
-    std::uint64_t emitted = 0;
     const auto release = [&] {
       core.release(monotonic_now(), [&](int, std::uint64_t) {
-        ++emitted;
+        emitted_.inc();
         return true;
       });
     };
-    // Publishes the core's counters to the thread-safe accessors. Plain
-    // mode declares neither gaps nor replays, so a stale arrival there (a
-    // late_discard to the core) is a real order violation.
+    // Publishes the core's counts to the registry. Plain mode declares
+    // neither gaps nor replays, so a stale arrival there (a late_discard
+    // to the core) is a real order violation.
     const auto publish = [&] {
-      emitted_.store(emitted, std::memory_order_relaxed);
-      gaps_.store(core.gaps(), std::memory_order_relaxed);
-      dup_discards_.store(core.dup_discards(), std::memory_order_relaxed);
-      late_discards_.store(core.late_discards(), std::memory_order_relaxed);
+      gaps_.advance_to(core.gaps());
+      dup_discards_.advance_to(core.dup_discards());
+      late_discards_.advance_to(core.late_discards());
       if (!ft && core.late_discards() > 0) {
         order_ok_.store(false, std::memory_order_relaxed);
       }
@@ -122,10 +127,9 @@ void MergerPe::run() {
           continue;
         }
         core.offer(static_cast<int>(j), frame.seq);
-        max_depth_.store(
-            std::max(max_depth_.load(std::memory_order_relaxed),
-                     core.queue_size(static_cast<int>(j))),
-            std::memory_order_relaxed);
+        const auto depth =
+            static_cast<std::int64_t>(core.queue_size(static_cast<int>(j)));
+        if (depth > max_depth_.value()) max_depth_.set(depth);
       }
       if (decoders[j].corrupt()) {
         // Garbage on the wire: no way to resynchronize a length-prefixed
@@ -236,7 +240,7 @@ void MergerPe::run() {
         }
         from_workers_[w] = std::move(p.fd);
         decoders[w] = std::move(p.decoder);
-        reconnects_.fetch_add(1, std::memory_order_relaxed);
+        reconnects_.inc();
         drain_decoder(w);  // the hello may have trailed data (or a FIN)
       }
       pending.erase(std::remove_if(pending.begin(), pending.end(),
@@ -276,7 +280,6 @@ void MergerPe::run() {
   } catch (const std::exception& e) {
     SLB_ERROR() << "merger died: " << e.what();
   }
-  done_.store(true, std::memory_order_release);
 }
 
 }  // namespace slb::rt

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "delivery/delivery.h"
+#include "obs/metrics.h"
 #include "transport/socket.h"
 #include "util/time.h"
 
@@ -49,13 +50,17 @@ struct MergerFaultConfig {
 class MergerPe {
  public:
   /// Takes ownership of all worker connections; starts immediately.
+  /// The merger thread is the single writer of `metrics`' "merger.*"
+  /// counters and its "merger.max_depth" gauge (DESIGN.md §8); the
+  /// registry must outlive the PE and is a ctor parameter because the
+  /// thread starts here.
   /// `ack_out` (at-least-once only) is the merger->splitter reverse
   /// connection cumulative acks ride on; writes are non-blocking and
   /// drop-on-full — the cumulative encoding makes lost acks harmless.
-  explicit MergerPe(
-      std::vector<net::Fd> from_workers, MergerFaultConfig fault = {},
-      delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip,
-      net::Fd ack_out = {});
+  MergerPe(std::vector<net::Fd> from_workers, obs::MetricsRegistry& metrics,
+           MergerFaultConfig fault = {},
+           delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip,
+           net::Fd ack_out = {});
 
   ~MergerPe();
 
@@ -63,17 +68,7 @@ class MergerPe {
   MergerPe& operator=(const MergerPe&) = delete;
 
   /// Tuples released downstream so far (monotone, thread-safe).
-  std::uint64_t emitted() const {
-    return emitted_.load(std::memory_order_relaxed);
-  }
-
-  /// Largest reorder-queue depth observed (diagnostic).
-  std::size_t max_queue_depth() const {
-    return max_depth_.load(std::memory_order_relaxed);
-  }
-
-  /// True once every worker sent FIN and all queues drained.
-  bool done() const { return done_.load(std::memory_order_acquire); }
+  std::uint64_t emitted() const { return emitted_.value(); }
 
   /// Fault tolerance only: tells the merger the region is shutting down,
   /// so crashed slots that never reconnected are final — treat their
@@ -92,24 +87,15 @@ class MergerPe {
   bool order_ok() const { return order_ok_.load(std::memory_order_relaxed); }
 
   /// Sequence numbers skipped because their tuples died with a worker.
-  std::uint64_t gaps() const { return gaps_.load(std::memory_order_relaxed); }
+  std::uint64_t gaps() const { return gaps_.value(); }
 
   /// Replayed duplicates discarded below the release cursor
   /// (at-least-once only; see DESIGN.md §10).
-  std::uint64_t dup_discards() const {
-    return dup_discards_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dup_discards() const { return dup_discards_.value(); }
 
   /// Tuples that arrived after their sequence was declared a gap
   /// (GapSkip fault mode: the gap skip fired, then the tuple showed up).
-  std::uint64_t late_discards() const {
-    return late_discards_.load(std::memory_order_relaxed);
-  }
-
-  /// Hello-frame re-admissions accepted on the reconnect port.
-  std::uint64_t reconnects() const {
-    return reconnects_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t late_discards() const { return late_discards_.value(); }
 
   /// Port restarted workers connect to (fault tolerance only, else 0).
   std::uint16_t reconnect_port() const {
@@ -124,13 +110,14 @@ class MergerPe {
   delivery::DeliveryMode mode_;
   net::Fd ack_out_;
   std::unique_ptr<net::Listener> listener_;
-  std::atomic<std::uint64_t> emitted_{0};
-  std::atomic<std::size_t> max_depth_{0};
-  std::atomic<std::uint64_t> gaps_{0};
-  std::atomic<std::uint64_t> dup_discards_{0};
-  std::atomic<std::uint64_t> late_discards_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
-  std::atomic<bool> done_{false};
+  obs::Counter& emitted_;
+  obs::Counter& gaps_;
+  obs::Counter& dup_discards_;
+  obs::Counter& late_discards_;
+  /// Hello-frame re-admissions accepted on the reconnect port.
+  obs::Counter& reconnects_;
+  /// Largest reorder-queue depth observed (a running max).
+  obs::Gauge& max_depth_;
   std::atomic<bool> closing_{false};
   std::atomic<bool> order_ok_{true};
   std::thread thread_;

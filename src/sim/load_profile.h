@@ -64,8 +64,8 @@ class LoadProfile {
     return m;
   }
 
-  /// Times at which any worker's multiplier changes (for Oracle*
-  /// schedules).
+  /// Times at which any worker's multiplier changes. Read only by tests:
+  /// the harness builds Oracle* schedules from capacity_change_times.
   std::vector<TimeNs> change_times() const {
     std::vector<TimeNs> times;
     for (const auto& s : steps_) {

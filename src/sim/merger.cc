@@ -53,13 +53,11 @@ void Merger::set_on_ack(std::function<void(std::uint64_t)> fn,
 
 void Merger::sync_discard_metrics() {
   if (metrics_.dup_discards != nullptr) {
-    metrics_.dup_discards->inc(core_.dup_discards() - dups_synced_);
+    metrics_.dup_discards->advance_to(core_.dup_discards());
   }
   if (metrics_.late_discards != nullptr) {
-    metrics_.late_discards->inc(core_.late_discards() - lates_synced_);
+    metrics_.late_discards->advance_to(core_.late_discards());
   }
-  dups_synced_ = core_.dup_discards();
-  lates_synced_ = core_.late_discards();
 }
 
 void Merger::maybe_schedule_ack() {

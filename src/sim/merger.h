@@ -146,7 +146,7 @@ class Merger : public TupleSink {
   void drain();
   /// Delivers one tuple downstream; false when the downstream refuses.
   bool emit(int from, const Tuple& t);
-  /// Folds the core's discard counts into the registry counters.
+  /// Publishes the core's discard counts to the registry counters.
   void sync_discard_metrics();
   /// Schedules the coalesced cumulative-ack event if one is due.
   void maybe_schedule_ack();
@@ -163,8 +163,6 @@ class Merger : public TupleSink {
   std::vector<std::uint64_t> emitted_from_;
   MergerMetrics metrics_;
   std::uint64_t emitted_ = 0;
-  std::uint64_t dups_synced_ = 0;
-  std::uint64_t lates_synced_ = 0;
   bool ordered_ = true;
 
   std::function<void(std::uint64_t)> on_ack_;

@@ -82,7 +82,6 @@ class Splitter {
   /// exactly like a normal un-block). If every connection is down the
   /// splitter idles until one comes back.
   void set_channel_up(int j, bool up);
-  bool channel_up(int j) const { return core_.up(j); }
 
   std::uint64_t total_sent() const { return core_.total_sent(); }
   std::uint64_t sent(int j) const { return core_.sent(j); }

@@ -1,54 +1,24 @@
-// Minimal leveled logger. The library itself logs nothing by default;
-// harnesses and examples opt in. Thread-safe at the line level (a single
-// formatted line is written atomically under a mutex), which is all the
-// threaded runtime requires.
+// Error lines for the threaded runtime's PEs. Thread-safe at the line
+// level (a single formatted line is written atomically under a mutex),
+// which is all the threaded runtime requires.
 #pragma once
 
 #include <iostream>
 #include <mutex>
 #include <sstream>
-#include <string>
 
 namespace slb {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-wide log configuration.
-class Log {
- public:
-  static LogLevel& threshold() {
-    static LogLevel level = LogLevel::kWarn;
-    return level;
-  }
-
-  static std::mutex& mutex() {
-    static std::mutex m;
-    return m;
-  }
-
-  static void write(LogLevel level, const std::string& line) {
-    if (level < threshold()) return;
-    std::lock_guard<std::mutex> guard(mutex());
-    std::cerr << prefix(level) << line << '\n';
-  }
-
- private:
-  static const char* prefix(LogLevel level) {
-    switch (level) {
-      case LogLevel::kDebug: return "[debug] ";
-      case LogLevel::kInfo: return "[info ] ";
-      case LogLevel::kWarn: return "[warn ] ";
-      case LogLevel::kError: return "[error] ";
-      default: return "";
-    }
-  }
-};
-
-/// Builds one log line with stream syntax and emits it on destruction.
+/// Builds one "[error] " line with stream syntax and writes it to stderr
+/// on destruction.
 class LogLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { Log::write(level_, stream_.str()); }
+  LogLine() = default;
+  ~LogLine() {
+    static std::mutex mu;
+    std::lock_guard<std::mutex> guard(mu);
+    std::cerr << "[error] " << stream_.str() << '\n';
+  }
 
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
@@ -60,13 +30,9 @@ class LogLine {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
 }  // namespace slb
 
-#define SLB_DEBUG() ::slb::LogLine(::slb::LogLevel::kDebug)
-#define SLB_INFO() ::slb::LogLine(::slb::LogLevel::kInfo)
-#define SLB_WARN() ::slb::LogLine(::slb::LogLevel::kWarn)
-#define SLB_ERROR() ::slb::LogLine(::slb::LogLevel::kError)
+#define SLB_ERROR() ::slb::LogLine()

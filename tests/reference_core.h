@@ -332,12 +332,13 @@ inline RapSolution solve_bisect(const RapProblem& p) {
   const int n = static_cast<int>(p.vars.size());
   RapSolution sol;
   sol.weights.resize(static_cast<std::size_t>(n));
+  Weight allocated = 0;
   for (int j = 0; j < n; ++j) {
     sol.weights[static_cast<std::size_t>(j)] =
         p.vars[static_cast<std::size_t>(j)].min;
+    allocated += p.vars[static_cast<std::size_t>(j)].min;
   }
-  sol.allocated = rap_detail::allocated_units(p.vars, sol.weights);
-  if (sol.allocated > p.total) {
+  if (allocated > p.total) {
     sol.objective = rap_detail::objective_of(p.eval, sol.weights);
     sol.feasible = false;
     return sol;
@@ -380,7 +381,7 @@ inline RapSolution solve_bisect(const RapProblem& p) {
     for (int j = 0; j < n; ++j) {
       const Weight c = cap(j, lambda);
       if (c < p.vars[static_cast<std::size_t>(j)].min) return false;
-      capacity += p.vars[static_cast<std::size_t>(j)].multiplicity * c;
+      capacity += c;
       if (capacity >= p.total) return true;
     }
     return capacity >= p.total;
@@ -405,14 +406,13 @@ inline RapSolution solve_bisect(const RapProblem& p) {
   // returns the uniform point.
   auto fill_round_robin = [&](const std::vector<Weight>& limit) {
     bool progress = true;
-    while (sol.allocated < p.total && progress) {
+    while (allocated < p.total && progress) {
       progress = false;
-      for (int j = 0; j < n && sol.allocated < p.total; ++j) {
+      for (int j = 0; j < n && allocated < p.total; ++j) {
         const auto ju = static_cast<std::size_t>(j);
-        if (sol.weights[ju] < limit[ju] &&
-            sol.allocated + p.vars[ju].multiplicity <= p.total) {
+        if (sol.weights[ju] < limit[ju]) {
           sol.weights[ju] += 1;
-          sol.allocated += p.vars[ju].multiplicity;
+          allocated += 1;
           progress = true;
         }
       }
@@ -438,14 +438,7 @@ inline RapSolution solve_bisect(const RapProblem& p) {
   }
   fill_round_robin(limit);
   sol.objective = rap_detail::objective_of(p.eval, sol.weights);
-  Weight max_units = 0;
-  for (const RapVariable& v : p.vars) max_units += v.multiplicity * v.max;
-  int min_mult = std::numeric_limits<int>::max();
-  for (const RapVariable& v : p.vars) {
-    min_mult = std::min(min_mult, v.multiplicity);
-  }
-  sol.feasible =
-      max_units >= p.total && (p.total - sol.allocated) < min_mult;
+  sol.feasible = allocated == p.total;
   return sol;
 }
 
@@ -458,25 +451,17 @@ inline double bruteforce_objective(const RapProblem& p) {
   double best = std::numeric_limits<double>::infinity();
   WeightVector w(static_cast<std::size_t>(n), 0);
 
-  // Depth-first enumeration of all assignments hitting the budget exactly
-  // (or as close as multiplicities allow, mirroring the solvers).
-  int min_mult = std::numeric_limits<int>::max();
-  for (const RapVariable& v : p.vars) {
-    min_mult = std::min(min_mult, v.multiplicity);
-  }
-
+  // Depth-first enumeration of all assignments hitting the budget exactly.
   std::function<void(int, Weight, double)> go = [&](int j, Weight used,
                                                     double worst) {
     if (worst >= best) return;  // prune
     if (j == n) {
-      if (p.total - used < min_mult && used <= p.total) {
-        best = std::min(best, worst);
-      }
+      if (used == p.total) best = std::min(best, worst);
       return;
     }
     const RapVariable& v = p.vars[static_cast<std::size_t>(j)];
     for (Weight x = v.min; x <= v.max; ++x) {
-      const Weight next = used + v.multiplicity * x;
+      const Weight next = used + x;
       if (next > p.total) break;
       go(j + 1, next, std::max(worst, rap_detail::safe_eval(p.eval, j, x)));
     }
@@ -494,11 +479,11 @@ inline RapSolution solve_fox_heap(const RapProblem& p) {
   const int n = static_cast<int>(p.vars.size());
   RapSolution sol;
   sol.weights.resize(static_cast<std::size_t>(n));
+  Weight allocated = 0;
   for (int j = 0; j < n; ++j) {
     sol.weights[static_cast<std::size_t>(j)] =
         p.vars[static_cast<std::size_t>(j)].min;
-    sol.allocated += p.vars[static_cast<std::size_t>(j)].multiplicity *
-                     p.vars[static_cast<std::size_t>(j)].min;
+    allocated += p.vars[static_cast<std::size_t>(j)].min;
   }
   const auto objective = [&] {
     double worst = 0.0;
@@ -507,7 +492,7 @@ inline RapSolution solve_fox_heap(const RapProblem& p) {
     }
     return worst;
   };
-  if (sol.allocated > p.total) {
+  if (allocated > p.total) {
     sol.objective = objective();
     sol.feasible = false;
     return sol;
@@ -526,31 +511,18 @@ inline RapSolution solve_fox_heap(const RapProblem& p) {
   const auto push_next = [&](int j) {
     const auto ju = static_cast<std::size_t>(j);
     const Weight next = sol.weights[ju] + 1;
-    if (next <= p.vars[ju].max &&
-        sol.allocated + p.vars[ju].multiplicity <= p.total) {
-      heap.push(Entry{safe(j, next), next, j});
-    }
+    if (next <= p.vars[ju].max) heap.push(Entry{safe(j, next), next, j});
   };
   for (int j = 0; j < n; ++j) push_next(j);
-  while (sol.allocated < p.total && !heap.empty()) {
+  while (allocated < p.total && !heap.empty()) {
     const Entry e = heap.top();
     heap.pop();
-    const auto ju = static_cast<std::size_t>(e.j);
-    if (sol.allocated + p.vars[ju].multiplicity > p.total) continue;
-    sol.weights[ju] += 1;
-    sol.allocated += p.vars[ju].multiplicity;
+    sol.weights[static_cast<std::size_t>(e.j)] += 1;
+    allocated += 1;
     push_next(e.j);
   }
   sol.objective = objective();
-  Weight max_units = 0;
-  int min_mult = std::numeric_limits<int>::max();
-  for (const RapVariable& v : p.vars) {
-    max_units += v.multiplicity * v.max;
-    min_mult = std::min(min_mult, v.multiplicity);
-  }
-  sol.feasible = sol.allocated == p.total ||
-                 (max_units >= p.total && p.total - sol.allocated < min_mult);
-  if (max_units < p.total) sol.feasible = false;
+  sol.feasible = allocated == p.total;
   return sol;
 }
 

@@ -209,20 +209,6 @@ TEST(ControllerOverload, MarkDownWhileOverloadedFallsBackToEvenSplit) {
   }
 }
 
-TEST(ControllerOverload, SafeModeFallbackCanBeDisabled) {
-  ControllerConfig cfg = overload_controller();
-  cfg.safe_mode_on_overload_fault = false;
-  LoadBalanceController ctrl(4, cfg);
-  ctrl.set_weights({700, 100, 100, 100});
-  TimeNs now = 0;
-  drive_into_overload(ctrl, 4, &now);
-  ASSERT_TRUE(ctrl.overloaded());
-  ctrl.mark_down(1);
-  // Proportional redistribution, not the even fallback: connection 0
-  // keeps its dominant share.
-  EXPECT_GT(ctrl.weights()[0], 600);
-}
-
 // --- policy safe mode ------------------------------------------------
 
 TEST(PolicyOverload, SafeModePinsEvenSplitOverLiveConnections) {

@@ -1,5 +1,5 @@
 // Tests for the minimax RAP solvers: Fox greedy vs the bisection solver
-// vs brute force, constraint handling, multiplicities, and tie behavior.
+// vs brute force, constraint handling, and tie behavior.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -52,7 +52,7 @@ TEST(Fox, BalancesLinearFunctions) {
   // f0(w) = 2w, f1(w) = w: optimum puts twice as much on variable 1.
   RapProblem p;
   p.total = 9;
-  p.vars = {{0, 9, 1}, {0, 9, 1}};
+  p.vars = {{0, 9}, {0, 9}};
   p.eval = [](int j, Weight w) {
     return j == 0 ? 2.0 * w : 1.0 * w;
   };
@@ -66,7 +66,7 @@ TEST(Fox, BalancesLinearFunctions) {
 TEST(Fox, RespectsMinimumBounds) {
   RapProblem p;
   p.total = 10;
-  p.vars = {{4, 10, 1}, {0, 10, 1}};
+  p.vars = {{4, 10}, {0, 10}};
   p.eval = [](int j, Weight w) { return j == 0 ? 100.0 * w : 1.0 * w; };
   const RapSolution s = solve_fox(p);
   EXPECT_TRUE(s.feasible);
@@ -77,7 +77,7 @@ TEST(Fox, RespectsMinimumBounds) {
 TEST(Fox, RespectsMaximumBounds) {
   RapProblem p;
   p.total = 10;
-  p.vars = {{0, 3, 1}, {0, 10, 1}};
+  p.vars = {{0, 3}, {0, 10}};
   p.eval = [](int j, Weight w) { return j == 0 ? 0.0 : 1.0 * w; };
   const RapSolution s = solve_fox(p);
   EXPECT_TRUE(s.feasible);
@@ -88,7 +88,7 @@ TEST(Fox, RespectsMaximumBounds) {
 TEST(Fox, InfeasibleWhenMinimaExceedTotal) {
   RapProblem p;
   p.total = 5;
-  p.vars = {{4, 10, 1}, {4, 10, 1}};
+  p.vars = {{4, 10}, {4, 10}};
   p.eval = [](int, Weight w) { return 1.0 * w; };
   const RapSolution s = solve_fox(p);
   EXPECT_FALSE(s.feasible);
@@ -97,11 +97,11 @@ TEST(Fox, InfeasibleWhenMinimaExceedTotal) {
 TEST(Fox, InfeasibleWhenMaximaBelowTotal) {
   RapProblem p;
   p.total = 100;
-  p.vars = {{0, 10, 1}, {0, 10, 1}};
+  p.vars = {{0, 10}, {0, 10}};
   p.eval = [](int, Weight w) { return 1.0 * w; };
   const RapSolution s = solve_fox(p);
   EXPECT_FALSE(s.feasible);
-  EXPECT_EQ(s.allocated, 20);  // best effort
+  EXPECT_EQ(total_weight(s.weights), 20);  // best effort
 }
 
 TEST(Fox, IdenticalZeroFunctionsSpreadEvenly) {
@@ -110,7 +110,7 @@ TEST(Fox, IdenticalZeroFunctionsSpreadEvenly) {
   // pathology found with the threaded runtime).
   RapProblem p;
   p.total = 1000;
-  p.vars.assign(4, RapVariable{0, 1000, 1});
+  p.vars.assign(4, RapVariable{0, 1000});
   p.eval = [](int, Weight) { return 0.0; };
   const RapSolution s = solve_fox(p);
   ASSERT_TRUE(s.feasible);
@@ -120,56 +120,29 @@ TEST(Fox, IdenticalZeroFunctionsSpreadEvenly) {
 TEST(Fox, ZeroTotalGivesAllZeros) {
   RapProblem p;
   p.total = 0;
-  p.vars.assign(3, RapVariable{0, 10, 1});
+  p.vars.assign(3, RapVariable{0, 10});
   p.eval = [](int, Weight w) { return 1.0 * w; };
   const RapSolution s = solve_fox(p);
   EXPECT_TRUE(s.feasible);
   EXPECT_EQ(s.weights, (WeightVector{0, 0, 0}));
 }
 
-TEST(Fox, MultiplicityConsumesResourcePerMember) {
-  // One "cluster" of 3 identical members vs one singleton; all free.
-  RapProblem p;
-  p.total = 8;
-  p.vars = {{0, 8, 3}, {0, 8, 1}};
-  p.eval = [](int, Weight) { return 0.0; };
-  const RapSolution s = solve_fox(p);
-  EXPECT_EQ(3 * s.weights[0] + s.weights[1], s.allocated);
-  EXPECT_LE(s.allocated, 8);
-  EXPECT_GE(s.allocated, 8 - 2);  // leftover < min multiplicity would be 1..
-  EXPECT_TRUE(s.feasible);
-}
-
-TEST(Fox, MultiplicityPrefersSameMarginalValue) {
-  // Cluster of 2 with f(w)=w and singleton with f(w)=w: per-member
-  // weights should end up roughly equal.
-  RapProblem p;
-  p.total = 9;
-  p.vars = {{0, 9, 2}, {0, 9, 1}};
-  p.eval = [](int, Weight w) { return 1.0 * w; };
-  const RapSolution s = solve_fox(p);
-  EXPECT_TRUE(s.feasible);
-  EXPECT_EQ(s.allocated, 9);
-  EXPECT_EQ(2 * s.weights[0] + s.weights[1], 9);
-  EXPECT_NEAR(s.weights[0], s.weights[1], 1);
-}
-
 TEST(Bisect, MatchesFoxOnSimpleInstance) {
   RapProblem p;
   p.total = 9;
-  p.vars = {{0, 9, 1}, {0, 9, 1}};
+  p.vars = {{0, 9}, {0, 9}};
   p.eval = [](int j, Weight w) { return j == 0 ? 2.0 * w : 1.0 * w; };
   const RapSolution fox = solve_fox(p);
   const RapSolution bis = solve_bisect(p);
   EXPECT_TRUE(bis.feasible);
   EXPECT_DOUBLE_EQ(bis.objective, fox.objective);
-  EXPECT_EQ(bis.allocated, p.total);
+  EXPECT_EQ(total_weight(bis.weights), p.total);
 }
 
 TEST(Bisect, InfeasibleDetection) {
   RapProblem p;
   p.total = 50;
-  p.vars = {{0, 10, 1}, {0, 10, 1}};
+  p.vars = {{0, 10}, {0, 10}};
   p.eval = [](int, Weight w) { return 1.0 * w; };
   EXPECT_FALSE(solve_bisect(p).feasible);
 }
@@ -236,7 +209,7 @@ TEST_P(RapRandom, BisectMatchesFoxObjective) {
   ASSERT_EQ(fox.feasible, bis.feasible);
   if (fox.feasible) {
     EXPECT_NEAR(fox.objective, bis.objective, 1e-9);
-    EXPECT_EQ(bis.allocated, p.total);
+    EXPECT_EQ(total_weight(bis.weights), p.total);
   }
 }
 
@@ -267,13 +240,13 @@ TEST(RapScale, FullScaleInstanceSolvesQuickly) {
   // assertion, just a "does not blow up" guard; the bench measures speed.
   RapProblem p;
   p.total = kWeightUnits;
-  p.vars.assign(64, RapVariable{0, kWeightUnits, 1});
+  p.vars.assign(64, RapVariable{0, kWeightUnits});
   p.eval = [](int j, Weight w) {
     return static_cast<double>(w) * (1.0 + 0.01 * j);
   };
   const RapSolution s = solve_fox(p);
   EXPECT_TRUE(s.feasible);
-  EXPECT_EQ(s.allocated, kWeightUnits);
+  EXPECT_EQ(total_weight(s.weights), kWeightUnits);
   // Faster variables get more load.
   EXPECT_GT(s.weights.front(), s.weights.back());
 }

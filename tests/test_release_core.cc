@@ -29,6 +29,7 @@
 
 #include "delivery/release_core.h"
 #include "linear_release_core.h"
+#include "obs/metrics.h"
 #include "runtime/merger_pe.h"
 #include "sim/merger.h"
 #include "transport/framing.h"
@@ -742,8 +743,8 @@ class RtMergerHarness {
       ack_in_ = net::Fd(sv[0]);
       ack_out = net::Fd(sv[1]);
     }
-    merger_ = std::make_unique<rt::MergerPe>(std::move(readers), fault, mode,
-                                             std::move(ack_out));
+    merger_ = std::make_unique<rt::MergerPe>(std::move(readers), metrics_,
+                                             fault, mode, std::move(ack_out));
   }
 
   void send(const Arrival& a) {
@@ -807,6 +808,7 @@ class RtMergerHarness {
  private:
   std::vector<net::Fd> writers_;
   net::Fd ack_in_;
+  obs::MetricsRegistry metrics_;  // outlives the merger thread
   std::unique_ptr<rt::MergerPe> merger_;
 };
 

@@ -7,11 +7,13 @@
 // tests carry the quantitative claims.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/local_region.h"
@@ -203,9 +205,8 @@ TEST(LocalRegion, TimedWorkModeRunsAndPreservesOrder) {
 
 TEST(LocalRegion, MetricsAgreeWithRunStats) {
   // The splitter counters are bumped on the send path and the merger
-  // counters are delta-synced from the merger PE's atomics once per
-  // period and after the join; either way they must end at the run's own
-  // totals. A kill and restart of worker 1 makes the gap count (GapSkip)
+  // counters by the merger PE thread as it releases; either way they must
+  // end at the run's own totals. A kill and restart of worker 1 makes the gap count (GapSkip)
   // and the retransmit count (at-least-once) non-zero.
   for (const delivery::DeliveryMode mode :
        {delivery::DeliveryMode::kGapSkip,
@@ -239,6 +240,37 @@ TEST(LocalRegion, MetricsAgreeWithRunStats) {
           << "worker " << j;
     }
   }
+}
+
+TEST(LocalRegion, MergerCountersAreLiveBetweenTicks) {
+  // The merger PE writes "merger.emitted" as it releases, so a reader on
+  // another thread sees progress long before any sample tick: here no
+  // tick fires at all, the period outlasting the run.
+  LocalRegionConfig cfg = fast_config(2);
+  cfg.sample_period = millis(10'000);
+  LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+  const obs::Counter& emitted = region.metrics().counter("merger.emitted");
+
+  constexpr DurationNs kRun = millis(600);
+  const TimeNs start = monotonic_now();
+  std::atomic<bool> stop{false};
+  TimeNs first_seen = 0;  // 0: never
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (emitted.value() > 0) {
+        first_seen = monotonic_now();
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const LocalRunStats stats = region.run(kRun);
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_GT(stats.emitted, 0u);
+  ASSERT_NE(first_seen, 0) << "merger.emitted never moved during the run";
+  EXPECT_LT(first_seen - start, kRun / 2);
 }
 
 }  // namespace
