@@ -209,15 +209,13 @@ void BM_ControllerUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerUpdate)->RangeMultiplier(4)->Range(4, 64);
 
-// ---- observability overhead -------------------------------------------------
+// ---- simulator send path ----------------------------------------------------
 
 // Splitter hot path in isolation: channels drained the instant a tuple
 // arrives, so every simulated event is splitter work (policy pick, push,
-// event scheduling) plus — with Arg 1 — the splitter's own registry
-// updates. The relative gap between the two rows is the instrumentation
-// overhead on the send path quoted in EXPERIMENTS.md (§8 target: <= 2%).
+// event scheduling, the splitter's own registry updates). A change to the
+// send path is timed as parent vs change on this row (EXPERIMENTS.md).
 void BM_SimSplitterSend(benchmark::State& state) {
-  const bool metrics_on = state.range(0) != 0;
   const int n = 4;
   sim::Simulator sim;
   sim::Channel::Config chan_cfg;
@@ -235,19 +233,10 @@ void BM_SimSplitterSend(benchmark::State& state) {
     ptrs.push_back(c);
   }
   RoundRobinPolicy policy(n);
-  sim::Splitter splitter(&sim, &policy, /*send_overhead=*/500);
-  splitter.wire(ptrs);
   obs::MetricsRegistry registry;
-  if (metrics_on) {
-    sim::SplitterMetrics sm;
-    sm.sent = &registry.counter("splitter.sent");
-    sm.blocks = &registry.counter("splitter.blocks");
-    sm.block_ns = &registry.histogram("splitter.block_ns");
-    sm.failovers = &registry.counter("splitter.failovers");
-    sm.rerouted = &registry.counter("splitter.rerouted");
-    sm.shed = &registry.counter("splitter.shed");
-    splitter.set_metrics(sm);
-  }
+  sim::Splitter splitter(&sim, registry, "splitter.", &policy,
+                         /*send_overhead=*/500);
+  splitter.wire(ptrs);
   splitter.start();
   std::uint64_t prev_sent = 0;
   std::uint64_t items = 0;
@@ -260,21 +249,18 @@ void BM_SimSplitterSend(benchmark::State& state) {
     prev_sent = sent;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
-  state.SetLabel(metrics_on ? "metrics-on" : "metrics-off");
 }
-BENCHMARK(BM_SimSplitterSend)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimSplitterSend);
 
-// Whole-region variant: RegionConfig::metrics toggles *every* component's
-// instrumentation (splitter counters, worker service histograms, merger
-// emit/reorder metrics, policy gauges), so this row bounds the full
-// pipeline's per-tuple cost, not just the send path.
+// Whole-region variant: splitter counters, worker service histograms,
+// merger emit/reorder metrics and policy gauges all ride along, so this
+// row bounds the full pipeline's per-tuple cost, not just the send path.
 void BM_SimRegionSend(benchmark::State& state) {
   sim::RegionConfig cfg;
   cfg.workers = 4;
   cfg.base_cost = micros(4);
   cfg.send_overhead = 500;
   cfg.sample_period = millis(10);
-  cfg.metrics = state.range(0) != 0;
   sim::Region region(cfg,
                      std::make_unique<LoadBalancingPolicy>(cfg.workers));
   region.start();
@@ -287,9 +273,8 @@ void BM_SimRegionSend(benchmark::State& state) {
     prev_sent = sent;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
-  state.SetLabel(cfg.metrics ? "metrics-on" : "metrics-off");
 }
-BENCHMARK(BM_SimRegionSend)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimRegionSend);
 
 // ---- event engine -----------------------------------------------------------
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/policies.h"  // weights_from_shares
+#include "core/policies.h"  // weights_from_shares, even_live_weights
 
 namespace slb {
 
@@ -159,13 +159,7 @@ void LoadBalanceController::mark_down(int j) {
   // worker's worth of capacity. Degrade to an even WRR split over the
   // survivors instead of scaling up stale weights.
   if (overloaded()) {
-    std::vector<double> even(static_cast<std::size_t>(connections()), 0.0);
-    for (int k = 0; k < connections(); ++k) {
-      if (!down_[static_cast<std::size_t>(k)]) {
-        even[static_cast<std::size_t>(k)] = 1.0;
-      }
-    }
-    weights_ = weights_from_shares(even);
+    weights_ = even_live_weights(down_);
     journal_mark_down("safe_even");
     return;
   }
@@ -181,14 +175,8 @@ void LoadBalanceController::mark_down(int j) {
     shares[ku] = static_cast<double>(weights_[ku]);
     survivor_total += shares[ku];
   }
-  if (survivor_total <= 0.0) {
-    for (int k = 0; k < connections(); ++k) {
-      if (!down_[static_cast<std::size_t>(k)]) {
-        shares[static_cast<std::size_t>(k)] = 1.0;
-      }
-    }
-  }
-  weights_ = weights_from_shares(shares);
+  weights_ = survivor_total > 0.0 ? weights_from_shares(shares)
+                                  : even_live_weights(down_);
   journal_mark_down("redistribute");
 }
 

@@ -132,9 +132,8 @@ class LoadBalanceController {
   /// period. Idempotent.
   void mark_up(int j);
 
-  bool is_down(int j) const {
-    return down_[static_cast<std::size_t>(j)] != 0;
-  }
+  /// down_mask()[j] != 0 while connection j is marked down.
+  std::span<const char> down_mask() const { return down_; }
   /// Number of connections currently marked up.
   int live() const;
 

@@ -75,17 +75,9 @@ void LoadBalancingPolicy::attach_metrics(obs::MetricsRegistry& registry,
 }
 
 void LoadBalancingPolicy::pin_even_live() {
-  std::vector<double> shares(
-      static_cast<std::size_t>(controller_.connections()), 0.0);
-  bool any = false;
-  for (int j = 0; j < controller_.connections(); ++j) {
-    if (!controller_.is_down(j)) {
-      shares[static_cast<std::size_t>(j)] = 1.0;
-      any = true;
-    }
-  }
-  if (!any) return;  // all down: routing is moot, keep current weights
-  wrr_.set_weights(weights_from_shares(shares));
+  // All down: routing is moot, keep the current weights.
+  if (controller_.live() == 0) return;
+  wrr_.set_weights(even_live_weights(controller_.down_mask()));
 }
 
 OraclePolicy::OraclePolicy(int connections, std::vector<Phase> schedule)
@@ -188,6 +180,14 @@ WeightVector weights_from_shares(const std::vector<double>& shares) {
     result[remainders[static_cast<std::size_t>(k) % n].second] += 1;
   }
   return result;
+}
+
+WeightVector even_live_weights(std::span<const char> down) {
+  std::vector<double> shares(down.size(), 0.0);
+  for (std::size_t j = 0; j < down.size(); ++j) {
+    if (down[j] == 0) shares[j] = 1.0;
+  }
+  return weights_from_shares(shares);
 }
 
 }  // namespace slb

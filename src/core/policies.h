@@ -246,4 +246,8 @@ class ThroughputBalancedPolicy : public SplitPolicy {
 /// kWeightUnits (largest-remainder method). Shares need not be normalized.
 WeightVector weights_from_shares(const std::vector<double>& shares);
 
+/// An even split over the connections with `down[j] == 0` (at least one),
+/// rounded like weights_from_shares; down connections get zero.
+WeightVector even_live_weights(std::span<const char> down);
+
 }  // namespace slb

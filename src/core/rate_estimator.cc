@@ -49,13 +49,4 @@ void BlockingRateEstimator::ingest(TimeNs now,
   ready_ = true;
 }
 
-void BlockingRateEstimator::reset() {
-  for (auto& e : smoothed_) e.reset();
-  std::fill(last_raw_.begin(), last_raw_.end(), 0.0);
-  std::fill(last_cumulative_.begin(), last_cumulative_.end(), 0);
-  last_time_ = 0;
-  have_baseline_ = false;
-  ready_ = false;
-}
-
 }  // namespace slb

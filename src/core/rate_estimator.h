@@ -45,9 +45,6 @@ class BlockingRateEstimator {
 
   int connections() const { return static_cast<int>(smoothed_.size()); }
 
-  /// Forgets all history (e.g. after the transport layer resets counters).
-  void reset();
-
  private:
   std::vector<Ewma> smoothed_;
   std::vector<double> last_raw_;

@@ -50,8 +50,6 @@ void SaturationDetector::observe(std::span<const double> rates,
     enter_streak_ = saturated ? enter_streak_ + 1 : 0;
     if (enter_streak_ >= config_.enter_periods) {
       overloaded_ = true;
-      ++episodes_;
-      periods_overloaded_ = 0;
       exit_streak_ = 0;
       deficit_.reset();
       deficit_.add(aggregate);
@@ -59,7 +57,6 @@ void SaturationDetector::observe(std::span<const double> rates,
     return;
   }
 
-  ++periods_overloaded_;
   deficit_.add(aggregate);
   // Exit on aggregate slack alone: with the controller frozen the draft
   // leader can pin to one connection, so an evenness requirement here
@@ -69,7 +66,6 @@ void SaturationDetector::observe(std::span<const double> rates,
     overloaded_ = false;
     enter_streak_ = 0;
     exit_streak_ = 0;
-    periods_overloaded_ = 0;
     deficit_.reset();
   }
 }
@@ -77,16 +73,6 @@ void SaturationDetector::observe(std::span<const double> rates,
 double SaturationDetector::capacity_deficit() const {
   if (!overloaded_) return 0.0;
   return std::clamp(deficit_.value(), 0.0, 1.0);
-}
-
-void SaturationDetector::reset() {
-  smoothed_.assign(smoothed_.size(), -1.0);
-  overloaded_ = false;
-  enter_streak_ = 0;
-  exit_streak_ = 0;
-  periods_overloaded_ = 0;
-  last_aggregate_ = 0.0;
-  deficit_.reset();
 }
 
 }  // namespace slb

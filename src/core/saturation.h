@@ -94,18 +94,8 @@ class SaturationDetector {
   /// source restores feasibility.
   double capacity_deficit() const;
 
-  /// Consecutive periods spent in the current overload episode (0 when
-  /// not overloaded). Read only by tests: RegionControlLoop's watchdog
-  /// keeps its own streaks.
-  int periods_overloaded() const { return periods_overloaded_; }
-
-  /// Total overload episodes entered so far.
-  int episodes() const { return episodes_; }
-
   /// Aggregate blocking rate seen in the most recent period.
   double last_aggregate() const { return last_aggregate_; }
-
-  void reset();
 
   const SaturationConfig& config() const { return config_; }
 
@@ -118,8 +108,6 @@ class SaturationDetector {
   bool overloaded_ = false;
   int enter_streak_ = 0;
   int exit_streak_ = 0;
-  int periods_overloaded_ = 0;
-  int episodes_ = 0;
   double last_aggregate_ = 0.0;
 };
 

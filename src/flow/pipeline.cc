@@ -122,17 +122,10 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
   // The source is a 1-connection splitter writing into stage 0's input.
   pipeline->source_policy_ = std::make_unique<RoundRobinPolicy>(1);
   pipeline->source_ = std::make_unique<sim::Splitter>(
-      sim, pipeline->source_policy_.get(), config_.source_overhead,
-      config_.source_interval);
+      sim, pipeline->metrics_, "source.", pipeline->source_policy_.get(),
+      config_.source_overhead, config_.source_interval);
   pipeline->source_->wire({pipeline->stages_.front()->input.get()});
-  obs::MetricsRegistry& reg = pipeline->metrics_;
-  sim::SplitterMetrics sm;
-  sm.sent = &reg.counter("source.sent");
-  sm.blocks = &reg.counter("source.blocks");
-  sm.block_ns = &reg.histogram("source.block_ns");
-  sm.shed = &reg.counter("source.shed");
-  pipeline->source_->set_metrics(sm);
-  pipeline->throttle_gauge_ = &reg.gauge("source.throttle_m");
+  pipeline->throttle_gauge_ = &pipeline->metrics_.gauge("source.throttle_m");
   pipeline->throttle_gauge_->set(1000);
   if (prot.shed_high_watermark > 0) {
     // Shedding needs no gap accounting here: every stage splitter

@@ -64,18 +64,6 @@ class LoadProfile {
     return m;
   }
 
-  /// Times at which any worker's multiplier changes. Read only by tests:
-  /// the harness builds Oracle* schedules from capacity_change_times.
-  std::vector<TimeNs> change_times() const {
-    std::vector<TimeNs> times;
-    for (const auto& s : steps_) {
-      for (const LoadStep& step : s) times.push_back(step.when);
-    }
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-    return times;
-  }
-
  private:
   std::vector<std::vector<LoadStep>> steps_;
 };

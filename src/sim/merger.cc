@@ -4,14 +4,20 @@
 
 namespace slb::sim {
 
-Merger::Merger(Simulator* sim, int connections, std::size_t capacity,
-               bool ordered)
+Merger::Merger(Simulator* sim, obs::MetricsRegistry& metrics,
+               int connections, std::size_t capacity, bool ordered)
     : sim_(sim),
       core_(connections, delivery::DeliveryMode::kGapSkip, capacity),
       on_space_(static_cast<std::size_t>(connections)),
       refused_(static_cast<std::size_t>(connections), 0),
       emitted_from_(static_cast<std::size_t>(connections), 0),
-      ordered_(ordered) {
+      ordered_(ordered),
+      emitted_(metrics.counter("merger.emitted")),
+      gaps_(metrics.counter("merger.gaps")),
+      reorder_depth_(metrics.histogram("merger.reorder_depth")),
+      gap_wait_ns_(metrics.histogram("merger.gap_wait_ns")),
+      dup_discards_(metrics.counter("merger.dup_discards")),
+      late_discards_(metrics.counter("merger.late_discards")) {
   assert(sim != nullptr);
   assert(connections > 0);
   assert(capacity > 0);
@@ -32,15 +38,12 @@ void Merger::connect_downstream(TupleSink* downstream) {
 
 bool Merger::emit(int from, const Tuple& t) {
   if (downstream_ != nullptr && !downstream_->offer(0, t)) return false;
-  ++emitted_;
+  emitted_.inc();
   ++emitted_from_[static_cast<std::size_t>(from)];
-  if (metrics_.emitted != nullptr) metrics_.emitted->inc();
-  if (metrics_.reorder_depth != nullptr) {
-    // Tuples parked behind the sequence gate right now (the emitting one
-    // is still queued in the core, so subtract it).
-    const std::size_t queued = core_.queued();
-    metrics_.reorder_depth->record(queued > 0 ? queued - 1 : 0);
-  }
+  // Tuples parked behind the sequence gate right now (the emitting one is
+  // still queued in the core, so subtract it).
+  const std::size_t queued = core_.queued();
+  reorder_depth_.record(queued > 0 ? queued - 1 : 0);
   if (on_emit_) on_emit_(t);
   return true;
 }
@@ -52,12 +55,8 @@ void Merger::set_on_ack(std::function<void(std::uint64_t)> fn,
 }
 
 void Merger::sync_discard_metrics() {
-  if (metrics_.dup_discards != nullptr) {
-    metrics_.dup_discards->advance_to(core_.dup_discards());
-  }
-  if (metrics_.late_discards != nullptr) {
-    metrics_.late_discards->advance_to(core_.late_discards());
-  }
+  dup_discards_.advance_to(core_.dup_discards());
+  late_discards_.advance_to(core_.late_discards());
 }
 
 void Merger::maybe_schedule_ack() {
@@ -108,12 +107,9 @@ void Merger::drain() {
     core_.release(
         now, [this](int from, const Tuple& t) { return emit(from, t); },
         [this, now](std::uint64_t count, TimeNs declared_at) {
-          if (metrics_.gaps != nullptr) metrics_.gaps->inc(count);
-          if (metrics_.gap_wait_ns != nullptr) {
-            for (std::uint64_t i = 0; i < count; ++i) {
-              metrics_.gap_wait_ns->record(
-                  static_cast<std::uint64_t>(now - declared_at));
-            }
+          gaps_.inc(count);
+          for (std::uint64_t i = 0; i < count; ++i) {
+            gap_wait_ns_.record(static_cast<std::uint64_t>(now - declared_at));
           }
         });
   } else {

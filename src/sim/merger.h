@@ -30,30 +30,24 @@
 
 namespace slb::sim {
 
-/// Registry handles for the merger (DESIGN.md §8). All pointers optional.
-struct MergerMetrics {
-  obs::Counter* emitted = nullptr;        // tuples released downstream
-  obs::Counter* gaps = nullptr;           // lost sequences skipped over
-  obs::Histogram* reorder_depth = nullptr;  // queued tuples at each emit
-  obs::Histogram* gap_wait_ns = nullptr;  // declared-lost -> skipped delay
-  obs::Counter* dup_discards = nullptr;   // replayed dupes dropped (ALO)
-  obs::Counter* late_discards = nullptr;  // post-gap arrivals dropped
-};
-
 class Merger : public TupleSink {
  public:
   /// Effectively-unbounded reorder queues: the eager-reading merger of the
   /// paper's implementation (blocking happens at the splitter, not here).
   static constexpr std::size_t kUnbounded = std::size_t{1} << 40;
 
+  /// @param metrics registry the merger registers its "merger.*" metrics
+  ///   in (DESIGN.md §8): "emitted", "gaps", "reorder_depth",
+  ///   "gap_wait_ns", "dup_discards" and "late_discards". The merger is
+  ///   their only writer; the registry must outlive it.
   /// @param connections number of worker connections feeding the merger.
   /// @param capacity per-connection reorder-queue capacity in tuples.
   /// @param ordered when false the region ends in parallel sinks (the
   ///   paper's Section 4.1 footnote): tuples are released immediately in
   ///   arrival order with no sequence gating. Per-connection throughput
   ///   then becomes a meaningful signal again — see Section 4.3.
-  Merger(Simulator* sim, int connections, std::size_t capacity,
-         bool ordered = true);
+  Merger(Simulator* sim, obs::MetricsRegistry& metrics, int connections,
+         std::size_t capacity, bool ordered = true);
 
   /// Called when connection j's reorder queue frees at least one slot
   /// after an offer from j was refused; used to un-stall worker j, which
@@ -96,9 +90,6 @@ class Merger : public TupleSink {
   /// every instant (tests/test_conservation.cc).
   std::uint64_t lost_pending() const { return core_.lost_pending(); }
 
-  /// Observability: attach registry handles (see MergerMetrics).
-  void set_metrics(const MergerMetrics& metrics) { metrics_ = metrics; }
-
   // --- Delivery semantics (DESIGN.md §10) ------------------------------
 
   /// Selects how stale arrivals (sequence below the release cursor) are
@@ -125,7 +116,7 @@ class Merger : public TupleSink {
   /// accounting: these are in flight but invisible to queue_size).
   std::uint64_t pooled() const { return core_.pooled(); }
 
-  std::uint64_t emitted() const { return emitted_; }
+  std::uint64_t emitted() const { return emitted_.value(); }
   std::uint64_t expected_seq() const { return core_.expected(); }
   std::size_t queue_size(int j) const { return core_.queue_size(j); }
 
@@ -161,9 +152,16 @@ class Merger : public TupleSink {
   std::function<void(const Tuple&)> on_emit_;
   TupleSink* downstream_ = nullptr;
   std::vector<std::uint64_t> emitted_from_;
-  MergerMetrics metrics_;
-  std::uint64_t emitted_ = 0;
   bool ordered_ = true;
+
+  // Registry handles. The gap and discard totals mirror the core where
+  // they change; emitted and the histograms are kept only here.
+  obs::Counter& emitted_;  // tuples released downstream
+  obs::Counter& gaps_;
+  obs::Histogram& reorder_depth_;  // queued tuples at each emit
+  obs::Histogram& gap_wait_ns_;  // declared-lost -> skipped delay
+  obs::Counter& dup_discards_;
+  obs::Counter& late_discards_;
 
   std::function<void(std::uint64_t)> on_ack_;
   DurationNs ack_latency_ = 0;

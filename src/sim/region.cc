@@ -14,6 +14,7 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
       policy_(std::move(policy)),
       load_(std::move(load)),
       hosts_(std::move(hosts)),
+      lost_tuples_(metrics_.counter("region.lost_tuples")),
       owned_sim_(external_sim == nullptr ? std::make_unique<Simulator>()
                                          : nullptr),
       sim_(external_sim == nullptr ? owned_sim_.get() : external_sim) {
@@ -36,8 +37,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
 
   const std::size_t merge_cap =
       config_.merge_buffer == 0 ? Merger::kUnbounded : config_.merge_buffer;
-  merger_ = std::make_unique<Merger>(sim_, config_.workers, merge_cap,
-                                     config_.ordered);
+  merger_ = std::make_unique<Merger>(sim_, metrics_, config_.workers,
+                                     merge_cap, config_.ordered);
   std::vector<Channel*> channel_ptrs;
   channel_ptrs.reserve(static_cast<std::size_t>(config_.workers));
   for (int j = 0; j < config_.workers; ++j) {
@@ -45,14 +46,15 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     workers_.push_back(std::make_unique<Worker>(sim_, j, config_.base_cost,
                                                 &load_, &hosts_));
     workers_.back()->wire(channels_.back().get(), merger_.get());
+    workers_.back()->set_service_histogram(
+        &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
     // Crash losses funnel into the merger so it skips the dead sequences
     // instead of gating on tuples that will never arrive (GapSkip). Under
     // at-least-once the lost transmissions are replayed from the
     // splitter's buffers instead — declaring them gaps would let the
     // cursor skip sequences a replay is about to deliver.
     const auto lost = [this](const Tuple& t) {
-      ++lost_tuples_;
-      if (lost_counter_ != nullptr) lost_counter_->inc();
+      lost_tuples_.inc();
       if (!alo()) merger_->note_lost(t.seq, 1);
     };
     channels_.back()->set_on_lost(lost);
@@ -63,9 +65,9 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     }
     channel_ptrs.push_back(channels_.back().get());
   }
-  splitter_ = std::make_unique<Splitter>(sim_, policy_.get(),
-                                         config_.send_overhead,
-                                         config_.source_interval);
+  splitter_ = std::make_unique<Splitter>(
+      sim_, metrics_, "splitter.", policy_.get(), config_.send_overhead,
+      config_.source_interval);
   splitter_->wire(std::move(channel_ptrs), config_.delivery);
   if (input != nullptr) splitter_->set_input(input);
   if (downstream != nullptr) merger_->connect_downstream(downstream);
@@ -98,39 +100,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   loop_ = std::make_unique<control::RegionControlLoop>(
       config_.workers, policy_.get(), loop_cfg);
 
-  if (config_.metrics) {
-    SplitterMetrics sm;
-    sm.sent = &metrics_.counter("splitter.sent");
-    sm.blocks = &metrics_.counter("splitter.blocks");
-    sm.block_ns = &metrics_.histogram("splitter.block_ns");
-    sm.failovers = &metrics_.counter("splitter.failovers");
-    sm.rerouted = &metrics_.counter("splitter.rerouted");
-    sm.shed = &metrics_.counter("splitter.shed");
-    sm.retransmits = &metrics_.counter("splitter.retransmits");
-    sm.replay_bytes = &metrics_.gauge("splitter.replay_buffer_bytes");
-    sm.ack_lag = &metrics_.gauge("splitter.ack_lag");
-    splitter_->set_metrics(sm);
-
-    MergerMetrics mm;
-    mm.emitted = &metrics_.counter("merger.emitted");
-    mm.gaps = &metrics_.counter("merger.gaps");
-    mm.reorder_depth = &metrics_.histogram("merger.reorder_depth");
-    mm.gap_wait_ns = &metrics_.histogram("merger.gap_wait_ns");
-    mm.dup_discards = &metrics_.counter("merger.dup_discards");
-    mm.late_discards = &metrics_.counter("merger.late_discards");
-    merger_->set_metrics(mm);
-
-    for (int j = 0; j < config_.workers; ++j) {
-      workers_[static_cast<std::size_t>(j)]->set_service_histogram(
-          &metrics_.histogram("worker." + std::to_string(j) +
-                              ".service_ns"));
-    }
-
-    loop_->attach_metrics(metrics_, "region.");
-    lost_counter_ = &metrics_.counter("region.lost_tuples");
-
-    policy_->attach_metrics(metrics_, "policy.");
-  }
+  loop_->attach_metrics(metrics_, "region.");
+  policy_->attach_metrics(metrics_, "policy.");
 
   merger_->set_on_emit([this](const Tuple& t) {
     const std::uint64_t emitted = merger_->emitted();

@@ -86,14 +86,6 @@ struct RegionConfig {
   /// The region's protection knobs (admission control, shed watermarks,
   /// watchdog ladder), enforced by the shared control::RegionControlLoop.
   control::ProtectionConfig protection;
-
-  // --- Observability (DESIGN.md §8) ------------------------------------
-
-  /// Wire the region's MetricsRegistry into every component (splitter,
-  /// merger, workers, policy). Off = no per-tuple metric updates at all
-  /// (the registry stays empty); used by bench/micro_core to measure the
-  /// instrumentation overhead.
-  bool metrics = true;
 };
 
 /// Result of run_until_emitted.
@@ -173,7 +165,7 @@ class Region {
 
   /// Tuples lost to crashes so far (buffered, in flight, or in service
   /// when their worker died). Each becomes a merger gap.
-  std::uint64_t lost_tuples() const { return lost_tuples_; }
+  std::uint64_t lost_tuples() const { return lost_tuples_.value(); }
 
   /// Tuples shed at the source so far (each one consumed a sequence
   /// number and became a merger gap, so ordering accounting stays exact).
@@ -218,10 +210,10 @@ class Region {
   const RegionConfig& config() const { return config_; }
   int workers() const { return config_.workers; }
 
-  /// The region's metrics registry (DESIGN.md §8). Populated at
-  /// construction when config.metrics is on: "splitter.*", "merger.*",
-  /// "worker.<j>.service_ns", "policy.*" (via the policy's attach_metrics),
-  /// "region.*" gauges and overload counters. Empty when metrics are off.
+  /// The region's metrics registry (DESIGN.md §8), populated at
+  /// construction: "splitter.*", "merger.*", "worker.<j>.service_ns",
+  /// "policy.*" (via the policy's attach_metrics), "region.*" gauges and
+  /// overload counters.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -261,6 +253,8 @@ class Region {
   HostModel hosts_;
   /// Declared before the components that hold handles into it.
   obs::MetricsRegistry metrics_;
+  /// Tuples lost to crashes ("region.lost_tuples").
+  obs::Counter& lost_tuples_;
 
   std::unique_ptr<Simulator> owned_sim_;  // null when externally driven
   Simulator* sim_;
@@ -285,14 +279,8 @@ class Region {
   std::uint64_t stop_target_ = 0;
   TimeNs target_reached_at_ = -1;
 
-  std::uint64_t lost_tuples_ = 0;
-
   std::uint64_t prev_shed_ = 0;
   std::uint64_t shed_last_period_ = 0;
-
-  /// Region-level counter (null when config.metrics is off); the
-  /// throttle/watchdog gauges now live in the control loop.
-  obs::Counter* lost_counter_ = nullptr;
 
   struct EmitTrigger {
     std::uint64_t threshold;

@@ -1,15 +1,26 @@
 #include "sim/splitter.h"
 
 #include <cassert>
+#include <string>
 
 namespace slb::sim {
 
-Splitter::Splitter(Simulator* sim, SplitPolicy* policy,
+Splitter::Splitter(Simulator* sim, obs::MetricsRegistry& metrics,
+                   std::string_view prefix, SplitPolicy* policy,
                    DurationNs send_overhead, DurationNs source_interval)
     : sim_(sim),
       policy_(policy),
       send_overhead_(send_overhead),
-      core_(0, delivery::DeliveryMode::kGapSkip, 0, source_interval) {
+      core_(0, delivery::DeliveryMode::kGapSkip, 0, source_interval),
+      sent_(metrics.counter(std::string(prefix) + "sent")),
+      blocks_(metrics.counter(std::string(prefix) + "blocks")),
+      block_ns_(metrics.histogram(std::string(prefix) + "block_ns")),
+      failovers_(metrics.counter(std::string(prefix) + "failovers")),
+      rerouted_(metrics.counter(std::string(prefix) + "rerouted")),
+      shed_(metrics.counter(std::string(prefix) + "shed")),
+      retransmits_(metrics.counter(std::string(prefix) + "retransmits")),
+      replay_bytes_(metrics.gauge(std::string(prefix) + "replay_buffer_bytes")),
+      ack_lag_(metrics.gauge(std::string(prefix) + "ack_lag")) {
   assert(sim != nullptr);
   assert(policy != nullptr);
   assert(send_overhead > 0);  // zero would allow infinite same-instant sends
@@ -23,7 +34,6 @@ void Splitter::wire(std::vector<Channel*> channels,
                                     delivery.mode,
                                     delivery.replay_buffer_bytes,
                                     core_.source_interval());
-  blocks_.assign(channels_.size(), 0);
   for (std::size_t j = 0; j < channels_.size(); ++j) {
     channels_[j]->set_on_send_space(
         [this, j] { on_send_space(static_cast<int>(j)); });
@@ -72,13 +82,8 @@ Splitter::ReplaySummary Splitter::replay_channel(int j) {
 }
 
 void Splitter::update_delivery_gauges() {
-  if (metrics_.replay_bytes != nullptr) {
-    metrics_.replay_bytes->set(
-        static_cast<std::int64_t>(core_.replay_bytes()));
-  }
-  if (metrics_.ack_lag != nullptr) {
-    metrics_.ack_lag->set(static_cast<std::int64_t>(core_.ack_lag()));
-  }
+  replay_bytes_.set(static_cast<std::int64_t>(core_.replay_bytes()));
+  ack_lag_.set(static_cast<std::int64_t>(core_.ack_lag()));
 }
 
 void Splitter::set_shed_watermarks(std::uint64_t high, std::uint64_t low) {
@@ -95,7 +100,7 @@ void Splitter::shed_backlog() {
   const auto dropped =
       core_.shed_backlog(sim_->now(), shed_high_, shed_low_);
   if (dropped.count == 0) return;
-  if (metrics_.shed != nullptr) metrics_.shed->inc(dropped.count);
+  shed_.inc(dropped.count);
   if (on_shed_) on_shed_(dropped.first, dropped.count);
 }
 
@@ -118,9 +123,7 @@ void Splitter::next_send() {
     idle_no_channel_ = true;
     return;
   }
-  if (j != picked && metrics_.failovers != nullptr) {
-    metrics_.failovers->inc();
-  }
+  if (j != picked) failovers_.inc();
 
   // A full replay buffer back-pressures exactly like a full send buffer:
   // the source blocks, the wait lands in j's blocking counter, and the
@@ -136,8 +139,7 @@ void Splitter::next_send() {
     for (int step = 1; step < n; ++step) {
       const int k = (j + step) % n;
       if (core_.up(k) && !full(k)) {
-        ++rerouted_;
-        if (metrics_.rerouted != nullptr) metrics_.rerouted->inc();
+        rerouted_.inc();
         do_send(k);
         return;
       }
@@ -148,8 +150,7 @@ void Splitter::next_send() {
   // and then we block anyway, just making sure to record how long").
   blocked_on_ = j;
   block_start_ = sim_->now();
-  ++blocks_[static_cast<std::size_t>(j)];
-  if (metrics_.blocks != nullptr) metrics_.blocks->inc();
+  blocks_.inc();
 }
 
 void Splitter::do_send(int j) {
@@ -173,9 +174,9 @@ void Splitter::do_send(int j) {
   channels_[static_cast<std::size_t>(j)]->push_send(t);
   if (core_.at_least_once()) update_delivery_gauges();
   if (retransmit) {
-    if (metrics_.retransmits != nullptr) metrics_.retransmits->inc();
-  } else if (metrics_.sent != nullptr) {
-    metrics_.sent->inc();
+    retransmits_.inc();
+  } else {
+    sent_.inc();
   }
   // Pacing: the send keeps the splitter busy for `send_overhead_`
   // (stretched by the throttle), and the next fresh tuple also waits for
@@ -214,9 +215,7 @@ int Splitter::end_block() {
   const int j = blocked_on_;
   const DurationNs waited = sim_->now() - block_start_;
   core_.charge_blocked(j, waited);
-  if (metrics_.block_ns != nullptr) {
-    metrics_.block_ns->record(static_cast<std::uint64_t>(waited));
-  }
+  block_ns_.record(static_cast<std::uint64_t>(waited));
   blocked_on_ = -1;
   return j;
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/policies.h"
@@ -33,31 +34,22 @@
 
 namespace slb::sim {
 
-/// Registry handles for the splitter's hot-path events (DESIGN.md §8).
-/// All pointers optional; a null member disables that metric. The
-/// pointed-to registry must outlive the splitter.
-struct SplitterMetrics {
-  obs::Counter* sent = nullptr;       // tuples pushed to any channel
-  obs::Counter* blocks = nullptr;     // distinct blocking episodes
-  obs::Histogram* block_ns = nullptr; // per-episode blocked duration
-  obs::Counter* failovers = nullptr;  // diverted off quarantined channels
-  obs::Counter* rerouted = nullptr;   // Section 4.4 block-time diversions
-  obs::Counter* shed = nullptr;       // source tuples dropped by watermarks
-  obs::Counter* retransmits = nullptr;  // replayed sends (at-least-once)
-  obs::Gauge* replay_bytes = nullptr;   // bytes held across replay buffers
-  obs::Gauge* ack_lag = nullptr;        // next_seq - cumulative ack
-};
-
 class Splitter {
  public:
+  /// @param metrics registry the splitter registers its metrics in, as
+  ///   `prefix` + "sent", "blocks", "block_ns", "failovers", "rerouted",
+  ///   "shed", "retransmits", "replay_buffer_bytes" and "ack_lag"
+  ///   (DESIGN.md §8). The splitter is their only writer; the registry
+  ///   must outlive it.
   /// @param source_interval mean inter-arrival gap of the upstream tuple
   ///   source: 0 = closed loop (a tuple is always ready — the paper's
   ///   throughput-bound experiments); > 0 = open loop at rate
   ///   1/source_interval, with arrears bursting out after blocking, like
   ///   a real upstream stage's queue. Throws std::invalid_argument when
   ///   negative.
-  Splitter(Simulator* sim, SplitPolicy* policy, DurationNs send_overhead,
-           DurationNs source_interval = 0);
+  Splitter(Simulator* sim, obs::MetricsRegistry& metrics,
+           std::string_view prefix, SplitPolicy* policy,
+           DurationNs send_overhead, DurationNs source_interval = 0);
 
   /// Connects the splitter to its channels and builds its delivery core
   /// in `delivery`'s mode. At-least-once holds every sent tuple in its
@@ -86,13 +78,11 @@ class Splitter {
   std::uint64_t total_sent() const { return core_.total_sent(); }
   std::uint64_t sent(int j) const { return core_.sent(j); }
   /// Tuples diverted by the Section 4.4 re-routing baseline.
-  std::uint64_t rerouted() const { return rerouted_; }
+  std::uint64_t rerouted() const { return rerouted_.value(); }
   /// Tuples diverted because their picked connection was quarantined.
   std::uint64_t failovers() const { return core_.failovers(); }
-  /// Number of distinct blocking episodes per connection.
-  std::uint64_t blocks(int j) const {
-    return blocks_[static_cast<std::size_t>(j)];
-  }
+  /// Number of distinct blocking episodes, over all connections.
+  std::uint64_t blocks() const { return blocks_.value(); }
   bool blocked() const { return blocked_on_ >= 0; }
   int blocked_on() const { return blocked_on_; }
   /// Cumulative blocked ns per connection: the paper's blocking counters
@@ -130,11 +120,6 @@ class Splitter {
   }
   /// Total tuples shed at the source so far.
   std::uint64_t shed() const { return core_.shed(); }
-
-  /// Observability: attach registry handles (see SplitterMetrics). The
-  /// splitter keeps updating its own counters either way; metrics are a
-  /// parallel, thread-safe view for exporters.
-  void set_metrics(const SplitterMetrics& metrics) { metrics_ = metrics; }
 
   // --- At-least-once delivery (DESIGN.md §10) --------------------------
 
@@ -187,15 +172,23 @@ class Splitter {
   Channel* input_ = nullptr;
   std::vector<Channel*> channels_;
 
-  SplitterMetrics metrics_;
-
   /// Sequences, liveness, replay buffers, acks, blocked time, source
   /// pacing and the send counters (DESIGN.md §10), shared with the
   /// runtime splitter.
   delivery::SendCore<Tuple> core_;
 
-  std::uint64_t rerouted_ = 0;
-  std::vector<std::uint64_t> blocks_;
+  // Registry handles. The sent, failover, shed and retransmit totals and
+  // both gauges mirror the core where it changes; blocks, block_ns and
+  // rerouted are kept only here.
+  obs::Counter& sent_;
+  obs::Counter& blocks_;  // distinct blocking episodes
+  obs::Histogram& block_ns_;  // per-episode blocked duration
+  obs::Counter& failovers_;
+  obs::Counter& rerouted_;  // Section 4.4 block-time diversions
+  obs::Counter& shed_;
+  obs::Counter& retransmits_;
+  obs::Gauge& replay_bytes_;
+  obs::Gauge& ack_lag_;  // next_seq - cumulative ack
 
   int blocked_on_ = -1;
   TimeNs block_start_ = 0;

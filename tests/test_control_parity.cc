@@ -139,7 +139,6 @@ TEST(ControlParity, IdenticalTracesProduceByteIdenticalJournals) {
   sim::RegionConfig sim_cfg;
   sim_cfg.workers = kChannels;
   sim_cfg.protection = prot;
-  sim_cfg.metrics = false;
   sim::Region region(sim_cfg, parity_policy());
   expect_byte_identical(ref_journal, drive(region.control(), trace), "sim");
 
@@ -168,7 +167,6 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
   sim::RegionConfig sim_cfg;
   sim_cfg.workers = kChannels;
   sim_cfg.protection = prot;
-  sim_cfg.metrics = false;
   sim::Region region(sim_cfg, parity_policy());
 
   flow::PipelineConfig flow_cfg;

@@ -16,6 +16,7 @@
 #include "delivery/send_core.h"
 #include "obs/journal.h"
 #include "runtime/local_region.h"
+#include "obs/metrics.h"
 #include "sim/merger.h"
 #include "sim/region.h"
 #include "util/time.h"
@@ -109,7 +110,8 @@ TEST(ReplayBufferTest, RetransmitKeepsSequenceOrderSoAckTrimsThePrefix) {
 
 TEST(MergerDelivery, ReplayEchoBelowCursorIsDupDiscard) {
   sim::Simulator sim;
-  sim::Merger m(&sim, 2, sim::Merger::kUnbounded);
+  obs::MetricsRegistry metrics;
+  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded);
   m.set_delivery_mode(DeliveryMode::kAtLeastOnce);
   EXPECT_TRUE(m.try_push(0, sim::Tuple{0}));
   EXPECT_TRUE(m.try_push(0, sim::Tuple{1}));
@@ -127,7 +129,8 @@ TEST(MergerDelivery, ArrivalAfterGapDeclarationIsLateDiscard) {
   // GapSkip bugfix: a tuple outliving its declared gap used to silently
   // corrupt the order accounting; now it is dropped and counted.
   sim::Simulator sim;
-  sim::Merger m(&sim, 2, sim::Merger::kUnbounded);
+  obs::MetricsRegistry metrics;
+  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded);
   EXPECT_TRUE(m.try_push(0, sim::Tuple{1}));  // gated on seq 0
   EXPECT_EQ(m.emitted(), 0u);
   m.note_lost(0, 1);  // seq 0 declared dead with its worker
@@ -146,7 +149,8 @@ TEST(MergerDelivery, ReplayBehindNewerQueuedSequencesStillReleases) {
   // holds newer sequences would sit behind them forever under head-only
   // scanning; the side pool must rescue it.
   sim::Simulator sim;
-  sim::Merger m(&sim, 2, sim::Merger::kUnbounded);
+  obs::MetricsRegistry metrics;
+  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded);
   m.set_delivery_mode(DeliveryMode::kAtLeastOnce);
   EXPECT_TRUE(m.try_push(0, sim::Tuple{1}));
   EXPECT_TRUE(m.try_push(0, sim::Tuple{2}));
@@ -218,9 +222,7 @@ TEST(SimDelivery, TinyReplayCapBackpressuresWithoutDeadlock) {
   EXPECT_LE(region.splitter().replay_bytes(),
             2 * cfg.delivery.replay_buffer_bytes);
   // ...and the wait was charged as blocking, keeping the signal truthful.
-  std::uint64_t blocks = 0;
-  for (int j = 0; j < 2; ++j) blocks += region.splitter().blocks(j);
-  EXPECT_GT(blocks, 0u);
+  EXPECT_GT(region.splitter().blocks(), 0u);
 }
 
 TEST(SimDelivery, GapSkipRemainsDefaultAndCountsGaps) {

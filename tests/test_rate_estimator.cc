@@ -57,15 +57,6 @@ TEST(RateEstimator, IgnoresNonAdvancingTime) {
   EXPECT_NEAR(est.rate(0), 1.0, 1e-12);
 }
 
-TEST(RateEstimator, ResetForgetsHistory) {
-  BlockingRateEstimator est(1, 0.5);
-  est.ingest(0, std::vector<DurationNs>{0});
-  est.ingest(seconds(1), std::vector<DurationNs>{seconds(1)});
-  est.reset();
-  EXPECT_FALSE(est.ready());
-  EXPECT_DOUBLE_EQ(est.rate(0), 0.0);
-}
-
 TEST(RateEstimator, ManyConnectionsIndependent) {
   const int n = 16;
   BlockingRateEstimator est(n, 1.0);

@@ -818,7 +818,8 @@ class RtMergerHarness {
 Counters expect_parity(const std::vector<Step>& script, int conns, bool ft,
                        DeliveryMode mode) {
   sim::Simulator sim;
-  sim::Merger sim_merger(&sim, conns, sim::Merger::kUnbounded);
+  obs::MetricsRegistry metrics;
+  sim::Merger sim_merger(&sim, metrics, conns, sim::Merger::kUnbounded);
   sim_merger.set_delivery_mode(mode);
   Seqs sim_out;
   sim_merger.set_on_emit([&](const sim::Tuple& t) { sim_out.push_back(t.seq); });

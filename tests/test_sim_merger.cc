@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/channel.h"
 #include "sim/merger.h"
 #include "sim/worker.h"
@@ -12,7 +13,8 @@ namespace {
 
 TEST(Merger, EmitsInSequenceOrder) {
   Simulator sim;
-  Merger m(&sim, 2, 16);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 16);
   std::vector<std::uint64_t> out;
   m.set_on_emit([&](const Tuple& t) { out.push_back(t.seq); });
 
@@ -25,7 +27,8 @@ TEST(Merger, EmitsInSequenceOrder) {
 
 TEST(Merger, HoldsOutOfOrderTuples) {
   Simulator sim;
-  Merger m(&sim, 2, 16);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 16);
   std::vector<std::uint64_t> out;
   m.set_on_emit([&](const Tuple& t) { out.push_back(t.seq); });
 
@@ -41,7 +44,8 @@ TEST(Merger, GatedBySlowestConnection) {
   // slow connection 0 supplies the gating sequence numbers: the paper's
   // Figure 3.
   Simulator sim;
-  Merger m(&sim, 2, 64);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 64);
   // Splitter alternates: even seqs on 0, odd on 1. Connection 1 runs far
   // ahead.
   for (std::uint64_t s = 1; s < 20; s += 2) {
@@ -58,7 +62,8 @@ TEST(Merger, GatedBySlowestConnection) {
 
 TEST(Merger, BoundedQueueRejectsWhenFull) {
   Simulator sim;
-  Merger m(&sim, 2, 2);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 2);
   EXPECT_TRUE(m.try_push(1, Tuple{1}));
   EXPECT_TRUE(m.try_push(1, Tuple{2}));
   EXPECT_FALSE(m.try_push(1, Tuple{3}));  // full and gated on seq 0
@@ -66,7 +71,8 @@ TEST(Merger, BoundedQueueRejectsWhenFull) {
 
 TEST(Merger, SpaceCallbackFiresAfterDrain) {
   Simulator sim;
-  Merger m(&sim, 2, 2);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 2);
   int pokes = 0;
   m.set_on_space(1, [&] { ++pokes; });
   EXPECT_TRUE(m.try_push(1, Tuple{1}));
@@ -82,7 +88,8 @@ TEST(Merger, UnrefusedConnectionIsNotWoken) {
   // Connection 1's queue drains, but it never refused a tuple: its worker
   // holds nothing, so there is nothing to wake it for.
   Simulator sim;
-  Merger m(&sim, 2, 2);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 2);
   int pokes = 0;
   m.set_on_space(1, [&] { ++pokes; });
   EXPECT_TRUE(m.try_push(1, Tuple{1}));
@@ -100,7 +107,8 @@ TEST(Merger, RefusedThenCrashedWorkerIsWokenAtMostOnce) {
   // drains: the one owed wake fires exactly once and finds the worker
   // busy, so it starts nothing.
   Simulator sim;
-  Merger m(&sim, 2, 2);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 2);
   Channel ch(&sim, 1, {.send_capacity = 8, .recv_capacity = 8, .latency = 1});
   Worker w(&sim, 1, 100, nullptr, nullptr);
   w.wire(&ch, &m);
@@ -138,7 +146,8 @@ TEST(Merger, RefusedThenCrashedWorkerIsWokenAtMostOnce) {
 
 TEST(Merger, UnboundedCapacityNeverRejects) {
   Simulator sim;
-  Merger m(&sim, 2, Merger::kUnbounded);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, Merger::kUnbounded);
   for (std::uint64_t s = 1; s <= 10'000; ++s) {
     ASSERT_TRUE(m.try_push(1, Tuple{s}));
   }
@@ -149,7 +158,8 @@ TEST(Merger, UnboundedCapacityNeverRejects) {
 
 TEST(Merger, ExpectedSeqAdvances) {
   Simulator sim;
-  Merger m(&sim, 1, 4);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 1, 4);
   EXPECT_EQ(m.expected_seq(), 0u);
   EXPECT_TRUE(m.try_push(0, Tuple{0}));
   EXPECT_TRUE(m.try_push(0, Tuple{1}));
@@ -159,7 +169,8 @@ TEST(Merger, ExpectedSeqAdvances) {
 TEST(Merger, ManyConnectionsRoundRobinOrder) {
   Simulator sim;
   const int n = 8;
-  Merger m(&sim, n, 64);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, n, 64);
   std::vector<std::uint64_t> out;
   m.set_on_emit([&](const Tuple& t) { out.push_back(t.seq); });
   // Deliver seqs in a scrambled-but-per-connection-FIFO pattern:

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/policies.h"
+#include "obs/metrics.h"
 #include "sim/channel.h"
 #include "sim/splitter.h"
 
@@ -13,6 +14,7 @@ namespace {
 
 struct Rig {
   Simulator sim;
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<Channel>> channels;
   std::unique_ptr<SplitPolicy> policy;
   std::unique_ptr<Splitter> splitter;
@@ -29,7 +31,8 @@ struct Rig {
                           .latency = 10}));
       ptrs.push_back(channels.back().get());
     }
-    splitter = std::make_unique<Splitter>(&sim, policy.get(), 100);
+    splitter = std::make_unique<Splitter>(&sim, metrics, "splitter.",
+                                          policy.get(), 100);
     splitter->wire(std::move(ptrs));
   }
 };
@@ -78,7 +81,7 @@ TEST(Splitter, BlocksWhenChannelFullAndRecordsTime) {
   EXPECT_EQ(rig.splitter->total_sent(), 8u);
   EXPECT_TRUE(rig.splitter->blocked());
   EXPECT_EQ(rig.splitter->blocked_on(), 0);
-  EXPECT_EQ(rig.splitter->blocks(0), 1u);
+  EXPECT_EQ(rig.splitter->blocks(), 1u);
   // Blocking time is only charged when the block *ends*; release one slot.
   // The splitter sends exactly one more tuple and blocks again (the
   // consumer is still not consuming).

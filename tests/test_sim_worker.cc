@@ -2,6 +2,7 @@
 // factors, and merger stalls.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "sim/channel.h"
 #include "sim/host.h"
 #include "sim/load_profile.h"
@@ -13,6 +14,7 @@ namespace {
 
 struct Rig {
   Simulator sim;
+  obs::MetricsRegistry metrics;
   Channel channel;
   Merger merger;
   LoadProfile load;
@@ -24,7 +26,7 @@ struct Rig {
                std::size_t merge_capacity = Merger::kUnbounded)
       : channel(&sim, 0, {.send_capacity = 64, .recv_capacity = 64,
                           .latency = 1}),
-        merger(&sim, 1, merge_capacity),
+        merger(&sim, metrics, 1, merge_capacity),
         load(std::move(profile)),
         hosts(std::move(host_model)),
         worker(&sim, 0, base_cost, &load, &hosts) {
@@ -52,14 +54,6 @@ TEST(LoadProfile, LoadUntilDropsBack) {
   EXPECT_DOUBLE_EQ(p.at(0, 0), 100.0);
   EXPECT_DOUBLE_EQ(p.at(0, seconds(24)), 100.0);
   EXPECT_DOUBLE_EQ(p.at(0, seconds(25)), 1.0);
-}
-
-TEST(LoadProfile, ChangeTimesCollected) {
-  LoadProfile p(2);
-  p.add_load_until(0, 10.0, seconds(5));
-  p.add_step(1, seconds(7), 2.0);
-  const std::vector<TimeNs> times = p.change_times();
-  EXPECT_EQ(times, (std::vector<TimeNs>{0, seconds(5), seconds(7)}));
 }
 
 TEST(HostModel, TrivialModelIsUnity) {
@@ -130,7 +124,8 @@ TEST(Worker, StallsWhenMergerQueueFull) {
   Simulator sim;
   Channel channel(&sim, 1,
                   {.send_capacity = 8, .recv_capacity = 8, .latency = 1});
-  Merger merger(&sim, 2, 1);
+  obs::MetricsRegistry metrics;
+  Merger merger(&sim, metrics, 2, 1);
   LoadProfile load(2);
   HostModel hosts;
   Worker worker(&sim, 1, 100, &load, &hosts);

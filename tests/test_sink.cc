@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/policies.h"
+#include "obs/metrics.h"
 #include "sim/merger.h"
 #include "sim/sink.h"
 #include "sim/splitter.h"
@@ -51,7 +52,8 @@ TEST(ChannelSink, SpaceCallbackFiresWhenChannelDrains) {
 
 TEST(MergerDownstream, OrderedDrainPausesOnFullDownstream) {
   Simulator sim;
-  Merger merger(&sim, 1, 16);
+  obs::MetricsRegistry metrics;
+  Merger merger(&sim, metrics, 1, 16);
   Channel out(&sim, 0, {.send_capacity = 2, .recv_capacity = 1, .latency = 5});
   ChannelSink out_sink(&out);
   merger.connect_downstream(&out_sink);
@@ -71,7 +73,8 @@ TEST(MergerDownstream, OrderedDrainPausesOnFullDownstream) {
 
 TEST(MergerDownstream, SequenceOrderSurvivesBackPressure) {
   Simulator sim;
-  Merger merger(&sim, 2, 64);
+  obs::MetricsRegistry metrics;
+  Merger merger(&sim, metrics, 2, 64);
   Channel out(&sim, 0, {.send_capacity = 1, .recv_capacity = 1, .latency = 1});
   ChannelSink out_sink(&out);
   merger.connect_downstream(&out_sink);
@@ -93,7 +96,8 @@ TEST(MergerDownstream, SequenceOrderSurvivesBackPressure) {
 
 TEST(MergerDownstream, UnorderedHonorsBackPressure) {
   Simulator sim;
-  Merger merger(&sim, 1, 16, /*ordered=*/false);
+  obs::MetricsRegistry metrics;
+  Merger merger(&sim, metrics, 1, 16, /*ordered=*/false);
   Channel out(&sim, 0, {.send_capacity = 1, .recv_capacity = 1, .latency = 1});
   ChannelSink out_sink(&out);
   merger.connect_downstream(&out_sink);
@@ -115,6 +119,7 @@ TEST(MergerDownstream, UnorderedHonorsBackPressure) {
 
 struct SourceRig {
   Simulator sim;
+  obs::MetricsRegistry metrics;
   RoundRobinPolicy policy{1};
   std::unique_ptr<Channel> channel;
   std::unique_ptr<Splitter> splitter;
@@ -125,8 +130,8 @@ struct SourceRig {
         Channel::Config{.send_capacity = 1024,
                         .recv_capacity = 1024,
                         .latency = 1});
-    splitter = std::make_unique<Splitter>(&sim, &policy, /*overhead=*/100,
-                                          interval);
+    splitter = std::make_unique<Splitter>(&sim, metrics, "splitter.", &policy,
+                                          /*overhead=*/100, interval);
     splitter->wire({channel.get()});
   }
 };
@@ -152,7 +157,8 @@ TEST(OpenLoopSource, ArrearsBurstAfterBlocking) {
   Simulator sim;
   RoundRobinPolicy policy{1};
   Channel ch(&sim, 0, {.send_capacity = 4, .recv_capacity = 4, .latency = 1});
-  Splitter splitter(&sim, &policy, 100, micros(10));
+  obs::MetricsRegistry metrics;
+  Splitter splitter(&sim, metrics, "splitter.", &policy, 100, micros(10));
   splitter.wire({&ch});
   splitter.start();
   sim.run_until(millis(5));  // buffers (8) fill, source falls behind

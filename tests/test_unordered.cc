@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "obs/metrics.h"
 #include "sim/region.h"
 
 namespace slb::sim {
@@ -26,7 +27,8 @@ RegionConfig small_region(int workers, DurationNs base_cost, bool ordered) {
 
 TEST(UnorderedMerger, ReleasesImmediately) {
   Simulator sim;
-  Merger m(&sim, 2, 4, /*ordered=*/false);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 4, /*ordered=*/false);
   EXPECT_FALSE(m.ordered());
   // Sequence 5 arrives before 0..4; an ordered merger would hold it.
   EXPECT_TRUE(m.try_push(1, Tuple{5}));
@@ -37,7 +39,8 @@ TEST(UnorderedMerger, ReleasesImmediately) {
 
 TEST(UnorderedMerger, NeverRejects) {
   Simulator sim;
-  Merger m(&sim, 1, 1, /*ordered=*/false);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 1, 1, /*ordered=*/false);
   for (std::uint64_t s = 100; s < 200; ++s) {
     ASSERT_TRUE(m.try_push(0, Tuple{s}));
   }
@@ -46,7 +49,8 @@ TEST(UnorderedMerger, NeverRejects) {
 
 TEST(OrderedMerger, TracksPerConnectionDeliveries) {
   Simulator sim;
-  Merger m(&sim, 2, 16);
+  obs::MetricsRegistry metrics;
+  Merger m(&sim, metrics, 2, 16);
   EXPECT_TRUE(m.try_push(0, Tuple{0}));
   EXPECT_TRUE(m.try_push(1, Tuple{1}));
   EXPECT_TRUE(m.try_push(0, Tuple{2}));
