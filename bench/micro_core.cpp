@@ -176,7 +176,7 @@ void BM_ReleaseCoreArrival(benchmark::State& state) {
   int freed = 0;
   for (auto _ : state) {
     core.offer(static_cast<int>(seq % static_cast<std::uint64_t>(n)), seq);
-    core.release(0, [&](int, std::uint64_t) {
+    core.release([&](int, std::uint64_t) {
       ++released;
       return true;
     });

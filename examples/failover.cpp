@@ -14,7 +14,11 @@
 //
 // Watch the weight column: full share -> 0 at the kill -> geometric
 // climb after the restart. The merger's output stays in order throughout;
-// tuples that died with the worker are skipped as counted gaps.
+// tuples that died with the worker are skipped as counted gaps as soon as
+// no open stream can still carry them, so the emitted column keeps
+// climbing through the outage. The program exits non-zero if the order
+// breaks, or if the second after the kill (from 0.2 s on) emits less than
+// a third of the second before it.
 //
 // With `--safe-mode`, overload protection (DESIGN.md §7) is enabled: the
 // closed-loop source keeps the region saturated, so the controller
@@ -26,6 +30,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "runtime/local_region.h"
 
@@ -57,7 +63,9 @@ int main(int argc, char** argv) {
   std::printf("3 workers; worker 1 dies at t=1.0s, replacement at "
               "t=3.0s\n");
   std::printf("%8s %22s %12s\n", "t(s)", "weights [w0 w1 w2]", "emitted");
-  region.set_sample_hook([](const LocalSample& s) {
+  std::vector<std::pair<DurationNs, std::uint64_t>> emitted;
+  region.set_sample_hook([&emitted](const LocalSample& s) {
+    emitted.emplace_back(s.elapsed, s.emitted);
     std::printf("%8.1f       [%4d %4d %4d] %12llu%s\n",
                 static_cast<double>(s.elapsed) / 1e9, s.weights[0],
                 s.weights[1], s.weights[2],
@@ -80,5 +88,22 @@ int main(int argc, char** argv) {
               stats.order_ok ? "OK" : "VIOLATED");
   std::printf("final weights: [%d %d %d]\n", stats.final_weights[0],
               stats.final_weights[1], stats.final_weights[2]);
-  return stats.order_ok ? 0 : 1;
+
+  // Liveness: emitted in [kill + 0.2 s, kill + 1.2 s] against the second
+  // before the kill, read at the first sample at or after each time.
+  const auto at = [&emitted](DurationNs t) -> std::uint64_t {
+    for (const auto& [elapsed, count] : emitted) {
+      if (elapsed >= t) return count;
+    }
+    return emitted.empty() ? 0 : emitted.back().second;
+  };
+  const DurationNs kill = cfg.failure_events.front().at;
+  const std::uint64_t before = at(kill) - at(kill - seconds(1));
+  const std::uint64_t after = at(kill + millis(1200)) - at(kill + millis(200));
+  const bool live = before > 0 && 3 * after >= before;
+  std::printf("liveness %s: %llu emitted in the second after the kill, "
+              "%llu in the second before\n",
+              live ? "OK" : "LOST", static_cast<unsigned long long>(after),
+              static_cast<unsigned long long>(before));
+  return stats.order_ok && live ? 0 : 1;
 }

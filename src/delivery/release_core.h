@@ -20,8 +20,11 @@
 //     late_discard otherwise (a tuple outliving its declared gap);
 //   * the lost set: ranges declared never to arrive (crash losses, shed
 //     tuples), skipped as gaps when the cursor reaches them;
-//   * the stall timer and the skip-to-lowest-queued operation behind the
-//     runtime's gap timeout and its end-of-input flush;
+//   * each connection's floor, below which its stream will never again
+//     deliver, and skip_unreachable(): every connection is a FIFO stream,
+//     so a sequence below every floor that is not queued is lost. This is
+//     how the runtime merger skips what died with a worker, and its
+//     end-of-input flush;
 //   * the cumulative-ack cursor (adapters decide when to send).
 //
 // Per-arrival cost does not grow with the connection count: the release
@@ -69,14 +72,9 @@ class ReleaseCore {
       : queues_(static_cast<std::size_t>(connections)),
         eligible_(words(connections), 0),
         freed_(words(connections), 0),
+        floors_(static_cast<std::size_t>(connections), 0),
         capacity_(capacity),
         alo_(mode == DeliveryMode::kAtLeastOnce) {}
-
-  /// Selects the stale-arrival accounting and arms the replay pool
-  /// (at-least-once). Set before the first arrival.
-  void set_mode(DeliveryMode mode) {
-    alo_ = mode == DeliveryMode::kAtLeastOnce;
-  }
 
   /// An arrival on connection `from`. Within one connection arrivals
   /// come in send order, so only queue heads can hold the expected
@@ -101,6 +99,7 @@ class ReleaseCore {
     if (q.size() >= capacity_) return Offer::kFull;
     q.push_back(std::move(item));
     ++queued_;
+    raise_floor(from, seq + 1);
     if (q.size() == 1) index_head(static_cast<std::size_t>(from));
     return Offer::kAccepted;
   }
@@ -121,43 +120,88 @@ class ReleaseCore {
   /// `emit(from, item)`. An emit returning false (downstream refused)
   /// stops the loop with that item still queued.
   template <typename Emit, typename OnGap>
-  void release(TimeNs now, Emit&& emit, OnGap&& on_gap) {
-    const bool progressed = release_pass(emit, on_gap);
-    if (queued_ == 0) {
-      blocked_ = false;
-    } else if (progressed || !blocked_) {
-      // The head of the line blocks from now on: restart the stall timer.
-      blocked_ = true;
-      blocked_since_ = now;
+  void release(Emit&& emit, OnGap&& on_gap) {
+    bool progressed = true;
+    while (progressed) {
+      progressed = skip_lost(on_gap);
+      while (!pool_.empty() && pool_.begin()->first < expected_) {
+        discard_stale();
+        pool_.erase(pool_.begin());
+        --queued_;
+        progressed = true;
+      }
+      while (!pool_.empty() && pool_.begin()->first == expected_) {
+        auto& [from, item] = pool_.begin()->second;
+        if (!emit(from, item)) return;
+        pool_.erase(pool_.begin());
+        --queued_;
+        ++expected_;
+        cursor_moved();
+        progressed = true;
+      }
+      // Connection order, visiting only the connections a full scan would
+      // act on; ones made eligible behind j wait for the next pass.
+      for (std::size_t j = next_set(eligible_, 0); j < queues_.size();
+           j = next_set(eligible_, j + 1)) {
+        auto& q = queues_[j];
+        while (!q.empty() && seq_of(q.front()) < expected_) {
+          discard_stale();
+          pop(static_cast<int>(j));
+          progressed = true;
+        }
+        while (!q.empty() && seq_of(q.front()) == expected_) {
+          if (!emit(static_cast<int>(j), q.front())) return;
+          ++expected_;
+          pop(static_cast<int>(j));
+          cursor_moved();
+          progressed = true;
+        }
+      }
     }
   }
 
   template <typename Emit>
-  void release(TimeNs now, Emit&& emit) {
-    release(now, emit, [](std::uint64_t, TimeNs) {});
+  void release(Emit&& emit) {
+    release(emit, [](std::uint64_t, TimeNs) {});
   }
 
-  /// True when items are queued behind a missing sequence and no release
-  /// has made progress for `timeout` since the line first blocked.
-  bool stalled(TimeNs now, DurationNs timeout) const {
-    return blocked_ && now - blocked_since_ >= timeout;
+  /// Connection j's stream will never again carry a sequence below
+  /// `floor`. Floors only rise; under GapSkip every queued arrival raises
+  /// its connection's floor past itself, and a gap frame's end raises it
+  /// too. Under at-least-once a replay may carry any unacked sequence on
+  /// any stream, so nothing but close() moves a floor there.
+  void raise_floor(int j, std::uint64_t floor) {
+    if (alo_) return;
+    auto& f = floors_[static_cast<std::size_t>(j)];
+    f = std::max(f, floor);
   }
 
-  /// Moves the cursor up to the lowest queued or pooled sequence, counting
-  /// every sequence jumped over as a gap (declared-lost ranges it passes
-  /// are dropped, not counted twice). Returns the number skipped; 0 when
-  /// nothing is queued. Call release() afterwards.
-  std::uint64_t skip_to_lowest_queued() {
+  /// Connection j's stream ended: it will carry nothing more.
+  void close(int j) { floors_[static_cast<std::size_t>(j)] = kEnded; }
+
+  /// Connection j carries a fresh stream (a re-admitted worker), which
+  /// may hold any sequence from the cursor up.
+  void reopen(int j) { floors_[static_cast<std::size_t>(j)] = expected_; }
+
+  /// Moves the cursor to the lowest sequence that can still be released:
+  /// the lowest queued or pooled one, or the lowest floor of a stream,
+  /// whichever is lower. Everything jumped over can never arrive and is
+  /// counted as a gap (declared-lost ranges it passes are dropped, not
+  /// counted twice). Returns the number skipped: 0 while a release could
+  /// make progress, while an open stream may still carry the cursor, or
+  /// when nothing is queued and every stream has ended. Call release()
+  /// afterwards.
+  std::uint64_t skip_unreachable() {
     // An eligible connection holds a head at or below the cursor.
-    if (queued_ == 0 || next_set(eligible_, 0) < queues_.size()) return 0;
-    std::uint64_t low = std::numeric_limits<std::uint64_t>::max();
-    if (!pool_.empty()) low = pool_.begin()->first;
+    if (next_set(eligible_, 0) < queues_.size()) return 0;
+    std::uint64_t reach = *std::min_element(floors_.begin(), floors_.end());
+    if (!pool_.empty()) reach = std::min(reach, pool_.begin()->first);
     drop_stale_heads();
-    if (!heads_.empty()) low = std::min(low, heads_.front().first);
-    if (low <= expected_) return 0;
-    const std::uint64_t skipped = low - expected_;
+    if (!heads_.empty()) reach = std::min(reach, heads_.front().first);
+    if (reach == kEnded || reach <= expected_) return 0;
+    const std::uint64_t skipped = reach - expected_;
     gaps_ += skipped;
-    expected_ = low;
+    expected_ = reach;
     cursor_moved();
     return skipped;
   }
@@ -216,6 +260,9 @@ class ReleaseCore {
   }
 
  private:
+  static constexpr std::uint64_t kEnded =
+      std::numeric_limits<std::uint64_t>::max();
+
   struct Lost {
     std::uint64_t count;
     TimeNs declared_at;
@@ -333,50 +380,6 @@ class ReleaseCore {
     }
   }
 
-  template <typename Emit, typename OnGap>
-  bool release_pass(Emit& emit, OnGap& on_gap) {
-    bool any = false;
-    bool progressed = true;
-    while (progressed) {
-      progressed = skip_lost(on_gap);
-      while (!pool_.empty() && pool_.begin()->first < expected_) {
-        discard_stale();
-        pool_.erase(pool_.begin());
-        --queued_;
-        progressed = true;
-      }
-      while (!pool_.empty() && pool_.begin()->first == expected_) {
-        auto& [from, item] = pool_.begin()->second;
-        if (!emit(from, item)) return any || progressed;
-        pool_.erase(pool_.begin());
-        --queued_;
-        ++expected_;
-        cursor_moved();
-        progressed = true;
-      }
-      // Connection order, visiting only the connections a full scan would
-      // act on; ones made eligible behind j wait for the next pass.
-      for (std::size_t j = next_set(eligible_, 0); j < queues_.size();
-           j = next_set(eligible_, j + 1)) {
-        auto& q = queues_[j];
-        while (!q.empty() && seq_of(q.front()) < expected_) {
-          discard_stale();
-          pop(static_cast<int>(j));
-          progressed = true;
-        }
-        while (!q.empty() && seq_of(q.front()) == expected_) {
-          if (!emit(static_cast<int>(j), q.front())) return any || progressed;
-          ++expected_;
-          pop(static_cast<int>(j));
-          cursor_moved();
-          progressed = true;
-        }
-      }
-      any = any || progressed;
-    }
-    return any;
-  }
-
   std::vector<std::deque<Item>> queues_;
   /// Bitset of connections whose head is at or below the cursor.
   std::vector<std::uint64_t> eligible_;
@@ -389,6 +392,9 @@ class ReleaseCore {
   std::map<std::uint64_t, Lost> lost_;
   /// Bitset of connections whose queue lost an entry (take_freed).
   std::vector<std::uint64_t> freed_;
+  /// Per connection: no sequence below it will arrive there (kEnded once
+  /// the stream has ended).
+  std::vector<std::uint64_t> floors_;
   std::size_t capacity_;
   bool alo_;
   std::size_t queued_ = 0;
@@ -397,8 +403,6 @@ class ReleaseCore {
   std::uint64_t gaps_ = 0;
   std::uint64_t dup_discards_ = 0;
   std::uint64_t late_discards_ = 0;
-  bool blocked_ = false;
-  TimeNs blocked_since_ = 0;
 };
 
 }  // namespace slb::delivery

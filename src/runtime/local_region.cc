@@ -120,12 +120,10 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
     net::set_nodelay(merger_ack_out.get());
   }
 
-  MergerFaultConfig fault;
-  fault.enabled = !config_.failure_events.empty();
-  fault.gap_timeout = config_.merger_gap_timeout;
-  merger_ = std::make_unique<MergerPe>(std::move(merger_from_worker),
-                                       metrics_, fault, config_.delivery.mode,
-                                       std::move(merger_ack_out));
+  merger_ = std::make_unique<MergerPe>(
+      std::move(merger_from_worker), metrics_,
+      /*fault_tolerant=*/!config_.failure_events.empty(),
+      config_.delivery.mode, std::move(merger_ack_out));
 
   const auto n = static_cast<std::size_t>(config_.workers);
   worker_up_.assign(n, 1);
@@ -198,12 +196,16 @@ bool LocalRegion::try_reconnect(int j, TimeNs now) {
 
     // Re-admit the worker's merger stream: dial the merger's reconnect
     // port and announce the slot with a hello frame before any data
-    // flows.
+    // flows, then a watermark: the new stream carries only sequences not
+    // issued yet, so the merger need not wait on it for older ones.
     net::Fd to_merger =
         net::connect_loopback(merger_->reconnect_port(), 1000);
     net::set_nodelay(to_merger.get());
-    const std::vector<std::uint8_t> hello =
+    std::vector<std::uint8_t> hello =
         net::hello_bytes(static_cast<std::uint32_t>(j));
+    const std::vector<std::uint8_t> watermark =
+        net::gap_bytes(core_.next_seq(), 0);
+    hello.insert(hello.end(), watermark.begin(), watermark.end());
     net::write_all(to_merger.get(), hello.data(), hello.size());
 
     workers_[ju] = std::make_unique<WorkerPe>(
@@ -275,10 +277,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     out.off = 0;
     out.since = now;
   };
-  const auto drop = [&](int k) {
-    quarantine(k, now);
-    if (out.ch == k) out.ch = -1;
-  };
 
   // At-least-once: drain the merger's cumulative acks and trim the replay
   // buffers. An ack only ever shrinks state, so this is safe between any
@@ -315,10 +313,28 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   // `actions` always holds its latest decision.
   const control::ControlActions& actions = loop_->last_actions();
   std::uint64_t prev_shed = 0;
-  // Shed ranges not yet announced to the merger: [first, count). Sent
-  // through any live worker connection (workers forward gap frames with
-  // zero work); held while everything is down.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> gap_queue;
+  // Gap frames not yet sent (workers forward them with zero work): shed
+  // ranges [first, first + count), which go through any live connection
+  // and are held while everything is down, and GapSkip watermarks
+  // (count 0), each bound for one survivor and dropped if it dies too.
+  struct GapNote {
+    int to;  // -1: any live connection
+    std::uint64_t first;
+    std::uint64_t count;
+  };
+  std::vector<GapNote> gap_queue;
+  // A worker is gone. Under GapSkip its stream has ended at the merger,
+  // and every survivor gets a watermark past the sequences it lost, so
+  // that an idle survivor does not hold the merger's loss inference back.
+  const auto drop = [&](int k) {
+    quarantine(k, now);
+    if (out.ch == k) out.ch = -1;
+    std::erase_if(gap_queue, [k](const GapNote& g) { return g.to == k; });
+    if (alo) return;
+    for (int s = 0; s < n; ++s) {
+      if (core_.up(s)) gap_queue.push_back({s, core_.next_seq(), 0});
+    }
+  };
 
   // Shutdown. Once the duration has passed the loop issues no fresh
   // sequences: workers switch to fast-drain (forwarding buffered tuples
@@ -484,7 +500,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         const auto dropped =
             core_.shed_backlog(now, actions.shed_high, actions.shed_low);
         if (dropped.count > 0) {
-          gap_queue.emplace_back(dropped.first, dropped.count);
+          gap_queue.push_back({-1, dropped.first, dropped.count});
           mc_.shed->inc(dropped.count);
         }
       }
@@ -493,9 +509,9 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         if (core_.up(k)) live = k;
       }
       if (!gap_queue.empty() && live >= 0) {
-        out.wire = net::gap_bytes(gap_queue.front().first,
-                                  gap_queue.front().second);
-        bind(Kind::kGap, live);
+        const GapNote& g = gap_queue.front();
+        out.wire = net::gap_bytes(g.first, g.count);
+        bind(Kind::kGap, g.to >= 0 ? g.to : live);
       } else if (draining && (fresh || now >= drain_deadline)) {
         if (live < 0) break;
         out.wire = fin;

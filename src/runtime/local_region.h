@@ -65,11 +65,8 @@ struct LocalRegionConfig {
   /// External-load schedule applied during run().
   std::vector<LoadEvent> load_events;
   /// Failure schedule applied during run(). Non-empty schedules enable
-  /// the fault-tolerant merger (reconnect port + gap skipping).
+  /// the fault-tolerant merger (reconnect port, crash EOF as a stream end).
   std::vector<FailureEvent> failure_events;
-  /// How long the merger waits on a missing sequence before declaring it
-  /// dead (see MergerFaultConfig::gap_timeout).
-  DurationNs merger_gap_timeout = millis(500);
 
   // --- Overload protection (DESIGN.md §7, §9) --------------------------
 
@@ -119,8 +116,9 @@ struct LocalRunStats {
   std::uint64_t retransmits = 0;
   /// Replay echoes the merger discarded below its release cursor (ALO).
   std::uint64_t dup_discards = 0;
-  /// Tuples that arrived after their sequence was declared a gap
-  /// (GapSkip fault mode; previously an invisible wedge).
+  /// GapSkip tuples that arrived after their sequence was declared shed
+  /// or skipped as unreachable. The merger skips only what no open FIFO
+  /// stream can still carry, so this stays 0 on a healthy transport.
   std::uint64_t late_discards = 0;
   /// Cumulative blocked ns per connection at the end of the run.
   std::vector<DurationNs> blocked;
@@ -197,7 +195,9 @@ class LocalRegion {
   /// when a restarted worker process is available (worker_up_[j]);
   /// otherwise doubles the backoff. On success rebuilds the splitter
   /// connection, spawns the replacement PE, re-admits the merger stream
-  /// via a hello frame, and tells the policy to start probing j again.
+  /// via a hello frame followed by a watermark (the new stream carries
+  /// nothing below the next fresh sequence), and tells the policy to
+  /// start probing j again.
   bool try_reconnect(int j, TimeNs now);
 
   /// Deterministic jitter in [0, limit) for reconnect backoff.

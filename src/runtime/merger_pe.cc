@@ -22,10 +22,9 @@ constexpr std::uint64_t kAckEvery = 64;
 }  // namespace
 
 MergerPe::MergerPe(std::vector<net::Fd> from_workers,
-                   obs::MetricsRegistry& metrics, MergerFaultConfig fault,
+                   obs::MetricsRegistry& metrics, bool fault_tolerant,
                    delivery::DeliveryMode mode, net::Fd ack_out)
     : from_workers_(std::move(from_workers)),
-      fault_(fault),
       mode_(mode),
       ack_out_(std::move(ack_out)),
       emitted_(metrics.counter("merger.emitted")),
@@ -34,7 +33,7 @@ MergerPe::MergerPe(std::vector<net::Fd> from_workers,
       late_discards_(metrics.counter("merger.late_discards")),
       reconnects_(metrics.counter("merger.reconnects")),
       max_depth_(metrics.gauge("merger.max_depth")) {
-  if (fault_.enabled) listener_ = std::make_unique<net::Listener>();
+  if (fault_tolerant) listener_ = std::make_unique<net::Listener>();
   thread_ = std::thread([this] { run(); });
 }
 
@@ -54,10 +53,9 @@ void MergerPe::run() {
     // Queues hold bare sequence numbers: only counts leave the merger.
     delivery::ReleaseCore<std::uint64_t> core(static_cast<int>(n), mode_);
     std::vector<net::FrameDecoder> decoders(n);
-    std::vector<bool> finished(n, false);  // clean FIN received
+    std::vector<bool> finished(n, false);  // the slot's input is over
+    std::size_t done = 0;                  // finished slots
     std::vector<std::uint8_t> buf(64 * 1024);
-    std::size_t open = n;  // plain mode: slots not yet at EOF/FIN
-    std::size_t fins = 0;  // fault mode: slots that FINed
 
     // Reconnect connections accepted but not yet claimed by a hello.
     struct Pending {
@@ -68,7 +66,7 @@ void MergerPe::run() {
     net::Frame frame;
 
     const auto release = [&] {
-      core.release(monotonic_now(), [&](int, std::uint64_t) {
+      core.release([&](int, std::uint64_t) {
         emitted_.inc();
         return true;
       });
@@ -109,21 +107,41 @@ void MergerPe::run() {
       ack_buf.erase(ack_buf.begin(), ack_buf.begin() + put);
     };
 
+    // Slot j's input is over for good: it carries nothing more.
+    const auto finish = [&](std::size_t j) {
+      from_workers_[j].reset();
+      if (finished[j]) return;
+      finished[j] = true;
+      ++done;
+      core.close(static_cast<int>(j));
+    };
+    // Slot j's stream broke without a FIN. Plain mode: its input is over.
+    // Fault mode: a crash, and the slot may be re-admitted through the
+    // reconnect port. Under GapSkip the stream has ended all the same;
+    // under at-least-once any stream may still carry a replay of any
+    // unacked sequence, so nothing is inferred until the slot finishes.
+    const auto broke = [&](std::size_t j) {
+      if (!ft) return finish(j);
+      from_workers_[j].reset();
+      if (!alo) core.close(static_cast<int>(j));
+    };
+
     // Decodes whatever already sits in slot j's decoder; a FIN closes
     // the slot for good (frames after a FIN are dropped).
     const auto drain_decoder = [&](std::size_t j) {
       while (decoders[j].next(frame)) {
         if (frame.is_fin()) {
-          finished[j] = true;
-          ++fins;
-          --open;
-          from_workers_[j].reset();
+          finish(j);
           return;
         }
         if (frame.is_gap()) {
-          // Shed at the source: these sequences will never arrive.
+          // Shed at the source (these sequences will never arrive), or a
+          // zero-count watermark: either way this stream has moved past
+          // the range.
+          const std::uint64_t end = frame.gap_first() + frame.gap_count();
           core.note_lost(frame.gap_first(), frame.gap_count(),
                          monotonic_now());
+          core.raise_floor(static_cast<int>(j), end);
           continue;
         }
         core.offer(static_cast<int>(j), frame.seq);
@@ -136,28 +154,25 @@ void MergerPe::run() {
         // stream. Treat as a lost connection (fault mode may re-admit it
         // through the reconnect port with a fresh decoder).
         SLB_ERROR() << "merger: corrupt stream from slot " << j;
-        from_workers_[j].reset();
-        if (!ft && !finished[j]) {
-          finished[j] = true;
-          --open;
-        }
+        broke(j);
       }
+    };
+
+    // A re-admission not yet claimed (its dial not yet accepted, or its
+    // hello not yet read) may carry any sequence from the cursor up, so
+    // no loss is inferred until it is. A restarted worker dials before
+    // it is sent anything, so a survivor's output that outran it cannot
+    // have been read before the dial is visible here.
+    const auto readmitting = [&] {
+      if (!ft || done == n) return false;
+      if (!pending.empty()) return true;
+      pollfd p{listener_->fd(), POLLIN, 0};
+      return ::poll(&p, 1, 0) > 0;
     };
 
     std::vector<pollfd> pfds;
     std::vector<long> tags;  // >= 0: worker slot; -1: listener; else pending
-    while (ft ? fins < n : open > 0) {
-      if (ft && closing_.load(std::memory_order_acquire)) {
-        // Region shutdown: disconnected slots will not reconnect anymore;
-        // their streams are complete as far as they will ever be.
-        for (std::size_t j = 0; j < n; ++j) {
-          if (!finished[j] && !from_workers_[j].valid()) {
-            finished[j] = true;
-            ++fins;
-          }
-        }
-        if (fins >= n) break;
-      }
+    while (done < n) {
       pfds.clear();
       tags.clear();
       for (std::size_t j = 0; j < n; ++j) {
@@ -209,14 +224,7 @@ void MergerPe::run() {
         const ssize_t got =
             ::read(from_workers_[j].get(), buf.data(), buf.size());
         if (got <= 0) {
-          // EOF without FIN. Plain mode: the run is over for this slot.
-          // Fault mode: a crash — the slot stays logically open and may
-          // be re-admitted through the reconnect port.
-          from_workers_[j].reset();
-          if (!ft) {
-            finished[j] = true;
-            --open;
-          }
+          broke(j);
           continue;
         }
         decoders[j].feed(buf.data(), static_cast<std::size_t>(got));
@@ -240,6 +248,7 @@ void MergerPe::run() {
         }
         from_workers_[w] = std::move(p.fd);
         decoders[w] = std::move(p.decoder);
+        core.reopen(static_cast<int>(w));
         reconnects_.inc();
         drain_decoder(w);  // the hello may have trailed data (or a FIN)
       }
@@ -250,30 +259,27 @@ void MergerPe::run() {
                     pending.end());
       for (Pending& p : arrived) pending.push_back(std::move(p));
 
+      if (ft && closing_.load(std::memory_order_acquire)) {
+        // Region shutdown: disconnected slots will not reconnect anymore;
+        // their streams are complete as far as they will ever be.
+        for (std::size_t j = 0; j < n; ++j) {
+          if (!from_workers_[j].valid()) finish(j);
+        }
+      }
+
+      // Release what arrived, then skip whatever no open stream can still
+      // carry. Once every slot has finished this is the end-of-input
+      // flush. Plain mode loses nothing, so a skip there is an order
+      // violation.
       release();
-      // Gap detection (GapSkip fault mode): tuples have waited behind the
-      // expected sequence for a whole timeout — the sequences it gates on
-      // died with a worker. Skip to the next queued sequence; every
-      // skipped number is a gap.
-      if (ft && !alo && core.stalled(monotonic_now(), fault_.gap_timeout)) {
-        core.skip_to_lowest_queued();
+      while (!readmitting() && core.skip_unreachable() > 0) {
+        if (!ft) order_ok_.store(false, std::memory_order_relaxed);
         release();
       }
       publish();
       pump_acks(/*force=*/false);
     }
 
-    // All inputs done: flush what is still queued. Fault mode skips the
-    // trailing gaps like any other; in plain mode everything left must
-    // already be in order (modulo declared shed ranges).
-    release();
-    while (core.queued() > 0) {
-      if (core.skip_to_lowest_queued() > 0 && !ft) {
-        order_ok_.store(false, std::memory_order_relaxed);
-      }
-      release();
-    }
-    publish();
     // Final cumulative ack — best-effort; the splitter may already be
     // tearing down, and nothing downstream depends on it landing.
     pump_acks(/*force=*/true);

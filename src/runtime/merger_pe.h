@@ -6,17 +6,24 @@
 // global sequence order. Only counts and timestamps leave the merger; the
 // benchmark sink is a counter.
 //
-// Fault tolerance (optional, see DESIGN.md "Failure model"): when
-// constructed with MergerFaultConfig.enabled the merger also
-//   * listens on an ephemeral reconnect port — a restarted worker (or the
-//     region closing a dead worker's stream) connects there and announces
-//     itself with a hello frame carrying its worker id;
+// Every worker connection is a FIFO stream, so the merger needs no timer
+// to find sequences that died with a worker: once no open stream can
+// still carry the next sequence, it never arrives, and
+// delivery::ReleaseCore::skip_unreachable() counts it as a gap (DESIGN.md
+// §6). A stream ends at its FIN; in plain mode also at EOF.
+//
+// Fault tolerance (optional, see DESIGN.md "Failure model"): a
+// fault-tolerant merger also
+//   * listens on an ephemeral reconnect port — a restarted worker
+//     connects there and announces itself with a hello frame carrying its
+//     worker id, which reopens the slot;
 //   * treats EOF-without-FIN as a crash, not completion: the slot may be
-//     re-admitted later, and the run only ends once every slot has FINed;
-//   * skips sequence numbers that stop arriving: if tuples have been
-//     queued behind the expected sequence for `gap_timeout`, the tuples it
-//     was waiting on died with a worker — release resumes at the next
-//     queued sequence and every skipped number is counted as a gap.
+//     re-admitted later, and the run only ends once every slot has FINed
+//     or the region shuts down. Under GapSkip the crashed stream has
+//     ended, and the survivors' progress (or the zero-count gap frames
+//     the splitter sends them as watermarks) passes what it lost. Under
+//     at-least-once those sequences are replayed instead, and nothing is
+//     skipped before the end of input.
 //
 // The sequencing state machine is delivery::ReleaseCore, shared with the
 // simulator's merger; this adapter adds the poll/read/decode loop,
@@ -32,20 +39,8 @@
 #include "delivery/delivery.h"
 #include "obs/metrics.h"
 #include "transport/socket.h"
-#include "util/time.h"
 
 namespace slb::rt {
-
-struct MergerFaultConfig {
-  bool enabled = false;
-  /// How long the expected sequence may fail to arrive — while later
-  /// tuples sit queued — before it is declared dead and skipped. Must
-  /// comfortably exceed the worst-case reorder wait of a healthy run.
-  /// Ignored under at-least-once delivery: a missing sequence is
-  /// replayed by the splitter, so skipping it would manufacture a gap
-  /// the replay is about to fill.
-  DurationNs gap_timeout = millis(500);
-};
 
 class MergerPe {
  public:
@@ -58,7 +53,7 @@ class MergerPe {
   /// connection cumulative acks ride on; writes are non-blocking and
   /// drop-on-full — the cumulative encoding makes lost acks harmless.
   MergerPe(std::vector<net::Fd> from_workers, obs::MetricsRegistry& metrics,
-           MergerFaultConfig fault = {},
+           bool fault_tolerant = false,
            delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip,
            net::Fd ack_out = {});
 
@@ -93,8 +88,9 @@ class MergerPe {
   /// (at-least-once only; see DESIGN.md §10).
   std::uint64_t dup_discards() const { return dup_discards_.value(); }
 
-  /// Tuples that arrived after their sequence was declared a gap
-  /// (GapSkip fault mode: the gap skip fired, then the tuple showed up).
+  /// Tuples that arrived below the release cursor under GapSkip: after
+  /// a gap frame declared their sequence shed, or after it was skipped
+  /// as unreachable. 0 while every stream is FIFO.
   std::uint64_t late_discards() const { return late_discards_.value(); }
 
   /// Port restarted workers connect to (fault tolerance only, else 0).
@@ -106,7 +102,6 @@ class MergerPe {
   void run();
 
   std::vector<net::Fd> from_workers_;
-  MergerFaultConfig fault_;
   delivery::DeliveryMode mode_;
   net::Fd ack_out_;
   std::unique_ptr<net::Listener> listener_;

@@ -51,7 +51,6 @@ class Channel {
 
   int id() const { return id_; }
   bool up() const { return up_; }
-  bool stalled() const { return stalled_; }
   bool send_full() const { return send_q_.full(); }
   bool recv_empty() const { return recv_q_.empty(); }
   std::size_t send_size() const { return send_q_.size(); }

@@ -108,12 +108,6 @@ class Simulator {
     if (now_ < deadline) now_ = deadline;
   }
 
-  /// Runs until the event queue drains completely.
-  void run_until_idle() {
-    while (step()) {
-    }
-  }
-
   /// Runs until `stop()` is called from within an event, the deadline
   /// passes, or the queue drains.
   void run_while(TimeNs deadline) {
@@ -127,7 +121,6 @@ class Simulator {
 
   /// Requests run_while to return after the current event.
   void stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
 
   std::uint64_t events_processed() const { return events_processed_; }
   bool idle() const { return heap_.empty(); }

@@ -5,9 +5,11 @@
 namespace slb::sim {
 
 Merger::Merger(Simulator* sim, obs::MetricsRegistry& metrics,
-               int connections, std::size_t capacity, bool ordered)
+               int connections, std::size_t capacity, bool ordered,
+               delivery::DeliveryMode mode)
     : sim_(sim),
-      core_(connections, delivery::DeliveryMode::kGapSkip, capacity),
+      core_(connections, ordered ? mode : delivery::DeliveryMode::kGapSkip,
+            capacity),
       on_space_(static_cast<std::size_t>(connections)),
       refused_(static_cast<std::size_t>(connections), 0),
       emitted_from_(static_cast<std::size_t>(connections), 0),
@@ -105,7 +107,7 @@ void Merger::drain() {
   const TimeNs now = sim_->now();
   if (ordered_) {
     core_.release(
-        now, [this](int from, const Tuple& t) { return emit(from, t); },
+        [this](int from, const Tuple& t) { return emit(from, t); },
         [this, now](std::uint64_t count, TimeNs declared_at) {
           gaps_.inc(count);
           for (std::uint64_t i = 0; i < count; ++i) {

@@ -46,8 +46,14 @@ class Merger : public TupleSink {
   ///   paper's Section 4.1 footnote): tuples are released immediately in
   ///   arrival order with no sequence gating. Per-connection throughput
   ///   then becomes a meaningful signal again — see Section 4.3.
+  /// @param mode how an ordered merger accounts stale arrivals (sequence
+  ///   below the release cursor): dup_discards under at-least-once (an
+  ///   expected replay echo, which also arms the replay pool),
+  ///   late_discards under GapSkip (a tuple outliving its declared gap).
+  ///   Either way the tuple is dropped and strict order is preserved.
   Merger(Simulator* sim, obs::MetricsRegistry& metrics, int connections,
-         std::size_t capacity, bool ordered = true);
+         std::size_t capacity, bool ordered = true,
+         delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip);
 
   /// Called when connection j's reorder queue frees at least one slot
   /// after an offer from j was refused; used to un-stall worker j, which
@@ -91,15 +97,6 @@ class Merger : public TupleSink {
   std::uint64_t lost_pending() const { return core_.lost_pending(); }
 
   // --- Delivery semantics (DESIGN.md §10) ------------------------------
-
-  /// Selects how stale arrivals (sequence below the release cursor) are
-  /// accounted: dup_discards under at-least-once (an expected replay
-  /// echo), late_discards under GapSkip (a tuple outliving its declared
-  /// gap — the bug this counter makes visible). Either way the tuple is
-  /// dropped and strict order is preserved.
-  void set_delivery_mode(delivery::DeliveryMode mode) {
-    if (ordered_) core_.set_mode(mode);
-  }
 
   /// At-least-once reverse hop: after each drain that advances the
   /// release cursor, schedule `fn(expected)` — the cumulative ack — to

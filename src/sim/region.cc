@@ -38,7 +38,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   const std::size_t merge_cap =
       config_.merge_buffer == 0 ? Merger::kUnbounded : config_.merge_buffer;
   merger_ = std::make_unique<Merger>(sim_, metrics_, config_.workers,
-                                     merge_cap, config_.ordered);
+                                     merge_cap, config_.ordered,
+                                     config_.delivery.mode);
   std::vector<Channel*> channel_ptrs;
   channel_ptrs.reserve(static_cast<std::size_t>(config_.workers));
   for (int j = 0; j < config_.workers; ++j) {
@@ -49,8 +50,11 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     workers_.back()->set_service_histogram(
         &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
     // Crash losses funnel into the merger so it skips the dead sequences
-    // instead of gating on tuples that will never arrive (GapSkip). Under
-    // at-least-once the lost transmissions are replayed from the
+    // instead of gating on tuples that will never arrive (GapSkip). This
+    // is a perfect failure detector, on purpose: the runtime merger
+    // infers the same losses from ended streams (DESIGN.md §6), and exact
+    // reports keep every sim trace independent of detection latency.
+    // Under at-least-once the lost transmissions are replayed from the
     // splitter's buffers instead — declaring them gaps would let the
     // cursor skip sequences a replay is about to deliver.
     const auto lost = [this](const Tuple& t) {
@@ -73,7 +77,6 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   if (downstream != nullptr) merger_->connect_downstream(downstream);
 
   if (alo()) {
-    merger_->set_delivery_mode(config_.delivery.mode);
     // The reverse hop: cumulative acks ride back to the splitter with
     // the same link latency as the forward direction.
     merger_->set_on_ack(

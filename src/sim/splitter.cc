@@ -101,6 +101,8 @@ void Splitter::shed_backlog() {
       core_.shed_backlog(sim_->now(), shed_high_, shed_low_);
   if (dropped.count == 0) return;
   shed_.inc(dropped.count);
+  // The shed sequences were issued, so the ack lag grew.
+  if (core_.at_least_once()) update_delivery_gauges();
   if (on_shed_) on_shed_(dropped.first, dropped.count);
 }
 

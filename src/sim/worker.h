@@ -61,7 +61,8 @@ class Worker {
 
   int id() const { return id_; }
   bool busy() const { return busy_; }
-  bool stalled() const { return holding_; }
+  /// Holds a result the merger refused, until it makes room.
+  bool holding() const { return holding_; }
   bool down() const { return down_; }
   std::uint64_t processed() const { return processed_; }
 

@@ -31,6 +31,7 @@ class LinearReleaseCore {
                     std::size_t capacity = kUnbounded)
       : queues_(static_cast<std::size_t>(connections)),
         freed_(static_cast<std::size_t>(connections), 0),
+        floors_(static_cast<std::size_t>(connections), 0),
         capacity_(capacity),
         alo_(mode == delivery::DeliveryMode::kAtLeastOnce) {}
 
@@ -51,6 +52,7 @@ class LinearReleaseCore {
     if (q.size() >= capacity_) return Offer::kFull;
     q.push_back(seq);
     ++queued_;
+    raise_floor(from, seq + 1);
     return Offer::kAccepted;
   }
 
@@ -61,30 +63,34 @@ class LinearReleaseCore {
   }
 
   template <typename Emit, typename OnGap>
-  void release(TimeNs now, Emit&& emit, OnGap&& on_gap) {
-    const bool progressed = release_pass(emit, on_gap);
-    if (queued_ == 0) {
-      blocked_ = false;
-    } else if (progressed || !blocked_) {
-      blocked_ = true;
-      blocked_since_ = now;
-    }
+  void release(Emit&& emit, OnGap&& on_gap) {
+    release_pass(emit, on_gap);
   }
 
-  bool stalled(TimeNs now, DurationNs timeout) const {
-    return blocked_ && now - blocked_since_ >= timeout;
+  void raise_floor(int j, std::uint64_t floor) {
+    if (alo_) return;
+    auto& f = floors_[static_cast<std::size_t>(j)];
+    f = std::max(f, floor);
   }
+  void close(int j) { floors_[static_cast<std::size_t>(j)] = kEnded; }
+  void reopen(int j) { floors_[static_cast<std::size_t>(j)] = expected_; }
 
-  std::uint64_t skip_to_lowest_queued() {
-    std::uint64_t low = std::numeric_limits<std::uint64_t>::max();
-    if (!pool_.empty()) low = pool_.begin()->first;
+  /// The same rule as the production core, by plain scans: nothing while
+  /// a queue head is at or below the cursor, else jump to the lowest of
+  /// every queue head, the pool and every floor.
+  std::uint64_t skip_unreachable() {
+    std::uint64_t reach = kEnded;
     for (const auto& q : queues_) {
-      if (!q.empty()) low = std::min(low, q.front());
+      if (q.empty()) continue;
+      if (q.front() <= expected_) return 0;
+      reach = std::min(reach, q.front());
     }
-    if (queued_ == 0 || low <= expected_) return 0;
-    const std::uint64_t skipped = low - expected_;
+    if (!pool_.empty()) reach = std::min(reach, pool_.begin()->first);
+    for (const std::uint64_t f : floors_) reach = std::min(reach, f);
+    if (reach == kEnded || reach <= expected_) return 0;
+    const std::uint64_t skipped = reach - expected_;
     gaps_ += skipped;
-    expected_ = low;
+    expected_ = reach;
     return skipped;
   }
 
@@ -117,6 +123,9 @@ class LinearReleaseCore {
   std::size_t pooled() const { return pool_.size(); }
 
  private:
+  static constexpr std::uint64_t kEnded =
+      std::numeric_limits<std::uint64_t>::max();
+
   struct Lost {
     std::uint64_t count;
     TimeNs declared_at;
@@ -151,8 +160,7 @@ class LinearReleaseCore {
   /// The plain scan: lost ranges, then the pool, then every connection in
   /// order, repeated until a pass makes no progress.
   template <typename Emit, typename OnGap>
-  bool release_pass(Emit& emit, OnGap& on_gap) {
-    bool any = false;
+  void release_pass(Emit& emit, OnGap& on_gap) {
     bool progressed = true;
     while (progressed) {
       progressed = skip_lost(on_gap);
@@ -164,7 +172,7 @@ class LinearReleaseCore {
       }
       while (!pool_.empty() && pool_.begin()->first == expected_) {
         const int from = pool_.begin()->second;
-        if (!emit(from, pool_.begin()->first)) return any || progressed;
+        if (!emit(from, pool_.begin()->first)) return;
         pool_.erase(pool_.begin());
         --queued_;
         ++expected_;
@@ -178,15 +186,13 @@ class LinearReleaseCore {
           progressed = true;
         }
         while (!q.empty() && q.front() == expected_) {
-          if (!emit(static_cast<int>(j), q.front())) return any || progressed;
+          if (!emit(static_cast<int>(j), q.front())) return;
           pop(static_cast<int>(j));
           ++expected_;
           progressed = true;
         }
       }
-      any = any || progressed;
     }
-    return any;
   }
 
   std::vector<std::deque<std::uint64_t>> queues_;
@@ -194,6 +200,7 @@ class LinearReleaseCore {
   std::map<std::uint64_t, int> pool_;
   std::map<std::uint64_t, Lost> lost_;
   std::vector<std::uint8_t> freed_;
+  std::vector<std::uint64_t> floors_;
   std::size_t capacity_;
   bool alo_;
   std::size_t queued_ = 0;
@@ -202,8 +209,6 @@ class LinearReleaseCore {
   std::uint64_t gaps_ = 0;
   std::uint64_t dup_discards_ = 0;
   std::uint64_t late_discards_ = 0;
-  bool blocked_ = false;
-  TimeNs blocked_since_ = 0;
 };
 
 }  // namespace slb::testref

@@ -53,11 +53,6 @@ class ReferenceSimulator {
     if (now_ < deadline) now_ = deadline;
   }
 
-  void run_until_idle() {
-    while (step()) {
-    }
-  }
-
   void run_while(TimeNs deadline) {
     stop_requested_ = false;
     while (!stop_requested_ && !queue_.empty() &&
@@ -68,7 +63,6 @@ class ReferenceSimulator {
   }
 
   void stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
 
   std::uint64_t events_processed() const { return events_processed_; }
   bool idle() const { return queue_.empty(); }

@@ -40,7 +40,7 @@ std::uint64_t in_flight(sim::Region& r, int workers) {
     n += r.channel(j).occupancy();
     n += r.merger().queue_size(j);
     if (r.worker(j).busy()) ++n;
-    if (r.worker(j).stalled()) ++n;
+    if (r.worker(j).holding()) ++n;
   }
   return n;
 }

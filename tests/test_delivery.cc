@@ -111,8 +111,8 @@ TEST(ReplayBufferTest, RetransmitKeepsSequenceOrderSoAckTrimsThePrefix) {
 TEST(MergerDelivery, ReplayEchoBelowCursorIsDupDiscard) {
   sim::Simulator sim;
   obs::MetricsRegistry metrics;
-  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded);
-  m.set_delivery_mode(DeliveryMode::kAtLeastOnce);
+  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded, /*ordered=*/true,
+                DeliveryMode::kAtLeastOnce);
   EXPECT_TRUE(m.try_push(0, sim::Tuple{0}));
   EXPECT_TRUE(m.try_push(0, sim::Tuple{1}));
   EXPECT_EQ(m.emitted(), 2u);
@@ -150,8 +150,8 @@ TEST(MergerDelivery, ReplayBehindNewerQueuedSequencesStillReleases) {
   // scanning; the side pool must rescue it.
   sim::Simulator sim;
   obs::MetricsRegistry metrics;
-  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded);
-  m.set_delivery_mode(DeliveryMode::kAtLeastOnce);
+  sim::Merger m(&sim, metrics, 2, sim::Merger::kUnbounded, /*ordered=*/true,
+                DeliveryMode::kAtLeastOnce);
   EXPECT_TRUE(m.try_push(0, sim::Tuple{1}));
   EXPECT_TRUE(m.try_push(0, sim::Tuple{2}));
   EXPECT_TRUE(m.try_push(1, sim::Tuple{3}));

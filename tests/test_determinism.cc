@@ -86,7 +86,7 @@ TEST_P(RegionSweep, ConservationAndOrderInvariants) {
   for (int j = 0; j < region->workers(); ++j) {
     in_buffers += region->channel(j).occupancy();
     in_buffers += region->merger().queue_size(j);
-    if (region->worker(j).busy() || region->worker(j).stalled()) {
+    if (region->worker(j).busy() || region->worker(j).holding()) {
       ++in_buffers;
     }
   }

@@ -127,7 +127,7 @@ TEST(SimFailure, CrashShiftsTrafficToSurvivors) {
     in_flight += region.channel(j).occupancy();
     in_flight += region.merger().queue_size(j);
     if (region.worker(j).busy()) ++in_flight;
-    if (region.worker(j).stalled()) ++in_flight;
+    if (region.worker(j).holding()) ++in_flight;
   }
   EXPECT_EQ(region.splitter().total_sent(),
             region.emitted() + region.lost_tuples() + in_flight);
@@ -235,7 +235,6 @@ rt::LocalRegionConfig rt_config(int workers) {
   cfg.multiplies = 2000;
   cfg.payload_bytes = 32;
   cfg.sample_period = millis(50);
-  cfg.merger_gap_timeout = millis(200);
   return cfg;
 }
 
@@ -303,6 +302,97 @@ TEST(RuntimeFailure, CleanRunReportsNoGaps) {
   EXPECT_EQ(stats.channel_failures, 0u);
   EXPECT_EQ(stats.emitted, stats.sent);
   EXPECT_TRUE(stats.order_ok);
+}
+
+// Liveness after a GapSkip kill: the merger skips what died with the
+// worker as soon as no open stream can still carry it, instead of
+// stalling the region until the end of input.
+
+/// Emitted count per sample period of one run, and the run's totals.
+struct LiveRun {
+  std::vector<std::pair<DurationNs, std::uint64_t>> emitted;
+  rt::LocalRunStats stats;
+  std::int64_t max_depth = 0;
+
+  /// Emitted at the first sample at or after `t`.
+  std::uint64_t at(DurationNs t) const {
+    for (const auto& [elapsed, count] : emitted) {
+      if (elapsed >= t) return count;
+    }
+    return emitted.empty() ? 0 : emitted.back().second;
+  }
+};
+
+LiveRun live_run(rt::LocalRegionConfig cfg,
+                 std::unique_ptr<SplitPolicy> policy, DurationNs duration) {
+  // Timed 200 us tuples: stable capacities on any host, and a splitter
+  // fast enough to keep every worker's buffers full, so a kill always
+  // loses tuples (gaps > 0) even on a loaded machine.
+  cfg.work_mode = rt::WorkMode::kTimed;
+  cfg.multiplies = 200000;
+  LiveRun run;
+  rt::LocalRegion region(cfg, std::move(policy));
+  region.set_sample_hook([&run](const rt::LocalSample& s) {
+    run.emitted.emplace_back(s.elapsed, s.emitted);
+  });
+  run.stats = region.run(duration);
+  run.max_depth = region.metrics().gauge("merger.max_depth").value();
+  return run;
+}
+
+/// Output in the second after a kill at `kill` (from 0.2 s on, once the
+/// survivors took over) is at least a third of the second before it, and
+/// the reorder queues stayed small: the lost sequences were skipped as
+/// they came up, not held until the end. The runs use fixed weights, so
+/// the victim always holds tuples when it dies (an adaptive policy may
+/// have moved its weight away).
+void expect_live_after(const LiveRun& run, DurationNs kill) {
+  const std::uint64_t before = run.at(kill) - run.at(kill - seconds(1));
+  const std::uint64_t after =
+      run.at(kill + millis(1200)) - run.at(kill + millis(200));
+  EXPECT_GT(before, 0u);
+  EXPECT_GE(3 * after, before) << "before " << before << " after " << after;
+  EXPECT_LE(run.max_depth, 5000);
+  const rt::LocalRunStats& s = run.stats;
+  EXPECT_TRUE(s.order_ok);
+  EXPECT_EQ(s.late_discards, 0u);
+  EXPECT_GT(s.gaps, 0u);
+  EXPECT_EQ(s.emitted + s.gaps, s.sent + s.shed);
+}
+
+TEST(RuntimeFailure, GapSkipKillKeepsOutputFlowing) {
+  rt::LocalRegionConfig cfg = rt_config(3);
+  cfg.failure_events = {{millis(1200), 1, /*restart=*/false}};
+  const LiveRun run = live_run(
+      cfg, std::make_unique<RoundRobinPolicy>(3), millis(2500));
+  expect_live_after(run, millis(1200));
+  EXPECT_EQ(run.stats.channel_failures, 1u);
+}
+
+TEST(RuntimeFailure, IdleSurvivorDoesNotHoldBackTheSkip) {
+  // Worker 3 is live at weight 0, so it never delivers anything: only the
+  // splitter's watermark on its stream tells the merger it will not carry
+  // what died with worker 0. (The fixed weights never move; picks of the
+  // dead worker fail over to worker 1.)
+  rt::LocalRegionConfig cfg = rt_config(4);
+  cfg.failure_events = {{millis(1200), 0, /*restart=*/false}};
+  const LiveRun run = live_run(
+      cfg,
+      std::make_unique<OraclePolicy>(
+          4, std::vector<OraclePolicy::Phase>{{0, {1.0, 1.0, 1.0, 0.0}}}),
+      millis(2500));
+  expect_live_after(run, millis(1200));
+  EXPECT_EQ(run.stats.final_weights[3], 0);
+}
+
+TEST(RuntimeFailure, GapSkipKillThenRestartStaysLive) {
+  rt::LocalRegionConfig cfg = rt_config(3);
+  cfg.failure_events = {{millis(1200), 1, /*restart=*/false},
+                        {millis(1700), 1, /*restart=*/true}};
+  const LiveRun run = live_run(
+      cfg, std::make_unique<RoundRobinPolicy>(3), millis(2500));
+  expect_live_after(run, millis(1200));
+  EXPECT_EQ(run.stats.reconnects, 1u);
 }
 
 }  // namespace

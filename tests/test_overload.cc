@@ -256,7 +256,7 @@ TEST(RegionOverload, SheddingBoundsBacklogAndKeepsAccounting) {
     in_flight += region.channel(j).occupancy();
     in_flight += region.merger().queue_size(j);
     if (region.worker(j).busy()) ++in_flight;
-    if (region.worker(j).stalled()) ++in_flight;
+    if (region.worker(j).holding()) ++in_flight;
   }
   EXPECT_EQ(region.splitter().total_sent(), region.emitted() + in_flight);
   EXPECT_LE(region.merger().gaps(), region.shed_tuples());
@@ -383,7 +383,7 @@ TEST(RegionOverload, ShedWithLowAboveHighKeepsOrder) {
     for (int j = 0; j < 2; ++j) {
       n += region.channel(j).occupancy() + region.merger().queue_size(j);
       if (region.worker(j).busy()) ++n;
-      if (region.worker(j).stalled()) ++n;
+      if (region.worker(j).holding()) ++n;
     }
     return n;
   };

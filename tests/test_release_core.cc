@@ -2,18 +2,20 @@
 //
 // Four layers of evidence:
 //   1. unit cases for each piece the core owns (cursor, replay pool,
-//      stale classification, lost ranges, gap wait, capacity, stall
-//      timer, skip-to-lowest-queued, ack cursor);
+//      stale classification, lost ranges, gap wait, capacity, stream
+//      floors and the unreachable skip, ack cursor);
 //   2. an exhaustive model check over every arrival interleaving of small
 //      regions (≤3 connections × ≤6 sequences) with optional losses, late
-//      arrivals, a gap-timeout skip, and at-least-once replays;
+//      arrivals, silent deaths, stream ends and at-least-once replays;
 //   3. a differential oracle: seeded random operation sequences over up
 //      to 130 connections drive the core and the plain-scan reference
 //      (linear_release_core.h) and require identical observable behaviour
 //      after every step;
 //   4. parity: one scripted arrival sequence fed to sim::Merger and to
 //      rt::MergerPe (over socketpairs carrying encoded frames) must give
-//      identical counters — plus the runtime's gap-timer regression.
+//      identical counters — the sim told exactly what died, the runtime
+//      inferring it from ended streams — plus the runtime's idle-stream
+//      cases.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -30,6 +32,7 @@
 #include "delivery/release_core.h"
 #include "linear_release_core.h"
 #include "obs/metrics.h"
+#include "run_until_idle.h"
 #include "runtime/merger_pe.h"
 #include "sim/merger.h"
 #include "transport/framing.h"
@@ -45,8 +48,8 @@ using Core = delivery::ReleaseCore<std::uint64_t>;
 using Seqs = std::vector<std::uint64_t>;
 
 /// Releases into `out`, recording the emitted sequence numbers.
-void release(Core& core, Seqs& out, TimeNs now = 0) {
-  core.release(now, [&](int, std::uint64_t seq) {
+void release(Core& core, Seqs& out) {
+  core.release([&](int, std::uint64_t seq) {
     out.push_back(seq);
     return true;
   });
@@ -159,21 +162,21 @@ TEST(ReleaseCore, GapWaitReportsCountAndDeclarationTime) {
   const auto on_gap = [&](std::uint64_t count, TimeNs declared_at) {
     waits.emplace_back(count, declared_at);
   };
-  core.release(400, emit, on_gap);
+  core.release(emit, on_gap);
   EXPECT_TRUE(out.empty());  // 0 has not arrived; the gap is not reached
   EXPECT_TRUE(waits.empty());
-  core.offer(0, 0);  // behind 3 on a GapSkip connection: queued, stuck
-  core.skip_to_lowest_queued();
+  // The only stream has moved past 0, so 0 never arrives.
+  EXPECT_EQ(core.skip_unreachable(), 3u);
   EXPECT_EQ(core.expected(), 3u);  // jumped over 0..2, range dropped
   EXPECT_EQ(core.gaps(), 3u);
-  core.release(500, emit, on_gap);
+  core.release(emit, on_gap);
   EXPECT_TRUE(waits.empty());  // the lost range lay below the jump
   EXPECT_EQ(out, (Seqs{3}));
 
   Core fresh(1, DeliveryMode::kGapSkip);
   fresh.note_lost(0, 2, 100);
   fresh.offer(0, 2);
-  fresh.release(400, emit, on_gap);
+  fresh.release(emit, on_gap);
   ASSERT_EQ(waits.size(), 1u);
   EXPECT_EQ(waits[0].first, 2u);
   EXPECT_EQ(waits[0].second, 100);
@@ -208,81 +211,122 @@ TEST(ReleaseCore, RefusedEmitStopsAndResumesWithTheSameItem) {
     open = false;  // take one, then refuse again
     return true;
   };
-  core.release(0, emit);
+  core.release(emit);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(core.expected(), 0u);
   open = true;
-  core.release(0, emit);
+  core.release(emit);
   EXPECT_EQ(out, (Seqs{0}));
   open = true;
-  core.release(0, emit);
+  core.release(emit);
   EXPECT_EQ(out, (Seqs{0, 1}));
 }
 
-TEST(ReleaseCore, SkipToLowestQueuedFlushesAndCountsGaps) {
+TEST(ReleaseCore, SkipUnreachableWaitsForEveryOpenStreamThenFlushes) {
   Core core(3, DeliveryMode::kGapSkip);
   Seqs out;
-  EXPECT_EQ(core.skip_to_lowest_queued(), 0u);  // nothing queued
+  EXPECT_EQ(core.skip_unreachable(), 0u);  // every stream may carry 0
   core.offer(0, 4);
   core.offer(1, 2);
   core.offer(2, 7);
   core.note_lost(3, 1, 0);
   release(core, out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(core.skip_to_lowest_queued(), 2u);  // 0, 1
+  // Floors 5, 3, 8: no stream can still carry 0 or 1.
+  EXPECT_EQ(core.skip_unreachable(), 2u);
   release(core, out);
   EXPECT_EQ(out, (Seqs{2, 4}));  // 3 skipped as a declared gap
-  EXPECT_EQ(core.skip_to_lowest_queued(), 2u);  // 5, 6
+  // Streams 0 and 1 may still carry 5 and 6.
+  EXPECT_EQ(core.skip_unreachable(), 0u);
+  core.close(1);
+  EXPECT_EQ(core.skip_unreachable(), 0u);
+  core.close(0);
+  EXPECT_EQ(core.skip_unreachable(), 2u);  // 5, 6
   release(core, out);
   EXPECT_EQ(out, (Seqs{2, 4, 7}));
   EXPECT_EQ(core.gaps(), 5u);
-  EXPECT_EQ(core.queued(), 0u);
+  core.close(2);
+  // Nothing queued and every stream ended: nothing left to reach.
+  EXPECT_EQ(core.skip_unreachable(), 0u);
+  EXPECT_EQ(core.expected(), 8u);
 }
 
-TEST(ReleaseCore, StallTimerStartsWhenTheLineBlocksNotAtTheLastRelease) {
-  // Regression: the runtime merger measured the gap timeout from the last
-  // release (or from thread start), so after any idle stretch longer than
-  // the timeout the first out-of-order arrival skipped a healthy
-  // sequence. The timer must start when the head of the line blocks.
-  constexpr DurationNs kTimeout = millis(500);
+TEST(ReleaseCore, IdleOpenStreamIsNeverSkipped) {
+  // The hazard of a gap timer: after an idle stretch, the first
+  // out-of-order arrival made the merger skip a healthy sequence. An open
+  // stream that has not moved past the cursor may still carry it, however
+  // long it stays idle.
   Core core(2, DeliveryMode::kGapSkip);
   Seqs out;
   core.offer(0, 0);
-  release(core, out, 0);
-  EXPECT_FALSE(core.stalled(0, kTimeout));
-  const TimeNs idle_until = seconds(3);
-  release(core, out, idle_until);  // idle polls: nothing queued
-  EXPECT_FALSE(core.stalled(idle_until, kTimeout));
+  release(core, out);
   core.offer(1, 2);  // e + 1 arrives first
-  release(core, out, idle_until);
-  EXPECT_FALSE(core.stalled(idle_until, kTimeout));
-  EXPECT_FALSE(core.stalled(idle_until + millis(10), kTimeout));
-  core.offer(0, 1);  // e arrives well inside the timeout
-  release(core, out, idle_until + millis(10));
+  release(core, out);
+  EXPECT_EQ(core.skip_unreachable(), 0u);
+  core.offer(0, 1);  // then e
+  release(core, out);
   EXPECT_EQ(out, (Seqs{0, 1, 2}));
   EXPECT_EQ(core.gaps(), 0u);
   EXPECT_EQ(core.late_discards(), 0u);
 }
 
-TEST(ReleaseCore, StallTimerFiresAfterTimeoutAndRestartsOnProgress) {
-  constexpr DurationNs kTimeout = millis(100);
+TEST(ReleaseCore, SlowOpenStreamHoldsTheCursorUntilItMovesPast) {
+  // Stream 2 dies holding 0 and 3; stream 0 is fast, stream 1 slow.
+  Core core(3, DeliveryMode::kGapSkip);
+  Seqs out;
+  core.offer(0, 1);
+  core.offer(0, 4);
+  core.offer(0, 6);
+  core.close(2);
+  EXPECT_EQ(core.skip_unreachable(), 0u);  // stream 1 may carry 0
+  core.offer(1, 2);
+  EXPECT_EQ(core.skip_unreachable(), 1u);  // 0
+  release(core, out);
+  EXPECT_EQ(out, (Seqs{1, 2}));
+  EXPECT_EQ(core.skip_unreachable(), 0u);  // stream 1 may carry 3
+  core.raise_floor(1, 5);  // a watermark: stream 1 is past 4
+  EXPECT_EQ(core.skip_unreachable(), 1u);  // 3
+  release(core, out);
+  EXPECT_EQ(out, (Seqs{1, 2, 4}));
+  EXPECT_EQ(core.skip_unreachable(), 0u);  // stream 1 may carry 5
+  core.offer(1, 5);
+  release(core, out);
+  EXPECT_EQ(out, (Seqs{1, 2, 4, 5, 6}));
+  EXPECT_EQ(core.gaps(), 2u);
+  EXPECT_EQ(core.late_discards(), 0u);
+}
+
+TEST(ReleaseCore, ReopenedStreamHoldsTheCursorUntilItsWatermark) {
   Core core(2, DeliveryMode::kGapSkip);
   Seqs out;
-  core.offer(1, 1);
-  core.offer(1, 3);
-  release(core, out, millis(5));
-  EXPECT_FALSE(core.stalled(millis(104), kTimeout));
-  release(core, out, millis(50));  // no progress: the timer keeps running
-  EXPECT_TRUE(core.stalled(millis(105), kTimeout));
   core.offer(0, 0);
-  release(core, out, millis(105));  // progress, still blocked on 2
-  EXPECT_EQ(out, (Seqs{0, 1}));
-  EXPECT_FALSE(core.stalled(millis(204), kTimeout));
-  EXPECT_TRUE(core.stalled(millis(205), kTimeout));
-  core.skip_to_lowest_queued();
-  release(core, out, millis(205));
-  EXPECT_EQ(out, (Seqs{0, 1, 3}));
-  EXPECT_FALSE(core.stalled(seconds(10), kTimeout));  // nothing queued
+  core.offer(0, 3);
+  release(core, out);
+  core.close(1);
+  core.reopen(1);  // a re-admitted worker: may carry anything from 1 up
+  core.raise_floor(1, 1);  // floors only rise
+  EXPECT_EQ(core.skip_unreachable(), 0u);
+  core.raise_floor(1, 2);  // its stream starts at 2
+  EXPECT_EQ(core.skip_unreachable(), 1u);  // 1 died with the old stream
+  core.offer(1, 2);
+  release(core, out);
+  EXPECT_EQ(out, (Seqs{0, 2, 3}));
+  EXPECT_EQ(core.gaps(), 1u);
+}
+
+TEST(ReleaseCore, AtLeastOnceSkipsOnlyOnceEveryStreamHasEnded) {
+  // Replays may carry any unacked sequence on any stream, so neither
+  // arrivals nor watermarks move a floor: only stream ends do.
+  Core core(2, DeliveryMode::kAtLeastOnce);
+  Seqs out;
+  core.offer(0, 1);
+  core.raise_floor(0, 10);
+  core.close(1);
+  EXPECT_EQ(core.skip_unreachable(), 0u);
+  core.close(0);
+  EXPECT_EQ(core.skip_unreachable(), 1u);
+  release(core, out);
+  EXPECT_EQ(out, (Seqs{1}));
 }
 
 TEST(ReleaseCore, AckCursorTracksUnacknowledgedReleases) {
@@ -317,7 +361,7 @@ TEST(ReleaseCore, UngatedHeadAndPopServeParallelSinks) {
 // --- 2. exhaustive model check ---------------------------------------
 
 struct Event {
-  enum Kind { kArrive, kLost, kSkip } kind;
+  enum Kind { kArrive, kLost, kEnd } kind;
   std::uint64_t seq = 0;
   int conn = 0;
 };
@@ -375,13 +419,18 @@ struct Playback {
   std::size_t queued_before_flush = 0;
 };
 
-/// Plays one arrival order through a fresh core (releasing after every
-/// event, as both adapters do), then the runtime's end-of-input flush.
-Playback play(Core& core, const std::vector<Event>& order) {
+/// Plays one arrival order through a fresh core, releasing and skipping
+/// what is unreachable after every event as the runtime merger does, then
+/// ends every stream (the end of input) and does the same once more.
+Playback play(Core& core, int conns, const std::vector<Event>& order) {
   Playback run;
-  const auto emit = [&](int, std::uint64_t seq) {
-    run.emitted.push_back(seq);
-    return true;
+  const auto release = [&] {
+    const auto emit = [&](int, std::uint64_t seq) {
+      run.emitted.push_back(seq);
+      return true;
+    };
+    core.release(emit);
+    while (core.skip_unreachable() > 0) core.release(emit);
   };
   for (const Event& e : order) {
     switch (e.kind) {
@@ -392,17 +441,15 @@ Playback play(Core& core, const std::vector<Event>& order) {
       case Event::kLost:
         core.note_lost(e.seq, 1, 0);
         break;
-      case Event::kSkip:
-        core.skip_to_lowest_queued();
+      case Event::kEnd:
+        core.close(e.conn);
         break;
     }
-    core.release(0, emit);
+    release();
   }
   run.queued_before_flush = core.queued();
-  while (core.queued() > 0) {
-    core.skip_to_lowest_queued();
-    core.release(0, emit);
-  }
+  for (int j = 0; j < conns; ++j) core.close(j);
+  release();
   return run;
 }
 
@@ -413,40 +460,56 @@ bool strictly_increasing(const Seqs& s) {
   return true;
 }
 
-/// GapSkip: every sequence is sent on its assigned connection and either
-/// arrives, is declared lost (never arrives), or is declared lost and
-/// arrives anyway. Optionally one gap-timeout skip fires at any point.
-/// Invariants: strict order, emitted + gaps == sent + shed, and every
-/// arrival is emitted or counted late.
-std::uint64_t check_gap_skip(int conns, int seqs, int fates, bool skip) {
+/// GapSkip over FIFO streams: every sequence is sent on its assigned
+/// connection and then, by its fate, arrives (0), dies silently with its
+/// worker (1), is declared lost and never arrives (2), or is declared
+/// lost and arrives anyway (3). Every stream ends after its last arrival;
+/// declarations float freely. Invariants: strict order; nothing but a
+/// fate-3 arrival is ever discarded, so a stream that is still open is
+/// never skipped past; every arrival is emitted or counted late; and the
+/// cursor ends at the first silent death that no later arrival passes
+/// (nothing can reveal it), with emitted + gaps equal to it.
+std::uint64_t check_gap_skip(int conns, int seqs, int fates) {
   std::uint64_t leaves = 0;
   for_each_choice(seqs, conns, [&](const std::vector<int>& assign) {
     for_each_choice(seqs, fates, [&](const std::vector<int>& fate) {
       std::vector<Stream> streams(static_cast<std::size_t>(conns));
+      std::uint64_t end = static_cast<std::uint64_t>(seqs);
+      std::uint64_t late_fates = 0;
+      for (int s = seqs - 1; s >= 0; --s) {
+        const int f = fate[static_cast<std::size_t>(s)];
+        if (f == 0 || f == 3) break;
+        if (f == 1) end = static_cast<std::uint64_t>(s);
+      }
+      std::uint64_t pending = 0;
       for (int s = 0; s < seqs; ++s) {
         const auto su = static_cast<std::size_t>(s);
         const auto seq = static_cast<std::uint64_t>(s);
-        if (fate[su] != 1) {
+        if (fate[su] == 0 || fate[su] == 3) {
           streams[static_cast<std::size_t>(assign[su])].push_back(
               Event{Event::kArrive, seq, assign[su]});
         }
-        if (fate[su] != 0) streams.push_back({Event{Event::kLost, seq, 0}});
+        if (fate[su] >= 2) streams.push_back({Event{Event::kLost, seq, 0}});
+        if (fate[su] == 3) ++late_fates;
+        if (fate[su] == 2 && seq >= end) ++pending;
       }
-      if (skip) streams.push_back({Event{Event::kSkip, 0, 0}});
+      for (int j = 0; j < conns; ++j) {
+        streams[static_cast<std::size_t>(j)].push_back(
+            Event{Event::kEnd, 0, j});
+      }
       leaves += for_each_interleaving(streams, [&](const auto& order) {
         if (::testing::Test::HasFatalFailure()) return;
         Core core(conns, DeliveryMode::kGapSkip);
-        const Playback run = play(core, order);
+        const Playback run = play(core, conns, order);
         ASSERT_TRUE(strictly_increasing(run.emitted));
-        ASSERT_EQ(core.expected(), static_cast<std::uint64_t>(seqs));
-        ASSERT_EQ(run.emitted.size() + core.gaps(),
-                  static_cast<std::uint64_t>(seqs));
+        ASSERT_EQ(run.queued_before_flush, 0u);
+        ASSERT_EQ(core.expected(), end);
+        ASSERT_EQ(run.emitted.size() + core.gaps(), end);
         ASSERT_EQ(run.emitted.size() + core.late_discards(), run.arrivals);
+        ASSERT_LE(core.late_discards(), late_fates);
         ASSERT_EQ(core.dup_discards(), 0u);
-        ASSERT_EQ(core.lost_pending(), 0u);
-        if (!skip && fates == 1) {
-          // Nothing lost, no timeout: all of it, in order, no flush.
-          ASSERT_EQ(run.queued_before_flush, 0u);
+        ASSERT_EQ(core.lost_pending(), pending);
+        if (fates == 1) {
           ASSERT_EQ(core.gaps(), 0u);
         }
       });
@@ -456,13 +519,15 @@ std::uint64_t check_gap_skip(int conns, int seqs, int fates, bool skip) {
 }
 
 TEST(ReleaseCoreModel, EveryInterleavingOfThreeConnectionsSixSequences) {
-  EXPECT_EQ(check_gap_skip(3, 6, /*fates=*/1, /*skip=*/false), 35169u);
+  EXPECT_EQ(check_gap_skip(3, 6, /*fates=*/1), 765288u);
 }
 
-TEST(ReleaseCoreModel, GapSkipWithLossesLateArrivalsAndTimeoutSkip) {
-  // fates: arrive / lost / lost-but-arrives-late.
-  EXPECT_EQ(check_gap_skip(3, 3, /*fates=*/3, /*skip=*/false), 32286u);
-  EXPECT_EQ(check_gap_skip(2, 3, /*fates=*/3, /*skip=*/true), 46640u);
+TEST(ReleaseCoreModel, GapSkipWithLossesLateArrivalsAndStreamEnds) {
+  // FIFO fates only (arrive / die silently / declared lost): no arrival
+  // is ever discarded.
+  EXPECT_EQ(check_gap_skip(3, 3, /*fates=*/3), 87948u);
+  // Plus declared-lost tuples that arrive anyway.
+  EXPECT_EQ(check_gap_skip(2, 3, /*fates=*/4), 87182u);
 }
 
 TEST(ReleaseCoreModel, AtLeastOnceWithReplaysIsExactlyOnceInOrder) {
@@ -494,7 +559,7 @@ TEST(ReleaseCoreModel, AtLeastOnceWithReplaysIsExactlyOnceInOrder) {
       leaves += for_each_interleaving(streams, [&](const auto& order) {
         if (::testing::Test::HasFatalFailure()) return;
         Core core(kConns, DeliveryMode::kAtLeastOnce);
-        const Playback run = play(core, order);
+        const Playback run = play(core, kConns, order);
         ASSERT_EQ(run.queued_before_flush, 0u);  // no skip ever needed
         ASSERT_EQ(run.emitted.size(), static_cast<std::size_t>(kSeqs));
         ASSERT_TRUE(strictly_increasing(run.emitted));
@@ -535,12 +600,11 @@ bool refuses(std::uint64_t salt, std::uint64_t i, double p) {
 }
 
 template <typename C>
-std::vector<Call> traced_release(C& core, TimeNs now, std::uint64_t salt,
+std::vector<Call> traced_release(C& core, std::uint64_t salt,
                                  double refuse_p) {
   std::vector<Call> calls;
   std::uint64_t i = 0;
   core.release(
-      now,
       [&](int from, std::uint64_t seq) {
         calls.push_back({Call::kEmit, seq, static_cast<std::uint64_t>(from),
                          core.queued()});
@@ -563,7 +627,8 @@ std::vector<int> freed(C& core) {
 /// One seeded operation sequence through both cores. Connections receive
 /// their own sends in order; stray arrivals near the cursor add stale
 /// copies, at-least-once duplicates (at heads and in the pool) and
-/// out-of-order gap-skip arrivals. Releases refuse emits at random.
+/// out-of-order gap-skip arrivals. Floors rise, streams end and reopen at
+/// random. Releases refuse emits at random.
 void run_oracle(std::uint64_t seed, DeliveryMode mode) {
   Rng rng(seed);
   const int n = 1 + static_cast<int>(rng.below(130));
@@ -613,10 +678,24 @@ void run_oracle(std::uint64_t seed, DeliveryMode mode) {
       core.note_lost(first, count, now);
       ref.note_lost(first, count, now);
     } else if (op < 80) {
-      ASSERT_EQ(core.skip_to_lowest_queued(), ref.skip_to_lowest_queued());
+      ASSERT_EQ(core.skip_unreachable(), ref.skip_unreachable());
     } else if (op < 85) {
-      const auto timeout = static_cast<DurationNs>(rng.below(6));
-      ASSERT_EQ(core.stalled(now, timeout), ref.stalled(now, timeout));
+      const int j = pick();
+      const std::uint64_t floor = low + rng.below(sent + 8 - low);
+      switch (rng.below(4)) {
+        case 0:
+          core.close(j);
+          ref.close(j);
+          break;
+        case 1:
+          core.reopen(j);
+          ref.reopen(j);
+          break;
+        default:
+          core.raise_floor(j, floor);
+          ref.raise_floor(j, floor);
+          break;
+      }
     } else if (op < 93) {
       const int j = pick();
       const std::uint64_t* h = core.head(j);
@@ -633,16 +712,20 @@ void run_oracle(std::uint64_t seed, DeliveryMode mode) {
       ASSERT_EQ(core.take_ack(), ref.take_ack());
     }
     if (flush) {
-      // Runtime end-of-input: skip to what is queued until nothing is.
+      // Runtime end-of-input: every stream ends, then skip to what is
+      // queued until nothing is.
+      for (int j = 0; j < n; ++j) {
+        core.close(j);
+        ref.close(j);
+      }
       while (core.queued() > 0) {
-        ASSERT_EQ(core.skip_to_lowest_queued(), ref.skip_to_lowest_queued());
-        ASSERT_EQ(traced_release(core, now, 0, 0),
-                  traced_release(ref, now, 0, 0));
+        ASSERT_EQ(core.skip_unreachable(), ref.skip_unreachable());
+        ASSERT_EQ(traced_release(core, 0, 0), traced_release(ref, 0, 0));
       }
     } else if (rng.chance(0.7)) {
       const std::uint64_t salt = rng();
-      ASSERT_EQ(traced_release(core, now, salt, refuse_p),
-                traced_release(ref, now, salt, refuse_p));
+      ASSERT_EQ(traced_release(core, salt, refuse_p),
+                traced_release(ref, salt, refuse_p));
     }
     ASSERT_EQ(core.expected(), ref.expected());
     ASSERT_EQ(core.gaps(), ref.gaps());
@@ -675,6 +758,10 @@ TEST(ReleaseCoreOracle, UngatedPopsAboveTheCursorKeepTheIndexExact) {
   // rebuild many times. Gated skips and releases in between read it.
   Core core(4, DeliveryMode::kGapSkip);
   Ref ref(4, DeliveryMode::kGapSkip);
+  for (int j = 0; j < 4; ++j) {  // skips then jump to the lowest head
+    core.close(j);
+    ref.close(j);
+  }
   Rng rng(11);
   std::uint64_t seq = 1;  // sequence 0 never arrives
   for (int i = 0; i < 3000; ++i) {
@@ -689,8 +776,8 @@ TEST(ReleaseCoreOracle, UngatedPopsAboveTheCursorKeepTheIndexExact) {
       ref.pop(k);
     }
     if (i % 97 == 96) {
-      ASSERT_EQ(core.skip_to_lowest_queued(), ref.skip_to_lowest_queued());
-      ASSERT_EQ(traced_release(core, i, 0, 0), traced_release(ref, i, 0, 0));
+      ASSERT_EQ(core.skip_unreachable(), ref.skip_unreachable());
+      ASSERT_EQ(traced_release(core, 0, 0), traced_release(ref, 0, 0));
     }
   }
   ASSERT_EQ(freed(core), freed(ref));
@@ -700,12 +787,17 @@ TEST(ReleaseCoreOracle, UngatedPopsAboveTheCursorKeepTheIndexExact) {
 
 // --- 4. two-adapter parity --------------------------------------------
 
-/// One scripted arrival: a tuple, or a gap frame declaring [seq, seq +
-/// count) shed, on connection `conn`.
+/// One scripted arrival on connection `conn`: a tuple, or a gap frame
+/// declaring [seq, seq + count) shed. Two more kinds: a watermark (a
+/// zero-count gap frame at `seq`, which the simulator needs no word of),
+/// and the stream's end without a FIN, a crash that the simulator is told
+/// lost [seq, seq + count).
 struct Arrival {
+  enum Kind { kFrame, kWatermark, kEnd };
   int conn;
   std::uint64_t seq;
   std::uint64_t count = 0;  // > 0: gap declaration
+  Kind kind = kFrame;
 };
 /// Arrivals in one step may race each other on the runtime (different
 /// sockets); scripts only group arrivals whose outcome is order-free.
@@ -727,8 +819,7 @@ void PrintTo(const Counters& c, std::ostream* os) {
 /// rt::MergerPe fed over socketpairs; the test holds the worker ends.
 class RtMergerHarness {
  public:
-  RtMergerHarness(int conns, rt::MergerFaultConfig fault, DeliveryMode mode,
-                  bool with_acks) {
+  RtMergerHarness(int conns, bool ft, DeliveryMode mode, bool with_acks) {
     std::vector<net::Fd> readers;
     for (int j = 0; j < conns; ++j) {
       int sv[2];
@@ -744,18 +835,22 @@ class RtMergerHarness {
       ack_out = net::Fd(sv[1]);
     }
     merger_ = std::make_unique<rt::MergerPe>(std::move(readers), metrics_,
-                                             fault, mode, std::move(ack_out));
+                                             ft, mode, std::move(ack_out));
   }
 
   void send(const Arrival& a) {
+    net::Fd& w = writers_[static_cast<std::size_t>(a.conn)];
+    if (a.kind == Arrival::kEnd) {
+      w.reset();
+      return;
+    }
     std::vector<std::uint8_t> bytes;
-    if (a.count > 0) {
+    if (a.count > 0 || a.kind == Arrival::kWatermark) {
       bytes = net::gap_bytes(a.seq, a.count);
     } else {
       net::encode_frame(net::Frame{a.seq, {}}, bytes);
     }
-    net::write_all(writers_[static_cast<std::size_t>(a.conn)].get(),
-                   bytes.data(), bytes.size());
+    net::write_all(w.get(), bytes.data(), bytes.size());
   }
 
   Counters counters() const {
@@ -776,12 +871,14 @@ class RtMergerHarness {
     return got;
   }
 
-  /// FINs every stream and waits for the merger thread to finish.
+  /// FINs every open stream, shuts the merger down (ended streams are
+  /// final) and waits for its thread to finish.
   void finish() {
     const std::vector<std::uint8_t> fin = net::fin_bytes();
     for (const net::Fd& w : writers_) {
-      net::write_all(w.get(), fin.data(), fin.size());
+      if (w.valid()) net::write_all(w.get(), fin.data(), fin.size());
     }
+    merger_->begin_shutdown();
     merger_->join();
   }
 
@@ -819,18 +916,15 @@ Counters expect_parity(const std::vector<Step>& script, int conns, bool ft,
                        DeliveryMode mode) {
   sim::Simulator sim;
   obs::MetricsRegistry metrics;
-  sim::Merger sim_merger(&sim, metrics, conns, sim::Merger::kUnbounded);
-  sim_merger.set_delivery_mode(mode);
+  sim::Merger sim_merger(&sim, metrics, conns, sim::Merger::kUnbounded,
+                         /*ordered=*/true, mode);
   Seqs sim_out;
   sim_merger.set_on_emit([&](const sim::Tuple& t) { sim_out.push_back(t.seq); });
   std::uint64_t sim_ack = 0;
   sim_merger.set_on_ack([&](std::uint64_t cum) { sim_ack = cum; }, 0);
 
-  rt::MergerFaultConfig fault;
-  fault.enabled = ft;
-  fault.gap_timeout = seconds(60);  // no timeout skips: gaps are declared
   const bool alo = mode == DeliveryMode::kAtLeastOnce;
-  RtMergerHarness rt(conns, fault, mode, /*with_acks=*/alo);
+  RtMergerHarness rt(conns, ft, mode, /*with_acks=*/alo);
 
   const auto sim_counters = [&] {
     return Counters{sim_merger.emitted(), sim_merger.gaps(),
@@ -840,12 +934,12 @@ Counters expect_parity(const std::vector<Step>& script, int conns, bool ft,
     for (const Arrival& a : script[i]) {
       if (a.count > 0) {
         sim_merger.note_lost(a.seq, a.count);
-      } else {
+      } else if (a.kind == Arrival::kFrame) {
         sim_merger.try_push(a.conn, sim::Tuple{a.seq, 0});
       }
       rt.send(a);
     }
-    sim.run_until_idle();
+    run_until_idle(sim);
     const Counters want = sim_counters();
     EXPECT_EQ(rt.await(want), want) << "after step " << i;
   }
@@ -905,22 +999,64 @@ TEST(MergerParity, AtLeastOnceReplaysPoolAndDedupMatch) {
   EXPECT_EQ(c, (Counters{13, 0, 4, 0}));
 }
 
+TEST(MergerParity, StreamEndMatchesDeclaredLoss) {
+  // The simulator is told which sequences died with worker 2; the runtime
+  // sees worker 2's stream end without a FIN and infers the same gaps
+  // once stream 1, idle since 1, is past them too.
+  const std::vector<Step> script = {
+      {{0, 0}, {1, 1}, {0, 2}},
+      {{0, 5}, {0, 6}},  // gated on 3, which worker 2 holds
+      {{2, 3, 2, Arrival::kEnd}, {1, 7, 0, Arrival::kWatermark}},
+      {{1, 7}},
+      {{0, 8}},
+  };
+  const Counters c =
+      expect_parity(script, 3, /*ft=*/true, DeliveryMode::kGapSkip);
+  EXPECT_EQ(c, (Counters{7, 2, 0, 0}));
+}
+
 TEST(MergerParity, IdleStretchDoesNotSkipAHealthySequence) {
-  // Regression (runtime gap timer): the merger measured the gap timeout
-  // from thread start / the last release, so the first out-of-order
-  // arrival after an idle stretch longer than the timeout skipped the
-  // healthy expected sequence — a gap, then a late_discard when it came.
-  rt::MergerFaultConfig fault;
-  fault.enabled = true;
-  fault.gap_timeout = millis(300);
-  RtMergerHarness rt(2, fault, DeliveryMode::kGapSkip, false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(450));
+  // An open stream may still carry the cursor however long it stays
+  // idle, so the runtime skips nothing on time alone; with another
+  // stream ended, the idle one still holds the cursor until it moves
+  // past it.
+  RtMergerHarness rt(3, /*ft=*/true, DeliveryMode::kGapSkip, false);
   rt.send({1, 1});  // e + 1 first...
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  rt.send({0, 0});  // ...then e, well inside the timeout
-  EXPECT_EQ(rt.await(Counters{2, 0, 0, 0}), (Counters{2, 0, 0, 0}));
+  rt.send({2, 2});
+  rt.send({2, 3, 0, Arrival::kEnd});
+  std::this_thread::sleep_for(std::chrono::milliseconds(450));
+  EXPECT_EQ(rt.counters(), (Counters{0, 0, 0, 0}));
+  rt.send({0, 0});  // ...then e, after the idle stretch
+  EXPECT_EQ(rt.await(Counters{3, 0, 0, 0}), (Counters{3, 0, 0, 0}));
+  rt.send({1, 5});  // 3 and 4 died with stream 2; stream 0 may carry them
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(rt.counters(), (Counters{3, 0, 0, 0}));
+  rt.send({0, 6});  // now no open stream can
+  EXPECT_EQ(rt.await(Counters{5, 2, 0, 0}), (Counters{5, 2, 0, 0}));
   rt.finish();
-  EXPECT_EQ(rt.counters(), (Counters{2, 0, 0, 0}));
+  EXPECT_EQ(rt.counters(), (Counters{5, 2, 0, 0}));
+  EXPECT_TRUE(rt.merger().order_ok());
+}
+
+TEST(MergerParity, UnclaimedReadmissionHoldsTheSkip) {
+  // A restarted worker's stream may carry anything from the cursor up, so
+  // while its dial is not yet claimed by a hello, the runtime merger
+  // infers nothing, even with every other stream past the cursor.
+  RtMergerHarness rt(3, /*ft=*/true, DeliveryMode::kGapSkip, false);
+  rt.send({2, 0, 0, Arrival::kEnd});  // worker 2 crashed
+  net::Fd dial = net::connect_loopback(rt.merger().reconnect_port(), 1000);
+  rt.send({0, 1});
+  rt.send({1, 2});
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(rt.counters(), (Counters{0, 0, 0, 0}));
+  std::vector<std::uint8_t> bytes = net::hello_bytes(2);
+  net::encode_frame(net::Frame{0, {}}, bytes);
+  const std::vector<std::uint8_t> fin = net::fin_bytes();
+  bytes.insert(bytes.end(), fin.begin(), fin.end());
+  net::write_all(dial.get(), bytes.data(), bytes.size());
+  EXPECT_EQ(rt.await(Counters{3, 0, 0, 0}), (Counters{3, 0, 0, 0}));
+  rt.finish();
+  EXPECT_EQ(rt.counters(), (Counters{3, 0, 0, 0}));
 }
 
 }  // namespace

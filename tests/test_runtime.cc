@@ -216,7 +216,6 @@ TEST(LocalRegion, MetricsAgreeWithRunStats) {
     LocalRegionConfig cfg = fast_config(2);
     cfg.work_mode = WorkMode::kTimed;
     cfg.delivery.mode = mode;
-    cfg.merger_gap_timeout = millis(50);
     cfg.failure_events = {{millis(40), 1, /*restart=*/false},
                           {millis(70), 1, /*restart=*/true}};
     LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));

@@ -340,7 +340,7 @@ struct Model {
         sequences(seqs) {}
 
   void drain() {
-    release.release(0, [&](int, std::uint64_t seq) {
+    release.release([&](int, std::uint64_t seq) {
       order_ok = order_ok && static_cast<std::int64_t>(seq) > last_emitted;
       last_emitted = static_cast<std::int64_t>(seq);
       ++emitted_count[static_cast<std::size_t>(seq)];

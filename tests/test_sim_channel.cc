@@ -1,6 +1,7 @@
 // Tests for the simulated TCP channel: latency, flow control, callbacks.
 #include <gtest/gtest.h>
 
+#include "run_until_idle.h"
 #include "sim/channel.h"
 
 namespace slb::sim {
@@ -31,7 +32,7 @@ TEST(Channel, PreservesFifoOrder) {
   Channel ch(&sim, 0, small_config());
   ch.push_send(Tuple{1});
   ch.push_send(Tuple{2});
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(ch.pop_recv().seq, 1u);
   EXPECT_EQ(ch.pop_recv().seq, 2u);
 }
@@ -42,7 +43,7 @@ TEST(Channel, RecvReadyCallbackFires) {
   int notified = 0;
   ch.set_on_recv_ready([&] { ++notified; });
   ch.push_send(Tuple{1});
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(notified, 1);
 }
 
@@ -54,13 +55,13 @@ TEST(Channel, FlowControlHoldsTuplesInSendBuffer) {
   cfg.send_capacity = 4;
   Channel ch(&sim, 0, cfg);
   for (std::uint64_t s = 0; s < 4; ++s) ch.push_send(Tuple{s});
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(ch.recv_size(), 2u);
   EXPECT_EQ(ch.send_size(), 2u);
   EXPECT_EQ(ch.occupancy(), 4u);
 
   (void)ch.pop_recv();  // frees a slot; transfer resumes
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(ch.recv_size(), 2u);
   EXPECT_EQ(ch.send_size(), 1u);
 }
@@ -77,12 +78,12 @@ TEST(Channel, SendFullAndSpaceCallback) {
   ch.push_send(Tuple{0});  // transfers immediately (recv empty)
   EXPECT_GE(space_events, 1);
   ch.push_send(Tuple{1});  // recv side will be full; stays in send buffer
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_TRUE(ch.send_full());
 
   const int before = space_events;
   (void)ch.pop_recv();  // lets the transfer start -> send space frees
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_GT(space_events, before);
   EXPECT_FALSE(ch.send_full());
 }
@@ -92,7 +93,7 @@ TEST(Channel, InFlightCountsTransfers) {
   Channel ch(&sim, 0, small_config());
   ch.push_send(Tuple{0});
   EXPECT_EQ(ch.in_flight(), 1u);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(ch.in_flight(), 0u);
 }
 

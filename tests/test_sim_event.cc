@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "reference_event.h"
+#include "run_until_idle.h"
 #include "sim/event.h"
 #include "util/rng.h"
 
@@ -29,7 +30,7 @@ TEST(Simulator, ExecutesInTimeOrder) {
   sim.schedule_at(30, [&] { order.push_back(3); });
   sim.schedule_at(10, [&] { order.push_back(1); });
   sim.schedule_at(20, [&] { order.push_back(2); });
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 30);
 }
@@ -40,7 +41,7 @@ TEST(Simulator, SameTimeEventsRunInInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(5, [&order, i] { order.push_back(i); });
   }
-  sim.run_until_idle();
+  run_until_idle(sim);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -50,7 +51,7 @@ TEST(Simulator, ScheduleAfterIsRelative) {
   sim.schedule_at(100, [&] {
     sim.schedule_after(50, [&] { seen = sim.now(); });
   });
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(seen, 150);
 }
 
@@ -63,7 +64,7 @@ TEST(Simulator, ZeroDelayEventsRunAtSameTime) {
       EXPECT_EQ(sim.now(), 7);
     });
   });
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(depth, 1);
 }
 
@@ -105,7 +106,8 @@ TEST(Simulator, StopInterruptsRunWhile) {
   sim.schedule_at(2, [&] { ++fired; });
   sim.run_while(100);
   EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.stop_requested());
+  EXPECT_EQ(sim.now(), 1);  // stopped at the event, not at the deadline
+  EXPECT_FALSE(sim.idle());
   sim.run_while(100);  // resumes past the stop
   EXPECT_EQ(fired, 2);
 }
@@ -113,7 +115,7 @@ TEST(Simulator, StopInterruptsRunWhile) {
 TEST(Simulator, CountsEvents) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_at(i, [] {});
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
@@ -124,7 +126,7 @@ TEST(Simulator, EventsCanScheduleManyMore) {
     if (++count < 1000) sim.schedule_after(1, chain);
   };
   sim.schedule_at(0, chain);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(count, 1000);
   EXPECT_EQ(sim.now(), 999);
 }
@@ -168,7 +170,7 @@ TEST(Simulator, CallableRelocatedAndDestroyedExactlyOnce) {
     sim.run_until(5);
     EXPECT_EQ(calls, 1);
     EXPECT_TRUE(live.empty());
-    sim.run_until_idle();
+    run_until_idle(sim);
   }
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(live.empty());
@@ -181,7 +183,7 @@ TEST(Simulator, SharedCaptureReleasedAfterFiring) {
   EXPECT_EQ(token.use_count(), 2);
   grow_slab(sim);
   EXPECT_EQ(token.use_count(), 2);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(*token, 1);
   EXPECT_EQ(token.use_count(), 1);
 }
@@ -192,7 +194,7 @@ TEST(Simulator, MoveOnlyCaptureRuns) {
   auto owned = std::make_unique<int>(42);
   sim.schedule_at(5, [p = std::move(owned), &seen] { seen = *p; });
   grow_slab(sim);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(seen, 42);
 }
 
@@ -207,7 +209,7 @@ TEST(Simulator, LvalueFunctionIsCopiedPerSchedule) {
   EXPECT_EQ(token.use_count(), 4);  // token, fn and two stored copies
   grow_slab(sim);
   EXPECT_EQ(token.use_count(), 4);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(*token, 2);
   EXPECT_EQ(token.use_count(), 2);
   ASSERT_TRUE(static_cast<bool>(fn));
@@ -396,7 +398,7 @@ std::uint64_t run_oracle(std::uint64_t seed, const OracleKnobs& k) {
     }
     if (::testing::Test::HasFatalFailure()) return 0;
   }
-  both([&](auto& p) { p.sim.run_until_idle(); }, k.ops);
+  both([&](auto& p) { run_until_idle(p.sim); }, k.ops);
   return fast.sim.events_processed();
 }
 

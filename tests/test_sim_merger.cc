@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "run_until_idle.h"
 #include "sim/channel.h"
 #include "sim/merger.h"
 #include "sim/worker.h"
@@ -79,7 +80,7 @@ TEST(Merger, SpaceCallbackFiresAfterDrain) {
   EXPECT_TRUE(m.try_push(1, Tuple{2}));
   EXPECT_FALSE(m.try_push(1, Tuple{3}));  // refused: a wake is owed
   EXPECT_TRUE(m.try_push(0, Tuple{0}));
-  sim.run_until_idle();  // space notifications are zero-delay events
+  run_until_idle(sim);  // space notifications are zero-delay events
   EXPECT_EQ(pokes, 1);
   EXPECT_EQ(m.emitted(), 3u);
 }
@@ -95,7 +96,7 @@ TEST(Merger, UnrefusedConnectionIsNotWoken) {
   EXPECT_TRUE(m.try_push(1, Tuple{1}));
   EXPECT_TRUE(m.try_push(1, Tuple{2}));
   EXPECT_TRUE(m.try_push(0, Tuple{0}));
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(pokes, 0);
   EXPECT_EQ(m.emitted(), 3u);
   EXPECT_EQ(m.queue_size(1), 0u);
@@ -124,7 +125,7 @@ TEST(Merger, RefusedThenCrashedWorkerIsWokenAtMostOnce) {
   EXPECT_TRUE(m.try_push(1, Tuple{2}));
   ch.push_send(Tuple{3});
   sim.run_until(1'000);
-  ASSERT_TRUE(w.stalled());  // tuple 3 refused and held
+  ASSERT_TRUE(w.holding());  // tuple 3 refused and held
   w.crash();
   ch.push_send(Tuple{5});
   sim.run_until(2'000);  // 5 waits in the receive buffer
@@ -134,12 +135,12 @@ TEST(Merger, RefusedThenCrashedWorkerIsWokenAtMostOnce) {
   sim.run_until(2'000);  // the zero-delay wake, not 5's completion
   EXPECT_EQ(pokes, 1);
   EXPECT_EQ(starts, 0);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(w.processed(), 2u);  // 3 (then lost) and 5
   EXPECT_EQ(m.queue_size(1), 1u);  // 5, gated on the lost 3
   // The wake is paid: freeing the queue again owes worker 1 nothing.
   m.note_lost(3, 2);
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_EQ(pokes, 1);
   EXPECT_EQ(m.emitted(), 4u);
 }

@@ -6,6 +6,7 @@
 
 #include "core/policies.h"
 #include "obs/metrics.h"
+#include "run_until_idle.h"
 #include "sim/channel.h"
 #include "sim/splitter.h"
 
@@ -86,7 +87,7 @@ TEST(Splitter, BlocksWhenChannelFullAndRecordsTime) {
   // The splitter sends exactly one more tuple and blocks again (the
   // consumer is still not consuming).
   (void)rig.channels[0]->pop_recv();
-  rig.sim.run_until_idle();
+  run_until_idle(rig.sim);
   EXPECT_TRUE(rig.splitter->blocked());
   EXPECT_EQ(rig.splitter->total_sent(), 9u);
   // Blocked from t=~800 until the pop at t=1s: roughly the whole second.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "run_until_idle.h"
 #include "sim/channel.h"
 #include "sim/host.h"
 #include "sim/load_profile.h"
@@ -88,7 +89,7 @@ TEST(HostModel, MixedHosts) {
 TEST(Worker, ProcessesAtBaseCost) {
   Rig rig(/*base_cost=*/1000);
   rig.channel.push_send(Tuple{0});
-  rig.sim.run_until_idle();
+  run_until_idle(rig.sim);
   EXPECT_EQ(rig.worker.processed(), 1u);
   EXPECT_EQ(rig.merger.emitted(), 1u);
   // Latency 1 + service 1000.
@@ -100,7 +101,7 @@ TEST(Worker, ServiceTimeScalesWithLoad) {
   profile.add_step(0, 0, 10.0);
   Rig rig(1000, profile);
   rig.channel.push_send(Tuple{0});
-  rig.sim.run_until_idle();
+  run_until_idle(rig.sim);
   EXPECT_EQ(rig.sim.now(), 10'001);
 }
 
@@ -113,7 +114,7 @@ TEST(Worker, ProcessesSequentiallyNotInParallel) {
   Rig rig(1000);
   rig.channel.push_send(Tuple{0});
   rig.channel.push_send(Tuple{1});
-  rig.sim.run_until_idle();
+  run_until_idle(rig.sim);
   EXPECT_EQ(rig.worker.processed(), 2u);
   EXPECT_EQ(rig.sim.now(), 2001);  // 1 latency + 2 x 1000 service
 }
@@ -133,15 +134,15 @@ TEST(Worker, StallsWhenMergerQueueFull) {
 
   channel.push_send(Tuple{1});  // seq 1: gated behind missing seq 0
   channel.push_send(Tuple{3});
-  sim.run_until_idle();
-  EXPECT_TRUE(worker.stalled());
+  run_until_idle(sim);
+  EXPECT_TRUE(worker.holding());
   EXPECT_EQ(merger.queue_size(1), 1u);
 
   // Supplying seq 0 on the other connection lets everything drain.
   EXPECT_TRUE(merger.try_push(0, Tuple{0}));
   EXPECT_TRUE(merger.try_push(0, Tuple{2}));
-  sim.run_until_idle();
-  EXPECT_FALSE(worker.stalled());
+  run_until_idle(sim);
+  EXPECT_FALSE(worker.holding());
   EXPECT_EQ(merger.emitted(), 4u);
 }
 
@@ -152,7 +153,7 @@ TEST(Worker, LoadChangeAppliesToNextTuple) {
   rig.channel.push_send(Tuple{0});
   rig.channel.push_send(Tuple{1});
   rig.channel.push_send(Tuple{2});
-  rig.sim.run_until_idle();
+  run_until_idle(rig.sim);
   // t=1: arrival. Tuple 0: 1..1001 (1x). Tuple 1: 1001..2001 (starts
   // before the change: 1x). Tuple 2: starts at 2001 -> 10x -> ends 12001.
   EXPECT_EQ(rig.sim.now(), 12'001);

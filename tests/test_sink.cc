@@ -6,6 +6,7 @@
 
 #include "core/policies.h"
 #include "obs/metrics.h"
+#include "run_until_idle.h"
 #include "sim/merger.h"
 #include "sim/sink.h"
 #include "sim/splitter.h"
@@ -43,9 +44,9 @@ TEST(ChannelSink, SpaceCallbackFiresWhenChannelDrains) {
   EXPECT_TRUE(sink.offer(0, Tuple{0}));
   EXPECT_TRUE(sink.offer(0, Tuple{1}));   // sits in send buffer
   EXPECT_FALSE(sink.offer(0, Tuple{2}));  // full
-  sim.run_until_idle();
+  run_until_idle(sim);
   (void)ch.pop_recv();  // frees recv -> transfer starts -> send space
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_GT(pokes, 0);
   EXPECT_TRUE(sink.offer(0, Tuple{2}));
 }
@@ -65,9 +66,9 @@ TEST(MergerDownstream, OrderedDrainPausesOnFullDownstream) {
   // inside the merger.
   EXPECT_EQ(merger.emitted(), 3u);
 
-  sim.run_until_idle();
+  run_until_idle(sim);
   (void)out.pop_recv();
-  sim.run_until_idle();
+  run_until_idle(sim);
   EXPECT_GT(merger.emitted(), 3u);
 }
 
@@ -87,9 +88,9 @@ TEST(MergerDownstream, SequenceOrderSurvivesBackPressure) {
 
   std::vector<std::uint64_t> seen;
   for (int rounds = 0; rounds < 10 && seen.size() < 4; ++rounds) {
-    sim.run_until_idle();
+    run_until_idle(sim);
     while (!out.recv_empty()) seen.push_back(out.pop_recv().seq);
-    sim.run_until_idle();
+    run_until_idle(sim);
   }
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }
@@ -108,9 +109,9 @@ TEST(MergerDownstream, UnorderedHonorsBackPressure) {
   EXPECT_LT(merger.emitted(), 5u);  // downstream bounded
   // Drain downstream repeatedly; everything flows through eventually.
   for (int rounds = 0; rounds < 10; ++rounds) {
-    sim.run_until_idle();
+    run_until_idle(sim);
     while (!out.recv_empty()) (void)out.pop_recv();
-    sim.run_until_idle();
+    run_until_idle(sim);
   }
   EXPECT_EQ(merger.emitted(), 5u);
 }

@@ -143,7 +143,7 @@ SimOutcome run_sim_once(std::uint64_t seed, DurationNs duration,
     in_flight += region.channel(j).occupancy();
     in_flight += region.merger().queue_size(j);
     if (region.worker(j).busy()) ++in_flight;
-    if (region.worker(j).stalled()) ++in_flight;
+    if (region.worker(j).holding()) ++in_flight;
     if (!region.worker(j).down()) ++live;
   }
   // Replays parked in the merger's out-of-order pool are in flight but
@@ -231,7 +231,6 @@ void run_rt_seed(std::uint64_t seed, DurationNs duration, bool alo) {
   cfg.work_mode = rt::WorkMode::kTimed;
   cfg.payload_bytes = 32;
   cfg.sample_period = millis(50);
-  cfg.merger_gap_timeout = millis(200);
   cfg.protection.admission_control = true;
   cfg.protection.watchdog = true;
   cfg.protection.watchdog_periods = 4;
