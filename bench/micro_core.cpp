@@ -6,6 +6,7 @@
 // beside the plain priority-queue engine it replaced.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -318,6 +319,64 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_SimulatorEventChurn, sim::Simulator);
 BENCHMARK_TEMPLATE(BM_SimulatorEventChurn, testref::ReferenceSimulator);
+
+// The same event, tagged with its delay class for the region-mix row.
+struct MixEvent {
+  int* fired_class;
+  int cls;
+  std::uint64_t* sum;
+  std::uint64_t a;
+  void operator()() const {
+    *fired_class = cls;
+    *sum += a;
+  }
+};
+static_assert(sizeof(MixEvent) == 32);
+
+// The delay mix of a sim region (sim-fanout64 schedules 99.8% of its
+// events at three delays): 64 service completions (600 us, the first
+// ones staggered across one service time) always pending, plus send
+// pacing (100 ns) and wire deliveries (2 us) in equal shares. Each
+// iteration fires the earliest event and schedules its successor: a
+// service completion after a service completion, otherwise the next of
+// the two short delays in turn.
+template <class Sim>
+void BM_SimulatorEventChurnRegionMix(benchmark::State& state) {
+  constexpr int kService = 2;
+  constexpr std::array<DurationNs, 3> kDelay{100, micros(2), micros(600)};
+  constexpr int kPendingService = 64;
+  constexpr int kPendingShort = 8;
+  int fired = 0;
+  int next_short = 0;
+  std::uint64_t sum = 0;
+  Sim sim;
+  std::uint64_t i = 0;
+  for (int k = 0; k < kPendingService; ++k, ++i) {
+    sim.schedule_after(kDelay[kService] * (k + 1) / kPendingService,
+                       MixEvent{&fired, kService, &sum, i});
+  }
+  for (int k = 0; k < kPendingShort; ++k, ++i) {
+    sim.schedule_after(kDelay[static_cast<std::size_t>(next_short)],
+                       MixEvent{&fired, next_short, &sum, i});
+    next_short ^= 1;
+  }
+  for (auto _ : state) {
+    sim.step();
+    int cls = kService;
+    if (fired != kService) {
+      cls = next_short;
+      next_short ^= 1;
+    }
+    sim.schedule_after(kDelay[static_cast<std::size_t>(cls)],
+                       MixEvent{&fired, cls, &sum, i});
+    ++i;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_SimulatorEventChurnRegionMix, sim::Simulator);
+BENCHMARK_TEMPLATE(BM_SimulatorEventChurnRegionMix,
+                   testref::ReferenceSimulator);
 
 // ---- clustering -------------------------------------------------------------
 

@@ -99,11 +99,15 @@ class Histogram {
   /// Two single-writer load+store pairs on the hot path (see Counter for
   /// the contract); the sample count is derived from the buckets at read
   /// time instead of being a third atomic.
-  void record(std::uint64_t v) {
+  void record(std::uint64_t v) { record(v, 1); }
+
+  /// Records `n` samples of value `v` in O(1): the same buckets and sum as
+  /// `n` calls of record(v).
+  void record(std::uint64_t v, std::uint64_t n) {
     auto& b = buckets_[static_cast<std::size_t>(bucket_index(v))];
-    b.store(b.load(std::memory_order_relaxed) + 1,
+    b.store(b.load(std::memory_order_relaxed) + n,
             std::memory_order_relaxed);
-    sum_.store(sum_.load(std::memory_order_relaxed) + v,
+    sum_.store(sum_.load(std::memory_order_relaxed) + v * n,
                std::memory_order_relaxed);
   }
 

@@ -15,17 +15,31 @@
 //    A slot is a fixed inline buffer plus a pointer to the callable
 //    type's fire / relocate / destroy operations; freed slots form a LIFO
 //    free list threaded through the slab.
-//  - The binary heap holds only 24-byte {time, seq, slot} entries, so a
-//    sift moves three words, never a callable.
-// The heap is keyed on the same (time, seq) pair as a queue of whole
-// events would be, and seq is unique, so the firing order is exactly the
-// insertion-sequence order above; the slot index plays no part in it.
+//  - The queue holds only 24-byte {time, seq, slot} entries, so ordering
+//    moves three words, never a callable.
 //
-// Firing. step() pops the top entry and calls the slot's fire operation,
-// which moves the callable out of its slot, frees the slot and only then
-// invokes the local copy: an event may schedule events and grow the slab,
-// which relocates every pending callable, so no reference into the slab
-// is live across the call.
+// Queue. A region schedules nearly all of its events at a few fixed
+// delays (send pacing, the wire, the service time), so the entries live
+// in kLanes FIFO lanes plus a binary heap:
+//  - A lane holds the entries of one delay d = t - now(). now() never
+//    decreases and seq always increases, so appending keeps a lane sorted
+//    by (time, seq): scheduling into a lane is an O(1) push, no sift.
+//  - A delay owns a lane from the moment it claims one until another
+//    delay re-claims that lane after it has emptied. A delay without a
+//    lane claims a free (empty) one only if it is among the last kLanes
+//    delays sent to the heap, so one-off delays stay in the heap and a
+//    stream of random delays does not churn the lanes.
+//  - Everything else goes to the heap, keyed on (time, seq).
+// The next event is the least (time, seq) among the heap's top and the
+// fronts of the non-empty lanes (a bitmask). seq is unique, so this is
+// exactly the insertion-sequence order above, whichever container holds
+// an entry: the lanes change what an event costs, never when it fires.
+//
+// Firing. step() removes the earliest entry and calls the slot's fire
+// operation, which moves the callable out of its slot, frees the slot and
+// only then invokes the local copy: an event may schedule events and grow
+// the slab, which relocates every pending callable, so no reference into
+// the slab is live across the call.
 //
 // Inline size. A callable larger than kInlineBytes does not compile; there
 // is no heap fallback. The buffer fits the largest callable scheduled
@@ -35,9 +49,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -51,8 +68,13 @@ class Simulator {
  public:
   /// Capacity of a slot's inline buffer; see the header comment.
   static constexpr std::size_t kInlineBytes = 32;
+  /// Number of fixed-delay FIFO lanes; see the header comment.
+  static constexpr int kLanes = 8;
 
-  Simulator() = default;
+  Simulator() {
+    delay_.fill(kUnclaimed);
+    missed_.fill(kUnclaimed);
+  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -78,8 +100,7 @@ class Simulator {
     s.ops = &kOps<Fn>;
     const std::uint32_t slot = free_;
     free_ = s.next_free;
-    heap_.push_back(Entry{t, next_seq_++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    enqueue(Entry{t, next_seq_++, slot});
   }
 
   /// Schedules `fn` after a non-negative delay.
@@ -91,20 +112,19 @@ class Simulator {
 
   /// Runs the next event. Returns false when the queue is empty.
   bool step() {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry top = heap_.back();
-    heap_.pop_back();
-    now_ = top.time;
-    ++events_processed_;
-    slab_[top.slot].ops->fire(*this, top.slot);
+    const int from = earliest();
+    if (from == kNone) return false;
+    fire_from(from);
     return true;
   }
 
   /// Runs events until virtual time would pass `deadline` (events at
   /// exactly `deadline` are executed).
   void run_until(TimeNs deadline) {
-    while (!heap_.empty() && heap_.front().time <= deadline) step();
+    for (int from = earliest(); from != kNone && front(from).time <= deadline;
+         from = earliest()) {
+      fire_from(from);
+    }
     if (now_ < deadline) now_ = deadline;
   }
 
@@ -112,9 +132,10 @@ class Simulator {
   /// passes, or the queue drains.
   void run_while(TimeNs deadline) {
     stop_requested_ = false;
-    while (!stop_requested_ && !heap_.empty() &&
-           heap_.front().time <= deadline) {
-      step();
+    for (int from = earliest();
+         !stop_requested_ && from != kNone && front(from).time <= deadline;
+         from = earliest()) {
+      fire_from(from);
     }
     if (!stop_requested_ && now_ < deadline) now_ = deadline;
   }
@@ -123,10 +144,15 @@ class Simulator {
   void stop() { stop_requested_ = true; }
 
   std::uint64_t events_processed() const { return events_processed_; }
-  bool idle() const { return heap_.empty(); }
+  bool idle() const { return heap_.empty() && busy_ == 0; }
 
  private:
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  // earliest()'s answers besides a lane index.
+  static constexpr int kHeap = kLanes;
+  static constexpr int kNone = -1;
+  // Delay label of a lane no delay has claimed yet (delays are >= 0).
+  static constexpr DurationNs kUnclaimed = -1;
 
   // The operations of one callable type, shared by all its slots.
   struct Ops {
@@ -190,13 +216,108 @@ class Simulator {
   };
   static_assert(sizeof(Entry) == 24);
 
+  static bool earlier(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
   // Heap comparator: the top is the earliest (time, seq).
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return earlier(b, a);
     }
   };
+
+  // A ring buffer of entries, sorted because they share one delay. The
+  // storage is allocated on the first push and doubles when full.
+  struct Lane {
+    std::unique_ptr<Entry[]> ring;
+    std::uint32_t mask = 0;  // capacity - 1; capacity is a power of two
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+
+    const Entry& front() const { return ring[head]; }
+    void push(const Entry& e) {
+      if (ring == nullptr || size > mask) grow();
+      ring[(head + size) & mask] = e;
+      ++size;
+    }
+    void pop() {
+      head = (head + 1) & mask;
+      --size;
+    }
+    void grow() {
+      const std::uint32_t cap = ring == nullptr ? 16 : 2 * (mask + 1);
+      auto bigger = std::make_unique<Entry[]>(cap);
+      for (std::uint32_t i = 0; i < size; ++i) {
+        bigger[i] = ring[(head + i) & mask];
+      }
+      ring = std::move(bigger);
+      mask = cap - 1;
+      head = 0;
+    }
+  };
+
+  void enqueue(const Entry& e) {
+    const DurationNs d = e.time - now_;
+    for (int k = 0; k < kLanes; ++k) {
+      if (delay_[static_cast<std::size_t>(k)] == d) return push_lane(k, e);
+    }
+    const std::uint32_t free_lanes = ~busy_ & ((1u << kLanes) - 1);
+    if (free_lanes != 0 &&
+        std::find(missed_.begin(), missed_.end(), d) != missed_.end()) {
+      const int k = std::countr_zero(free_lanes);
+      delay_[static_cast<std::size_t>(k)] = d;
+      return push_lane(k, e);
+    }
+    missed_[next_miss_++ % kLanes] = d;
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  void push_lane(int k, const Entry& e) {
+    lanes_[static_cast<std::size_t>(k)].push(e);
+    busy_ |= 1u << k;
+  }
+
+  // The source of the earliest pending entry: a lane index, kHeap, or
+  // kNone when nothing is pending.
+  int earliest() const {
+    int from = heap_.empty() ? kNone : kHeap;
+    const Entry* best = heap_.empty() ? nullptr : &heap_.front();
+    for (std::uint32_t m = busy_; m != 0; m &= m - 1) {
+      const int k = std::countr_zero(m);
+      const Entry& e = lanes_[static_cast<std::size_t>(k)].front();
+      if (best == nullptr || earlier(e, *best)) {
+        best = &e;
+        from = k;
+      }
+    }
+    return from;
+  }
+
+  const Entry& front(int from) const {
+    return from == kHeap ? heap_.front()
+                         : lanes_[static_cast<std::size_t>(from)].front();
+  }
+
+  // Removes the front entry of `from` and fires it.
+  void fire_from(int from) {
+    Entry top{};
+    if (from == kHeap) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      top = heap_.back();
+      heap_.pop_back();
+    } else {
+      Lane& lane = lanes_[static_cast<std::size_t>(from)];
+      top = lane.front();
+      lane.pop();
+      if (lane.size == 0) busy_ &= ~(1u << from);
+    }
+    now_ = top.time;
+    ++events_processed_;
+    slab_[top.slot].ops->fire(*this, top.slot);
+  }
 
   void grow() {
     slab_.emplace_back();
@@ -204,6 +325,11 @@ class Simulator {
   }
 
   std::vector<Entry> heap_;
+  std::array<Lane, kLanes> lanes_{};
+  std::array<DurationNs, kLanes> delay_;   // lane k's delay, or kUnclaimed
+  std::array<DurationNs, kLanes> missed_;  // the last kLanes misses, a ring
+  std::uint32_t next_miss_ = 0;
+  std::uint32_t busy_ = 0;  // bit k set <=> lane k is non-empty
   std::vector<Slot> slab_;
   std::uint32_t free_ = kNoSlot;
   TimeNs now_ = 0;

@@ -110,9 +110,8 @@ void Merger::drain() {
         [this](int from, const Tuple& t) { return emit(from, t); },
         [this, now](std::uint64_t count, TimeNs declared_at) {
           gaps_.inc(count);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            gap_wait_ns_.record(static_cast<std::uint64_t>(now - declared_at));
-          }
+          gap_wait_ns_.record(static_cast<std::uint64_t>(now - declared_at),
+                              count);
         });
   } else {
     // Parallel sinks: no sequence gating — the queues only hold tuples

@@ -1,10 +1,11 @@
 // Test-only reference for the discrete-event engine: the plain version of
 // sim::Simulator, a std::priority_queue of whole {time, seq,
 // std::function} events. The production engine keeps callables in a
-// recycled slab behind a heap of {time, seq, slot} entries; the
-// SimulatorOracle tests (test_sim_event.cc) run the same seeded programs
-// on both and require identical firing traces, clocks and counters, and
-// micro_core's BM_SimulatorEventChurn times both.
+// recycled slab and orders {time, seq, slot} entries in per-delay FIFO
+// lanes beside a heap; the SimulatorOracle tests (test_sim_event.cc) run
+// the same seeded programs on both and require identical firing traces,
+// clocks and counters, and micro_core's BM_SimulatorEventChurn rows time
+// both.
 #pragma once
 
 #include <cassert>

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -82,6 +83,25 @@ TEST(Histogram, CountSumMean) {
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.sum(), 30u);
   EXPECT_DOUBLE_EQ(h.mean(), 10.0);
+}
+
+TEST(Histogram, RecordManyEqualsRepeatedRecord) {
+  Histogram many;
+  Histogram repeated;
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> samples = {
+      {0, 3}, {1, 1}, {700, 1000}, {1u << 20, 17}, {5, 0}};
+  for (const auto& [v, n] : samples) {
+    many.record(v, n);
+    for (std::uint64_t i = 0; i < n; ++i) repeated.record(v);
+  }
+  EXPECT_EQ(many.count(), 1021u);
+  EXPECT_EQ(many.count(), repeated.count());
+  EXPECT_EQ(many.sum(), repeated.sum());
+  for (int k = 0; k < Histogram::kBuckets; ++k) {
+    EXPECT_EQ(many.bucket_count(k), repeated.bucket_count(k))
+        << "bucket " << k;
+  }
+  EXPECT_DOUBLE_EQ(many.quantile(0.5), repeated.quantile(0.5));
 }
 
 TEST(Histogram, QuantileEdgeCases) {

@@ -238,16 +238,32 @@ TEST(Simulator, PendingCallablesReleasedOnDestruction) {
 
 // ---- differential oracle ----------------------------------------------------
 
+struct OracleKnobs {
+  TimeNs max_delay = 10;
+  double stop_chance = 0.02;
+  int burst = 0;  // events one early event schedules from inside its call
+  int ops = 400;
+  // When non-empty, delays come from this palette, except that with
+  // probability `rare` a draw is uniform in {0, ..., max_delay}.
+  std::vector<TimeNs> palette;
+  double rare = 0;
+};
+
 // One seeded random program on engine `Sim`. Each event appends (id, now)
 // to the trace and draws its follow-ups from the program's own generator,
 // so two engines stay in lockstep exactly as long as they fire the same
-// events in the same order. Delays are drawn from {0, ..., max_delay}, so a
-// small max_delay makes most events tie on time.
+// events in the same order. Delays are drawn from {0, ..., max_delay}
+// (or the knobs' palette), so a small max_delay makes most events tie on
+// time.
 template <class Sim>
 class Program {
  public:
-  Program(std::uint64_t seed, TimeNs max_delay, double stop_chance)
-      : rng_(seed), max_delay_(max_delay), stop_chance_(stop_chance) {}
+  Program(std::uint64_t seed, const OracleKnobs& k)
+      : rng_(seed),
+        max_delay_(k.max_delay),
+        stop_chance_(k.stop_chance),
+        palette_(k.palette),
+        rare_(k.rare) {}
 
   Sim sim;
   std::vector<std::pair<int, TimeNs>> trace;
@@ -274,6 +290,14 @@ class Program {
             std::function<void()>([this, id, depth] { fire(id, depth); }));
         break;
     }
+  }
+
+  TimeNs draw_delay() {
+    if (!palette_.empty() && !rng_.chance(rare_)) {
+      return palette_[rng_.below(palette_.size())];
+    }
+    return static_cast<TimeNs>(rng_.below(static_cast<std::uint64_t>(
+        max_delay_ + 1)));
   }
 
   /// Schedules an event that, when it runs, schedules `count` more events
@@ -309,14 +333,11 @@ class Program {
     }
   }
 
-  TimeNs draw_delay() {
-    return static_cast<TimeNs>(rng_.below(static_cast<std::uint64_t>(
-        max_delay_ + 1)));
-  }
-
   Rng rng_;
   TimeNs max_delay_;
   double stop_chance_;
+  std::vector<TimeNs> palette_;
+  double rare_;
   int next_id_ = 0;
 };
 
@@ -350,20 +371,13 @@ template <class A, class B>
   return ::testing::AssertionSuccess();
 }
 
-struct OracleKnobs {
-  TimeNs max_delay = 10;
-  double stop_chance = 0.02;
-  int burst = 0;  // events one early event schedules from inside its call
-  int ops = 400;
-};
-
 // Drives the engine and the reference through the same random sequence of
 // schedule_at / schedule_after / step / run_until / run_while calls,
 // comparing trace, clock, event count and idleness after every call.
 // Returns the number of events the program fired.
 std::uint64_t run_oracle(std::uint64_t seed, const OracleKnobs& k) {
-  Program<Simulator> fast(seed, k.max_delay, k.stop_chance);
-  Program<testref::ReferenceSimulator> ref(seed, k.max_delay, k.stop_chance);
+  Program<Simulator> fast(seed, k);
+  Program<testref::ReferenceSimulator> ref(seed, k);
   Rng ops_rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   auto both = [&](auto&& op, int i) {
     op(fast);
@@ -384,7 +398,9 @@ std::uint64_t run_oracle(std::uint64_t seed, const OracleKnobs& k) {
     switch (kind) {
       case 0:
       case 1:
-        both([&](auto& p) { p.add(absolute, span, depth); }, i);
+        both([&](auto& p) {
+          p.add(absolute, k.palette.empty() ? span : p.draw_delay(), depth);
+        }, i);
         break;
       case 2:
         both([&](auto& p) { p.sim.step(); }, i);
@@ -439,6 +455,85 @@ TEST(SimulatorOracle, SlabGrowthInsideAnEventMatchesReference) {
 TEST(SimulatorOracle, RunWhileStopsMatchReference) {
   OracleKnobs k;
   k.stop_chance = 0.25;
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    fired += run_oracle(seed, k);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(fired, 5000u);
+}
+
+// The engine keeps Simulator::kLanes FIFO lanes of fixed-delay entries
+// beside its heap (event.h). The next three cases aim at how those two
+// interleave.
+
+TEST(SimulatorOracle, MoreDelaysThanLanesMatchReference) {
+  // Uniform delays in {0, ..., 1000}: most are one-offs that stay in the
+  // heap, and the few that repeat claim lanes between them.
+  OracleKnobs uniform;
+  uniform.max_delay = 1000;
+  // A palette of 12 delays recurs often enough that every delay claims a
+  // lane in turn, but only 8 fit at once.
+  OracleKnobs palette;
+  palette.max_delay = 150;
+  for (TimeNs d = 0; d < Simulator::kLanes + 4; ++d) {
+    palette.palette.push_back(d * d);
+  }
+  std::uint64_t fired = 0;
+  for (const OracleKnobs& k : {uniform, palette}) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      fired += run_oracle(seed, k);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(fired, 10000u);
+}
+
+TEST(SimulatorOracle, LaneReclaimedWhileItsOldDelayWaitsInTheHeap) {
+  // A scripted walk through the lane rules: a delay without a lane claims
+  // a free one only if it is among the last kLanes delays sent to the
+  // heap, and kLanes - 1 long filler delays keep all lanes but one busy.
+  constexpr TimeNs kA = 10;
+  constexpr TimeNs kB = 12;
+  auto script = [](auto& p) {
+    for (int f = 0; f < Simulator::kLanes - 1; ++f) {
+      p.add(false, 1000 + f, 0);  // first sight: to the heap
+      p.add(false, 1000 + f, 0);  // seen again: claims a lane
+    }
+    p.add(false, kA, 0);  // heap
+    p.add(false, kA, 0);  // claims the last lane
+    p.sim.run_until(10);  // both fire: A's lane is empty
+    p.add(false, kB, 0);  // heap
+    p.add(false, kB, 0);  // re-claims A's lane
+    p.add(false, kA, 0);  // A has lost its lane: heap, at 20
+    p.sim.run_until(15);
+    p.add(false, kA, 0);  // heap, at 25
+    p.sim.run_until(22);  // A@20, B@22, B@22: B's lane empties
+    // A claims the free lane at 32 while its own entry at 25 is still in
+    // the heap: the lane front must wait for the heap top.
+    p.add(false, kA, 0);
+    p.sim.run_until(40);
+    EXPECT_EQ(p.trace.size(), 7u);
+    run_until_idle(p.sim);
+  };
+  OracleKnobs k;
+  k.stop_chance = 0;
+  Program<Simulator> fast(1, k);
+  Program<testref::ReferenceSimulator> ref(1, k);
+  script(fast);
+  script(ref);
+  EXPECT_TRUE(same_state(fast, ref));
+  EXPECT_EQ(fast.trace.size(), 2u * (Simulator::kLanes - 1) + 7u);
+}
+
+TEST(SimulatorOracle, RegionDelayMixMatchesReference) {
+  // A region's shape, scaled down: send pacing, the wire and the service
+  // time (100 ns, 2 us, 600 us) carry nearly every event, and one draw in
+  // a hundred is a long one-off (a control tick, a fault, an ack).
+  OracleKnobs k;
+  k.palette = {1, 20, 6000};
+  k.rare = 0.01;
+  k.max_delay = 60000;
   std::uint64_t fired = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     fired += run_oracle(seed, k);
