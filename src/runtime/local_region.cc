@@ -82,7 +82,8 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   loop_->attach_metrics(metrics_, "region.");
 
   // Topology bring-up: a listener per worker for the splitter connection,
-  // one listener at the merger side for the worker->merger connections.
+  // one listener at the merger side for the worker->merger connections,
+  // which the merger keeps for restarted workers to dial.
   net::Listener merger_listener;
   std::vector<net::Fd> worker_to_merger;
   std::vector<net::Fd> merger_from_worker;
@@ -121,8 +122,7 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   }
 
   merger_ = std::make_unique<MergerPe>(
-      std::move(merger_from_worker), metrics_,
-      /*fault_tolerant=*/!config_.failure_events.empty(),
+      std::move(merger_from_worker), std::move(merger_listener), metrics_,
       config_.delivery.mode, std::move(merger_ack_out));
 
   const auto n = static_cast<std::size_t>(config_.workers);
@@ -135,11 +135,15 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
 LocalRegion::~LocalRegion() {
   // Tear down in dependency order so a constructed-but-never-run region
   // (e.g. a parity test driving the control loop externally) still
-  // unwinds: close the splitter sockets so workers reading them see EOF,
-  // join the worker threads, then destroy them — which closes their
-  // worker->merger sockets, the EOFs the merger needs to finish. A
-  // fault-mode merger additionally waits for reconnects that will never
-  // come unless told the region is closing.
+  // unwinds promptly: FIN every worker, as run() does at shutdown, so
+  // each forwards a FIN and the merger finishes without waiting for
+  // re-admissions; then close the splitter sockets, join the worker
+  // threads and destroy them. Crashed slots that never reconnected are
+  // final once the merger is told the region is closing.
+  const std::vector<std::uint8_t> fin = net::fin_bytes();
+  for (const net::Fd& s : to_workers_) {
+    ::send(s.get(), fin.data(), fin.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+  }
   to_workers_.clear();
   for (auto& w : workers_) w->join();
   workers_.clear();
@@ -194,10 +198,10 @@ bool LocalRegion::try_reconnect(int j, TimeNs now) {
     net::set_send_buffer(splitter_side.get(), config_.socket_buffer_bytes);
     net::set_recv_buffer(worker_side.get(), config_.socket_buffer_bytes);
 
-    // Re-admit the worker's merger stream: dial the merger's reconnect
-    // port and announce the slot with a hello frame before any data
-    // flows, then a watermark: the new stream carries only sequences not
-    // issued yet, so the merger need not wait on it for older ones.
+    // Re-admit the worker's merger stream: dial the merger's listener and
+    // announce the slot with a hello frame before any data flows, then a
+    // watermark: the new stream carries only sequences not issued yet, so
+    // the merger need not wait on it for older ones.
     net::Fd to_merger =
         net::connect_loopback(merger_->reconnect_port(), 1000);
     net::set_nodelay(to_merger.get());
@@ -342,9 +346,8 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   // only its retransmit path until nothing is pending — bounded, so a
   // region that lost every worker for good reports the loss instead of
   // hanging. Then every live connection gets a FIN, after any shed
-  // announcements (without them the merger would gate forever in plain
-  // mode or mis-account trailing sheds). A FINed worker exits, so its
-  // connection is down for good.
+  // announcements (without them the merger would mis-account trailing
+  // sheds). A FINed worker exits, so its connection is down for good.
   bool draining = false;
   TimeNs drain_deadline = 0;
   const std::vector<std::uint8_t> fin = net::fin_bytes();

@@ -64,8 +64,7 @@ struct LocalRegionConfig {
   DurationNs sample_period = millis(100);
   /// External-load schedule applied during run().
   std::vector<LoadEvent> load_events;
-  /// Failure schedule applied during run(). Non-empty schedules enable
-  /// the fault-tolerant merger (reconnect port, crash EOF as a stream end).
+  /// Failure schedule applied during run().
   std::vector<FailureEvent> failure_events;
 
   // --- Overload protection (DESIGN.md §7, §9) --------------------------

@@ -19,21 +19,25 @@ namespace {
 /// smaller progress is flushed whenever the poll loop goes idle.
 constexpr std::uint64_t kAckEvery = 64;
 
+/// Longest poll wait: bounds how late an idle merger flushes ack progress
+/// below kAckEvery and notices begin_shutdown().
+constexpr int kPollTimeoutMs = 100;
+
 }  // namespace
 
-MergerPe::MergerPe(std::vector<net::Fd> from_workers,
-                   obs::MetricsRegistry& metrics, bool fault_tolerant,
-                   delivery::DeliveryMode mode, net::Fd ack_out)
+MergerPe::MergerPe(std::vector<net::Fd> from_workers, net::Listener listener,
+                   obs::MetricsRegistry& metrics, delivery::DeliveryMode mode,
+                   net::Fd ack_out)
     : from_workers_(std::move(from_workers)),
       mode_(mode),
       ack_out_(std::move(ack_out)),
+      listener_(std::move(listener)),
       emitted_(metrics.counter("merger.emitted")),
       gaps_(metrics.counter("merger.gaps")),
       dup_discards_(metrics.counter("merger.dup_discards")),
       late_discards_(metrics.counter("merger.late_discards")),
       reconnects_(metrics.counter("merger.reconnects")),
       max_depth_(metrics.gauge("merger.max_depth")) {
-  if (fault_tolerant) listener_ = std::make_unique<net::Listener>();
   thread_ = std::thread([this] { run(); });
 }
 
@@ -48,13 +52,13 @@ void MergerPe::join() {
 void MergerPe::run() {
   try {
     const std::size_t n = from_workers_.size();
-    const bool ft = listener_ != nullptr;
     const bool alo = mode_ == delivery::DeliveryMode::kAtLeastOnce;
     // Queues hold bare sequence numbers: only counts leave the merger.
     delivery::ReleaseCore<std::uint64_t> core(static_cast<int>(n), mode_);
     std::vector<net::FrameDecoder> decoders(n);
     std::vector<bool> finished(n, false);  // the slot's input is over
     std::size_t done = 0;                  // finished slots
+    bool crashed = false;  // some stream has ended without a FIN
     std::vector<std::uint8_t> buf(64 * 1024);
 
     // Reconnect connections accepted but not yet claimed by a hello.
@@ -71,16 +75,11 @@ void MergerPe::run() {
         return true;
       });
     };
-    // Publishes the core's counts to the registry. Plain mode declares
-    // neither gaps nor replays, so a stale arrival there (a late_discard
-    // to the core) is a real order violation.
+    // Publishes the core's counts to the registry.
     const auto publish = [&] {
       gaps_.advance_to(core.gaps());
       dup_discards_.advance_to(core.dup_discards());
       late_discards_.advance_to(core.late_discards());
-      if (!ft && core.late_discards() > 0) {
-        order_ok_.store(false, std::memory_order_relaxed);
-      }
     };
 
     // Cumulative-ack pump (at-least-once): tell the splitter the highest
@@ -115,13 +114,13 @@ void MergerPe::run() {
       ++done;
       core.close(static_cast<int>(j));
     };
-    // Slot j's stream broke without a FIN. Plain mode: its input is over.
-    // Fault mode: a crash, and the slot may be re-admitted through the
-    // reconnect port. Under GapSkip the stream has ended all the same;
-    // under at-least-once any stream may still carry a replay of any
-    // unacked sequence, so nothing is inferred until the slot finishes.
+    // Slot j's stream broke without a FIN: a crash, and the slot may be
+    // re-admitted through the listener. Under GapSkip the stream has
+    // ended all the same; under at-least-once any stream may still carry
+    // a replay of any unacked sequence, so nothing is inferred until the
+    // slot finishes.
     const auto broke = [&](std::size_t j) {
-      if (!ft) return finish(j);
+      crashed = true;
       from_workers_[j].reset();
       if (!alo) core.close(static_cast<int>(j));
     };
@@ -151,8 +150,8 @@ void MergerPe::run() {
       }
       if (decoders[j].corrupt()) {
         // Garbage on the wire: no way to resynchronize a length-prefixed
-        // stream. Treat as a lost connection (fault mode may re-admit it
-        // through the reconnect port with a fresh decoder).
+        // stream. Treat as a lost connection (a re-admission through the
+        // listener brings a fresh decoder).
         SLB_ERROR() << "merger: corrupt stream from slot " << j;
         broke(j);
       }
@@ -162,11 +161,14 @@ void MergerPe::run() {
     // hello not yet read) may carry any sequence from the cursor up, so
     // no loss is inferred until it is. A restarted worker dials before
     // it is sent anything, so a survivor's output that outran it cannot
-    // have been read before the dial is visible here.
+    // have been read before the dial is visible here. Before any crash
+    // is read, the dead worker's old stream is still open and holds the
+    // cursor below anything its replacement can carry, so the listener
+    // need not be probed.
     const auto readmitting = [&] {
-      if (!ft || done == n) return false;
+      if (!crashed || done == n) return false;
       if (!pending.empty()) return true;
-      pollfd p{listener_->fd(), POLLIN, 0};
+      pollfd p{listener_.fd(), POLLIN, 0};
       return ::poll(&p, 1, 0) > 0;
     };
 
@@ -180,16 +182,13 @@ void MergerPe::run() {
         pfds.push_back(pollfd{from_workers_[j].get(), POLLIN, 0});
         tags.push_back(static_cast<long>(j));
       }
-      if (ft) {
-        pfds.push_back(pollfd{listener_->fd(), POLLIN, 0});
-        tags.push_back(-1);
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-          pfds.push_back(pollfd{pending[i].fd.get(), POLLIN, 0});
-          tags.push_back(-2 - static_cast<long>(i));
-        }
+      pfds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+      tags.push_back(-1);
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        pfds.push_back(pollfd{pending[i].fd.get(), POLLIN, 0});
+        tags.push_back(-2 - static_cast<long>(i));
       }
-      const int rc =
-          ::poll(pfds.data(), pfds.size(), (ft || alo) ? 100 : 1000);
+      const int rc = ::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
       if (rc < 0) {
         if (errno == EINTR) continue;
         break;
@@ -206,7 +205,7 @@ void MergerPe::run() {
           // A restarted worker (or the region, closing a dead worker's
           // stream) dialed in; its first frame must be a hello.
           Pending p;
-          p.fd = listener_->accept_one(0);
+          p.fd = listener_.accept_one(0);
           arrived.push_back(std::move(p));
           continue;
         }
@@ -246,6 +245,7 @@ void MergerPe::run() {
           p.fd.reset();
           continue;
         }
+        broke(w);  // the old stream, if still open, ended without a FIN
         from_workers_[w] = std::move(p.fd);
         decoders[w] = std::move(p.decoder);
         core.reopen(static_cast<int>(w));
@@ -259,7 +259,7 @@ void MergerPe::run() {
                     pending.end());
       for (Pending& p : arrived) pending.push_back(std::move(p));
 
-      if (ft && closing_.load(std::memory_order_acquire)) {
+      if (closing_.load(std::memory_order_acquire)) {
         // Region shutdown: disconnected slots will not reconnect anymore;
         // their streams are complete as far as they will ever be.
         for (std::size_t j = 0; j < n; ++j) {
@@ -269,11 +269,11 @@ void MergerPe::run() {
 
       // Release what arrived, then skip whatever no open stream can still
       // carry. Once every slot has finished this is the end-of-input
-      // flush. Plain mode loses nothing, so a skip there is an order
-      // violation.
+      // flush. Until a stream has crashed nothing was lost, so a skip
+      // before then is an order violation.
       release();
       while (!readmitting() && core.skip_unreachable() > 0) {
-        if (!ft) order_ok_.store(false, std::memory_order_relaxed);
+        if (!crashed) order_ok_.store(false, std::memory_order_relaxed);
         release();
       }
       publish();

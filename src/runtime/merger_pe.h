@@ -10,20 +10,15 @@
 // to find sequences that died with a worker: once no open stream can
 // still carry the next sequence, it never arrives, and
 // delivery::ReleaseCore::skip_unreachable() counts it as a gap (DESIGN.md
-// §6). A stream ends at its FIN; in plain mode also at EOF.
-//
-// Fault tolerance (optional, see DESIGN.md "Failure model"): a
-// fault-tolerant merger also
-//   * listens on an ephemeral reconnect port — a restarted worker
-//     connects there and announces itself with a hello frame carrying its
-//     worker id, which reopens the slot;
-//   * treats EOF-without-FIN as a crash, not completion: the slot may be
-//     re-admitted later, and the run only ends once every slot has FINed
-//     or the region shuts down. Under GapSkip the crashed stream has
-//     ended, and the survivors' progress (or the zero-count gap frames
-//     the splitter sends them as watermarks) passes what it lost. Under
-//     at-least-once those sequences are replayed instead, and nothing is
-//     skipped before the end of input.
+// §6). A stream ends at its FIN. An EOF without a FIN is a crash: the
+// slot may be re-admitted later, and the run only ends once every slot
+// has FINed or the region shuts down. A restarted worker dials the
+// merger's listener and announces itself with a hello frame carrying its
+// worker id, which reopens the slot. Under GapSkip the crashed stream has
+// ended, and the survivors' progress (or the zero-count gap frames the
+// splitter sends them as watermarks) passes what it lost. Under
+// at-least-once those sequences are replayed instead, and nothing is
+// skipped before the end of input.
 //
 // The sequencing state machine is delivery::ReleaseCore, shared with the
 // simulator's merger; this adapter adds the poll/read/decode loop,
@@ -32,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -44,7 +38,9 @@ namespace slb::rt {
 
 class MergerPe {
  public:
-  /// Takes ownership of all worker connections; starts immediately.
+  /// Takes ownership of all worker connections and of the listener they
+  /// were accepted on, where restarted workers dial in; starts
+  /// immediately.
   /// The merger thread is the single writer of `metrics`' "merger.*"
   /// counters and its "merger.max_depth" gauge (DESIGN.md §8); the
   /// registry must outlive the PE and is a ctor parameter because the
@@ -52,8 +48,8 @@ class MergerPe {
   /// `ack_out` (at-least-once only) is the merger->splitter reverse
   /// connection cumulative acks ride on; writes are non-blocking and
   /// drop-on-full — the cumulative encoding makes lost acks harmless.
-  MergerPe(std::vector<net::Fd> from_workers, obs::MetricsRegistry& metrics,
-           bool fault_tolerant = false,
+  MergerPe(std::vector<net::Fd> from_workers, net::Listener listener,
+           obs::MetricsRegistry& metrics,
            delivery::DeliveryMode mode = delivery::DeliveryMode::kGapSkip,
            net::Fd ack_out = {});
 
@@ -65,10 +61,10 @@ class MergerPe {
   /// Tuples released downstream so far (monotone, thread-safe).
   std::uint64_t emitted() const { return emitted_.value(); }
 
-  /// Fault tolerance only: tells the merger the region is shutting down,
-  /// so crashed slots that never reconnected are final — treat their
-  /// EOF-without-FIN as completion instead of waiting for a re-admission
-  /// that will never come. Call after FINing every live worker.
+  /// Tells the merger the region is shutting down, so crashed slots that
+  /// never reconnected are final — treat their EOF-without-FIN as
+  /// completion instead of waiting for a re-admission that will never
+  /// come. Call after FINing every live worker.
   void begin_shutdown() {
     closing_.store(true, std::memory_order_release);
   }
@@ -93,10 +89,8 @@ class MergerPe {
   /// as unreachable. 0 while every stream is FIFO.
   std::uint64_t late_discards() const { return late_discards_.value(); }
 
-  /// Port restarted workers connect to (fault tolerance only, else 0).
-  std::uint16_t reconnect_port() const {
-    return listener_ ? listener_->port() : 0;
-  }
+  /// Port restarted workers connect to.
+  std::uint16_t reconnect_port() const { return listener_.port(); }
 
  private:
   void run();
@@ -104,7 +98,7 @@ class MergerPe {
   std::vector<net::Fd> from_workers_;
   delivery::DeliveryMode mode_;
   net::Fd ack_out_;
-  std::unique_ptr<net::Listener> listener_;
+  net::Listener listener_;
   obs::Counter& emitted_;
   obs::Counter& gaps_;
   obs::Counter& dup_discards_;

@@ -32,7 +32,7 @@ struct HostSpec {
 /// service-time factor per worker.
 class HostModel {
  public:
-  /// Default model: every worker on its own dedicated speed-1 host.
+  /// By default every worker runs on its own dedicated speed-1 host.
   HostModel() = default;
 
   HostModel(std::vector<HostSpec> hosts, std::vector<int> worker_host)

@@ -295,12 +295,36 @@ TEST(RuntimeFailure, KillAndRestartReconnects) {
 
 TEST(RuntimeFailure, CleanRunReportsNoGaps) {
   rt::LocalRegionConfig cfg = rt_config(2);
-  cfg.failure_events = {{millis(10'000'000), 0, false}};  // never fires
   rt::LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
   const rt::LocalRunStats stats = region.run(millis(400));
   EXPECT_EQ(stats.gaps, 0u);
   EXPECT_EQ(stats.channel_failures, 0u);
   EXPECT_EQ(stats.emitted, stats.sent);
+  EXPECT_TRUE(stats.order_ok);
+}
+
+TEST(RuntimeFailure, UnscheduledKillIsReadmitted) {
+  // A worker killed outside the failure schedule stays restartable, so
+  // the splitter's next reconnect attempt succeeds and the merger
+  // re-admits its stream through the listener it was brought up on.
+  rt::LocalRegionConfig cfg = rt_config(2);
+  cfg.work_mode = rt::WorkMode::kTimed;
+  cfg.multiplies = 1000;
+  cfg.delivery.mode = delivery::DeliveryMode::kAtLeastOnce;
+  rt::LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+  bool killed = false;
+  region.set_sample_hook([&](const rt::LocalSample& s) {
+    if (killed || s.elapsed < millis(100)) return;
+    region.worker(0).kill();
+    killed = true;
+  });
+  const rt::LocalRunStats stats = region.run(millis(1500));
+
+  ASSERT_TRUE(killed);
+  EXPECT_GE(region.metrics().counter("splitter.reconnects").value(), 1u);
+  EXPECT_GE(region.metrics().counter("merger.reconnects").value(), 1u);
+  EXPECT_EQ(stats.emitted, stats.sent);
+  EXPECT_EQ(stats.gaps, 0u);
   EXPECT_TRUE(stats.order_ok);
 }
 

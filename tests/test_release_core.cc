@@ -819,7 +819,7 @@ void PrintTo(const Counters& c, std::ostream* os) {
 /// rt::MergerPe fed over socketpairs; the test holds the worker ends.
 class RtMergerHarness {
  public:
-  RtMergerHarness(int conns, bool ft, DeliveryMode mode, bool with_acks) {
+  RtMergerHarness(int conns, DeliveryMode mode, bool with_acks) {
     std::vector<net::Fd> readers;
     for (int j = 0; j < conns; ++j) {
       int sv[2];
@@ -834,8 +834,9 @@ class RtMergerHarness {
       ack_in_ = net::Fd(sv[0]);
       ack_out = net::Fd(sv[1]);
     }
-    merger_ = std::make_unique<rt::MergerPe>(std::move(readers), metrics_,
-                                             ft, mode, std::move(ack_out));
+    merger_ = std::make_unique<rt::MergerPe>(
+        std::move(readers), net::Listener(), metrics_, mode,
+        std::move(ack_out));
   }
 
   void send(const Arrival& a) {
@@ -912,7 +913,7 @@ class RtMergerHarness {
 /// Plays `script` through both adapters, step by step, and requires the
 /// runtime to reach the simulator's counters after every step and at the
 /// end. Returns the final counters.
-Counters expect_parity(const std::vector<Step>& script, int conns, bool ft,
+Counters expect_parity(const std::vector<Step>& script, int conns,
                        DeliveryMode mode) {
   sim::Simulator sim;
   obs::MetricsRegistry metrics;
@@ -924,7 +925,7 @@ Counters expect_parity(const std::vector<Step>& script, int conns, bool ft,
   sim_merger.set_on_ack([&](std::uint64_t cum) { sim_ack = cum; }, 0);
 
   const bool alo = mode == DeliveryMode::kAtLeastOnce;
-  RtMergerHarness rt(conns, ft, mode, /*with_acks=*/alo);
+  RtMergerHarness rt(conns, mode, /*with_acks=*/alo);
 
   const auto sim_counters = [&] {
     return Counters{sim_merger.emitted(), sim_merger.gaps(),
@@ -965,19 +966,17 @@ TEST(MergerParity, GapSkipGapsAndLateArrivalsMatch) {
       {{0, 9}},
       {{1, 8}},                  // late again
   };
-  const Counters c =
-      expect_parity(script, 2, /*ft=*/true, DeliveryMode::kGapSkip);
+  const Counters c = expect_parity(script, 2, DeliveryMode::kGapSkip);
   EXPECT_EQ(c, (Counters{7, 3, 0, 2}));
 }
 
-TEST(MergerParity, PlainModeShedRangesMatch) {
+TEST(MergerParity, ShedRangesMatch) {
   const std::vector<Step> script = {
       {{0, 0}, {0, 2}},
       {{1, 1}, {1, 3, 2}},
       {{0, 5}},
   };
-  const Counters c =
-      expect_parity(script, 2, /*ft=*/false, DeliveryMode::kGapSkip);
+  const Counters c = expect_parity(script, 2, DeliveryMode::kGapSkip);
   EXPECT_EQ(c, (Counters{4, 2, 0, 0}));
 }
 
@@ -994,8 +993,7 @@ TEST(MergerParity, AtLeastOnceReplaysPoolAndDedupMatch) {
       {{1, 10}, {1, 10}},        // pooled, then a pool collision
       {{0, 9}},
   };
-  const Counters c =
-      expect_parity(script, 2, /*ft=*/false, DeliveryMode::kAtLeastOnce);
+  const Counters c = expect_parity(script, 2, DeliveryMode::kAtLeastOnce);
   EXPECT_EQ(c, (Counters{13, 0, 4, 0}));
 }
 
@@ -1010,8 +1008,7 @@ TEST(MergerParity, StreamEndMatchesDeclaredLoss) {
       {{1, 7}},
       {{0, 8}},
   };
-  const Counters c =
-      expect_parity(script, 3, /*ft=*/true, DeliveryMode::kGapSkip);
+  const Counters c = expect_parity(script, 3, DeliveryMode::kGapSkip);
   EXPECT_EQ(c, (Counters{7, 2, 0, 0}));
 }
 
@@ -1020,7 +1017,7 @@ TEST(MergerParity, IdleStretchDoesNotSkipAHealthySequence) {
   // idle, so the runtime skips nothing on time alone; with another
   // stream ended, the idle one still holds the cursor until it moves
   // past it.
-  RtMergerHarness rt(3, /*ft=*/true, DeliveryMode::kGapSkip, false);
+  RtMergerHarness rt(3, DeliveryMode::kGapSkip, false);
   rt.send({1, 1});  // e + 1 first...
   rt.send({2, 2});
   rt.send({2, 3, 0, Arrival::kEnd});
@@ -1042,7 +1039,7 @@ TEST(MergerParity, UnclaimedReadmissionHoldsTheSkip) {
   // A restarted worker's stream may carry anything from the cursor up, so
   // while its dial is not yet claimed by a hello, the runtime merger
   // infers nothing, even with every other stream past the cursor.
-  RtMergerHarness rt(3, /*ft=*/true, DeliveryMode::kGapSkip, false);
+  RtMergerHarness rt(3, DeliveryMode::kGapSkip, false);
   rt.send({2, 0, 0, Arrival::kEnd});  // worker 2 crashed
   net::Fd dial = net::connect_loopback(rt.merger().reconnect_port(), 1000);
   rt.send({0, 1});
@@ -1057,6 +1054,22 @@ TEST(MergerParity, UnclaimedReadmissionHoldsTheSkip) {
   EXPECT_EQ(rt.await(Counters{3, 0, 0, 0}), (Counters{3, 0, 0, 0}));
   rt.finish();
   EXPECT_EQ(rt.counters(), (Counters{3, 0, 0, 0}));
+}
+
+TEST(MergerParity, SkipBeforeAnyCrashIsAnOrderViolation) {
+  // Sequence 1 never arrives. With no stream ended without a FIN nothing
+  // was lost, so the end-of-input flush that skips it breaks order; once
+  // stream 1 has crashed, the same skip is a loss and order holds.
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "stream 1 crashed" : "no crash");
+    RtMergerHarness rt(2, DeliveryMode::kGapSkip, false);
+    if (crash) rt.send({1, 0, 0, Arrival::kEnd});
+    rt.send({0, 0});
+    rt.send({0, 2});
+    rt.finish();
+    EXPECT_EQ(rt.counters(), (Counters{2, 1, 0, 0}));
+    EXPECT_EQ(rt.merger().order_ok(), crash);
+  }
 }
 
 }  // namespace
