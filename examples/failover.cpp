@@ -5,12 +5,11 @@
 // A 3-worker region of the threaded runtime (real loopback sockets, real
 // worker threads). One second in, worker 1 is killed abruptly — its
 // sockets reset, everything buffered in its kernel queues is lost. The
-// splitter sees the broken pipe, quarantines the connection (weight 0,
-// survivors renormalized), and retries it with exponential backoff. Two
-// seconds later a stateless replacement PE becomes available; the next
-// reconnect attempt lands, the merger re-admits the stream via a hello
-// frame, and the load balancer probes the connection back up to full
-// weight.
+// splitter sees the broken pipe and quarantines the connection (weight
+// 0, survivors renormalized). Two seconds later a stateless replacement
+// PE becomes available; the splitter reconnects it at once, the merger
+// re-admits the stream via a hello frame, and the load balancer probes
+// the connection back up to full weight.
 //
 // Watch the weight column: full share -> 0 at the kill -> geometric
 // climb after the restart. The merger's output stays in order throughout;

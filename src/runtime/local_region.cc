@@ -81,9 +81,10 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   policy_->attach_metrics(metrics_, "policy.");
   loop_->attach_metrics(metrics_, "region.");
 
-  // Topology bring-up: a listener per worker for the splitter connection,
-  // one listener at the merger side for the worker->merger connections,
-  // which the merger keeps for restarted workers to dial.
+  // Topology bring-up: one listener at the merger side for the
+  // worker->merger connections, which the merger keeps for restarted
+  // workers to dial; then each worker's splitter connection and PE.
+  const auto n = static_cast<std::size_t>(config_.workers);
   net::Listener merger_listener;
   std::vector<net::Fd> worker_to_merger;
   std::vector<net::Fd> merger_from_worker;
@@ -92,23 +93,12 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
         net::connect_loopback(merger_listener.port()));
     merger_from_worker.push_back(merger_listener.accept_one());
   }
-
+  worker_up_.assign(n, 1);
+  load_mult_.assign(n, 1.0);
+  to_workers_.resize(n);
+  workers_.resize(n);
   for (int j = 0; j < config_.workers; ++j) {
-    net::Listener worker_listener;
-    net::Fd splitter_side = net::connect_loopback(worker_listener.port());
-    net::Fd worker_side = worker_listener.accept_one();
-
-    net::set_nodelay(splitter_side.get());
-    net::set_send_buffer(splitter_side.get(), config_.socket_buffer_bytes);
-    net::set_recv_buffer(worker_side.get(), config_.socket_buffer_bytes);
-    net::set_nodelay(worker_to_merger[static_cast<std::size_t>(j)].get());
-
-    to_workers_.push_back(std::move(splitter_side));
-    workers_.push_back(std::make_unique<WorkerPe>(
-        j, std::move(worker_side),
-        std::move(worker_to_merger[static_cast<std::size_t>(j)]),
-        config_.multiplies, config_.work_mode,
-        *service_hists_[static_cast<std::size_t>(j)]));
+    spawn(j, std::move(worker_to_merger[static_cast<std::size_t>(j)]));
   }
   // At-least-once bring-up: the merger->splitter ack connection (the
   // reverse hop cumulative acks ride on). The splitter reads its end
@@ -124,12 +114,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   merger_ = std::make_unique<MergerPe>(
       std::move(merger_from_worker), std::move(merger_listener), metrics_,
       config_.delivery.mode, std::move(merger_ack_out));
-
-  const auto n = static_cast<std::size_t>(config_.workers);
-  worker_up_.assign(n, 1);
-  next_reconnect_.assign(n, 0);
-  backoff_.assign(n, 0);
-  load_mult_.assign(n, 1.0);
 }
 
 LocalRegion::~LocalRegion() {
@@ -150,20 +134,7 @@ LocalRegion::~LocalRegion() {
   merger_->begin_shutdown();
 }
 
-DurationNs LocalRegion::jitter(DurationNs limit) {
-  // xorshift64*: plenty for de-synchronizing retry storms, and seeded
-  // deterministically so runs stay reproducible.
-  jitter_state_ ^= jitter_state_ >> 12;
-  jitter_state_ ^= jitter_state_ << 25;
-  jitter_state_ ^= jitter_state_ >> 27;
-  if (limit <= 0) return 0;
-  return static_cast<DurationNs>(
-      (jitter_state_ * 0x2545F4914F6CDD1Dull >> 33) %
-      static_cast<std::uint64_t>(limit));
-}
-
 void LocalRegion::quarantine(int j, TimeNs now) {
-  const auto ju = static_cast<std::size_t>(j);
   if (!core_.up(j)) return;
   mc_.channel_failures->inc();
   // At-least-once: the channel's unacked suffix queues for retransmission
@@ -173,62 +144,48 @@ void LocalRegion::quarantine(int j, TimeNs now) {
   if (core_.at_least_once()) {
     loop_->note_replay(now - run_start_, j, replay.tuples, replay.bytes);
   }
-  backoff_[ju] = kReconnectBackoffInitial;
-  next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
   loop_->mark_channel_down(j);
 }
 
-bool LocalRegion::try_reconnect(int j, TimeNs now) {
+void LocalRegion::spawn(int j, net::Fd to_merger) {
   const auto ju = static_cast<std::size_t>(j);
-  if (!worker_up_[ju]) {
-    // The worker process is still gone: treat as a failed dial and back
-    // off exponentially (with jitter, so several quarantined connections
-    // do not retry in lockstep).
-    backoff_[ju] = std::min(backoff_[ju] * 2, kReconnectBackoffMax);
-    next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
-    return false;
-  }
-  try {
-    // Rebuild the splitter->worker connection and spawn the stateless
-    // replacement PE, exactly like bring-up.
-    net::Listener listener;
-    net::Fd splitter_side = net::connect_loopback(listener.port(), 1000);
-    net::Fd worker_side = listener.accept_one(1000);
-    net::set_nodelay(splitter_side.get());
-    net::set_send_buffer(splitter_side.get(), config_.socket_buffer_bytes);
-    net::set_recv_buffer(worker_side.get(), config_.socket_buffer_bytes);
+  // The listener exists before the connect, so neither call needs a
+  // timeout.
+  net::Listener listener;
+  net::Fd splitter_side = net::connect_loopback(listener.port());
+  net::Fd worker_side = listener.accept_one();
+  net::set_nodelay(splitter_side.get());
+  net::set_send_buffer(splitter_side.get(), config_.socket_buffer_bytes);
+  net::set_recv_buffer(worker_side.get(), config_.socket_buffer_bytes);
+  net::set_nodelay(to_merger.get());
+  to_workers_[ju] = std::move(splitter_side);
+  workers_[ju] = std::make_unique<WorkerPe>(
+      j, std::move(worker_side), std::move(to_merger), config_.multiplies,
+      config_.work_mode, *service_hists_[ju]);
+  workers_[ju]->set_load_multiplier(load_mult_[ju]);
+}
 
+void LocalRegion::try_reconnect(int j) {
+  try {
     // Re-admit the worker's merger stream: dial the merger's listener and
     // announce the slot with a hello frame before any data flows, then a
     // watermark: the new stream carries only sequences not issued yet, so
     // the merger need not wait on it for older ones.
     net::Fd to_merger =
         net::connect_loopback(merger_->reconnect_port(), 1000);
-    net::set_nodelay(to_merger.get());
     std::vector<std::uint8_t> hello =
         net::hello_bytes(static_cast<std::uint32_t>(j));
     const std::vector<std::uint8_t> watermark =
         net::gap_bytes(core_.next_seq(), 0);
     hello.insert(hello.end(), watermark.begin(), watermark.end());
     net::write_all(to_merger.get(), hello.data(), hello.size());
-
-    workers_[ju] = std::make_unique<WorkerPe>(
-        j, std::move(worker_side), std::move(to_merger),
-        config_.multiplies, config_.work_mode, *service_hists_[ju]);
-    workers_[ju]->set_load_multiplier(load_mult_[ju]);
-    to_workers_[ju] = std::move(splitter_side);
+    spawn(j, std::move(to_merger));
   } catch (const std::exception&) {
-    backoff_[ju] = std::min(
-        std::max(backoff_[ju] * 2, kReconnectBackoffInitial),
-        kReconnectBackoffMax);
-    next_reconnect_[ju] = now + backoff_[ju] + jitter(backoff_[ju] / 2 + 1);
-    return false;
+    return;  // still quarantined: the next pass tries again
   }
   core_.set_up(j, true);
-  backoff_[ju] = 0;
   mc_.reconnects->inc();
   loop_->mark_channel_up(j);
-  return true;
 }
 
 LocalRunStats LocalRegion::run(DurationNs duration) {
@@ -377,11 +334,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     if (next_failure < failures.size()) {
       t = std::min(t, start + failures[next_failure].at);
     }
-    for (int k = 0; k < n; ++k) {
-      if (!core_.up(k)) {
-        t = std::min(t, next_reconnect_[static_cast<std::size_t>(k)]);
-      }
-    }
     return t;
   };
 
@@ -440,7 +392,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       const FailureEvent& f = failures[next_failure];
       const auto w = static_cast<std::size_t>(f.worker);
       if (f.restart) {
-        worker_up_[w] = 1;  // the next reconnect attempt will succeed
+        worker_up_[w] = 1;  // re-admitted below, once quarantined
       } else {
         worker_up_[w] = 0;
         workers_[w]->kill();
@@ -449,10 +401,11 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       }
       ++next_failure;
     }
+    // Re-admission: a quarantined channel whose replacement PE exists
+    // (restarted, or never killed by the schedule) reconnects now.
     for (int j = 0; j < n; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      if (!core_.up(j) && now >= next_reconnect_[ju]) {
-        try_reconnect(j, now);
+      if (!core_.up(j) && worker_up_[static_cast<std::size_t>(j)]) {
+        try_reconnect(j);
       }
     }
     if (!draining && now >= next_sample) {
@@ -526,7 +479,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       } else {
         const int picked = policy_->pick_connection();
         const int j = core_.route(picked);
-        // j < 0 is a total outage: wait for a reconnect.
+        // j < 0 is a total outage: wait for a restart.
         if (j >= 0) {
           if (j != picked) mc_.failovers->inc();
           out.retransmit = !fresh;
@@ -579,7 +532,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     if (out.kind == Kind::kFin) {
       core_.set_up(j, false);
       worker_up_[ju] = 0;  // never reconnected
-      next_reconnect_[ju] = kNever;
       continue;
     }
     // The frame is now in flight and (at-least-once) unacked: it joins the

@@ -38,8 +38,8 @@ struct LoadEvent {
 /// One scheduled worker failure, relative to run() start. `restart =
 /// false` kills the worker PE abruptly (sockets reset, buffered tuples
 /// lost); `restart = true` makes a fresh, stateless replacement available
-/// — the splitter's next reconnect attempt then succeeds and re-admits
-/// the connection through the policy's probing path.
+/// — the splitter re-admits the quarantined connection on its next loop
+/// pass, through the policy's probing path.
 struct FailureEvent {
   DurationNs at = 0;
   int worker = 0;
@@ -186,21 +186,22 @@ class LocalRegion {
  private:
   /// Quarantines connection j once its worker is found gone (a broken
   /// send, or FIN/RST seen by the wait): requeues its unacked frames for
-  /// replay (at-least-once), zeroes its weight via the policy hook, and
-  /// arms the reconnect backoff.
+  /// replay (at-least-once) and zeroes its weight via the policy hook.
+  /// The loop re-admits j on the first pass at which a replacement PE
+  /// exists (worker_up_[j]).
   void quarantine(int j, TimeNs now);
 
-  /// One reconnect attempt for quarantined connection j. Succeeds only
-  /// when a restarted worker process is available (worker_up_[j]);
-  /// otherwise doubles the backoff. On success rebuilds the splitter
-  /// connection, spawns the replacement PE, re-admits the merger stream
-  /// via a hello frame followed by a watermark (the new stream carries
-  /// nothing below the next fresh sequence), and tells the policy to
-  /// start probing j again.
-  bool try_reconnect(int j, TimeNs now);
+  /// Builds worker j's splitter connection and starts its PE, forwarding
+  /// to `to_merger`, at the current load multiplier. Bring-up and
+  /// re-admission both spawn here.
+  void spawn(int j, net::Fd to_merger);
 
-  /// Deterministic jitter in [0, limit) for reconnect backoff.
-  DurationNs jitter(DurationNs limit);
+  /// Re-admits quarantined connection j: dials the merger's listener,
+  /// announces the slot with a hello frame followed by a watermark (the
+  /// new stream carries nothing below the next fresh sequence), spawns
+  /// the replacement PE and tells the policy to start probing j again.
+  /// A failed dial leaves j quarantined for the next pass.
+  void try_reconnect(int j);
 
   LocalRegionConfig config_;
   std::unique_ptr<SplitPolicy> policy_;
@@ -231,15 +232,10 @@ class LocalRegion {
   std::function<void(const LocalSample&)> sample_hook_;
 
   // Failure handling (all touched only from the splitter thread).
-  /// Reconnect backoff for quarantined connections: doubles from initial
-  /// to max, with deterministic jitter.
-  static constexpr DurationNs kReconnectBackoffInitial = millis(10);
-  static constexpr DurationNs kReconnectBackoffMax = millis(320);
+  /// A replacement PE exists for j: cleared by a scheduled kill and by
+  /// the shutdown FIN, set again by a scheduled restart.
   std::vector<char> worker_up_;
-  std::vector<TimeNs> next_reconnect_;
-  std::vector<DurationNs> backoff_;
   std::vector<double> load_mult_;
-  std::uint64_t jitter_state_ = 0x9E3779B97F4A7C15ull;
 
   /// The shared decision pipeline (DESIGN.md §9), ticked from the
   /// splitter thread; run() reads its last_actions() there, so no

@@ -5,6 +5,7 @@
 //     with quarantine, reconnect, and an in-order (modulo gaps) output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -262,8 +263,11 @@ TEST(RuntimeFailure, KillAndRestartReconnects) {
   rt::LocalRegion region(cfg, std::make_unique<LoadBalancingPolicy>(3));
 
   std::vector<std::pair<DurationNs, Weight>> w2;
+  std::vector<std::pair<DurationNs, std::uint64_t>> reconnects;
   region.set_sample_hook([&](const rt::LocalSample& s) {
     w2.emplace_back(s.elapsed, s.weights[2]);
+    reconnects.emplace_back(
+        s.elapsed, region.metrics().counter("splitter.reconnects").value());
   });
   const rt::LocalRunStats stats = region.run(millis(2500));
 
@@ -291,6 +295,14 @@ TEST(RuntimeFailure, KillAndRestartReconnects) {
     if (w2[i].second == 0) dropped = true;
   }
   EXPECT_TRUE(dropped);
+
+  // The restart is re-admitted at its event, not on a retry clock: the
+  // connection is back by the first sample at or after 800 ms.
+  const auto readmitted = std::find_if(
+      reconnects.begin(), reconnects.end(),
+      [](const auto& r) { return r.first >= millis(800); });
+  ASSERT_NE(readmitted, reconnects.end());
+  EXPECT_EQ(readmitted->second, 1u) << "sample at " << readmitted->first;
 }
 
 TEST(RuntimeFailure, CleanRunReportsNoGaps) {
@@ -305,7 +317,7 @@ TEST(RuntimeFailure, CleanRunReportsNoGaps) {
 
 TEST(RuntimeFailure, UnscheduledKillIsReadmitted) {
   // A worker killed outside the failure schedule stays restartable, so
-  // the splitter's next reconnect attempt succeeds and the merger
+  // the splitter re-admits it on its next loop pass and the merger
   // re-admits its stream through the listener it was brought up on.
   rt::LocalRegionConfig cfg = rt_config(2);
   cfg.work_mode = rt::WorkMode::kTimed;

@@ -13,6 +13,8 @@
 //   * simplex-feasible weights at every sample (non-negative, summing to
 //     kWeightUnits, zero on downed channels);
 //   * progress: the region keeps emitting unless every worker is dead;
+//   * re-admission (rt): every scheduled restart that fires before the
+//     run ends is reconnected;
 //   * determinism (sim): the same seed replays to the same signature.
 //
 // Usage:
@@ -236,6 +238,7 @@ void run_rt_seed(std::uint64_t seed, DurationNs duration, bool alo) {
   cfg.protection.watchdog_periods = 4;
 
   std::uint64_t expected_kills = 0;
+  std::uint64_t expected_restarts = 0;
   if (rng.chance(0.7)) {
     const int victim = static_cast<int>(rng.below(workers));
     const DurationNs at =
@@ -243,9 +246,10 @@ void run_rt_seed(std::uint64_t seed, DurationNs duration, bool alo) {
     cfg.failure_events.push_back({at, victim, /*restart=*/false});
     ++expected_kills;
     if (rng.chance(0.7)) {
-      cfg.failure_events.push_back(
-          {at + millis(static_cast<long>(250 + rng.below(250))), victim,
-           /*restart=*/true});
+      const DurationNs restart_at =
+          at + millis(static_cast<long>(250 + rng.below(250)));
+      cfg.failure_events.push_back({restart_at, victim, /*restart=*/true});
+      if (restart_at < duration) ++expected_restarts;
     }
   }
   // Overload burst: every worker slowed together for a stretch.
@@ -292,6 +296,8 @@ void run_rt_seed(std::uint64_t seed, DurationNs duration, bool alo) {
   check(stats.emitted > 0, seed, "rt: nothing emitted at all");
   check(stats.channel_failures >= expected_kills, seed,
         "rt: scheduled kill not observed as a channel failure");
+  check(stats.reconnects >= expected_restarts, seed,
+        "rt: scheduled restart not re-admitted before the run ended");
   if (alo) {
     // Exactly-once at the sink: no sequence lost (the only gaps are
     // sheds, which never entered a channel) and no duplicate released —
