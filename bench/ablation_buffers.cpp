@@ -36,8 +36,7 @@ Result run(std::size_t channel_buf, std::size_t merge_buf,
   spec.loads.push_back({{0}, 10.0, -1.0});
 
   RegionConfig cfg = build_region_config(spec);
-  cfg.send_buffer = channel_buf;
-  cfg.recv_buffer = channel_buf;
+  cfg.channel_buffer = channel_buf;
   cfg.merge_buffer = merge_buf;
   Region region(cfg, make_policy(PolicyKind::kLbAdaptive, spec),
                 build_load_profile(spec), spec.hosts);

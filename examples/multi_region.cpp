@@ -25,8 +25,7 @@ RegionConfig region_config(int workers, DurationNs base_cost) {
   cfg.workers = workers;
   cfg.base_cost = base_cost;
   cfg.sample_period = millis(10);  // one "paper second"
-  cfg.send_buffer = 32;
-  cfg.recv_buffer = 32;
+  cfg.channel_buffer = 32;
   return cfg;
 }
 

@@ -7,11 +7,19 @@
 namespace slb::control {
 
 RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
-                                     ControlLoopConfig config)
+                                     const ProtectionConfig& protection,
+                                     DurationNs source_interval,
+                                     const delivery::DeliveryConfig& delivery,
+                                     obs::MetricsRegistry& metrics)
     : policy_(policy),
-      config_(config),
+      protection_(protection),
+      closed_loop_source_(source_interval == 0),
+      at_least_once_(delivery.mode == delivery::DeliveryMode::kAtLeastOnce),
+      ack_stall_periods_(at_least_once_ ? delivery.ack_stall_periods : 0),
       prev_cumulative_(static_cast<std::size_t>(channels), 0),
-      down_(static_cast<std::size_t>(channels), 0) {
+      down_(static_cast<std::size_t>(channels), 0),
+      throttle_gauge_(metrics.gauge("region.throttle_m")),
+      watchdog_gauge_(metrics.gauge("region.watchdog_stage")) {
   assert(policy_ != nullptr);
   assert(channels > 0);
   if (policy_->weights().size() != static_cast<std::size_t>(channels)) {
@@ -20,20 +28,15 @@ RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
                                 "' lacks one weight per channel");
   }
   actions_.block_rates.assign(static_cast<std::size_t>(channels), 0.0);
-  actions_.shed_high = config.protection.shed_high_watermark;
-  actions_.shed_low = config.protection.shed_low_watermark;
+  actions_.shed_high = protection.shed_high_watermark;
+  actions_.shed_low = protection.shed_low_watermark;
+  throttle_gauge_.set(1000);
+  policy_->attach_metrics(metrics, "policy.");
 }
 
 void RegionControlLoop::set_journal(obs::DecisionJournal* journal) {
   journal_ = journal;
   policy_->set_journal(journal);
-}
-
-void RegionControlLoop::attach_metrics(obs::MetricsRegistry& registry,
-                                       const std::string& prefix) {
-  throttle_gauge_ = &registry.gauge(prefix + "throttle_m");
-  throttle_gauge_->set(1000);
-  watchdog_gauge_ = &registry.gauge(prefix + "watchdog_stage");
 }
 
 void RegionControlLoop::check_ack_stall(TimeNs now,
@@ -47,7 +50,7 @@ void RegionControlLoop::check_ack_stall(TimeNs now,
     ack_stall_streak_ = 0;
     return;
   }
-  if (++ack_stall_streak_ < config_.ack_stall_periods) return;
+  if (++ack_stall_streak_ < ack_stall_periods_) return;
   ack_stall_streak_ = 0;
   ++ack_stalls_;
   if (journal_ != nullptr) {
@@ -61,25 +64,12 @@ void RegionControlLoop::check_ack_stall(TimeNs now,
   watchdog_escalate(now, actions_.aggregate_block);
 }
 
-void RegionControlLoop::note_replay(TimeNs now, int j, std::uint64_t tuples,
-                                    std::uint64_t bytes) {
-  if (journal_ == nullptr) return;
-  obs::JsonLine line;
-  line.str("ev", "replay")
-      .num("t", static_cast<std::int64_t>(now))
-      .num("ch", static_cast<std::int64_t>(j))
-      .num("tuples", tuples)
-      .num("bytes", bytes);
-  journal_->append(line.finish());
-}
-
 const ControlActions& RegionControlLoop::tick(
     TimeNs now, DurationNs span,
     std::span<const DurationNs> cumulative_blocked,
     std::span<const std::uint64_t> delivered,
     const DeliverySample& delivery) {
   assert(cumulative_blocked.size() == prev_cumulative_.size());
-  const ProtectionConfig& prot = config_.protection;
 
   // 1. Ingest: per-period blocking rates from the cumulative counters.
   double aggregate = 0.0;
@@ -105,7 +95,7 @@ const ControlActions& RegionControlLoop::tick(
   const SplitPolicy::OverloadState overload = policy_->overload_state();
   actions_.overloaded = overload.overloaded;
   actions_.capacity_deficit = overload.capacity_deficit;
-  if (prot.admission_control && config_.closed_loop_source) {
+  if (protection_.admission_control && closed_loop_source_) {
     double factor = 1.0;
     if (overload.overloaded) {
       factor = std::clamp(1.0 - overload.capacity_deficit, kMinThrottle,
@@ -113,22 +103,20 @@ const ControlActions& RegionControlLoop::tick(
     }
     if (stage_ >= 1) factor = kMinThrottle;
     actions_.throttle = factor;
-    if (throttle_gauge_ != nullptr) {
-      throttle_gauge_->set(static_cast<std::int64_t>(factor * 1000.0));
-    }
+    throttle_gauge_.set(static_cast<std::int64_t>(factor * 1000.0));
   }
 
   // 4. Watchdog ladder.
-  if (prot.watchdog) {
+  if (protection_.watchdog) {
     if (aggregate >= kWatchdogBlockBudget) {
       calm_streak_ = 0;
-      if (++hot_streak_ >= prot.watchdog_periods) {
+      if (++hot_streak_ >= protection_.watchdog_periods) {
         hot_streak_ = 0;
         watchdog_escalate(now, aggregate);
       }
     } else {
       hot_streak_ = 0;
-      if (stage_ > 0 && ++calm_streak_ >= prot.watchdog_periods) {
+      if (stage_ > 0 && ++calm_streak_ >= protection_.watchdog_periods) {
         calm_streak_ = 0;
         watchdog_unwind(now, aggregate);
       }
@@ -154,17 +142,25 @@ const ControlActions& RegionControlLoop::tick(
     journal_->append(line.finish());
   }
 
-  // 5. Ack-stall rung, after the control line, so a stall escalates the
-  // stage without changing this tick's line. Ticks that carry no
-  // delivery state (the parity and replay traces) skip it.
-  if (config_.ack_stall_periods > 0 && delivery.enabled) {
-    check_ack_stall(now, delivery);
-  }
+  // 5. Ack-stall rung (at-least-once only), after the control line, so a
+  // stall escalates the stage without changing this tick's line.
+  if (ack_stall_periods_ > 0) check_ack_stall(now, delivery);
   return actions_;
 }
 
-void RegionControlLoop::mark_channel_down(int j) {
+void RegionControlLoop::mark_channel_down(TimeNs now, int j,
+                                          std::uint64_t replayed_tuples,
+                                          std::uint64_t replayed_bytes) {
   assert(j >= 0 && j < static_cast<int>(down_.size()));
+  if (at_least_once_ && journal_ != nullptr) {
+    obs::JsonLine line;
+    line.str("ev", "replay")
+        .num("t", static_cast<std::int64_t>(now))
+        .num("ch", static_cast<std::int64_t>(j))
+        .num("tuples", replayed_tuples)
+        .num("bytes", replayed_bytes);
+    journal_->append(line.finish());
+  }
   down_[static_cast<std::size_t>(j)] = 1;
   policy_->on_channel_down(j);
 }
@@ -178,18 +174,17 @@ void RegionControlLoop::mark_channel_up(int j) {
 void RegionControlLoop::watchdog_escalate(TimeNs now, double aggregate) {
   if (stage_ >= 3) return;
   ++stage_;
-  if (watchdog_gauge_ != nullptr) watchdog_gauge_->set(stage_);
-  const ProtectionConfig& prot = config_.protection;
+  watchdog_gauge_.set(stage_);
   switch (stage_) {
     case 1:
       // Forced throttle: applied by the admission pass on closed-loop
       // sources from the next tick on. Nothing to do for open loop.
       break;
     case 2:
-      if (prot.shed_high_watermark > 0) {
+      if (protection_.shed_high_watermark > 0) {
         actions_.shed_high =
-            std::max<std::uint64_t>(1, prot.shed_high_watermark / 2);
-        actions_.shed_low = prot.shed_low_watermark / 2;
+            std::max<std::uint64_t>(1, protection_.shed_high_watermark / 2);
+        actions_.shed_low = protection_.shed_low_watermark / 2;
       }
       break;
     case 3:
@@ -208,11 +203,11 @@ void RegionControlLoop::watchdog_escalate(TimeNs now, double aggregate) {
 
 void RegionControlLoop::watchdog_unwind(TimeNs now, double aggregate) {
   policy_->exit_safe_mode();
-  actions_.shed_high = config_.protection.shed_high_watermark;
-  actions_.shed_low = config_.protection.shed_low_watermark;
+  actions_.shed_high = protection_.shed_high_watermark;
+  actions_.shed_low = protection_.shed_low_watermark;
   actions_.throttle = 1.0;
   stage_ = 0;
-  if (watchdog_gauge_ != nullptr) watchdog_gauge_->set(0);
+  watchdog_gauge_.set(0);
   if (journal_ != nullptr) {
     obs::JsonLine line;
     line.str("ev", "watchdog_unwind")

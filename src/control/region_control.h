@@ -26,12 +26,12 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "control/protection.h"
 #include "core/policies.h"
 #include "core/types.h"
+#include "delivery/delivery.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "util/time.h"
@@ -40,9 +40,8 @@ namespace slb::control {
 
 /// Snapshot of a region's at-least-once delivery state (DESIGN.md §10),
 /// sampled once per period for the ack-stall watchdog rung. Substrates
-/// without delivery semantics pass the default ({enabled = false}).
+/// without delivery semantics pass the default; a GapSkip loop ignores it.
 struct DeliverySample {
-  bool enabled = false;
   /// Highest contiguously released sequence acked back to the splitter.
   std::uint64_t cum_ack = 0;
   /// Tuples currently held for replay (buffered + pending re-send).
@@ -79,32 +78,29 @@ struct ControlActions {
   WeightVector weights;
 };
 
-struct ControlLoopConfig {
-  ProtectionConfig protection;
-
-  /// True when the substrate's source is closed-loop (admission control
-  /// can slow it). Open-loop substrates set false: the throttle decision
-  /// is skipped entirely, matching the pre-refactor behavior of the sim
-  /// and runtime regions.
-  bool closed_loop_source = true;
-
-  /// Ack-stall watchdog rung (at-least-once delivery, DESIGN.md §10):
-  /// escalate after this many consecutive ticks whose DeliverySample is
-  /// enabled and shows unacked tuples, no cumulative-ack progress, and
-  /// at least one unquarantined channel. Ticks that pass the disabled
-  /// default (the parity/replay traces) never arm it. 0 disables.
-  int ack_stall_periods = 0;
-};
-
 class RegionControlLoop {
  public:
   /// Drives `policy` (which must outlive the loop) for a region of
-  /// `channels` connections. The loop never owns substrate state; it
-  /// holds only the decision machinery. Throws std::invalid_argument
-  /// unless the policy has one weight per channel: its picks index the
-  /// splitter's per-channel state.
+  /// `channels` connections, with the region's own `protection`, source
+  /// pacing and `delivery` config. The loop never owns substrate state;
+  /// it holds only the decision machinery.
+  ///
+  ///   * Admission control throttles only a closed-loop source
+  ///     (`source_interval == 0`): an open-loop source cannot be slowed,
+  ///     so the throttle decision is skipped entirely.
+  ///   * The ack-stall rung is armed only under at-least-once, after
+  ///     `delivery.ack_stall_periods` stalled periods (0 disables it).
+  ///   * Registers the "region.throttle_m" and "region.watchdog_stage"
+  ///     gauges in `metrics`, then the policy's own under "policy."; the
+  ///     registry must outlive the loop.
+  ///
+  /// Throws std::invalid_argument unless the policy has one weight per
+  /// channel: its picks index the splitter's per-channel state.
   RegionControlLoop(int channels, SplitPolicy* policy,
-                    ControlLoopConfig config);
+                    const ProtectionConfig& protection,
+                    DurationNs source_interval,
+                    const delivery::DeliveryConfig& delivery,
+                    obs::MetricsRegistry& metrics);
 
   /// Attaches a decision journal to the loop's own lines (watchdog
   /// transitions, optional per-tick control lines) *and* to the policy's
@@ -118,23 +114,16 @@ class RegionControlLoop {
   /// journal (tests/golden/decision_journal.jsonl) keeps its shape.
   void set_journal_ticks(bool on) { journal_ticks_ = on; }
 
-  /// Registers the loop's gauges under `prefix` (e.g. "region." ->
-  /// "region.throttle_m", "region.watchdog_stage") and keeps them
-  /// current. Call once at wiring time; the registry must outlive the
-  /// loop.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix);
-
   /// Runs one control period at time `now` on this period's sample:
   /// the cumulative blocked time (ns) per connection since the region
   /// started (the paper's blocking counters; the loop differences them),
   /// the cumulative tuples delivered per connection (empty when the
   /// substrate cannot attribute deliveries, which skips the policy's
-  /// throughput feedback), and the at-least-once delivery state for the
-  /// ack-stall rung. `span` is the actual elapsed time since the
-  /// previous tick (substrates that overshoot their sample period pass
-  /// the real span so rates stay normalized). The caller applies the
-  /// returned actions.
+  /// throughput feedback), and the delivery state for the ack-stall rung
+  /// (read only under at-least-once). `span` is the actual elapsed time
+  /// since the previous tick (substrates that overshoot their sample
+  /// period pass the real span so rates stay normalized). The caller
+  /// applies the returned actions.
   const ControlActions& tick(TimeNs now, DurationNs span,
                              std::span<const DurationNs> cumulative_blocked,
                              std::span<const std::uint64_t> delivered,
@@ -142,25 +131,20 @@ class RegionControlLoop {
 
   /// Failure routing: substrates report connection state changes here
   /// (not straight to the policy) so quarantine/readmit decisions pass
-  /// through the one control seam.
-  void mark_channel_down(int j);
+  /// through the one control seam. A crash reports what the splitter's
+  /// quarantine moved from channel j's replay buffer onto the survivors;
+  /// under at-least-once the loop journals it as a "replay" line just
+  /// before the policy's mark-down, so the journal shows recovery and
+  /// load movement as one decision sequence.
+  void mark_channel_down(TimeNs now, int j, std::uint64_t replayed_tuples,
+                         std::uint64_t replayed_bytes);
   void mark_channel_up(int j);
 
-  /// Journals a crash-replay event (at-least-once delivery): `tuples`
-  /// unacked tuples totalling `bytes` moved from channel `j`'s replay
-  /// buffer onto the survivors. Substrates call this next to
-  /// mark_channel_down so the journal shows recovery and load movement
-  /// as one decision sequence.
-  void note_replay(TimeNs now, int j, std::uint64_t tuples,
-                   std::uint64_t bytes);
-
-  /// Ack-stall escalations fired so far (see ack_stall_periods).
+  /// Ack-stall escalations fired so far (see the constructor).
   std::uint64_t ack_stalls() const { return ack_stalls_; }
 
   int watchdog_stage() const { return stage_; }
   const ControlActions& last_actions() const { return actions_; }
-  const ControlLoopConfig& config() const { return config_; }
-  const ProtectionConfig& protection() const { return config_.protection; }
   SplitPolicy& policy() { return *policy_; }
 
  private:
@@ -169,7 +153,11 @@ class RegionControlLoop {
   void check_ack_stall(TimeNs now, const DeliverySample& delivery);
 
   SplitPolicy* policy_;
-  ControlLoopConfig config_;
+  ProtectionConfig protection_;
+  bool closed_loop_source_;
+  bool at_least_once_;
+  /// Ack-stall rung length; 0 (disarmed) unless at-least-once.
+  int ack_stall_periods_;
   bool journal_ticks_ = false;
 
   std::vector<DurationNs> prev_cumulative_;
@@ -179,15 +167,15 @@ class RegionControlLoop {
   int hot_streak_ = 0;
   int calm_streak_ = 0;
 
-  /// Ack-stall rung state (see ack_stall_periods).
+  /// Ack-stall rung state (see ack_stall_periods_).
   std::uint64_t prev_cum_ack_ = 0;
   int ack_stall_streak_ = 0;
   std::uint64_t ack_stalls_ = 0;
 
   ControlActions actions_;
   obs::DecisionJournal* journal_ = nullptr;
-  obs::Gauge* throttle_gauge_ = nullptr;
-  obs::Gauge* watchdog_gauge_ = nullptr;
+  obs::Gauge& throttle_gauge_;
+  obs::Gauge& watchdog_gauge_;
 };
 
 }  // namespace slb::control

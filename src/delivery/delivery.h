@@ -39,10 +39,11 @@ struct DeliveryConfig {
   /// steady state unblocked.
   std::size_t replay_buffer_bytes = 256 * 1024;
 
-  /// Ack-stall watchdog rung (control loop): escalate after this many
-  /// consecutive sample periods with unacked tuples outstanding, ack
-  /// progress frozen, and at least one channel unquarantined. 0 disables
-  /// the rung (default — keeps GapSkip regions byte-identical).
+  /// Ack-stall watchdog rung (control loop), at-least-once only:
+  /// escalate after this many consecutive sample periods with unacked
+  /// tuples outstanding, ack progress frozen, and at least one channel
+  /// unquarantined. 0 disables the rung (default). GapSkip keeps no acks
+  /// to stall on and ignores it.
   int ack_stall_periods = 0;
 };
 

@@ -105,8 +105,7 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
     sim::RegionConfig region_cfg;
     region_cfg.workers = spec.width;
     region_cfg.base_cost = spec.cost;
-    region_cfg.send_buffer = config_.channel_buffer;
-    region_cfg.recv_buffer = config_.channel_buffer;
+    region_cfg.channel_buffer = config_.channel_buffer;
     region_cfg.ordered = spec.ordered;
     region_cfg.link_latency = config_.link_latency;
     region_cfg.send_overhead = config_.source_overhead;

@@ -49,14 +49,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   };
   for (const LoadEvent& e : config_.load_events) check_worker(e.worker);
   for (const FailureEvent& f : config_.failure_events) check_worker(f.worker);
-  control::ControlLoopConfig loop_cfg;
-  loop_cfg.protection = config_.protection;
-  loop_cfg.closed_loop_source = config_.source_interval == 0;
-  if (core_.at_least_once()) {
-    loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
-  }
-  loop_ = std::make_unique<control::RegionControlLoop>(
-      config_.workers, policy_.get(), loop_cfg);
   if (policy_->reroute_on_block()) {
     // Section 4.4's transport-level re-routing is reproduced by the
     // simulator; this splitter always elects to block on its pick.
@@ -78,8 +70,9 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
     service_hists_.push_back(
         &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
   }
-  policy_->attach_metrics(metrics_, "policy.");
-  loop_->attach_metrics(metrics_, "region.");
+  loop_ = std::make_unique<control::RegionControlLoop>(
+      config_.workers, policy_.get(), config_.protection,
+      config_.source_interval, config_.delivery, metrics_);
 
   // Topology bring-up: one listener at the merger side for the
   // worker->merger connections, which the merger keeps for restarted
@@ -141,10 +134,7 @@ void LocalRegion::quarantine(int j, TimeNs now) {
   // through the normal routing path (WRR over the survivors, replay-buffer
   // back pressure included).
   const auto replay = core_.quarantine(j);
-  if (core_.at_least_once()) {
-    loop_->note_replay(now - run_start_, j, replay.tuples, replay.bytes);
-  }
-  loop_->mark_channel_down(j);
+  loop_->mark_channel_down(now - run_start_, j, replay.tuples, replay.bytes);
 }
 
 void LocalRegion::spawn(int j, net::Fd to_merger) {
@@ -421,7 +411,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
       }
       loop_->tick(now - start, span, core_.blocked_ns(), {},
-                  {alo, core_.acked(), core_.unacked()});
+                  {core_.acked(), core_.unacked()});
       core_.set_throttle(actions.throttle);
 
       if (sample_hook_) {

@@ -178,8 +178,9 @@ class LocalRegion {
   /// The region's metrics registry (DESIGN.md §8): "splitter.*" counters
   /// from the splitter loop, "worker.<j>.service_ns" histograms recorded
   /// on the PE threads, "merger.*" written live by the merger PE thread,
-  /// "policy.*" via the policy's attach_metrics. Counters are relaxed
-  /// atomics, safe across PE threads.
+  /// and the "region.*" gauges and "policy.*" metrics the control loop's
+  /// constructor registers. Counters are relaxed atomics, safe across PE
+  /// threads.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 

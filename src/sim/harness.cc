@@ -10,7 +10,7 @@ namespace slb::sim {
 DurationNs Scale::tuple_cost(long multiplies) const {
   assert(multiplies > 0);
   return static_cast<DurationNs>(
-      std::llround(static_cast<double>(multiplies) * multiply_ns));
+      std::llround(static_cast<double>(multiplies) * kMultiplyNs));
 }
 
 double Scale::to_paper_seconds(TimeNs t) const {
@@ -108,8 +108,7 @@ RegionConfig build_region_config(const ExperimentSpec& spec) {
   const std::size_t buf = std::clamp(
       static_cast<std::size_t>(std::llround(target_tuples)),
       Scale::kMinBuffer, Scale::kMaxBuffer);
-  config.send_buffer = buf;
-  config.recv_buffer = buf;
+  config.channel_buffer = buf;
   config.merge_buffer = spec.merge_buffer;
   return config;
 }

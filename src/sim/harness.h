@@ -29,7 +29,7 @@ namespace slb::sim {
 /// The paper-to-simulator scale.
 struct Scale {
   /// Virtual ns of service per paper "integer multiply".
-  double multiply_ns = 10.0;
+  static constexpr double kMultiplyNs = 10.0;
   /// Virtual ns per paper second (also the sampling period).
   DurationNs paper_second = millis(10);
   /// Buffers are sized so that draining a full send buffer takes about

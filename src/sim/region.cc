@@ -31,8 +31,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   }
 
   Channel::Config chan_cfg;
-  chan_cfg.send_capacity = config_.send_buffer;
-  chan_cfg.recv_capacity = config_.recv_buffer;
+  chan_cfg.send_capacity = config_.channel_buffer;
+  chan_cfg.recv_capacity = config_.channel_buffer;
   chan_cfg.latency = config_.link_latency;
 
   const std::size_t merge_cap =
@@ -96,15 +96,9 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     });
   }
 
-  control::ControlLoopConfig loop_cfg;
-  loop_cfg.protection = prot;
-  loop_cfg.closed_loop_source = config_.source_interval == 0;
-  if (alo()) loop_cfg.ack_stall_periods = config_.delivery.ack_stall_periods;
   loop_ = std::make_unique<control::RegionControlLoop>(
-      config_.workers, policy_.get(), loop_cfg);
-
-  loop_->attach_metrics(metrics_, "region.");
-  policy_->attach_metrics(metrics_, "policy.");
+      config_.workers, policy_.get(), prot, config_.source_interval,
+      config_.delivery, metrics_);
 
   merger_->set_on_emit([this](const Tuple& t) {
     const std::uint64_t emitted = merger_->emitted();
@@ -139,29 +133,24 @@ void Region::apply_fault_now(FaultKind kind, int worker,
                              DurationNs duration) {
   const auto j = static_cast<std::size_t>(worker);
   switch (kind) {
-    case FaultKind::kWorkerCrash:
+    case FaultKind::kWorkerCrash: {
       if (workers_[j]->down()) return;
-      // Order matters: quarantine the splitter first so the blocked-on-j
-      // release it may schedule routes around the dead connection; then
-      // kill the data plane (reporting losses); then queue the replay —
-      // the unacked suffix — so the zero-delay resume event the
-      // quarantine scheduled finds it pending and drains it first.
-      splitter_->set_channel_up(worker, false);
+      // Order matters: quarantine the splitter first, so the blocked-on-j
+      // release it may schedule routes around the dead connection and
+      // finds the replayed unacked suffix pending; then kill the data
+      // plane (reporting losses) and tell the control loop.
+      const Splitter::ReplaySummary replay = splitter_->quarantine(worker);
       workers_[j]->crash();
       channels_[j]->fail();
-      if (alo()) {
-        const Splitter::ReplaySummary replay =
-            splitter_->replay_channel(worker);
-        loop_->note_replay(sim_->now(), worker, replay.tuples,
-                           replay.bytes);
-      }
-      loop_->mark_channel_down(worker);
+      loop_->mark_channel_down(sim_->now(), worker, replay.tuples,
+                               replay.bytes);
       break;
+    }
     case FaultKind::kWorkerRecover:
       if (!workers_[j]->down()) return;
       channels_[j]->restore();
       workers_[j]->recover();
-      splitter_->set_channel_up(worker, true);
+      splitter_->readmit(worker);
       loop_->mark_channel_up(worker);
       break;
     case FaultKind::kChannelStall:
@@ -194,8 +183,7 @@ void Region::sample_tick() {
   // the merger; the region applies what it decides.
   const control::ControlActions& acts = loop_->tick(
       sim_->now(), config_.sample_period, splitter_->blocked_ns(),
-      merger_->emitted_from(),
-      {alo(), splitter_->acked(), splitter_->unacked()});
+      merger_->emitted_from(), {splitter_->acked(), splitter_->unacked()});
   // An input-fed (flow stage) splitter is not a source and ignores both.
   splitter_->set_throttle(acts.throttle);
   splitter_->set_shed_watermarks(acts.shed_high, acts.shed_low);

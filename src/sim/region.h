@@ -38,10 +38,9 @@ struct RegionConfig {
   /// harness maps the paper's "n integer multiplies" onto this.
   DurationNs base_cost = micros(10);
 
-  /// Buffer sizes in tuples (see DESIGN.md: defaults ablated in
-  /// bench/ablation_buffers).
-  std::size_t send_buffer = 32;
-  std::size_t recv_buffer = 32;
+  /// Capacity in tuples of each channel's send buffer and of its receive
+  /// buffer (see DESIGN.md: default ablated in bench/ablation_buffers).
+  std::size_t channel_buffer = 32;
 
   /// When false the region ends in parallel sinks (Section 4.1 footnote):
   /// no sequence gating, tuples leave in arrival order. The back-pressure
@@ -211,9 +210,10 @@ class Region {
   int workers() const { return config_.workers; }
 
   /// The region's metrics registry (DESIGN.md §8), populated at
-  /// construction: "splitter.*", "merger.*", "worker.<j>.service_ns",
-  /// "policy.*" (via the policy's attach_metrics), "region.*" gauges and
-  /// overload counters.
+  /// construction: "region.lost_tuples", "merger.*",
+  /// "worker.<j>.service_ns", "splitter.*", then the control loop's
+  /// "region.*" gauges and the policy's "policy.*" metrics, both
+  /// registered by the loop's constructor.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 

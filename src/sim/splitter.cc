@@ -68,9 +68,17 @@ void Splitter::on_ack(std::uint64_t cum) {
   if (blocked_on_ >= 0 && !full(blocked_on_)) do_send(end_block());
 }
 
-Splitter::ReplaySummary Splitter::replay_channel(int j) {
-  if (!core_.at_least_once()) return {};
+Splitter::ReplaySummary Splitter::quarantine(int j) {
+  if (!core_.up(j)) return {};
   const ReplaySummary summary = core_.quarantine(j);
+  if (blocked_on_ == j) {
+    // Blocked on the connection that just died: charge the wait (the
+    // real splitter's timed select returns with an error here) and move
+    // on to a survivor immediately.
+    end_block();
+    sim_->schedule_after(0, [this] { next_send(); });
+  }
+  if (!core_.at_least_once()) return summary;
   update_delivery_gauges();
   if (idle_for_input_ && core_.next_replay() != nullptr) {
     // Mid-pipeline splitter parked waiting for upstream data: the replay
@@ -79,6 +87,15 @@ Splitter::ReplaySummary Splitter::replay_channel(int j) {
     sim_->schedule_after(0, [this] { next_send(); });
   }
   return summary;
+}
+
+void Splitter::readmit(int j) {
+  if (core_.up(j)) return;
+  core_.set_up(j, true);
+  if (idle_no_channel_) {
+    idle_no_channel_ = false;
+    sim_->schedule_after(0, [this] { next_send(); });
+  }
 }
 
 void Splitter::update_delivery_gauges() {
@@ -187,25 +204,6 @@ void Splitter::do_send(int j) {
   core_.paced(sim_->now(), sim_->now() + send_overhead_, !retransmit);
   sim_->schedule_at(core_.ready_at(core_.next_replay() == nullptr),
                     [this] { next_send(); });
-}
-
-void Splitter::set_channel_up(int j, bool up) {
-  if (core_.up(j) == up) return;
-  core_.set_up(j, up);
-  if (!up) {
-    if (blocked_on_ == j) {
-      // Blocked on the connection that just died: charge the wait (the
-      // real splitter's timed select returns with an error here) and
-      // move on to a survivor immediately.
-      end_block();
-      sim_->schedule_after(0, [this] { next_send(); });
-    }
-    return;
-  }
-  if (idle_no_channel_) {
-    idle_no_channel_ = false;
-    sim_->schedule_after(0, [this] { next_send(); });
-  }
 }
 
 void Splitter::on_send_space(int j) {

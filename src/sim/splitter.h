@@ -68,12 +68,21 @@ class Splitter {
   /// Schedules the first send at the current time.
   void start();
 
-  /// Failure handling: marks connection j dead (quarantined) or alive
-  /// again. A quarantined connection is never routed to; a splitter
+  /// Failure handling, mirroring SendCore::quarantine: marks connection
+  /// j dead. A quarantined connection is never routed to; a splitter
   /// blocked on it is released immediately (the wait is charged to j,
-  /// exactly like a normal un-block). If every connection is down the
-  /// splitter idles until one comes back.
-  void set_channel_up(int j, bool up);
+  /// exactly like a normal un-block). Under at-least-once, j's unacked
+  /// suffix moves into the pending replay queue, drained (oldest
+  /// sequence first) before fresh source tuples through the normal pick
+  /// path — so retransmits respect the current RAP weights via the same
+  /// WRR as everything else. Returns what was queued for replay ({}
+  /// under GapSkip, or when j was already down).
+  using ReplaySummary = delivery::SendCore<Tuple>::Replay;
+  ReplaySummary quarantine(int j);
+
+  /// Marks quarantined connection j alive again. If every connection was
+  /// down the splitter idles until one comes back; this resumes it.
+  void readmit(int j);
 
   std::uint64_t total_sent() const { return core_.total_sent(); }
   std::uint64_t sent(int j) const { return core_.sent(j); }
@@ -128,14 +137,6 @@ class Splitter {
   /// released meanwhile, and — if the splitter was blocked on a channel
   /// whose replay buffer just drained — resumes it.
   void on_ack(std::uint64_t cum);
-
-  using ReplaySummary = delivery::SendCore<Tuple>::Replay;
-
-  /// Crash recovery: moves channel j's unacked suffix into the pending
-  /// replay queue, drained (oldest sequence first) before fresh source
-  /// tuples through the normal pick path — so retransmits respect the
-  /// current RAP weights via the same WRR as everything else.
-  ReplaySummary replay_channel(int j);
 
   /// Tuples re-sent after crash replay. Disjoint from total_sent():
   /// sent counters track fresh sequences only, so the throughput signal
@@ -194,7 +195,7 @@ class Splitter {
   TimeNs block_start_ = 0;
   bool idle_for_input_ = false;
   /// True while every connection is quarantined: the splitter parks and
-  /// resumes from set_channel_up(j, true).
+  /// resumes from readmit(j).
   bool idle_no_channel_ = false;
 };
 

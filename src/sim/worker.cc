@@ -49,15 +49,8 @@ void Worker::poll() {
   if (!busy_ && !channel_->recv_empty()) {
     const Tuple t = channel_->pop_recv();
     busy_ = true;
-    double factor = 1.0;
-    if (load_ != nullptr) factor *= load_->at(id_, sim_->now());
-    if (shared_hosts_ != nullptr) {
-      factor *= shared_hosts_->begin_service(shared_host_);
-    } else if (hosts_ != nullptr) {
-      factor *= hosts_->factor(id_);
-    }
-    const auto service = static_cast<DurationNs>(
-        std::llround(static_cast<double>(base_cost_) * factor));
+    const DurationNs service = current_service_time();
+    if (shared_hosts_ != nullptr) shared_hosts_->begin_service(shared_host_);
     if (service_hist_ != nullptr) {
       service_hist_->record(static_cast<std::uint64_t>(service));
     }

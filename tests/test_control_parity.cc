@@ -21,6 +21,7 @@
 #include "core/policies.h"
 #include "flow/pipeline.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 #include "runtime/local_region.h"
 #include "sim/region.h"
 #include "util/time.h"
@@ -116,10 +117,11 @@ TEST(ControlParity, IdenticalTracesProduceByteIdenticalJournals) {
   const control::ProtectionConfig prot = parity_protection();
 
   // Reference: a bare loop, attached to no substrate.
-  control::ControlLoopConfig loop_cfg;
-  loop_cfg.protection = prot;
   auto ref_policy = parity_policy();
-  control::RegionControlLoop reference(kChannels, ref_policy.get(), loop_cfg);
+  obs::MetricsRegistry ref_metrics;
+  control::RegionControlLoop reference(kChannels, ref_policy.get(), prot,
+                                       /*source_interval=*/0, {},
+                                       ref_metrics);
   const obs::DecisionJournal ref_journal = drive(reference, trace);
 
   // The trace must be non-trivial: it has to exercise overload
@@ -212,9 +214,10 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
 
 TEST(ControlParity, WatchdogLadderWalksUpAndUnwinds) {
   auto policy = parity_policy();
-  control::ControlLoopConfig loop_cfg;
-  loop_cfg.protection = parity_protection();
-  control::RegionControlLoop loop(kChannels, policy.get(), loop_cfg);
+  obs::MetricsRegistry metrics;
+  control::RegionControlLoop loop(kChannels, policy.get(),
+                                  parity_protection(),
+                                  /*source_interval=*/0, {}, metrics);
 
   const auto trace = make_trace(/*seed=*/0xF00Du);
   int max_stage = 0;

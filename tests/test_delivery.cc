@@ -5,6 +5,7 @@
 // announcements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -240,74 +241,126 @@ TEST(SimDelivery, GapSkipRemainsDefaultAndCountsGaps) {
   EXPECT_EQ(region.merger().dup_discards(), 0u);
 }
 
+/// Runs `region` with a journal attached and worker 1 crashing at 20 ms;
+/// returns the journal's lines.
+std::vector<std::string> crash_journal(sim::RegionConfig cfg) {
+  sim::Region region(cfg, std::make_unique<LoadBalancingPolicy>(3));
+  obs::DecisionJournal journal;
+  region.set_journal(&journal);
+  region.inject_fault({sim::FaultKind::kWorkerCrash, 1, millis(20), 0});
+  region.run_for(millis(40));
+  region.set_journal(nullptr);
+  return journal.lines();
+}
+
+bool has(const std::string& line, const char* fragment) {
+  return line.find(fragment) != std::string::npos;
+}
+
+TEST(SimDelivery, CrashJournalsTheReplayRightBeforeTheMarkDown) {
+  const std::vector<std::string> alo = crash_journal(alo_region(3));
+  const auto down = std::find_if(alo.begin(), alo.end(), [](const auto& l) {
+    return has(l, R"("ev":"mark_down","j":1,)");
+  });
+  ASSERT_NE(down, alo.end());
+  ASSERT_NE(down, alo.begin());
+  EXPECT_TRUE(has(*(down - 1), R"("ev":"replay",)"));
+  EXPECT_TRUE(has(*(down - 1), R"("ch":1,)"));
+
+  sim::RegionConfig gap_skip = alo_region(3);
+  gap_skip.delivery = {};
+  const std::vector<std::string> gs = crash_journal(gap_skip);
+  EXPECT_TRUE(std::any_of(gs.begin(), gs.end(), [](const auto& l) {
+    return has(l, R"("ev":"mark_down","j":1,)");
+  }));
+  EXPECT_TRUE(std::none_of(gs.begin(), gs.end(), [](const auto& l) {
+    return has(l, R"("ev":"replay")");
+  }));
+}
+
 // --- control loop: ack-stall watchdog rung ----------------------------
 
 /// A delivery state whose cumulative ack is frozen with tuples unacked.
-constexpr control::DeliverySample kStalled{true, 7, 42};
+constexpr control::DeliverySample kStalled{7, 42};
 
-/// Runs period `i` of an idle two-channel region reporting `delivery`.
-void idle_tick(control::RegionControlLoop& loop, int i,
-               const control::DeliverySample& delivery = kStalled) {
-  const std::vector<DurationNs> blocked{0, 0};
-  loop.tick(i * millis(10), millis(10), blocked, {}, delivery);
+delivery::DeliveryConfig ack_stall_delivery(DeliveryMode mode, int periods) {
+  delivery::DeliveryConfig cfg;
+  cfg.mode = mode;
+  cfg.ack_stall_periods = periods;
+  return cfg;
 }
 
+/// A bare two-channel loop whose region runs in `mode` with the
+/// ack-stall rung set to `periods`.
+struct StallLoop {
+  explicit StallLoop(int periods,
+                     DeliveryMode mode = DeliveryMode::kAtLeastOnce)
+      : loop(2, &policy, {}, 0, ack_stall_delivery(mode, periods), metrics) {}
+
+  /// Runs period `i` of the idle region reporting `sample`.
+  void idle_tick(int i, const control::DeliverySample& sample = kStalled) {
+    const std::vector<DurationNs> blocked{0, 0};
+    loop.tick(i * millis(10), millis(10), blocked, {}, sample);
+  }
+
+  LoadBalancingPolicy policy{2};
+  obs::MetricsRegistry metrics;
+  control::RegionControlLoop loop;
+};
+
 TEST(AckStallRung, FrozenAckEscalatesAndJournals) {
-  LoadBalancingPolicy policy(2);
-  control::ControlLoopConfig cfg;
-  cfg.ack_stall_periods = 3;
-  control::RegionControlLoop loop(2, &policy, cfg);
+  StallLoop s(3);
   obs::DecisionJournal journal;
-  loop.set_journal(&journal);
+  s.loop.set_journal(&journal);
 
   // Tick 1 records the baseline ack; ticks 2..4 are the first stalled
   // streak, ticks 5..7 the second.
-  for (int i = 1; i <= 7; ++i) idle_tick(loop, i);
+  for (int i = 1; i <= 7; ++i) s.idle_tick(i);
 
-  EXPECT_EQ(loop.ack_stalls(), 2u);
+  EXPECT_EQ(s.loop.ack_stalls(), 2u);
   // Each firing climbs one watchdog rung (stage 1: forced throttle,
   // stage 2: tightened shedding).
-  EXPECT_EQ(loop.watchdog_stage(), 2);
+  EXPECT_EQ(s.loop.watchdog_stage(), 2);
   int stall_lines = 0;
   int escalate_lines = 0;
   for (const std::string& line : journal.lines()) {
-    if (line.find("\"ack_stall\"") != std::string::npos) ++stall_lines;
-    if (line.find("\"watchdog_escalate\"") != std::string::npos) {
-      ++escalate_lines;
-    }
+    if (has(line, "\"ack_stall\"")) ++stall_lines;
+    if (has(line, "\"watchdog_escalate\"")) ++escalate_lines;
   }
   EXPECT_EQ(stall_lines, 2);
   EXPECT_EQ(escalate_lines, 2);
 }
 
 TEST(AckStallRung, AckProgressResetsTheStreak) {
-  LoadBalancingPolicy policy(2);
-  control::ControlLoopConfig cfg;
-  cfg.ack_stall_periods = 3;
-  control::RegionControlLoop loop(2, &policy, cfg);
-
-  for (int i = 1; i <= 3; ++i) idle_tick(loop, i);
+  StallLoop s(3);
+  for (int i = 1; i <= 3; ++i) s.idle_tick(i);
   // The merger released something after all.
   control::DeliverySample progressed = kStalled;
   progressed.cum_ack += 10;
-  for (int i = 4; i <= 6; ++i) idle_tick(loop, i, progressed);
+  for (int i = 4; i <= 6; ++i) s.idle_tick(i, progressed);
 
-  EXPECT_EQ(loop.ack_stalls(), 0u);
-  EXPECT_EQ(loop.watchdog_stage(), 0);
+  EXPECT_EQ(s.loop.ack_stalls(), 0u);
+  EXPECT_EQ(s.loop.watchdog_stage(), 0);
 }
 
 TEST(AckStallRung, AllChannelsDownIsNotAStall) {
   // Nothing can deliver, let alone ack: the reconnect machinery owns
   // this case and the rung must stay quiet.
-  LoadBalancingPolicy policy(2);
-  control::ControlLoopConfig cfg;
-  cfg.ack_stall_periods = 2;
-  control::RegionControlLoop loop(2, &policy, cfg);
-  loop.mark_channel_down(0);
-  loop.mark_channel_down(1);
+  StallLoop s(2);
+  s.loop.mark_channel_down(/*now=*/0, 0, 0, 0);
+  s.loop.mark_channel_down(/*now=*/0, 1, 0, 0);
 
-  for (int i = 1; i <= 6; ++i) idle_tick(loop, i);
-  EXPECT_EQ(loop.ack_stalls(), 0u);
+  for (int i = 1; i <= 6; ++i) s.idle_tick(i);
+  EXPECT_EQ(s.loop.ack_stalls(), 0u);
+}
+
+TEST(AckStallRung, GapSkipNeverArmsTheRung) {
+  // GapSkip keeps no acks to stall on: the rung length is ignored.
+  StallLoop s(3, DeliveryMode::kGapSkip);
+  for (int i = 1; i <= 7; ++i) s.idle_tick(i);
+
+  EXPECT_EQ(s.loop.ack_stalls(), 0u);
+  EXPECT_EQ(s.loop.watchdog_stage(), 0);
 }
 
 // --- threaded runtime: at-least-once over loopback TCP ----------------

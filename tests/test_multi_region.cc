@@ -60,8 +60,7 @@ RegionConfig small_region(int workers, DurationNs base_cost) {
   RegionConfig cfg;
   cfg.workers = workers;
   cfg.base_cost = base_cost;
-  cfg.send_buffer = 16;
-  cfg.recv_buffer = 16;
+  cfg.channel_buffer = 16;
   cfg.link_latency = micros(1);
   cfg.send_overhead = 100;
   cfg.sample_period = millis(5);

@@ -9,7 +9,6 @@ namespace {
 
 TEST(Scale, TupleCostFromMultiplies) {
   Scale s;
-  s.multiply_ns = 10.0;
   EXPECT_EQ(s.tuple_cost(1000), 10'000);
   EXPECT_EQ(s.tuple_cost(60'000), 600'000);
 }
@@ -25,10 +24,10 @@ TEST(Scale, BufferSizingClampsToRange) {
   spec.workers = 2;
   spec.base_multiplies = 100;  // 1 us tuples: target would exceed max
   RegionConfig cfg = build_region_config(spec);
-  EXPECT_EQ(cfg.send_buffer, Scale::kMaxBuffer);
+  EXPECT_EQ(cfg.channel_buffer, Scale::kMaxBuffer);
   spec.base_multiplies = 1'000'000;  // 10 ms tuples: target below min
   cfg = build_region_config(spec);
-  EXPECT_EQ(cfg.send_buffer, Scale::kMinBuffer);
+  EXPECT_EQ(cfg.channel_buffer, Scale::kMinBuffer);
 }
 
 TEST(Harness, PolicyNames) {
