@@ -5,9 +5,8 @@
 //   2. Zero-observation sample weight: the paper records data only for
 //      connections that blocked; we optionally also record "no blocking
 //      at weight w" with a small weight.
-//   3. Per-update step bounds (m_j/M_j): unconstrained vs incremental.
 //
-// Scenario for all three: 4 PEs, 1,000-multiply tuples, two PEs 10x
+// Scenario for both: 4 PEs, 1,000-multiply tuples, two PEs 10x
 // loaded until t/4. Reported: final throughput (recovery quality) and
 // time-averaged throughput (overall cost of the choice).
 #include <cstdio>
@@ -100,22 +99,6 @@ int main() {
              CsvWriter::format(r.final_tput_mtps)});
   }
 
-  bench::print_header(
-      "Ablation 3: per-update step bounds (m_j/M_j around current "
-      "weights)");
-  std::printf("  %-8s %18s %18s\n", "step", "mean tput (M/s)",
-              "final tput (M/s)");
-  for (Weight step : {kWeightUnits, 200, 100, 50, 20}) {
-    ControllerConfig cc;
-    cc.max_step_up = step;
-    cc.max_step_down = step;
-    const AblationResult r = run(cc, duration_s);
-    std::printf("  %-8d %18.3f %18.3f\n", step, r.mean_tput_mtps,
-                r.final_tput_mtps);
-    csv.row({"step_bound", std::to_string(step),
-             CsvWriter::format(r.mean_tput_mtps),
-             CsvWriter::format(r.final_tput_mtps)});
-  }
   std::printf("\n  CSV: %s/ablation_controller.csv\n",
               bench::results_dir().c_str());
   return 0;

@@ -17,7 +17,7 @@ LoadBalanceController::LoadBalanceController(int connections,
   assert(connections > 0);
   functions_.reserve(static_cast<std::size_t>(connections));
   for (int j = 0; j < connections; ++j) {
-    functions_.emplace_back(config_.function);
+    functions_.emplace_back();
   }
   status_.smoothed_rates.assign(static_cast<std::size_t>(connections), 0.0);
   status_.raw_rates.assign(static_cast<std::size_t>(connections), 0.0);
@@ -185,10 +185,9 @@ void LoadBalanceController::mark_up(int j) {
   const auto ju = static_cast<std::size_t>(j);
   if (!down_[ju]) return;
   down_[ju] = 0;
-  // Weight stays where it is (zero, unless min_weight raises the solver
-  // floor): the connection re-enters through the same geometric step-up
-  // probing as any shut-off channel — a trickle first, doubling per
-  // update while it keeps absorbing load without blocking.
+  // Weight stays at zero: the connection re-enters through the same
+  // geometric step-up probing as any shut-off channel — a trickle first,
+  // doubling per update while it keeps absorbing load without blocking.
   functions_[ju].reset();
   if (metrics_.mark_ups != nullptr) {
     metrics_.mark_ups->inc();
@@ -262,22 +261,15 @@ void LoadBalanceController::solve_flat() {
   vars_.resize(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
     const auto ju = static_cast<std::size_t>(j);
-    RapVariable& v = vars_[ju];
     if (down_[ju]) {
       // Dead connection: pinned at zero; the RAP is solved over survivors.
-      v.min = 0;
-      v.max = 0;
+      vars_[ju] = RapVariable{0, 0};
       continue;
     }
-    v.min = std::max(config_.min_weight,
-                     static_cast<Weight>(weights_[ju] - config_.max_step_down));
-    v.min = std::max(v.min, 0);
-    const Weight up = std::min(config_.max_step_up,
-                               std::max(kGeometricStepFloor, weights_[ju]));
-    v.max = std::min(kWeightUnits, static_cast<Weight>(weights_[ju] + up));
-    // A connection re-admitted at weight 0 cannot step up to a min_weight
-    // floor above its geometric step: the floor wins.
-    v.max = std::max(v.max, v.min);
+    // A live connection may drop to 0 or climb one geometric step.
+    const Weight w = weights_[ju];
+    vars_[ju] = RapVariable{
+        0, std::min(kWeightUnits, w + std::max(kGeometricStepFloor, w))};
   }
 
   const RapSolution sol =
@@ -295,7 +287,7 @@ void LoadBalanceController::solve_clustered() {
   fns_.clear();
   for (const RateFunction& f : functions_) fns_.push_back(&f);
 
-  status_.clusters = cluster_functions(fns_, config_.clustering);
+  status_.clusters = cluster_functions(fns_, ClusteringConfig{});
   const int k = static_cast<int>(status_.clusters.size());
   if (journal_ != nullptr) {
     journal_->append(obs::JsonLine{}
@@ -310,7 +302,7 @@ void LoadBalanceController::solve_clustered() {
   if (cluster_curves_.size() < ku) cluster_curves_.resize(ku);
   for (std::size_t c = 0; c < ku; ++c) {
     cluster_curves_[c].fit(merger_.merge(fns_, status_.clusters[c]),
-                           config_.function.delta);
+                           RateFunctionConfig{}.delta);
   }
 
   // Solve at member granularity, but with every member evaluating its
@@ -329,12 +321,10 @@ void LoadBalanceController::solve_clustered() {
     }
   }
 
-  vars_.assign(static_cast<std::size_t>(n),
-               RapVariable{config_.min_weight, kWeightUnits});
-  for (int j = 0; j < n; ++j) {
-    if (down_[static_cast<std::size_t>(j)]) {
-      vars_[static_cast<std::size_t>(j)] = RapVariable{0, 0};
-    }
+  // No step cap here: every live member is free in [0, R].
+  vars_.resize(static_cast<std::size_t>(n));
+  for (std::size_t j = 0; j < vars_.size(); ++j) {
+    vars_[j] = down_[j] ? RapVariable{0, 0} : RapVariable{0, kWeightUnits};
   }
 
   // Members of one cluster evaluate the same curve at the same weights,

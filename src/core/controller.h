@@ -27,7 +27,9 @@
 namespace slb {
 
 /// Controller tunables. Defaults reproduce LB-adaptive from the paper;
-/// set `decay_factor = 1.0` for LB-static.
+/// set `decay_factor = 1.0` for LB-static. The rate functions and the
+/// clustering use the defaults of RateFunctionConfig and ClusteringConfig;
+/// the RAP bounds are fixed (LoadBalanceController::kGeometricStepFloor).
 struct ControllerConfig {
   /// Per-iteration geometric decay applied to F_j beyond the current
   /// weight (Section 5.4). 0.9 = the paper's 10 % reduction; 1.0 disables
@@ -39,23 +41,10 @@ struct ControllerConfig {
   /// w" with a small weight speeds recovery (see DESIGN.md). 0 disables.
   double zero_sample_weight = 0.25;
 
-  /// Per-update bounds on weight movement (the RAP's m_j / M_j relative to
-  /// the current weights). Downward moves are unbounded by default,
-  /// matching the paper's traces where a loaded connection drops to 0 in
-  /// one step; upward moves are further capped by the geometric step
-  /// (LoadBalanceController::kGeometricStepFloor).
-  Weight max_step_up = kWeightUnits;
-  Weight max_step_down = kWeightUnits;
-
-  /// Hard floor for every connection's weight (0 lets connections be shut
-  /// off entirely, as in the paper).
-  Weight min_weight = 0;
-
   /// Clustering (Section 5.3): engaged only when the region has at least
   /// `clustering_min_connections` connections.
   bool enable_clustering = false;
   int clustering_min_connections = 32;
-  ClusteringConfig clustering;
 
   /// Overload protection (DESIGN.md §7). When enabled, a SaturationDetector
   /// watches the per-period blocking rates; while it declares overload the
@@ -65,8 +54,6 @@ struct ControllerConfig {
   /// throughput-bound experiments run saturated on purpose.
   bool enable_overload_protection = false;
   SaturationConfig saturation;
-
-  RateFunctionConfig function;
 };
 
 /// Per-update diagnostic snapshot, used by traces and tests.
@@ -86,13 +73,16 @@ class LoadBalanceController {
   /// functions smooth per-weight via RateFunctionConfig::mix_alpha).
   static constexpr double kRateEwmaAlpha = 0.5;
 
-  /// Geometric upward probing: each update's increase is capped at
-  /// max(kGeometricStepFloor, current weight), so a connection being
-  /// re-explored from near zero is fed only a trickle (cheap if it is
-  /// still overloaded: its buffers barely fill before the blocking data
-  /// arrives and the optimizer backs off), while a recovering connection
-  /// still climbs to an even share within ~log2(R) updates. The tighter
-  /// of this and ControllerConfig::max_step_up wins.
+  /// Geometric upward probing: in the flat solve a live connection's
+  /// weight may fall to 0 in one update (as in the paper's traces, where
+  /// a loaded connection is shut off at once) but may rise by at most
+  /// max(kGeometricStepFloor, current weight). A connection re-explored
+  /// from near zero is thus fed only a trickle (cheap if it is still
+  /// overloaded: its buffers barely fill before the blocking data arrives
+  /// and the optimizer backs off), while a recovering connection still
+  /// climbs to an even share within ~log2(R) updates. The clustered solve
+  /// leaves every live connection free in [0, R]; a down connection is
+  /// pinned at 0 in both.
   static constexpr Weight kGeometricStepFloor = 8;
 
   LoadBalanceController(int connections, ControllerConfig config = {});

@@ -38,7 +38,15 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
     : config_(config),
       policy_(std::move(policy)),
       core_(config.workers, config.delivery.mode,
-            config.delivery.replay_buffer_bytes, config.source_interval) {
+            config.delivery.replay_buffer_bytes, config.source_interval),
+      sent_(metrics_.counter("splitter.sent")),
+      shed_(metrics_.counter("splitter.shed")),
+      failovers_(metrics_.counter("splitter.failovers")),
+      channel_failures_(metrics_.counter("splitter.channel_failures")),
+      reconnects_(metrics_.counter("splitter.reconnects")),
+      retransmits_(metrics_.counter("splitter.retransmits")),
+      replay_bytes_(metrics_.gauge("splitter.replay_buffer_bytes")),
+      ack_lag_(metrics_.gauge("splitter.ack_lag")) {
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   const auto check_worker = [&](int w) {
@@ -58,14 +66,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   }
   net::ignore_sigpipe();  // dead peers must surface as EPIPE, not SIGPIPE
 
-  mc_.sent = &metrics_.counter("splitter.sent");
-  mc_.shed = &metrics_.counter("splitter.shed");
-  mc_.failovers = &metrics_.counter("splitter.failovers");
-  mc_.channel_failures = &metrics_.counter("splitter.channel_failures");
-  mc_.reconnects = &metrics_.counter("splitter.reconnects");
-  mc_.retransmits = &metrics_.counter("splitter.retransmits");
-  replay_bytes_g_ = &metrics_.gauge("splitter.replay_buffer_bytes");
-  ack_lag_g_ = &metrics_.gauge("splitter.ack_lag");
   for (int j = 0; j < config_.workers; ++j) {
     service_hists_.push_back(
         &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
@@ -129,7 +129,7 @@ LocalRegion::~LocalRegion() {
 
 void LocalRegion::quarantine(int j, TimeNs now) {
   if (!core_.up(j)) return;
-  mc_.channel_failures->inc();
+  channel_failures_.inc();
   // At-least-once: the channel's unacked suffix queues for retransmission
   // through the normal routing path (WRR over the survivors, replay-buffer
   // back pressure included).
@@ -174,7 +174,7 @@ void LocalRegion::try_reconnect(int j) {
     return;  // still quarantined: the next pass tries again
   }
   core_.set_up(j, true);
-  mc_.reconnects->inc();
+  reconnects_.inc();
   loop_->mark_channel_up(j);
 }
 
@@ -407,8 +407,8 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // counts, so the policy's (no-op) throughput ingest is skipped.
       const DurationNs span = config_.sample_period + (now - next_sample);
       if (alo) {
-        replay_bytes_g_->set(static_cast<std::int64_t>(core_.replay_bytes()));
-        ack_lag_g_->set(static_cast<std::int64_t>(core_.ack_lag()));
+        replay_bytes_.set(static_cast<std::int64_t>(core_.replay_bytes()));
+        ack_lag_.set(static_cast<std::int64_t>(core_.ack_lag()));
       }
       loop_->tick(now - start, span, core_.blocked_ns(), {},
                   {core_.acked(), core_.unacked()});
@@ -447,7 +447,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
             core_.shed_backlog(now, actions.shed_high, actions.shed_low);
         if (dropped.count > 0) {
           gap_queue.push_back({-1, dropped.first, dropped.count});
-          mc_.shed->inc(dropped.count);
+          shed_.inc(dropped.count);
         }
       }
       int live = -1;
@@ -471,7 +471,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         const int j = core_.route(picked);
         // j < 0 is a total outage: wait for a restart.
         if (j >= 0) {
-          if (j != picked) mc_.failovers->inc();
+          if (j != picked) failovers_.inc();
           out.retransmit = !fresh;
           if (out.retransmit) {
             out.seq = replay->seq;
@@ -532,7 +532,7 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     // The send kept the splitter busy from binding the frame to its last
     // byte; a fresh one also consumed a source release.
     core_.paced(out.since, monotonic_now(), !out.retransmit);
-    (out.retransmit ? mc_.retransmits : mc_.sent)->inc();
+    (out.retransmit ? retransmits_ : sent_).inc();
   }
 
   // begin_shutdown tells the merger that crashed slots will never
@@ -547,8 +547,8 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   stats.shed = core_.shed();
   stats.failovers = core_.failovers();
   stats.retransmits = core_.retransmits();
-  stats.channel_failures = mc_.channel_failures->value();
-  stats.reconnects = mc_.reconnects->value();
+  stats.channel_failures = channel_failures_.value();
+  stats.reconnects = reconnects_.value();
   stats.emitted = merger_->emitted();
   stats.gaps = merger_->gaps();
   stats.dup_discards = merger_->dup_discards();

@@ -210,20 +210,19 @@ class LocalRegion {
   /// replay is a plain re-send), acks, blocked time and the send counters
   /// (DESIGN.md §10), shared with the sim splitter. Splitter-thread only.
   delivery::SendCore<std::vector<std::uint8_t>> core_;
-  /// Declared before the worker and merger PEs holding handles into it.
+  /// Declared before the handles below and the worker and merger PEs
+  /// holding handles into it.
   obs::MetricsRegistry metrics_;
   /// Splitter-loop counters.
-  struct SplitterCounters {
-    obs::Counter* sent = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* failovers = nullptr;
-    obs::Counter* channel_failures = nullptr;
-    obs::Counter* reconnects = nullptr;
-    obs::Counter* retransmits = nullptr;
-  } mc_;
+  obs::Counter& sent_;
+  obs::Counter& shed_;
+  obs::Counter& failovers_;
+  obs::Counter& channel_failures_;
+  obs::Counter& reconnects_;
+  obs::Counter& retransmits_;
   /// Delivery gauges (DESIGN.md §10).
-  obs::Gauge* replay_bytes_g_ = nullptr;
-  obs::Gauge* ack_lag_g_ = nullptr;
+  obs::Gauge& replay_bytes_;
+  obs::Gauge& ack_lag_;  // next_seq - cumulative ack
   /// Per-worker service histograms, passed to every (re)spawned PE.
   std::vector<obs::Histogram*> service_hists_;
 

@@ -1,5 +1,6 @@
 #include "sim/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -84,8 +85,10 @@ bool TraceRecorder::write_csv(const std::string& path) const {
 
 std::string TraceRecorder::render_weights(int stride) const {
   std::ostringstream out;
-  for (std::size_t i = 0; i < rows_.size();
-       i += static_cast<std::size_t>(stride)) {
+  // A stride below 1 (a bench's duration/20 at a small scale) means every
+  // row; stepping by 0 would never end.
+  const auto step = static_cast<std::size_t>(std::max(stride, 1));
+  for (std::size_t i = 0; i < rows_.size(); i += step) {
     const TraceRow& row = rows_[i];
     char ts[32];
     std::snprintf(ts, sizeof(ts), "t=%7.1fs |", row.paper_s);

@@ -38,7 +38,8 @@ class TraceRecorder {
   bool write_csv(const std::string& path) const;
 
   /// Renders a compact textual summary of weight trajectories: one line
-  /// per `stride` periods, for console output in the figure benches.
+  /// per `stride` periods (every period when `stride` < 1), for console
+  /// output in the figure benches.
   std::string render_weights(int stride = 10) const;
 
  private:

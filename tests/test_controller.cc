@@ -165,54 +165,6 @@ TEST(Controller, AdaptiveDecaysAndReexplores) {
   EXPECT_GT(c.weights()[0], 350);  // climbed back toward even
 }
 
-TEST(Controller, StepBoundsLimitMovement) {
-  ControllerConfig cfg;
-  cfg.max_step_down = 50;
-  cfg.max_step_up = 50;
-  FakeSystem system({0.02, 0.98}, false);
-  LoadBalanceController c(2, cfg);
-  const DurationNs period = seconds(1);
-  WeightVector prev = c.weights();
-  for (int i = 0; i < 30; ++i) {
-    system.step(c.weights(), period);
-    c.update((i + 1) * period, system.cumulative());
-    EXPECT_LE(std::abs(c.weights()[0] - prev[0]), 50);
-    EXPECT_LE(std::abs(c.weights()[1] - prev[1]), 50);
-    prev = c.weights();
-  }
-  EXPECT_LT(c.weights()[0], 250);  // still gets there, just gradually
-}
-
-TEST(Controller, MinWeightFloorRespected) {
-  ControllerConfig cfg;
-  cfg.min_weight = 20;
-  FakeSystem system({0.01, 0.99}, false);
-  LoadBalanceController c(2, cfg);
-  run_loop(c, system, 60);
-  EXPECT_GE(c.weights()[0], 20);
-}
-
-TEST(Controller, MinWeightFloorSurvivesMarkUp) {
-  // A connection re-admitted at weight 0 may step up by only the geometric
-  // floor (8), below min_weight: the floor must win instead of leaving the
-  // RAP with max < min (an assertion failure in debug builds).
-  ControllerConfig cfg;
-  cfg.min_weight = 20;
-  LoadBalanceController c(2, cfg);
-  std::vector<DurationNs> blocked{0, 0};
-  c.update(seconds(1), blocked);  // baseline
-  blocked[1] += millis(500);
-  c.update(seconds(2), blocked);
-  c.mark_down(0);
-  c.mark_up(0);
-  ASSERT_EQ(c.weights()[0], 0);
-  blocked[1] += millis(500);
-  c.update(seconds(3), blocked);
-  EXPECT_EQ(c.weights()[0], 20);
-  EXPECT_EQ(total_weight(c.weights()), kWeightUnits);
-  EXPECT_TRUE(c.status().solver_feasible);
-}
-
 TEST(Controller, SetWeightsOverrides) {
   LoadBalanceController c(2);
   c.set_weights({900, 100});

@@ -1,5 +1,6 @@
-// Tests for the geometric step-up exploration bound and related
-// controller knobs added during reproduction (see DESIGN.md).
+// Tests for the flat solve's per-update weight bounds (DESIGN.md, "Step
+// bounds"): a live connection may drop to 0 in one update, and may rise by
+// at most max(8, w).
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -105,5 +105,17 @@ TEST(Trace, RenderWeightsProducesOneLinePerStride) {
   EXPECT_NE(text.find("t="), std::string::npos);
 }
 
+TEST(Trace, RenderWeightsTreatsStrideBelowOneAsOne) {
+  const ExperimentSpec spec = small_spec();
+  auto region = make_region(PolicyKind::kRoundRobin, spec);
+  TraceRecorder trace(spec.scale);
+  trace.attach(*region);
+  region->run_for(spec.scale.paper_second * 3);
+  const std::string every = trace.render_weights(1);
+  EXPECT_EQ(std::count(every.begin(), every.end(), '\n'), 3);
+  EXPECT_EQ(trace.render_weights(0), every);
+  EXPECT_EQ(trace.render_weights(-1), every);
+}
+
 }  // namespace
 }  // namespace slb::sim
