@@ -8,6 +8,7 @@
 
 #include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/clustering.h"
@@ -189,6 +190,47 @@ void BM_ReleaseCoreArrival(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(released));
 }
 BENCHMARK(BM_ReleaseCoreArrival)->Arg(2)->Arg(8)->Arg(64)->Arg(128);
+
+// Fan-out arrivals: sequence s travels on connection s % N, and in each
+// round of N sequences the connections deliver in a random order, so most
+// arrivals wait above the cursor until the lowest of their round lands.
+// This is the out-of-order shape a merger sees behind a busy region; the
+// in-order row above never files a head above the cursor.
+void BM_ReleaseCoreReorder(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::vector<int> order;  // connection of each arrival over 256 rounds
+  std::vector<int> round(static_cast<std::size_t>(n));
+  Rng rng(1);
+  for (int r = 0; r < 256; ++r) {
+    for (int j = 0; j < n; ++j) round[static_cast<std::size_t>(j)] = j;
+    for (std::size_t i = round.size() - 1; i > 0; --i) {
+      std::swap(round[i], round[rng.below(i + 1)]);
+    }
+    order.insert(order.end(), round.begin(), round.end());
+  }
+  delivery::ReleaseCore<std::uint64_t> core(n,
+                                            delivery::DeliveryMode::kGapSkip);
+  std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) next[static_cast<std::size_t>(j)] = j;
+  std::size_t k = 0;
+  std::uint64_t released = 0;
+  int freed = 0;
+  for (auto _ : state) {
+    const auto j = static_cast<std::size_t>(order[k]);
+    k = k + 1 == order.size() ? 0 : k + 1;
+    core.offer(static_cast<int>(j), next[j]);
+    next[j] += static_cast<std::uint64_t>(n);
+    core.release([&](int, std::uint64_t) {
+      ++released;
+      return true;
+    });
+    core.take_freed([&](int) { ++freed; });
+  }
+  benchmark::DoNotOptimize(released);
+  benchmark::DoNotOptimize(freed);
+  state.SetItemsProcessed(static_cast<std::int64_t>(released));
+}
+BENCHMARK(BM_ReleaseCoreReorder)->Arg(8)->Arg(64);
 
 // ---- full controller update -------------------------------------------------
 

@@ -29,11 +29,18 @@
 //
 // Per-arrival cost does not grow with the connection count: the release
 // scan visits only *eligible* connections (queue head at or below the
-// cursor), kept in a bitset and refilled from a min-heap of the other
-// heads whenever the cursor moves. Every other connection would be a
-// no-op in a full scan, so the visit order, and with it every emit,
-// discard and refusal, is that of the plain scan over all connections
-// (DESIGN.md §10).
+// cursor), kept in a bitset. Every other connection would be a no-op in a
+// full scan, so the visit order, and with it every emit, discard and
+// refusal, is that of the plain scan over all connections. A head above
+// the cursor waits in a ring of kNear slots indexed by sequence: each
+// cursor step visits the one slot it passes, and a slot names the
+// connection that filed it, which becomes eligible if that head is still
+// its head. A stale slot (the head was popped since) is ignored, and every
+// visited slot is cleared, so a slot only ever holds the one window
+// sequence that maps to it. A jump of kNear or more sequences re-reads
+// every head once instead. Heads kNear or more above the cursor, and a
+// second head on a taken slot (an at-least-once duplicate), wait in a
+// min-heap (DESIGN.md §10).
 //
 // Item is either a sequence number or a struct with a `seq` field.
 #pragma once
@@ -42,8 +49,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <type_traits>
@@ -60,6 +65,9 @@ class ReleaseCore {
  public:
   static constexpr std::size_t kUnbounded =
       std::numeric_limits<std::size_t>::max();
+  /// Width of the near-head window, a power of two: a head fewer than
+  /// kNear sequences above the cursor is indexed by its sequence.
+  static constexpr std::uint64_t kNear = 1024;
 
   enum class Offer {
     kAccepted,  // queued or pooled; a release may now make progress
@@ -71,6 +79,7 @@ class ReleaseCore {
               std::size_t capacity = kUnbounded)
       : queues_(static_cast<std::size_t>(connections)),
         eligible_(words(connections), 0),
+        near_(kNear, 0),
         freed_(words(connections), 0),
         floors_(static_cast<std::size_t>(connections), 0),
         capacity_(capacity),
@@ -135,8 +144,7 @@ class ReleaseCore {
         if (!emit(from, item)) return;
         pool_.erase(pool_.begin());
         --queued_;
-        ++expected_;
-        cursor_moved();
+        move_cursor(expected_ + 1);
         progressed = true;
       }
       // Connection order, visiting only the connections a full scan would
@@ -151,9 +159,8 @@ class ReleaseCore {
         }
         while (!q.empty() && seq_of(q.front()) == expected_) {
           if (!emit(static_cast<int>(j), q.front())) return;
-          ++expected_;
+          move_cursor(expected_ + 1);
           pop(static_cast<int>(j));
-          cursor_moved();
           progressed = true;
         }
       }
@@ -196,13 +203,13 @@ class ReleaseCore {
     if (next_set(eligible_, 0) < queues_.size()) return 0;
     std::uint64_t reach = *std::min_element(floors_.begin(), floors_.end());
     if (!pool_.empty()) reach = std::min(reach, pool_.begin()->first);
-    drop_stale_heads();
-    if (!heads_.empty()) reach = std::min(reach, heads_.front().first);
+    for (const auto& q : queues_) {
+      if (!q.empty()) reach = std::min(reach, seq_of(q.front()));
+    }
     if (reach == kEnded || reach <= expected_) return 0;
     const std::uint64_t skipped = reach - expected_;
     gaps_ += skipped;
-    expected_ = reach;
-    cursor_moved();
+    move_cursor(reach);
     return skipped;
   }
 
@@ -270,6 +277,47 @@ class ReleaseCore {
 
   /// A (head sequence, connection) entry of the min-heap `heads_`.
   using Head = std::pair<std::uint64_t, std::size_t>;
+  /// Heap order for `heads_`: lowest sequence on top, then lowest
+  /// connection.
+  struct HeadAfter {
+    bool operator()(const Head& a, const Head& b) const {
+      return a.first != b.first ? a.first > b.first : a.second > b.second;
+    }
+  };
+
+  /// One connection's FIFO: a power-of-two ring that doubles when full.
+  /// Popped items are not destroyed, only overwritten.
+  class Ring {
+   public:
+    static_assert(std::is_trivially_copyable_v<Item>);
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Item& front() const { return buf_[head_]; }
+    const Item& back() const { return buf_[(head_ + size_ - 1) & mask()]; }
+    void push_back(const Item& item) {
+      if (size_ == buf_.size()) grow();
+      buf_[(head_ + size_++) & mask()] = item;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & mask();
+      --size_;
+    }
+
+   private:
+    std::size_t mask() const { return buf_.size() - 1; }
+    void grow() {
+      std::vector<Item> bigger(std::max<std::size_t>(4, 2 * buf_.size()));
+      for (std::size_t i = 0; i < size_; ++i) {
+        bigger[i] = buf_[(head_ + i) & mask()];
+      }
+      buf_.swap(bigger);
+      head_ = 0;
+    }
+
+    std::vector<Item> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
 
   static std::size_t words(int connections) {
     return (static_cast<std::size_t>(connections) + 63) / 64;
@@ -293,54 +341,83 @@ class ReleaseCore {
 
   /// Connection j's head changed (it was pushed onto an empty queue or
   /// popped): mark j eligible when the head is at or below the cursor,
-  /// otherwise file it in the heap until the cursor reaches it. The heap
-  /// entry for the previous head, if any, goes stale.
+  /// otherwise file it in its near slot or, when that is out of reach or
+  /// taken, in the heap until the cursor reaches it. What was filed for
+  /// the previous head, if anything, goes stale.
   void index_head(std::size_t j) {
     const auto& q = queues_[j];
     if (!q.empty() && seq_of(q.front()) <= expected_) {
-      eligible_[j / 64] |= bit(j);
+      mark(j);
       return;
     }
     eligible_[j / 64] &= ~bit(j);
     if (q.empty()) return;
-    heads_.emplace_back(seq_of(q.front()), j);
-    std::push_heap(heads_.begin(), heads_.end(), std::greater<>());
+    const std::uint64_t s = seq_of(q.front());
+    if (s - expected_ < kNear) {
+      std::uint32_t& slot = near_slot(s);
+      if (slot == 0) {
+        slot = static_cast<std::uint32_t>(j + 1);
+        return;
+      }
+    }
+    heads_.emplace_back(s, j);
+    std::push_heap(heads_.begin(), heads_.end(), HeadAfter{});
     // Stale entries pile up only when heads above the cursor are popped
     // (the ungated head/pop path); rebuild before they outnumber the
     // live ones.
     if (heads_.size() > 2 * queues_.size() + 64) rebuild_heads();
   }
 
-  bool live(const Head& h) const {
-    const auto& q = queues_[h.second];
-    return !q.empty() && seq_of(q.front()) == h.first;
+  void mark(std::size_t j) { eligible_[j / 64] |= bit(j); }
+
+  /// Whether connection j's current head is sequence s.
+  bool head_is(std::size_t j, std::uint64_t s) const {
+    const auto& q = queues_[j];
+    return !q.empty() && seq_of(q.front()) == s;
   }
 
-  void drop_stale_heads() {
-    while (!heads_.empty() && !live(heads_.front())) {
-      std::pop_heap(heads_.begin(), heads_.end(), std::greater<>());
-      heads_.pop_back();
-    }
-  }
+  std::uint32_t& near_slot(std::uint64_t s) { return near_[s & (kNear - 1)]; }
 
+  /// Re-files in the heap every head above the cursor that its near slot
+  /// does not hold.
   void rebuild_heads() {
     heads_.clear();
     for (std::size_t j = 0; j < queues_.size(); ++j) {
       const auto& q = queues_[j];
-      if (!q.empty() && seq_of(q.front()) > expected_) {
-        heads_.emplace_back(seq_of(q.front()), j);
+      if (q.empty() || seq_of(q.front()) <= expected_) continue;
+      const std::uint64_t s = seq_of(q.front());
+      if (s - expected_ >= kNear || near_slot(s) != j + 1) {
+        heads_.emplace_back(s, j);
       }
     }
-    std::make_heap(heads_.begin(), heads_.end(), std::greater<>());
+    std::make_heap(heads_.begin(), heads_.end(), HeadAfter{});
   }
 
-  /// The cursor advanced: heads it reached become eligible.
-  void cursor_moved() {
-    while (!heads_.empty() && heads_.front().first <= expected_) {
+  /// Moves the cursor up to `to`: the heads it reaches become eligible.
+  void move_cursor(std::uint64_t to) {
+    const std::uint64_t from = expected_;
+    expected_ = to;
+    if (to - from < kNear) {
+      // Each slot passed holds, if anything, the sequence passed there.
+      for (std::uint64_t s = from + 1; s <= to; ++s) {
+        std::uint32_t& slot = near_slot(s);
+        if (slot == 0) continue;
+        if (head_is(slot - 1, s)) mark(slot - 1);
+        slot = 0;
+      }
+    } else {
+      // The jump passed the whole window.
+      std::fill(near_.begin(), near_.end(), 0);
+      for (std::size_t j = 0; j < queues_.size(); ++j) {
+        const auto& q = queues_[j];
+        if (!q.empty() && seq_of(q.front()) <= to) mark(j);
+      }
+    }
+    while (!heads_.empty() && heads_.front().first <= to) {
       const Head h = heads_.front();
-      std::pop_heap(heads_.begin(), heads_.end(), std::greater<>());
+      std::pop_heap(heads_.begin(), heads_.end(), HeadAfter{});
       heads_.pop_back();
-      if (live(h)) eligible_[h.second / 64] |= bit(h.second);
+      if (head_is(h.second, h.first)) mark(h.second);
     }
   }
 
@@ -372,19 +449,22 @@ class ReleaseCore {
       if (end > expected_) {
         on_gap(end - expected_, it->second.declared_at);
         gaps_ += end - expected_;
-        expected_ = end;
-        cursor_moved();
+        move_cursor(end);
         skipped = true;
       }
       lost_.erase(it);
     }
   }
 
-  std::vector<std::deque<Item>> queues_;
+  std::vector<Ring> queues_;
   /// Bitset of connections whose head is at or below the cursor.
   std::vector<std::uint64_t> eligible_;
-  /// Min-heap of (head, connection) for heads above the cursor; an entry
-  /// is live while it matches the connection's current head.
+  /// Near-head window: slot s % kNear holds connection + 1 for a head s
+  /// in (cursor, cursor + kNear), or 0. An entry is live while it matches
+  /// the connection's current head.
+  std::vector<std::uint32_t> near_;
+  /// Min-heap of (head, connection) for the other heads above the cursor;
+  /// an entry is live while it matches the connection's current head.
   std::vector<Head> heads_;
   /// Sequence -> (source connection, item) for out-of-order replays.
   std::map<std::uint64_t, std::pair<int, Item>> pool_;

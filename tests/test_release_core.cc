@@ -629,9 +629,14 @@ std::vector<int> freed(C& core) {
 /// copies, at-least-once duplicates (at heads and in the pool) and
 /// out-of-order gap-skip arrivals. Floors rise, streams end and reopen at
 /// random. Releases refuse emits at random.
-void run_oracle(std::uint64_t seed, DeliveryMode mode) {
+///
+/// A `wide` program spans many near-head windows over a few connections:
+/// the source skips runs of sequences (declared lost or left to the
+/// unreachable skip), and strays, floors and lost ranges also land at
+/// the window's edge or up to three windows above the cursor.
+void run_oracle(std::uint64_t seed, DeliveryMode mode, bool wide = false) {
   Rng rng(seed);
-  const int n = 1 + static_cast<int>(rng.below(130));
+  const int n = 1 + static_cast<int>(rng.below(wide ? 6 : 130));
   const std::size_t capacity =
       rng.chance(0.3) ? 1 + rng.below(4) : Core::kUnbounded;
   const double refuse_p = std::vector<double>{0, 0.05, 0.3}[rng.below(3)];
@@ -649,14 +654,31 @@ void run_oracle(std::uint64_t seed, DeliveryMode mode) {
       static_cast<std::size_t>(n));
   std::uint64_t sent = 0;
   TimeNs now = 0;
-  const int steps = 1 + static_cast<int>(rng.below(120));
+  const int steps = 1 + static_cast<int>(rng.below(wide ? 400 : 120));
   for (int step = 0; step <= steps; ++step) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
     const bool flush = step == steps;  // the end-of-input flush
     now += static_cast<TimeNs>(rng.below(5));
     const std::uint64_t op = flush ? 100 : rng.below(100);
     const std::uint64_t low = core.expected() > 3 ? core.expected() - 3 : 0;
+    // A sequence from `low` up: near the newest send, or in a wide
+    // program also at the window's edge or anywhere in three windows.
+    const auto ahead = [&] {
+      if (!wide || rng.chance(0.5)) return low + rng.below(sent + 8 - low);
+      const std::uint64_t far = rng.chance(0.5)
+                                    ? Core::kNear - 2 + rng.below(5)
+                                    : rng.below(3 * Core::kNear);
+      return core.expected() + far;
+    };
     if (op < 30) {
+      if (wide && rng.chance(0.15)) {  // the source skips a run
+        const std::uint64_t run = ahead() - low;
+        if (rng.chance(0.5)) {
+          core.note_lost(sent, run, now);
+          ref.note_lost(sent, run, now);
+        }
+        sent += run;
+      }
       in_flight[static_cast<std::size_t>(pick())].push_back(sent++);
     } else if (op < 60) {
       const int j = pick();
@@ -669,19 +691,20 @@ void run_oracle(std::uint64_t seed, DeliveryMode mode) {
       }
     } else if (op < 68) {
       const int j = pick();
-      const std::uint64_t seq = low + rng.below(sent + 8 - low);
+      const std::uint64_t seq = ahead();
       ASSERT_EQ(static_cast<int>(core.offer(j, seq)),
                 static_cast<int>(ref.offer(j, seq)));
     } else if (op < 76) {
-      const std::uint64_t first = low + rng.below(sent + 8 - low);
-      const std::uint64_t count = rng.below(4);
+      const std::uint64_t first = ahead();
+      const std::uint64_t count =
+          wide && rng.chance(0.3) ? rng.below(3 * Core::kNear) : rng.below(4);
       core.note_lost(first, count, now);
       ref.note_lost(first, count, now);
     } else if (op < 80) {
       ASSERT_EQ(core.skip_unreachable(), ref.skip_unreachable());
     } else if (op < 85) {
       const int j = pick();
-      const std::uint64_t floor = low + rng.below(sent + 8 - low);
+      const std::uint64_t floor = ahead();
       switch (rng.below(4)) {
         case 0:
           core.close(j);
@@ -721,6 +744,7 @@ void run_oracle(std::uint64_t seed, DeliveryMode mode) {
       while (core.queued() > 0) {
         ASSERT_EQ(core.skip_unreachable(), ref.skip_unreachable());
         ASSERT_EQ(traced_release(core, 0, 0), traced_release(ref, 0, 0));
+        ASSERT_EQ(core.queued(), ref.queued());
       }
     } else if (rng.chance(0.7)) {
       const std::uint64_t salt = rng();
@@ -752,37 +776,202 @@ TEST(ReleaseCoreOracle, AtLeastOnceMatchesThePlainScan) {
   }
 }
 
+TEST(ReleaseCoreOracle, GapSkipMatchesThePlainScanAcrossWindows) {
+  for (std::uint64_t seed = 1; seed <= 3'000; ++seed) {
+    run_oracle(seed, DeliveryMode::kGapSkip, /*wide=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ReleaseCoreOracle, AtLeastOnceMatchesThePlainScanAcrossWindows) {
+  for (std::uint64_t seed = 1; seed <= 3'000; ++seed) {
+    run_oracle(seed, DeliveryMode::kAtLeastOnce, /*wide=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// The core and the reference driven call for call; each call's result
+/// and the counters after it must agree.
+class Twin {
+ public:
+  Twin(int n, DeliveryMode mode) : n_(n), core_(n, mode), ref_(n, mode) {}
+
+  void offer(int j, std::uint64_t seq) {
+    EXPECT_EQ(static_cast<int>(core_.offer(j, seq)),
+              static_cast<int>(ref_.offer(j, seq)))
+        << "offer " << seq << " on " << j;
+    check();
+  }
+  void lose(std::uint64_t first, std::uint64_t count) {
+    core_.note_lost(first, count, 0);
+    ref_.note_lost(first, count, 0);
+  }
+  /// The ungated pop of parallel sinks, if connection j holds anything.
+  void pop(int j) {
+    ASSERT_EQ(core_.head(j) == nullptr, ref_.head(j) == nullptr);
+    if (core_.head(j) == nullptr) return;
+    EXPECT_EQ(*core_.head(j), *ref_.head(j));
+    core_.pop(j);
+    ref_.pop(j);
+    check();
+  }
+  void close_all() {
+    for (int j = 0; j < n_; ++j) {
+      core_.close(j);
+      ref_.close(j);
+    }
+  }
+  void skip() {
+    EXPECT_EQ(core_.skip_unreachable(), ref_.skip_unreachable());
+    check();
+  }
+  void release() {
+    EXPECT_EQ(traced_release(core_, 0, 0), traced_release(ref_, 0, 0))
+        << "cursor " << ref_.expected();
+    check();
+  }
+  const Core& core() const { return core_; }
+
+ private:
+  void check() {
+    EXPECT_EQ(core_.expected(), ref_.expected());
+    EXPECT_EQ(core_.gaps(), ref_.gaps());
+    EXPECT_EQ(core_.dup_discards(), ref_.dup_discards());
+    EXPECT_EQ(core_.late_discards(), ref_.late_discards());
+    EXPECT_EQ(core_.queued(), ref_.queued());
+    EXPECT_EQ(core_.pooled(), ref_.pooled());
+    EXPECT_EQ(freed(core_), freed(ref_));
+  }
+
+  int n_;
+  Core core_;
+  Ref ref_;
+};
+
+constexpr std::uint64_t kNear = Core::kNear;
+
+TEST(ReleaseCoreOracle, HeadsAtTheWindowEdgeAndPastIt) {
+  // Heads kNear - 1, kNear and kNear + 1 above the cursor: the first is
+  // in the window, the other two wait in the heap.
+  Twin t(4, DeliveryMode::kGapSkip);
+  t.offer(1, kNear - 1);
+  t.offer(2, kNear);
+  t.offer(3, kNear + 1);
+  for (std::uint64_t s = 0; s + 1 < kNear; ++s) {
+    t.offer(0, s);
+    t.release();
+  }
+  EXPECT_EQ(t.core().expected(), kNear + 2);
+  EXPECT_EQ(t.core().queued(), 0u);
+}
+
+TEST(ReleaseCoreOracle, JumpsOfAWindowOrMoreReachEveryHead) {
+  Twin t(3, DeliveryMode::kGapSkip);
+  // Window heads 3 and 10 and a heap head; one lost range covers all
+  // three and moves the cursor two windows: each head is now stale.
+  t.offer(0, 10);
+  t.offer(1, kNear + 5);
+  t.offer(2, 3);
+  t.lose(0, 2 * kNear);
+  t.release();
+  EXPECT_EQ(t.core().late_discards(), 3u);
+  // The end-of-input flush: skips of less than a window and of more.
+  t.offer(0, 2 * kNear + 50);
+  t.offer(1, 4 * kNear);
+  t.offer(2, 2 * kNear + 60);
+  t.offer(2, 6 * kNear);
+  t.close_all();
+  for (int i = 0; i < 4; ++i) {
+    t.skip();
+    t.release();
+  }
+  EXPECT_EQ(t.core().expected(), 6 * kNear + 1);
+  EXPECT_EQ(t.core().queued(), 0u);
+}
+
+TEST(ReleaseCoreOracle, DuplicateHeadsOnOneSlot) {
+  // At-least-once: two connections hold the same head above the cursor.
+  // The first takes the slot, the second waits in the heap; when the
+  // cursor arrives, the lower connection emits and the other copy is a
+  // dup_discard. Both filing orders, and a third copy on connection 0.
+  Twin t(4, DeliveryMode::kAtLeastOnce);
+  t.offer(2, 5);
+  t.offer(1, 5);
+  for (std::uint64_t s = 0; s < 5; ++s) t.offer(0, s);
+  t.release();
+  EXPECT_EQ(t.core().dup_discards(), 1u);
+  const std::uint64_t d = kNear + 5;  // kNear - 1 above the cursor
+  t.offer(1, d);
+  t.offer(3, d);
+  t.offer(2, d);
+  for (std::uint64_t s = 6; s < d; ++s) t.offer(0, s);
+  t.offer(0, d);
+  t.release();
+  EXPECT_EQ(t.core().expected(), d + 1);
+  EXPECT_EQ(t.core().dup_discards(), 4u);
+  EXPECT_EQ(t.core().queued(), 0u);
+}
+
+TEST(ReleaseCoreOracle, SlotsAliasAfterTheRingWraps) {
+  // Fan-out over 4 connections for four windows: sequence s travels on
+  // connection s % 4 and the connections' streams interleave at random,
+  // so heads wait above the cursor and every slot is reused. Ungated
+  // pops now and then leave stale slots for later sequences to find.
+  Twin t(4, DeliveryMode::kGapSkip);
+  Rng rng(29);
+  std::vector<std::uint64_t> next = {0, 1, 2, 3};
+  while (next[0] < 4 * kNear) {
+    const int j = static_cast<int>(rng.below(4));
+    t.offer(j, next[static_cast<std::size_t>(j)]);
+    next[static_cast<std::size_t>(j)] += 4;
+    if (rng.chance(0.01)) t.pop(static_cast<int>(rng.below(4)));
+    if (rng.chance(0.5)) t.release();
+    if (::testing::Test::HasFailure()) return;
+  }
+  t.close_all();
+  while (t.core().queued() > 0 && !::testing::Test::HasFailure()) {
+    t.skip();
+    t.release();
+  }
+}
+
 TEST(ReleaseCoreOracle, UngatedPopsAboveTheCursorKeepTheIndexExact) {
   // Parallel sinks pop heads the cursor has not reached, which leaves
-  // their heap entries stale; thousands of them force the index to
-  // rebuild many times. Gated skips and releases in between read it.
-  Core core(4, DeliveryMode::kGapSkip);
-  Ref ref(4, DeliveryMode::kGapSkip);
-  for (int j = 0; j < 4; ++j) {  // skips then jump to the lowest head
-    core.close(j);
-    ref.close(j);
-  }
-  Rng rng(11);
-  std::uint64_t seq = 1;  // sequence 0 never arrives
-  for (int i = 0; i < 3000; ++i) {
-    const int j = static_cast<int>(rng.below(4));
-    ASSERT_EQ(static_cast<int>(core.offer(j, seq)),
-              static_cast<int>(ref.offer(j, seq)));
-    ++seq;
-    const int k = static_cast<int>(rng.below(4));
-    if (rng.chance(0.4) && core.head(k) != nullptr) {
-      ASSERT_EQ(*core.head(k), *ref.head(k));
-      core.pop(k);
-      ref.pop(k);
+  // what was filed for them stale. Connection 1 gets two arrivals a
+  // window or more above the cursor and pops both, so two stale heap
+  // entries pile up per step and the heap rebuilds every few dozen
+  // steps. Connections 2 and 3 hold heads filed a window up, which the
+  // cursor reaches one step at a time as connection 0 delivers it, so
+  // they sit in the heap through rebuilds, first far and then near; under
+  // at-least-once, copies on both make duplicate heads.
+  for (const DeliveryMode mode :
+       {DeliveryMode::kGapSkip, DeliveryMode::kAtLeastOnce}) {
+    Twin t(4, mode);
+    Rng rng(11);
+    for (int i = 0; i < 4000 && !::testing::Test::HasFailure(); ++i) {
+      const std::uint64_t cursor = t.core().expected();
+      t.offer(1, cursor + kNear + rng.below(kNear));
+      t.offer(1, cursor + kNear + rng.below(kNear));
+      t.pop(1);
+      t.pop(1);
+      if (rng.chance(0.05)) {
+        const std::uint64_t seq = cursor + kNear + rng.below(64);
+        const int j = 2 + static_cast<int>(rng.below(2));
+        t.offer(j, seq);
+        if (mode == DeliveryMode::kAtLeastOnce && rng.chance(0.3)) {
+          t.offer(5 - j, seq);
+        }
+      }
+      if (rng.chance(0.01)) t.pop(2 + static_cast<int>(rng.below(2)));
+      t.offer(0, cursor);
+      t.release();
     }
-    if (i % 97 == 96) {
-      ASSERT_EQ(core.skip_unreachable(), ref.skip_unreachable());
-      ASSERT_EQ(traced_release(core, 0, 0), traced_release(ref, 0, 0));
+    t.close_all();
+    while (t.core().queued() > 0 && !::testing::Test::HasFailure()) {
+      t.skip();
+      t.release();
     }
   }
-  ASSERT_EQ(freed(core), freed(ref));
-  EXPECT_EQ(core.expected(), ref.expected());
-  EXPECT_EQ(core.gaps(), ref.gaps());
 }
 
 // --- 4. two-adapter parity --------------------------------------------
