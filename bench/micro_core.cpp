@@ -135,33 +135,73 @@ void BM_SmoothWrrPick(benchmark::State& state) {
 BENCHMARK(BM_SmoothWrrPick)->RangeMultiplier(4)->Range(2, 128);
 
 // BM_SmoothWrrPick never changes its weights, so after the first cycles
-// it times replayed picks only. Here a unit moves between two connections
+// it times replayed picks only. The re-weighted rows change the weights
 // every 4,050 picks, the rate sim-fanout64 re-weights at (1,898,158 picks
-// over 469 controller ticks), so the row includes the scanned cycles and
-// the replay rebuild that follow each change.
-void BM_SmoothWrrPickReweighted(benchmark::State& state) {
+// over 469 controller ticks), so they include the scanned cycles and the
+// replay rebuild that follow each change. `next` makes each new vector.
+template <class Next>
+void reweighted_picks(benchmark::State& state, WeightVector w, Next next) {
   constexpr int kPicksPerTick = 4050;
-  const int n = static_cast<int>(state.range(0));
-  SmoothWrr wrr(n);
-  Rng rng(4);
-  WeightVector w = skewed_weights(n, rng);
+  SmoothWrr wrr(static_cast<int>(w.size()));
   wrr.set_weights(w);
   int until_reweight = kPicksPerTick;
   for (auto _ : state) {
     if (--until_reweight == 0) {
       until_reweight = kPicksPerTick;
-      const auto un = static_cast<std::uint64_t>(n);
-      std::uint64_t from = rng.below(un);
-      while (w[from] == 0) from = (from + 1) % un;
-      const std::uint64_t to = (from + 1 + rng.below(un - 1)) % un;
-      --w[from];
-      ++w[to];
+      next(w);
       wrr.set_weights(w);
     }
     benchmark::DoNotOptimize(wrr.pick());
   }
 }
+
+// Skewed random weights, almost all distinct; each change moves one unit
+// between two connections.
+void BM_SmoothWrrPickReweighted(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(4);
+  reweighted_picks(state, skewed_weights(n, rng), [&](WeightVector& w) {
+    const auto un = static_cast<std::uint64_t>(n);
+    std::uint64_t from = rng.below(un);
+    while (w[from] == 0) from = (from + 1) % un;
+    const std::uint64_t to = (from + 1 + rng.below(un - 1)) % un;
+    --w[from];
+    ++w[to];
+  });
+}
 BENCHMARK(BM_SmoothWrrPickReweighted)->Arg(2)->Arg(16)->Arg(64);
+
+// sim-fanout64's shape: clustering gives every member of a cluster the
+// same share, so its 64-connection vectors hold only 4.4-6.2 distinct
+// weights per re-weight (seed 1). Here connection j belongs to cluster
+// j % 3, and each change draws new cluster shares, each split evenly
+// over the cluster's members: at most six distinct weights.
+void BM_SmoothWrrPickReweightedClustered(benchmark::State& state) {
+  constexpr std::size_t kClusters = 3;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  auto clustered = [&](WeightVector& w) {
+    Weight left = kWeightUnits;
+    for (std::size_t c = 0; c < kClusters; ++c) {
+      const Weight share =
+          c + 1 == kClusters
+              ? left
+              : static_cast<Weight>(
+                    rng.below(static_cast<std::uint64_t>(left) / 2 + 1));
+      left -= share;
+      const auto size = static_cast<Weight>((n - c + kClusters - 1) / kClusters);
+      Weight extra = share % size;
+      for (std::size_t j = c; j < n; j += kClusters) {
+        w[j] = share / size + (extra > 0 ? 1 : 0);
+        if (extra > 0) --extra;
+      }
+    }
+  };
+  WeightVector w(n);
+  clustered(w);
+  reweighted_picks(state, w, clustered);
+}
+BENCHMARK(BM_SmoothWrrPickReweightedClustered)->Arg(64);
 
 // ---- ordered release --------------------------------------------------------
 

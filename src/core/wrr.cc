@@ -1,6 +1,7 @@
 #include "core/wrr.h"
 
 #include <cassert>
+#include <limits>
 
 namespace slb {
 
@@ -29,9 +30,12 @@ void SmoothWrr::set_weights(const WeightVector& weights) {
   }
   weights_ = weights;
   total_ = 0;
-  for (Weight w : weights_) {
+  live_.clear();
+  for (std::size_t j = 0; j < weights_.size(); ++j) {
+    const Weight w = weights_[j];
     assert(w >= 0);
     total_ += w;
+    if (w > 0) live_.push_back(Live{static_cast<ConnectionId>(j), w});
   }
   // Keep the accumulated `current_` credit so weight changes do not cause
   // a burst toward low-index connections; clamp credits of connections
@@ -59,13 +63,15 @@ ConnectionId SmoothWrr::scan() {
     fallback_cursor_ = (fallback_cursor_ + 1) % n;
     return choice;
   }
-  int best = -1;
-  for (std::size_t j = 0; j < weights_.size(); ++j) {
-    if (weights_[j] == 0) continue;
-    current_[j] += weights_[j];
-    if (best < 0 || current_[j] > current_[static_cast<std::size_t>(best)]) {
-      best = static_cast<int>(j);
-    }
+  // Strict `>` keeps the lowest index among equal credits.
+  ConnectionId best = -1;
+  long long best_credit = std::numeric_limits<long long>::min();
+  for (const Live& c : live_) {
+    long long& credit = current_[static_cast<std::size_t>(c.j)];
+    credit += c.w;
+    const bool ahead = credit > best_credit;
+    best = ahead ? c.j : best;
+    best_credit = ahead ? credit : best_credit;
   }
   current_[static_cast<std::size_t>(best)] -= total_;
   if (recorded_ >= 0) {

@@ -8,10 +8,13 @@
 // instead of sending long bursts, which keeps per-connection queue
 // occupancy smooth.
 //
-// A scanned pick costs O(N). Between weight changes the pick sequence is
-// usually periodic with period sum(w): the scan records each cycle, and
-// once a cycle ends in the credit state it started from, every later pick
-// is read from the recorded table in O(1) until the next set_weights.
+// A scanned pick costs O(live connections): it visits only the
+// connections with a positive weight, kept in a compact list, and tracks
+// the running maximum with a conditional select rather than a branch.
+// Between weight changes the pick sequence is usually periodic with
+// period sum(w): the scan records each cycle, and once a cycle ends in the
+// credit state it started from, every later pick is read from the
+// recorded table in O(1) until the next set_weights.
 #pragma once
 
 #include <vector>
@@ -49,7 +52,14 @@ class SmoothWrr {
   /// Starts recording a new cycle from the current credit state.
   void start_cycle();
 
+  /// A connection with a positive weight.
+  struct Live {
+    ConnectionId j;
+    Weight w;
+  };
+
   WeightVector weights_;
+  std::vector<Live> live_;  // in index order, so ties go to the lowest j
   std::vector<long long> current_;
   long long total_ = 0;
   int fallback_cursor_ = 0;

@@ -31,16 +31,17 @@ class LoadProfile {
 
   int workers() const { return static_cast<int>(steps_.size()); }
 
-  /// Appends a step for one worker. Steps may be added in any order; they
-  /// are kept sorted by time.
+  /// Adds a step for one worker. Steps may be added in any order; they
+  /// are kept sorted by time, and a step goes after every step at the same
+  /// time, so the one added last overrides the others there.
   void add_step(int worker, TimeNs when, double multiplier) {
     assert(worker >= 0 && worker < workers());
     assert(multiplier > 0.0);
     auto& s = steps_[static_cast<std::size_t>(worker)];
-    s.push_back(LoadStep{when, multiplier});
-    std::sort(s.begin(), s.end(), [](const LoadStep& a, const LoadStep& b) {
-      return a.when < b.when;
-    });
+    const auto after = std::upper_bound(
+        s.begin(), s.end(), when,
+        [](TimeNs t, const LoadStep& step) { return t < step.when; });
+    s.insert(after, LoadStep{when, multiplier});
   }
 
   /// Convenience: worker is at `multiplier` from time 0 and drops back to

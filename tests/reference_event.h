@@ -1,11 +1,11 @@
 // Test-only reference for the discrete-event engine: the plain version of
 // sim::Simulator, a std::priority_queue of whole {time, seq,
-// std::function} events. The production engine keeps callables in a
-// recycled slab and orders {time, seq, slot} entries in per-delay FIFO
-// lanes beside a heap; the SimulatorOracle tests (test_sim_event.cc) run
-// the same seeded programs on both and require identical firing traces,
-// clocks and counters, and micro_core's BM_SimulatorEventChurn rows time
-// both.
+// std::function} events. The production engine keeps fixed-delay events
+// in per-delay FIFO lanes of inline cells beside a heap of {time, seq,
+// slot} entries into a recycled slab; the SimulatorOracle tests
+// (test_sim_event.cc) run the same seeded programs on both and require
+// identical firing traces, clocks and counters, and micro_core's
+// BM_SimulatorEventChurn rows time both.
 #pragma once
 
 #include <cassert>

@@ -236,6 +236,100 @@ TEST(Simulator, PendingCallablesReleasedOnDestruction) {
   EXPECT_TRUE(live.empty());
 }
 
+// ---- callables in lane cells ------------------------------------------------
+
+// The cases above keep the callables they check in slab slots: each of
+// their delays is new, so it goes to the heap. A delay sent to the heap
+// and then seen again claims a lane (event.h), so after one no-op at
+// kRecurring every later event at that delay waits in a cell of its
+// lane's ring.
+constexpr TimeNs kRecurring = 5;
+
+void claim_lane(Simulator& sim) { sim.schedule_after(kRecurring, [] {}); }
+
+// Schedules enough events at kRecurring that its lane's ring must grow,
+// relocating every callable already pending in it.
+void grow_lane(Simulator& sim) {
+  for (int i = 0; i < 200; ++i) sim.schedule_after(kRecurring, [] {});
+}
+
+TEST(Simulator, LaneCellCallableRelocatedAndDestroyedExactlyOnce) {
+  std::set<const Probe*> live;
+  int calls = 0;
+  {
+    Simulator sim;
+    claim_lane(sim);
+    sim.schedule_after(kRecurring, Probe(&live, &calls));
+    EXPECT_EQ(live.size(), 1u);  // the temporary is gone, the cell's copy lives
+    grow_lane(sim);
+    EXPECT_EQ(live.size(), 1u);  // relocation destroyed the source
+    sim.step();
+    sim.step();
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(live.empty());
+    run_until_idle(sim);
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(live.empty());
+}
+
+TEST(Simulator, LaneCellSharedCaptureReleasedAfterFiring) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  claim_lane(sim);
+  sim.schedule_after(kRecurring, [token] { ++*token; });
+  sim.schedule_after(kRecurring,
+                     std::function<void()>([token] { ++*token; }));
+  EXPECT_EQ(token.use_count(), 3);
+  grow_lane(sim);
+  EXPECT_EQ(token.use_count(), 3);
+  run_until_idle(sim);
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, LaneCellMoveOnlyCaptureRuns) {
+  int seen = 0;
+  Simulator sim;
+  claim_lane(sim);
+  auto owned = std::make_unique<int>(42);
+  sim.schedule_after(kRecurring, [p = std::move(owned), &seen] { seen = *p; });
+  grow_lane(sim);
+  run_until_idle(sim);
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(Simulator, LaneCellPendingCallablesReleasedOnDestruction) {
+  auto token = std::make_shared<int>(0);
+  std::set<const Probe*> live;
+  int calls = 0;
+  {
+    Simulator sim;
+    claim_lane(sim);
+    for (int i = 0; i < 20; ++i) {
+      sim.schedule_after(kRecurring, [token] { ++*token; });
+    }
+    // The heap's no-op and the first ten lane events fire: the ring's
+    // head moves on, so the cells pushed below wrap around its end, and
+    // the ring then grows from a wrapped state.
+    for (int i = 0; i < 11; ++i) sim.step();
+    sim.schedule_after(kRecurring, Probe(&live, &calls));
+    sim.schedule_after(kRecurring,
+                       std::function<void()>([token] { ++*token; }));
+    sim.schedule_after(kRecurring,
+                       [p = std::make_unique<int>(1), &calls] { calls += *p; });
+    for (int i = 0; i < 20; ++i) {
+      sim.schedule_after(kRecurring, [token] { ++*token; });
+    }
+    EXPECT_EQ(token.use_count(), 1 + 10 + 1 + 20);
+    EXPECT_EQ(live.size(), 1u);
+  }
+  EXPECT_EQ(*token, 10);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(live.empty());
+}
+
 // ---- differential oracle ----------------------------------------------------
 
 struct OracleKnobs {
@@ -301,8 +395,9 @@ class Program {
   }
 
   /// Schedules an event that, when it runs, schedules `count` more events
-  /// and then reads its own capture: with few events pending the slab must
-  /// grow inside the call, relocating the stored callables under it.
+  /// and then reads its own capture: with few events pending the slab and
+  /// the lanes must grow inside the call, relocating the stored callables
+  /// under it.
   void add_burst(int count) {
     const int id = next_id_++;
     sim.schedule_after(0, [this, id, count,
@@ -450,6 +545,22 @@ TEST(SimulatorOracle, SlabGrowthInsideAnEventMatchesReference) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(fired, 10000u);  // each burst alone fires 1000
+}
+
+TEST(SimulatorOracle, LaneGrowthInsideAnEventFromThatLaneMatchesReference) {
+  // Every delay is 0, the burst's own delay: the burst event waits in a
+  // cell of the zero-delay lane, and its thousand follow-ups grow that
+  // lane's ring while the burst, popped from it, is still running.
+  OracleKnobs k;
+  k.burst = 1000;
+  k.max_delay = 3;
+  k.palette = {0};
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    fired += run_oracle(seed, k);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(fired, 10000u);
 }
 
 TEST(SimulatorOracle, RunWhileStopsMatchReference) {

@@ -57,6 +57,24 @@ TEST(LoadProfile, LoadUntilDropsBack) {
   EXPECT_DOUBLE_EQ(p.at(0, seconds(25)), 1.0);
 }
 
+TEST(LoadProfile, LaterStepAtAnEqualTimeOverrides) {
+  // A worker with n steps, one a second, then one more step at each of
+  // those times in turn: the step added last must win at its time and
+  // leave the other times alone, whatever n is.
+  for (int n = 1; n <= 40; ++n) {
+    for (int at = 0; at < n; ++at) {
+      LoadProfile p(1);
+      for (int i = 0; i < n; ++i) p.add_step(0, seconds(i), 1.0 + i);
+      p.add_step(0, seconds(at), 1000.0);
+      for (int i = 0; i < n; ++i) {
+        ASSERT_DOUBLE_EQ(p.at(0, seconds(i)), i == at ? 1000.0 : 1.0 + i)
+            << n << " steps, the new one at " << at << " s, read at " << i
+            << " s";
+      }
+    }
+  }
+}
+
 TEST(HostModel, TrivialModelIsUnity) {
   HostModel m;
   EXPECT_TRUE(m.trivial());
