@@ -317,9 +317,8 @@ void BM_SimSplitterSend(benchmark::State& state) {
   }
   RoundRobinPolicy policy(n);
   obs::MetricsRegistry registry;
-  sim::Splitter splitter(&sim, registry, "splitter.", &policy,
+  sim::Splitter splitter(&sim, registry, "splitter.", &policy, ptrs,
                          /*send_overhead=*/500);
-  splitter.wire(ptrs);
   splitter.start();
   std::uint64_t prev_sent = 0;
   std::uint64_t items = 0;

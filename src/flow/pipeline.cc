@@ -122,8 +122,8 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
   pipeline->source_policy_ = std::make_unique<RoundRobinPolicy>(1);
   pipeline->source_ = std::make_unique<sim::Splitter>(
       sim, pipeline->metrics_, "source.", pipeline->source_policy_.get(),
+      std::vector<sim::Channel*>{pipeline->stages_.front()->input.get()},
       config_.source_overhead, config_.source_interval);
-  pipeline->source_->wire({pipeline->stages_.front()->input.get()});
   pipeline->throttle_gauge_ = &pipeline->metrics_.gauge("source.throttle_m");
   pipeline->throttle_gauge_->set(1000);
   if (prot.shed_high_watermark > 0) {

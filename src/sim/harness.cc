@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 namespace slb::sim {
 
@@ -33,36 +35,79 @@ std::string policy_name(PolicyKind kind) {
   return "?";
 }
 
-LoadProfile build_load_profile(const ExperimentSpec& spec) {
-  LoadProfile profile(spec.workers);
-  for (const LoadClass& cls : spec.loads) {
-    for (int w : cls.workers) {
-      assert(w >= 0 && w < spec.workers);
-      if (cls.until_work_fraction >= 0.0 || cls.until_paper_s < 0.0) {
-        // Work-triggered lifting happens at runtime (run_fixed_work);
-        // here the load simply starts at t=0.
-        profile.add_step(w, 0, cls.multiplier);
-      } else {
-        profile.add_load_until(
-            w, cls.multiplier,
-            spec.scale.from_paper_seconds(cls.until_paper_s));
-      }
-    }
-  }
-  return profile;
-}
-
 namespace {
 
-/// True when any load class lifts on a work threshold.
-bool has_work_based_loads(const ExperimentSpec& spec) {
+/// Sample periods over which run_fixed_work takes the final throughput.
+constexpr std::size_t kThroughputWindow = 21;
+
+/// Paper times at which a timed class lifts, with 0, sorted and unique.
+std::vector<double> change_times(const ExperimentSpec& spec) {
+  std::vector<double> times{0.0};
   for (const LoadClass& cls : spec.loads) {
-    if (cls.until_work_fraction >= 0.0) return true;
+    if (cls.until_work_fraction < 0.0 && cls.until_paper_s >= 0.0) {
+      times.push_back(cls.until_paper_s);
+    }
   }
-  return false;
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  return times;
 }
 
-/// The shared work fraction of all work-based classes (they must agree).
+/// The load multiplier in force on `worker` at `paper_s`: that of the last
+/// class in spec order that covers the worker and has not lifted, else 1.
+/// A timed class lifts at its `until_paper_s`; a work-based one when
+/// `lifted` says the run has done its fraction of the work.
+double multiplier(const ExperimentSpec& spec, int worker, double paper_s,
+                  bool lifted) {
+  double m = 1.0;
+  for (const LoadClass& cls : spec.loads) {
+    const bool over = cls.until_work_fraction >= 0.0
+                          ? lifted
+                          : cls.until_paper_s >= 0.0 &&
+                                paper_s >= cls.until_paper_s;
+    if (!over && std::ranges::find(cls.workers, worker) != cls.workers.end()) {
+      m = cls.multiplier;
+    }
+  }
+  return m;
+}
+
+/// Every worker's capacity (tuples per virtual second) under the
+/// multipliers in force at `paper_s`, host factors included.
+std::vector<double> capacities(const ExperimentSpec& spec, double paper_s,
+                               bool lifted) {
+  const double cost_ns =
+      static_cast<double>(spec.scale.tuple_cost(spec.base_multiplies));
+  std::vector<double> caps;
+  caps.reserve(static_cast<std::size_t>(spec.workers));
+  for (int w = 0; w < spec.workers; ++w) {
+    caps.push_back(1e9 / (cost_ns * multiplier(spec, w, paper_s, lifted) *
+                          spec.hosts.factor(w)));
+  }
+  return caps;
+}
+
+/// Sets every worker of `profile` to its multiplier from `from` on: a step
+/// at `from` and at each later change time, wherever the profile does not
+/// already say the same.
+void set_loads(const ExperimentSpec& spec, LoadProfile& profile, TimeNs from,
+               bool lifted) {
+  std::vector<std::pair<TimeNs, double>> changes{
+      {from, spec.scale.to_paper_seconds(from)}};
+  for (double t : change_times(spec)) {
+    const TimeNs at = spec.scale.from_paper_seconds(t);
+    if (at > from) changes.emplace_back(at, t);
+  }
+  for (int w = 0; w < spec.workers; ++w) {
+    for (const auto& [at, paper_s] : changes) {
+      const double m = multiplier(spec, w, paper_s, lifted);
+      if (m != profile.at(w, at)) profile.add_step(w, at, m);
+    }
+  }
+}
+
+/// The shared work fraction of all work-based classes (they must agree),
+/// or -1 when no class lifts on work.
 double work_fraction(const ExperimentSpec& spec) {
   double fraction = -1.0;
   for (const LoadClass& cls : spec.loads) {
@@ -73,25 +118,23 @@ double work_fraction(const ExperimentSpec& spec) {
   return fraction;
 }
 
-/// Per-worker capacity (tuples per virtual second) with every liftable
-/// (work-based) load removed: the post-change phase of the experiment.
-double lifted_capacity(const ExperimentSpec& spec, int worker) {
-  double multiplier = 1.0;
-  for (const LoadClass& cls : spec.loads) {
-    if (cls.until_work_fraction >= 0.0) continue;  // lifted
-    for (int w : cls.workers) {
-      if (w != worker) continue;
-      if (cls.until_paper_s < 0.0) multiplier = cls.multiplier;
-    }
-  }
-  const double host = spec.hosts.trivial() ? 1.0 : spec.hosts.factor(worker);
-  const double cost_ns =
-      static_cast<double>(spec.scale.tuple_cost(spec.base_multiplies)) *
-      multiplier * host;
-  return 1e9 / cost_ns;
+ControllerConfig controller_config_for(PolicyKind kind,
+                                       const ExperimentSpec& spec) {
+  ControllerConfig config = spec.controller;
+  config.decay_factor = kind == PolicyKind::kLbAdaptive
+                            ? (config.decay_factor < 1.0 ? config.decay_factor
+                                                         : 0.9)
+                            : 1.0;
+  return config;
 }
 
 }  // namespace
+
+LoadProfile build_load_profile(const ExperimentSpec& spec) {
+  LoadProfile profile(spec.workers);
+  set_loads(spec, profile, 0, /*lifted=*/false);
+  return profile;
+}
 
 RegionConfig build_region_config(const ExperimentSpec& spec) {
   RegionConfig config;
@@ -114,50 +157,8 @@ RegionConfig build_region_config(const ExperimentSpec& spec) {
 }
 
 double true_capacity(const ExperimentSpec& spec, int worker, double paper_s) {
-  double multiplier = 1.0;
-  // Load classes are applied in order; a later class on the same worker
-  // overrides (mirrors LoadProfile semantics where later steps win).
-  for (const LoadClass& cls : spec.loads) {
-    for (int w : cls.workers) {
-      if (w != worker) continue;
-      const bool active =
-          cls.until_paper_s < 0.0 || paper_s < cls.until_paper_s;
-      if (active) multiplier = cls.multiplier;
-    }
-  }
-  const double host = spec.hosts.trivial()
-                          ? 1.0
-                          : spec.hosts.factor(worker);
-  const double cost_ns =
-      static_cast<double>(spec.scale.tuple_cost(spec.base_multiplies)) *
-      multiplier * host;
-  return 1e9 / cost_ns;  // tuples per virtual second
+  return capacities(spec, paper_s, false)[static_cast<std::size_t>(worker)];
 }
-
-namespace {
-
-/// Change times (paper seconds) at which any worker's capacity changes.
-std::vector<double> capacity_change_times(const ExperimentSpec& spec) {
-  std::vector<double> times{0.0};
-  for (const LoadClass& cls : spec.loads) {
-    if (cls.until_paper_s >= 0.0) times.push_back(cls.until_paper_s);
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return times;
-}
-
-ControllerConfig controller_config_for(PolicyKind kind,
-                                       const ExperimentSpec& spec) {
-  ControllerConfig config = spec.controller;
-  config.decay_factor = kind == PolicyKind::kLbAdaptive
-                            ? (config.decay_factor < 1.0 ? config.decay_factor
-                                                         : 0.9)
-                            : 1.0;
-  return config;
-}
-
-}  // namespace
 
 std::unique_ptr<SplitPolicy> make_policy(PolicyKind kind,
                                          const ExperimentSpec& spec) {
@@ -171,33 +172,16 @@ std::unique_ptr<SplitPolicy> make_policy(PolicyKind kind,
       return std::make_unique<LoadBalancingPolicy>(
           spec.workers, controller_config_for(kind, spec));
     case PolicyKind::kOracle: {
+      // One phase per change time, then the work-lifted phase, which the
+      // work trigger applies through advance_phase().
+      const std::vector<double> times = change_times(spec);
       std::vector<OraclePolicy::Phase> phases;
-      if (has_work_based_loads(spec)) {
-        // Two phases: loaded capacities now, lifted capacities applied by
-        // the work trigger via advance_phase().
-        OraclePolicy::Phase loaded;
-        loaded.when = 0;
-        OraclePolicy::Phase lifted;
-        lifted.when = std::numeric_limits<TimeNs>::max();
-        for (int w = 0; w < spec.workers; ++w) {
-          loaded.capacities.push_back(true_capacity(spec, w, 0.0));
-          lifted.capacities.push_back(lifted_capacity(spec, w));
-        }
-        phases.push_back(std::move(loaded));
-        phases.push_back(std::move(lifted));
-        return std::make_unique<OraclePolicy>(spec.workers,
-                                              std::move(phases));
+      for (double t : times) {
+        phases.push_back(
+            {spec.scale.from_paper_seconds(t), capacities(spec, t, false)});
       }
-      for (double t : capacity_change_times(spec)) {
-        OraclePolicy::Phase phase;
-        // Sample capacities just after the change takes effect.
-        phase.when = spec.scale.from_paper_seconds(t);
-        phase.capacities.reserve(static_cast<std::size_t>(spec.workers));
-        for (int w = 0; w < spec.workers; ++w) {
-          phase.capacities.push_back(true_capacity(spec, w, t + 1e-9));
-        }
-        phases.push_back(std::move(phase));
-      }
+      phases.push_back({std::numeric_limits<TimeNs>::max(),
+                        capacities(spec, times.back(), true)});
       return std::make_unique<OraclePolicy>(spec.workers, std::move(phases));
     }
   }
@@ -221,72 +205,53 @@ std::unique_ptr<Region> make_region(PolicyKind kind,
 }
 
 std::uint64_t ideal_work(const ExperimentSpec& spec) {
-  // Integrate the region's ideal throughput over the nominal duration.
-  // Ideal throughput at time t is the sum of true capacities, capped by
-  // the splitter's maximum send rate.
-  const RegionConfig region = build_region_config(spec);
+  // Integrate the region's ideal throughput over the nominal duration:
+  // the sum of true capacities, capped by the splitter's maximum send rate.
   const double splitter_rate =
-      1e9 / static_cast<double>(region.send_overhead);
-  if (has_work_based_loads(spec)) {
+      1e9 / static_cast<double>(build_region_config(spec).send_overhead);
+  const auto rate = [&](double paper_s, bool lifted) {
+    const std::vector<double> caps = capacities(spec, paper_s, lifted);
+    return std::min(std::accumulate(caps.begin(), caps.end(), 0.0),
+                    splitter_rate);
+  };
+  const double paper_second = static_cast<double>(spec.scale.paper_second);
+  std::vector<double> times = change_times(spec);
+  if (const double f = work_fraction(spec); f >= 0.0) {
     // The load lifts after fraction f of the work: choose W so an ideal
     // run finishes in the nominal duration:
     //   f*W / R_loaded + (1-f)*W / R_lifted = D.
-    const double f = work_fraction(spec);
-    double r_loaded = 0.0;
-    double r_lifted = 0.0;
-    for (int w = 0; w < spec.workers; ++w) {
-      r_loaded += true_capacity(spec, w, 0.0);
-      r_lifted += lifted_capacity(spec, w);
-    }
-    r_loaded = std::min(r_loaded, splitter_rate);
-    r_lifted = std::min(r_lifted, splitter_rate);
     const double duration_virtual_s =
-        spec.duration_paper_s * static_cast<double>(spec.scale.paper_second) /
-        1e9;
+        spec.duration_paper_s * paper_second / 1e9;
     return static_cast<std::uint64_t>(
-        duration_virtual_s / (f / r_loaded + (1.0 - f) / r_lifted));
+        duration_virtual_s /
+        (f / rate(0.0, false) + (1.0 - f) / rate(times.back(), true)));
   }
-  std::vector<double> times = capacity_change_times(spec);
   times.push_back(spec.duration_paper_s);
   double total = 0.0;
   for (std::size_t i = 0; i + 1 < times.size(); ++i) {
     if (times[i] >= spec.duration_paper_s) break;
     const double span_s =
         std::min(times[i + 1], spec.duration_paper_s) - times[i];
-    double rate = 0.0;
-    for (int w = 0; w < spec.workers; ++w) {
-      rate += true_capacity(spec, w, times[i] + 1e-9);
-    }
-    rate = std::min(rate, splitter_rate);
-    const double span_virtual_s =
-        span_s * static_cast<double>(spec.scale.paper_second) / 1e9;
-    total += rate * span_virtual_s;
+    total += rate(times[i], false) * (span_s * paper_second / 1e9);
   }
   return static_cast<std::uint64_t>(total);
 }
 
 ExperimentResult run_fixed_work(PolicyKind kind, const ExperimentSpec& spec,
                                 std::uint64_t target_tuples,
-                                double deadline_factor,
-                                int throughput_window) {
+                                double deadline_factor) {
   auto region = make_region(kind, spec);
 
-  // Arm the work-based load lifts: when the threshold crosses, the
-  // affected workers drop back to 1x and the oracle (if any) switches to
-  // its post-change distribution.
-  if (has_work_based_loads(spec)) {
-    const double f = work_fraction(spec);
+  // Arm the work-based load lifts: when the threshold crosses, every
+  // worker takes its lifted multiplier and the oracle (if any) switches
+  // to its post-change distribution.
+  if (const double f = work_fraction(spec); f >= 0.0) {
     Region* r = region.get();
     const ExperimentSpec* s = &spec;
     region->at_emitted(
         static_cast<std::uint64_t>(f * static_cast<double>(target_tuples)),
         [r, s] {
-          for (const LoadClass& cls : s->loads) {
-            if (cls.until_work_fraction < 0.0) continue;
-            for (int w : cls.workers) {
-              r->load().add_step(w, r->now(), 1.0);
-            }
-          }
+          set_loads(*s, r->load(), r->now(), /*lifted=*/true);
           if (auto* oracle = dynamic_cast<OraclePolicy*>(&r->policy())) {
             oracle->advance_phase();
           }
@@ -294,8 +259,7 @@ ExperimentResult run_fixed_work(PolicyKind kind, const ExperimentSpec& spec,
   }
 
   // Ring buffer of per-period emit counts for the final-throughput window.
-  std::vector<std::uint64_t> window(
-      static_cast<std::size_t>(throughput_window), 0);
+  std::vector<std::uint64_t> window(kThroughputWindow, 0);
   std::size_t cursor = 0;
   region->set_sample_hook([&](Region& r) {
     window[cursor] = r.emitted_last_period();

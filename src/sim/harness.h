@@ -52,6 +52,12 @@ struct Scale {
 /// of the *work*, which is why a policy that copes badly with the load
 /// also suffers it for longer (Section 6.4: "RR took at least 10x as
 /// long"). Work-based lifting takes precedence over `until_paper_s`.
+///
+/// Where classes overlap, a worker runs at the multiplier of the last
+/// class in spec order that covers it and has not lifted, else 1x. The
+/// workers, true_capacity, Oracle* and ideal_work all read the load this
+/// one way; Oracle* and ideal_work take the work lift to come after every
+/// timed lift.
 struct LoadClass {
   std::vector<int> workers;
   double multiplier = 1.0;
@@ -127,7 +133,7 @@ struct ExperimentResult {
   std::uint64_t emitted = 0;
   /// Time to finish the fixed work, in paper seconds.
   double exec_time_paper_s = 0.0;
-  /// Mean throughput over the final windows, in millions of tuples per
+  /// Median throughput over the final periods, in millions of tuples per
   /// virtual second ("final throughput").
   double final_throughput_mtps = 0.0;
   std::uint64_t rerouted = 0;
@@ -135,12 +141,11 @@ struct ExperimentResult {
 };
 
 /// Runs the spec under `kind` until `target_tuples` are emitted (deadline
-/// = `deadline_factor * duration_paper_s`). Final throughput is averaged
-/// over the last `throughput_window` sample periods before completion.
+/// = `deadline_factor * duration_paper_s`). Final throughput is the median
+/// of the last 21 sample periods before completion.
 ExperimentResult run_fixed_work(PolicyKind kind, const ExperimentSpec& spec,
                                 std::uint64_t target_tuples,
-                                double deadline_factor = 25.0,
-                                int throughput_window = 21);
+                                double deadline_factor = 25.0);
 
 /// Chooses the fixed work for a spec: the tuples an ideal (oracle-weighted)
 /// run would emit in `spec.duration_paper_s`, so Oracle* execution times

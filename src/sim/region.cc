@@ -70,9 +70,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     channel_ptrs.push_back(channels_.back().get());
   }
   splitter_ = std::make_unique<Splitter>(
-      sim_, metrics_, "splitter.", policy_.get(), config_.send_overhead,
-      config_.source_interval);
-  splitter_->wire(std::move(channel_ptrs), config_.delivery);
+      sim_, metrics_, "splitter.", policy_.get(), std::move(channel_ptrs),
+      config_.send_overhead, config_.source_interval, config_.delivery);
   if (input != nullptr) splitter_->set_input(input);
   if (downstream != nullptr) merger_->connect_downstream(downstream);
 

@@ -7,11 +7,15 @@ namespace slb::sim {
 
 Splitter::Splitter(Simulator* sim, obs::MetricsRegistry& metrics,
                    std::string_view prefix, SplitPolicy* policy,
-                   DurationNs send_overhead, DurationNs source_interval)
+                   std::vector<Channel*> channels, DurationNs send_overhead,
+                   DurationNs source_interval,
+                   const delivery::DeliveryConfig& delivery)
     : sim_(sim),
       policy_(policy),
       send_overhead_(send_overhead),
-      core_(0, delivery::DeliveryMode::kGapSkip, 0, source_interval),
+      channels_(std::move(channels)),
+      core_(static_cast<int>(channels_.size()), delivery.mode,
+            delivery.replay_buffer_bytes, source_interval),
       sent_(metrics.counter(std::string(prefix) + "sent")),
       blocks_(metrics.counter(std::string(prefix) + "blocks")),
       block_ns_(metrics.histogram(std::string(prefix) + "block_ns")),
@@ -24,16 +28,6 @@ Splitter::Splitter(Simulator* sim, obs::MetricsRegistry& metrics,
   assert(sim != nullptr);
   assert(policy != nullptr);
   assert(send_overhead > 0);  // zero would allow infinite same-instant sends
-}
-
-void Splitter::wire(std::vector<Channel*> channels,
-                    const delivery::DeliveryConfig& delivery) {
-  assert(channels_.empty());
-  channels_ = std::move(channels);
-  core_ = delivery::SendCore<Tuple>(static_cast<int>(channels_.size()),
-                                    delivery.mode,
-                                    delivery.replay_buffer_bytes,
-                                    core_.source_interval());
   for (std::size_t j = 0; j < channels_.size(); ++j) {
     channels_[j]->set_on_send_space(
         [this, j] { on_send_space(static_cast<int>(j)); });

@@ -41,23 +41,21 @@ class Splitter {
   ///   "shed", "retransmits", "replay_buffer_bytes" and "ack_lag"
   ///   (DESIGN.md §8). The splitter is their only writer; the registry
   ///   must outlive it.
+  /// @param channels the splitter's connections, one per worker.
   /// @param source_interval mean inter-arrival gap of the upstream tuple
   ///   source: 0 = closed loop (a tuple is always ready — the paper's
   ///   throughput-bound experiments); > 0 = open loop at rate
   ///   1/source_interval, with arrears bursting out after blocking, like
   ///   a real upstream stage's queue. Throws std::invalid_argument when
   ///   negative.
+  /// @param delivery the delivery core's mode. At-least-once holds every
+  ///   sent tuple in its channel's byte-capped replay buffer until acked,
+  ///   accounted at sizeof(Tuple) bytes (the sim has no wire encoding).
   Splitter(Simulator* sim, obs::MetricsRegistry& metrics,
            std::string_view prefix, SplitPolicy* policy,
-           DurationNs send_overhead, DurationNs source_interval = 0);
-
-  /// Connects the splitter to its channels and builds its delivery core
-  /// in `delivery`'s mode. At-least-once holds every sent tuple in its
-  /// channel's byte-capped replay buffer until acked, accounted at
-  /// sizeof(Tuple) bytes (the sim has no wire encoding). Must be called
-  /// once before start().
-  void wire(std::vector<Channel*> channels,
-            const delivery::DeliveryConfig& delivery = {});
+           std::vector<Channel*> channels, DurationNs send_overhead,
+           DurationNs source_interval = 0,
+           const delivery::DeliveryConfig& delivery = {});
 
   /// Mid-pipeline mode: instead of generating tuples (closed loop /
   /// paced source), the splitter forwards tuples arriving on `input`,

@@ -2,6 +2,9 @@
 // construction, fixed-work runs, and the paper's qualitative orderings.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/harness.h"
 
 namespace slb::sim {
@@ -80,6 +83,75 @@ TEST(Harness, IdealWorkIntegratesPhases) {
   const double expected = (110e3 * 50 + 200e3 * 50) * 0.01;
   EXPECT_NEAR(static_cast<double>(ideal_work(spec)), expected,
               expected * 0.01);
+}
+
+TEST(Harness, OverlappingClassesAgreeOnTheLastOneInForce) {
+  // Worker 0 carries 100x until 50 paper-s and, later in spec order, 10x
+  // until 20. The workers, true_capacity and Oracle* all read the last
+  // class that covers the worker and has not lifted: 10x before 20
+  // paper-s, 100x from 20 to 50, 1x after.
+  ExperimentSpec spec;
+  spec.workers = 2;
+  spec.base_multiplies = 1000;  // 100K tuples/s unloaded
+  spec.loads.push_back({{0}, 100.0, 50.0});
+  spec.loads.push_back({{0}, 10.0, 20.0});
+  const LoadProfile profile = build_load_profile(spec);
+  auto oracle = make_policy(PolicyKind::kOracle, spec);
+  const auto oracle_weights = [&](double paper_s) {
+    oracle->on_sample(spec.scale.from_paper_seconds(paper_s),
+                      std::vector<DurationNs>(2, 0));
+    return oracle->weights();
+  };
+  const auto permanent_oracle_weights = [&](double multiplier) {
+    ExperimentSpec fixed = spec;
+    fixed.loads = {{{0}, multiplier, -1.0}};
+    return make_policy(PolicyKind::kOracle, fixed)->weights();
+  };
+  for (const auto& [paper_s, expected] :
+       {std::pair{10.0, 10.0}, {30.0, 100.0}, {60.0, 1.0}}) {
+    SCOPED_TRACE(paper_s);
+    EXPECT_DOUBLE_EQ(profile.at(0, spec.scale.from_paper_seconds(paper_s)),
+                     expected);
+    EXPECT_NEAR(true_capacity(spec, 0, paper_s), 100'000.0 / expected, 1e-6);
+    EXPECT_EQ(oracle_weights(paper_s), permanent_oracle_weights(expected));
+  }
+}
+
+TEST(Harness, WorkLiftLeavesThePermanentLoadInForce) {
+  // A permanent 5x and a work-lifted 100x on the only worker: once 1% of
+  // the work is done the worker serves at 5x (20K tuples/s), not 1x, so
+  // Oracle* finishes near the nominal duration ideal_work aims at.
+  ExperimentSpec spec;
+  spec.workers = 1;
+  spec.base_multiplies = 1000;  // 10 us tuples: 100K tuples/s unloaded
+  spec.duration_paper_s = 40.0;
+  spec.loads.push_back({{0}, 5.0, -1.0});
+  spec.loads.push_back({{0}, 100.0, -1.0, 0.01});
+  const ExperimentResult r =
+      run_fixed_work(PolicyKind::kOracle, spec, ideal_work(spec));
+  EXPECT_TRUE(r.completed);
+  EXPECT_NEAR(r.final_throughput_mtps, 0.02, 0.002);
+  EXPECT_NEAR(r.exec_time_paper_s, spec.duration_paper_s, 4.0);
+}
+
+TEST(Harness, BenchmarkFanoutWorkIsPinned) {
+  // The fixed work of the repository benchmark's sim-fanout64 workload:
+  // Figure 13's 64-PE row (60,000-multiply tuples, a 100 ms paper second)
+  // with 32 PEs 100x loaded until an eighth of the work. Which 32 are
+  // loaded does not change the sum.
+  ExperimentSpec spec;
+  spec.workers = 64;
+  spec.base_multiplies = 60'000;
+  spec.scale.paper_second = millis(100);
+  LoadClass cls;
+  for (int w = 0; w < 64; w += 2) cls.workers.push_back(w);
+  cls.multiplier = 100.0;
+  cls.until_work_fraction = 1.0 / 8.0;
+  spec.loads.push_back(cls);
+  spec.duration_paper_s = 200.0;
+  EXPECT_EQ(ideal_work(spec), 1'900'477u);
+  spec.duration_paper_s = 10.0;
+  EXPECT_EQ(ideal_work(spec), 95'023u);
 }
 
 TEST(Harness, OraclePolicyGetsCapacityProportionalWeights) {

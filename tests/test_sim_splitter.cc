@@ -33,8 +33,7 @@ struct Rig {
       ptrs.push_back(channels.back().get());
     }
     splitter = std::make_unique<Splitter>(&sim, metrics, "splitter.",
-                                          policy.get(), 100);
-    splitter->wire(std::move(ptrs));
+                                          policy.get(), std::move(ptrs), 100);
   }
 };
 

@@ -131,9 +131,9 @@ struct SourceRig {
         Channel::Config{.send_capacity = 1024,
                         .recv_capacity = 1024,
                         .latency = 1});
-    splitter = std::make_unique<Splitter>(&sim, metrics, "splitter.", &policy,
-                                          /*overhead=*/100, interval);
-    splitter->wire({channel.get()});
+    splitter = std::make_unique<Splitter>(
+        &sim, metrics, "splitter.", &policy,
+        std::vector<Channel*>{channel.get()}, /*overhead=*/100, interval);
   }
 };
 
@@ -159,8 +159,8 @@ TEST(OpenLoopSource, ArrearsBurstAfterBlocking) {
   RoundRobinPolicy policy{1};
   Channel ch(&sim, 0, {.send_capacity = 4, .recv_capacity = 4, .latency = 1});
   obs::MetricsRegistry metrics;
-  Splitter splitter(&sim, metrics, "splitter.", &policy, 100, micros(10));
-  splitter.wire({&ch});
+  Splitter splitter(&sim, metrics, "splitter.", &policy, {&ch}, 100,
+                    micros(10));
   splitter.start();
   sim.run_until(millis(5));  // buffers (8) fill, source falls behind
   EXPECT_EQ(splitter.total_sent(), 8u);
