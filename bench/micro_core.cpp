@@ -19,6 +19,7 @@
 #include "core/rate_function.h"
 #include "core/wrr.h"
 #include "delivery/release_core.h"
+#include "obs/metrics.h"
 #include "reference_core.h"
 #include "reference_event.h"
 #include "sim/region.h"
@@ -211,7 +212,8 @@ BENCHMARK(BM_SmoothWrrPickReweightedClustered)->Arg(64);
 // the release scan grows with the connection count.
 void BM_ReleaseCoreArrival(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  delivery::ReleaseCore<std::uint64_t> core(n,
+  obs::MetricsRegistry metrics;
+  delivery::ReleaseCore<std::uint64_t> core(metrics, n,
                                             delivery::DeliveryMode::kGapSkip);
   std::uint64_t seq = 0;
   std::uint64_t released = 0;
@@ -248,7 +250,8 @@ void BM_ReleaseCoreReorder(benchmark::State& state) {
     }
     order.insert(order.end(), round.begin(), round.end());
   }
-  delivery::ReleaseCore<std::uint64_t> core(n,
+  obs::MetricsRegistry metrics;
+  delivery::ReleaseCore<std::uint64_t> core(metrics, n,
                                             delivery::DeliveryMode::kGapSkip);
   std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) next[static_cast<std::size_t>(j)] = j;

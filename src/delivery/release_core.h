@@ -6,8 +6,10 @@
 // substrates: sim::Merger (discrete-event) and rt::MergerPe (loopback
 // TCP) are thin adapters that feed it arrivals and loss declarations and
 // act on what it releases. It does no I/O, reads no clock (callers pass
-// `now`), and uses no atomics, so it can be unit-tested and model-checked
-// directly (tests/test_release_core.cc).
+// `now`) and is single-threaded, so it can be unit-tested and
+// model-checked directly (tests/test_release_core.cc). Its only atomics
+// are the relaxed single-writer registry handles it publishes its counts
+// through (DESIGN.md §8), which other threads may read at any time.
 //
 // It owns:
 //   * the per-connection queues (optionally capacity-bounded) and the
@@ -25,7 +27,9 @@
 //     so a sequence below every floor that is not queued is lost. This is
 //     how the runtime merger skips what died with a worker, and its
 //     end-of-input flush;
-//   * the cumulative-ack cursor (adapters decide when to send).
+//   * the cumulative-ack cursor (adapters decide when to send);
+//   * the "merger.gaps", "merger.dup_discards" and "merger.late_discards"
+//     counters, which it registers and is the only writer of.
 //
 // Per-arrival cost does not grow with the connection count: the release
 // scan visits only *eligible* connections (queue head at or below the
@@ -56,6 +60,7 @@
 #include <vector>
 
 #include "delivery/delivery.h"
+#include "obs/metrics.h"
 #include "util/time.h"
 
 namespace slb::delivery {
@@ -75,15 +80,24 @@ class ReleaseCore {
     kFull,      // the connection's queue is at capacity: retry later
   };
 
-  ReleaseCore(int connections, DeliveryMode mode,
-              std::size_t capacity = kUnbounded)
+  /// Registers the merger counts in `metrics`, which must outlive the
+  /// core.
+  ReleaseCore(obs::MetricsRegistry& metrics, int connections,
+              DeliveryMode mode, std::size_t capacity = kUnbounded)
       : queues_(static_cast<std::size_t>(connections)),
         eligible_(words(connections), 0),
         near_(kNear, 0),
         freed_(words(connections), 0),
         floors_(static_cast<std::size_t>(connections), 0),
         capacity_(capacity),
-        alo_(mode == DeliveryMode::kAtLeastOnce) {}
+        alo_(mode == DeliveryMode::kAtLeastOnce),
+        gaps_(metrics.counter("merger.gaps")),
+        dup_discards_(metrics.counter("merger.dup_discards")),
+        late_discards_(metrics.counter("merger.late_discards")) {}
+
+  /// Copies would share the registry handles.
+  ReleaseCore(const ReleaseCore&) = delete;
+  ReleaseCore& operator=(const ReleaseCore&) = delete;
 
   /// An arrival on connection `from`. Within one connection arrivals
   /// come in send order, so only queue heads can hold the expected
@@ -208,7 +222,7 @@ class ReleaseCore {
     }
     if (reach == kEnded || reach <= expected_) return 0;
     const std::uint64_t skipped = reach - expected_;
-    gaps_ += skipped;
+    gaps_.inc(skipped);
     move_cursor(reach);
     return skipped;
   }
@@ -244,9 +258,9 @@ class ReleaseCore {
 
   /// The release cursor: every sequence below it was emitted or skipped.
   std::uint64_t expected() const { return expected_; }
-  std::uint64_t gaps() const { return gaps_; }
-  std::uint64_t dup_discards() const { return dup_discards_; }
-  std::uint64_t late_discards() const { return late_discards_; }
+  std::uint64_t gaps() const { return gaps_.value(); }
+  std::uint64_t dup_discards() const { return dup_discards_.value(); }
+  std::uint64_t late_discards() const { return late_discards_.value(); }
   /// Items held in the queues and the replay pool.
   std::size_t queued() const { return queued_; }
   std::size_t queue_size(int j) const {
@@ -430,11 +444,7 @@ class ReleaseCore {
   }
 
   void discard_stale() {
-    if (alo_) {
-      ++dup_discards_;
-    } else {
-      ++late_discards_;
-    }
+    (alo_ ? dup_discards_ : late_discards_).inc();
   }
 
   /// Skips the declared-lost ranges the cursor has reached.
@@ -448,7 +458,7 @@ class ReleaseCore {
       const std::uint64_t end = it->first + it->second.count;
       if (end > expected_) {
         on_gap(end - expected_, it->second.declared_at);
-        gaps_ += end - expected_;
+        gaps_.inc(end - expected_);
         move_cursor(end);
         skipped = true;
       }
@@ -480,9 +490,10 @@ class ReleaseCore {
   std::size_t queued_ = 0;
   std::uint64_t expected_ = 0;
   std::uint64_t acked_ = 0;
-  std::uint64_t gaps_ = 0;
-  std::uint64_t dup_discards_ = 0;
-  std::uint64_t late_discards_ = 0;
+  // The published counts: each lives only in its registry handle.
+  obs::Counter& gaps_;
+  obs::Counter& dup_discards_;
+  obs::Counter& late_discards_;
 };
 
 }  // namespace slb::delivery

@@ -7,9 +7,11 @@
 // sim::Splitter (discrete-event) and rt::LocalRegion (loopback TCP) are
 // thin adapters that keep their own event scheduling or sockets, their
 // blocking (and, in the sim, Section 4.4 re-routing), and ask the core
-// what to send where, and when. It does no I/O, reads no clock and uses
-// no atomics, so it can be unit-tested and model-checked directly
-// (tests/test_send_core.cc).
+// what to send where, and when. It does no I/O, reads no clock and is
+// single-threaded, so it can be unit-tested and model-checked directly
+// (tests/test_send_core.cc). Its only atomics are the relaxed
+// single-writer registry handles it publishes its counts through
+// (DESIGN.md §8), which other threads may read at any time.
 //
 // It owns:
 //   * sequence issuance: next_seq() is the next fresh sequence, consumed
@@ -30,7 +32,12 @@
 //   * crash replay: a quarantined channel's unacked suffix moves into the
 //     pending queue, sorted by sequence, which adapters drain ahead of
 //     fresh sequences through their normal pick path;
-//   * the counters and gauges both substrates publish.
+//   * the metrics both substrates publish, registered under the
+//     adapter's prefix: the "sent", "failovers", "shed" and
+//     "retransmits" counters, and the "replay_buffer_bytes" and
+//     "ack_lag" gauges, which only at-least-once writes, wherever they
+//     change (commit, ack, quarantine, shed). The core is their only
+//     writer.
 //
 // Payload is what a replay re-sends: sim::Tuple in the sim, the encoded
 // wire frame in the runtime.
@@ -43,10 +50,13 @@
 #include <deque>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "delivery/delivery.h"
+#include "obs/metrics.h"
 #include "util/time.h"
 
 namespace slb::delivery {
@@ -129,20 +139,29 @@ class SendCore {
     std::uint64_t bytes = 0;
   };
 
-  /// `replay_buffer_bytes` caps each channel's replay buffer
-  /// (at-least-once only; 0 = unbounded). `source_interval` paces fresh
-  /// sequences: 0 = closed loop (a source tuple is always ready), > 0 =
-  /// open loop releasing one every `source_interval` ns. Throws
-  /// std::invalid_argument when it is negative.
-  explicit SendCore(int channels = 0,
-                    DeliveryMode mode = DeliveryMode::kGapSkip,
-                    std::size_t replay_buffer_bytes = 0,
-                    DurationNs source_interval = 0)
+  /// Registers the send metrics in `metrics` as `prefix` + name (the
+  /// registry must outlive the core). `replay_buffer_bytes` caps each
+  /// channel's replay buffer (at-least-once only; 0 = unbounded).
+  /// `source_interval` paces fresh sequences: 0 = closed loop (a source
+  /// tuple is always ready), > 0 = open loop releasing one every
+  /// `source_interval` ns. Throws std::invalid_argument when it is
+  /// negative.
+  SendCore(obs::MetricsRegistry& metrics, std::string_view prefix,
+           int channels, DeliveryMode mode = DeliveryMode::kGapSkip,
+           std::size_t replay_buffer_bytes = 0,
+           DurationNs source_interval = 0)
       : up_(static_cast<std::size_t>(channels), 1),
         sent_(static_cast<std::size_t>(channels), 0),
         blocked_(static_cast<std::size_t>(channels), 0),
         alo_(mode == DeliveryMode::kAtLeastOnce),
-        interval_(source_interval) {
+        interval_(source_interval),
+        total_sent_(metrics.counter(std::string(prefix) + "sent")),
+        failovers_(metrics.counter(std::string(prefix) + "failovers")),
+        shed_(metrics.counter(std::string(prefix) + "shed")),
+        retransmits_(metrics.counter(std::string(prefix) + "retransmits")),
+        replay_bytes_(
+            metrics.gauge(std::string(prefix) + "replay_buffer_bytes")),
+        ack_lag_(metrics.gauge(std::string(prefix) + "ack_lag")) {
     if (source_interval < 0) {
       throw std::invalid_argument("source_interval must not be negative");
     }
@@ -151,6 +170,10 @@ class SendCore {
                       ReplayBuffer<Payload>(replay_buffer_bytes));
     }
   }
+
+  /// Copies would share the registry handles.
+  SendCore(const SendCore&) = delete;
+  SendCore& operator=(const SendCore&) = delete;
 
   bool at_least_once() const { return alo_; }
   int channels() const { return static_cast<int>(up_.size()); }
@@ -163,7 +186,8 @@ class SendCore {
   Range shed(std::uint64_t count) {
     const Range dropped{next_seq_, count};
     next_seq_ += count;
-    shed_ += count;
+    shed_.inc(count);
+    publish_ack_lag();  // the shed sequences were issued: the ack lag grew
     return dropped;
   }
 
@@ -241,7 +265,7 @@ class SendCore {
     for (int step = 1; step < n; ++step) {
       const int k = (picked + step) % n;
       if (up(k)) {
-        ++failovers_;
+        failovers_.inc();
         return k;
       }
     }
@@ -277,7 +301,7 @@ class SendCore {
           pending_.begin(), pending_.end(), seq,
           [](const Entry& e, std::uint64_t s) { return e.seq < s; });
       if (it != pending_.end() && it->seq == seq) pending_.erase(it);
-      ++retransmits_;
+      retransmits_.inc();
       // Released meanwhile: the copy is a duplicate the merger discards,
       // and no ack will ever trim it, so it is not buffered.
       if (seq < acked_) return;
@@ -285,12 +309,13 @@ class SendCore {
       assert(seq == next_seq_);
       ++next_seq_;
       ++sent_[index(j)];
-      ++total_sent_;
+      total_sent_.inc();
     }
     if (alo_) {
       buffers_[index(j)].push(seq, bytes, std::move(payload));
-      replay_bytes_ += bytes;
+      replay_bytes_.add(static_cast<std::int64_t>(bytes));
       ++buffered_;
+      publish_ack_lag();
     }
   }
 
@@ -300,14 +325,16 @@ class SendCore {
   bool on_ack(std::uint64_t cum) {
     if (!alo_ || cum <= acked_) return false;
     acked_ = cum;
+    std::size_t bytes = 0;
     for (auto& b : buffers_) {
-      const std::size_t bytes = b.bytes();
       buffered_ -= b.ack(cum);
-      replay_bytes_ -= bytes - b.bytes();
+      bytes += b.bytes();
     }
+    replay_bytes_.set(static_cast<std::int64_t>(bytes));
     while (!pending_.empty() && pending_.front().seq < cum) {
       pending_.pop_front();
     }
+    publish_ack_lag();
     return true;
   }
 
@@ -321,7 +348,7 @@ class SendCore {
     auto& buffer = buffers_[index(j)];
     const Replay queued{buffer.size(), buffer.bytes()};
     buffered_ -= queued.tuples;
-    replay_bytes_ -= queued.bytes;
+    replay_bytes_.add(-static_cast<std::int64_t>(queued.bytes));
     for (auto& e : buffer.take_all()) pending_.push_back(std::move(e));
     std::sort(pending_.begin(), pending_.end(),
               [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
@@ -335,21 +362,27 @@ class SendCore {
   std::span<const DurationNs> blocked_ns() const { return blocked_; }
 
   std::uint64_t sent(int j) const { return sent_[index(j)]; }
-  std::uint64_t total_sent() const { return total_sent_; }
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t shed() const { return shed_; }
-  std::uint64_t failovers() const { return failovers_; }
+  std::uint64_t total_sent() const { return total_sent_.value(); }
+  std::uint64_t retransmits() const { return retransmits_.value(); }
+  std::uint64_t shed() const { return shed_.value(); }
+  std::uint64_t failovers() const { return failovers_.value(); }
   /// Highest cumulative ack seen from the merger.
   std::uint64_t acked() const { return acked_; }
   /// Tuples held for replay: buffered unacked plus pending re-send.
   std::uint64_t unacked() const { return buffered_ + pending_.size(); }
   /// Bytes held across the replay buffers.
-  std::size_t replay_bytes() const { return replay_bytes_; }
-  /// Sequences issued but not yet acked (shed ones included).
-  std::uint64_t ack_lag() const { return next_seq_ - acked_; }
+  std::size_t replay_bytes() const {
+    return static_cast<std::size_t>(replay_bytes_.value());
+  }
 
  private:
   static std::size_t index(int j) { return static_cast<std::size_t>(j); }
+
+  /// Refreshes the ack-lag gauge: sequences issued but not yet acked,
+  /// shed ones included (at-least-once only).
+  void publish_ack_lag() {
+    if (alo_) ack_lag_.set(static_cast<std::int64_t>(next_seq_ - acked_));
+  }
 
   std::vector<std::uint8_t> up_;
   std::vector<std::uint64_t> sent_;
@@ -367,11 +400,13 @@ class SendCore {
   std::uint64_t next_seq_ = 0;
   std::uint64_t acked_ = 0;
   std::uint64_t buffered_ = 0;
-  std::size_t replay_bytes_ = 0;
-  std::uint64_t total_sent_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t failovers_ = 0;
+  // The published counts: each lives only in its registry handle.
+  obs::Counter& total_sent_;  // fresh sequences, retransmits excluded
+  obs::Counter& failovers_;
+  obs::Counter& shed_;
+  obs::Counter& retransmits_;
+  obs::Gauge& replay_bytes_;  // held across the replay buffers
+  obs::Gauge& ack_lag_;  // next_seq - cumulative ack
 };
 
 }  // namespace slb::delivery

@@ -46,13 +46,6 @@ class Counter {
     v_.store(v_.load(std::memory_order_relaxed) + n,
              std::memory_order_relaxed);
   }
-  /// Publishes a monotone total kept elsewhere (a ReleaseCore count, say):
-  /// the counter moves up to `total`, never down.
-  void advance_to(std::uint64_t total) {
-    if (total > v_.load(std::memory_order_relaxed)) {
-      v_.store(total, std::memory_order_relaxed);
-    }
-  }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

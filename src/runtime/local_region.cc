@@ -37,16 +37,10 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
                          std::unique_ptr<SplitPolicy> policy)
     : config_(config),
       policy_(std::move(policy)),
-      core_(config.workers, config.delivery.mode,
+      core_(metrics_, "splitter.", config.workers, config.delivery.mode,
             config.delivery.replay_buffer_bytes, config.source_interval),
-      sent_(metrics_.counter("splitter.sent")),
-      shed_(metrics_.counter("splitter.shed")),
-      failovers_(metrics_.counter("splitter.failovers")),
       channel_failures_(metrics_.counter("splitter.channel_failures")),
-      reconnects_(metrics_.counter("splitter.reconnects")),
-      retransmits_(metrics_.counter("splitter.retransmits")),
-      replay_bytes_(metrics_.gauge("splitter.replay_buffer_bytes")),
-      ack_lag_(metrics_.gauge("splitter.ack_lag")) {
+      reconnects_(metrics_.counter("splitter.reconnects")) {
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   const auto check_worker = [&](int w) {
@@ -406,10 +400,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // period's sample. The merger PE keeps no per-connection delivered
       // counts, so the policy's (no-op) throughput ingest is skipped.
       const DurationNs span = config_.sample_period + (now - next_sample);
-      if (alo) {
-        replay_bytes_.set(static_cast<std::int64_t>(core_.replay_bytes()));
-        ack_lag_.set(static_cast<std::int64_t>(core_.ack_lag()));
-      }
       loop_->tick(now - start, span, core_.blocked_ns(), {},
                   {core_.acked(), core_.unacked()});
       core_.set_throttle(actions.throttle);
@@ -447,7 +437,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
             core_.shed_backlog(now, actions.shed_high, actions.shed_low);
         if (dropped.count > 0) {
           gap_queue.push_back({-1, dropped.first, dropped.count});
-          shed_.inc(dropped.count);
         }
       }
       int live = -1;
@@ -471,7 +460,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         const int j = core_.route(picked);
         // j < 0 is a total outage: wait for a restart.
         if (j >= 0) {
-          if (j != picked) failovers_.inc();
           out.retransmit = !fresh;
           if (out.retransmit) {
             out.seq = replay->seq;
@@ -532,7 +520,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
     // The send kept the splitter busy from binding the frame to its last
     // byte; a fresh one also consumed a source release.
     core_.paced(out.since, monotonic_now(), !out.retransmit);
-    (out.retransmit ? retransmits_ : sent_).inc();
   }
 
   // begin_shutdown tells the merger that crashed slots will never

@@ -175,12 +175,12 @@ class LocalRegion {
   /// Current watchdog escalation stage (0 = normal .. 3 = safe-mode WRR).
   int watchdog_stage() const { return loop_->watchdog_stage(); }
 
-  /// The region's metrics registry (DESIGN.md §8): "splitter.*" counters
-  /// from the splitter loop, "worker.<j>.service_ns" histograms recorded
-  /// on the PE threads, "merger.*" written live by the merger PE thread,
-  /// and the "region.*" gauges and "policy.*" metrics the control loop's
-  /// constructor registers. Counters are relaxed atomics, safe across PE
-  /// threads.
+  /// The region's metrics registry (DESIGN.md §8): "splitter.*" metrics
+  /// written live by the splitter loop, "worker.<j>.service_ns"
+  /// histograms recorded on the PE threads, "merger.*" written live by
+  /// the merger PE thread, and the "region.*" gauges and "policy.*"
+  /// metrics the control loop's constructor registers. Counters are
+  /// relaxed atomics, safe across PE threads.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -206,23 +206,17 @@ class LocalRegion {
 
   LocalRegionConfig config_;
   std::unique_ptr<SplitPolicy> policy_;
-  /// Sequences, liveness, replay buffers of encoded wire frames (so a
-  /// replay is a plain re-send), acks, blocked time and the send counters
-  /// (DESIGN.md §10), shared with the sim splitter. Splitter-thread only.
-  delivery::SendCore<std::vector<std::uint8_t>> core_;
-  /// Declared before the handles below and the worker and merger PEs
-  /// holding handles into it.
+  /// Declared before the core, the handles below and the worker and
+  /// merger PEs holding handles into it.
   obs::MetricsRegistry metrics_;
+  /// Sequences, liveness, replay buffers of encoded wire frames (so a
+  /// replay is a plain re-send), acks, blocked time and the "splitter.*"
+  /// send metrics (DESIGN.md §10), shared with the sim splitter.
+  /// Splitter-thread only, apart from those metrics.
+  delivery::SendCore<std::vector<std::uint8_t>> core_;
   /// Splitter-loop counters.
-  obs::Counter& sent_;
-  obs::Counter& shed_;
-  obs::Counter& failovers_;
   obs::Counter& channel_failures_;
   obs::Counter& reconnects_;
-  obs::Counter& retransmits_;
-  /// Delivery gauges (DESIGN.md §10).
-  obs::Gauge& replay_bytes_;
-  obs::Gauge& ack_lag_;  // next_seq - cumulative ack
   /// Per-worker service histograms, passed to every (re)spawned PE.
   std::vector<obs::Histogram*> service_hists_;
 

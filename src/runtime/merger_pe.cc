@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "delivery/release_core.h"
 #include "transport/framing.h"
 #include "util/log.h"
 #include "util/time.h"
@@ -33,9 +32,7 @@ MergerPe::MergerPe(std::vector<net::Fd> from_workers, net::Listener listener,
       ack_out_(std::move(ack_out)),
       listener_(std::move(listener)),
       emitted_(metrics.counter("merger.emitted")),
-      gaps_(metrics.counter("merger.gaps")),
-      dup_discards_(metrics.counter("merger.dup_discards")),
-      late_discards_(metrics.counter("merger.late_discards")),
+      core_(metrics, static_cast<int>(from_workers_.size()), mode_),
       reconnects_(metrics.counter("merger.reconnects")),
       max_depth_(metrics.gauge("merger.max_depth")) {
   thread_ = std::thread([this] { run(); });
@@ -53,8 +50,6 @@ void MergerPe::run() {
   try {
     const std::size_t n = from_workers_.size();
     const bool alo = mode_ == delivery::DeliveryMode::kAtLeastOnce;
-    // Queues hold bare sequence numbers: only counts leave the merger.
-    delivery::ReleaseCore<std::uint64_t> core(static_cast<int>(n), mode_);
     std::vector<net::FrameDecoder> decoders(n);
     std::vector<bool> finished(n, false);  // the slot's input is over
     std::size_t done = 0;                  // finished slots
@@ -70,16 +65,10 @@ void MergerPe::run() {
     net::Frame frame;
 
     const auto release = [&] {
-      core.release([&](int, std::uint64_t) {
+      core_.release([&](int, std::uint64_t) {
         emitted_.inc();
         return true;
       });
-    };
-    // Publishes the core's counts to the registry.
-    const auto publish = [&] {
-      gaps_.advance_to(core.gaps());
-      dup_discards_.advance_to(core.dup_discards());
-      late_discards_.advance_to(core.late_discards());
     };
 
     // Cumulative-ack pump (at-least-once): tell the splitter the highest
@@ -90,9 +79,9 @@ void MergerPe::run() {
     const auto pump_acks = [&](bool force) {
       if (!alo || !ack_out_.valid()) return;
       if (ack_buf.empty()) {
-        if (core.unacked() == 0) return;
-        if (!force && core.unacked() < kAckEvery) return;
-        ack_buf = net::ack_bytes(core.take_ack());
+        if (core_.unacked() == 0) return;
+        if (!force && core_.unacked() < kAckEvery) return;
+        ack_buf = net::ack_bytes(core_.take_ack());
       }
       const ssize_t put = ::send(ack_out_.get(), ack_buf.data(),
                                  ack_buf.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
@@ -112,7 +101,7 @@ void MergerPe::run() {
       if (finished[j]) return;
       finished[j] = true;
       ++done;
-      core.close(static_cast<int>(j));
+      core_.close(static_cast<int>(j));
     };
     // Slot j's stream broke without a FIN: a crash, and the slot may be
     // re-admitted through the listener. Under GapSkip the stream has
@@ -122,7 +111,7 @@ void MergerPe::run() {
     const auto broke = [&](std::size_t j) {
       crashed = true;
       from_workers_[j].reset();
-      if (!alo) core.close(static_cast<int>(j));
+      if (!alo) core_.close(static_cast<int>(j));
     };
 
     // Decodes whatever already sits in slot j's decoder; a FIN closes
@@ -138,14 +127,14 @@ void MergerPe::run() {
           // zero-count watermark: either way this stream has moved past
           // the range.
           const std::uint64_t end = frame.gap_first() + frame.gap_count();
-          core.note_lost(frame.gap_first(), frame.gap_count(),
-                         monotonic_now());
-          core.raise_floor(static_cast<int>(j), end);
+          core_.note_lost(frame.gap_first(), frame.gap_count(),
+                          monotonic_now());
+          core_.raise_floor(static_cast<int>(j), end);
           continue;
         }
-        core.offer(static_cast<int>(j), frame.seq);
-        const auto depth =
-            static_cast<std::int64_t>(core.queue_size(static_cast<int>(j)));
+        core_.offer(static_cast<int>(j), frame.seq);
+        const auto depth = static_cast<std::int64_t>(
+            core_.queue_size(static_cast<int>(j)));
         if (depth > max_depth_.value()) max_depth_.set(depth);
       }
       if (decoders[j].corrupt()) {
@@ -248,7 +237,7 @@ void MergerPe::run() {
         broke(w);  // the old stream, if still open, ended without a FIN
         from_workers_[w] = std::move(p.fd);
         decoders[w] = std::move(p.decoder);
-        core.reopen(static_cast<int>(w));
+        core_.reopen(static_cast<int>(w));
         reconnects_.inc();
         drain_decoder(w);  // the hello may have trailed data (or a FIN)
       }
@@ -272,11 +261,10 @@ void MergerPe::run() {
       // flush. Until a stream has crashed nothing was lost, so a skip
       // before then is an order violation.
       release();
-      while (!readmitting() && core.skip_unreachable() > 0) {
+      while (!readmitting() && core_.skip_unreachable() > 0) {
         if (!crashed) order_ok_.store(false, std::memory_order_relaxed);
         release();
       }
-      publish();
       pump_acks(/*force=*/false);
     }
 

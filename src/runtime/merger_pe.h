@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "delivery/delivery.h"
+#include "delivery/release_core.h"
 #include "obs/metrics.h"
 #include "transport/socket.h"
 
@@ -42,9 +43,10 @@ class MergerPe {
   /// were accepted on, where restarted workers dial in; starts
   /// immediately.
   /// The merger thread is the single writer of `metrics`' "merger.*"
-  /// counters and its "merger.max_depth" gauge (DESIGN.md §8); the
-  /// registry must outlive the PE and is a ctor parameter because the
-  /// thread starts here.
+  /// metrics (DESIGN.md §8): its own "emitted" and "reconnects" counters
+  /// and "max_depth" gauge, and through its release core "gaps",
+  /// "dup_discards" and "late_discards". The registry must outlive the
+  /// PE and is a ctor parameter because the thread starts here.
   /// `ack_out` (at-least-once only) is the merger->splitter reverse
   /// connection cumulative acks ride on; writes are non-blocking and
   /// drop-on-full — the cumulative encoding makes lost acks harmless.
@@ -78,16 +80,16 @@ class MergerPe {
   bool order_ok() const { return order_ok_.load(std::memory_order_relaxed); }
 
   /// Sequence numbers skipped because their tuples died with a worker.
-  std::uint64_t gaps() const { return gaps_.value(); }
+  std::uint64_t gaps() const { return core_.gaps(); }
 
   /// Replayed duplicates discarded below the release cursor
   /// (at-least-once only; see DESIGN.md §10).
-  std::uint64_t dup_discards() const { return dup_discards_.value(); }
+  std::uint64_t dup_discards() const { return core_.dup_discards(); }
 
   /// Tuples that arrived below the release cursor under GapSkip: after
   /// a gap frame declared their sequence shed, or after it was skipped
   /// as unreachable. 0 while every stream is FIFO.
-  std::uint64_t late_discards() const { return late_discards_.value(); }
+  std::uint64_t late_discards() const { return core_.late_discards(); }
 
   /// Port restarted workers connect to.
   std::uint16_t reconnect_port() const { return listener_.port(); }
@@ -100,9 +102,9 @@ class MergerPe {
   net::Fd ack_out_;
   net::Listener listener_;
   obs::Counter& emitted_;
-  obs::Counter& gaps_;
-  obs::Counter& dup_discards_;
-  obs::Counter& late_discards_;
+  /// The sequencing state; merger-thread only, apart from its counts.
+  /// Queues hold bare sequence numbers: only counts leave the merger.
+  delivery::ReleaseCore<std::uint64_t> core_;
   /// Hello-frame re-admissions accepted on the reconnect port.
   obs::Counter& reconnects_;
   /// Largest reorder-queue depth observed (a running max).

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace slb::sim {
@@ -35,17 +37,23 @@ class HostModel {
   /// By default every worker runs on its own dedicated speed-1 host.
   HostModel() = default;
 
+  /// Worker w runs on hosts[worker_host[w]]. Throws
+  /// std::invalid_argument for a host index outside `hosts`.
   HostModel(std::vector<HostSpec> hosts, std::vector<int> worker_host)
       : hosts_(std::move(hosts)), worker_host_(std::move(worker_host)) {
     for (int h : worker_host_) {
-      assert(h >= 0 && h < static_cast<int>(hosts_.size()));
-      (void)h;
+      if (h < 0 || h >= static_cast<int>(hosts_.size())) {
+        throw std::invalid_argument("HostModel: host " + std::to_string(h) +
+                                    " of " + std::to_string(hosts_.size()));
+      }
     }
     pe_count_.assign(hosts_.size(), 0);
     for (int h : worker_host_) ++pe_count_[static_cast<std::size_t>(h)];
   }
 
   bool trivial() const { return hosts_.empty(); }
+  /// Workers placed (0 in the trivial model).
+  int workers() const { return static_cast<int>(worker_host_.size()); }
 
   /// Multiplier applied to worker `w`'s service time:
   /// oversubscription / speed.

@@ -8,18 +8,15 @@ Merger::Merger(Simulator* sim, obs::MetricsRegistry& metrics,
                int connections, std::size_t capacity, bool ordered,
                delivery::DeliveryMode mode)
     : sim_(sim),
-      core_(connections, ordered ? mode : delivery::DeliveryMode::kGapSkip,
-            capacity),
+      core_(metrics, connections,
+            ordered ? mode : delivery::DeliveryMode::kGapSkip, capacity),
       on_space_(static_cast<std::size_t>(connections)),
       refused_(static_cast<std::size_t>(connections), 0),
       emitted_from_(static_cast<std::size_t>(connections), 0),
       ordered_(ordered),
       emitted_(metrics.counter("merger.emitted")),
-      gaps_(metrics.counter("merger.gaps")),
       reorder_depth_(metrics.histogram("merger.reorder_depth")),
-      gap_wait_ns_(metrics.histogram("merger.gap_wait_ns")),
-      dup_discards_(metrics.counter("merger.dup_discards")),
-      late_discards_(metrics.counter("merger.late_discards")) {
+      gap_wait_ns_(metrics.histogram("merger.gap_wait_ns")) {
   assert(sim != nullptr);
   assert(connections > 0);
   assert(capacity > 0);
@@ -56,11 +53,6 @@ void Merger::set_on_ack(std::function<void(std::uint64_t)> fn,
   ack_latency_ = latency;
 }
 
-void Merger::sync_discard_metrics() {
-  dup_discards_.advance_to(core_.dup_discards());
-  late_discards_.advance_to(core_.late_discards());
-}
-
 void Merger::maybe_schedule_ack() {
   if (!on_ack_ || ack_scheduled_ || core_.unacked() == 0) return;
   // One coalesced in-flight ack at a time: the value is read at fire
@@ -85,7 +77,6 @@ bool Merger::try_push(int j, Tuple t) {
       refused_[static_cast<std::size_t>(j)] = 1;
       return false;
     case Core::Offer::kStale:
-      sync_discard_metrics();
       return true;
     case Core::Offer::kAccepted:
       drain();
@@ -109,7 +100,6 @@ void Merger::drain() {
     core_.release(
         [this](int from, const Tuple& t) { return emit(from, t); },
         [this, now](std::uint64_t count, TimeNs declared_at) {
-          gaps_.inc(count);
           gap_wait_ns_.record(static_cast<std::uint64_t>(now - declared_at),
                               count);
         });
@@ -138,7 +128,6 @@ void Merger::drain() {
     refused_[ju] = 0;
     if (on_space_[ju]) sim_->schedule_after(0, on_space_[ju]);
   });
-  sync_discard_metrics();
   maybe_schedule_ack();
 }
 

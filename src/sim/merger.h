@@ -37,9 +37,10 @@ class Merger : public TupleSink {
   static constexpr std::size_t kUnbounded = std::size_t{1} << 40;
 
   /// @param metrics registry the merger registers its "merger.*" metrics
-  ///   in (DESIGN.md §8): "emitted", "gaps", "reorder_depth",
-  ///   "gap_wait_ns", "dup_discards" and "late_discards". The merger is
-  ///   their only writer; the registry must outlive it.
+  ///   in (DESIGN.md §8): its own "emitted", "reorder_depth" and
+  ///   "gap_wait_ns", and through its release core "gaps",
+  ///   "dup_discards" and "late_discards". The merger is their only
+  ///   writer; the registry must outlive it.
   /// @param connections number of worker connections feeding the merger.
   /// @param capacity per-connection reorder-queue capacity in tuples.
   /// @param ordered when false the region ends in parallel sinks (the
@@ -134,13 +135,12 @@ class Merger : public TupleSink {
   void drain();
   /// Delivers one tuple downstream; false when the downstream refuses.
   bool emit(int from, const Tuple& t);
-  /// Publishes the core's discard counts to the registry counters.
-  void sync_discard_metrics();
   /// Schedules the coalesced cumulative-ack event if one is due.
   void maybe_schedule_ack();
 
   Simulator* sim_;
-  /// Reorder queues, replay pool, lost set, cursor and ack cursor.
+  /// Reorder queues, replay pool, lost set, cursor, ack cursor and the
+  /// gap and discard counts.
   Core core_;
   std::vector<std::function<void()>> on_space_;
   /// 1 while connection j owes a wake: an offer from j was refused and
@@ -151,14 +151,10 @@ class Merger : public TupleSink {
   std::vector<std::uint64_t> emitted_from_;
   bool ordered_ = true;
 
-  // Registry handles. The gap and discard totals mirror the core where
-  // they change; emitted and the histograms are kept only here.
+  // Registry handles of what only the sim merger counts.
   obs::Counter& emitted_;  // tuples released downstream
-  obs::Counter& gaps_;
   obs::Histogram& reorder_depth_;  // queued tuples at each emit
   obs::Histogram& gap_wait_ns_;  // declared-lost -> skipped delay
-  obs::Counter& dup_discards_;
-  obs::Counter& late_discards_;
 
   std::function<void(std::uint64_t)> on_ack_;
   DurationNs ack_latency_ = 0;

@@ -21,13 +21,32 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   if (load_.workers() == 0) load_ = LoadProfile(config_.workers);
+  const auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("Region of " +
+                                std::to_string(config_.workers) +
+                                " workers: " + what);
+  };
   if (load_.workers() != config_.workers) {
-    throw std::invalid_argument(
-        "Region: load profile of width " + std::to_string(load_.workers()) +
-        " for " + std::to_string(config_.workers) + " workers");
+    reject("load profile of width " + std::to_string(load_.workers()));
+  }
+  if (!hosts_.trivial() && hosts_.workers() < config_.workers) {
+    reject("host model placing " + std::to_string(hosts_.workers()));
   }
   if (shared.hosts != nullptr) {
-    assert(static_cast<int>(shared.host_of.size()) == config_.workers);
+    if (shared.host_of.size() != static_cast<std::size_t>(config_.workers)) {
+      reject("shared placement of width " +
+             std::to_string(shared.host_of.size()));
+    }
+    for (const int h : shared.host_of) {
+      if (h < 0 || h >= shared.hosts->hosts()) {
+        reject("shared host " + std::to_string(h) + " of " +
+               std::to_string(shared.hosts->hosts()));
+      }
+    }
+  }
+  // Zero would allow infinite same-instant sends.
+  if (config_.send_overhead <= 0) {
+    reject("send_overhead " + std::to_string(config_.send_overhead));
   }
 
   Channel::Config chan_cfg;

@@ -14,17 +14,11 @@ Splitter::Splitter(Simulator* sim, obs::MetricsRegistry& metrics,
       policy_(policy),
       send_overhead_(send_overhead),
       channels_(std::move(channels)),
-      core_(static_cast<int>(channels_.size()), delivery.mode,
-            delivery.replay_buffer_bytes, source_interval),
-      sent_(metrics.counter(std::string(prefix) + "sent")),
+      core_(metrics, prefix, static_cast<int>(channels_.size()),
+            delivery.mode, delivery.replay_buffer_bytes, source_interval),
       blocks_(metrics.counter(std::string(prefix) + "blocks")),
       block_ns_(metrics.histogram(std::string(prefix) + "block_ns")),
-      failovers_(metrics.counter(std::string(prefix) + "failovers")),
-      rerouted_(metrics.counter(std::string(prefix) + "rerouted")),
-      shed_(metrics.counter(std::string(prefix) + "shed")),
-      retransmits_(metrics.counter(std::string(prefix) + "retransmits")),
-      replay_bytes_(metrics.gauge(std::string(prefix) + "replay_buffer_bytes")),
-      ack_lag_(metrics.gauge(std::string(prefix) + "ack_lag")) {
+      rerouted_(metrics.counter(std::string(prefix) + "rerouted")) {
   assert(sim != nullptr);
   assert(policy != nullptr);
   assert(send_overhead > 0);  // zero would allow infinite same-instant sends
@@ -56,7 +50,6 @@ void Splitter::set_input(Channel* input) {
 
 void Splitter::on_ack(std::uint64_t cum) {
   if (!core_.on_ack(cum)) return;
-  update_delivery_gauges();
   // A trimmed buffer may end a replay-full blocking episode — the same
   // wake-up a freed send buffer gives, charged the same way.
   if (blocked_on_ >= 0 && !full(blocked_on_)) do_send(end_block());
@@ -72,8 +65,6 @@ Splitter::ReplaySummary Splitter::quarantine(int j) {
     end_block();
     sim_->schedule_after(0, [this] { next_send(); });
   }
-  if (!core_.at_least_once()) return summary;
-  update_delivery_gauges();
   if (idle_for_input_ && core_.next_replay() != nullptr) {
     // Mid-pipeline splitter parked waiting for upstream data: the replay
     // queue is sendable without input, so resume.
@@ -92,11 +83,6 @@ void Splitter::readmit(int j) {
   }
 }
 
-void Splitter::update_delivery_gauges() {
-  replay_bytes_.set(static_cast<std::int64_t>(core_.replay_bytes()));
-  ack_lag_.set(static_cast<std::int64_t>(core_.ack_lag()));
-}
-
 void Splitter::set_shed_watermarks(std::uint64_t high, std::uint64_t low) {
   shed_high_ = high;
   shed_low_ = low;
@@ -110,11 +96,7 @@ void Splitter::shed_backlog() {
   // gap accounting stays exact.
   const auto dropped =
       core_.shed_backlog(sim_->now(), shed_high_, shed_low_);
-  if (dropped.count == 0) return;
-  shed_.inc(dropped.count);
-  // The shed sequences were issued, so the ack lag grew.
-  if (core_.at_least_once()) update_delivery_gauges();
-  if (on_shed_) on_shed_(dropped.first, dropped.count);
+  if (dropped.count > 0 && on_shed_) on_shed_(dropped.first, dropped.count);
 }
 
 void Splitter::next_send() {
@@ -136,7 +118,6 @@ void Splitter::next_send() {
     idle_no_channel_ = true;
     return;
   }
-  if (j != picked) failovers_.inc();
 
   // A full replay buffer back-pressures exactly like a full send buffer:
   // the source blocks, the wait lands in j's blocking counter, and the
@@ -185,12 +166,6 @@ void Splitter::do_send(int j) {
   }
   core_.commit(j, t.seq, sizeof(Tuple), t, retransmit);
   channels_[static_cast<std::size_t>(j)]->push_send(t);
-  if (core_.at_least_once()) update_delivery_gauges();
-  if (retransmit) {
-    retransmits_.inc();
-  } else {
-    sent_.inc();
-  }
   // Pacing: the send keeps the splitter busy for `send_overhead_`
   // (stretched by the throttle), and the next fresh tuple also waits for
   // its open-loop release; a pending replay consumed no release and goes

@@ -37,10 +37,10 @@ namespace slb::sim {
 class Splitter {
  public:
   /// @param metrics registry the splitter registers its metrics in, as
-  ///   `prefix` + "sent", "blocks", "block_ns", "failovers", "rerouted",
-  ///   "shed", "retransmits", "replay_buffer_bytes" and "ack_lag"
-  ///   (DESIGN.md §8). The splitter is their only writer; the registry
-  ///   must outlive it.
+  ///   `prefix` + name (DESIGN.md §8): its own "blocks", "block_ns" and
+  ///   "rerouted", and through its delivery core "sent", "failovers",
+  ///   "shed", "retransmits", "replay_buffer_bytes" and "ack_lag". The
+  ///   splitter is their only writer; the registry must outlive it.
   /// @param channels the splitter's connections, one per worker.
   /// @param source_interval mean inter-arrival gap of the upstream tuple
   ///   source: 0 = closed loop (a tuple is always ready — the paper's
@@ -160,7 +160,6 @@ class Splitter {
   /// Ends the current blocking episode, charging its wait to channel
   /// `blocked_on_`, and returns that channel.
   int end_block();
-  void update_delivery_gauges();
 
   Simulator* sim_;
   SplitPolicy* policy_;
@@ -172,22 +171,14 @@ class Splitter {
   std::vector<Channel*> channels_;
 
   /// Sequences, liveness, replay buffers, acks, blocked time, source
-  /// pacing and the send counters (DESIGN.md §10), shared with the
+  /// pacing and the send metrics (DESIGN.md §10), shared with the
   /// runtime splitter.
   delivery::SendCore<Tuple> core_;
 
-  // Registry handles. The sent, failover, shed and retransmit totals and
-  // both gauges mirror the core where it changes; blocks, block_ns and
-  // rerouted are kept only here.
-  obs::Counter& sent_;
+  // Registry handles of what only the sim splitter counts.
   obs::Counter& blocks_;  // distinct blocking episodes
   obs::Histogram& block_ns_;  // per-episode blocked duration
-  obs::Counter& failovers_;
   obs::Counter& rerouted_;  // Section 4.4 block-time diversions
-  obs::Counter& shed_;
-  obs::Counter& retransmits_;
-  obs::Gauge& replay_bytes_;
-  obs::Gauge& ack_lag_;  // next_seq - cumulative ack
 
   int blocked_on_ = -1;
   TimeNs block_start_ = 0;

@@ -30,19 +30,6 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Counter, AdvanceToPublishesAMonotoneTotal) {
-  Counter c;
-  c.advance_to(5);
-  EXPECT_EQ(c.value(), 5u);
-  c.advance_to(5);  // an unchanged total adds nothing
-  EXPECT_EQ(c.value(), 5u);
-  c.advance_to(3);  // never moves down
-  EXPECT_EQ(c.value(), 5u);
-  c.inc(2);
-  c.advance_to(12);
-  EXPECT_EQ(c.value(), 12u);
-}
-
 TEST(Gauge, SetAndAdd) {
   Gauge g;
   g.set(10);

@@ -58,7 +58,8 @@ void release(Core& core, Seqs& out) {
 // --- 1. unit cases ----------------------------------------------------
 
 TEST(ReleaseCore, CursorReleasesInSequenceOrderAcrossConnections) {
-  Core core(2, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kGapSkip);
   Seqs out;
   core.offer(1, 1);
   core.offer(1, 3);
@@ -76,7 +77,8 @@ TEST(ReleaseCore, CursorReleasesInSequenceOrderAcrossConnections) {
 TEST(ReleaseCore, StaleArrivalIsDupUnderAtLeastOnceAndLateOtherwise) {
   for (const DeliveryMode mode :
        {DeliveryMode::kAtLeastOnce, DeliveryMode::kGapSkip}) {
-    Core core(2, mode);
+    obs::MetricsRegistry metrics;
+    Core core(metrics, 2, mode);
     Seqs out;
     core.offer(0, 0);
     release(core, out);
@@ -88,8 +90,32 @@ TEST(ReleaseCore, StaleArrivalIsDupUnderAtLeastOnceAndLateOtherwise) {
   }
 }
 
+TEST(ReleaseCore, PublishesItsCountsAsTheMergerCounters) {
+  // The core registers the merger's gap and discard counters and writes
+  // them where they change; its accessors read the same handles.
+  for (const DeliveryMode mode :
+       {DeliveryMode::kAtLeastOnce, DeliveryMode::kGapSkip}) {
+    obs::MetricsRegistry metrics;
+    Core core(metrics, 1, mode);
+    EXPECT_EQ(metrics.size(), 3u);
+    Seqs out;
+    core.note_lost(0, 2, 0);
+    release(core, out);
+    core.offer(0, 1);  // stale: a replay echo, or late past its gap
+    const bool alo = mode == DeliveryMode::kAtLeastOnce;
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counter("merger.gaps"), 2u);
+    EXPECT_EQ(snap.counter("merger.dup_discards"), alo ? 1u : 0u);
+    EXPECT_EQ(snap.counter("merger.late_discards"), alo ? 0u : 1u);
+    EXPECT_EQ(core.gaps(), 2u);
+    EXPECT_EQ(core.dup_discards(), snap.counter("merger.dup_discards"));
+    EXPECT_EQ(core.late_discards(), snap.counter("merger.late_discards"));
+  }
+}
+
 TEST(ReleaseCore, ReplayBehindNewerSequencesIsPooledAndReleased) {
-  Core core(2, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kAtLeastOnce);
   Seqs out;
   core.offer(0, 1);
   core.offer(1, 3);
@@ -106,7 +132,8 @@ TEST(ReleaseCore, ReplayBehindNewerSequencesIsPooledAndReleased) {
 }
 
 TEST(ReleaseCore, GapSkipQueuesOutOfOrderArrivalsInsteadOfPooling) {
-  Core core(1, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 1, DeliveryMode::kGapSkip);
   core.offer(0, 3);
   core.offer(0, 1);
   EXPECT_EQ(core.pooled(), 0u);
@@ -114,7 +141,8 @@ TEST(ReleaseCore, GapSkipQueuesOutOfOrderArrivalsInsteadOfPooling) {
 }
 
 TEST(ReleaseCore, PooledEntryOvertakenByTheCursorIsDiscarded) {
-  Core core(2, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kAtLeastOnce);
   Seqs out;
   core.offer(0, 5);
   core.offer(0, 1);  // pooled
@@ -129,7 +157,8 @@ TEST(ReleaseCore, PooledEntryOvertakenByTheCursorIsDiscarded) {
 }
 
 TEST(ReleaseCore, LostRangesAreSkippedAsGaps) {
-  Core core(1, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 1, DeliveryMode::kGapSkip);
   Seqs out;
   core.note_lost(2, 3, 0);  // [2, 5)
   core.note_lost(2, 1, 0);  // narrower redeclaration: widest wins
@@ -149,7 +178,8 @@ TEST(ReleaseCore, LostRangesAreSkippedAsGaps) {
 }
 
 TEST(ReleaseCore, GapWaitReportsCountAndDeclarationTime) {
-  Core core(1, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 1, DeliveryMode::kGapSkip);
   core.note_lost(1, 2, 100);
   core.note_lost(1, 1, 150);  // later redeclaration keeps the first time
   core.offer(0, 3);
@@ -173,7 +203,8 @@ TEST(ReleaseCore, GapWaitReportsCountAndDeclarationTime) {
   EXPECT_TRUE(waits.empty());  // the lost range lay below the jump
   EXPECT_EQ(out, (Seqs{3}));
 
-  Core fresh(1, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry fresh_metrics;
+  Core fresh(fresh_metrics, 1, DeliveryMode::kGapSkip);
   fresh.note_lost(0, 2, 100);
   fresh.offer(0, 2);
   fresh.release(emit, on_gap);
@@ -183,7 +214,8 @@ TEST(ReleaseCore, GapWaitReportsCountAndDeclarationTime) {
 }
 
 TEST(ReleaseCore, CapacityBoundsEachQueue) {
-  Core core(2, DeliveryMode::kGapSkip, 2);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kGapSkip, 2);
   Seqs out;
   EXPECT_EQ(core.offer(1, 1), Core::Offer::kAccepted);
   EXPECT_EQ(core.offer(1, 2), Core::Offer::kAccepted);
@@ -200,7 +232,8 @@ TEST(ReleaseCore, CapacityBoundsEachQueue) {
 }
 
 TEST(ReleaseCore, RefusedEmitStopsAndResumesWithTheSameItem) {
-  Core core(1, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 1, DeliveryMode::kGapSkip);
   core.offer(0, 0);
   core.offer(0, 1);
   Seqs out;
@@ -223,7 +256,8 @@ TEST(ReleaseCore, RefusedEmitStopsAndResumesWithTheSameItem) {
 }
 
 TEST(ReleaseCore, SkipUnreachableWaitsForEveryOpenStreamThenFlushes) {
-  Core core(3, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 3, DeliveryMode::kGapSkip);
   Seqs out;
   EXPECT_EQ(core.skip_unreachable(), 0u);  // every stream may carry 0
   core.offer(0, 4);
@@ -256,7 +290,8 @@ TEST(ReleaseCore, IdleOpenStreamIsNeverSkipped) {
   // out-of-order arrival made the merger skip a healthy sequence. An open
   // stream that has not moved past the cursor may still carry it, however
   // long it stays idle.
-  Core core(2, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kGapSkip);
   Seqs out;
   core.offer(0, 0);
   release(core, out);
@@ -272,7 +307,8 @@ TEST(ReleaseCore, IdleOpenStreamIsNeverSkipped) {
 
 TEST(ReleaseCore, SlowOpenStreamHoldsTheCursorUntilItMovesPast) {
   // Stream 2 dies holding 0 and 3; stream 0 is fast, stream 1 slow.
-  Core core(3, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 3, DeliveryMode::kGapSkip);
   Seqs out;
   core.offer(0, 1);
   core.offer(0, 4);
@@ -297,7 +333,8 @@ TEST(ReleaseCore, SlowOpenStreamHoldsTheCursorUntilItMovesPast) {
 }
 
 TEST(ReleaseCore, ReopenedStreamHoldsTheCursorUntilItsWatermark) {
-  Core core(2, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kGapSkip);
   Seqs out;
   core.offer(0, 0);
   core.offer(0, 3);
@@ -317,7 +354,8 @@ TEST(ReleaseCore, ReopenedStreamHoldsTheCursorUntilItsWatermark) {
 TEST(ReleaseCore, AtLeastOnceSkipsOnlyOnceEveryStreamHasEnded) {
   // Replays may carry any unacked sequence on any stream, so neither
   // arrivals nor watermarks move a floor: only stream ends do.
-  Core core(2, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 2, DeliveryMode::kAtLeastOnce);
   Seqs out;
   core.offer(0, 1);
   core.raise_floor(0, 10);
@@ -330,7 +368,8 @@ TEST(ReleaseCore, AtLeastOnceSkipsOnlyOnceEveryStreamHasEnded) {
 }
 
 TEST(ReleaseCore, AckCursorTracksUnacknowledgedReleases) {
-  Core core(1, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, 1, DeliveryMode::kAtLeastOnce);
   Seqs out;
   EXPECT_EQ(core.unacked(), 0u);
   core.offer(0, 0);
@@ -346,7 +385,8 @@ TEST(ReleaseCore, AckCursorTracksUnacknowledgedReleases) {
 }
 
 TEST(ReleaseCore, UngatedHeadAndPopServeParallelSinks) {
-  delivery::ReleaseCore<sim::Tuple> core(2, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  delivery::ReleaseCore<sim::Tuple> core(metrics, 2, DeliveryMode::kGapSkip);
   core.offer(1, sim::Tuple{5, 0});
   ASSERT_NE(core.head(1), nullptr);
   EXPECT_EQ(core.head(1)->seq, 5u);
@@ -499,7 +539,8 @@ std::uint64_t check_gap_skip(int conns, int seqs, int fates) {
       }
       leaves += for_each_interleaving(streams, [&](const auto& order) {
         if (::testing::Test::HasFatalFailure()) return;
-        Core core(conns, DeliveryMode::kGapSkip);
+        obs::MetricsRegistry metrics;
+        Core core(metrics, conns, DeliveryMode::kGapSkip);
         const Playback run = play(core, conns, order);
         ASSERT_TRUE(strictly_increasing(run.emitted));
         ASSERT_EQ(run.queued_before_flush, 0u);
@@ -558,7 +599,8 @@ TEST(ReleaseCoreModel, AtLeastOnceWithReplaysIsExactlyOnceInOrder) {
       }
       leaves += for_each_interleaving(streams, [&](const auto& order) {
         if (::testing::Test::HasFatalFailure()) return;
-        Core core(kConns, DeliveryMode::kAtLeastOnce);
+        obs::MetricsRegistry metrics;
+        Core core(metrics, kConns, DeliveryMode::kAtLeastOnce);
         const Playback run = play(core, kConns, order);
         ASSERT_EQ(run.queued_before_flush, 0u);  // no skip ever needed
         ASSERT_EQ(run.emitted.size(), static_cast<std::size_t>(kSeqs));
@@ -648,7 +690,8 @@ void run_oracle(std::uint64_t seed, DeliveryMode mode, bool wide = false) {
                             : static_cast<int>(rng.below(n));
   };
 
-  Core core(n, mode, capacity);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, n, mode, capacity);
   Ref ref(n, mode, capacity);
   std::vector<std::deque<std::uint64_t>> in_flight(
       static_cast<std::size_t>(n));
@@ -794,7 +837,8 @@ TEST(ReleaseCoreOracle, AtLeastOnceMatchesThePlainScanAcrossWindows) {
 /// and the counters after it must agree.
 class Twin {
  public:
-  Twin(int n, DeliveryMode mode) : n_(n), core_(n, mode), ref_(n, mode) {}
+  Twin(int n, DeliveryMode mode)
+      : n_(n), core_(metrics_, n, mode), ref_(n, mode) {}
 
   void offer(int j, std::uint64_t seq) {
     EXPECT_EQ(static_cast<int>(core_.offer(j, seq)),
@@ -844,6 +888,7 @@ class Twin {
   }
 
   int n_;
+  obs::MetricsRegistry metrics_;
   Core core_;
   Ref ref_;
 };

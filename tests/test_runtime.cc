@@ -206,8 +206,10 @@ TEST(LocalRegion, TimedWorkModeRunsAndPreservesOrder) {
 TEST(LocalRegion, MetricsAgreeWithRunStats) {
   // The splitter counters are bumped on the send path and the merger
   // counters by the merger PE thread as it releases; either way they must
-  // end at the run's own totals. A kill and restart of worker 1 makes the gap count (GapSkip)
-  // and the retransmit count (at-least-once) non-zero.
+  // end at the run's own totals. A kill and restart of worker 1 makes the
+  // gap count (GapSkip) and the retransmit count (at-least-once) non-zero,
+  // and round robin keeps picking worker 1 while it is down, so every
+  // such pick fails over.
   for (const delivery::DeliveryMode mode :
        {delivery::DeliveryMode::kGapSkip,
         delivery::DeliveryMode::kAtLeastOnce}) {
@@ -229,11 +231,15 @@ TEST(LocalRegion, MetricsAgreeWithRunStats) {
     };
     EXPECT_TRUE(stats.order_ok);
     EXPECT_GT(alo ? stats.retransmits : stats.gaps, 0u);
+    EXPECT_GT(stats.failovers, 0u);
     EXPECT_EQ(count("merger.emitted"), stats.emitted);
     EXPECT_EQ(count("merger.gaps"), stats.gaps);
     EXPECT_EQ(count("merger.dup_discards"), stats.dup_discards);
+    EXPECT_EQ(count("merger.late_discards"), stats.late_discards);
     EXPECT_EQ(count("splitter.sent"), stats.sent);
     EXPECT_EQ(count("splitter.retransmits"), stats.retransmits);
+    EXPECT_EQ(count("splitter.failovers"), stats.failovers);
+    EXPECT_EQ(count("splitter.shed"), stats.shed);
     for (int j = 0; j < cfg.workers; ++j) {
       EXPECT_GT(count("worker." + std::to_string(j) + ".service_ns"), 0u)
           << "worker " << j;
@@ -269,6 +275,38 @@ TEST(LocalRegion, MergerCountersAreLiveBetweenTicks) {
 
   EXPECT_GT(stats.emitted, 0u);
   ASSERT_NE(first_seen, 0) << "merger.emitted never moved during the run";
+  EXPECT_LT(first_seen - start, kRun / 2);
+}
+
+TEST(LocalRegion, DeliveryGaugesAreLiveBetweenTicks) {
+  // The delivery core sets "splitter.ack_lag" on every at-least-once
+  // commit and ack, so a reader on another thread sees it move although
+  // no sample tick fires during the run.
+  LocalRegionConfig cfg = fast_config(2);
+  cfg.sample_period = millis(10'000);
+  cfg.delivery.mode = delivery::DeliveryMode::kAtLeastOnce;
+  LocalRegion region(cfg, std::make_unique<RoundRobinPolicy>(2));
+  const obs::Gauge& ack_lag = region.metrics().gauge("splitter.ack_lag");
+
+  constexpr DurationNs kRun = millis(600);
+  const TimeNs start = monotonic_now();
+  std::atomic<bool> stop{false};
+  TimeNs first_seen = 0;  // 0: never
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (ack_lag.value() > 0) {
+        first_seen = monotonic_now();
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const LocalRunStats stats = region.run(kRun);
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_GT(stats.sent, 0u);
+  ASSERT_NE(first_seen, 0) << "splitter.ack_lag never moved during the run";
   EXPECT_LT(first_seen - start, kRun / 2);
 }
 

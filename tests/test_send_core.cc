@@ -16,10 +16,13 @@
 #include <deque>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "delivery/release_core.h"
 #include "delivery/send_core.h"
+#include "obs/metrics.h"
 #include "util/time.h"
 
 namespace slb {
@@ -45,7 +48,8 @@ std::uint64_t send_replay(Core& core, int j) {
 // --- 1. unit cases ----------------------------------------------------
 
 TEST(SendCore, FreshCommitsAndShedsConsumeSequencesInOrder) {
-  Core core(2, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 2, DeliveryMode::kGapSkip);
   EXPECT_EQ(send_fresh(core, 0), 0u);
   EXPECT_EQ(send_fresh(core, 1), 1u);
   const Core::Range dropped = core.shed(3);
@@ -65,7 +69,8 @@ TEST(SendCore, ShedBacklogDropsDownToTheLowWatermarkOnlyPastBoth) {
   // One tuple released per ns from t = 0. `shed_at` sheds at the instant
   // the backlog is `backlog` (arrival() is the release clock in an open
   // loop), so each case reads as a backlog against the watermarks.
-  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1);
   core.start(0);
   const auto shed_at = [&](std::uint64_t backlog, std::uint64_t high,
                            std::uint64_t low) {
@@ -90,12 +95,15 @@ TEST(SendCore, ShedBacklogDropsDownToTheLowWatermarkOnlyPastBoth) {
 }
 
 TEST(SendCore, RejectsANegativeSourceInterval) {
-  EXPECT_THROW(Core(1, DeliveryMode::kGapSkip, 0, -1), std::invalid_argument);
-  EXPECT_NO_THROW(Core(1, DeliveryMode::kGapSkip, 0, 0));
+  obs::MetricsRegistry metrics;
+  EXPECT_THROW(Core(metrics, "", 1, DeliveryMode::kGapSkip, 0, -1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Core(metrics, "", 1, DeliveryMode::kGapSkip, 0, 0));
 }
 
 TEST(SendCore, PacingThrottleStretchesTheBusyTime) {
-  Core core(1, DeliveryMode::kGapSkip);  // closed loop
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 1, DeliveryMode::kGapSkip);  // closed loop
   core.start(0);
   core.set_throttle(0.25);
   core.paced(10'000, 11'000, /*fresh=*/true);  // a 1000 ns send
@@ -107,7 +115,9 @@ TEST(SendCore, PacingThrottleStretchesTheBusyTime) {
 }
 
 TEST(SendCore, PacingOpenLoopReleaseBacklogAndArrivalFollowTheInterval) {
-  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1000);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 1, DeliveryMode::kGapSkip, 0,
+            /*source_interval=*/1000);
   core.start(5000);
   EXPECT_EQ(core.arrival(9999), 5000);
   EXPECT_EQ(core.ready_at(true), 5000);
@@ -124,14 +134,16 @@ TEST(SendCore, PacingOpenLoopReleaseBacklogAndArrivalFollowTheInterval) {
   EXPECT_EQ(core.arrival(9999), 7000);
   EXPECT_EQ(core.ready_at(true), 8100);
   // A closed loop has no release clock.
-  Core closed(1, DeliveryMode::kGapSkip);
+  Core closed(metrics, "closed.", 1, DeliveryMode::kGapSkip);
   closed.start(5000);
   EXPECT_EQ(closed.arrival(9999), 9999);
   EXPECT_EQ(closed.backlog(1'000'000), 0u);
 }
 
 TEST(SendCore, PacingShedMovesTheReleaseClockPastTheDroppedTuples) {
-  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1000);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 1, DeliveryMode::kGapSkip, 0,
+            /*source_interval=*/1000);
   core.start(0);
   EXPECT_EQ(core.backlog(10'500), 10u);
   const Core::Range dropped = core.shed_backlog(10'500, 8, 2);
@@ -144,7 +156,9 @@ TEST(SendCore, PacingShedMovesTheReleaseClockPastTheDroppedTuples) {
 }
 
 TEST(SendCore, PacingRetransmitWaitsForTheBusyTimeButNotTheRelease) {
-  Core core(1, DeliveryMode::kGapSkip, 0, /*source_interval=*/1000);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 1, DeliveryMode::kGapSkip, 0,
+            /*source_interval=*/1000);
   core.start(0);
   core.set_throttle(0.5);
   core.paced(0, 100, /*fresh=*/true);
@@ -156,7 +170,8 @@ TEST(SendCore, PacingRetransmitWaitsForTheBusyTimeButNotTheRelease) {
 }
 
 TEST(SendCore, RouteFailsOverToTheNextLiveChannelInRingOrder) {
-  Core core(3, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 3, DeliveryMode::kGapSkip);
   EXPECT_EQ(core.route(1), 1);
   EXPECT_EQ(core.failovers(), 0u);
   core.set_up(1, false);
@@ -174,7 +189,8 @@ TEST(SendCore, RouteFailsOverToTheNextLiveChannelInRingOrder) {
 }
 
 TEST(SendCore, GapSkipBuffersNothingAndAdmitsEverything) {
-  Core core(2, DeliveryMode::kGapSkip, /*replay_buffer_bytes=*/1);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 2, DeliveryMode::kGapSkip, /*replay_buffer_bytes=*/1);
   EXPECT_FALSE(core.at_least_once());
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(core.admits(0, 100));
@@ -191,7 +207,9 @@ TEST(SendCore, GapSkipBuffersNothingAndAdmitsEverything) {
 }
 
 TEST(SendCore, AdmissionFollowsTheReplayCapAndAnEmptyBufferAlwaysAdmits) {
-  Core core(2, DeliveryMode::kAtLeastOnce, /*replay_buffer_bytes=*/10);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 2, DeliveryMode::kAtLeastOnce,
+            /*replay_buffer_bytes=*/10);
   EXPECT_TRUE(core.admits(0, 100));  // empty: one oversized tuple is fine
   core.commit(0, core.next_seq(), 6, 0, false);
   EXPECT_TRUE(core.admits(0, 4));
@@ -202,13 +220,14 @@ TEST(SendCore, AdmissionFollowsTheReplayCapAndAnEmptyBufferAlwaysAdmits) {
 }
 
 TEST(SendCore, CommitBuffersAndCountsSentApartFromRetransmits) {
-  Core core(2, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 2, DeliveryMode::kAtLeastOnce);
   send_fresh(core, 0);
   send_fresh(core, 0);
   send_fresh(core, 1);
   EXPECT_EQ(core.unacked(), 3u);
   EXPECT_EQ(core.replay_bytes(), 3u);
-  EXPECT_EQ(core.ack_lag(), 3u);
+  EXPECT_EQ(metrics.gauge("ack_lag").value(), 3);
   core.quarantine(0);
   EXPECT_EQ(core.unacked(), 3u);  // moved, not lost: 0 and 1 pending
   EXPECT_EQ(core.replay_bytes(), 1u);
@@ -221,7 +240,8 @@ TEST(SendCore, CommitBuffersAndCountsSentApartFromRetransmits) {
 }
 
 TEST(SendCore, CumulativeAckTrimsBuffersAndPendingReplays) {
-  Core core(2, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 2, DeliveryMode::kAtLeastOnce);
   for (int i = 0; i < 6; ++i) send_fresh(core, i % 2);
   core.quarantine(1);  // 1, 3, 5 pending
   EXPECT_TRUE(core.on_ack(4));
@@ -229,14 +249,15 @@ TEST(SendCore, CumulativeAckTrimsBuffersAndPendingReplays) {
   EXPECT_EQ(core.next_replay()->seq, 5u);  // 1 and 3 released meanwhile
   EXPECT_EQ(core.unacked(), 2u);           // 4 buffered on 0, 5 pending
   EXPECT_EQ(core.replay_bytes(), 1u);
-  EXPECT_EQ(core.ack_lag(), 2u);
+  EXPECT_EQ(metrics.gauge("ack_lag").value(), 2);
   EXPECT_FALSE(core.on_ack(4));  // nothing new
   EXPECT_FALSE(core.on_ack(3));  // stale
   EXPECT_EQ(core.acked(), 4u);
 }
 
 TEST(SendCore, QuarantineQueuesTheUnackedSuffixSortedBySequence) {
-  Core core(3, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 3, DeliveryMode::kAtLeastOnce);
   for (int i = 0; i < 6; ++i) send_fresh(core, i % 3);  // 0:{0,3} 1:{1,4}
   core.on_ack(1);
   const Core::Replay first = core.quarantine(1);
@@ -259,7 +280,8 @@ TEST(SendCore, RetransmitCommitRemovesItsOwnSequenceAfterAQuarantine) {
   // The runtime reads the oldest replay, then a send attempt on another
   // channel quarantines it and queues older sequences ahead of the frame
   // in hand; committing that frame must remove exactly its sequence.
-  Core core(3, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 3, DeliveryMode::kAtLeastOnce);
   for (int i = 0; i < 3; ++i) send_fresh(core, i);  // 0 on 0, 1 on 1, 2 on 2
   core.quarantine(2);
   const std::uint64_t in_hand = core.next_replay()->seq;
@@ -276,7 +298,8 @@ TEST(SendCore, RetransmitCommitAfterItsSequenceWasAckedBuffersNothing) {
   // acks in between: an ack may release the sequence (and drop it from
   // the pending queue) before the last byte is written. The commit still
   // counts the retransmit but buffers nothing no ack would ever trim.
-  Core core(2, DeliveryMode::kAtLeastOnce);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 2, DeliveryMode::kAtLeastOnce);
   for (int i = 0; i < 2; ++i) send_fresh(core, 0);
   core.quarantine(0);  // 0 and 1 pending
   const std::uint64_t in_hand = core.next_replay()->seq;
@@ -289,12 +312,57 @@ TEST(SendCore, RetransmitCommitAfterItsSequenceWasAckedBuffersNothing) {
   EXPECT_EQ(core.replay_bytes(), 0u);
 }
 
+TEST(SendCore, PublishesItsCountsUnderThePrefix) {
+  // Every count lives in one registry handle, which the accessors read
+  // back; at-least-once keeps both gauges current after each change.
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "p.", 2, DeliveryMode::kAtLeastOnce);
+  EXPECT_EQ(metrics.size(), 6u);
+  const auto counter = [&](const std::string& name) {
+    return metrics.counter("p." + name).value();
+  };
+  const auto gauge = [&](const std::string& name) {
+    return metrics.gauge("p." + name).value();
+  };
+  send_fresh(core, 0);
+  send_fresh(core, 1);
+  EXPECT_EQ(gauge("replay_buffer_bytes"), 2);
+  EXPECT_EQ(gauge("ack_lag"), 2);
+  core.quarantine(1);  // 1 pending
+  EXPECT_EQ(gauge("replay_buffer_bytes"), 1);
+  EXPECT_EQ(core.route(1), 0);
+  send_replay(core, 0);
+  core.shed(2);
+  EXPECT_EQ(gauge("replay_buffer_bytes"), 2);
+  EXPECT_EQ(gauge("ack_lag"), 4);
+  core.on_ack(3);
+  EXPECT_EQ(gauge("replay_buffer_bytes"), 0);
+  EXPECT_EQ(gauge("ack_lag"), 1);
+  EXPECT_EQ(counter("sent"), 2u);
+  EXPECT_EQ(counter("retransmits"), 1u);
+  EXPECT_EQ(counter("failovers"), 1u);
+  EXPECT_EQ(counter("shed"), 2u);
+  EXPECT_EQ(core.total_sent(), counter("sent"));
+  EXPECT_EQ(core.retransmits(), counter("retransmits"));
+  EXPECT_EQ(core.failovers(), counter("failovers"));
+  EXPECT_EQ(core.shed(), counter("shed"));
+  EXPECT_EQ(core.replay_bytes(), 0u);
+
+  // GapSkip keeps no acks or buffers: its gauges stay at 0.
+  Core gap_skip(metrics, "g.", 1, DeliveryMode::kGapSkip);
+  send_fresh(gap_skip, 0);
+  gap_skip.shed(1);
+  EXPECT_EQ(metrics.gauge("g.replay_buffer_bytes").value(), 0);
+  EXPECT_EQ(metrics.gauge("g.ack_lag").value(), 0);
+}
+
 TEST(SendCore, ChargesBlockedTimePerChannel) {
   const auto blocked = [](const Core& c) {
     return std::vector<DurationNs>(c.blocked_ns().begin(),
                                    c.blocked_ns().end());
   };
-  Core core(3, DeliveryMode::kGapSkip);
+  obs::MetricsRegistry metrics;
+  Core core(metrics, "", 3, DeliveryMode::kGapSkip);
   EXPECT_EQ(blocked(core), (std::vector<DurationNs>{0, 0, 0}));
   core.charge_blocked(0, 100);
   core.charge_blocked(2, 30);
@@ -308,15 +376,28 @@ TEST(SendCore, ChargesBlockedTimePerChannel) {
   core.charge_blocked(2, 5);
   EXPECT_EQ(blocked(core), (std::vector<DurationNs>{150, 0, 35}));
 
-  EXPECT_EQ(blocked(Core(2, DeliveryMode::kAtLeastOnce, 64)),
-            (std::vector<DurationNs>{0, 0}));
+  EXPECT_EQ(
+      blocked(Core(metrics, "fresh.", 2, DeliveryMode::kAtLeastOnce, 64)),
+      (std::vector<DurationNs>{0, 0}));
 }
 
 // --- 2. exhaustive model check ---------------------------------------
 
+/// What a model run is built from.
+struct Params {
+  int channels;
+  std::uint64_t sequences;
+  DeliveryMode mode;
+  int crashes;
+  int sheds;
+};
+
 /// The splitter core and the merger's release core, connected by one
-/// in-flight FIFO per channel and a single-slot delayed ack link.
+/// in-flight FIFO per channel and a single-slot delayed ack link. The
+/// cores publish their counts into the model's own registry, so a model
+/// is not copied: every explored state is replayed from a fresh one.
 struct Model {
+  obs::MetricsRegistry metrics;  // declared before the cores
   Core send;
   delivery::ReleaseCore<std::uint64_t> release;
   std::vector<std::deque<std::uint64_t>> wire;
@@ -329,15 +410,15 @@ struct Model {
   int sheds_left;
   std::uint64_t sequences;
 
-  Model(int channels, std::uint64_t seqs, DeliveryMode mode, int crashes,
-        int sheds)
-      : send(channels, mode, /*replay_buffer_bytes=*/2),
-        release(channels, mode),
-        wire(static_cast<std::size_t>(channels)),
-        emitted_count(static_cast<std::size_t>(seqs), 0),
-        crashes_left(crashes),
-        sheds_left(sheds),
-        sequences(seqs) {}
+  explicit Model(const Params& p)
+      : send(metrics, "splitter.", p.channels, p.mode,
+             /*replay_buffer_bytes=*/2),
+        release(metrics, p.channels, p.mode),
+        wire(static_cast<std::size_t>(p.channels)),
+        emitted_count(static_cast<std::size_t>(p.sequences), 0),
+        crashes_left(p.crashes),
+        sheds_left(p.sheds),
+        sequences(p.sequences) {}
 
   void drain() {
     release.release([&](int, std::uint64_t seq) {
@@ -391,11 +472,65 @@ enum class Kind { kSend, kShed, kDeliver, kAckGen, kAckDeliver, kCrash,
                   kRecover };
 struct Action {
   Kind kind;
-  int ch = 0;
+  int ch = 0;  // kShed: the count shed
+  int pick = 0;  // kSend: the pick that routed to `ch`
   bool operator<(const Action& o) const {
     return kind != o.kind ? kind < o.kind : ch < o.ch;
   }
 };
+
+/// Applies an action enabled in `x`.
+void apply(Model& x, const Action& a) {
+  const auto wire = [&]() -> std::deque<std::uint64_t>& {
+    return x.wire[static_cast<std::size_t>(a.ch)];
+  };
+  switch (a.kind) {
+    case Kind::kSend: {
+      x.send.route(a.pick);
+      const auto* replay = x.send.next_replay();
+      const std::uint64_t seq =
+          replay != nullptr ? replay->seq : x.send.next_seq();
+      x.send.commit(a.ch, seq, 1, seq, replay != nullptr);
+      wire().push_back(seq);
+      break;
+    }
+    case Kind::kShed: {
+      --x.sheds_left;
+      const Core::Range dropped =
+          x.send.shed(static_cast<std::uint64_t>(a.ch));
+      x.declare_lost(dropped.first, dropped.count);
+      break;
+    }
+    case Kind::kDeliver: {
+      const std::uint64_t seq = wire().front();
+      wire().pop_front();
+      x.release.offer(a.ch, seq);
+      x.drain();
+      break;
+    }
+    case Kind::kAckGen:
+      x.ack_in_flight = x.release.take_ack();
+      break;
+    case Kind::kAckDeliver:
+      x.send.on_ack(*x.ack_in_flight);
+      x.ack_in_flight.reset();
+      break;
+    case Kind::kCrash: {
+      // The channel's in-flight tuples die with its worker. Gap-skip
+      // declares them lost; at-least-once replays the unacked suffix.
+      --x.crashes_left;
+      const std::deque<std::uint64_t> lost = std::exchange(wire(), {});
+      x.send.quarantine(a.ch);
+      if (!x.send.at_least_once()) {
+        for (const std::uint64_t seq : lost) x.declare_lost(seq, 1);
+      }
+      break;
+    }
+    case Kind::kRecover:  // a replacement worker on a fresh connection
+      x.send.set_up(a.ch, true);
+      break;
+  }
+}
 
 /// Actions that commute and cannot disable each other: one touches only
 /// the splitter side (core + wire tail), the other only the merger side
@@ -420,106 +555,87 @@ bool independent(const Action& a, const Action& b) {
 }
 
 /// Depth-first over every interleaving, up to reordering adjacent
-/// independent actions: after `last`, an independent action ordered
-/// before it is skipped, because the swapped word is explored from the
-/// parent and reaches the same state. Every trace keeps its
-/// lexicographically least word, so every reachable terminal state is
-/// still checked.
-void explore(const Model& m, const Action* last, ModelStats& stats) {
+/// independent actions: after the last action of `path`, an independent
+/// action ordered before it is skipped, because the swapped word is
+/// explored from the parent and reaches the same state. Every trace keeps
+/// its lexicographically least word, so every reachable terminal state is
+/// still checked. `m` is the state `path` reaches; the last successor
+/// takes it over, and every other one is replayed from a fresh model.
+void explore(const Params& p, std::vector<Action>& path, Model& m,
+             ModelStats& stats) {
   if (::testing::Test::HasFatalFailure()) return;  // report the first one
   bool enabled = false;
-  const auto step = [&](Action a, auto&& apply) {
+  std::vector<Action> next;
+  const auto step = [&](Action a) {
     enabled = true;
-    if (last != nullptr && a < *last && independent(a, *last)) return;
-    Model next = m;
-    apply(next);
-    explore(next, &a, stats);
+    if (path.empty() || !(a < path.back() && independent(a, path.back()))) {
+      next.push_back(a);
+    }
   };
   const int n = m.send.channels();
 
   // Send: a pending replay outranks a fresh sequence. Every pick is
   // explored; picks that route to the same channel are one action. A
   // full replay buffer leaves the pick blocked (no transition) — the
-  // splitter waits for an ack or re-picks.
+  // splitter waits for an ack or re-picks. The failovers these routes
+  // count in `m` are read nowhere.
   const bool replay = m.send.next_replay() != nullptr;
   if (replay || m.send.next_seq() < m.sequences) {
     std::vector<char> tried(static_cast<std::size_t>(n), 0);
     for (int pick = 0; pick < n; ++pick) {
-      Core probe = m.send;
-      const int j = probe.route(pick);
+      const int j = m.send.route(pick);
       if (j < 0 || tried[static_cast<std::size_t>(j)]) continue;
       tried[static_cast<std::size_t>(j)] = 1;
-      if (!probe.admits(j, 1)) continue;
-      step({Kind::kSend, j}, [&](Model& x) {
-        x.send.route(pick);
-        const std::uint64_t seq =
-            replay ? x.send.next_replay()->seq : x.send.next_seq();
-        x.send.commit(j, seq, 1, seq, replay);
-        x.wire[static_cast<std::size_t>(j)].push_back(seq);
-      });
+      if (m.send.admits(j, 1)) step({Kind::kSend, j, pick});
     }
   }
   // Shed: the next one or two fresh sequences, announced as lost.
   if (!replay && m.sheds_left > 0) {
     for (std::uint64_t count = 1;
          count <= 2 && m.send.next_seq() + count <= m.sequences; ++count) {
-      step({Kind::kShed, static_cast<int>(count)}, [&](Model& x) {
-        --x.sheds_left;
-        const Core::Range dropped = x.send.shed(count);
-        x.declare_lost(dropped.first, dropped.count);
-      });
+      step({Kind::kShed, static_cast<int>(count)});
     }
   }
   // Deliver the oldest in-flight tuple of a channel to the merger.
   for (int j = 0; j < n; ++j) {
-    if (m.wire[static_cast<std::size_t>(j)].empty()) continue;
-    step({Kind::kDeliver, j}, [&](Model& x) {
-      auto& q = x.wire[static_cast<std::size_t>(j)];
-      const std::uint64_t seq = q.front();
-      q.pop_front();
-      x.release.offer(j, seq);
-      x.drain();
-    });
+    if (!m.wire[static_cast<std::size_t>(j)].empty()) {
+      step({Kind::kDeliver, j});
+    }
   }
   // Ack: the merger sends its cursor, which arrives later.
   if (!m.ack_in_flight && m.release.unacked() > 0 && m.send.at_least_once()) {
-    step({Kind::kAckGen}, [&](Model& x) {
-      x.ack_in_flight = x.release.take_ack();
-    });
+    step({Kind::kAckGen});
   }
-  if (m.ack_in_flight) {
-    step({Kind::kAckDeliver}, [&](Model& x) {
-      x.send.on_ack(*x.ack_in_flight);
-      x.ack_in_flight.reset();
-    });
-  }
-  // Crash: the channel's in-flight tuples die with its worker. Gap-skip
-  // declares them lost; at-least-once replays the unacked suffix.
+  if (m.ack_in_flight) step({Kind::kAckDeliver});
   for (int j = 0; j < n && m.crashes_left > 0; ++j) {
-    if (!m.send.up(j)) continue;
-    step({Kind::kCrash, j}, [&](Model& x) {
-      --x.crashes_left;
-      auto& q = x.wire[static_cast<std::size_t>(j)];
-      const std::deque<std::uint64_t> lost = q;
-      q.clear();
-      x.send.quarantine(j);
-      if (!x.send.at_least_once()) {
-        for (const std::uint64_t seq : lost) x.declare_lost(seq, 1);
-      }
-    });
+    if (m.send.up(j)) step({Kind::kCrash, j});
   }
-  // Recover: a replacement worker on a fresh connection.
   for (int j = 0; j < n; ++j) {
-    if (m.send.up(j)) continue;
-    step({Kind::kRecover, j}, [&](Model& x) { x.send.set_up(j, true); });
+    if (!m.send.up(j)) step({Kind::kRecover, j});
   }
   if (!enabled) check_terminal(m, stats);
+
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    path.push_back(next[i]);
+    if (i + 1 == next.size()) {
+      apply(m, next[i]);
+      explore(p, path, m, stats);
+    } else {
+      Model child(p);
+      for (const Action& a : path) apply(child, a);
+      explore(p, path, child, stats);
+    }
+    path.pop_back();
+  }
 }
 
 ModelStats check(int channels, std::uint64_t seqs, DeliveryMode mode,
                  int crashes, int sheds) {
+  const Params p{channels, seqs, mode, crashes, sheds};
   ModelStats stats;
-  explore(Model(channels, seqs, mode, crashes, sheds), nullptr, stats);
+  std::vector<Action> path;
+  Model root(p);
+  explore(p, path, root, stats);
   return stats;
 }
 

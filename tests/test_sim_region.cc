@@ -7,6 +7,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/region.h"
 
@@ -212,6 +213,49 @@ TEST(Region, RejectsInputsOfTheWrongWidth) {
     fault.worker = bad;
     EXPECT_THROW(region.inject_fault(fault), std::invalid_argument)
         << "worker " << bad;
+  }
+}
+
+TEST(Region, RejectsAHostModelPlacingFewerWorkers) {
+  // Worker 1 has no host: its service factor would read past the
+  // placement.
+  EXPECT_THROW(Region(small_region(2, micros(2)),
+                      std::make_unique<RoundRobinPolicy>(2), LoadProfile{},
+                      HostModel({HostSpec{}}, {0})),
+               std::invalid_argument);
+}
+
+TEST(Region, RejectsASharedPlacementOfTheWrongWidth) {
+  SharedHostSet hosts({HostSpec{}});
+  for (const std::vector<int>& host_of :
+       {std::vector<int>{0}, std::vector<int>{0, 0, 0}}) {
+    EXPECT_THROW(Region(small_region(2, micros(2)),
+                        std::make_unique<RoundRobinPolicy>(2), LoadProfile{},
+                        HostModel{}, nullptr, SharedPlacement{&hosts, host_of}),
+                 std::invalid_argument)
+        << host_of.size() << " hosts";
+  }
+}
+
+TEST(Region, RejectsASharedPlacementOnAHostOutsideItsSet) {
+  SharedHostSet hosts({HostSpec{}, HostSpec{}});
+  for (const int bad : {-1, 2}) {
+    EXPECT_THROW(Region(small_region(2, micros(2)),
+                        std::make_unique<RoundRobinPolicy>(2), LoadProfile{},
+                        HostModel{}, nullptr,
+                        SharedPlacement{&hosts, {0, bad}}),
+                 std::invalid_argument)
+        << "host " << bad;
+  }
+}
+
+TEST(Region, RejectsANonPositiveSendOverhead) {
+  for (const DurationNs bad : {DurationNs{0}, DurationNs{-1}}) {
+    RegionConfig cfg = small_region(2, micros(2));
+    cfg.send_overhead = bad;
+    EXPECT_THROW(Region(cfg, std::make_unique<RoundRobinPolicy>(2)),
+                 std::invalid_argument)
+        << "send_overhead " << bad;
   }
 }
 

@@ -2,6 +2,8 @@
 // factors, and merger stalls.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "obs/metrics.h"
 #include "run_until_idle.h"
 #include "sim/channel.h"
@@ -80,6 +82,13 @@ TEST(HostModel, TrivialModelIsUnity) {
   EXPECT_TRUE(m.trivial());
   EXPECT_DOUBLE_EQ(m.factor(0), 1.0);
   EXPECT_EQ(m.host_of(0), -1);
+}
+
+TEST(HostModel, RejectsAHostOutsideItsSet) {
+  for (const int bad : {-1, 1}) {
+    EXPECT_THROW(HostModel({{1.0, 8}}, {0, bad}), std::invalid_argument)
+        << "host " << bad;
+  }
 }
 
 TEST(HostModel, SpeedDividesServiceTime) {
