@@ -25,7 +25,9 @@ struct AblationResult {
   WeightVector final_weights;
 };
 
-AblationResult run(const ControllerConfig& cc, double duration_s) {
+AblationResult run(ControllerConfig cc, double duration_s) {
+  // The ablated knobs belong to the paper's blocking-rate rule.
+  cc.rule = AllocationRule::kBlockingRate;
   ExperimentSpec spec;
   spec.workers = 4;
   spec.base_multiplies = 1000;

@@ -41,7 +41,9 @@ PhaseStats run(bool lb, bool burst, double total_paper_s, CsvWriter* csv) {
 
   std::unique_ptr<SplitPolicy> policy;
   if (lb) {
-    policy = std::make_unique<LoadBalancingPolicy>(4, ControllerConfig{});
+    ControllerConfig paper;
+    paper.rule = AllocationRule::kBlockingRate;
+    policy = std::make_unique<LoadBalancingPolicy>(4, paper);
   } else {
     policy = std::make_unique<RoundRobinPolicy>(4);
   }

@@ -59,6 +59,7 @@ struct Outcome {
 Outcome run_one(const std::string& name, bool protect, DurationNs duration) {
   sim::RegionConfig cfg = base_config();
   ControllerConfig ctrl;
+  ctrl.rule = AllocationRule::kBlockingRate;  // the paper's LB-adaptive
   if (protect) {
     ctrl.enable_overload_protection = true;
     cfg.protection.shed_high_watermark = 128;

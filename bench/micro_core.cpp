@@ -346,8 +346,12 @@ void BM_SimRegionSend(benchmark::State& state) {
   cfg.base_cost = micros(4);
   cfg.send_overhead = 500;
   cfg.sample_period = millis(10);
-  sim::Region region(cfg,
-                     std::make_unique<LoadBalancingPolicy>(cfg.workers));
+  // The paper's rule, as in every figure, so the row times the same
+  // decisions from one build to the next.
+  ControllerConfig paper;
+  paper.rule = AllocationRule::kBlockingRate;
+  sim::Region region(
+      cfg, std::make_unique<LoadBalancingPolicy>(cfg.workers, paper));
   region.start();
   std::uint64_t prev_sent = 0;
   std::uint64_t items = 0;

@@ -11,8 +11,9 @@
 // re-admits the stream via a hello frame, and the load balancer probes
 // the connection back up to full weight.
 //
-// Watch the weight column: full share -> 0 at the kill -> geometric
-// climb after the restart. The merger's output stays in order throughout;
+// Watch the weight column: full share -> 0 at the kill -> a probe's
+// worth after the restart, then its capacity share once its worker has
+// been measured. The merger's output stays in order throughout;
 // tuples that died with the worker are skipped as counted gaps as soon as
 // no open stream can still carry them, so the emitted column keeps
 // climbing through the outage. The program exits non-zero if the order
@@ -23,9 +24,10 @@
 // closed-loop source keeps the region saturated, so the controller
 // declares overload, and the kill then degrades the survivors to an even
 // 500/500 WRR split (predictable degradation) instead of re-optimizing
-// against saturated rate functions. While overload stays declared the
-// weights are frozen, so the post-restart climb is deferred until the
-// region has slack again.
+// against saturated rate functions. The default capacity rule keeps
+// allocating while overload is declared (a saturated worker's service
+// time is still its capacity), so the replacement climbs back to an
+// even third after the restart as it does without the flag.
 #include <cstdio>
 #include <cstring>
 #include <memory>

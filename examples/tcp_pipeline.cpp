@@ -35,7 +35,7 @@ int main() {
       {0, /*worker=*/0, /*multiplier=*/20.0},  // 20x load from the start
   };
 
-  ControllerConfig controller;  // defaults = the paper's LB-adaptive
+  ControllerConfig controller;  // defaults = the capacity rule
   LocalRegion region(config,
                      std::make_unique<LoadBalancingPolicy>(3, controller));
 

@@ -2,9 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace slb::control {
+
+ServiceCounters::ServiceCounters(obs::MetricsRegistry& metrics, int workers)
+    : completed_(static_cast<std::size_t>(workers), 0),
+      busy_(static_cast<std::size_t>(workers), 0) {
+  for (int j = 0; j < workers; ++j) {
+    hists_.push_back(
+        &metrics.histogram("worker." + std::to_string(j) + ".service_ns"));
+  }
+}
+
+ServiceSample ServiceCounters::read() {
+  for (std::size_t j = 0; j < hists_.size(); ++j) {
+    completed_[j] = hists_[j]->count();
+    busy_[j] = static_cast<DurationNs>(hists_[j]->sum());
+  }
+  return {completed_, busy_};
+}
 
 RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
                                      const ProtectionConfig& protection,
@@ -18,8 +37,12 @@ RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
       ack_stall_periods_(at_least_once_ ? delivery.ack_stall_periods : 0),
       prev_cumulative_(static_cast<std::size_t>(channels), 0),
       down_(static_cast<std::size_t>(channels), 0),
+      service_(channels),
+      headroom_ring_(kHeadroomPeriods),
       throttle_gauge_(metrics.gauge("region.throttle_m")),
-      watchdog_gauge_(metrics.gauge("region.watchdog_stage")) {
+      watchdog_gauge_(metrics.gauge("region.watchdog_stage")),
+      headroom_gauge_(metrics.gauge("region.headroom_m")),
+      bottleneck_gauge_(metrics.gauge("region.bottleneck")) {
   assert(policy_ != nullptr);
   assert(channels > 0);
   if (policy_->weights().size() != static_cast<std::size_t>(channels)) {
@@ -28,6 +51,16 @@ RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
                                 "' lacks one weight per channel");
   }
   actions_.block_rates.assign(static_cast<std::size_t>(channels), 0.0);
+  actions_.capacity.assign(static_cast<std::size_t>(channels), 0.0);
+  capacity_gauges_.reserve(static_cast<std::size_t>(channels));
+  std::string name = "region.capacity_tps.";
+  const std::size_t prefix = name.size();
+  for (int j = 0; j < channels; ++j) {
+    name.resize(prefix);
+    name += std::to_string(j);
+    capacity_gauges_.push_back(&metrics.gauge(name));
+  }
+  bottleneck_gauge_.set(-1);
   actions_.shed_high = protection.shed_high_watermark;
   actions_.shed_low = protection.shed_low_watermark;
   throttle_gauge_.set(1000);
@@ -64,9 +97,70 @@ void RegionControlLoop::check_ack_stall(TimeNs now,
   watchdog_escalate(now, actions_.aggregate_block);
 }
 
+void RegionControlLoop::publish_capacity(TimeNs now, DurationNs span) {
+  if (!service_.ready()) return;
+  double capacity = 0.0;
+  std::uint64_t served = 0;
+  for (std::size_t j = 0; j < down_.size(); ++j) {
+    const int jj = static_cast<int>(j);
+    if (service_.served(jj) > 0) {
+      actions_.capacity[j] = service_.capacity(jj);
+      capacity_gauges_[j]->set(std::llround(actions_.capacity[j]));
+    }
+    served += service_.served(jj);
+    if (down_[j] == 0) capacity += actions_.capacity[j];
+  }
+  headroom_ring_[headroom_next_] = {capacity, served, span};
+  headroom_next_ = (headroom_next_ + 1) % headroom_ring_.size();
+  double capacity_sum = 0.0;
+  double served_sum = 0.0;
+  double span_sum = 0.0;
+  int periods = 0;
+  for (const HeadroomPeriod& p : headroom_ring_) {
+    if (p.span <= 0) continue;
+    capacity_sum += p.capacity;
+    served_sum += static_cast<double>(p.served);
+    span_sum += static_cast<double>(p.span);
+    ++periods;
+  }
+  const double rate = span_sum > 0.0 ? served_sum * 1e9 / span_sum : 0.0;
+  const double headroom = rate > 0.0 ? capacity_sum / periods / rate : 0.0;
+  headroom_gauge_.set(std::llround(headroom * 1000.0));
+
+  int bottleneck = -1;
+  double worst = -1.0;
+  for (std::size_t j = 0; j < down_.size(); ++j) {
+    if (down_[j] != 0 || actions_.capacity[j] <= 0.0) continue;
+    const double load =
+        static_cast<double>(actions_.weights[j]) / actions_.capacity[j];
+    if (load > worst) {
+      worst = load;
+      bottleneck = static_cast<int>(j);
+    }
+  }
+  bottleneck_gauge_.set(bottleneck);
+
+  if (journal_ != nullptr && journal_capacity_) {
+    std::vector<int> period_served(down_.size());
+    for (std::size_t j = 0; j < down_.size(); ++j) {
+      period_served[j] =
+          static_cast<int>(service_.served(static_cast<int>(j)));
+    }
+    obs::JsonLine line;
+    line.str("ev", "capacity")
+        .num("t", static_cast<std::int64_t>(now))
+        .ints("served", period_served)
+        .reals("cap", actions_.capacity)
+        .real("headroom", headroom)
+        .num("bottleneck", static_cast<std::int64_t>(bottleneck));
+    journal_->append(line.finish());
+  }
+}
+
 const ControlActions& RegionControlLoop::tick(
     TimeNs now, DurationNs span,
     std::span<const DurationNs> cumulative_blocked,
+    const ServiceSample& service,
     std::span<const std::uint64_t> delivered,
     const DeliverySample& delivery) {
   assert(cumulative_blocked.size() == prev_cumulative_.size());
@@ -87,8 +181,8 @@ const ControlActions& RegionControlLoop::tick(
   // 2. Policy update: decay / regression / RAP solve (or frozen weights
   // under declared overload, or safe-mode WRR) happen inside; every
   // decision is journaled by the controller itself.
-  policy_->on_sample(now, cumulative_blocked);
-  if (!delivered.empty()) policy_->on_throughput(now, delivered);
+  policy_->on_sample(PolicySample{now, cumulative_blocked, service.completed,
+                                  service.busy, delivered});
 
   // 3. Admission throttle, computed with the *current* watchdog stage —
   // an escalation this period takes effect on the next period's factor.
@@ -142,7 +236,13 @@ const ControlActions& RegionControlLoop::tick(
     journal_->append(line.finish());
   }
 
-  // 5. Ack-stall rung (at-least-once only), after the control line, so a
+  // 5. Capacity gauges, from the same service readings the policy saw.
+  if (!service.completed.empty()) {
+    service_.ingest(service.completed, service.busy);
+    publish_capacity(now, span);
+  }
+
+  // 6. Ack-stall rung (at-least-once only), after the control line, so a
   // stall escalates the stage without changing this tick's line.
   if (ack_stall_periods_ > 0) check_ack_stall(now, delivery);
   return actions_;

@@ -30,6 +30,7 @@
 
 #include "control/protection.h"
 #include "core/policies.h"
+#include "core/rate_estimator.h"
 #include "core/types.h"
 #include "delivery/delivery.h"
 #include "obs/journal.h"
@@ -46,6 +47,34 @@ struct DeliverySample {
   std::uint64_t cum_ack = 0;
   /// Tuples currently held for replay (buffered + pending re-send).
   std::uint64_t unacked = 0;
+};
+
+/// Worker-side service counters per channel, cumulative since the region
+/// started: the tuples each worker has served and the ns it spent serving
+/// them. Empty when the substrate has no workers to read.
+struct ServiceSample {
+  std::span<const std::uint64_t> completed;
+  std::span<const DurationNs> busy;
+};
+
+/// The region's `worker.<j>.service_ns` histograms, one per channel, read
+/// into a ServiceSample once per period (its count is what the worker has
+/// served, its sum the ns it spent serving). Every substrate registers its
+/// workers' histograms through one of these.
+class ServiceCounters {
+ public:
+  ServiceCounters(obs::MetricsRegistry& metrics, int workers);
+
+  obs::Histogram& histogram(int j) {
+    return *hists_[static_cast<std::size_t>(j)];
+  }
+  /// Reads every histogram; the spans stay valid until the next read.
+  ServiceSample read();
+
+ private:
+  std::vector<obs::Histogram*> hists_;
+  std::vector<std::uint64_t> completed_;
+  std::vector<DurationNs> busy_;
 };
 
 /// Everything the control loop decided in one period, returned from
@@ -76,6 +105,10 @@ struct ControlActions {
 
   /// The allocation weights in force after this period's update.
   WeightVector weights;
+
+  /// Each channel's service-time capacity (tuples/s), held from the last
+  /// period in which its worker served anything; 0 until then.
+  std::vector<double> capacity;
 };
 
 class RegionControlLoop {
@@ -91,8 +124,8 @@ class RegionControlLoop {
   ///   * The ack-stall rung is armed only under at-least-once, after
   ///     `delivery.ack_stall_periods` stalled periods (0 disables it).
   ///   * Registers the "region.throttle_m" and "region.watchdog_stage"
-  ///     gauges in `metrics`, then the policy's own under "policy."; the
-  ///     registry must outlive the loop.
+  ///     gauges in `metrics`, the capacity gauges (see tick), then the
+  ///     policy's own under "policy."; the registry must outlive the loop.
   ///
   /// Throws std::invalid_argument unless the policy has one weight per
   /// channel: its picks index the splitter's per-channel state.
@@ -114,19 +147,37 @@ class RegionControlLoop {
   /// journal (tests/golden/decision_journal.jsonl) keeps its shape.
   void set_journal_ticks(bool on) { journal_ticks_ = on; }
 
+  /// When a journal is attached, also emit one "capacity" line per tick
+  /// (each channel's completions and capacity, the headroom and the
+  /// bottleneck). Off by default, like the control lines.
+  void set_journal_capacity(bool on) { journal_capacity_ = on; }
+
+  /// Periods over which region.headroom_m averages: one period's
+  /// completions are too bursty to divide by.
+  static constexpr int kHeadroomPeriods = 10;
+
   /// Runs one control period at time `now` on this period's sample:
   /// the cumulative blocked time (ns) per connection since the region
   /// started (the paper's blocking counters; the loop differences them),
-  /// the cumulative tuples delivered per connection (empty when the
-  /// substrate cannot attribute deliveries, which skips the policy's
-  /// throughput feedback), and the delivery state for the ack-stall rung
-  /// (read only under at-least-once). `span` is the actual elapsed time
-  /// since the previous tick (substrates that overshoot their sample
-  /// period pass the real span so rates stay normalized). The caller
-  /// applies the returned actions.
+  /// each worker's cumulative service counters (empty when the substrate
+  /// has none), the cumulative tuples delivered per connection (empty
+  /// when the substrate cannot attribute deliveries, which skips the
+  /// policy's throughput feedback), and the delivery state for the
+  /// ack-stall rung (read only under at-least-once). `span` is the actual
+  /// elapsed time since the previous tick (substrates that overshoot their
+  /// sample period pass the real span so rates stay normalized). The
+  /// caller applies the returned actions.
+  ///
+  /// From the service counters the loop publishes, per channel,
+  /// "region.capacity_tps.<j>" (held while j serves nothing); the
+  /// region's "region.headroom_m" (x1000: the summed capacity of the live
+  /// channels over their completion rate, both over kHeadroomPeriods); and
+  /// "region.bottleneck", the live channel with the largest weight per
+  /// unit of capacity (-1 until one is measured).
   const ControlActions& tick(TimeNs now, DurationNs span,
                              std::span<const DurationNs> cumulative_blocked,
-                             std::span<const std::uint64_t> delivered,
+                             const ServiceSample& service,
+                             std::span<const std::uint64_t> delivered = {},
                              const DeliverySample& delivery = {});
 
   /// Failure routing: substrates report connection state changes here
@@ -151,6 +202,9 @@ class RegionControlLoop {
   void watchdog_escalate(TimeNs now, double aggregate);
   void watchdog_unwind(TimeNs now, double aggregate);
   void check_ack_stall(TimeNs now, const DeliverySample& delivery);
+  /// Updates the capacity estimates and gauges from this period's
+  /// service readings (after the policy's update, for the weights).
+  void publish_capacity(TimeNs now, DurationNs span);
 
   SplitPolicy* policy_;
   ProtectionConfig protection_;
@@ -159,6 +213,7 @@ class RegionControlLoop {
   /// Ack-stall rung length; 0 (disarmed) unless at-least-once.
   int ack_stall_periods_;
   bool journal_ticks_ = false;
+  bool journal_capacity_ = false;
 
   std::vector<DurationNs> prev_cumulative_;
   /// Connections currently reported down by the substrate.
@@ -172,10 +227,24 @@ class RegionControlLoop {
   int ack_stall_streak_ = 0;
   std::uint64_t ack_stalls_ = 0;
 
+  /// Capacity state: the period's service readings, and the ring of the
+  /// last kHeadroomPeriods periods' summed capacity, completions and span.
+  ServiceMeter service_;
+  struct HeadroomPeriod {
+    double capacity = 0.0;
+    std::uint64_t served = 0;
+    DurationNs span = 0;
+  };
+  std::vector<HeadroomPeriod> headroom_ring_;
+  std::size_t headroom_next_ = 0;
+
   ControlActions actions_;
   obs::DecisionJournal* journal_ = nullptr;
   obs::Gauge& throttle_gauge_;
   obs::Gauge& watchdog_gauge_;
+  std::vector<obs::Gauge*> capacity_gauges_;
+  obs::Gauge& headroom_gauge_;
+  obs::Gauge& bottleneck_gauge_;
 };
 
 }  // namespace slb::control

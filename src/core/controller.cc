@@ -13,7 +13,13 @@ LoadBalanceController::LoadBalanceController(int connections,
       estimator_(connections, kRateEwmaAlpha),
       saturation_(config.saturation),
       weights_(even_weights(connections)),
-      down_(static_cast<std::size_t>(connections), 0) {
+      down_(static_cast<std::size_t>(connections), 0),
+      service_(connections),
+      pending_served_(static_cast<std::size_t>(connections), 0),
+      pending_busy_(static_cast<std::size_t>(connections), 0),
+      capacity_(static_cast<std::size_t>(connections), 0.0),
+      measured_(static_cast<std::size_t>(connections), 0),
+      fresh_(static_cast<std::size_t>(connections), -1.0) {
   assert(connections > 0);
   functions_.reserve(static_cast<std::size_t>(connections));
   for (int j = 0; j < connections; ++j) {
@@ -24,13 +30,18 @@ LoadBalanceController::LoadBalanceController(int connections,
 }
 
 const WeightVector& LoadBalanceController::update(
-    TimeNs now, std::span<const DurationNs> cumulative_blocked) {
+    TimeNs now, std::span<const DurationNs> cumulative_blocked,
+    std::span<const std::uint64_t> completed,
+    std::span<const DurationNs> busy) {
   assert(static_cast<int>(cumulative_blocked.size()) == connections());
 
   // The weights held *during* the period just observed: observations must
   // be attributed to them, not to whatever we decide next.
   const WeightVector held = weights_;
 
+  const bool by_capacity =
+      config_.rule == AllocationRule::kCapacity && !completed.empty();
+  if (by_capacity) service_.ingest(completed, busy);
   estimator_.ingest(now, cumulative_blocked);
   if (!estimator_.ready()) return weights_;
 
@@ -52,18 +63,34 @@ const WeightVector& LoadBalanceController::update(
   }
 
   if (config_.enable_overload_protection) {
-    saturation_.observe(status_.raw_rates, down_);
+    saturation_.observe(status_.raw_rates, down_, by_capacity);
     note_overload_transition(now);
-    if (saturation_.overloaded()) {
+    if (saturation_.overloaded() && !by_capacity) {
       // Declared overload: every F_j is pinned at its ceiling, so these
       // observations carry no gradient — folding them in would flatten
       // the model, and decay-driven re-exploration would probe channels
       // that cannot absorb anything (pure loss). Freeze the functions and
       // hold the last feasible weights; admission control / shedding
       // (driven by capacity_deficit) is responsible for draining the
-      // region back into the feasible regime.
+      // region back into the feasible regime. The capacity rule does not
+      // freeze: a saturated worker's service time is still its capacity.
       return weights_;
     }
+  }
+
+  if (by_capacity) {
+    // The capacity rule reads what each worker completes, not how long
+    // the splitter blocked, so it carries none of the blocking signal's
+    // dead time. The blocking rates above still feed the saturation
+    // detector and the journal.
+    if (!measure_capacity()) return weights_;
+    allocate_by_capacity();
+    ++status_.updates;
+    if (metrics_.updates != nullptr) {
+      metrics_.updates->inc();
+      metrics_.live->set(live());
+    }
+    return weights_;
   }
 
   for (int j = 0; j < n; ++j) {
@@ -114,6 +141,110 @@ const WeightVector& LoadBalanceController::update(
   return weights_;
 }
 
+bool LoadBalanceController::measure_capacity() {
+  if (!service_.ready() || live() == 0) return false;
+  // A reading is fresh once the channel has served kMinServed tuples
+  // since its last one. A change of more than kChangeFactor against its
+  // estimate means the region changed (a load hop).
+  bool changed = false;
+  double top = 0.0;
+  for (std::size_t j = 0; j < capacity_.size(); ++j) {
+    fresh_[j] = -1.0;
+    if (down_[j] != 0) continue;
+    const int jj = static_cast<int>(j);
+    pending_served_[j] += service_.served(jj);
+    pending_busy_[j] += service_.busy(jj);
+    if (measured_[j] != 0) top = std::max(top, capacity_[j]);
+    if (pending_served_[j] < kMinServed || pending_busy_[j] <= 0) continue;
+    const double c = 1e9 * static_cast<double>(pending_served_[j]) /
+                     static_cast<double>(pending_busy_[j]);
+    pending_served_[j] = 0;
+    pending_busy_[j] = 0;
+    fresh_[j] = c;
+    top = std::max(top, c);
+    if (measured_[j] != 0 && (c > kChangeFactor * capacity_[j] ||
+                              c * kChangeFactor < capacity_[j])) {
+      changed = true;
+    }
+  }
+  if (top == 0.0) {
+    // No live channel measured yet: an even split feeds every one of them
+    // enough to be measured.
+    weights_ = even_live_weights(down_);
+    return false;
+  }
+  for (std::size_t j = 0; j < capacity_.size(); ++j) {
+    if (fresh_[j] >= 0.0) {
+      capacity_[j] = fresh_[j];
+      measured_[j] = 1;
+    } else if (changed && down_[j] == 0 && measured_[j] != 0) {
+      // The region changed under us. An estimate that was not re-measured
+      // is stale, and after a load hop the stale one is typically the
+      // channel that just recovered (it was starved): raise it to the
+      // largest estimate, old or new, so it is fed, and measured, at once.
+      capacity_[j] = top;
+    }
+  }
+  return true;
+}
+
+void LoadBalanceController::allocate_by_capacity() {
+  const std::size_t n = weights_.size();
+  // Unmeasured live channels (re-admitted ones) climb the geometric probe;
+  // the measured ones share the rest, in proportion to their capacity.
+  std::vector<double> shares(n, 0.0);
+  WeightVector next(n, 0);
+  Weight probes = 0;
+  int measured = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (down_[j] != 0) continue;
+    if (measured_[j] == 0) {
+      const Weight w = weights_[j];
+      next[j] = std::min(kWeightUnits, w + std::max(kGeometricStepFloor, w));
+      probes += next[j];
+    } else {
+      shares[j] = capacity_[j];
+      ++measured;
+    }
+  }
+  // Every measured channel keeps at least one unit, so it stays measured.
+  const Weight room = kWeightUnits - measured;
+  if (probes > room) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (down_[j] == 0 && measured_[j] == 0) {
+        next[j] = next[j] * room / probes;
+      }
+    }
+    probes = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (measured_[j] == 0) probes += next[j];
+    }
+  }
+  const WeightVector rest = weights_from_shares(shares, kWeightUnits - probes);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (down_[j] != 0 || measured_[j] == 0) continue;
+    next[j] = rest[j];
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (down_[j] != 0 || measured_[j] == 0 || next[j] > 0) continue;
+    const auto top = std::max_element(next.begin(), next.end());
+    --*top;
+    next[j] = 1;
+  }
+  weights_ = std::move(next);
+  status_.objective = 0.0;
+  status_.solver_feasible = true;
+  if (metrics_.solves != nullptr) metrics_.solves->inc();
+  if (journal_ != nullptr) {
+    journal_->append(obs::JsonLine{}
+                         .str("ev", "solve")
+                         .str("mode", "capacity")
+                         .reals("cap", capacity_)
+                         .ints("weights", weights_)
+                         .finish());
+  }
+}
+
 void LoadBalanceController::set_weights(const WeightVector& w) {
   assert(static_cast<int>(w.size()) == connections());
   assert(total_weight(w) == kWeightUnits);
@@ -134,6 +265,7 @@ void LoadBalanceController::mark_down(int j) {
   // Whatever was learned about this connection described a worker that no
   // longer exists; a restarted replacement starts from a clean slate.
   functions_[ju].reset();
+  forget_capacity(ju);
   if (metrics_.mark_downs != nullptr) {
     metrics_.mark_downs->inc();
     metrics_.live->set(live());
@@ -187,8 +319,10 @@ void LoadBalanceController::mark_up(int j) {
   down_[ju] = 0;
   // Weight stays at zero: the connection re-enters through the same
   // geometric step-up probing as any shut-off channel — a trickle first,
-  // doubling per update while it keeps absorbing load without blocking.
+  // doubling per update while it keeps absorbing load without blocking
+  // (or, under the capacity rule, until its worker has been measured).
   functions_[ju].reset();
+  forget_capacity(ju);
   if (metrics_.mark_ups != nullptr) {
     metrics_.mark_ups->inc();
     metrics_.live->set(live());
@@ -199,6 +333,13 @@ void LoadBalanceController::mark_up(int j) {
                          .num("j", static_cast<std::int64_t>(j))
                          .finish());
   }
+}
+
+void LoadBalanceController::forget_capacity(std::size_t j) {
+  capacity_[j] = 0.0;
+  measured_[j] = 0;
+  pending_served_[j] = 0;
+  pending_busy_[j] = 0;
 }
 
 void LoadBalanceController::note_overload_transition(TimeNs now) {

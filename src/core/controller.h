@@ -1,16 +1,23 @@
 // The load-balance controller: one instance per parallel region's
-// splitter. This is the paper's full pipeline (Figures 4 and 6):
+// splitter. Under AllocationRule::kBlockingRate this is the paper's full
+// pipeline (Figures 4 and 6):
 //
 //   sample cumulative blocking  ->  blocking rates  ->  update F_j
 //     ->  (decay for exploration)  ->  (cluster when wide)
 //     ->  solve minimax RAP  ->  new allocation weights
 //
+// Under the default AllocationRule::kCapacity the weights follow each
+// worker's measured service-time capacity instead (DESIGN.md §11); the
+// blocking rates still feed the journal and the saturation detector.
+//
 // The controller is substrate-agnostic: callers feed it cumulative
 // blocking counters (from the simulator or from real TCP instrumentation)
-// once per period and apply the returned weights to their router. The
+// and, when they have them, cumulative worker completions and busy time
+// once per period, and apply the returned weights to their router. The
 // same controller code drives every experiment in this repository.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -26,11 +33,25 @@
 
 namespace slb {
 
-/// Controller tunables. Defaults reproduce LB-adaptive from the paper;
-/// set `decay_factor = 1.0` for LB-static. The rate functions and the
+/// How the controller turns a period's sample into weights.
+enum class AllocationRule {
+  /// Weights proportional to each channel's service-time capacity, read
+  /// from its worker's completions and busy time (DESIGN.md §11). A sample
+  /// without completions falls back to kBlockingRate.
+  kCapacity,
+  /// The paper's rule: blocking-rate functions F_j and the minimax RAP
+  /// (LB-adaptive, or LB-static with `decay_factor = 1.0`).
+  kBlockingRate,
+};
+
+/// Controller tunables. The default allocates by measured capacity; set
+/// `rule = AllocationRule::kBlockingRate` for the paper's LB-adaptive, and
+/// `decay_factor = 1.0` as well for LB-static. The rate functions and the
 /// clustering use the defaults of RateFunctionConfig and ClusteringConfig;
 /// the RAP bounds are fixed (LoadBalanceController::kGeometricStepFloor).
 struct ControllerConfig {
+  AllocationRule rule = AllocationRule::kCapacity;
+
   /// Per-iteration geometric decay applied to F_j beyond the current
   /// weight (Section 5.4). 0.9 = the paper's 10 % reduction; 1.0 disables
   /// exploration (LB-static).
@@ -87,12 +108,27 @@ class LoadBalanceController {
 
   LoadBalanceController(int connections, ControllerConfig config = {});
 
+  /// Under the capacity rule, a channel's service-time capacity is
+  /// re-measured once its worker has served at least this many tuples
+  /// since the last measurement (in one period, or accumulated over
+  /// several for a channel fed a trickle); fewer resolve it too coarsely.
+  static constexpr std::uint64_t kMinServed = 10;
+
+  /// A measured capacity that moves by more than this factor in one
+  /// period means the region changed (a load hop): every estimate not
+  /// re-measured that period is stale and is raised to the largest one.
+  static constexpr double kChangeFactor = 2.0;
+
   /// Feeds one sampling period. `cumulative_blocked[j]` is connection j's
-  /// cumulative blocking time (ns) at time `now`. Returns the weights to
-  /// apply until the next update. The first call only establishes a
-  /// baseline and returns the initial even split.
+  /// cumulative blocking time (ns) at time `now`; `completed[j]` and
+  /// `busy[j]` are the tuples j's worker has served and the ns it spent
+  /// serving them (both cumulative; empty when the substrate cannot read
+  /// them). Returns the weights to apply until the next update. The first
+  /// call only establishes a baseline and returns the initial even split.
   const WeightVector& update(TimeNs now,
-                             std::span<const DurationNs> cumulative_blocked);
+                             std::span<const DurationNs> cumulative_blocked,
+                             std::span<const std::uint64_t> completed = {},
+                             std::span<const DurationNs> busy = {});
 
   const WeightVector& weights() const { return weights_; }
   int connections() const { return static_cast<int>(functions_.size()); }
@@ -100,6 +136,9 @@ class LoadBalanceController {
     return functions_[static_cast<std::size_t>(j)];
   }
   const ControllerStatus& status() const { return status_; }
+  /// Channel j's capacity estimate under the capacity rule (tuples/s of
+  /// service); 0 until j has been measured.
+  double capacity(int j) const { return capacity_[static_cast<std::size_t>(j)]; }
   const ControllerConfig& config() const { return config_; }
 
   /// Overrides the current weights (e.g. to seed a known-good split).
@@ -119,7 +158,8 @@ class LoadBalanceController {
   /// climbs back via the existing geometric step-up probing (the same
   /// trickle-feed used for re-exploring a previously shut-off channel),
   /// so a still-sick worker costs at most a probe's worth of tuples per
-  /// period. Idempotent.
+  /// period. Under the capacity rule it probes until its worker has been
+  /// measured. Idempotent.
   void mark_up(int j);
 
   /// down_mask()[j] != 0 while connection j is marked down.
@@ -153,6 +193,13 @@ class LoadBalanceController {
   const SaturationDetector& saturation() const { return saturation_; }
 
  private:
+  /// Capacity rule: folds this period's service readings into the
+  /// estimates. Returns false while no live channel has been measured.
+  bool measure_capacity();
+  /// Capacity rule: weights proportional to the estimates, with every
+  /// live channel kept at >= 1 unit and unmeasured ones on the geometric
+  /// probe.
+  void allocate_by_capacity();
   void solve_flat();
   void solve_clustered();
   void journal_solve(std::string_view mode);
@@ -171,6 +218,20 @@ class LoadBalanceController {
   /// Until some connection actually blocks there is no evidence to act on
   /// (all functions are identically zero); keep the even split.
   bool seen_blocking_ = false;
+
+  /// Capacity rule state: the per-period service readings; the tuples
+  /// and busy ns each channel accumulated since its last measurement;
+  /// each channel's capacity estimate, and whether it has been measured
+  /// since it was last (re-)admitted; and this period's fresh readings
+  /// (negative where none).
+  ServiceMeter service_;
+  std::vector<std::uint64_t> pending_served_;
+  std::vector<DurationNs> pending_busy_;
+  std::vector<double> capacity_;
+  std::vector<char> measured_;
+  std::vector<double> fresh_;
+  /// Forgets channel j's capacity evidence (mark_down / mark_up).
+  void forget_capacity(std::size_t j);
 
   /// Solve buffers, reused from tick to tick so a clustered tick does not
   /// allocate per raw point: RAP bounds, function pointers, per-cluster

@@ -24,13 +24,26 @@ LoadBalancingPolicy::LoadBalancingPolicy(int connections,
   wrr_.set_weights(controller_.weights());
 }
 
-void LoadBalancingPolicy::on_sample(
-    TimeNs now, std::span<const DurationNs> cumulative_blocked) {
+void LoadBalancingPolicy::on_sample(const PolicySample& sample) {
   // The controller keeps consuming samples even in safe mode — its
   // saturation detector is what decides when the episode is over — but
   // its weights only reach the router outside safe mode.
-  const WeightVector& updated = controller_.update(now, cumulative_blocked);
+  const WeightVector& updated = controller_.update(
+      sample.now, sample.blocked, sample.completed, sample.busy);
   if (!safe_mode_) wrr_.set_weights(updated);
+}
+
+void LoadBalancingPolicy::on_sample(
+    TimeNs now, std::span<const DurationNs> cumulative_blocked) {
+  on_sample(PolicySample{now, cumulative_blocked, {}, {}, {}});
+}
+
+std::string LoadBalancingPolicy::name() const {
+  if (controller_.config().rule == AllocationRule::kCapacity) {
+    return "LB-capacity";
+  }
+  return controller_.config().decay_factor < 1.0 ? "LB-adaptive"
+                                                 : "LB-static";
 }
 
 void LoadBalancingPolicy::on_channel_down(ConnectionId j) {
@@ -151,7 +164,8 @@ void ThroughputBalancedPolicy::on_throughput(
   wrr_.set_weights(weights_from_shares(target));
 }
 
-WeightVector weights_from_shares(const std::vector<double>& shares) {
+WeightVector weights_from_shares(const std::vector<double>& shares,
+                                 Weight total_units) {
   assert(!shares.empty());
   double total = 0.0;
   for (double s : shares) {
@@ -165,7 +179,8 @@ WeightVector weights_from_shares(const std::vector<double>& shares) {
   std::vector<std::pair<double, std::size_t>> remainders(n);
   Weight assigned = 0;
   for (std::size_t j = 0; j < n; ++j) {
-    const double exact = shares[j] / total * kWeightUnits;
+    const double exact =
+        shares[j] / total * static_cast<double>(total_units);
     result[j] = static_cast<Weight>(std::floor(exact));
     assigned += result[j];
     remainders[j] = {exact - std::floor(exact), j};
@@ -176,7 +191,7 @@ WeightVector weights_from_shares(const std::vector<double>& shares) {
               if (a.first != b.first) return a.first > b.first;
               return a.second < b.second;
             });
-  for (Weight k = 0; k < kWeightUnits - assigned; ++k) {
+  for (Weight k = 0; k < total_units - assigned; ++k) {
     result[remainders[static_cast<std::size_t>(k) % n].second] += 1;
   }
   return result;

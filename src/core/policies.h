@@ -21,12 +21,35 @@
 
 namespace slb {
 
+/// One control period's per-connection feedback, every series cumulative
+/// since the region started. An empty series is one the substrate cannot
+/// provide.
+struct PolicySample {
+  TimeNs now = 0;
+  /// Time the splitter spent blocked on each connection (ns).
+  std::span<const DurationNs> blocked;
+  /// Tuples each connection's worker has served, and the ns it spent
+  /// serving them (its `worker.<j>.service_ns` histogram's count and sum).
+  std::span<const std::uint64_t> completed;
+  std::span<const DurationNs> busy;
+  /// Tuples delivered downstream per connection (see on_throughput).
+  std::span<const std::uint64_t> delivered;
+};
+
 class SplitPolicy {
  public:
   virtual ~SplitPolicy() = default;
 
   /// Routes the next tuple.
   virtual ConnectionId pick_connection() = 0;
+
+  /// Periodic feedback: everything the region measured this period. The
+  /// default hands the blocking counters to on_sample(now, blocked) and
+  /// the delivered counts, if any, to on_throughput.
+  virtual void on_sample(const PolicySample& sample) {
+    on_sample(sample.now, sample.blocked);
+    if (!sample.delivered.empty()) on_throughput(sample.now, sample.delivered);
+  }
 
   /// Periodic feedback: cumulative blocking time per connection at `now`.
   virtual void on_sample(TimeNs now,
@@ -125,14 +148,18 @@ class RerouteOnBlockPolicy : public RoundRobinPolicy {
   std::string name() const override { return "RR-reroute"; }
 };
 
-/// The paper's scheme: blocking-rate functions + minimax RAP, routed with
-/// smooth weighted round-robin. "LB-adaptive" with decay_factor < 1,
-/// "LB-static" with decay_factor == 1.
+/// The load-balance controller routed with smooth weighted round-robin.
+/// Under the default capacity rule, "LB-capacity"; under the paper's
+/// blocking-rate rule (blocking-rate functions + minimax RAP),
+/// "LB-adaptive" with decay_factor < 1 and "LB-static" with
+/// decay_factor == 1.
 class LoadBalancingPolicy : public SplitPolicy {
  public:
   LoadBalancingPolicy(int connections, ControllerConfig config = {});
 
   ConnectionId pick_connection() override { return wrr_.pick(); }
+  void on_sample(const PolicySample& sample) override;
+  /// Blocking counters only: the capacity rule falls back to the paper's.
   void on_sample(TimeNs now,
                  std::span<const DurationNs> cumulative_blocked) override;
   void on_channel_down(ConnectionId j) override;
@@ -146,10 +173,7 @@ class LoadBalancingPolicy : public SplitPolicy {
   const WeightVector& weights() const override {
     return safe_mode_ ? wrr_.weights() : controller_.weights();
   }
-  std::string name() const override {
-    return controller_.config().decay_factor < 1.0 ? "LB-adaptive"
-                                                   : "LB-static";
-  }
+  std::string name() const override;
 
   /// Controller counters/gauges land under `prefix` (e.g. "policy." ->
   /// "policy.updates"); a safe-mode gauge rides along.
@@ -189,6 +213,7 @@ class OraclePolicy : public SplitPolicy {
   OraclePolicy(int connections, std::vector<Phase> schedule);
 
   ConnectionId pick_connection() override { return wrr_.pick(); }
+  using SplitPolicy::on_sample;
   void on_sample(TimeNs now,
                  std::span<const DurationNs> cumulative_blocked) override;
   const WeightVector& weights() const override { return wrr_.weights(); }
@@ -243,8 +268,10 @@ class ThroughputBalancedPolicy : public SplitPolicy {
 };
 
 /// Rounds fractional shares to integer weights summing exactly to
-/// kWeightUnits (largest-remainder method). Shares need not be normalized.
-WeightVector weights_from_shares(const std::vector<double>& shares);
+/// `total_units` (largest-remainder method). Shares need not be
+/// normalized.
+WeightVector weights_from_shares(const std::vector<double>& shares,
+                                 Weight total_units = kWeightUnits);
 
 /// An even split over the connections with `down[j] == 0` (at least one),
 /// rounded like weights_from_shares; down connections get zero.

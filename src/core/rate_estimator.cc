@@ -49,4 +49,29 @@ void BlockingRateEstimator::ingest(TimeNs now,
   ready_ = true;
 }
 
+ServiceMeter::ServiceMeter(int connections)
+    : last_completed_(static_cast<std::size_t>(connections), 0),
+      last_busy_(static_cast<std::size_t>(connections), 0),
+      served_(static_cast<std::size_t>(connections), 0),
+      busy_(static_cast<std::size_t>(connections), 0) {
+  assert(connections > 0);
+}
+
+void ServiceMeter::ingest(std::span<const std::uint64_t> completed,
+                          std::span<const DurationNs> busy) {
+  assert(completed.size() == served_.size());
+  assert(busy.size() == served_.size());
+  for (std::size_t j = 0; j < served_.size(); ++j) {
+    const bool forward = have_baseline_ &&
+                         completed[j] >= last_completed_[j] &&
+                         busy[j] >= last_busy_[j];
+    served_[j] = forward ? completed[j] - last_completed_[j] : 0;
+    busy_[j] = forward ? busy[j] - last_busy_[j] : 0;
+    last_completed_[j] = completed[j];
+    last_busy_[j] = busy[j];
+  }
+  ready_ = have_baseline_;
+  have_baseline_ = true;
+}
+
 }  // namespace slb

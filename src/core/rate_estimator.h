@@ -9,6 +9,7 @@
 // at most ~1).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -53,6 +54,51 @@ class BlockingRateEstimator {
   bool have_baseline_ = false;
   bool ready_ = false;
   double alpha_;
+};
+
+/// Per-connection service-time capacity from worker-side counters. Feed
+/// one cumulative snapshot per period (a worker's `service_ns` histogram:
+/// its count is the tuples served, its sum the ns spent serving them);
+/// read back the period's completions and the capacity they imply,
+/// 1e9 x served / busy tuples per second of service. A backlogged and an
+/// underfed worker read the same capacity, so unlike the splitter's
+/// per-connection throughput (Section 4.3) it does not mirror the
+/// weights.
+class ServiceMeter {
+ public:
+  explicit ServiceMeter(int connections);
+
+  /// Ingests one snapshot. The first call only establishes a baseline. A
+  /// counter that went backwards counts as nothing served this period.
+  void ingest(std::span<const std::uint64_t> completed,
+              std::span<const DurationNs> busy);
+
+  /// True once at least two snapshots have been ingested.
+  bool ready() const { return ready_; }
+
+  /// Tuples connection j's worker completed in the most recent period.
+  std::uint64_t served(int j) const {
+    return served_[static_cast<std::size_t>(j)];
+  }
+  /// The ns it spent serving them.
+  DurationNs busy(int j) const { return busy_[static_cast<std::size_t>(j)]; }
+  /// Its service-time capacity over that period (tuples/s); 0 when it
+  /// served nothing.
+  double capacity(int j) const {
+    const auto ju = static_cast<std::size_t>(j);
+    return served_[ju] > 0 && busy_[ju] > 0
+               ? 1e9 * static_cast<double>(served_[ju]) /
+                     static_cast<double>(busy_[ju])
+               : 0.0;
+  }
+
+ private:
+  std::vector<std::uint64_t> last_completed_;
+  std::vector<DurationNs> last_busy_;
+  std::vector<std::uint64_t> served_;
+  std::vector<DurationNs> busy_;
+  bool have_baseline_ = false;
+  bool ready_ = false;
 };
 
 }  // namespace slb

@@ -9,7 +9,7 @@ SaturationDetector::SaturationDetector(SaturationConfig config)
     : config_(config), deficit_(kDeficitAlpha) {}
 
 void SaturationDetector::observe(std::span<const double> rates,
-                                 std::span<const char> down) {
+                                 std::span<const char> down, bool balanced) {
   if (smoothed_.size() < rates.size()) smoothed_.resize(rates.size(), -1.0);
   double aggregate = 0.0;
   double smoothed_min = 0.0;
@@ -45,8 +45,9 @@ void SaturationDetector::observe(std::span<const double> rates,
 
   if (!overloaded_) {
     const bool saturated =
-        aggregate >= kEnterAggregate && smoothed_min > 0.0 &&
-        smoothed_min >= kEnterMinFraction * smoothed_mean;
+        aggregate >= kEnterAggregate &&
+        (balanced || (smoothed_min > 0.0 &&
+                      smoothed_min >= kEnterMinFraction * smoothed_mean));
     enter_streak_ = saturated ? enter_streak_ + 1 : 0;
     if (enter_streak_ >= config_.enter_periods) {
       overloaded_ = true;

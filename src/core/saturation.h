@@ -81,9 +81,13 @@ class SaturationDetector {
   /// the period (fraction of the period the splitter spent blocked on j,
   /// non-finite and negative values are treated as 0). `down[j] != 0`
   /// excludes connection j from the live set; pass an empty span when
-  /// every connection is live.
+  /// every connection is live. `balanced` says the weights already follow
+  /// measured capacity (the capacity rule): a saturated aggregate is then
+  /// overload however the blocking spreads, because there is no gradient
+  /// left to exploit, and the evenness test is skipped. (With even
+  /// weights over identical workers the blocking pins on one connection.)
   void observe(std::span<const double> rates,
-               std::span<const char> down = {});
+               std::span<const char> down = {}, bool balanced = false);
 
   bool overloaded() const { return overloaded_; }
 

@@ -71,31 +71,31 @@ MetricsSnapshot delta(const MetricsSnapshot& prev,
   return out;
 }
 
-MetricsRegistry::Node& MetricsRegistry::node(std::string_view name,
-                                             MetricKind kind) {
+template <typename T>
+T& MetricsRegistry::handle(std::string_view name, MetricKind kind,
+                           Store<T>& store) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(name);
   if (it != index_.end()) {
     assert(it->second->kind == kind);
-    return *it->second;
+    return *static_cast<T*>(it->second->handle);
   }
-  Node& n = nodes_.emplace_back();  // Node holds atomics: construct in place
-  n.name = std::string(name);
-  n.kind = kind;
-  index_.emplace(n.name, &n);
-  return n;
+  T& h = store.add();
+  Node& n = nodes_.emplace_back(Node{std::string(name), kind, &h});
+  index_.emplace(n.name, &n);  // keyed by a view of the node's own name
+  return h;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  return node(name, MetricKind::kCounter).counter;
+  return handle(name, MetricKind::kCounter, counters_);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return node(name, MetricKind::kGauge).gauge;
+  return handle(name, MetricKind::kGauge, gauges_);
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  return node(name, MetricKind::kHistogram).histogram;
+  return handle(name, MetricKind::kHistogram, histograms_);
 }
 
 std::size_t MetricsRegistry::size() const {
@@ -112,19 +112,20 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     v.kind = n.kind;
     switch (n.kind) {
       case MetricKind::kCounter:
-        v.count = n.counter.value();
+        v.count = static_cast<const Counter*>(n.handle)->value();
         break;
       case MetricKind::kGauge:
-        v.gauge = n.gauge.value();
+        v.gauge = static_cast<const Gauge*>(n.handle)->value();
         break;
       case MetricKind::kHistogram: {
-        v.sum = n.histogram.sum();
+        const auto& histogram = *static_cast<const Histogram*>(n.handle);
+        v.sum = histogram.sum();
         // One pass over the buckets: the captured values also supply the
         // sample count, so count and buckets are mutually consistent.
         int last = -1;
         std::array<std::uint64_t, Histogram::kBuckets> b;
         for (int k = 0; k < Histogram::kBuckets; ++k) {
-          b[static_cast<std::size_t>(k)] = n.histogram.bucket_count(k);
+          b[static_cast<std::size_t>(k)] = histogram.bucket_count(k);
           v.count += b[static_cast<std::size_t>(k)];
           if (b[static_cast<std::size_t>(k)] != 0) last = k;
         }

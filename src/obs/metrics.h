@@ -23,10 +23,11 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -172,18 +173,45 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
  private:
+  /// A registered metric: its name, kind and handle, which lives in the
+  /// store of its own kind (so a counter does not carry a histogram's
+  /// buckets). Nodes keep registration order for snapshots.
   struct Node {
     std::string name;
     MetricKind kind = MetricKind::kCounter;
-    Counter counter;
-    Gauge gauge;
-    Histogram histogram;
+    void* handle = nullptr;
   };
-  Node& node(std::string_view name, MetricKind kind);
+
+  /// Stable-address storage for one kind of handle, allocated in chunks
+  /// (a region registers hundreds of metrics; one allocation each would
+  /// dominate its construction).
+  template <typename T>
+  class Store {
+   public:
+    T& add() {
+      if (used_ == kChunk) {
+        chunks_.push_back(std::make_unique<T[]>(kChunk));
+        used_ = 0;
+      }
+      return chunks_.back()[used_++];
+    }
+
+   private:
+    static constexpr std::size_t kChunk = 32;
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::size_t used_ = kChunk;
+  };
+
+  /// Returns the handle registered under `name`, creating it in `store`.
+  template <typename T>
+  T& handle(std::string_view name, MetricKind kind, Store<T>& store);
 
   mutable std::mutex mu_;
-  std::deque<Node> nodes_;  // deque: stable addresses for handles
-  std::map<std::string, Node*, std::less<>> index_;
+  std::deque<Node> nodes_;  // deque: stable names for the index's keys
+  Store<Counter> counters_;
+  Store<Gauge> gauges_;
+  Store<Histogram> histograms_;
+  std::unordered_map<std::string_view, Node*> index_;
 };
 
 }  // namespace slb::obs

@@ -40,7 +40,8 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
       core_(metrics_, "splitter.", config.workers, config.delivery.mode,
             config.delivery.replay_buffer_bytes, config.source_interval),
       channel_failures_(metrics_.counter("splitter.channel_failures")),
-      reconnects_(metrics_.counter("splitter.reconnects")) {
+      reconnects_(metrics_.counter("splitter.reconnects")),
+      service_(metrics_, config.workers) {
   assert(config_.workers > 0);
   assert(policy_ != nullptr);
   const auto check_worker = [&](int w) {
@@ -60,10 +61,6 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   }
   net::ignore_sigpipe();  // dead peers must surface as EPIPE, not SIGPIPE
 
-  for (int j = 0; j < config_.workers; ++j) {
-    service_hists_.push_back(
-        &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
-  }
   loop_ = std::make_unique<control::RegionControlLoop>(
       config_.workers, policy_.get(), config_.protection,
       config_.source_interval, config_.delivery, metrics_);
@@ -145,7 +142,7 @@ void LocalRegion::spawn(int j, net::Fd to_merger) {
   to_workers_[ju] = std::move(splitter_side);
   workers_[ju] = std::make_unique<WorkerPe>(
       j, std::move(worker_side), std::move(to_merger), config_.multiplies,
-      config_.work_mode, *service_hists_[ju]);
+      config_.work_mode, service_.histogram(j));
   workers_[ju]->set_load_multiplier(load_mult_[ju]);
 }
 
@@ -398,9 +395,11 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       // pipeline — observation ingest, policy update, admission throttle,
       // watchdog ladder — runs in the shared control loop on this
       // period's sample. The merger PE keeps no per-connection delivered
-      // counts, so the policy's (no-op) throughput ingest is skipped.
+      // counts, so the policy's (no-op) throughput ingest is skipped. The
+      // workers write their service histograms concurrently; each read is
+      // of relaxed atomics, so a sample may straddle a tuple or two.
       const DurationNs span = config_.sample_period + (now - next_sample);
-      loop_->tick(now - start, span, core_.blocked_ns(), {},
+      loop_->tick(now - start, span, core_.blocked_ns(), service_.read(), {},
                   {core_.acked(), core_.unacked()});
       core_.set_throttle(actions.throttle);
 

@@ -217,8 +217,9 @@ class LocalRegion {
   /// Splitter-loop counters.
   obs::Counter& channel_failures_;
   obs::Counter& reconnects_;
-  /// Per-worker service histograms, passed to every (re)spawned PE.
-  std::vector<obs::Histogram*> service_hists_;
+  /// Per-worker service histograms, passed to every (re)spawned PE and
+  /// read into the control loop's sample each period.
+  control::ServiceCounters service_;
 
   std::vector<net::Fd> to_workers_;
   std::vector<std::unique_ptr<WorkerPe>> workers_;

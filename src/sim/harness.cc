@@ -120,7 +120,9 @@ double work_fraction(const ExperimentSpec& spec) {
 
 ControllerConfig controller_config_for(PolicyKind kind,
                                        const ExperimentSpec& spec) {
+  // The paper's rule, so every figure reproduces the paper's policies.
   ControllerConfig config = spec.controller;
+  config.rule = AllocationRule::kBlockingRate;
   config.decay_factor = kind == PolicyKind::kLbAdaptive
                             ? (config.decay_factor < 1.0 ? config.decay_factor
                                                          : 0.9)

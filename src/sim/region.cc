@@ -59,6 +59,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
   merger_ = std::make_unique<Merger>(sim_, metrics_, config_.workers,
                                      merge_cap, config_.ordered,
                                      config_.delivery.mode);
+  service_ =
+      std::make_unique<control::ServiceCounters>(metrics_, config_.workers);
   std::vector<Channel*> channel_ptrs;
   channel_ptrs.reserve(static_cast<std::size_t>(config_.workers));
   for (int j = 0; j < config_.workers; ++j) {
@@ -66,8 +68,7 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
     workers_.push_back(std::make_unique<Worker>(sim_, j, config_.base_cost,
                                                 &load_, &hosts_));
     workers_.back()->wire(channels_.back().get(), merger_.get());
-    workers_.back()->set_service_histogram(
-        &metrics_.histogram("worker." + std::to_string(j) + ".service_ns"));
+    workers_.back()->set_service_histogram(&service_->histogram(j));
     // Crash losses funnel into the merger so it skips the dead sequences
     // instead of gating on tuples that will never arrive (GapSkip). This
     // is a perfect failure detector, on purpose: the runtime merger
@@ -201,7 +202,8 @@ void Region::sample_tick() {
   // the merger; the region applies what it decides.
   const control::ControlActions& acts = loop_->tick(
       sim_->now(), config_.sample_period, splitter_->blocked_ns(),
-      merger_->emitted_from(), {splitter_->acked(), splitter_->unacked()});
+      service_->read(), merger_->emitted_from(),
+      {splitter_->acked(), splitter_->unacked()});
   // An input-fed (flow stage) splitter is not a source and ignores both.
   splitter_->set_throttle(acts.throttle);
   splitter_->set_shed_watermarks(acts.shed_high, acts.shed_low);

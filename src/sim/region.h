@@ -267,6 +267,7 @@ class Region {
 
   /// The shared decision pipeline (DESIGN.md §9), ticked on this
   /// region's samples; the region applies what it returns.
+  std::unique_ptr<control::ServiceCounters> service_;
   std::unique_ptr<control::RegionControlLoop> loop_;
 
   std::function<void(Region&)> sample_hook_;

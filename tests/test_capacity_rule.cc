@@ -1,0 +1,139 @@
+// The controller's default allocation rule: weights proportional to each
+// channel's service-time capacity, read from its worker's completions and
+// busy time (DESIGN.md §11).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "core/controller.h"
+#include "core/rate_estimator.h"
+#include "obs/journal.h"
+
+namespace slb {
+namespace {
+
+/// Feeds a controller periods in which each channel serves `served[j]`
+/// tuples at `service[j]` ns apiece, with no blocking.
+class ServiceDriver {
+ public:
+  explicit ServiceDriver(LoadBalanceController* c)
+      : c_(c),
+        blocked_(static_cast<std::size_t>(c->connections()), 0),
+        completed_(blocked_.size(), 0),
+        busy_(blocked_.size(), 0) {
+    c_->update(now_, blocked_, completed_, busy_);  // baseline
+  }
+
+  const WeightVector& step(const std::vector<std::uint64_t>& served,
+                           const std::vector<DurationNs>& service) {
+    now_ += millis(100);
+    for (std::size_t j = 0; j < blocked_.size(); ++j) {
+      completed_[j] += served[j];
+      busy_[j] += static_cast<DurationNs>(served[j]) * service[j];
+    }
+    return c_->update(now_, blocked_, completed_, busy_);
+  }
+
+ private:
+  LoadBalanceController* c_;
+  TimeNs now_ = 0;
+  std::vector<DurationNs> blocked_;
+  std::vector<std::uint64_t> completed_;
+  std::vector<DurationNs> busy_;
+};
+
+TEST(ServiceMeter, DifferencesCumulativeCounters) {
+  ServiceMeter m(2);
+  const std::vector<std::uint64_t> c0{10, 0};
+  const std::vector<DurationNs> b0{1000, 0};
+  m.ingest(c0, b0);
+  EXPECT_FALSE(m.ready());
+  const std::vector<std::uint64_t> c1{30, 0};
+  const std::vector<DurationNs> b1{1000 + 20 * micros(200), 0};
+  m.ingest(c1, b1);
+  ASSERT_TRUE(m.ready());
+  EXPECT_EQ(m.served(0), 20u);
+  EXPECT_DOUBLE_EQ(m.capacity(0), 5000.0);
+  EXPECT_EQ(m.served(1), 0u);
+  EXPECT_EQ(m.capacity(1), 0.0);
+}
+
+TEST(CapacityRule, WeightsFollowMeasuredCapacity) {
+  LoadBalanceController c(2);
+  ServiceDriver d(&c);
+  const WeightVector& w = d.step({50, 500}, {micros(2000), micros(200)});
+  EXPECT_EQ(w, (WeightVector{91, 909}));
+  EXPECT_DOUBLE_EQ(c.capacity(0), 500.0);
+  EXPECT_DOUBLE_EQ(c.capacity(1), 5000.0);
+}
+
+TEST(CapacityRule, FewTuplesAccumulateUntilTheyMeasure) {
+  LoadBalanceController c(2);
+  ServiceDriver d(&c);
+  d.step({50, 500}, {micros(2000), micros(200)});
+  // Channel 0 slows 10x but serves only 6 tuples a period: no reading
+  // until it has served 10.
+  d.step({6, 500}, {micros(20000), micros(200)});
+  EXPECT_DOUBLE_EQ(c.capacity(0), 500.0);
+  d.step({6, 500}, {micros(20000), micros(200)});
+  EXPECT_DOUBLE_EQ(c.capacity(0), 50.0);
+}
+
+TEST(CapacityRule, AHopRaisesTheStaleEstimate) {
+  LoadBalanceController c(2);
+  ServiceDriver d(&c);
+  d.step({50, 500}, {micros(2000), micros(200)});
+  // The load hops: channel 1 now serves 10x slower, and channel 0 (fed
+  // one tuple in eleven) serves too few to be measured. Its stale 500 is
+  // raised to the largest estimate, so it is fed at once.
+  const WeightVector& w = d.step({4, 50}, {micros(200), micros(2000)});
+  EXPECT_DOUBLE_EQ(c.capacity(0), 5000.0);
+  EXPECT_DOUBLE_EQ(c.capacity(1), 500.0);
+  EXPECT_EQ(w, (WeightVector{909, 91}));
+}
+
+TEST(CapacityRule, EveryLiveChannelKeepsAUnit) {
+  LoadBalanceController c(3);
+  ServiceDriver d(&c);
+  const WeightVector& w =
+      d.step({10, 5000, 5000}, {seconds(1) / 10, 1000, 1000});
+  EXPECT_EQ(w[0], 1);
+  EXPECT_EQ(total_weight(w), kWeightUnits);
+}
+
+TEST(CapacityRule, ReadmittedChannelProbesUntilMeasured) {
+  LoadBalanceController c(2);
+  ServiceDriver d(&c);
+  d.step({500, 500}, {micros(200), micros(200)});
+  c.mark_down(0);
+  EXPECT_EQ(c.weights(), (WeightVector{0, 1000}));
+  c.mark_up(0);
+  EXPECT_EQ(d.step({0, 500}, {micros(200), micros(200)})[0], 8);
+  EXPECT_EQ(d.step({4, 500}, {micros(200), micros(200)})[0], 16);
+  // Measured at last: back to its capacity share.
+  EXPECT_EQ(d.step({8, 500}, {micros(200), micros(200)})[0], 500);
+}
+
+TEST(CapacityRule, WithoutCompletionsTheBlockingRuleDecides) {
+  ControllerConfig paper;
+  paper.rule = AllocationRule::kBlockingRate;
+  LoadBalanceController capacity(2);
+  LoadBalanceController blocking(2, paper);
+  obs::DecisionJournal a;
+  obs::DecisionJournal b;
+  capacity.set_journal(&a);
+  blocking.set_journal(&b);
+  std::vector<DurationNs> cumulative{0, 0};
+  for (int p = 0; p < 20; ++p) {
+    cumulative[0] += millis(90);
+    cumulative[1] += millis(1);
+    capacity.update(p * millis(100), cumulative);
+    blocking.update(p * millis(100), cumulative);
+  }
+  EXPECT_GT(a.entries(), 20u);
+  EXPECT_EQ(a.digest(), b.digest());
+}
+
+}  // namespace
+}  // namespace slb

@@ -162,6 +162,109 @@ TEST(ControlParity, IdenticalTracesProduceByteIdenticalJournals) {
   expect_byte_identical(ref_journal, drive(local.control(), trace), "runtime");
 }
 
+/// A service trace to ride beside the blocking trace: cumulative
+/// completions and busy ns per channel. Channel 0 serves at a tenth of
+/// the others' capacity, and halfway through the load hops to channel 1.
+struct ServiceTrace {
+  std::vector<std::vector<std::uint64_t>> completed;
+  std::vector<std::vector<DurationNs>> busy;
+};
+
+ServiceTrace make_service_trace(std::uint64_t seed) {
+  std::uint64_t state = seed;
+  const auto next = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  ServiceTrace trace;
+  std::vector<std::uint64_t> completed(kChannels, 0);
+  std::vector<DurationNs> busy(kChannels, 0);
+  for (int p = 0; p < kPeriods; ++p) {
+    const int loaded = p < kPeriods / 2 ? 0 : 1;
+    for (int j = 0; j < kChannels; ++j) {
+      const DurationNs service = j == loaded ? micros(100) : micros(10);
+      const std::uint64_t served = 20 + next() % 40;
+      completed[static_cast<std::size_t>(j)] += served;
+      busy[static_cast<std::size_t>(j)] +=
+          static_cast<DurationNs>(served) * service +
+          static_cast<DurationNs>(next() % 1000);
+    }
+    trace.completed.push_back(completed);
+    trace.busy.push_back(busy);
+  }
+  return trace;
+}
+
+/// drive() with the service trace as well, and the capacity lines on.
+obs::DecisionJournal drive_with_service(
+    control::RegionControlLoop& loop,
+    const std::vector<std::vector<DurationNs>>& trace,
+    const ServiceTrace& service) {
+  obs::DecisionJournal journal;
+  loop.set_journal(&journal);
+  loop.set_journal_ticks(true);
+  loop.set_journal_capacity(true);
+  for (std::size_t p = 0; p < trace.size(); ++p) {
+    loop.tick(static_cast<TimeNs>(p + 1) * kSpan, kSpan, trace[p],
+              {service.completed[p], service.busy[p]});
+  }
+  loop.set_journal(nullptr);
+  return journal;
+}
+
+TEST(ControlParity, TracesWithCompletionsAreIdenticalAcrossSubstrates) {
+  const auto trace = make_trace(/*seed=*/0xCAFEu);
+  const ServiceTrace service = make_service_trace(0xD00Du);
+  const control::ProtectionConfig prot = parity_protection();
+
+  auto ref_policy = parity_policy();
+  obs::MetricsRegistry ref_metrics;
+  control::RegionControlLoop reference(kChannels, ref_policy.get(), prot,
+                                       /*source_interval=*/0, {},
+                                       ref_metrics);
+  const obs::DecisionJournal ref_journal =
+      drive_with_service(reference, trace, service);
+  // The capacity rule decided, and it followed the hop.
+  bool capacity_solve = false;
+  for (const std::string& line : ref_journal.lines()) {
+    if (line.find(R"("mode":"capacity")") != std::string::npos) {
+      capacity_solve = true;
+    }
+  }
+  ASSERT_TRUE(capacity_solve);
+  const WeightVector& w = ref_policy->weights();
+  EXPECT_LT(w[1], w[0]);
+  EXPECT_LT(w[1], w[2]);
+
+  sim::RegionConfig sim_cfg;
+  sim_cfg.workers = kChannels;
+  sim_cfg.protection = prot;
+  sim::Region region(sim_cfg, parity_policy());
+  expect_byte_identical(ref_journal,
+                        drive_with_service(region.control(), trace, service),
+                        "sim");
+
+  flow::PipelineConfig flow_cfg;
+  flow_cfg.protection = prot;
+  flow::PipelineBuilder builder(flow_cfg);
+  builder.parallel("score", kChannels, micros(10), parity_policy());
+  auto pipeline = builder.build();
+  expect_byte_identical(
+      ref_journal,
+      drive_with_service(pipeline->stage_region(0).control(), trace, service),
+      "flow");
+
+  rt::LocalRegionConfig rt_cfg;
+  rt_cfg.workers = kChannels;
+  rt_cfg.protection = prot;
+  rt::LocalRegion local(rt_cfg, parity_policy());
+  expect_byte_identical(ref_journal,
+                        drive_with_service(local.control(), trace, service),
+                        "runtime");
+}
+
 TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
   const auto trace = make_trace(/*seed=*/0xBEEFu);
   const control::ProtectionConfig prot = parity_protection();

@@ -300,7 +300,7 @@ struct StallLoop {
   /// Runs period `i` of the idle region reporting `sample`.
   void idle_tick(int i, const control::DeliverySample& sample = kStalled) {
     const std::vector<DurationNs> blocked{0, 0};
-    loop.tick(i * millis(10), millis(10), blocked, {}, sample);
+    loop.tick(i * millis(10), millis(10), blocked, {}, {}, sample);
   }
 
   LoadBalancingPolicy policy{2};

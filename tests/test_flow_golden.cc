@@ -61,8 +61,15 @@ PipelineConfig overloaded_pipeline(bool open_loop) {
   return cfg;
 }
 
-ControllerConfig overload_controller() {
+/// The committed golden pins the paper's blocking-rate rule.
+ControllerConfig paper_controller() {
   ControllerConfig cfg;
+  cfg.rule = AllocationRule::kBlockingRate;
+  return cfg;
+}
+
+ControllerConfig overload_controller() {
+  ControllerConfig cfg = paper_controller();
   cfg.enable_overload_protection = true;
   cfg.saturation.smoothing_alpha = 1.0;
   cfg.saturation.enter_periods = 2;
@@ -85,7 +92,7 @@ std::vector<Shape> shapes() {
                    b.op("pre", micros(1));
                    b.parallel("par", 4, micros(20),
                               std::make_unique<LoadBalancingPolicy>(
-                                  4, ControllerConfig{}),
+                                  4, paper_controller()),
                               true, std::move(load));
                    return b.build();
                  },
@@ -98,11 +105,11 @@ std::vector<Shape> shapes() {
                    PipelineBuilder b(fast_config());
                    b.parallel("stage-a", 3, micros(15),
                               std::make_unique<LoadBalancingPolicy>(
-                                  3, ControllerConfig{}),
+                                  3, paper_controller()),
                               true, std::move(first_load));
                    b.parallel("stage-b", 3, micros(15),
                               std::make_unique<LoadBalancingPolicy>(
-                                  3, ControllerConfig{}),
+                                  3, paper_controller()),
                               true, std::move(second_load));
                    return b.build();
                  },
@@ -125,7 +132,7 @@ std::vector<Shape> shapes() {
                    PipelineBuilder b(cfg);
                    b.parallel("par", 2, micros(30),
                               std::make_unique<LoadBalancingPolicy>(
-                                  2, ControllerConfig{}),
+                                  2, paper_controller()),
                               true, std::move(load));
                    b.op("post", micros(2));
                    return b.build();
@@ -137,7 +144,8 @@ std::vector<Shape> shapes() {
                    cfg.protection.watchdog_periods = 4;
                    PipelineBuilder b(cfg);
                    b.parallel("score", 4, micros(10),
-                              std::make_unique<LoadBalancingPolicy>(4));
+                              std::make_unique<LoadBalancingPolicy>(
+                                  4, paper_controller()));
                    return b.build();
                  },
                  millis(40), 10});
@@ -155,7 +163,7 @@ std::vector<Shape> shapes() {
   out.push_back({"overload-admission", [] {
                    PipelineConfig cfg = overloaded_pipeline(false);
                    cfg.protection.admission_control = true;
-                   ControllerConfig ctrl;
+                   ControllerConfig ctrl = paper_controller();
                    ctrl.enable_overload_protection = true;
                    PipelineBuilder b(cfg);
                    b.parallel("score", 4, micros(10),
@@ -174,7 +182,7 @@ std::vector<Shape> shapes() {
                    b.op("enrich", micros(2));
                    b.parallel("score", 6, micros(30),
                               std::make_unique<LoadBalancingPolicy>(
-                                  6, ControllerConfig{}),
+                                  6, paper_controller()),
                               true, std::move(score_load));
                    b.op("emit", micros(1));
                    return b.build();

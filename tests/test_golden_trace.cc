@@ -29,9 +29,12 @@ namespace {
 
 constexpr const char* kGoldenPath =
     SLB_GOLDEN_DIR "/decision_journal.jsonl";
+constexpr const char* kCapacityGoldenPath =
+    SLB_GOLDEN_DIR "/decision_journal_capacity.jsonl";
 
 ControllerConfig golden_controller(double decay_factor = 0.9) {
   ControllerConfig cfg;
+  cfg.rule = AllocationRule::kBlockingRate;
   cfg.decay_factor = decay_factor;
   cfg.enable_overload_protection = true;
   cfg.saturation.enter_periods = 3;
@@ -39,8 +42,11 @@ ControllerConfig golden_controller(double decay_factor = 0.9) {
 }
 
 /// The fixed scenario. Everything here is deterministic: virtual time,
-/// event-ordered faults, seeded policy. Returns the journal contents.
-obs::DecisionJournal run_scenario(double decay_factor = 0.9) {
+/// event-ordered faults, seeded policy. Returns the journal contents: the
+/// controller's decisions and, with `capacity_lines`, the control loop's
+/// per-period capacity lines as well.
+obs::DecisionJournal run_scenario(const ControllerConfig& controller,
+                                  bool capacity_lines = false) {
   sim::RegionConfig cfg;
   cfg.workers = 3;
   cfg.base_cost = micros(6);
@@ -58,12 +64,15 @@ obs::DecisionJournal run_scenario(double decay_factor = 0.9) {
     load.add_step(j, millis(170), 1.0);
   }
 
-  auto policy = std::make_unique<LoadBalancingPolicy>(
-      cfg.workers, golden_controller(decay_factor));
+  auto policy = std::make_unique<LoadBalancingPolicy>(cfg.workers, controller);
   obs::DecisionJournal journal;
   policy->set_journal(&journal);
 
   sim::Region region(cfg, std::move(policy), load);
+  if (capacity_lines) {
+    region.set_journal(&journal);
+    region.control().set_journal_capacity(true);
+  }
   region.inject_fault({sim::FaultKind::kWorkerCrash, 2, millis(60), 0});
   region.inject_fault({sim::FaultKind::kWorkerRecover, 2, millis(80), 0});
   region.start();
@@ -84,23 +93,66 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
+obs::DecisionJournal run_scenario(double decay_factor = 0.9) {
+  return run_scenario(golden_controller(decay_factor));
+}
+
+/// The same scenario under the default capacity rule, with the loop's
+/// capacity lines.
+obs::DecisionJournal run_capacity_scenario() {
+  ControllerConfig cfg = golden_controller();
+  cfg.rule = AllocationRule::kCapacity;
+  return run_scenario(cfg, /*capacity_lines=*/true);
+}
+
+bool contains(const obs::DecisionJournal& journal, std::string_view needle) {
+  for (const std::string& l : journal.lines()) {
+    if (l.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// Compares `journal` with the golden file at `path`, or rewrites the
+/// file when SLB_REGEN_GOLDEN is set.
+void expect_matches_golden(const obs::DecisionJournal& journal,
+                           const char* path) {
+  if (const char* regen = std::getenv("SLB_REGEN_GOLDEN");
+      regen != nullptr && *regen != '\0') {
+    ASSERT_TRUE(journal.write_jsonl(path)) << "cannot write " << path;
+    GTEST_SKIP() << "regenerated " << path << " (digest "
+                 << journal.digest_hex() << ") — commit it";
+  }
+
+  const std::vector<std::string> golden = read_lines(path);
+  ASSERT_FALSE(golden.empty())
+      << "missing golden file " << path
+      << " — run with SLB_REGEN_GOLDEN=1 to create it";
+
+  // Readable failure: report the first divergent entry, not a wall of
+  // bytes. A digest mismatch with identical lines is impossible by
+  // construction (digest is over the lines).
+  const std::size_t n = std::min(golden.size(), journal.lines().size());
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(journal.lines()[i], golden[i])
+        << "decision journal diverges from " << path << " at entry " << i
+        << " — if the adaptation change is intentional, regenerate with "
+        << "SLB_REGEN_GOLDEN=1";
+  }
+  ASSERT_EQ(journal.entries(), golden.size())
+      << "journal length changed (golden " << golden.size() << " entries)";
+}
+
 TEST(GoldenTrace, JournalIsNonTrivial) {
   const obs::DecisionJournal journal = run_scenario();
   // The scenario must actually exercise the pipeline: observations,
   // decay, solves, the fault path, and the saturation detector.
   EXPECT_GT(journal.entries(), 20u);
-  auto contains = [&](std::string_view needle) {
-    for (const std::string& l : journal.lines()) {
-      if (l.find(needle) != std::string::npos) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(contains("\"ev\":\"observe\""));
-  EXPECT_TRUE(contains("\"ev\":\"decay\""));
-  EXPECT_TRUE(contains("\"ev\":\"solve\""));
-  EXPECT_TRUE(contains("\"ev\":\"mark_down\""));
-  EXPECT_TRUE(contains("\"ev\":\"mark_up\""));
-  EXPECT_TRUE(contains("\"ev\":\"overload_enter\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"observe\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"decay\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"solve\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"mark_down\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"mark_up\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"overload_enter\""));
 }
 
 TEST(GoldenTrace, TwoRunsAreByteIdentical) {
@@ -115,33 +167,17 @@ TEST(GoldenTrace, TwoRunsAreByteIdentical) {
 }
 
 TEST(GoldenTrace, MatchesCommittedGolden) {
-  const obs::DecisionJournal journal = run_scenario();
+  expect_matches_golden(run_scenario(), kGoldenPath);
+}
 
-  if (const char* regen = std::getenv("SLB_REGEN_GOLDEN");
-      regen != nullptr && *regen != '\0') {
-    ASSERT_TRUE(journal.write_jsonl(kGoldenPath))
-        << "cannot write " << kGoldenPath;
-    GTEST_SKIP() << "regenerated " << kGoldenPath << " (digest "
-                 << journal.digest_hex() << ") — commit it";
-  }
-
-  const std::vector<std::string> golden = read_lines(kGoldenPath);
-  ASSERT_FALSE(golden.empty())
-      << "missing golden file " << kGoldenPath
-      << " — run with SLB_REGEN_GOLDEN=1 to create it";
-
-  // Readable failure: report the first divergent entry, not a wall of
-  // bytes. A digest mismatch with identical lines is impossible by
-  // construction (digest is over the lines).
-  const std::size_t n = std::min(golden.size(), journal.lines().size());
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(journal.lines()[i], golden[i])
-        << "decision journal diverges from " << kGoldenPath
-        << " at entry " << i << " — if the adaptation change is "
-        << "intentional, regenerate with SLB_REGEN_GOLDEN=1";
-  }
-  ASSERT_EQ(journal.entries(), golden.size())
-      << "journal length changed (golden " << golden.size() << " entries)";
+TEST(GoldenTrace, CapacityRuleMatchesCommittedGolden) {
+  const obs::DecisionJournal journal = run_capacity_scenario();
+  EXPECT_TRUE(contains(journal, "\"mode\":\"capacity\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"capacity\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"mark_up\""));
+  EXPECT_TRUE(contains(journal, "\"ev\":\"overload_enter\""));
+  EXPECT_EQ(journal.digest(), run_capacity_scenario().digest());
+  expect_matches_golden(journal, kCapacityGoldenPath);
 }
 
 TEST(GoldenTrace, CatchesPerturbedDecayFactor) {

@@ -39,11 +39,17 @@ TEST(Reroute, FlagsTransportRerouting) {
 
 TEST(LbPolicy, NameReflectsDecay) {
   ControllerConfig adaptive;
+  adaptive.rule = AllocationRule::kBlockingRate;
   adaptive.decay_factor = 0.9;
   EXPECT_EQ(LoadBalancingPolicy(2, adaptive).name(), "LB-adaptive");
   ControllerConfig statc;
+  statc.rule = AllocationRule::kBlockingRate;
   statc.decay_factor = 1.0;
   EXPECT_EQ(LoadBalancingPolicy(2, statc).name(), "LB-static");
+}
+
+TEST(LbPolicy, NameReflectsCapacityRule) {
+  EXPECT_EQ(LoadBalancingPolicy(2).name(), "LB-capacity");
 }
 
 TEST(LbPolicy, RoutesByControllerWeights) {
