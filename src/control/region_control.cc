@@ -51,7 +51,6 @@ RegionControlLoop::RegionControlLoop(int channels, SplitPolicy* policy,
                                 "' lacks one weight per channel");
   }
   actions_.block_rates.assign(static_cast<std::size_t>(channels), 0.0);
-  actions_.capacity.assign(static_cast<std::size_t>(channels), 0.0);
   capacity_gauges_.reserve(static_cast<std::size_t>(channels));
   std::string name = "region.capacity_tps.";
   const std::size_t prefix = name.size();
@@ -103,12 +102,11 @@ void RegionControlLoop::publish_capacity(TimeNs now, DurationNs span) {
   std::uint64_t served = 0;
   for (std::size_t j = 0; j < down_.size(); ++j) {
     const int jj = static_cast<int>(j);
-    if (service_.served(jj) > 0) {
-      actions_.capacity[j] = service_.capacity(jj);
-      capacity_gauges_[j]->set(std::llround(actions_.capacity[j]));
+    if (service_.fresh()[j] >= 0.0) {
+      capacity_gauges_[j]->set(std::llround(service_.capacity(jj)));
     }
     served += service_.served(jj);
-    if (down_[j] == 0) capacity += actions_.capacity[j];
+    if (down_[j] == 0) capacity += service_.capacity(jj);
   }
   headroom_ring_[headroom_next_] = {capacity, served, span};
   headroom_next_ = (headroom_next_ + 1) % headroom_ring_.size();
@@ -130,9 +128,9 @@ void RegionControlLoop::publish_capacity(TimeNs now, DurationNs span) {
   int bottleneck = -1;
   double worst = -1.0;
   for (std::size_t j = 0; j < down_.size(); ++j) {
-    if (down_[j] != 0 || actions_.capacity[j] <= 0.0) continue;
-    const double load =
-        static_cast<double>(actions_.weights[j]) / actions_.capacity[j];
+    const double c = service_.capacity(static_cast<int>(j));
+    if (down_[j] != 0 || c <= 0.0) continue;
+    const double load = static_cast<double>(actions_.weights[j]) / c;
     if (load > worst) {
       worst = load;
       bottleneck = static_cast<int>(j);
@@ -150,7 +148,7 @@ void RegionControlLoop::publish_capacity(TimeNs now, DurationNs span) {
     line.str("ev", "capacity")
         .num("t", static_cast<std::int64_t>(now))
         .ints("served", period_served)
-        .reals("cap", actions_.capacity)
+        .reals("cap", service_.capacities())
         .real("headroom", headroom)
         .num("bottleneck", static_cast<std::int64_t>(bottleneck));
     journal_->append(line.finish());
@@ -178,11 +176,16 @@ const ControlActions& RegionControlLoop::tick(
   }
   actions_.aggregate_block = aggregate;
 
-  // 2. Policy update: decay / regression / RAP solve (or frozen weights
-  // under declared overload, or safe-mode WRR) happen inside; every
-  // decision is journaled by the controller itself.
-  policy_->on_sample(PolicySample{now, cumulative_blocked, service.completed,
-                                  service.busy, delivered});
+  // 2. Policy update on this period's capacity readings: decay /
+  // regression / RAP solve or capacity allocation (or frozen weights under
+  // declared overload, or safe-mode WRR) happen inside; every decision is
+  // journaled by the controller itself.
+  const bool read_service = !service.completed.empty();
+  if (read_service) service_.ingest(service.completed, service.busy);
+  policy_->on_sample(PolicySample{
+      now, cumulative_blocked,
+      read_service ? service_.fresh() : std::span<const double>{},
+      delivered});
 
   // 3. Admission throttle, computed with the *current* watchdog stage —
   // an escalation this period takes effect on the next period's factor.
@@ -236,11 +239,8 @@ const ControlActions& RegionControlLoop::tick(
     journal_->append(line.finish());
   }
 
-  // 5. Capacity gauges, from the same service readings the policy saw.
-  if (!service.completed.empty()) {
-    service_.ingest(service.completed, service.busy);
-    publish_capacity(now, span);
-  }
+  // 5. Capacity gauges, from the readings the policy saw.
+  if (read_service) publish_capacity(now, span);
 
   // 6. Ack-stall rung (at-least-once only), after the control line, so a
   // stall escalates the stage without changing this tick's line.
@@ -268,6 +268,7 @@ void RegionControlLoop::mark_channel_down(TimeNs now, int j,
 void RegionControlLoop::mark_channel_up(int j) {
   assert(j >= 0 && j < static_cast<int>(down_.size()));
   down_[static_cast<std::size_t>(j)] = 0;
+  service_.restart(j);
   policy_->on_channel_up(j);
 }
 

@@ -3,7 +3,7 @@
 // One RegionControlLoop instance owns the full per-period decision
 // pipeline for one ordered data-parallel region:
 //
-//   ingest per-channel blocking observations
+//   ingest per-channel blocking observations and service readings
 //     -> policy update (decay / regression / minimax RAP or safe-mode
 //        WRR — inside the SplitPolicy/LoadBalanceController)
 //     -> saturation / overload declaration (inside the controller)
@@ -105,10 +105,6 @@ struct ControlActions {
 
   /// The allocation weights in force after this period's update.
   WeightVector weights;
-
-  /// Each channel's service-time capacity (tuples/s), held from the last
-  /// period in which its worker served anything; 0 until then.
-  std::vector<double> capacity;
 };
 
 class RegionControlLoop {
@@ -148,8 +144,8 @@ class RegionControlLoop {
   void set_journal_ticks(bool on) { journal_ticks_ = on; }
 
   /// When a journal is attached, also emit one "capacity" line per tick
-  /// (each channel's completions and capacity, the headroom and the
-  /// bottleneck). Off by default, like the control lines.
+  /// (each channel's completions and latest capacity reading, the
+  /// headroom and the bottleneck). Off by default, like the control lines.
   void set_journal_capacity(bool on) { journal_capacity_ = on; }
 
   /// Periods over which region.headroom_m averages: one period's
@@ -168,10 +164,14 @@ class RegionControlLoop {
   /// sample period pass the real span so rates stay normalized). The
   /// caller applies the returned actions.
   ///
-  /// From the service counters the loop publishes, per channel,
-  /// "region.capacity_tps.<j>" (held while j serves nothing); the
-  /// region's "region.headroom_m" (x1000: the summed capacity of the live
-  /// channels over their completion rate, both over kHeadroomPeriods); and
+  /// The loop's ServiceMeter is the region's one capacity measurement: it
+  /// reads the service counters before the policy update and hands the
+  /// period's readings to the policy (LB-capacity allocates from them).
+  /// From the same meter the loop publishes, per channel,
+  /// "region.capacity_tps.<j>", its latest reading (held until the next,
+  /// which needs ServiceMeter::kMinServed tuples); the region's
+  /// "region.headroom_m" (x1000: the summed capacity of the live channels
+  /// over their completion rate, both over kHeadroomPeriods); and
   /// "region.bottleneck", the live channel with the largest weight per
   /// unit of capacity (-1 until one is measured).
   const ControlActions& tick(TimeNs now, DurationNs span,
@@ -186,7 +186,8 @@ class RegionControlLoop {
   /// quarantine moved from channel j's replay buffer onto the survivors;
   /// under at-least-once the loop journals it as a "replay" line just
   /// before the policy's mark-down, so the journal shows recovery and
-  /// load movement as one decision sequence.
+  /// load movement as one decision sequence. A re-admitted channel's
+  /// next capacity reading counts only what its new worker serves.
   void mark_channel_down(TimeNs now, int j, std::uint64_t replayed_tuples,
                          std::uint64_t replayed_bytes);
   void mark_channel_up(int j);
@@ -202,8 +203,8 @@ class RegionControlLoop {
   void watchdog_escalate(TimeNs now, double aggregate);
   void watchdog_unwind(TimeNs now, double aggregate);
   void check_ack_stall(TimeNs now, const DeliverySample& delivery);
-  /// Updates the capacity estimates and gauges from this period's
-  /// service readings (after the policy's update, for the weights).
+  /// Updates the capacity gauges from this period's service readings
+  /// (after the policy's update, for the weights).
   void publish_capacity(TimeNs now, DurationNs span);
 
   SplitPolicy* policy_;
@@ -227,7 +228,7 @@ class RegionControlLoop {
   int ack_stall_streak_ = 0;
   std::uint64_t ack_stalls_ = 0;
 
-  /// Capacity state: the period's service readings, and the ring of the
+  /// Capacity state: the region's service readings, and the ring of the
   /// last kHeadroomPeriods periods' summed capacity, completions and span.
   ServiceMeter service_;
   struct HeadroomPeriod {

@@ -6,6 +6,16 @@
 #include "core/policies.h"  // weights_from_shares, even_live_weights
 
 namespace slb {
+namespace {
+
+/// The most a live connection's weight `w` may climb in one update: one
+/// geometric step (LoadBalanceController::kGeometricStepFloor).
+Weight step_up(Weight w) {
+  return std::min(kWeightUnits,
+                  w + std::max(LoadBalanceController::kGeometricStepFloor, w));
+}
+
+}  // namespace
 
 LoadBalanceController::LoadBalanceController(int connections,
                                              ControllerConfig config)
@@ -14,12 +24,7 @@ LoadBalanceController::LoadBalanceController(int connections,
       saturation_(config.saturation),
       weights_(even_weights(connections)),
       down_(static_cast<std::size_t>(connections), 0),
-      service_(connections),
-      pending_served_(static_cast<std::size_t>(connections), 0),
-      pending_busy_(static_cast<std::size_t>(connections), 0),
-      capacity_(static_cast<std::size_t>(connections), 0.0),
-      measured_(static_cast<std::size_t>(connections), 0),
-      fresh_(static_cast<std::size_t>(connections), -1.0) {
+      capacity_(static_cast<std::size_t>(connections), 0.0) {
   assert(connections > 0);
   functions_.reserve(static_cast<std::size_t>(connections));
   for (int j = 0; j < connections; ++j) {
@@ -31,8 +36,7 @@ LoadBalanceController::LoadBalanceController(int connections,
 
 const WeightVector& LoadBalanceController::update(
     TimeNs now, std::span<const DurationNs> cumulative_blocked,
-    std::span<const std::uint64_t> completed,
-    std::span<const DurationNs> busy) {
+    std::span<const double> capacity) {
   assert(static_cast<int>(cumulative_blocked.size()) == connections());
 
   // The weights held *during* the period just observed: observations must
@@ -40,8 +44,7 @@ const WeightVector& LoadBalanceController::update(
   const WeightVector held = weights_;
 
   const bool by_capacity =
-      config_.rule == AllocationRule::kCapacity && !completed.empty();
-  if (by_capacity) service_.ingest(completed, busy);
+      config_.rule == AllocationRule::kCapacity && !capacity.empty();
   estimator_.ingest(now, cumulative_blocked);
   if (!estimator_.ready()) return weights_;
 
@@ -83,7 +86,7 @@ const WeightVector& LoadBalanceController::update(
     // the splitter blocked, so it carries none of the blocking signal's
     // dead time. The blocking rates above still feed the saturation
     // detector and the journal.
-    if (!measure_capacity()) return weights_;
+    if (!measure_capacity(capacity)) return weights_;
     allocate_by_capacity();
     ++status_.updates;
     if (metrics_.updates != nullptr) {
@@ -141,29 +144,19 @@ const WeightVector& LoadBalanceController::update(
   return weights_;
 }
 
-bool LoadBalanceController::measure_capacity() {
-  if (!service_.ready() || live() == 0) return false;
-  // A reading is fresh once the channel has served kMinServed tuples
-  // since its last one. A change of more than kChangeFactor against its
-  // estimate means the region changed (a load hop).
+bool LoadBalanceController::measure_capacity(std::span<const double> fresh) {
+  assert(fresh.size() == capacity_.size());
+  if (live() == 0) return false;
+  // A reading that moves more than kChangeFactor against its estimate
+  // means the region changed (a load hop).
   bool changed = false;
   double top = 0.0;
   for (std::size_t j = 0; j < capacity_.size(); ++j) {
-    fresh_[j] = -1.0;
     if (down_[j] != 0) continue;
-    const int jj = static_cast<int>(j);
-    pending_served_[j] += service_.served(jj);
-    pending_busy_[j] += service_.busy(jj);
-    if (measured_[j] != 0) top = std::max(top, capacity_[j]);
-    if (pending_served_[j] < kMinServed || pending_busy_[j] <= 0) continue;
-    const double c = 1e9 * static_cast<double>(pending_served_[j]) /
-                     static_cast<double>(pending_busy_[j]);
-    pending_served_[j] = 0;
-    pending_busy_[j] = 0;
-    fresh_[j] = c;
-    top = std::max(top, c);
-    if (measured_[j] != 0 && (c > kChangeFactor * capacity_[j] ||
-                              c * kChangeFactor < capacity_[j])) {
+    top = std::max({top, capacity_[j], fresh[j]});
+    if (fresh[j] >= 0.0 && capacity_[j] > 0.0 &&
+        (fresh[j] > kChangeFactor * capacity_[j] ||
+         fresh[j] * kChangeFactor < capacity_[j])) {
       changed = true;
     }
   }
@@ -174,10 +167,10 @@ bool LoadBalanceController::measure_capacity() {
     return false;
   }
   for (std::size_t j = 0; j < capacity_.size(); ++j) {
-    if (fresh_[j] >= 0.0) {
-      capacity_[j] = fresh_[j];
-      measured_[j] = 1;
-    } else if (changed && down_[j] == 0 && measured_[j] != 0) {
+    if (down_[j] != 0) continue;
+    if (fresh[j] >= 0.0) {
+      capacity_[j] = fresh[j];
+    } else if (changed && capacity_[j] > 0.0) {
       // The region changed under us. An estimate that was not re-measured
       // is stale, and after a load hop the stale one is typically the
       // channel that just recovered (it was starved): raise it to the
@@ -198,9 +191,8 @@ void LoadBalanceController::allocate_by_capacity() {
   int measured = 0;
   for (std::size_t j = 0; j < n; ++j) {
     if (down_[j] != 0) continue;
-    if (measured_[j] == 0) {
-      const Weight w = weights_[j];
-      next[j] = std::min(kWeightUnits, w + std::max(kGeometricStepFloor, w));
+    if (capacity_[j] == 0.0) {
+      next[j] = step_up(weights_[j]);
       probes += next[j];
     } else {
       shares[j] = capacity_[j];
@@ -211,22 +203,22 @@ void LoadBalanceController::allocate_by_capacity() {
   const Weight room = kWeightUnits - measured;
   if (probes > room) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (down_[j] == 0 && measured_[j] == 0) {
+      if (down_[j] == 0 && capacity_[j] == 0.0) {
         next[j] = next[j] * room / probes;
       }
     }
     probes = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (measured_[j] == 0) probes += next[j];
+      if (capacity_[j] == 0.0) probes += next[j];
     }
   }
   const WeightVector rest = weights_from_shares(shares, kWeightUnits - probes);
   for (std::size_t j = 0; j < n; ++j) {
-    if (down_[j] != 0 || measured_[j] == 0) continue;
+    if (down_[j] != 0 || capacity_[j] == 0.0) continue;
     next[j] = rest[j];
   }
   for (std::size_t j = 0; j < n; ++j) {
-    if (down_[j] != 0 || measured_[j] == 0 || next[j] > 0) continue;
+    if (down_[j] != 0 || capacity_[j] == 0.0 || next[j] > 0) continue;
     const auto top = std::max_element(next.begin(), next.end());
     --*top;
     next[j] = 1;
@@ -265,7 +257,7 @@ void LoadBalanceController::mark_down(int j) {
   // Whatever was learned about this connection described a worker that no
   // longer exists; a restarted replacement starts from a clean slate.
   functions_[ju].reset();
-  forget_capacity(ju);
+  capacity_[ju] = 0.0;
   if (metrics_.mark_downs != nullptr) {
     metrics_.mark_downs->inc();
     metrics_.live->set(live());
@@ -320,9 +312,9 @@ void LoadBalanceController::mark_up(int j) {
   // Weight stays at zero: the connection re-enters through the same
   // geometric step-up probing as any shut-off channel — a trickle first,
   // doubling per update while it keeps absorbing load without blocking
-  // (or, under the capacity rule, until its worker has been measured).
+  // (or, under the capacity rule, until its worker has a reading).
   functions_[ju].reset();
-  forget_capacity(ju);
+  capacity_[ju] = 0.0;
   if (metrics_.mark_ups != nullptr) {
     metrics_.mark_ups->inc();
     metrics_.live->set(live());
@@ -333,13 +325,6 @@ void LoadBalanceController::mark_up(int j) {
                          .num("j", static_cast<std::int64_t>(j))
                          .finish());
   }
-}
-
-void LoadBalanceController::forget_capacity(std::size_t j) {
-  capacity_[j] = 0.0;
-  measured_[j] = 0;
-  pending_served_[j] = 0;
-  pending_busy_[j] = 0;
 }
 
 void LoadBalanceController::note_overload_transition(TimeNs now) {
@@ -408,9 +393,7 @@ void LoadBalanceController::solve_flat() {
       continue;
     }
     // A live connection may drop to 0 or climb one geometric step.
-    const Weight w = weights_[ju];
-    vars_[ju] = RapVariable{
-        0, std::min(kWeightUnits, w + std::max(kGeometricStepFloor, w))};
+    vars_[ju] = RapVariable{0, step_up(weights_[ju])};
   }
 
   const RapSolution sol =

@@ -7,14 +7,15 @@
 //     ->  solve minimax RAP  ->  new allocation weights
 //
 // Under the default AllocationRule::kCapacity the weights follow each
-// worker's measured service-time capacity instead (DESIGN.md §11); the
-// blocking rates still feed the journal and the saturation detector.
+// worker's service-time capacity instead (DESIGN.md §11), as read by the
+// region's ServiceMeter; the blocking rates still feed the journal and the
+// saturation detector.
 //
 // The controller is substrate-agnostic: callers feed it cumulative
 // blocking counters (from the simulator or from real TCP instrumentation)
-// and, when they have them, cumulative worker completions and busy time
-// once per period, and apply the returned weights to their router. The
-// same controller code drives every experiment in this repository.
+// and, when they have them, the period's capacity readings once per
+// period, and apply the returned weights to their router. The same
+// controller code drives every experiment in this repository.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,7 @@ namespace slb {
 enum class AllocationRule {
   /// Weights proportional to each channel's service-time capacity, read
   /// from its worker's completions and busy time (DESIGN.md §11). A sample
-  /// without completions falls back to kBlockingRate.
+  /// without capacity readings falls back to kBlockingRate.
   kCapacity,
   /// The paper's rule: blocking-rate functions F_j and the minimax RAP
   /// (LB-adaptive, or LB-static with `decay_factor = 1.0`).
@@ -108,27 +109,21 @@ class LoadBalanceController {
 
   LoadBalanceController(int connections, ControllerConfig config = {});
 
-  /// Under the capacity rule, a channel's service-time capacity is
-  /// re-measured once its worker has served at least this many tuples
-  /// since the last measurement (in one period, or accumulated over
-  /// several for a channel fed a trickle); fewer resolve it too coarsely.
-  static constexpr std::uint64_t kMinServed = 10;
-
   /// A measured capacity that moves by more than this factor in one
   /// period means the region changed (a load hop): every estimate not
   /// re-measured that period is stale and is raised to the largest one.
   static constexpr double kChangeFactor = 2.0;
 
   /// Feeds one sampling period. `cumulative_blocked[j]` is connection j's
-  /// cumulative blocking time (ns) at time `now`; `completed[j]` and
-  /// `busy[j]` are the tuples j's worker has served and the ns it spent
-  /// serving them (both cumulative; empty when the substrate cannot read
-  /// them). Returns the weights to apply until the next update. The first
-  /// call only establishes a baseline and returns the initial even split.
+  /// cumulative blocking time (ns) at time `now`; `capacity[j]` is the
+  /// period's capacity reading of j's worker (tuples/s,
+  /// ServiceMeter::fresh()), -1 where it has none, and the span is empty
+  /// when the substrate cannot read its workers. Returns the weights to
+  /// apply until the next update. The first call only establishes a
+  /// baseline and returns the initial even split.
   const WeightVector& update(TimeNs now,
                              std::span<const DurationNs> cumulative_blocked,
-                             std::span<const std::uint64_t> completed = {},
-                             std::span<const DurationNs> busy = {});
+                             std::span<const double> capacity = {});
 
   const WeightVector& weights() const { return weights_; }
   int connections() const { return static_cast<int>(functions_.size()); }
@@ -137,7 +132,8 @@ class LoadBalanceController {
   }
   const ControllerStatus& status() const { return status_; }
   /// Channel j's capacity estimate under the capacity rule (tuples/s of
-  /// service); 0 until j has been measured.
+  /// service): its latest reading, or the largest estimate if a hop made
+  /// it stale; 0 until j has been read since it was last (re-)admitted.
   double capacity(int j) const { return capacity_[static_cast<std::size_t>(j)]; }
   const ControllerConfig& config() const { return config_; }
 
@@ -158,8 +154,8 @@ class LoadBalanceController {
   /// climbs back via the existing geometric step-up probing (the same
   /// trickle-feed used for re-exploring a previously shut-off channel),
   /// so a still-sick worker costs at most a probe's worth of tuples per
-  /// period. Under the capacity rule it probes until its worker has been
-  /// measured. Idempotent.
+  /// period. Under the capacity rule it probes until its worker has a
+  /// reading. Idempotent.
   void mark_up(int j);
 
   /// down_mask()[j] != 0 while connection j is marked down.
@@ -193,9 +189,10 @@ class LoadBalanceController {
   const SaturationDetector& saturation() const { return saturation_; }
 
  private:
-  /// Capacity rule: folds this period's service readings into the
-  /// estimates. Returns false while no live channel has been measured.
-  bool measure_capacity();
+  /// Capacity rule: folds this period's readings into the estimates
+  /// (raising stale ones on a hop). Returns false while no live channel
+  /// has an estimate.
+  bool measure_capacity(std::span<const double> fresh);
   /// Capacity rule: weights proportional to the estimates, with every
   /// live channel kept at >= 1 unit and unmeasured ones on the geometric
   /// probe.
@@ -219,19 +216,9 @@ class LoadBalanceController {
   /// (all functions are identically zero); keep the even split.
   bool seen_blocking_ = false;
 
-  /// Capacity rule state: the per-period service readings; the tuples
-  /// and busy ns each channel accumulated since its last measurement;
-  /// each channel's capacity estimate, and whether it has been measured
-  /// since it was last (re-)admitted; and this period's fresh readings
-  /// (negative where none).
-  ServiceMeter service_;
-  std::vector<std::uint64_t> pending_served_;
-  std::vector<DurationNs> pending_busy_;
+  /// Capacity rule: each channel's estimate (see capacity()); positive
+  /// exactly when it has been measured since it was last (re-)admitted.
   std::vector<double> capacity_;
-  std::vector<char> measured_;
-  std::vector<double> fresh_;
-  /// Forgets channel j's capacity evidence (mark_down / mark_up).
-  void forget_capacity(std::size_t j);
 
   /// Solve buffers, reused from tick to tick so a clustered tick does not
   /// allocate per raw point: RAP bounds, function pointers, per-cluster

@@ -28,14 +28,14 @@ void LoadBalancingPolicy::on_sample(const PolicySample& sample) {
   // The controller keeps consuming samples even in safe mode — its
   // saturation detector is what decides when the episode is over — but
   // its weights only reach the router outside safe mode.
-  const WeightVector& updated = controller_.update(
-      sample.now, sample.blocked, sample.completed, sample.busy);
+  const WeightVector& updated =
+      controller_.update(sample.now, sample.blocked, sample.capacity);
   if (!safe_mode_) wrr_.set_weights(updated);
 }
 
 void LoadBalancingPolicy::on_sample(
     TimeNs now, std::span<const DurationNs> cumulative_blocked) {
-  on_sample(PolicySample{now, cumulative_blocked, {}, {}, {}});
+  on_sample(PolicySample{now, cumulative_blocked, {}, {}});
 }
 
 std::string LoadBalancingPolicy::name() const {

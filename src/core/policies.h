@@ -21,18 +21,18 @@
 
 namespace slb {
 
-/// One control period's per-connection feedback, every series cumulative
-/// since the region started. An empty series is one the substrate cannot
-/// provide.
+/// One control period's per-connection feedback. An empty series is one
+/// the substrate cannot provide.
 struct PolicySample {
   TimeNs now = 0;
-  /// Time the splitter spent blocked on each connection (ns).
+  /// Time the splitter spent blocked on each connection (ns, cumulative).
   std::span<const DurationNs> blocked;
-  /// Tuples each connection's worker has served, and the ns it spent
-  /// serving them (its `worker.<j>.service_ns` histogram's count and sum).
-  std::span<const std::uint64_t> completed;
-  std::span<const DurationNs> busy;
-  /// Tuples delivered downstream per connection (see on_throughput).
+  /// This period's service-time capacity reading of each connection's
+  /// worker (tuples/s), -1 where there is none: the region's
+  /// ServiceMeter::fresh(), the reading its capacity gauges publish.
+  std::span<const double> capacity;
+  /// Tuples delivered downstream per connection, cumulative (see
+  /// on_throughput).
   std::span<const std::uint64_t> delivered;
 };
 
@@ -149,7 +149,8 @@ class RerouteOnBlockPolicy : public RoundRobinPolicy {
 };
 
 /// The load-balance controller routed with smooth weighted round-robin.
-/// Under the default capacity rule, "LB-capacity"; under the paper's
+/// Under the default capacity rule, "LB-capacity", which allocates from
+/// each sample's capacity readings; under the paper's
 /// blocking-rate rule (blocking-rate functions + minimax RAP),
 /// "LB-adaptive" with decay_factor < 1 and "LB-static" with
 /// decay_factor == 1.
@@ -159,7 +160,8 @@ class LoadBalancingPolicy : public SplitPolicy {
 
   ConnectionId pick_connection() override { return wrr_.pick(); }
   void on_sample(const PolicySample& sample) override;
-  /// Blocking counters only: the capacity rule falls back to the paper's.
+  /// Blocking counters only (no capacity readings): the capacity rule
+  /// falls back to the paper's.
   void on_sample(TimeNs now,
                  std::span<const DurationNs> cumulative_blocked) override;
   void on_channel_down(ConnectionId j) override;

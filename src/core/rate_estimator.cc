@@ -53,7 +53,10 @@ ServiceMeter::ServiceMeter(int connections)
     : last_completed_(static_cast<std::size_t>(connections), 0),
       last_busy_(static_cast<std::size_t>(connections), 0),
       served_(static_cast<std::size_t>(connections), 0),
-      busy_(static_cast<std::size_t>(connections), 0) {
+      pending_served_(static_cast<std::size_t>(connections), 0),
+      pending_busy_(static_cast<std::size_t>(connections), 0),
+      fresh_(static_cast<std::size_t>(connections), -1.0),
+      capacity_(static_cast<std::size_t>(connections), 0.0) {
   assert(connections > 0);
 }
 
@@ -66,12 +69,24 @@ void ServiceMeter::ingest(std::span<const std::uint64_t> completed,
                          completed[j] >= last_completed_[j] &&
                          busy[j] >= last_busy_[j];
     served_[j] = forward ? completed[j] - last_completed_[j] : 0;
-    busy_[j] = forward ? busy[j] - last_busy_[j] : 0;
+    pending_served_[j] += served_[j];
+    pending_busy_[j] += forward ? busy[j] - last_busy_[j] : 0;
     last_completed_[j] = completed[j];
     last_busy_[j] = busy[j];
+    fresh_[j] = -1.0;
+    if (pending_served_[j] < kMinServed || pending_busy_[j] <= 0) continue;
+    fresh_[j] = capacity_[j] = 1e9 * static_cast<double>(pending_served_[j]) /
+                               static_cast<double>(pending_busy_[j]);
+    pending_served_[j] = 0;
+    pending_busy_[j] = 0;
   }
   ready_ = have_baseline_;
   have_baseline_ = true;
+}
+
+void ServiceMeter::restart(int j) {
+  pending_served_[static_cast<std::size_t>(j)] = 0;
+  pending_busy_[static_cast<std::size_t>(j)] = 0;
 }
 
 }  // namespace slb

@@ -56,16 +56,21 @@ class BlockingRateEstimator {
   double alpha_;
 };
 
-/// Per-connection service-time capacity from worker-side counters. Feed
-/// one cumulative snapshot per period (a worker's `service_ns` histogram:
-/// its count is the tuples served, its sum the ns spent serving them);
-/// read back the period's completions and the capacity they imply,
-/// 1e9 x served / busy tuples per second of service. A backlogged and an
-/// underfed worker read the same capacity, so unlike the splitter's
-/// per-connection throughput (Section 4.3) it does not mirror the
-/// weights.
+/// Per-connection service-time capacity from worker-side counters: the
+/// one measurement behind the capacity gauges and the capacity rule
+/// (DESIGN.md §11). Feed one cumulative snapshot per period (a worker's
+/// `service_ns` histogram: its count is the tuples served, its sum the ns
+/// spent serving them). A channel's reading is 1e9 x served / busy tuples
+/// per second of service, taken once its worker has served kMinServed
+/// tuples since its last reading (in one period, or accumulated over
+/// several light ones). A backlogged and an underfed worker read the same
+/// capacity, so unlike the splitter's per-connection throughput
+/// (Section 4.3) it does not mirror the weights.
 class ServiceMeter {
  public:
+  /// Fewer tuples than this resolve a service time too coarsely.
+  static constexpr std::uint64_t kMinServed = 10;
+
   explicit ServiceMeter(int connections);
 
   /// Ingests one snapshot. The first call only establishes a baseline. A
@@ -80,23 +85,29 @@ class ServiceMeter {
   std::uint64_t served(int j) const {
     return served_[static_cast<std::size_t>(j)];
   }
-  /// The ns it spent serving them.
-  DurationNs busy(int j) const { return busy_[static_cast<std::size_t>(j)]; }
-  /// Its service-time capacity over that period (tuples/s); 0 when it
-  /// served nothing.
+  /// The readings (tuples/s) the most recent period completed, -1 for a
+  /// connection still short of kMinServed.
+  std::span<const double> fresh() const { return fresh_; }
+  /// Every connection's latest reading (tuples/s), 0 until its first.
+  std::span<const double> capacities() const { return capacity_; }
   double capacity(int j) const {
-    const auto ju = static_cast<std::size_t>(j);
-    return served_[ju] > 0 && busy_[ju] > 0
-               ? 1e9 * static_cast<double>(served_[ju]) /
-                     static_cast<double>(busy_[ju])
-               : 0.0;
+    return capacity_[static_cast<std::size_t>(j)];
   }
+
+  /// Drops what connection j has served since its last reading (its
+  /// worker was replaced); the reading itself stays.
+  void restart(int j);
 
  private:
   std::vector<std::uint64_t> last_completed_;
   std::vector<DurationNs> last_busy_;
   std::vector<std::uint64_t> served_;
-  std::vector<DurationNs> busy_;
+  /// Tuples and busy ns each connection accumulated toward its next
+  /// reading.
+  std::vector<std::uint64_t> pending_served_;
+  std::vector<DurationNs> pending_busy_;
+  std::vector<double> fresh_;
+  std::vector<double> capacity_;
   bool have_baseline_ = false;
   bool ready_ = false;
 };

@@ -19,7 +19,8 @@
 //     those completions cost at the channel's capacity.
 //
 // A controller sees exactly what a substrate hands RegionControlLoop::tick:
-// cumulative blocked ns, and cumulative completions and busy ns per worker.
+// cumulative blocked ns, and cumulative completions and busy ns per worker,
+// which the plant reads through a ServiceMeter as the loop does.
 // Oracle* (weights proportional to the true capacity, switched at each hop)
 // runs through the same plant, so every case reports its own headroom.
 #pragma once
@@ -32,6 +33,7 @@
 
 #include "core/controller.h"
 #include "core/policies.h"
+#include "core/rate_estimator.h"
 #include "core/types.h"
 #include "util/time.h"
 
@@ -136,18 +138,23 @@ inline PlantResult run_controller(const PlantConfig& cfg,
                                   const ControllerConfig& controller) {
   const std::size_t n = cfg.capacities.size();
   LoadBalanceController ctrl(static_cast<int>(n), controller);
+  ServiceMeter meter(static_cast<int>(n));
+  const auto update = [&](TimeNs now, const std::vector<DurationNs>& blocked,
+                          const std::vector<std::uint64_t>& completed,
+                          const std::vector<DurationNs>& busy) {
+    if (!cfg.completions) return ctrl.update(now, blocked);
+    meter.ingest(completed, busy);
+    return ctrl.update(now, blocked, meter.fresh());
+  };
   // The baseline sample, taken as the region starts.
-  ctrl.update(0, std::vector<DurationNs>(n, 0),
-              std::vector<std::uint64_t>(cfg.completions ? n : 0, 0),
-              std::vector<DurationNs>(cfg.completions ? n : 0, 0));
-  return run_plant(
-      cfg, ctrl.weights(),
-      [&](int, TimeNs now, const std::vector<DurationNs>& blocked,
-          const std::vector<std::uint64_t>& completed,
-          const std::vector<DurationNs>& busy) {
-        if (!cfg.completions) return ctrl.update(now, blocked);
-        return ctrl.update(now, blocked, completed, busy);
-      });
+  update(0, std::vector<DurationNs>(n, 0), std::vector<std::uint64_t>(n, 0),
+         std::vector<DurationNs>(n, 0));
+  return run_plant(cfg, ctrl.weights(),
+                   [&](int, TimeNs now, const std::vector<DurationNs>& blocked,
+                       const std::vector<std::uint64_t>& completed,
+                       const std::vector<DurationNs>& busy) {
+                     return update(now, blocked, completed, busy);
+                   });
 }
 
 /// Oracle*: weights proportional to the capacities of the next period.

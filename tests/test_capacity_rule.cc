@@ -3,26 +3,33 @@
 // busy time (DESIGN.md §11).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "control/region_control.h"
 #include "core/controller.h"
+#include "core/policies.h"
 #include "core/rate_estimator.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 
 namespace slb {
 namespace {
 
 /// Feeds a controller periods in which each channel serves `served[j]`
-/// tuples at `service[j]` ns apiece, with no blocking.
+/// tuples at `service[j]` ns apiece, with no blocking, read through a
+/// ServiceMeter as RegionControlLoop reads them.
 class ServiceDriver {
  public:
   explicit ServiceDriver(LoadBalanceController* c)
       : c_(c),
+        meter_(c->connections()),
         blocked_(static_cast<std::size_t>(c->connections()), 0),
         completed_(blocked_.size(), 0),
         busy_(blocked_.size(), 0) {
-    c_->update(now_, blocked_, completed_, busy_);  // baseline
+    meter_.ingest(completed_, busy_);  // baseline
+    c_->update(now_, blocked_, meter_.fresh());
   }
 
   const WeightVector& step(const std::vector<std::uint64_t>& served,
@@ -32,11 +39,13 @@ class ServiceDriver {
       completed_[j] += served[j];
       busy_[j] += static_cast<DurationNs>(served[j]) * service[j];
     }
-    return c_->update(now_, blocked_, completed_, busy_);
+    meter_.ingest(completed_, busy_);
+    return c_->update(now_, blocked_, meter_.fresh());
   }
 
  private:
   LoadBalanceController* c_;
+  ServiceMeter meter_;
   TimeNs now_ = 0;
   std::vector<DurationNs> blocked_;
   std::vector<std::uint64_t> completed_;
@@ -57,6 +66,111 @@ TEST(ServiceMeter, DifferencesCumulativeCounters) {
   EXPECT_DOUBLE_EQ(m.capacity(0), 5000.0);
   EXPECT_EQ(m.served(1), 0u);
   EXPECT_EQ(m.capacity(1), 0.0);
+}
+
+TEST(ServiceMeter, AReadingAccumulatesAcrossLightPeriods) {
+  ServiceMeter m(1);
+  std::vector<std::uint64_t> completed{0};
+  std::vector<DurationNs> busy{0};
+  m.ingest(completed, busy);
+  // 4 tuples a period at 1 ms apiece: no reading until 10 have been
+  // served, then one over all 12.
+  for (int p = 0; p < 3; ++p) {
+    completed[0] += 4;
+    busy[0] += 4 * millis(1);
+    m.ingest(completed, busy);
+    EXPECT_EQ(m.served(0), 4u);
+    if (p < 2) {
+      EXPECT_EQ(m.fresh()[0], -1.0) << p;
+      EXPECT_EQ(m.capacity(0), 0.0) << p;
+    }
+  }
+  EXPECT_DOUBLE_EQ(m.fresh()[0], 1000.0);
+  EXPECT_DOUBLE_EQ(m.capacity(0), 1000.0);
+  // The next period starts a new count; the reading is held meanwhile.
+  completed[0] += 1;
+  busy[0] += millis(2);
+  m.ingest(completed, busy);
+  EXPECT_EQ(m.fresh()[0], -1.0);
+  EXPECT_DOUBLE_EQ(m.capacity(0), 1000.0);
+}
+
+TEST(ServiceMeter, RestartDropsThePartialCountAndKeepsTheReading) {
+  ServiceMeter m(1);
+  std::vector<std::uint64_t> completed{0};
+  std::vector<DurationNs> busy{0};
+  m.ingest(completed, busy);
+  completed[0] += 20;
+  busy[0] += 20 * millis(1);
+  m.ingest(completed, busy);
+  ASSERT_DOUBLE_EQ(m.capacity(0), 1000.0);
+  // 6 slow tuples, then the worker is replaced: they do not count toward
+  // the new worker's reading.
+  completed[0] += 6;
+  busy[0] += 6 * millis(10);
+  m.ingest(completed, busy);
+  m.restart(0);
+  EXPECT_DOUBLE_EQ(m.capacity(0), 1000.0);
+  completed[0] += 6;
+  busy[0] += 6 * millis(4);
+  m.ingest(completed, busy);
+  EXPECT_EQ(m.fresh()[0], -1.0);
+  completed[0] += 4;
+  busy[0] += 4 * millis(4);
+  m.ingest(completed, busy);
+  EXPECT_DOUBLE_EQ(m.fresh()[0], 250.0);
+  EXPECT_DOUBLE_EQ(m.capacity(0), 250.0);
+}
+
+TEST(ServiceMeter, ACounterThatGoesBackwardsReadsAsNothingServed) {
+  ServiceMeter m(2);
+  m.ingest(std::vector<std::uint64_t>{100, 100},
+           std::vector<DurationNs>{millis(100), millis(100)});
+  // Channel 0's counters went backwards (a replaced worker's histogram);
+  // channel 1's busy time did.
+  m.ingest(std::vector<std::uint64_t>{50, 150},
+           std::vector<DurationNs>{millis(50), millis(90)});
+  EXPECT_EQ(m.served(0), 0u);
+  EXPECT_EQ(m.served(1), 0u);
+  EXPECT_EQ(m.fresh()[0], -1.0);
+  EXPECT_EQ(m.fresh()[1], -1.0);
+  // The next period differences from the new values.
+  m.ingest(std::vector<std::uint64_t>{70, 170},
+           std::vector<DurationNs>{millis(70), millis(110)});
+  EXPECT_EQ(m.served(0), 20u);
+  EXPECT_DOUBLE_EQ(m.capacity(0), 1000.0);
+  EXPECT_DOUBLE_EQ(m.capacity(1), 1000.0);
+}
+
+TEST(CapacityGauge, PublishesTheReadingTheControllerAllocatesFrom) {
+  // A region whose channel 1 slows 10x while being fed a trickle, 3
+  // tuples a period: the gauge holds the old reading until 10 tuples have
+  // accumulated, and after every tick it is the controller's estimate.
+  // Channel 0 serves steadily, so no hop raises channel 1's estimate.
+  LoadBalancingPolicy policy(2);
+  obs::MetricsRegistry metrics;
+  control::RegionControlLoop loop(2, &policy, {}, /*source_interval=*/0, {},
+                                  metrics);
+  const obs::Gauge& gauge = metrics.gauge("region.capacity_tps.1");
+  const std::vector<DurationNs> blocked{0, 0};
+  std::vector<std::uint64_t> completed{0, 0};
+  std::vector<DurationNs> busy{0, 0};
+  const auto& controller = policy.controller();
+  for (int p = 0; p < 12; ++p) {
+    const bool slow = p >= 4;
+    completed[0] += 500;
+    busy[0] += 500 * micros(200);
+    completed[1] += slow ? 3 : 500;
+    busy[1] += slow ? 3 * micros(2000) : 500 * micros(200);
+    loop.tick((p + 1) * millis(100), millis(100), blocked,
+              {completed, busy});
+    EXPECT_EQ(gauge.value(), std::llround(controller.capacity(1))) << p;
+    if (p >= 1 && p < 7) {
+      EXPECT_EQ(gauge.value(), 5000) << p;
+    }
+  }
+  // Read at the 4th slow period (12 tuples), and again at the 8th.
+  EXPECT_EQ(gauge.value(), 500);
 }
 
 TEST(CapacityRule, WeightsFollowMeasuredCapacity) {

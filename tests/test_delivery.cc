@@ -391,7 +391,26 @@ TEST(RtDelivery, KillMidRunReplaysOntoSurvivorWithoutGaps) {
   rt::LocalRegionConfig cfg = rt_alo(2);
   cfg.failure_events.push_back({millis(60), 0, /*restart=*/false});
   rt::LocalRegion region(cfg, std::make_unique<LoadBalancingPolicy>(2));
+  // Failure context, one line per sample: whether channel 0 held nothing
+  // unacked at the kill (replay bytes and ack lag near 0 under even
+  // weights) or its stream had stalled (lag growing, splitter not
+  // blocking).
+  const obs::Gauge& replay_bytes =
+      region.metrics().gauge("splitter.replay_buffer_bytes");
+  const obs::Gauge& ack_lag = region.metrics().gauge("splitter.ack_lag");
+  std::string samples;
+  region.set_sample_hook([&](const rt::LocalSample& s) {
+    samples += "t=" + std::to_string(s.elapsed / millis(1)) + "ms w=[";
+    for (const Weight w : s.weights) samples += " " + std::to_string(w);
+    samples += " ] block=[";
+    for (const double r : s.block_rates) {
+      samples += " " + std::to_string(r).substr(0, 4);
+    }
+    samples += " ] replay_bytes=" + std::to_string(replay_bytes.value()) +
+               " ack_lag=" + std::to_string(ack_lag.value()) + "\n";
+  });
   const rt::LocalRunStats stats = region.run(millis(300));
+  SCOPED_TRACE("samples:\n" + samples);
 
   // GapSkip would report every tuple caught in the dead worker's buffers
   // as a gap; at-least-once replays them onto the survivor instead.

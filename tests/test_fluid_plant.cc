@@ -89,12 +89,15 @@ TEST(FluidPlant, EvenCapacitiesStayEven) {
   fluid::PlantConfig cfg = plant(2, 0);
   cfg.capacities = {2500.0, 2500.0};
   LoadBalanceController ctrl(2);
+  ServiceMeter meter(2);
   Weight lowest = kWeightUnits;
   fluid::run_plant(cfg, ctrl.weights(),
                    [&](int, TimeNs now, const std::vector<DurationNs>& b,
                        const std::vector<std::uint64_t>& c,
                        const std::vector<DurationNs>& busy) {
-                     const WeightVector& w = ctrl.update(now, b, c, busy);
+                     meter.ingest(c, busy);
+                     const WeightVector& w =
+                         ctrl.update(now, b, meter.fresh());
                      lowest = std::min({lowest, w[0], w[1]});
                      return w;
                    });
