@@ -26,8 +26,6 @@ struct AblationResult {
 };
 
 AblationResult run(ControllerConfig cc, double duration_s) {
-  // The ablated knobs belong to the paper's blocking-rate rule.
-  cc.rule = AllocationRule::kBlockingRate;
   ExperimentSpec spec;
   spec.workers = 4;
   spec.base_multiplies = 1000;
@@ -35,8 +33,9 @@ AblationResult run(ControllerConfig cc, double duration_s) {
   spec.controller = cc;
   spec.loads.push_back({{0, 1}, 10.0, duration_s / 4.0});
 
-  // Force the adaptive path even when decay == 1.0 (that IS the ablation).
-  auto policy = std::make_unique<LoadBalancingPolicy>(spec.workers, cc);
+  // The ablated knobs belong to the paper's blocking-rate rule. Force the
+  // adaptive path even when decay == 1.0 (that IS the ablation).
+  auto policy = std::make_unique<BlockingRatePolicy>(spec.workers, cc);
   Region region(build_region_config(spec), std::move(policy),
                 build_load_profile(spec), spec.hosts);
 

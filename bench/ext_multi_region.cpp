@@ -41,9 +41,7 @@ PhaseStats run(bool lb, bool burst, double total_paper_s, CsvWriter* csv) {
 
   std::unique_ptr<SplitPolicy> policy;
   if (lb) {
-    ControllerConfig paper;
-    paper.rule = AllocationRule::kBlockingRate;
-    policy = std::make_unique<LoadBalancingPolicy>(4, paper);
+    policy = std::make_unique<BlockingRatePolicy>(4);
   } else {
     policy = std::make_unique<RoundRobinPolicy>(4);
   }

@@ -78,10 +78,7 @@ int main() {
                     std::make_unique<RerouteOnBlockPolicy>(4)});
     alts.push_back({"TP-balance",
                     std::make_unique<ThroughputBalancedPolicy>(4)});
-    ControllerConfig paper;
-    paper.rule = AllocationRule::kBlockingRate;
-    alts.push_back(
-        {"LB-adaptive", std::make_unique<LoadBalancingPolicy>(4, paper)});
+    alts.push_back({"LB-adaptive", std::make_unique<BlockingRatePolicy>(4)});
     for (Alt& alt : alts) {
       const Row row = run(kind.ordered, kind.merge_buffer,
                           std::move(alt.policy), duration_s);

@@ -59,7 +59,6 @@ struct Outcome {
 Outcome run_one(const std::string& name, bool protect, DurationNs duration) {
   sim::RegionConfig cfg = base_config();
   ControllerConfig ctrl;
-  ctrl.rule = AllocationRule::kBlockingRate;  // the paper's LB-adaptive
   if (protect) {
     ctrl.enable_overload_protection = true;
     cfg.protection.shed_high_watermark = 128;
@@ -70,7 +69,8 @@ Outcome run_one(const std::string& name, bool protect, DurationNs duration) {
   if (name == "RR") {
     policy = std::make_unique<RoundRobinPolicy>(kWorkers);
   } else {
-    policy = std::make_unique<LoadBalancingPolicy>(kWorkers, ctrl);
+    // The paper's LB-adaptive.
+    policy = std::make_unique<BlockingRatePolicy>(kWorkers, ctrl);
   }
   sim::Region region(cfg, std::move(policy));
 

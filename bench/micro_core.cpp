@@ -348,10 +348,8 @@ void BM_SimRegionSend(benchmark::State& state) {
   cfg.sample_period = millis(10);
   // The paper's rule, as in every figure, so the row times the same
   // decisions from one build to the next.
-  ControllerConfig paper;
-  paper.rule = AllocationRule::kBlockingRate;
-  sim::Region region(
-      cfg, std::make_unique<LoadBalancingPolicy>(cfg.workers, paper));
+  sim::Region region(cfg,
+                     std::make_unique<BlockingRatePolicy>(cfg.workers));
   region.start();
   std::uint64_t prev_sent = 0;
   std::uint64_t items = 0;

@@ -43,8 +43,7 @@ const WeightVector& LoadBalanceController::update(
   // be attributed to them, not to whatever we decide next.
   const WeightVector held = weights_;
 
-  const bool by_capacity =
-      config_.rule == AllocationRule::kCapacity && !capacity.empty();
+  const bool by_capacity = !capacity.empty();
   estimator_.ingest(now, cumulative_blocked);
   if (!estimator_.ready()) return weights_;
 
@@ -88,11 +87,7 @@ const WeightVector& LoadBalanceController::update(
     // detector and the journal.
     if (!measure_capacity(capacity)) return weights_;
     allocate_by_capacity();
-    ++status_.updates;
-    if (metrics_.updates != nullptr) {
-      metrics_.updates->inc();
-      metrics_.live->set(live());
-    }
+    note_update();
     return weights_;
   }
 
@@ -135,13 +130,16 @@ const WeightVector& LoadBalanceController::update(
     status_.clusters.clear();
     solve_flat();
   }
+  note_update();
+  return weights_;
+}
 
+void LoadBalanceController::note_update() {
   ++status_.updates;
   if (metrics_.updates != nullptr) {
     metrics_.updates->inc();
     metrics_.live->set(live());
   }
-  return weights_;
 }
 
 bool LoadBalanceController::measure_capacity(std::span<const double> fresh) {

@@ -1,15 +1,16 @@
 // The load-balance controller: one instance per parallel region's
-// splitter. Under AllocationRule::kBlockingRate this is the paper's full
-// pipeline (Figures 4 and 6):
+// splitter. Each period's sample picks the rule. A sample without capacity
+// readings runs the paper's full pipeline (Figures 4 and 6):
 //
 //   sample cumulative blocking  ->  blocking rates  ->  update F_j
 //     ->  (decay for exploration)  ->  (cluster when wide)
 //     ->  solve minimax RAP  ->  new allocation weights
 //
-// Under the default AllocationRule::kCapacity the weights follow each
-// worker's service-time capacity instead (DESIGN.md §11), as read by the
-// region's ServiceMeter; the blocking rates still feed the journal and the
-// saturation detector.
+// A sample that carries readings allocates by each worker's service-time
+// capacity instead (DESIGN.md §11), as read by the region's ServiceMeter;
+// the blocking rates still feed the journal and the saturation detector.
+// Policies choose the rule by what they pass: LoadBalancingPolicy hands
+// over the readings, BlockingRatePolicy (the paper's) never does.
 //
 // The controller is substrate-agnostic: callers feed it cumulative
 // blocking counters (from the simulator or from real TCP instrumentation)
@@ -34,25 +35,12 @@
 
 namespace slb {
 
-/// How the controller turns a period's sample into weights.
-enum class AllocationRule {
-  /// Weights proportional to each channel's service-time capacity, read
-  /// from its worker's completions and busy time (DESIGN.md §11). A sample
-  /// without capacity readings falls back to kBlockingRate.
-  kCapacity,
-  /// The paper's rule: blocking-rate functions F_j and the minimax RAP
-  /// (LB-adaptive, or LB-static with `decay_factor = 1.0`).
-  kBlockingRate,
-};
-
-/// Controller tunables. The default allocates by measured capacity; set
-/// `rule = AllocationRule::kBlockingRate` for the paper's LB-adaptive, and
-/// `decay_factor = 1.0` as well for LB-static. The rate functions and the
-/// clustering use the defaults of RateFunctionConfig and ClusteringConfig;
-/// the RAP bounds are fixed (LoadBalanceController::kGeometricStepFloor).
+/// Controller tunables. The rate functions and the clustering use the
+/// defaults of RateFunctionConfig and ClusteringConfig; the RAP bounds are
+/// fixed (LoadBalanceController::kGeometricStepFloor). Every field but the
+/// overload protection belongs to the paper's rule; `decay_factor = 1.0`
+/// makes it LB-static.
 struct ControllerConfig {
-  AllocationRule rule = AllocationRule::kCapacity;
-
   /// Per-iteration geometric decay applied to F_j beyond the current
   /// weight (Section 5.4). 0.9 = the paper's 10 % reduction; 1.0 disables
   /// exploration (LB-static).
@@ -117,10 +105,10 @@ class LoadBalanceController {
   /// Feeds one sampling period. `cumulative_blocked[j]` is connection j's
   /// cumulative blocking time (ns) at time `now`; `capacity[j]` is the
   /// period's capacity reading of j's worker (tuples/s,
-  /// ServiceMeter::fresh()), -1 where it has none, and the span is empty
-  /// when the substrate cannot read its workers. Returns the weights to
-  /// apply until the next update. The first call only establishes a
-  /// baseline and returns the initial even split.
+  /// ServiceMeter::fresh()), -1 where it has none. A non-empty `capacity`
+  /// allocates by capacity; an empty one runs the paper's rule. Returns
+  /// the weights to apply until the next update. The first call only
+  /// establishes a baseline and returns the initial even split.
   const WeightVector& update(TimeNs now,
                              std::span<const DurationNs> cumulative_blocked,
                              std::span<const double> capacity = {});
@@ -186,7 +174,6 @@ class LoadBalanceController {
   /// Estimated fraction of the offered load exceeding capacity (0 when
   /// not overloaded). Drives source throttling and shedding.
   double capacity_deficit() const { return saturation_.capacity_deficit(); }
-  const SaturationDetector& saturation() const { return saturation_; }
 
  private:
   /// Capacity rule: folds this period's readings into the estimates
@@ -200,6 +187,8 @@ class LoadBalanceController {
   void solve_flat();
   void solve_clustered();
   void journal_solve(std::string_view mode);
+  /// Counts one update that produced weights.
+  void note_update();
   /// Journals + counts an overload enter/exit edge after observe().
   void note_overload_transition(TimeNs now);
 

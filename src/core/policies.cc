@@ -35,15 +35,9 @@ void LoadBalancingPolicy::on_sample(const PolicySample& sample) {
 
 void LoadBalancingPolicy::on_sample(
     TimeNs now, std::span<const DurationNs> cumulative_blocked) {
-  on_sample(PolicySample{now, cumulative_blocked, {}, {}});
-}
-
-std::string LoadBalancingPolicy::name() const {
-  if (controller_.config().rule == AllocationRule::kCapacity) {
-    return "LB-capacity";
-  }
-  return controller_.config().decay_factor < 1.0 ? "LB-adaptive"
-                                                 : "LB-static";
+  // Qualified: a virtual call would reach BlockingRatePolicy's override,
+  // which forwards back here.
+  LoadBalancingPolicy::on_sample(PolicySample{now, cumulative_blocked, {}, {}});
 }
 
 void LoadBalancingPolicy::on_channel_down(ConnectionId j) {

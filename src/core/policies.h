@@ -3,9 +3,11 @@
 // LB-adaptive, RR, and Section 4.4's transport-level re-routing).
 //
 // A policy answers two questions: "which connection gets the next tuple?"
-// (pick_connection) and "what should change given this period's blocking
-// counters?" (on_sample). Substrates call both; a policy that ignores
-// samples (RR) is simply static.
+// (pick_connection) and "what should change given what the region measured
+// this period?" (on_sample: blocking counters, capacity readings,
+// deliveries). Substrates call both; a policy that ignores samples (RR) is
+// simply static. Each allocation rule is a type: LoadBalancingPolicy
+// allocates by measured capacity, BlockingRatePolicy by the paper's rule.
 #pragma once
 
 #include <memory>
@@ -148,20 +150,17 @@ class RerouteOnBlockPolicy : public RoundRobinPolicy {
   std::string name() const override { return "RR-reroute"; }
 };
 
-/// The load-balance controller routed with smooth weighted round-robin.
-/// Under the default capacity rule, "LB-capacity", which allocates from
-/// each sample's capacity readings; under the paper's
-/// blocking-rate rule (blocking-rate functions + minimax RAP),
-/// "LB-adaptive" with decay_factor < 1 and "LB-static" with
-/// decay_factor == 1.
+/// The load-balance controller routed with smooth weighted round-robin,
+/// "LB-capacity": weights from each sample's capacity readings (DESIGN.md
+/// §11). A sample without readings, such as one that arrives through
+/// on_sample(now, blocked), runs the paper's rule instead.
 class LoadBalancingPolicy : public SplitPolicy {
  public:
   LoadBalancingPolicy(int connections, ControllerConfig config = {});
 
   ConnectionId pick_connection() override { return wrr_.pick(); }
   void on_sample(const PolicySample& sample) override;
-  /// Blocking counters only (no capacity readings): the capacity rule
-  /// falls back to the paper's.
+  /// Blocking counters only (no capacity readings): the paper's rule.
   void on_sample(TimeNs now,
                  std::span<const DurationNs> cumulative_blocked) override;
   void on_channel_down(ConnectionId j) override;
@@ -175,7 +174,7 @@ class LoadBalancingPolicy : public SplitPolicy {
   const WeightVector& weights() const override {
     return safe_mode_ ? wrr_.weights() : controller_.weights();
   }
-  std::string name() const override;
+  std::string name() const override { return "LB-capacity"; }
 
   /// Controller counters/gauges land under `prefix` (e.g. "policy." ->
   /// "policy.updates"); a safe-mode gauge rides along.
@@ -197,6 +196,22 @@ class LoadBalancingPolicy : public SplitPolicy {
   /// controller's output is ignored (though it keeps learning).
   bool safe_mode_ = false;
   obs::Gauge* safe_mode_gauge_ = nullptr;
+};
+
+/// The paper's rule (Sections 5.2-5.4): blocking-rate functions F_j and
+/// the minimax RAP, fed the blocking counters alone, whatever else a sample
+/// carries. "LB-adaptive" with decay_factor < 1, "LB-static" with 1.
+class BlockingRatePolicy final : public LoadBalancingPolicy {
+ public:
+  using LoadBalancingPolicy::LoadBalancingPolicy;
+  using LoadBalancingPolicy::on_sample;
+  void on_sample(const PolicySample& sample) override {
+    LoadBalancingPolicy::on_sample(sample.now, sample.blocked);
+  }
+  std::string name() const override {
+    return controller().config().decay_factor < 1.0 ? "LB-adaptive"
+                                                    : "LB-static";
+  }
 };
 
 /// Oracle*: applies externally-known ideal weights on a fixed schedule

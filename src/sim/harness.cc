@@ -120,9 +120,7 @@ double work_fraction(const ExperimentSpec& spec) {
 
 ControllerConfig controller_config_for(PolicyKind kind,
                                        const ExperimentSpec& spec) {
-  // The paper's rule, so every figure reproduces the paper's policies.
   ControllerConfig config = spec.controller;
-  config.rule = AllocationRule::kBlockingRate;
   config.decay_factor = kind == PolicyKind::kLbAdaptive
                             ? (config.decay_factor < 1.0 ? config.decay_factor
                                                          : 0.9)
@@ -171,7 +169,8 @@ std::unique_ptr<SplitPolicy> make_policy(PolicyKind kind,
       return std::make_unique<RerouteOnBlockPolicy>(spec.workers);
     case PolicyKind::kLbStatic:
     case PolicyKind::kLbAdaptive:
-      return std::make_unique<LoadBalancingPolicy>(
+      // The paper's rule, so every figure reproduces the paper's policies.
+      return std::make_unique<BlockingRatePolicy>(
           spec.workers, controller_config_for(kind, spec));
     case PolicyKind::kOracle: {
       // One phase per change time, then the work-lifted phase, which the

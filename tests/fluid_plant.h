@@ -18,9 +18,9 @@
 //     starved channel (weight 0) completes nothing. Busy time is what
 //     those completions cost at the channel's capacity.
 //
-// A controller sees exactly what a substrate hands RegionControlLoop::tick:
-// cumulative blocked ns, and cumulative completions and busy ns per worker,
-// which the plant reads through a ServiceMeter as the loop does.
+// A policy sees exactly what RegionControlLoop::tick hands it: cumulative
+// blocked ns, and the capacity readings of a ServiceMeter fed cumulative
+// completions and busy ns per worker, as the loop's is.
 // Oracle* (weights proportional to the true capacity, switched at each hop)
 // runs through the same plant, so every case reports its own headroom.
 #pragma once
@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/controller.h"
@@ -133,23 +134,26 @@ inline PlantResult run_plant(const PlantConfig& cfg, const WeightVector& start,
   return result;
 }
 
-/// Drives a bare LoadBalanceController through the plant.
-inline PlantResult run_controller(const PlantConfig& cfg,
-                                  const ControllerConfig& controller) {
+/// Drives a fresh `Policy` (LoadBalancingPolicy or BlockingRatePolicy)
+/// through the plant, one PolicySample per period.
+template <typename Policy>
+PlantResult run_policy(const PlantConfig& cfg) {
   const std::size_t n = cfg.capacities.size();
-  LoadBalanceController ctrl(static_cast<int>(n), controller);
+  Policy policy(static_cast<int>(n));
   ServiceMeter meter(static_cast<int>(n));
   const auto update = [&](TimeNs now, const std::vector<DurationNs>& blocked,
                           const std::vector<std::uint64_t>& completed,
                           const std::vector<DurationNs>& busy) {
-    if (!cfg.completions) return ctrl.update(now, blocked);
     meter.ingest(completed, busy);
-    return ctrl.update(now, blocked, meter.fresh());
+    policy.on_sample(PolicySample{
+        now, blocked,
+        cfg.completions ? meter.fresh() : std::span<const double>{}, {}});
+    return policy.weights();
   };
   // The baseline sample, taken as the region starts.
   update(0, std::vector<DurationNs>(n, 0), std::vector<std::uint64_t>(n, 0),
          std::vector<DurationNs>(n, 0));
-  return run_plant(cfg, ctrl.weights(),
+  return run_plant(cfg, policy.weights(),
                    [&](int, TimeNs now, const std::vector<DurationNs>& blocked,
                        const std::vector<std::uint64_t>& completed,
                        const std::vector<DurationNs>& busy) {

@@ -1,4 +1,4 @@
-// The controller's default allocation rule: weights proportional to each
+// The controller's capacity rule (LB-capacity): weights proportional to each
 // channel's service-time capacity, read from its worker's completions and
 // busy time (DESIGN.md §11).
 #include <gtest/gtest.h>
@@ -230,23 +230,30 @@ TEST(CapacityRule, ReadmittedChannelProbesUntilMeasured) {
 }
 
 TEST(CapacityRule, WithoutCompletionsTheBlockingRuleDecides) {
-  ControllerConfig paper;
-  paper.rule = AllocationRule::kBlockingRate;
-  LoadBalanceController capacity(2);
-  LoadBalanceController blocking(2, paper);
+  // LB-capacity fed samples without readings, or only the blocking
+  // counters (as a wrapper forwarding on_sample(now, blocked) feeds it),
+  // journals what the paper's type journals.
+  LoadBalancingPolicy sampled(2);
+  LoadBalancingPolicy forwarded(2);
+  BlockingRatePolicy paper(2);
   obs::DecisionJournal a;
   obs::DecisionJournal b;
-  capacity.set_journal(&a);
-  blocking.set_journal(&b);
+  obs::DecisionJournal c;
+  sampled.set_journal(&a);
+  forwarded.set_journal(&b);
+  paper.set_journal(&c);
   std::vector<DurationNs> cumulative{0, 0};
   for (int p = 0; p < 20; ++p) {
     cumulative[0] += millis(90);
     cumulative[1] += millis(1);
-    capacity.update(p * millis(100), cumulative);
-    blocking.update(p * millis(100), cumulative);
+    const TimeNs now = p * millis(100);
+    sampled.on_sample(PolicySample{now, cumulative, {}, {}});
+    forwarded.on_sample(now, cumulative);
+    paper.on_sample(now, cumulative);
   }
   EXPECT_GT(a.entries(), 20u);
-  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(a.digest(), c.digest());
+  EXPECT_EQ(b.digest(), c.digest());
 }
 
 }  // namespace

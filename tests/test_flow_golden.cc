@@ -61,15 +61,8 @@ PipelineConfig overloaded_pipeline(bool open_loop) {
   return cfg;
 }
 
-/// The committed golden pins the paper's blocking-rate rule.
-ControllerConfig paper_controller() {
-  ControllerConfig cfg;
-  cfg.rule = AllocationRule::kBlockingRate;
-  return cfg;
-}
-
 ControllerConfig overload_controller() {
-  ControllerConfig cfg = paper_controller();
+  ControllerConfig cfg;
   cfg.enable_overload_protection = true;
   cfg.saturation.smoothing_alpha = 1.0;
   cfg.saturation.enter_periods = 2;
@@ -83,6 +76,8 @@ struct Shape {
   int slices;
 };
 
+/// Every load-balanced stage runs the paper's blocking-rate rule, which
+/// the committed golden pins.
 std::vector<Shape> shapes() {
   std::vector<Shape> out;
   out.push_back({"lb-one-stage", [] {
@@ -91,8 +86,7 @@ std::vector<Shape> shapes() {
                    PipelineBuilder b(fast_config());
                    b.op("pre", micros(1));
                    b.parallel("par", 4, micros(20),
-                              std::make_unique<LoadBalancingPolicy>(
-                                  4, paper_controller()),
+                              std::make_unique<BlockingRatePolicy>(4),
                               true, std::move(load));
                    return b.build();
                  },
@@ -104,12 +98,10 @@ std::vector<Shape> shapes() {
                    second_load.add_step(2, 0, 15.0);
                    PipelineBuilder b(fast_config());
                    b.parallel("stage-a", 3, micros(15),
-                              std::make_unique<LoadBalancingPolicy>(
-                                  3, paper_controller()),
+                              std::make_unique<BlockingRatePolicy>(3),
                               true, std::move(first_load));
                    b.parallel("stage-b", 3, micros(15),
-                              std::make_unique<LoadBalancingPolicy>(
-                                  3, paper_controller()),
+                              std::make_unique<BlockingRatePolicy>(3),
                               true, std::move(second_load));
                    return b.build();
                  },
@@ -131,8 +123,7 @@ std::vector<Shape> shapes() {
                    load.add_step(1, millis(50), 3.0);
                    PipelineBuilder b(cfg);
                    b.parallel("par", 2, micros(30),
-                              std::make_unique<LoadBalancingPolicy>(
-                                  2, paper_controller()),
+                              std::make_unique<BlockingRatePolicy>(2),
                               true, std::move(load));
                    b.op("post", micros(2));
                    return b.build();
@@ -144,8 +135,7 @@ std::vector<Shape> shapes() {
                    cfg.protection.watchdog_periods = 4;
                    PipelineBuilder b(cfg);
                    b.parallel("score", 4, micros(10),
-                              std::make_unique<LoadBalancingPolicy>(
-                                  4, paper_controller()));
+                              std::make_unique<BlockingRatePolicy>(4));
                    return b.build();
                  },
                  millis(40), 10});
@@ -155,7 +145,7 @@ std::vector<Shape> shapes() {
                    cfg.protection.shed_low_watermark = 64;
                    PipelineBuilder b(cfg);
                    b.parallel("score", 4, micros(10),
-                              std::make_unique<LoadBalancingPolicy>(
+                              std::make_unique<BlockingRatePolicy>(
                                   4, overload_controller()));
                    return b.build();
                  },
@@ -163,11 +153,11 @@ std::vector<Shape> shapes() {
   out.push_back({"overload-admission", [] {
                    PipelineConfig cfg = overloaded_pipeline(false);
                    cfg.protection.admission_control = true;
-                   ControllerConfig ctrl = paper_controller();
+                   ControllerConfig ctrl;
                    ctrl.enable_overload_protection = true;
                    PipelineBuilder b(cfg);
                    b.parallel("score", 4, micros(10),
-                              std::make_unique<LoadBalancingPolicy>(4, ctrl));
+                              std::make_unique<BlockingRatePolicy>(4, ctrl));
                    return b.build();
                  },
                  millis(50), 12});
@@ -181,8 +171,7 @@ std::vector<Shape> shapes() {
                    b.op("parse", micros(1));
                    b.op("enrich", micros(2));
                    b.parallel("score", 6, micros(30),
-                              std::make_unique<LoadBalancingPolicy>(
-                                  6, paper_controller()),
+                              std::make_unique<BlockingRatePolicy>(6),
                               true, std::move(score_load));
                    b.op("emit", micros(1));
                    return b.build();

@@ -11,12 +11,6 @@
 namespace slb {
 namespace {
 
-ControllerConfig paper_rule() {
-  ControllerConfig cfg;
-  cfg.rule = AllocationRule::kBlockingRate;
-  return cfg;
-}
-
 fluid::PlantConfig plant(int d, int hop_every) {
   fluid::PlantConfig cfg;
   cfg.dead_periods = d;
@@ -39,7 +33,7 @@ TEST(FluidPlant, PaperRuleReproducesTheStaticRow) {
   const double expected[] = {5495.0, 4896.0, 4418.0};
   for (int d = 0; d <= 2; ++d) {
     const fluid::PlantConfig cfg = plant(d, 0);
-    const fluid::PlantResult r = fluid::run_controller(cfg, paper_rule());
+    const fluid::PlantResult r = fluid::run_policy<BlockingRatePolicy>(cfg);
     report("paper rule, static", cfg, r);
     EXPECT_NEAR(r.tput, expected[d], 1.0) << "d=" << d;
   }
@@ -49,14 +43,14 @@ TEST(FluidPlant, PaperRuleIgnoresCompletions) {
   fluid::PlantConfig with = plant(2, 25);
   fluid::PlantConfig without = with;
   without.completions = false;
-  EXPECT_EQ(fluid::run_controller(with, paper_rule()).tput,
-            fluid::run_controller(without, paper_rule()).tput);
+  EXPECT_EQ(fluid::run_policy<BlockingRatePolicy>(with).tput,
+            fluid::run_policy<BlockingRatePolicy>(without).tput);
 }
 
 TEST(FluidPlant, CapacityRuleHoldsTheStaticOptimum) {
   for (int d : {0, 2, 5, 10}) {
     const fluid::PlantConfig cfg = plant(d, 0);
-    const fluid::PlantResult r = fluid::run_controller(cfg, {});
+    const fluid::PlantResult r = fluid::run_policy<LoadBalancingPolicy>(cfg);
     report("capacity rule, static", cfg, r);
     EXPECT_GE(r.tput, 5000.0) << "d=" << d;
     // 91 is the capacity share of the loaded channel.
@@ -68,20 +62,20 @@ TEST(FluidPlant, CapacityRuleHoldsTheStaticOptimum) {
 TEST(FluidPlant, CapacityRuleRelearnsHops) {
   for (int d : {0, 1, 2, 5}) {
     const fluid::PlantConfig cfg = plant(d, 25);
-    const fluid::PlantResult r = fluid::run_controller(cfg, {});
+    const fluid::PlantResult r = fluid::run_policy<LoadBalancingPolicy>(cfg);
     report("capacity rule, hops", cfg, r);
     EXPECT_GE(r.tput, 3500.0) << "d=" << d;
   }
   // The blocking-rate rule on the same hops, for the record.
   const fluid::PlantConfig cfg = plant(5, 25);
-  report("paper rule, hops", cfg, fluid::run_controller(cfg, paper_rule()));
+  report("paper rule, hops", cfg, fluid::run_policy<BlockingRatePolicy>(cfg));
 }
 
 TEST(FluidPlant, CapacityRuleWithoutCompletionsIsThePaperRule) {
   fluid::PlantConfig cfg = plant(1, 25);
   cfg.completions = false;
-  EXPECT_EQ(fluid::run_controller(cfg, {}).tput,
-            fluid::run_controller(cfg, paper_rule()).tput);
+  EXPECT_EQ(fluid::run_policy<LoadBalancingPolicy>(cfg).tput,
+            fluid::run_policy<BlockingRatePolicy>(cfg).tput);
 }
 
 TEST(FluidPlant, EvenCapacitiesStayEven) {

@@ -32,9 +32,10 @@ constexpr const char* kGoldenPath =
 constexpr const char* kCapacityGoldenPath =
     SLB_GOLDEN_DIR "/decision_journal_capacity.jsonl";
 
+constexpr int kWorkers = 3;
+
 ControllerConfig golden_controller(double decay_factor = 0.9) {
   ControllerConfig cfg;
-  cfg.rule = AllocationRule::kBlockingRate;
   cfg.decay_factor = decay_factor;
   cfg.enable_overload_protection = true;
   cfg.saturation.enter_periods = 3;
@@ -45,10 +46,10 @@ ControllerConfig golden_controller(double decay_factor = 0.9) {
 /// event-ordered faults, seeded policy. Returns the journal contents: the
 /// controller's decisions and, with `capacity_lines`, the control loop's
 /// per-period capacity lines as well.
-obs::DecisionJournal run_scenario(const ControllerConfig& controller,
+obs::DecisionJournal run_scenario(std::unique_ptr<LoadBalancingPolicy> policy,
                                   bool capacity_lines = false) {
   sim::RegionConfig cfg;
-  cfg.workers = 3;
+  cfg.workers = kWorkers;
   cfg.base_cost = micros(6);
   cfg.send_overhead = 500;
   cfg.sample_period = millis(5);
@@ -64,7 +65,6 @@ obs::DecisionJournal run_scenario(const ControllerConfig& controller,
     load.add_step(j, millis(170), 1.0);
   }
 
-  auto policy = std::make_unique<LoadBalancingPolicy>(cfg.workers, controller);
   obs::DecisionJournal journal;
   policy->set_journal(&journal);
 
@@ -93,16 +93,18 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
+/// The scenario under the paper's rule.
 obs::DecisionJournal run_scenario(double decay_factor = 0.9) {
-  return run_scenario(golden_controller(decay_factor));
+  return run_scenario(std::make_unique<BlockingRatePolicy>(
+      kWorkers, golden_controller(decay_factor)));
 }
 
-/// The same scenario under the default capacity rule, with the loop's
-/// capacity lines.
+/// The same scenario under the capacity rule, with the loop's capacity
+/// lines.
 obs::DecisionJournal run_capacity_scenario() {
-  ControllerConfig cfg = golden_controller();
-  cfg.rule = AllocationRule::kCapacity;
-  return run_scenario(cfg, /*capacity_lines=*/true);
+  return run_scenario(
+      std::make_unique<LoadBalancingPolicy>(kWorkers, golden_controller()),
+      /*capacity_lines=*/true);
 }
 
 bool contains(const obs::DecisionJournal& journal, std::string_view needle) {

@@ -1,9 +1,12 @@
 // Tests for the splitter routing policies and weight rounding.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "core/policies.h"
+#include "obs/journal.h"
+#include "util/time.h"
 
 namespace slb {
 namespace {
@@ -39,13 +42,11 @@ TEST(Reroute, FlagsTransportRerouting) {
 
 TEST(LbPolicy, NameReflectsDecay) {
   ControllerConfig adaptive;
-  adaptive.rule = AllocationRule::kBlockingRate;
   adaptive.decay_factor = 0.9;
-  EXPECT_EQ(LoadBalancingPolicy(2, adaptive).name(), "LB-adaptive");
+  EXPECT_EQ(BlockingRatePolicy(2, adaptive).name(), "LB-adaptive");
   ControllerConfig statc;
-  statc.rule = AllocationRule::kBlockingRate;
   statc.decay_factor = 1.0;
-  EXPECT_EQ(LoadBalancingPolicy(2, statc).name(), "LB-static");
+  EXPECT_EQ(BlockingRatePolicy(2, statc).name(), "LB-static");
 }
 
 TEST(LbPolicy, NameReflectsCapacityRule) {
@@ -66,6 +67,66 @@ TEST(LbPolicy, RoutesByControllerWeights) {
     if (p.pick_connection() == 0) ++zero_picks;
   }
   EXPECT_EQ(zero_picks, p.weights()[0]);
+}
+
+/// How drive() hands a policy each period.
+enum class Feed {
+  kBlocked,         // on_sample(now, blocked), as a wrapper forwarding it does
+  kSample,          // on_sample(const PolicySample&) without readings
+  kSampleReadings,  // on_sample(const PolicySample&) with capacity readings
+};
+
+/// Feeds `p` 20 periods in which connection 0 blocks 90% of each period
+/// and connection 1 blocks 1%; readings, where fed, say 500 and 5000
+/// tuples/s. Returns what the policy journaled.
+obs::DecisionJournal drive(SplitPolicy& p, Feed feed) {
+  obs::DecisionJournal journal;
+  p.set_journal(&journal);
+  std::vector<DurationNs> blocked{0, 0};
+  const std::vector<double> readings{500.0, 5000.0};
+  for (int t = 0; t < 20; ++t) {
+    blocked[0] += millis(90);
+    blocked[1] += millis(1);
+    const TimeNs now = t * millis(100);
+    if (feed == Feed::kBlocked) {
+      p.on_sample(now, blocked);
+    } else {
+      p.on_sample(PolicySample{
+          now, blocked,
+          feed == Feed::kSampleReadings ? std::span<const double>(readings)
+                                        : std::span<const double>{},
+          {}});
+    }
+  }
+  p.set_journal(nullptr);
+  return journal;
+}
+
+TEST(BlockingRatePolicy, IgnoresCapacityReadings) {
+  BlockingRatePolicy with(2);
+  BlockingRatePolicy without(2);
+  const obs::DecisionJournal a = drive(with, Feed::kSampleReadings);
+  const obs::DecisionJournal b = drive(without, Feed::kSample);
+  EXPECT_GT(a.entries(), 20u);
+  EXPECT_EQ(a.lines(), b.lines());
+  // The same readings do move LB-capacity.
+  LoadBalancingPolicy capacity(2);
+  EXPECT_NE(drive(capacity, Feed::kSampleReadings).digest(), a.digest());
+}
+
+TEST(LbPolicy, EveryOnSampleOverloadReturns) {
+  // Each type forwards one overload to the other; neither may recurse.
+  LoadBalancingPolicy capacity(2);
+  BlockingRatePolicy paper(2);
+  for (SplitPolicy* p : {static_cast<SplitPolicy*>(&capacity),
+                         static_cast<SplitPolicy*>(&paper)}) {
+    for (Feed feed : {Feed::kBlocked, Feed::kSample, Feed::kSampleReadings}) {
+      drive(*p, feed);
+      EXPECT_EQ(total_weight(p->weights()), kWeightUnits);
+    }
+  }
+  EXPECT_GT(capacity.controller().status().updates, 0);
+  EXPECT_GT(paper.controller().status().updates, 0);
 }
 
 TEST(Oracle, AppliesInitialPhaseImmediately) {

@@ -41,6 +41,17 @@ TEST(Harness, PolicyNames) {
   EXPECT_EQ(policy_name(PolicyKind::kOracle), "Oracle*");
 }
 
+TEST(Harness, MakePolicyBuildsTheNamedPolicy) {
+  ExperimentSpec spec;
+  spec.workers = 4;
+  spec.loads.push_back({{0}, 10.0, 5.0});
+  for (PolicyKind kind :
+       {PolicyKind::kRoundRobin, PolicyKind::kReroute, PolicyKind::kLbStatic,
+        PolicyKind::kLbAdaptive, PolicyKind::kOracle}) {
+    EXPECT_EQ(make_policy(kind, spec)->name(), policy_name(kind));
+  }
+}
+
 TEST(Harness, LoadProfileFromClasses) {
   ExperimentSpec spec;
   spec.workers = 4;
