@@ -71,8 +71,8 @@ void RegionControlLoop::set_journal(obs::DecisionJournal* journal) {
   policy_->set_journal(journal);
 }
 
-void RegionControlLoop::check_ack_stall(TimeNs now,
-                                        const DeliverySample& d) {
+void RegionControlLoop::check_ack_stall(TimeNs now, const DeliverySample& d,
+                                        double aggregate) {
   const bool any_up = std::find(down_.begin(), down_.end(), 0) != down_.end();
   // A stall with every channel quarantined is expected (nothing can
   // deliver, let alone ack); the reconnect machinery owns that case.
@@ -93,7 +93,7 @@ void RegionControlLoop::check_ack_stall(TimeNs now,
         .num("unacked", d.unacked);
     journal_->append(line.finish());
   }
-  watchdog_escalate(now, actions_.aggregate_block);
+  watchdog_escalate(now, aggregate);
 }
 
 void RegionControlLoop::publish_capacity(TimeNs now, DurationNs span) {
@@ -125,12 +125,13 @@ void RegionControlLoop::publish_capacity(TimeNs now, DurationNs span) {
   const double headroom = rate > 0.0 ? capacity_sum / periods / rate : 0.0;
   headroom_gauge_.set(std::llround(headroom * 1000.0));
 
+  const WeightVector& weights = policy_->weights();
   int bottleneck = -1;
   double worst = -1.0;
   for (std::size_t j = 0; j < down_.size(); ++j) {
     const double c = service_.capacity(static_cast<int>(j));
     if (down_[j] != 0 || c <= 0.0) continue;
-    const double load = static_cast<double>(actions_.weights[j]) / c;
+    const double load = static_cast<double>(weights[j]) / c;
     if (load > worst) {
       worst = load;
       bottleneck = static_cast<int>(j);
@@ -174,7 +175,6 @@ const ControlActions& RegionControlLoop::tick(
     aggregate += rate;
     prev_cumulative_[j] = cumulative_blocked[j];
   }
-  actions_.aggregate_block = aggregate;
 
   // 2. Policy update on this period's capacity readings: decay /
   // regression / RAP solve or capacity allocation (or frozen weights under
@@ -189,10 +189,8 @@ const ControlActions& RegionControlLoop::tick(
 
   // 3. Admission throttle, computed with the *current* watchdog stage —
   // an escalation this period takes effect on the next period's factor.
-  const SplitPolicy::OverloadState overload = policy_->overload_state();
-  actions_.overloaded = overload.overloaded;
-  actions_.capacity_deficit = overload.capacity_deficit;
   if (protection_.admission_control && closed_loop_source_) {
+    const SplitPolicy::OverloadState overload = policy_->overload_state();
     double factor = 1.0;
     if (overload.overloaded) {
       factor = std::clamp(1.0 - overload.capacity_deficit, kMinThrottle,
@@ -220,10 +218,6 @@ const ControlActions& RegionControlLoop::tick(
     }
   }
 
-  actions_.watchdog_stage = stage_;
-  actions_.safe_mode = policy_->safe_mode();
-  actions_.weights = policy_->weights();
-
   if (journal_ != nullptr && journal_ticks_) {
     obs::JsonLine line;
     line.str("ev", "control")
@@ -234,8 +228,8 @@ const ControlActions& RegionControlLoop::tick(
         .num("stage", static_cast<std::int64_t>(stage_))
         .num("shed_hi", actions_.shed_high)
         .num("shed_lo", actions_.shed_low)
-        .boolean("safe", actions_.safe_mode)
-        .ints("w", actions_.weights);
+        .boolean("safe", policy_->safe_mode())
+        .ints("w", policy_->weights());
     journal_->append(line.finish());
   }
 
@@ -244,7 +238,7 @@ const ControlActions& RegionControlLoop::tick(
 
   // 6. Ack-stall rung (at-least-once only), after the control line, so a
   // stall escalates the stage without changing this tick's line.
-  if (ack_stall_periods_ > 0) check_ack_stall(now, delivery);
+  if (ack_stall_periods_ > 0) check_ack_stall(now, delivery, aggregate);
   return actions_;
 }
 

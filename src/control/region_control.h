@@ -77,8 +77,10 @@ class ServiceCounters {
   std::vector<DurationNs> busy_;
 };
 
-/// Everything the control loop decided in one period, returned from
-/// RegionControlLoop::tick for the substrate to apply.
+/// What the control loop decided in one period for the substrate to
+/// apply, returned from RegionControlLoop::tick. The weights, safe-mode
+/// flag and overload state are read from the policy, the watchdog stage
+/// from the loop.
 struct ControlActions {
   /// Admission throttle factor for the source, in [kMinThrottle, 1].
   /// Stays 1.0 unless admission control runs on a closed-loop source.
@@ -89,22 +91,9 @@ struct ControlActions {
   std::uint64_t shed_high = 0;
   std::uint64_t shed_low = 0;
 
-  /// Watchdog escalation stage (0 = normal .. 3 = safe-mode WRR) and the
-  /// policy's resulting safe-mode flag.
-  int watchdog_stage = 0;
-  bool safe_mode = false;
-
-  /// The policy's declared saturation state this period.
-  bool overloaded = false;
-  double capacity_deficit = 0.0;
-
   /// Per-connection blocking rates over the period (fraction of the
-  /// period the splitter spent blocked on each connection) and their sum.
+  /// period the splitter spent blocked on each connection).
   std::vector<double> block_rates;
-  double aggregate_block = 0.0;
-
-  /// The allocation weights in force after this period's update.
-  WeightVector weights;
 };
 
 class RegionControlLoop {
@@ -202,7 +191,10 @@ class RegionControlLoop {
  private:
   void watchdog_escalate(TimeNs now, double aggregate);
   void watchdog_unwind(TimeNs now, double aggregate);
-  void check_ack_stall(TimeNs now, const DeliverySample& delivery);
+  /// `aggregate` is the period's summed blocking rate, for the
+  /// escalation line.
+  void check_ack_stall(TimeNs now, const DeliverySample& delivery,
+                       double aggregate);
   /// Updates the capacity gauges from this period's service readings
   /// (after the policy's update, for the weights).
   void publish_capacity(TimeNs now, DurationNs span);

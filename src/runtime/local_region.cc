@@ -406,12 +406,12 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
       if (sample_hook_) {
         LocalSample sample;
         sample.elapsed = now - start;
-        sample.weights = actions.weights;
+        sample.weights = policy_->weights();
         sample.block_rates = actions.block_rates;
         sample.emitted = merger_->emitted();
         sample.shed_in_period = core_.shed() - prev_shed;
-        sample.overloaded = actions.overloaded;
-        sample.watchdog_stage = actions.watchdog_stage;
+        sample.overloaded = policy_->overload_state().overloaded;
+        sample.watchdog_stage = loop_->watchdog_stage();
         sample_hook_(sample);
       }
       prev_shed = core_.shed();

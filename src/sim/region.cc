@@ -119,11 +119,8 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
       config_.workers, policy_.get(), prot, config_.source_interval,
       config_.delivery, metrics_);
 
-  merger_->set_on_emit([this](const Tuple& t) {
+  merger_->set_on_emit([this](const Tuple& /*t*/) {
     const std::uint64_t emitted = merger_->emitted();
-    const double lat = static_cast<double>(sim_->now() - t.created);
-    latency_.add(lat);
-    if (emitted % 8 == 0) latency_samples_.add(lat);
     for (EmitTrigger& trigger : emit_triggers_) {
       if (!trigger.fired && emitted >= trigger.threshold) {
         trigger.fired = true;

@@ -26,7 +26,6 @@
 #include "sim/sink.h"
 #include "sim/splitter.h"
 #include "sim/worker.h"
-#include "util/stats.h"
 #include "util/time.h"
 
 namespace slb::sim {
@@ -122,7 +121,9 @@ class Region {
   /// from an upstream channel instead of its own source. The splitter
   /// restamps sequences and, not being a source, ignores the throttle
   /// and shed watermarks. `downstream` chains the merger's output into
-  /// the next stage with back pressure. Both must outlive the region.
+  /// the next stage with back pressure, or ends it in a sink; a
+  /// CountingSink there is where end-to-end latency is measured. Both
+  /// must outlive the region.
   Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
          LoadProfile load = {}, HostModel hosts = {},
          Simulator* external_sim = nullptr, SharedPlacement shared = {},
@@ -159,10 +160,6 @@ class Region {
   /// identically. Call before or during a run. Throws
   /// std::invalid_argument for a worker outside [0, workers()).
   void inject_fault(const FaultEvent& fault);
-
-  /// Applies a fault immediately (inject_fault's scheduled body).
-  void apply_fault_now(FaultKind kind, int worker,
-                       DurationNs duration = 0);
 
   /// Tuples lost to crashes so far (buffered, in flight, or in service
   /// when their worker died). Each becomes a merger gap.
@@ -231,19 +228,14 @@ class Region {
     return loop_->last_actions().block_rates[static_cast<std::size_t>(j)];
   }
 
-  /// End-to-end tuple latency (source arrival -> in-order emission):
-  /// running mean/min/max over every emitted tuple.
-  const RunningStats& latency() const { return latency_; }
-
-  /// Exact latency quantile over a 1-in-8 systematic sample of emitted
-  /// tuples (cheap enough to keep for multi-million-tuple runs).
-  double latency_quantile(double q) { return latency_samples_.quantile(q); }
-
   TimeNs now() const { return sim_->now(); }
 
  private:
   void ensure_started();
   void sample_tick();
+  /// Applies a fault immediately (inject_fault's scheduled body, which
+  /// has range-checked the worker).
+  void apply_fault_now(FaultKind kind, int worker, DurationNs duration);
 
   bool alo() const {
     return config_.delivery.mode == delivery::DeliveryMode::kAtLeastOnce;
@@ -275,9 +267,6 @@ class Region {
 
   std::uint64_t prev_emitted_ = 0;
   std::uint64_t emitted_last_period_ = 0;
-
-  RunningStats latency_;
-  SampleSet latency_samples_;
 
   std::uint64_t stop_target_ = 0;
   TimeNs target_reached_at_ = -1;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "control/region_control.h"
@@ -254,6 +255,26 @@ TEST(CapacityRule, WithoutCompletionsTheBlockingRuleDecides) {
   EXPECT_GT(a.entries(), 20u);
   EXPECT_EQ(a.digest(), c.digest());
   EXPECT_EQ(b.digest(), c.digest());
+}
+
+TEST(UnmeasuredRegion, NoReadingKeepsTheEvenSplitAndSolvesNothing) {
+  // Until a live channel has a capacity reading, every sample's readings
+  // are -1: the even split stands, so each channel is fed enough to be
+  // measured, and no capacity solve is journaled.
+  LoadBalanceController c(3);
+  obs::DecisionJournal journal;
+  c.set_journal(&journal);
+  const WeightVector even = c.weights();
+  const std::vector<DurationNs> blocked(3, 0);
+  const std::vector<double> unread(3, -1.0);
+  for (int p = 0; p < 5; ++p) {
+    EXPECT_EQ(c.update(p * millis(100), blocked, unread), even)
+        << "period " << p;
+  }
+  ASSERT_GT(journal.entries(), 0u);  // the periods were observed
+  for (const std::string& line : journal.lines()) {
+    EXPECT_EQ(line.find("\"capacity\""), std::string::npos) << line;
+  }
 }
 
 }  // namespace

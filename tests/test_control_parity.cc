@@ -294,19 +294,28 @@ TEST(ControlParity, ActionsMatchTickForTickAcrossSubstrates) {
         pipeline->stage_region(0).control().tick(now, kSpan, cumulative, {});
     const control::ControlActions& c =
         local.control().tick(now, kSpan, cumulative, {});
+    // The stage, safe-mode flag, overload state and weights are read
+    // from their owners: the loop and its policy.
+    control::RegionControlLoop& la = region.control();
+    control::RegionControlLoop& lb = pipeline->stage_region(0).control();
+    control::RegionControlLoop& lc = local.control();
     ASSERT_EQ(a.throttle, b.throttle) << "tick " << p;
-    ASSERT_EQ(a.watchdog_stage, b.watchdog_stage) << "tick " << p;
-    ASSERT_EQ(a.safe_mode, b.safe_mode) << "tick " << p;
+    ASSERT_EQ(la.watchdog_stage(), lb.watchdog_stage()) << "tick " << p;
+    ASSERT_EQ(la.policy().safe_mode(), lb.policy().safe_mode())
+        << "tick " << p;
     ASSERT_EQ(a.shed_high, b.shed_high) << "tick " << p;
     ASSERT_EQ(a.shed_low, b.shed_low) << "tick " << p;
-    ASSERT_EQ(a.overloaded, b.overloaded) << "tick " << p;
-    ASSERT_EQ(a.weights, b.weights) << "tick " << p;
+    ASSERT_EQ(la.policy().overload_state().overloaded,
+              lb.policy().overload_state().overloaded)
+        << "tick " << p;
+    ASSERT_EQ(la.policy().weights(), lb.policy().weights()) << "tick " << p;
     ASSERT_EQ(a.block_rates, b.block_rates) << "tick " << p;
     ASSERT_EQ(a.throttle, c.throttle) << "tick " << p;
-    ASSERT_EQ(a.watchdog_stage, c.watchdog_stage) << "tick " << p;
-    ASSERT_EQ(a.safe_mode, c.safe_mode) << "tick " << p;
+    ASSERT_EQ(la.watchdog_stage(), lc.watchdog_stage()) << "tick " << p;
+    ASSERT_EQ(la.policy().safe_mode(), lc.policy().safe_mode())
+        << "tick " << p;
     ASSERT_EQ(a.shed_high, c.shed_high) << "tick " << p;
-    ASSERT_EQ(a.weights, c.weights) << "tick " << p;
+    ASSERT_EQ(la.policy().weights(), lc.policy().weights()) << "tick " << p;
   }
   // The shared trace walked every substrate through the same ladder and
   // back out of it.

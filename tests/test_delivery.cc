@@ -389,12 +389,18 @@ TEST(RtDelivery, CleanRunIsExactlyOnce) {
 
 TEST(RtDelivery, KillMidRunReplaysOntoSurvivorWithoutGaps) {
   rt::LocalRegionConfig cfg = rt_alo(2);
+  // Channel 0 holds a backlog of unacked frames when it is killed: its
+  // worker serves 10x slower from the start, and the first sample, which
+  // could move weight off it, comes only after the kill. Without the
+  // backlog the kill can land just after its last frame was acked, and
+  // nothing replays.
+  cfg.sample_period = millis(100);
+  cfg.load_events.push_back({0, 0, 10.0});
   cfg.failure_events.push_back({millis(60), 0, /*restart=*/false});
   rt::LocalRegion region(cfg, std::make_unique<LoadBalancingPolicy>(2));
   // Failure context, one line per sample: whether channel 0 held nothing
-  // unacked at the kill (replay bytes and ack lag near 0 under even
-  // weights) or its stream had stalled (lag growing, splitter not
-  // blocking).
+  // unacked at the kill (replay bytes and ack lag near 0) or its stream
+  // had stalled (lag growing, splitter not blocking).
   const obs::Gauge& replay_bytes =
       region.metrics().gauge("splitter.replay_buffer_bytes");
   const obs::Gauge& ack_lag = region.metrics().gauge("splitter.ack_lag");

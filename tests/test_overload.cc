@@ -220,6 +220,23 @@ TEST(PolicyOverload, SafeModePinsEvenSplitOverLiveConnections) {
   EXPECT_FALSE(policy.safe_mode());
 }
 
+TEST(PolicyOverload, ChannelLostInSafeModeRepinsEvenSplitOverSurvivors) {
+  // Capacity readings give the controller an uneven split, which safe
+  // mode overrides; a channel lost in safe mode leaves the survivors an
+  // even split, not the controller's renormalized one.
+  LoadBalancingPolicy policy(3);
+  const std::vector<DurationNs> blocked(3, 0);
+  const std::vector<double> capacity{1000.0, 2000.0, 5000.0};
+  for (int p = 0; p < 3; ++p) {
+    policy.on_sample(PolicySample{p * millis(100), blocked, capacity, {}});
+  }
+  ASSERT_NE(policy.weights()[1], policy.weights()[2]);
+  policy.enter_safe_mode();
+  policy.on_channel_down(0);
+  EXPECT_EQ(policy.weights(), (WeightVector{0, 500, 500}));
+  for (int i = 0; i < 300; ++i) EXPECT_NE(policy.pick_connection(), 0);
+}
+
 // --- simulator region ------------------------------------------------
 
 sim::RegionConfig overloaded_region(bool open_loop) {
