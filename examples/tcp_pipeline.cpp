@@ -10,6 +10,7 @@
 // the simulator uses, fed by real kernel blocking time. Runs ~4 s.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "runtime/local_region.h"
 
@@ -40,14 +41,15 @@ int main() {
                      std::make_unique<LoadBalancingPolicy>(3, controller));
 
   std::printf("t(s)   weights [w0 w1 w2]    blocking rates\n");
-  region.set_sample_hook([](const LocalSample& sample) {
+  region.set_sample_hook([&region](const LocalSample& sample) {
     static int count = 0;
     if (++count % 4 != 0) return;
+    const std::vector<double>& rates =
+        region.control().last_actions().block_rates;
     std::printf("%4.1f   [%4d %4d %4d]       [%.2f %.2f %.2f]\n",
                 to_seconds(sample.elapsed), sample.weights[0],
-                sample.weights[1], sample.weights[2],
-                sample.block_rates[0], sample.block_rates[1],
-                sample.block_rates[2]);
+                sample.weights[1], sample.weights[2], rates[0], rates[1],
+                rates[2]);
   });
 
   const LocalRunStats stats = region.run(seconds(6));

@@ -30,8 +30,6 @@ LoadBalanceController::LoadBalanceController(int connections,
   for (int j = 0; j < connections; ++j) {
     functions_.emplace_back();
   }
-  status_.smoothed_rates.assign(static_cast<std::size_t>(connections), 0.0);
-  status_.raw_rates.assign(static_cast<std::size_t>(connections), 0.0);
 }
 
 const WeightVector& LoadBalanceController::update(
@@ -47,25 +45,19 @@ const WeightVector& LoadBalanceController::update(
   estimator_.ingest(now, cumulative_blocked);
   if (!estimator_.ready()) return weights_;
 
-  const int n = connections();
-  for (int j = 0; j < n; ++j) {
-    const auto ju = static_cast<std::size_t>(j);
-    status_.raw_rates[ju] = estimator_.last_raw_rate(j);
-    status_.smoothed_rates[ju] = estimator_.rate(j);
-  }
-
+  const std::span<const double> raw = estimator_.raw_rates();
   if (journal_ != nullptr) {
     journal_->append(obs::JsonLine{}
                          .str("ev", "observe")
                          .num("t", static_cast<std::int64_t>(now))
                          .ints("held", held)
-                         .reals("raw", status_.raw_rates)
-                         .reals("smoothed", status_.smoothed_rates)
+                         .reals("raw", raw)
+                         .reals("smoothed", estimator_.smoothed_rates())
                          .finish());
   }
 
   if (config_.enable_overload_protection) {
-    saturation_.observe(status_.raw_rates, down_, by_capacity);
+    saturation_.observe(raw, down_, by_capacity);
     note_overload_transition(now);
     if (saturation_.overloaded() && !by_capacity) {
       // Declared overload: every F_j is pinned at its ceiling, so these
@@ -91,18 +83,16 @@ const WeightVector& LoadBalanceController::update(
     return weights_;
   }
 
-  for (int j = 0; j < n; ++j) {
-    const auto ju = static_cast<std::size_t>(j);
-    const double raw = status_.raw_rates[ju];
-    if (down_[ju]) continue;  // no traffic, no information
-    if (raw > 0.0) {
+  for (std::size_t j = 0; j < raw.size(); ++j) {
+    if (down_[j]) continue;  // no traffic, no information
+    if (raw[j] > 0.0) {
       seen_blocking_ = true;
-      functions_[ju].observe(held[ju], raw, 1.0);
+      functions_[j].observe(held[j], raw[j], 1.0);
     } else if (config_.zero_sample_weight > 0.0) {
-      functions_[ju].observe(held[ju], 0.0, config_.zero_sample_weight);
+      functions_[j].observe(held[j], 0.0, config_.zero_sample_weight);
     }
     if (config_.decay_factor < 1.0) {
-      functions_[ju].decay_above(held[ju], config_.decay_factor);
+      functions_[j].decay_above(held[j], config_.decay_factor);
     }
   }
   if (journal_ != nullptr && config_.decay_factor < 1.0) {
@@ -122,12 +112,12 @@ const WeightVector& LoadBalanceController::update(
   // weights until someone recovers.
   if (live() == 0) return weights_;
 
-  const bool use_clusters =
-      config_.enable_clustering && n >= config_.clustering_min_connections;
+  const bool use_clusters = config_.enable_clustering &&
+                            connections() >= config_.clustering_min_connections;
   if (use_clusters) {
     solve_clustered();
   } else {
-    status_.clusters.clear();
+    clusters_.clear();
     solve_flat();
   }
   note_update();
@@ -135,7 +125,6 @@ const WeightVector& LoadBalanceController::update(
 }
 
 void LoadBalanceController::note_update() {
-  ++status_.updates;
   if (metrics_.updates != nullptr) {
     metrics_.updates->inc();
     metrics_.live->set(live());
@@ -222,8 +211,6 @@ void LoadBalanceController::allocate_by_capacity() {
     next[j] = 1;
   }
   weights_ = std::move(next);
-  status_.objective = 0.0;
-  status_.solver_feasible = true;
   if (metrics_.solves != nullptr) metrics_.solves->inc();
   if (journal_ != nullptr) {
     journal_->append(obs::JsonLine{}
@@ -345,18 +332,19 @@ void LoadBalanceController::note_overload_transition(TimeNs now) {
   }
 }
 
-void LoadBalanceController::journal_solve(std::string_view mode) {
+void LoadBalanceController::journal_solve(std::string_view mode,
+                                          const RapSolution& sol) {
   if (metrics_.solves != nullptr) {
     metrics_.solves->inc();
-    if (!status_.solver_feasible) metrics_.infeasible->inc();
+    if (!sol.feasible) metrics_.infeasible->inc();
   }
   if (journal_ == nullptr) return;
   journal_->append(obs::JsonLine{}
                        .str("ev", "solve")
                        .str("mode", mode)
                        .str("solver", "fox")
-                       .real("objective", status_.objective)
-                       .boolean("feasible", status_.solver_feasible)
+                       .real("objective", sol.objective)
+                       .boolean("feasible", sol.feasible)
                        .ints("weights", weights_)
                        .finish());
 }
@@ -398,10 +386,8 @@ void LoadBalanceController::solve_flat() {
       solve_fox(vars_, kWeightUnits, [this](int j, Weight w) {
         return functions_[static_cast<std::size_t>(j)].value(w);
       });
-  status_.objective = sol.objective;
-  status_.solver_feasible = sol.feasible;
   if (sol.feasible) weights_ = sol.weights;
-  journal_solve("flat");
+  journal_solve("flat", sol);
 }
 
 void LoadBalanceController::solve_clustered() {
@@ -409,12 +395,12 @@ void LoadBalanceController::solve_clustered() {
   fns_.clear();
   for (const RateFunction& f : functions_) fns_.push_back(&f);
 
-  status_.clusters = cluster_functions(fns_, ClusteringConfig{});
-  const int k = static_cast<int>(status_.clusters.size());
+  clusters_ = cluster_functions(fns_, ClusteringConfig{});
+  const int k = static_cast<int>(clusters_.size());
   if (journal_ != nullptr) {
     journal_->append(obs::JsonLine{}
                          .str("ev", "cluster")
-                         .int_lists("clusters", status_.clusters)
+                         .int_lists("clusters", clusters_)
                          .finish());
   }
 
@@ -423,7 +409,7 @@ void LoadBalanceController::solve_clustered() {
   const auto ku = static_cast<std::size_t>(k);
   if (cluster_curves_.size() < ku) cluster_curves_.resize(ku);
   for (std::size_t c = 0; c < ku; ++c) {
-    cluster_curves_[c].fit(merger_.merge(fns_, status_.clusters[c]),
+    cluster_curves_[c].fit(merger_.merge(fns_, clusters_[c]),
                            RateFunctionConfig{}.delta);
   }
 
@@ -438,7 +424,7 @@ void LoadBalanceController::solve_clustered() {
   // (within one unit), matching the paper's per-cluster allocations.
   cluster_of_.resize(static_cast<std::size_t>(n));
   for (std::size_t c = 0; c < ku; ++c) {
-    for (ConnectionId j : status_.clusters[c]) {
+    for (ConnectionId j : clusters_[c]) {
       cluster_of_[static_cast<std::size_t>(j)] = static_cast<int>(c);
     }
   }
@@ -467,10 +453,8 @@ void LoadBalanceController::solve_clustered() {
         }
         return memo[w];
       });
-  status_.objective = sol.objective;
-  status_.solver_feasible = sol.feasible;
   if (sol.feasible) weights_ = sol.weights;
-  journal_solve("clustered");
+  journal_solve("clustered", sol);
 }
 
 }  // namespace slb

@@ -17,6 +17,12 @@
 // and, when they have them, the period's capacity readings once per
 // period, and apply the returned weights to their router. The same
 // controller code drives every experiment in this repository.
+//
+// The controller keeps no copy of what others own: the per-period rates
+// are read from its BlockingRateEstimator (raw_rates(), smoothed_rates()),
+// and the update count from the registry (attach_metrics). Its estimator
+// differences the blocking counters beside RegionControlLoop's own
+// differencing; from the second sample on both read the same rates.
 #pragma once
 
 #include <cstdint>
@@ -66,21 +72,11 @@ struct ControllerConfig {
   SaturationConfig saturation;
 };
 
-/// Per-update diagnostic snapshot, used by traces and tests.
-struct ControllerStatus {
-  std::vector<double> smoothed_rates;
-  std::vector<double> raw_rates;
-  Clusters clusters;  // empty when clustering is off / not engaged
-  double objective = 0.0;
-  bool solver_feasible = true;
-  long updates = 0;
-};
-
 class LoadBalanceController {
  public:
-  /// EWMA smoothing factor for the per-period blocking rates reported in
-  /// ControllerStatus::smoothed_rates and the journal (tracing only; the
-  /// functions smooth per-weight via RateFunctionConfig::mix_alpha).
+  /// EWMA smoothing factor for the per-period blocking rates reported by
+  /// smoothed_rates() and the journal (tracing only; the functions smooth
+  /// per-weight via RateFunctionConfig::mix_alpha).
   static constexpr double kRateEwmaAlpha = 0.5;
 
   /// Geometric upward probing: in the flat solve a live connection's
@@ -118,7 +114,15 @@ class LoadBalanceController {
   const RateFunction& function(int j) const {
     return functions_[static_cast<std::size_t>(j)];
   }
-  const ControllerStatus& status() const { return status_; }
+  /// The blocking rates of the latest period and their EWMA, as the
+  /// controller's estimator holds them; 0 until the second update.
+  std::span<const double> raw_rates() const { return estimator_.raw_rates(); }
+  std::span<const double> smoothed_rates() const {
+    return estimator_.smoothed_rates();
+  }
+  /// The latest clustered solve's clusters; empty while clustering is off
+  /// or not engaged.
+  const Clusters& clusters() const { return clusters_; }
   /// Channel j's capacity estimate under the capacity rule (tuples/s of
   /// service): its latest reading, or the largest estimate if a hop made
   /// it stale; 0 until j has been read since it was last (re-)admitted.
@@ -186,7 +190,8 @@ class LoadBalanceController {
   void allocate_by_capacity();
   void solve_flat();
   void solve_clustered();
-  void journal_solve(std::string_view mode);
+  /// Counts and journals a RAP solve (after a feasible one was applied).
+  void journal_solve(std::string_view mode, const RapSolution& sol);
   /// Counts one update that produced weights.
   void note_update();
   /// Journals + counts an overload enter/exit edge after observe().
@@ -197,7 +202,7 @@ class LoadBalanceController {
   SaturationDetector saturation_;
   std::vector<RateFunction> functions_;
   WeightVector weights_;
-  ControllerStatus status_;
+  Clusters clusters_;
   /// Down connections (mark_down) are pinned to weight 0 and excluded
   /// from observation; char avoids vector<bool> proxy references.
   std::vector<char> down_;

@@ -6,12 +6,12 @@
 namespace slb {
 
 BlockingRateEstimator::BlockingRateEstimator(int connections, double alpha)
-    : alpha_(alpha) {
+    : raw_(static_cast<std::size_t>(connections), 0.0),
+      smoothed_(static_cast<std::size_t>(connections), 0.0),
+      last_cumulative_(static_cast<std::size_t>(connections), 0),
+      alpha_(alpha) {
   assert(connections > 0);
-  smoothed_.reserve(static_cast<std::size_t>(connections));
-  for (int j = 0; j < connections; ++j) smoothed_.emplace_back(alpha);
-  last_raw_.assign(static_cast<std::size_t>(connections), 0.0);
-  last_cumulative_.assign(static_cast<std::size_t>(connections), 0);
+  assert(alpha > 0.0 && alpha <= 1.0);
 }
 
 void BlockingRateEstimator::ingest(TimeNs now,
@@ -41,8 +41,8 @@ void BlockingRateEstimator::ingest(TimeNs now,
     if (delta < 0) delta = cumulative[j];
     const double raw =
         static_cast<double>(delta) / static_cast<double>(period);
-    last_raw_[j] = raw;
-    smoothed_[j].add(raw);
+    raw_[j] = raw;
+    smoothed_[j] = ready_ ? alpha_ * raw + (1.0 - alpha_) * smoothed_[j] : raw;
     last_cumulative_[j] = cumulative[j];
   }
   last_time_ = now;

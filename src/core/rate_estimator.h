@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "util/ewma.h"
 #include "util/time.h"
 
 namespace slb {
@@ -36,22 +35,22 @@ class BlockingRateEstimator {
   /// True once at least two snapshots have been ingested.
   bool ready() const { return ready_; }
 
-  /// Smoothed blocking rate for connection j (fraction of time blocked).
-  double rate(int j) const { return smoothed_[static_cast<std::size_t>(j)].value(); }
+  /// Raw (unsmoothed) rate per connection over the most recent period
+  /// (fraction of the period blocked); 0 until ready().
+  std::span<const double> raw_rates() const { return raw_; }
 
-  /// Raw (unsmoothed) rate observed in the most recent period.
-  double last_raw_rate(int j) const {
-    return last_raw_[static_cast<std::size_t>(j)];
-  }
-
-  int connections() const { return static_cast<int>(smoothed_.size()); }
+  /// Per-connection EWMA of the raw rates: the first period's raw rate,
+  /// then `alpha * raw + (1 - alpha) * previous`; 0 until ready().
+  std::span<const double> smoothed_rates() const { return smoothed_; }
 
  private:
-  std::vector<Ewma> smoothed_;
-  std::vector<double> last_raw_;
+  std::vector<double> raw_;
+  std::vector<double> smoothed_;
   std::vector<DurationNs> last_cumulative_;
   TimeNs last_time_ = 0;
   bool have_baseline_ = false;
+  /// Every connection is smoothed on the same ingest, so one flag says
+  /// whether the averages hold a first sample yet.
   bool ready_ = false;
   double alpha_;
 };

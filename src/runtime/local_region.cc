@@ -254,7 +254,6 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
   // the shared control loop, ticked once per sample period below;
   // `actions` always holds its latest decision.
   const control::ControlActions& actions = loop_->last_actions();
-  std::uint64_t prev_shed = 0;
   // Gap frames not yet sent (workers forward them with zero work): shed
   // ranges [first, first + count), which go through any live connection
   // and are held while everything is down, and GapSkip watermarks
@@ -407,14 +406,9 @@ LocalRunStats LocalRegion::run(DurationNs duration) {
         LocalSample sample;
         sample.elapsed = now - start;
         sample.weights = policy_->weights();
-        sample.block_rates = actions.block_rates;
         sample.emitted = merger_->emitted();
-        sample.shed_in_period = core_.shed() - prev_shed;
-        sample.overloaded = policy_->overload_state().overloaded;
-        sample.watchdog_stage = loop_->watchdog_stage();
         sample_hook_(sample);
       }
-      prev_shed = core_.shed();
       next_sample = now + config_.sample_period;
     }
 

@@ -125,18 +125,18 @@ struct LocalRunStats {
   WeightVector final_weights;
 };
 
-/// Sample-time snapshot passed to the optional hook.
+/// Sample-time snapshot passed to the optional hook. The hook runs on the
+/// splitter thread right after the period's tick, so it asks the owners
+/// for anything else, as sim hooks do: the block rates from
+/// `control().last_actions()`, the overload state from
+/// `policy().overload_state()`, the stage from `watchdog_stage()`.
 struct LocalSample {
+  /// Time since run() started.
   DurationNs elapsed = 0;
+  /// The policy's weights after this period's update.
   WeightVector weights;
-  std::vector<double> block_rates;
+  /// Tuples the merger has emitted so far.
   std::uint64_t emitted = 0;
-  /// Tuples shed at the source during this period.
-  std::uint64_t shed_in_period = 0;
-  /// Policy's declared overload state at sample time.
-  bool overloaded = false;
-  /// Watchdog escalation stage (0 = normal .. 3 = safe-mode WRR).
-  int watchdog_stage = 0;
 };
 
 class LocalRegion {

@@ -19,7 +19,7 @@ void TraceRecorder::attach(Region& region) {
     }
     if (const auto* lb =
             dynamic_cast<const LoadBalancingPolicy*>(&r.policy())) {
-      const Clusters& clusters = lb->controller().status().clusters;
+      const Clusters& clusters = lb->controller().clusters();
       if (!clusters.empty()) {
         row.cluster_of.assign(static_cast<std::size_t>(r.workers()), -1);
         for (std::size_t c = 0; c < clusters.size(); ++c) {

@@ -144,30 +144,6 @@ void set_recv_buffer(int fd, int bytes) {
   }
 }
 
-bool read_exact(int fd, void* buf, std::size_t len) {
-  auto* p = static_cast<char*>(buf);
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::read(fd, p + got, len - got);
-    if (n == 0) {
-      if (got == 0) return false;  // clean EOF at a frame boundary
-      throw ConnectionLost("read_exact: EOF mid-frame");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        // A crashed peer resets instead of FIN-ing; at a frame boundary
-        // that is indistinguishable from EOF for our callers.
-        if (got == 0) return false;
-        throw ConnectionLost("read_exact: connection reset mid-frame");
-      }
-      throw_errno("read");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 std::ptrdiff_t send_some(int fd, const void* buf, std::size_t len) {
   const ssize_t n = ::send(fd, buf, len, MSG_DONTWAIT | MSG_NOSIGNAL);
   if (n >= 0) return n;

@@ -86,11 +86,6 @@ void set_nodelay(int fd);
 void set_send_buffer(int fd, int bytes);
 void set_recv_buffer(int fd, int bytes);
 
-/// Reads exactly `len` bytes (blocking); returns false on EOF (or a
-/// connection reset) before any byte, throws ConnectionLost on EOF/reset
-/// mid-stream.
-bool read_exact(int fd, void* buf, std::size_t len);
-
 /// send_some's result when the peer is gone (EPIPE/ECONNRESET).
 inline constexpr std::ptrdiff_t kPeerGone = -1;
 

@@ -69,9 +69,11 @@ TEST(Controller, StartsWithEvenWeights) {
 
 TEST(Controller, FirstUpdateOnlyBaselines) {
   LoadBalanceController c(2);
+  obs::MetricsRegistry registry;
+  c.attach_metrics(registry);
   const std::vector<DurationNs> zero{0, 0};
   EXPECT_EQ(c.update(seconds(1), zero), even_weights(2));
-  EXPECT_EQ(c.status().updates, 0);
+  EXPECT_EQ(registry.counter("controller.updates").value(), 0u);
 }
 
 TEST(Controller, HoldsEvenSplitWithoutBlocking) {
@@ -183,10 +185,10 @@ TEST(Controller, ClusteringEngagesAboveThreshold) {
   FakeSystem system(caps, false);
   LoadBalanceController c(n, cfg);
   run_loop(c, system, 120);
-  EXPECT_FALSE(c.status().clusters.empty());
+  EXPECT_FALSE(c.clusters().empty());
   // All members of a cluster hold identical weights (modulo the leftover
   // distribution, which adds at most 1 unit).
-  for (const auto& members : c.status().clusters) {
+  for (const auto& members : c.clusters()) {
     for (ConnectionId m : members) {
       EXPECT_NEAR(c.weights()[static_cast<std::size_t>(m)],
                   c.weights()[static_cast<std::size_t>(members.front())], 1);
@@ -209,15 +211,17 @@ TEST(Controller, ClusteringDisengagedBelowThreshold) {
   FakeSystem system({0.2, 0.8}, false);
   LoadBalanceController c(2, cfg);
   run_loop(c, system, 20);
-  EXPECT_TRUE(c.status().clusters.empty());
+  EXPECT_TRUE(c.clusters().empty());
 }
 
 TEST(Controller, StatusReflectsRates) {
   FakeSystem system({0.05, 0.95}, false);
   LoadBalanceController c(2);
+  obs::MetricsRegistry registry;
+  c.attach_metrics(registry);
   run_loop(c, system, 5);
-  EXPECT_GT(c.status().raw_rates[0] + c.status().smoothed_rates[0], 0.0);
-  EXPECT_GT(c.status().updates, 0);
+  EXPECT_GT(c.raw_rates()[0] + c.smoothed_rates()[0], 0.0);
+  EXPECT_GT(registry.counter("controller.updates").value(), 0u);
 }
 
 }  // namespace

@@ -409,7 +409,7 @@ TEST(RtDelivery, KillMidRunReplaysOntoSurvivorWithoutGaps) {
     samples += "t=" + std::to_string(s.elapsed / millis(1)) + "ms w=[";
     for (const Weight w : s.weights) samples += " " + std::to_string(w);
     samples += " ] block=[";
-    for (const double r : s.block_rates) {
+    for (const double r : region.control().last_actions().block_rates) {
       samples += " " + std::to_string(r).substr(0, 4);
     }
     samples += " ] replay_bytes=" + std::to_string(replay_bytes.value()) +

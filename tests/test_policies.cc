@@ -118,6 +118,9 @@ TEST(LbPolicy, EveryOnSampleOverloadReturns) {
   // Each type forwards one overload to the other; neither may recurse.
   LoadBalancingPolicy capacity(2);
   BlockingRatePolicy paper(2);
+  obs::MetricsRegistry registry;
+  capacity.attach_metrics(registry, "capacity.");
+  paper.attach_metrics(registry, "paper.");
   for (SplitPolicy* p : {static_cast<SplitPolicy*>(&capacity),
                          static_cast<SplitPolicy*>(&paper)}) {
     for (Feed feed : {Feed::kBlocked, Feed::kSample, Feed::kSampleReadings}) {
@@ -125,8 +128,8 @@ TEST(LbPolicy, EveryOnSampleOverloadReturns) {
       EXPECT_EQ(total_weight(p->weights()), kWeightUnits);
     }
   }
-  EXPECT_GT(capacity.controller().status().updates, 0);
-  EXPECT_GT(paper.controller().status().updates, 0);
+  EXPECT_GT(registry.counter("capacity.updates").value(), 0u);
+  EXPECT_GT(registry.counter("paper.updates").value(), 0u);
 }
 
 TEST(Oracle, AppliesInitialPhaseImmediately) {

@@ -23,8 +23,8 @@ TEST(RateEstimator, ComputesRateFromDeltas) {
   est.ingest(seconds(1),
              std::vector<DurationNs>{seconds(1) / 2, 0});
   ASSERT_TRUE(est.ready());
-  EXPECT_NEAR(est.rate(0), 0.5, 1e-12);
-  EXPECT_NEAR(est.rate(1), 0.0, 1e-12);
+  EXPECT_NEAR(est.smoothed_rates()[0], 0.5, 1e-12);
+  EXPECT_NEAR(est.smoothed_rates()[1], 0.0, 1e-12);
 }
 
 TEST(RateEstimator, SmoothsAcrossPeriods) {
@@ -32,8 +32,8 @@ TEST(RateEstimator, SmoothsAcrossPeriods) {
   est.ingest(0, std::vector<DurationNs>{0});
   est.ingest(seconds(1), std::vector<DurationNs>{seconds(1)});  // rate 1.0
   est.ingest(seconds(2), std::vector<DurationNs>{seconds(1)});  // rate 0.0
-  EXPECT_NEAR(est.rate(0), 0.5, 1e-12);
-  EXPECT_NEAR(est.last_raw_rate(0), 0.0, 1e-12);
+  EXPECT_NEAR(est.smoothed_rates()[0], 0.5, 1e-12);
+  EXPECT_NEAR(est.raw_rates()[0], 0.0, 1e-12);
 }
 
 TEST(RateEstimator, CounterResetTreatedAsNewBaseline) {
@@ -43,8 +43,8 @@ TEST(RateEstimator, CounterResetTreatedAsNewBaseline) {
   // *smaller*. The estimator must not produce a negative rate.
   est.ingest(seconds(1), std::vector<DurationNs>{millis(100)});
   ASSERT_TRUE(est.ready());
-  EXPECT_GE(est.rate(0), 0.0);
-  EXPECT_NEAR(est.rate(0), 0.1, 1e-9);
+  EXPECT_GE(est.smoothed_rates()[0], 0.0);
+  EXPECT_NEAR(est.smoothed_rates()[0], 0.1, 1e-9);
 }
 
 TEST(RateEstimator, IgnoresNonAdvancingTime) {
@@ -54,7 +54,7 @@ TEST(RateEstimator, IgnoresNonAdvancingTime) {
   EXPECT_FALSE(est.ready());
   est.ingest(seconds(2), std::vector<DurationNs>{seconds(1)});
   EXPECT_TRUE(est.ready());
-  EXPECT_NEAR(est.rate(0), 1.0, 1e-12);
+  EXPECT_NEAR(est.smoothed_rates()[0], 1.0, 1e-12);
 }
 
 TEST(RateEstimator, ManyConnectionsIndependent) {
@@ -65,7 +65,9 @@ TEST(RateEstimator, ManyConnectionsIndependent) {
   for (int j = 0; j < n; ++j) c[static_cast<std::size_t>(j)] = j * millis(10);
   est.ingest(seconds(1), c);
   for (int j = 0; j < n; ++j) {
-    EXPECT_NEAR(est.rate(j), 0.01 * j, 1e-12) << "connection " << j;
+    EXPECT_NEAR(est.smoothed_rates()[static_cast<std::size_t>(j)], 0.01 * j,
+                1e-12)
+        << "connection " << j;
   }
 }
 

