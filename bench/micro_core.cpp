@@ -480,7 +480,7 @@ void BM_ClusterFunctions(benchmark::State& state) {
   std::vector<const RateFunction*> ptrs;
   for (const auto& f : fns) ptrs.push_back(&f);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cluster_functions(ptrs, {}));
+    benchmark::DoNotOptimize(cluster_functions(ptrs, kClusterThreshold));
   }
 }
 BENCHMARK(BM_ClusterFunctions)->RangeMultiplier(2)->Range(8, 64);

@@ -31,7 +31,6 @@ int main() {
   // same relative depth as the paper's microsecond-scale tuples.
   config.payload_bytes = 2048;
   config.sample_period = millis(200);
-  config.socket_buffer_bytes = 8 * 1024;  // small buffers: fast feedback
   config.load_events = {
       {0, /*worker=*/0, /*multiplier=*/20.0},  // 20x load from the start
   };

@@ -9,7 +9,7 @@
 namespace slb {
 
 Clusters cluster_functions(const std::vector<const RateFunction*>& functions,
-                           const ClusteringConfig& config) {
+                           double threshold) {
   const int n = static_cast<int>(functions.size());
   Clusters clusters;
   clusters.reserve(static_cast<std::size_t>(n));
@@ -17,14 +17,14 @@ Clusters cluster_functions(const std::vector<const RateFunction*>& functions,
   if (n <= 1) return clusters;
 
   const auto nu = static_cast<std::size_t>(n);
-  const double alpha = distance_alpha(config.distance);
+  const double alpha = distance_alpha();
   std::vector<DistanceFeatures> features;
   features.reserve(nu);
   for (const RateFunction* f : functions) {
-    features.push_back(distance_features(*f, config.distance));
+    features.push_back(distance_features(*f));
   }
 
-  // Knees are whole weights floored at min_knee, so they take few
+  // Knees are whole weights floored at kMinKnee, so they take few
   // distinct values: each ordered pair of distinct knees (told apart by
   // their bits) gets its knee term computed once.
   std::vector<std::uint64_t> knee_bits;
@@ -56,7 +56,7 @@ Clusters cluster_functions(const std::vector<const RateFunction*>& functions,
       }
       const double d =
           std::max(0.0, feature_distance(features[a], features[b], alpha,
-                                         knee_terms[cell], config.threshold));
+                                         knee_terms[cell], threshold));
       linkage[a * nu + b] = d;
       linkage[b * nu + a] = d;
     }
@@ -99,7 +99,7 @@ Clusters cluster_functions(const std::vector<const RateFunction*>& functions,
         bi = pos;
       }
     }
-    if (best == kNone || best > config.threshold) break;
+    if (best == kNone || best > threshold) break;
     const std::size_t a = slots[bi];
     const std::size_t b = row_arg[a];
     for (std::size_t s : slots) {
@@ -163,10 +163,9 @@ const RawPoints& ClusterMerger::merge(
 
 RateFunction merge_cluster_function(
     const std::vector<const RateFunction*>& functions,
-    const std::vector<ConnectionId>& members,
-    const RateFunctionConfig& fn_config) {
+    const std::vector<ConnectionId>& members) {
   ClusterMerger merger;
-  RateFunction fn(fn_config);
+  RateFunction fn;
   fn.load_raw(merger.merge(functions, members));
   return fn;
 }

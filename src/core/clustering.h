@@ -17,13 +17,9 @@
 
 namespace slb {
 
-/// Clustering tunables.
-struct ClusteringConfig {
-  /// Merge clusters while the complete-linkage distance between the two
-  /// closest clusters is at most this threshold.
-  double threshold = 1.0;
-  DistanceConfig distance;
-};
+/// The controller's clustering threshold: clusters merge while the
+/// complete-linkage distance between the two closest is at most this.
+inline constexpr double kClusterThreshold = 1.0;
 
 /// A grouping of connection indices; every connection appears in exactly
 /// one cluster.
@@ -34,9 +30,11 @@ using Clusters = std::vector<std::vector<ConnectionId>>;
 /// distance inputs are computed once and each pairwise distance once
 /// (exactly up to the threshold; beyond it a pair can never merge). A
 /// merge updates the linkage matrix and rescans only the rows whose
-/// nearest later cluster moved, each in O(N).
+/// nearest later cluster moved, each in O(N). Clusters merge while the
+/// complete-linkage distance between the two closest is at most
+/// `threshold` (the controller passes kClusterThreshold).
 Clusters cluster_functions(const std::vector<const RateFunction*>& functions,
-                           const ClusteringConfig& config);
+                           double threshold);
 
 /// Builds clusters' aggregate raw evidence (see merge_cluster_function)
 /// in per-weight buffers that are reused from one call to the next.
@@ -62,8 +60,7 @@ class ClusterMerger {
 /// the members saw individually.
 RateFunction merge_cluster_function(
     const std::vector<const RateFunction*>& functions,
-    const std::vector<ConnectionId>& members,
-    const RateFunctionConfig& fn_config = {});
+    const std::vector<ConnectionId>& members);
 
 /// Canonicalizes clusters for stable output: members sorted ascending,
 /// clusters ordered by first member.

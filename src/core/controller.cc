@@ -20,7 +20,7 @@ Weight step_up(Weight w) {
 LoadBalanceController::LoadBalanceController(int connections,
                                              ControllerConfig config)
     : config_(config),
-      estimator_(connections, kRateEwmaAlpha),
+      estimator_(connections),
       saturation_(config.saturation),
       weights_(even_weights(connections)),
       down_(static_cast<std::size_t>(connections), 0),
@@ -395,7 +395,7 @@ void LoadBalanceController::solve_clustered() {
   fns_.clear();
   for (const RateFunction& f : functions_) fns_.push_back(&f);
 
-  clusters_ = cluster_functions(fns_, ClusteringConfig{});
+  clusters_ = cluster_functions(fns_, kClusterThreshold);
   const int k = static_cast<int>(clusters_.size());
   if (journal_ != nullptr) {
     journal_->append(obs::JsonLine{}
@@ -409,8 +409,7 @@ void LoadBalanceController::solve_clustered() {
   const auto ku = static_cast<std::size_t>(k);
   if (cluster_curves_.size() < ku) cluster_curves_.resize(ku);
   for (std::size_t c = 0; c < ku; ++c) {
-    cluster_curves_[c].fit(merger_.merge(fns_, clusters_[c]),
-                           RateFunctionConfig{}.delta);
+    cluster_curves_[c].fit(merger_.merge(fns_, clusters_[c]));
   }
 
   // Solve at member granularity, but with every member evaluating its

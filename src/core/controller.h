@@ -41,9 +41,10 @@
 
 namespace slb {
 
-/// Controller tunables. The rate functions and the clustering use the
-/// defaults of RateFunctionConfig and ClusteringConfig; the RAP bounds are
-/// fixed (LoadBalanceController::kGeometricStepFloor). Every field but the
+/// Controller tunables. The rate functions, the distance and the
+/// clustering run on fixed constants (kDelta, kMinKnee, kClusterThreshold,
+/// RateFunction::kMixAlpha and kMaxPointWeight); the RAP bounds are fixed
+/// (LoadBalanceController::kGeometricStepFloor). Every field but the
 /// overload protection belongs to the paper's rule; `decay_factor = 1.0`
 /// makes it LB-static.
 struct ControllerConfig {
@@ -74,11 +75,6 @@ struct ControllerConfig {
 
 class LoadBalanceController {
  public:
-  /// EWMA smoothing factor for the per-period blocking rates reported by
-  /// smoothed_rates() and the journal (tracing only; the functions smooth
-  /// per-weight via RateFunctionConfig::mix_alpha).
-  static constexpr double kRateEwmaAlpha = 0.5;
-
   /// Geometric upward probing: in the flat solve a live connection's
   /// weight may fall to 0 in one update (as in the paper's traces, where
   /// a loaded connection is shut off at once) but may rise by at most

@@ -5,24 +5,21 @@
 
 namespace slb {
 
-double distance_alpha(const DistanceConfig& config) {
+double distance_alpha() {
   const double r = static_cast<double>(kWeightUnits);
-  const double denom = std::fabs(std::log(r * config.delta));
-  return std::log(r) / std::max(denom, 1e-12);
+  return std::log(r) / std::fabs(std::log(r * kDelta));
 }
 
-DistanceFeatures distance_features(const RateFunction& f,
-                                   const DistanceConfig& config) {
+DistanceFeatures distance_features(const RateFunction& f) {
   DistanceFeatures out;
   // Knee, floored so the log is finite and insensitive to noise among
   // connections that block almost immediately (paper's Figure 7 right).
-  out.knee =
-      std::max(config.min_knee, static_cast<double>(f.service_rate()));
+  out.knee = std::max(kMinKnee, static_cast<double>(f.service_rate()));
   // Blocking at the knee and at full load, floored at delta.
   out.knee_blocking = std::max(
-      config.delta,
+      kDelta,
       f.value(static_cast<Weight>(std::min<double>(out.knee, kWeightUnits))));
-  out.full_blocking = std::max(config.delta, f.value(kWeightUnits));
+  out.full_blocking = std::max(kDelta, f.value(kWeightUnits));
   return out;
 }
 
@@ -43,11 +40,10 @@ double feature_distance(const DistanceFeatures& a, const DistanceFeatures& b,
   return std::max({d_knee, d_rate_knee, d_rate_full});
 }
 
-double function_distance(const RateFunction& fj, const RateFunction& fk,
-                         const DistanceConfig& config) {
-  const DistanceFeatures a = distance_features(fj, config);
-  const DistanceFeatures b = distance_features(fk, config);
-  return feature_distance(a, b, distance_alpha(config),
+double function_distance(const RateFunction& fj, const RateFunction& fk) {
+  const DistanceFeatures a = distance_features(fj);
+  const DistanceFeatures b = distance_features(fk);
+  return feature_distance(a, b, distance_alpha(),
                           knee_term(a.knee, b.knee));
 }
 

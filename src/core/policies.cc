@@ -117,15 +117,8 @@ void OraclePolicy::advance_phase() {
   ++next_phase_;
 }
 
-ThroughputBalancedPolicy::ThroughputBalancedPolicy(int connections,
-                                                   double gain,
-                                                   bool reroute)
-    : gain_(gain),
-      reroute_(reroute),
-      prev_(static_cast<std::size_t>(connections), 0),
-      wrr_(connections) {
-  assert(gain > 0.0 && gain <= 1.0);
-}
+ThroughputBalancedPolicy::ThroughputBalancedPolicy(int connections)
+    : prev_(static_cast<std::size_t>(connections), 0), wrr_(connections) {}
 
 void ThroughputBalancedPolicy::on_throughput(
     TimeNs /*now*/, std::span<const std::uint64_t> delivered) {
@@ -152,8 +145,8 @@ void ThroughputBalancedPolicy::on_throughput(
     const double observed = static_cast<double>(delta[j]) /
                             static_cast<double>(total) * kWeightUnits;
     target[j] = std::max(
-        1.0, (1.0 - gain_) * static_cast<double>(current[j]) +
-                 gain_ * observed);
+        1.0, (1.0 - kGain) * static_cast<double>(current[j]) +
+                 kGain * observed);
   }
   wrr_.set_weights(weights_from_shares(target));
 }

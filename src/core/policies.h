@@ -259,26 +259,25 @@ class OraclePolicy : public SplitPolicy {
 /// it inherits both Section 4.3 (deliveries mirror the input mix) and
 /// Section 4.4 (re-routing is too little, too late), so it cannot correct
 /// an imbalance — a runnable demonstration of why the paper needed the
-/// blocking-rate signal.
+/// blocking-rate signal. It always re-routes, so only the simulator runs
+/// it (rt::LocalRegion rejects it).
 class ThroughputBalancedPolicy : public SplitPolicy {
  public:
-  /// @param gain fraction of the observed-share correction applied per
-  ///   period, in (0, 1].
-  /// @param reroute divert tuples whose connection would block (needed
-  ///   for deliveries to carry any capacity information at all).
-  explicit ThroughputBalancedPolicy(int connections, double gain = 0.5,
-                                    bool reroute = true);
+  /// Fraction of the observed-share correction applied per period.
+  static constexpr double kGain = 0.5;
+
+  explicit ThroughputBalancedPolicy(int connections);
 
   ConnectionId pick_connection() override { return wrr_.pick(); }
   void on_throughput(TimeNs now,
                      std::span<const std::uint64_t> delivered) override;
   const WeightVector& weights() const override { return wrr_.weights(); }
-  bool reroute_on_block() const override { return reroute_; }
+  /// Diverts tuples whose connection would block: without it the
+  /// deliveries carry no capacity information at all.
+  bool reroute_on_block() const override { return true; }
   std::string name() const override { return "TP-balance"; }
 
  private:
-  double gain_;
-  bool reroute_;
   std::vector<std::uint64_t> prev_;
   bool have_baseline_ = false;
   SmoothWrr wrr_;

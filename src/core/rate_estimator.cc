@@ -5,13 +5,11 @@
 
 namespace slb {
 
-BlockingRateEstimator::BlockingRateEstimator(int connections, double alpha)
+BlockingRateEstimator::BlockingRateEstimator(int connections)
     : raw_(static_cast<std::size_t>(connections), 0.0),
       smoothed_(static_cast<std::size_t>(connections), 0.0),
-      last_cumulative_(static_cast<std::size_t>(connections), 0),
-      alpha_(alpha) {
+      last_cumulative_(static_cast<std::size_t>(connections), 0) {
   assert(connections > 0);
-  assert(alpha > 0.0 && alpha <= 1.0);
 }
 
 void BlockingRateEstimator::ingest(TimeNs now,
@@ -42,7 +40,7 @@ void BlockingRateEstimator::ingest(TimeNs now,
     const double raw =
         static_cast<double>(delta) / static_cast<double>(period);
     raw_[j] = raw;
-    smoothed_[j] = ready_ ? alpha_ * raw + (1.0 - alpha_) * smoothed_[j] : raw;
+    smoothed_[j] = ready_ ? kAlpha * raw + (1.0 - kAlpha) * smoothed_[j] : raw;
     last_cumulative_[j] = cumulative[j];
   }
   last_time_ = now;

@@ -21,9 +21,11 @@ namespace slb {
 /// snapshot per period; read back smoothed rates.
 class BlockingRateEstimator {
  public:
-  /// @param connections number of connections in the region.
-  /// @param alpha EWMA smoothing factor for the per-period raw rates.
-  BlockingRateEstimator(int connections, double alpha);
+  /// EWMA smoothing factor for the per-period raw rates (tracing only:
+  /// the rate functions smooth per weight, RateFunction::kMixAlpha).
+  static constexpr double kAlpha = 0.5;
+
+  explicit BlockingRateEstimator(int connections);
 
   /// Ingests a snapshot taken at time `now`. The first call only
   /// establishes a baseline; it produces no rates.
@@ -40,7 +42,7 @@ class BlockingRateEstimator {
   std::span<const double> raw_rates() const { return raw_; }
 
   /// Per-connection EWMA of the raw rates: the first period's raw rate,
-  /// then `alpha * raw + (1 - alpha) * previous`; 0 until ready().
+  /// then `kAlpha * raw + (1 - kAlpha) * previous`; 0 until ready().
   std::span<const double> smoothed_rates() const { return smoothed_; }
 
  private:
@@ -52,7 +54,6 @@ class BlockingRateEstimator {
   /// Every connection is smoothed on the same ingest, so one flag says
   /// whether the averages hold a first sample yet.
   bool ready_ = false;
-  double alpha_;
 };
 
 /// Per-connection service-time capacity from worker-side counters: the

@@ -15,19 +15,18 @@ Weight clamp_guess(double guess, Weight lo, Weight hi) {
   return lo;
 }
 
-/// The first w in [lo, hi] with f(w) > delta, or -1, for f non-decreasing
+/// The first w in [lo, hi] with f(w) > kDelta, or -1, for f non-decreasing
 /// on [lo, hi]: walks down or up from `guess`.
 template <class F>
-Weight first_exceeding(const F& f, Weight lo, Weight hi, Weight guess,
-                       double delta) {
+Weight first_exceeding(const F& f, Weight lo, Weight hi, Weight guess) {
   Weight w = guess;
-  if (f(w) > delta) {
-    while (w > lo && f(w - 1) > delta) --w;
+  if (f(w) > kDelta) {
+    while (w > lo && f(w - 1) > kDelta) --w;
     return w;
   }
   while (w < hi) {
     ++w;
-    if (f(w) > delta) return w;
+    if (f(w) > kDelta) return w;
   }
   return -1;
 }
@@ -113,44 +112,42 @@ void RateCurve::values(Weight from, Weight to, double* out) const {
   }
 }
 
-Weight RateCurve::first_above(double delta) const {
+Weight RateCurve::knee() const {
   const std::size_t n = xs_.size();
-  if (n == 1) return 0.0 > delta ? 0 : kWeightUnits;  // identically zero
+  if (n == 1) return kWeightUnits;  // identically zero
   if (!monotone_) {
     for (Weight w = 0; w <= kWeightUnits; ++w) {
-      if (value(w) > delta) return w;
+      if (value(w) > kDelta) return w;
     }
     return kWeightUnits;
   }
   // Rounding keeps y0 + t * (y1 - y0) non-decreasing in w within a
-  // segment, so a segment whose t = 1 value does not exceed delta has no
+  // segment, so a segment whose t = 1 value does not exceed kDelta has no
   // weight that does.
   for (std::size_t k = 0; k + 1 < n; ++k) {
     const double rise = ys_[k + 1] - ys_[k];
-    if (!(ys_[k] + rise > delta)) continue;
+    if (!(ys_[k] + rise > kDelta)) continue;
     const Weight lo = xs_[k];
     const Weight hi = k + 2 == n ? xs_[k + 1] : xs_[k + 1] - 1;
     const double guess = static_cast<double>(lo) +
-                         std::ceil((delta - ys_[k]) / rise *
+                         std::ceil((kDelta - ys_[k]) / rise *
                                    static_cast<double>(xs_[k + 1] - lo));
     const Weight hit = first_exceeding(
         [&](Weight w) { return segment_value(k, w); }, lo, hi,
-        clamp_guess(guess, lo, hi), delta);
+        clamp_guess(guess, lo, hi));
     if (hit >= 0) return hit;
   }
   const Weight last = xs_.back();
   if (last < kWeightUnits) {
     const double guess = static_cast<double>(last) +
-                         std::ceil((delta - ys_.back()) / slope_);
+                         std::ceil((kDelta - ys_.back()) / slope_);
     const Weight hit = first_exceeding(
         [&](Weight w) { return value(w); }, last + 1, kWeightUnits,
-        clamp_guess(guess, last + 1, kWeightUnits), delta);
+        clamp_guess(guess, last + 1, kWeightUnits));
     if (hit >= 0) return hit;
   }
   return kWeightUnits;
 }
-
-RateFunction::RateFunction(RateFunctionConfig config) : config_(config) {}
 
 void RateFunction::observe(Weight w, double rate, double sample_weight) {
   // Degenerate measurements (a NaN from a zero-length period upstream, an
@@ -170,8 +167,8 @@ void RateFunction::observe(Weight w, double rate, double sample_weight) {
     raw_.emplace(it, w, RawPoint{rate, sample_weight});
   } else {
     RawPoint& p = it->second;
-    p.value = config_.mix_alpha * rate + (1.0 - config_.mix_alpha) * p.value;
-    p.weight = std::min(p.weight + sample_weight, config_.max_point_weight);
+    p.value = kMixAlpha * rate + (1.0 - kMixAlpha) * p.value;
+    p.weight = std::min(p.weight + sample_weight, kMaxPointWeight);
   }
   dirty_ = true;
 }
@@ -205,8 +202,8 @@ void RateFunction::reset() {
 void RateFunction::fit() const {
   if (!dirty_) return;
   dirty_ = false;
-  curve_.fit(raw_, config_.delta);
-  service_rate_ = curve_.first_above(config_.delta);
+  curve_.fit(raw_);
+  service_rate_ = curve_.knee();
 }
 
 }  // namespace slb

@@ -43,19 +43,11 @@ struct RawPoint {
 /// and after warm-up a new observed weight does not allocate.
 using RawPoints = std::vector<std::pair<Weight, RawPoint>>;
 
-/// Tunables for RateFunction; defaults follow the paper where it is
-/// explicit and DESIGN.md where it is not.
-struct RateFunctionConfig {
-  /// Mixing factor when folding a new observation into an existing raw
-  /// point: raw = mix_alpha * new + (1 - mix_alpha) * old.
-  double mix_alpha = 0.5;
-  /// Cap on a raw point's accumulated sample weight, so very old evidence
-  /// cannot forever outvote fresh data in the isotonic fit.
-  double max_point_weight = 8.0;
-  /// Small value used when monotonicity must be forced / when comparing
-  /// near-zero rates (the paper's delta).
-  double delta = 1e-6;
-};
+/// The paper's delta: the smallest blocking rate that counts as blocking
+/// (a function's knee is the first weight whose fit exceeds it), the floor
+/// on a raw point's sample weight in the fit, and the floor on every value
+/// the clustering distance takes a log of.
+inline constexpr double kDelta = 1e-6;
 
 /// The fitted form of a blocking-rate function: PAVA knots at the origin
 /// and at every raw weight, joined by linear interpolation and extended
@@ -65,12 +57,12 @@ class RateCurve {
  public:
   /// Refits to `points`, (weight, RawPoint) pairs in increasing weight
   /// order, all weights in (0, kWeightUnits]. The origin (0, 0) is
-  /// prepended. Sample weights are floored at `weight_floor` (> 0).
+  /// prepended. Sample weights are floored at kDelta.
   template <class Points>
-  void fit(const Points& points, double weight_floor) {
+  void fit(const Points& points) {
     begin();
     for (const auto& [w, p] : points) {
-      add(w, p.value, std::max(p.weight, weight_floor));
+      add(w, p.value, std::max(p.weight, kDelta));
     }
     finish();
   }
@@ -82,9 +74,9 @@ class RateCurve {
   /// walking the segments once instead of searching per weight.
   void values(Weight from, Weight to, double* out) const;
 
-  /// The smallest weight whose value exceeds `delta`; kWeightUnits if
+  /// The smallest weight whose value exceeds kDelta; kWeightUnits if
   /// none does.
-  Weight first_above(double delta) const;
+  Weight knee() const;
 
  private:
   void begin();
@@ -103,14 +95,19 @@ class RateCurve {
   double slope_ = 0.0;  // extrapolation slope past xs_.back()
   /// True when every knot value and segment rise is finite and no rise
   /// is negative: then each segment and the extrapolation are
-  /// non-decreasing in w, and first_above can search segment by segment.
+  /// non-decreasing in w, and knee() can search segment by segment.
   bool monotone_ = true;
 };
 
 /// A single connection's predictive blocking-rate function.
 class RateFunction {
  public:
-  explicit RateFunction(RateFunctionConfig config = {});
+  /// Mixing factor when folding a new observation into an existing raw
+  /// point: raw = kMixAlpha * new + (1 - kMixAlpha) * old.
+  static constexpr double kMixAlpha = 0.5;
+  /// Cap on a raw point's accumulated sample weight, so very old evidence
+  /// cannot forever outvote fresh data in the isotonic fit.
+  static constexpr double kMaxPointWeight = 8.0;
 
   /// Folds one observation into the raw data: connection was seen blocking
   /// at `rate` (fraction of the period spent blocked) while holding
@@ -127,7 +124,7 @@ class RateFunction {
   double value(Weight w) const;
 
   /// The "knee" / effective service rate w_s: the smallest weight at which
-  /// the fitted function exceeds delta. Returns kWeightUnits if the
+  /// the fitted function exceeds kDelta. Returns kWeightUnits if the
   /// function is flat zero (no blocking ever observed).
   Weight service_rate() const;
 
@@ -154,12 +151,9 @@ class RateFunction {
   /// Removes all evidence; the function returns to identically zero.
   void reset();
 
-  const RateFunctionConfig& config() const { return config_; }
-
  private:
   void fit() const;
 
-  RateFunctionConfig config_;
   RawPoints raw_;  // never contains weight 0
   mutable RateCurve curve_;
   mutable Weight service_rate_ = kWeightUnits;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace slb::flow {
 
@@ -43,6 +44,12 @@ std::unique_ptr<Pipeline> PipelineBuilder::build() {
   assert(!consumed_);
   assert(!specs_.empty());
   consumed_ = true;
+  // A zero period would reschedule the sample tick at the same instant
+  // forever, with or without a parallel stage.
+  if (config_.sample_period <= 0) {
+    throw std::invalid_argument("PipelineBuilder: sample_period " +
+                                std::to_string(config_.sample_period));
+  }
 
   auto pipeline = std::unique_ptr<Pipeline>(new Pipeline(config_));
   const control::ProtectionConfig& prot = config_.protection;

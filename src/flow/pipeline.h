@@ -47,7 +47,8 @@ struct PipelineConfig {
   /// Channel buffer depth (send and receive sides) for every hop.
   std::size_t channel_buffer = 32;
   DurationNs link_latency = micros(2);
-  /// Sampling / policy-update period for parallel stages.
+  /// Sampling / policy-update period for parallel stages; must be
+  /// positive.
   DurationNs sample_period = millis(10);
 
   /// Protection knobs (DESIGN.md §7, §9), enforced by each parallel
@@ -80,7 +81,9 @@ class PipelineBuilder {
                             bool ordered = true,
                             sim::LoadProfile load = {});
 
-  /// Assembles the pipeline. The builder is consumed.
+  /// Assembles the pipeline. The builder is consumed. Throws
+  /// std::invalid_argument before building anything for a
+  /// `sample_period` that is not positive.
   std::unique_ptr<Pipeline> build();
 
  private:

@@ -20,6 +20,11 @@ namespace {
 
 constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
 
+/// Kernel buffer request on each splitter->worker connection (the
+/// splitter's send side, the worker's receive side). Small buffers make
+/// back pressure, and so blocking, visible quickly.
+constexpr int kSocketBufferBytes = 16 * 1024;
+
 /// True when a splitter->worker connection has lost its peer. The stream
 /// is one-way — workers never write — so a readable socket can only mean
 /// FIN or RST; the peek confirms it without consuming anything, and a
@@ -52,6 +57,10 @@ LocalRegion::LocalRegion(LocalRegionConfig config,
   };
   for (const LoadEvent& e : config_.load_events) check_worker(e.worker);
   for (const FailureEvent& f : config_.failure_events) check_worker(f.worker);
+  if (config_.sample_period <= 0) {
+    throw std::invalid_argument("LocalRegion: sample_period " +
+                                std::to_string(config_.sample_period));
+  }
   if (policy_->reroute_on_block()) {
     // Section 4.4's transport-level re-routing is reproduced by the
     // simulator; this splitter always elects to block on its pick.
@@ -136,8 +145,8 @@ void LocalRegion::spawn(int j, net::Fd to_merger) {
   net::Fd splitter_side = net::connect_loopback(listener.port());
   net::Fd worker_side = listener.accept_one();
   net::set_nodelay(splitter_side.get());
-  net::set_send_buffer(splitter_side.get(), config_.socket_buffer_bytes);
-  net::set_recv_buffer(worker_side.get(), config_.socket_buffer_bytes);
+  net::set_send_buffer(splitter_side.get(), kSocketBufferBytes);
+  net::set_recv_buffer(worker_side.get(), kSocketBufferBytes);
   net::set_nodelay(to_merger.get());
   to_workers_[ju] = std::move(splitter_side);
   workers_[ju] = std::make_unique<WorkerPe>(

@@ -56,11 +56,8 @@ struct LocalRegionConfig {
   WorkMode work_mode = WorkMode::kSpin;
   /// Tuple payload size on the wire (plus the 16-byte frame header).
   std::size_t payload_bytes = 64;
-  /// Kernel send/receive buffer request per socket; small values make
-  /// back pressure (and therefore blocking) visible quickly.
-  int socket_buffer_bytes = 16 * 1024;
   /// How often the splitter samples its blocked time and updates the
-  /// policy.
+  /// policy; must be positive.
   DurationNs sample_period = millis(100);
   /// External-load schedule applied during run().
   std::vector<LoadEvent> load_events;
@@ -143,10 +140,11 @@ class LocalRegion {
  public:
   /// Throws std::invalid_argument, before any socket or thread exists,
   /// for a load or failure event on a worker outside [0, workers), a
-  /// policy without one weight per worker (RegionControlLoop), or a
-  /// policy that re-routes on block (Section 4.4): the simulator
-  /// reproduces that baseline, and this splitter always blocks on the
-  /// connection it picked.
+  /// `sample_period` that is not positive (the control loop would tick on
+  /// every splitter pass), a policy without one weight per worker
+  /// (RegionControlLoop), or a policy that re-routes on block (Section
+  /// 4.4): the simulator reproduces that baseline, and this splitter
+  /// always blocks on the connection it picked.
   LocalRegion(LocalRegionConfig config, std::unique_ptr<SplitPolicy> policy);
   ~LocalRegion();
 

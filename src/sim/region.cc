@@ -44,9 +44,13 @@ Region::Region(RegionConfig config, std::unique_ptr<SplitPolicy> policy,
       }
     }
   }
-  // Zero would allow infinite same-instant sends.
+  // Zero would allow infinite same-instant sends, or reschedule the
+  // sample tick at the same instant forever.
   if (config_.send_overhead <= 0) {
     reject("send_overhead " + std::to_string(config_.send_overhead));
+  }
+  if (config_.sample_period <= 0) {
+    reject("sample_period " + std::to_string(config_.sample_period));
   }
 
   Channel::Config chan_cfg;

@@ -109,8 +109,9 @@ class Region {
   /// std::invalid_argument, before any part is built, for a `load` whose
   /// width is not `config.workers`, a `hosts` model placing fewer
   /// workers, a `shared` placement of another width or naming a host
-  /// outside its set, or a `config.send_overhead` that is not positive;
-  /// and for a policy without one weight per worker (RegionControlLoop).
+  /// outside its set, or a `config.send_overhead` or `sample_period` that
+  /// is not positive; and for a policy without one weight per worker
+  /// (RegionControlLoop).
   ///
   /// Multi-region use: pass a shared `external_sim` so several regions
   /// advance on one virtual timeline, and a SharedPlacement so their

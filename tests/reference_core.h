@@ -106,9 +106,8 @@ inline std::vector<double> pava(const std::vector<double>& values,
 /// kWeightUnits + 1 values.
 class DenseRateFunction {
  public:
-  explicit DenseRateFunction(RateFunctionConfig config = {})
-      : config_(config),
-        fitted_(static_cast<std::size_t>(kWeightUnits) + 1, 0.0) {}
+  DenseRateFunction()
+      : fitted_(static_cast<std::size_t>(kWeightUnits) + 1, 0.0) {}
 
   void observe(Weight w, double rate, double sample_weight = 1.0) {
     if (!std::isfinite(rate) || rate < 0.0) return;
@@ -118,8 +117,10 @@ class DenseRateFunction {
     auto [it, inserted] = raw_.try_emplace(w, RawPoint{rate, sample_weight});
     if (!inserted) {
       RawPoint& p = it->second;
-      p.value = config_.mix_alpha * rate + (1.0 - config_.mix_alpha) * p.value;
-      p.weight = std::min(p.weight + sample_weight, config_.max_point_weight);
+      p.value = RateFunction::kMixAlpha * rate +
+                (1.0 - RateFunction::kMixAlpha) * p.value;
+      p.weight = std::min(p.weight + sample_weight,
+                          RateFunction::kMaxPointWeight);
     }
     dirty_ = true;
   }
@@ -166,7 +167,7 @@ class DenseRateFunction {
     for (const auto& [w, p] : raw_) {
       xs.push_back(w);
       ys.push_back(p.value);
-      ws.push_back(std::max(p.weight, config_.delta));
+      ws.push_back(std::max(p.weight, kDelta));
     }
     const std::vector<double> iso = pava(ys, ws);
     std::fill(fitted_.begin(), fitted_.end(), 0.0);
@@ -200,14 +201,13 @@ class DenseRateFunction {
     }
     service_rate_ = kWeightUnits;
     for (Weight x = 0; x <= kWeightUnits; ++x) {
-      if (fitted_[static_cast<std::size_t>(x)] > config_.delta) {
+      if (fitted_[static_cast<std::size_t>(x)] > kDelta) {
         service_rate_ = x;
         break;
       }
     }
   }
 
-  RateFunctionConfig config_;
   std::map<Weight, RawPoint> raw_;
   mutable std::vector<double> fitted_;
   mutable Weight service_rate_ = kWeightUnits;
@@ -215,14 +215,11 @@ class DenseRateFunction {
 };
 
 /// The paper's distance, evaluated per pair from the functions.
-inline double pair_distance(const RateFunction& fj, const RateFunction& fk,
-                            const DistanceConfig& config) {
-  const double delta = config.delta;
-  const double alpha = distance_alpha(config);
-  const double sj =
-      std::max(config.min_knee, static_cast<double>(fj.service_rate()));
-  const double sk =
-      std::max(config.min_knee, static_cast<double>(fk.service_rate()));
+inline double pair_distance(const RateFunction& fj, const RateFunction& fk) {
+  const double delta = kDelta;
+  const double alpha = distance_alpha();
+  const double sj = std::max(kMinKnee, static_cast<double>(fj.service_rate()));
+  const double sk = std::max(kMinKnee, static_cast<double>(fk.service_rate()));
   const double bj_knee =
       std::max(delta, fj.value(static_cast<Weight>(
                           std::min<double>(sj, kWeightUnits))));
@@ -240,8 +237,7 @@ inline double pair_distance(const RateFunction& fj, const RateFunction& fk,
 /// Complete linkage recomputed over member pairs for every candidate pair
 /// on every merge.
 inline Clusters cluster_functions(
-    const std::vector<const RateFunction*>& functions,
-    const ClusteringConfig& config) {
+    const std::vector<const RateFunction*>& functions, double threshold) {
   const int n = static_cast<int>(functions.size());
   Clusters clusters;
   for (int j = 0; j < n; ++j) clusters.push_back({j});
@@ -250,8 +246,7 @@ inline Clusters cluster_functions(
   std::vector<std::vector<double>> dist(nu, std::vector<double>(nu, 0.0));
   for (std::size_t a = 0; a < nu; ++a) {
     for (std::size_t b = a + 1; b < nu; ++b) {
-      const double d =
-          pair_distance(*functions[a], *functions[b], config.distance);
+      const double d = pair_distance(*functions[a], *functions[b]);
       dist[a][b] = d;
       dist[b][a] = d;
     }
@@ -281,7 +276,7 @@ inline Clusters cluster_functions(
         }
       }
     }
-    if (best > config.threshold) break;
+    if (best > threshold) break;
     clusters[bi].insert(clusters[bi].end(), clusters[bj].begin(),
                         clusters[bj].end());
     clusters.erase(clusters.begin() + static_cast<std::ptrdiff_t>(bj));

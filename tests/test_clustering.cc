@@ -32,7 +32,7 @@ std::vector<const RateFunction*> ptrs(const std::vector<RateFunction>& fns) {
 TEST(Clustering, SingleFunctionSingleCluster) {
   std::vector<RateFunction> fns;
   fns.push_back(knee_fn(300, 0.001));
-  const Clusters c = cluster_functions(ptrs(fns), {});
+  const Clusters c = cluster_functions(ptrs(fns), kClusterThreshold);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0], (std::vector<ConnectionId>{0}));
 }
@@ -40,7 +40,7 @@ TEST(Clustering, SingleFunctionSingleCluster) {
 TEST(Clustering, IdenticalFunctionsMerge) {
   std::vector<RateFunction> fns;
   for (int i = 0; i < 5; ++i) fns.push_back(knee_fn(300, 0.001));
-  const Clusters c = cluster_functions(ptrs(fns), {});
+  const Clusters c = cluster_functions(ptrs(fns), kClusterThreshold);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].size(), 5u);
 }
@@ -49,9 +49,7 @@ TEST(Clustering, ThresholdZeroKeepsDistinctApart) {
   std::vector<RateFunction> fns;
   fns.push_back(knee_fn(100, 0.001));
   fns.push_back(knee_fn(900, 0.001));
-  ClusteringConfig cfg;
-  cfg.threshold = 0.0;
-  const Clusters c = cluster_functions(ptrs(fns), cfg);
+  const Clusters c = cluster_functions(ptrs(fns), 0.0);
   EXPECT_EQ(c.size(), 2u);
 }
 
@@ -60,9 +58,7 @@ TEST(Clustering, HugeThresholdMergesEverything) {
   fns.push_back(knee_fn(100, 0.01));
   fns.push_back(knee_fn(500, 0.001));
   fns.push_back(knee_fn(900, 0.0001));
-  ClusteringConfig cfg;
-  cfg.threshold = 1e9;
-  const Clusters c = cluster_functions(ptrs(fns), cfg);
+  const Clusters c = cluster_functions(ptrs(fns), 1e9);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].size(), 3u);
 }
@@ -84,7 +80,7 @@ TEST(Clustering, RecoversThreePerformanceClasses) {
     fns.push_back(knee_fn(800, 0.0001, 0.1, static_cast<std::uint64_t>(20 + i)));
     truth.push_back(2);
   }
-  const Clusters c = cluster_functions(ptrs(fns), {});
+  const Clusters c = cluster_functions(ptrs(fns), kClusterThreshold);
   // Purity: every cluster contains members of exactly one class.
   for (const auto& members : c) {
     for (ConnectionId m : members) {
@@ -101,7 +97,7 @@ TEST(Clustering, EveryConnectionInExactlyOneCluster) {
   for (int i = 0; i < 12; ++i) {
     fns.push_back(knee_fn(static_cast<Weight>(50 + 80 * i), 0.001));
   }
-  const Clusters c = cluster_functions(ptrs(fns), {});
+  const Clusters c = cluster_functions(ptrs(fns), kClusterThreshold);
   std::vector<int> seen(12, 0);
   for (const auto& members : c) {
     for (ConnectionId m : members) ++seen[static_cast<std::size_t>(m)];

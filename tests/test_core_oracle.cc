@@ -234,15 +234,14 @@ void expect_same_function(const RateFunction& f,
 
 TEST(RateFunctionOracle, RandomOperationSequencesMatchDenseFit) {
   Rng rng(34);
+  int capped = 0;  // observations that left a raw point at the cap
   for (int trial = 0; trial < 150; ++trial) {
-    RateFunctionConfig cfg;
-    cfg.mix_alpha = rng.uniform(0.1, 1.0);
-    cfg.max_point_weight = rng.uniform(0.5, 10.0);
-    const double deltas[] = {1e-6, 1e-3, 0.05, 0.3};
-    cfg.delta = deltas[rng.below(4)];
-    RateFunction f(cfg);
-    testref::DenseRateFunction ref(cfg);
-    RateFunction donor(cfg);
+    // Every third trial observes at two weights only, so repeated
+    // evidence piles up to RateFunction::kMaxPointWeight.
+    const bool few_weights = trial % 3 == 0;
+    RateFunction f;
+    testref::DenseRateFunction ref;
+    RateFunction donor;
     for (int op = 0; op < 40; ++op) {
       const char* what = "";
       switch (rng.below(12)) {
@@ -274,13 +273,18 @@ TEST(RateFunctionOracle, RandomOperationSequencesMatchDenseFit) {
           break;
         }
         default: {
-          const auto w = static_cast<Weight>(rng.below(kWeightUnits + 1));
+          const auto w = static_cast<Weight>(
+              few_weights ? 250 * (1 + rng.below(2))
+                          : rng.below(kWeightUnits + 1));
           const double rate = random_rate(rng);
           const double sw = random_sample_weight(rng);
           f.observe(w, rate, sw);
           ref.observe(w, rate, sw);
           donor.observe(static_cast<Weight>(rng.below(kWeightUnits + 1)),
                         rng.uniform(0.0, 1.0));
+          for (const auto& [x, p] : f.raw()) {
+            if (x == w && p.weight == RateFunction::kMaxPointWeight) ++capped;
+          }
           what = "observe";
           break;
         }
@@ -288,6 +292,7 @@ TEST(RateFunctionOracle, RandomOperationSequencesMatchDenseFit) {
       expect_same_function(f, ref, what);
     }
   }
+  EXPECT_GT(capped, 0);
 }
 
 TEST(RateFunctionOracle, ControllerShapedFunctionsMatchDenseFit) {
@@ -319,7 +324,7 @@ TEST(RateFunctionOracle, CurveValuesMatchPointwiseValues) {
     RateFunction f;
     f.load_raw(random_raw(rng));
     RateCurve curve;
-    curve.fit(f.raw(), f.config().delta);
+    curve.fit(f.raw());
     const auto from = static_cast<Weight>(rng.below(kWeightUnits + 1));
     const auto to = static_cast<Weight>(
         from + rng.below(static_cast<std::uint64_t>(kWeightUnits - from) + 1));
@@ -360,20 +365,28 @@ std::vector<const RateFunction*> pointers(const std::vector<RateFunction>& fns) 
 TEST(ClusteringOracle, RandomFunctionsMatchFullLinkageScan) {
   Rng rng(90);
   const double thresholds[] = {0.0, 0.3, 1.0, 2.5, 1e9};
+  int floored = 0;  // functions whose knee sits below kMinKnee
   for (int trial = 0; trial < 80; ++trial) {
     const int n = 2 + static_cast<int>(rng.below(69));
     const int templates = 1 + static_cast<int>(rng.below(8));
     const bool jitter = rng.below(2) == 0;
     std::vector<RateFunction> fns;
-    for (int j = 0; j < n; ++j) fns.push_back(template_function(rng, templates, jitter));
-    ClusteringConfig cfg;
-    cfg.threshold = thresholds[rng.below(5)];
-    if (rng.below(3) == 0) cfg.distance.min_knee = rng.uniform(0.5, 50.0);
-    if (rng.below(3) == 0) cfg.distance.delta = 1e-3;
+    for (int j = 0; j < n; ++j) {
+      fns.push_back(template_function(rng, templates, jitter));
+      // Blocking seen at a weight below kMinKnee puts the knee there.
+      if (rng.below(4) == 0) {
+        fns.back().observe(static_cast<Weight>(1 + rng.below(4)),
+                           rng.uniform(1e-3, 0.05));
+      }
+      if (fns.back().service_rate() < kMinKnee) ++floored;
+    }
+    const double threshold = thresholds[rng.below(5)];
     const auto ptrs = pointers(fns);
-    ASSERT_EQ(cluster_functions(ptrs, cfg), testref::cluster_functions(ptrs, cfg))
+    ASSERT_EQ(cluster_functions(ptrs, threshold),
+              testref::cluster_functions(ptrs, threshold))
         << "trial " << trial << " n=" << n;
   }
+  EXPECT_GT(floored, 0);
 }
 
 TEST(ClusteringOracle, IdenticalFunctionsAndExactTies) {
@@ -391,9 +404,8 @@ TEST(ClusteringOracle, IdenticalFunctionsAndExactTies) {
   for (int j = 0; j < 45; ++j) fns.push_back(j % 3 == 0 ? a : j % 3 == 1 ? b : c);
   const auto ptrs = pointers(fns);
   for (double threshold : {0.0, 0.5, 1.0, 3.0, 1e9}) {
-    ClusteringConfig cfg;
-    cfg.threshold = threshold;
-    EXPECT_EQ(cluster_functions(ptrs, cfg), testref::cluster_functions(ptrs, cfg))
+    EXPECT_EQ(cluster_functions(ptrs, threshold),
+              testref::cluster_functions(ptrs, threshold))
         << "threshold " << threshold;
   }
 }
@@ -420,9 +432,7 @@ TEST(ClusteringOracle, EqualDistancesAlongAChainMergeTheFirstPair) {
     for (Weight k : knees) fns.push_back(knee_step(k));
     const auto ptrs = pointers(fns);
     ASSERT_EQ(function_distance(*ptrs[0], *ptrs[0]), 0.0);
-    ClusteringConfig cfg;
-    cfg.threshold = 1.0;
-    ASSERT_EQ(cluster_functions(ptrs, cfg), testref::cluster_functions(ptrs, cfg))
+    ASSERT_EQ(cluster_functions(ptrs, 1.0), testref::cluster_functions(ptrs, 1.0))
         << "knees " << knees[0] << " " << knees[1] << " " << knees[2] << " "
         << knees[3];
   } while (std::next_permutation(knees.begin(), knees.end()));
@@ -437,12 +447,11 @@ TEST(ClusteringOracle, PairsAtTheThreshold) {
     const auto ptrs = pointers(fns);
     const auto i = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)));
     const auto k = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)));
-    const double d = testref::pair_distance(*ptrs[i], *ptrs[k], {});
+    const double d = testref::pair_distance(*ptrs[i], *ptrs[k]);
     ASSERT_EQ(function_distance(*ptrs[i], *ptrs[k]), d);
     for (double threshold : {std::nextafter(d, 0.0), d, std::nextafter(d, kInf)}) {
-      ClusteringConfig cfg;
-      cfg.threshold = threshold;
-      ASSERT_EQ(cluster_functions(ptrs, cfg), testref::cluster_functions(ptrs, cfg))
+      ASSERT_EQ(cluster_functions(ptrs, threshold),
+                testref::cluster_functions(ptrs, threshold))
           << "trial " << trial << " threshold " << threshold;
     }
   }

@@ -18,11 +18,10 @@ RateFunction make_knee_function(Weight knee, double slope) {
 }
 
 TEST(Distance, AlphaFormula) {
-  DistanceConfig cfg;
-  cfg.delta = 1e-6;
+  static_assert(kDelta == 1e-6);
   // alpha = log(R) / |log(R * delta)| with R = 1000.
   const double expected = std::log(1000.0) / std::fabs(std::log(1e-3));
-  EXPECT_NEAR(distance_alpha(cfg), expected, 1e-12);
+  EXPECT_NEAR(distance_alpha(), expected, 1e-12);
 }
 
 TEST(Distance, IdenticalFunctionsAreZero) {

@@ -426,6 +426,18 @@ TEST(RegionOverload, RejectsANegativeSourceInterval) {
                std::invalid_argument);
 }
 
+TEST(RegionOverload, RejectsANonPositiveSamplePeriod) {
+  // A zero period would reschedule the sample tick at the same instant
+  // forever.
+  for (const DurationNs period : {DurationNs{0}, DurationNs{-1}}) {
+    sim::RegionConfig cfg = overloaded_region(/*open_loop=*/true);
+    cfg.sample_period = period;
+    EXPECT_THROW(sim::Region(cfg, std::make_unique<RoundRobinPolicy>(4)),
+                 std::invalid_argument)
+        << "period " << period;
+  }
+}
+
 // --- flow pipeline ----------------------------------------------------
 //
 // The same ladder, driven through flow::Pipeline's per-stage control
@@ -528,6 +540,18 @@ TEST(PipelineOverload, RejectsANegativeSourceInterval) {
   builder.parallel("score", 4, micros(10),
                    std::make_unique<LoadBalancingPolicy>(4));
   EXPECT_THROW(builder.build(), std::invalid_argument);
+}
+
+TEST(PipelineOverload, RejectsANonPositiveSamplePeriod) {
+  // Checked before any stage is built: an operator-only pipeline has no
+  // region to reject it, and its own sample tick would spin in place.
+  for (const DurationNs period : {DurationNs{0}, DurationNs{-1}}) {
+    flow::PipelineConfig cfg = overloaded_pipeline(/*open_loop=*/false);
+    cfg.sample_period = period;
+    flow::PipelineBuilder builder(cfg);
+    builder.op("parse", micros(2));
+    EXPECT_THROW(builder.build(), std::invalid_argument) << "period " << period;
+  }
 }
 
 }  // namespace

@@ -10,14 +10,14 @@ namespace slb {
 namespace {
 
 TEST(RateEstimator, FirstIngestOnlyBaselines) {
-  BlockingRateEstimator est(2, 1.0);
+  BlockingRateEstimator est(2);
   const std::vector<DurationNs> c{100, 200};
   est.ingest(seconds(1), c);
   EXPECT_FALSE(est.ready());
 }
 
 TEST(RateEstimator, ComputesRateFromDeltas) {
-  BlockingRateEstimator est(2, 1.0);
+  BlockingRateEstimator est(2);
   est.ingest(0, std::vector<DurationNs>{0, 0});
   // Over one second: connection 0 blocked 0.5 s, connection 1 blocked 0.
   est.ingest(seconds(1),
@@ -28,7 +28,7 @@ TEST(RateEstimator, ComputesRateFromDeltas) {
 }
 
 TEST(RateEstimator, SmoothsAcrossPeriods) {
-  BlockingRateEstimator est(1, 0.5);
+  BlockingRateEstimator est(1);
   est.ingest(0, std::vector<DurationNs>{0});
   est.ingest(seconds(1), std::vector<DurationNs>{seconds(1)});  // rate 1.0
   est.ingest(seconds(2), std::vector<DurationNs>{seconds(1)});  // rate 0.0
@@ -37,7 +37,7 @@ TEST(RateEstimator, SmoothsAcrossPeriods) {
 }
 
 TEST(RateEstimator, CounterResetTreatedAsNewBaseline) {
-  BlockingRateEstimator est(1, 1.0);
+  BlockingRateEstimator est(1);
   est.ingest(0, std::vector<DurationNs>{seconds(5)});
   // The transport layer reset its counter; the new cumulative value is
   // *smaller*. The estimator must not produce a negative rate.
@@ -48,7 +48,7 @@ TEST(RateEstimator, CounterResetTreatedAsNewBaseline) {
 }
 
 TEST(RateEstimator, IgnoresNonAdvancingTime) {
-  BlockingRateEstimator est(1, 1.0);
+  BlockingRateEstimator est(1);
   est.ingest(seconds(1), std::vector<DurationNs>{0});
   est.ingest(seconds(1), std::vector<DurationNs>{seconds(1)});  // same time
   EXPECT_FALSE(est.ready());
@@ -59,7 +59,7 @@ TEST(RateEstimator, IgnoresNonAdvancingTime) {
 
 TEST(RateEstimator, ManyConnectionsIndependent) {
   const int n = 16;
-  BlockingRateEstimator est(n, 1.0);
+  BlockingRateEstimator est(n);
   std::vector<DurationNs> c(n, 0);
   est.ingest(0, c);
   for (int j = 0; j < n; ++j) c[static_cast<std::size_t>(j)] = j * millis(10);

@@ -58,9 +58,8 @@ TEST(RateFunction, InterpolatesBetweenPoints) {
 }
 
 TEST(RateFunction, MixAlphaBlendsRepeatObservations) {
-  RateFunctionConfig cfg;
-  cfg.mix_alpha = 0.5;
-  RateFunction f(cfg);
+  static_assert(RateFunction::kMixAlpha == 0.5);
+  RateFunction f;
   f.observe(300, 1.0);
   f.observe(300, 0.0);
   EXPECT_NEAR(f.value(300), 0.5, 1e-9);
@@ -162,13 +161,11 @@ TEST(RateFunction, LoadRawDropsOriginEntry) {
 }
 
 TEST(RateFunction, PointWeightIsCapped) {
-  RateFunctionConfig cfg;
-  cfg.max_point_weight = 2.0;
-  RateFunction f(cfg);
+  RateFunction f;
   for (int i = 0; i < 100; ++i) f.observe(300, 1.0);
   ASSERT_EQ(f.raw().size(), 1u);
   EXPECT_EQ(f.raw().front().first, 300);
-  EXPECT_LE(f.raw().front().second.weight, 2.0);
+  EXPECT_EQ(f.raw().front().second.weight, RateFunction::kMaxPointWeight);
 }
 
 TEST(RateFunction, ZeroSampleWeightObservationIgnored) {

@@ -27,7 +27,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // --- BlockingRateEstimator -------------------------------------------
 
 TEST(EstimatorRobustness, BackwardsClockRebaselinesInsteadOfPoisoning) {
-  BlockingRateEstimator est(2, 0.5);
+  BlockingRateEstimator est(2);
   std::vector<DurationNs> cum = {0, 0};
   est.ingest(millis(0), cum);
   cum = {millis(5), millis(2)};
@@ -49,7 +49,7 @@ TEST(EstimatorRobustness, BackwardsClockRebaselinesInsteadOfPoisoning) {
 }
 
 TEST(EstimatorRobustness, ZeroElapsedPeriodIsIgnored) {
-  BlockingRateEstimator est(1, 0.5);
+  BlockingRateEstimator est(1);
   std::vector<DurationNs> cum = {0};
   est.ingest(millis(0), cum);
   cum = {millis(5)};

@@ -138,13 +138,9 @@ TEST(LocalRegion, RejectsReroutePolicy) {
   EXPECT_THROW(LocalRegion(fast_config(2),
                            std::make_unique<RerouteOnBlockPolicy>(2)),
                std::invalid_argument);
-  EXPECT_THROW(
-      LocalRegion(fast_config(2), std::make_unique<ThroughputBalancedPolicy>(
-                                      2, 0.5, /*reroute=*/true)),
-      std::invalid_argument);
-  EXPECT_NO_THROW(LocalRegion(fast_config(2),
-                              std::make_unique<ThroughputBalancedPolicy>(
-                                  2, 0.5, /*reroute=*/false)));
+  EXPECT_THROW(LocalRegion(fast_config(2),
+                           std::make_unique<ThroughputBalancedPolicy>(2)),
+               std::invalid_argument);
 }
 
 TEST(LocalRegion, RejectsANegativeSourceInterval) {
@@ -156,6 +152,19 @@ TEST(LocalRegion, RejectsANegativeSourceInterval) {
   EXPECT_THROW(LocalRegion(cfg, std::make_unique<RoundRobinPolicy>(2)),
                std::invalid_argument);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(LocalRegion, RejectsANonPositiveSamplePeriod) {
+  // A zero period would tick the control loop on every splitter pass.
+  for (const DurationNs period : {DurationNs{0}, DurationNs{-1}}) {
+    LocalRegionConfig cfg = fast_config(2);
+    cfg.sample_period = period;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(LocalRegion(cfg, std::make_unique<RoundRobinPolicy>(2)),
+                 std::invalid_argument)
+        << "period " << period;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  }
 }
 
 TEST(LocalRegion, RejectsInputsOutsideItsWorkers) {

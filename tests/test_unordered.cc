@@ -165,8 +165,6 @@ TEST(ThroughputPolicy, NameAndDefaults) {
   EXPECT_EQ(p.name(), "TP-balance");
   EXPECT_EQ(total_weight(p.weights()), kWeightUnits);
   EXPECT_TRUE(p.reroute_on_block());  // needed for deliveries to inform
-  ThroughputBalancedPolicy no_reroute(3, 0.5, false);
-  EXPECT_FALSE(no_reroute.reroute_on_block());
 }
 
 TEST(ThroughputPolicy, IgnoresEmptyPeriods) {
